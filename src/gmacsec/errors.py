@@ -29,11 +29,11 @@ class UnknownVariable(GmacError):
 
 
 class SolverStall(GmacError):
-    """The LP backend stopped without a conclusive feasibility answer."""
+    """The LP or Qhull backend stopped without a conclusive answer."""
 
 
 class Unbounded(GmacError):
-    """A support-function LP is unbounded in the requested direction."""
+    """A support function is unbounded in the requested direction."""
 
 
 class EmptySlice(GmacError):

@@ -6,19 +6,26 @@ Bound constructions with [.]_+ brackets are expressed as templates whose
 clipped constraints are expanded into a union of plain polytopes by
 clip_plus_split. Regions are unions of pieces, optionally convexified into a
 cached vertex cloud.
+
+Because every piece is pointed, emptiness and support queries are answered
+from its vertices, which each piece enumerates once; hull slices come from
+Qhull's facets of the vertex cloud.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     EmptySlice,
+    SolverStall,
     Unbounded,
     VertexEnumerationOverflow,
 )
@@ -27,6 +34,15 @@ DEDUP_TOL = 1e-9
 DEDUP_DECIMALS = 9
 VERTEX_CEILING = 100_000
 COMBO_CEILING = 2_000_000
+# Index arrays of at most this many subsets stay cached (16 of them at most).
+COMBO_CACHED = 65_536
+# Vertices whose support is within this of the maximum tie for the witness.
+TIE_TOL = 1e-12
+# Hull slices: rows are loosened by SLICE_SLACK (above the 1e-9 vertex
+# feasibility slack) while clipping; rows within SLICE_NEAR of the clipped
+# polygon are kept for vertex enumeration.
+SLICE_SLACK = 1e-8
+SLICE_NEAR = 1e-7
 
 # HiGHS default feasibility tolerances sit near 1e-7, which is visible
 # noise at the 9-digit precision the outputs promise; pin them lower.
@@ -43,6 +59,10 @@ class RatePolytope:
     coords: tuple[str, ...]
     A: np.ndarray
     b: np.ndarray
+    _vertices: np.ndarray | None = field(default=None, init=False, repr=False,
+                                         compare=False)
+    _rays: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -62,6 +82,27 @@ class RatePolytope:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The piece's vertices (read-only), enumerated on first use."""
+        if self._vertices is None:
+            verts = piece_vertices(self)
+            verts.setflags(write=False)
+            object.__setattr__(self, "_vertices", verts)
+        return self._vertices
+
+    @property
+    def rays(self) -> np.ndarray:
+        """Vertices of the recession cone {r >= 0 : A r <= 0} cut by
+        sum r <= 1 (read-only), enumerated on first use. The piece recedes
+        without bound along d exactly when one of them has d.r > 0."""
+        if self._rays is None:
+            d = self.dim
+            cone = RatePolytope(self.coords, np.vstack([self.A, np.ones((1, d))]),
+                                np.append(np.zeros(self.A.shape[0]), 1.0))
+            object.__setattr__(self, "_rays", cone.vertices)
+        return self._rays
 
     def constraints(self):
         """The (coefficients, bound) pairs, excluding implicit nonnegativity."""
@@ -91,41 +132,47 @@ def piece_contains(piece: RatePolytope, point, tol: float = 1e-9) -> bool:
     return bool(np.all(piece.A @ x <= piece.b + tol))
 
 
-def piece_is_empty(piece: RatePolytope, tol: float = 1e-9) -> bool:
-    """LP feasibility of the piece (with implicit nonnegativity)."""
-    d = piece.dim
-    if piece.A.shape[0] == 0:
-        return False
-    res = linprog(
-        np.zeros(d), A_ub=piece.A, b_ub=piece.b + tol,
-        bounds=[(0, None)] * d, method="highs", options=_LP_OPTIONS,
-    )
-    return res.status == 2
+def piece_is_empty(piece: RatePolytope) -> bool:
+    """Whether the piece has no point.
+
+    x >= 0 is implicit, so a nonempty piece is pointed and has a vertex.
+    """
+    return piece.vertices.shape[0] == 0
+
+
+def _vertex_argmax(verts: np.ndarray, direction: np.ndarray):
+    """(max d.x, witness) over a nonempty vertex array.
+
+    The witness is the vertex with the largest coordinate sum among those
+    within TIE_TOL of the maximum, which is the Pareto-maximal corner of the
+    optimal face; a remaining tie goes to the lexicographically largest.
+    """
+    values = verts @ direction
+    value = float(np.max(values))
+    cand = verts[values >= value - TIE_TOL]
+    sums = cand.sum(axis=1)
+    cand = cand[sums >= np.max(sums) - TIE_TOL]
+    return value, cand[np.lexsort(cand.T[::-1])[-1]]
 
 
 def piece_support(piece: RatePolytope, direction) -> tuple[float, np.ndarray]:
-    """max d.x over the piece; returns (value, maximizing point).
+    """max d.x over the piece; returns (value, maximizing vertex).
 
-    Raises Unbounded when the LP is unbounded in that direction and
-    EmptySlice when the piece is infeasible.
+    The maximum is taken over the piece's vertices, with the witness tie
+    rule of _vertex_argmax. Raises EmptySlice when the piece is empty and
+    Unbounded when it recedes without bound in that direction.
     """
     d = np.asarray(direction, dtype=float)
     if d.shape != (piece.dim,):
         raise ValueError("direction dimension mismatch")
     if not np.any(d):
         raise ValueError("direction must be nonzero")
-    res = linprog(
-        -d, A_ub=piece.A if piece.A.shape[0] else None,
-        b_ub=piece.b if piece.A.shape[0] else None,
-        bounds=[(0, None)] * piece.dim, method="highs", options=_LP_OPTIONS,
-    )
-    if res.status == 3:
-        raise Unbounded(f"support unbounded along {direction}")
-    if res.status == 2:
+    verts = piece.vertices
+    if verts.shape[0] == 0:
         raise EmptySlice("support of an empty piece")
-    if res.status != 0:
-        raise Unbounded(f"support LP failed: {res.message}")
-    return float(-res.fun), np.asarray(res.x)
+    if np.max(piece.rays @ d) > DEDUP_TOL:
+        raise Unbounded(f"support unbounded along {direction}")
+    return _vertex_argmax(verts, d)
 
 
 def slice_piece(piece: RatePolytope, fixed: dict) -> RatePolytope:
@@ -223,41 +270,61 @@ def clip_plus_split(tmpl: PolytopeTemplate, drop_empty: bool = True):
     return pieces
 
 
+@functools.lru_cache(maxsize=16)
+def _combinations(m: int, d: int) -> np.ndarray:
+    """Every d-subset of range(m) as rows, in itertools order (read-only)."""
+    n = math.comb(m, d)
+    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), d)),
+                      dtype=np.intp, count=n * d).reshape(n, d)
+    idx.setflags(write=False)
+    return idx
+
+
 def piece_vertices(piece: RatePolytope, max_vertices: int = VERTEX_CEILING) -> np.ndarray:
-    """Enumerate the vertices of a bounded piece.
+    """Enumerate the vertices of a piece.
 
     Solves every d x d subsystem drawn from the constraints plus the implicit
-    nonnegativity facets and keeps the feasible solutions. Intended for the
-    low-dimensional polytopes this package produces (dim <= 5); raises
-    VertexEnumerationOverflow if the subsystem count or the vertex count
-    would run away. Unbounded pieces are not detected here; callers that can
-    encounter them should probe supports first.
+    nonnegativity facets and keeps the feasible solutions. A coordinate whose
+    nonnegativity facet defines the vertex is set to exactly 0.0. Intended
+    for the low-dimensional polytopes this package produces (dim <= 5);
+    raises VertexEnumerationOverflow if the subsystem count or the vertex
+    count would run away. Unboundedness is not detected here; piece_support
+    checks it against RatePolytope.rays.
     """
     d = piece.dim
-    A_full = np.vstack([piece.A, -np.eye(d)]) if piece.A.shape[0] else -np.eye(d)
-    b_full = np.concatenate([piece.b, np.zeros(d)]) if piece.A.shape[0] else np.zeros(d)
+    n_rows = piece.A.shape[0]
+    A_full = np.vstack([piece.A, -np.eye(d)]) if n_rows else -np.eye(d)
+    b_full = np.concatenate([piece.b, np.zeros(d)]) if n_rows else np.zeros(d)
     m = A_full.shape[0]
     n_combo = math.comb(m, d)
     if n_combo > COMBO_CEILING:
         raise VertexEnumerationOverflow(
             f"{n_combo} constraint subsets exceed the enumeration budget"
         )
-    idx = np.array(list(itertools.combinations(range(m), d)), dtype=int)
+    if n_combo <= COMBO_CACHED:
+        idx = _combinations(m, d)
+    else:
+        idx = _combinations.__wrapped__(m, d)
     mats = A_full[idx]                        # (n, d, d)
     rhs = b_full[idx]                         # (n, d)
     dets = np.linalg.det(mats)
     ok = np.abs(dets) > 1e-10
     if not np.any(ok):
         return np.empty((0, d))
+    idx = idx[ok]
     sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
+    rows, cols = np.nonzero(idx >= n_rows)
+    sols[rows, idx[rows, cols] - n_rows] = 0.0
     feas = np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)
     sols = sols[feas]
     if sols.shape[0] == 0:
         return np.empty((0, d))
-    keys = np.round(sols, DEDUP_DECIMALS)
-    keys[keys == 0.0] = 0.0                   # fold -0.0
-    _, first = np.unique(keys, axis=0, return_index=True)
-    verts = sols[np.sort(first)]
+    first, group = _round_groups(sols)
+    # a zero set on any subsystem of a vertex holds for the vertex
+    zeros = np.zeros((first.shape[0], d), dtype=bool)
+    np.logical_or.at(zeros, group, sols == 0.0)
+    verts = sols[first]
+    verts[zeros] = 0.0
     if verts.shape[0] > max_vertices:
         raise VertexEnumerationOverflow(
             f"{verts.shape[0]} vertices exceed the ceiling {max_vertices}"
@@ -265,14 +332,27 @@ def piece_vertices(piece: RatePolytope, max_vertices: int = VERTEX_CEILING) -> n
     return verts
 
 
+def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
+    """Group rows that agree once rounded to decimals places.
+
+    Returns the index of each group's first row, in row order, and the
+    group of every row (an index into the first array).
+    """
+    keys = np.round(rows, decimals)
+    keys[keys == 0.0] = 0.0                   # fold -0.0
+    _, first, group = np.unique(keys, axis=0, return_index=True,
+                                return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.shape[0])
+    return first[order], position[group.ravel()]
+
+
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:
     """Deduplicate rows at DEDUP_TOL and sort lexicographically."""
     if points.shape[0] == 0:
         return points
-    keys = np.round(points, DEDUP_DECIMALS)
-    keys[keys == 0.0] = 0.0
-    _, first = np.unique(keys, axis=0, return_index=True)
-    pts = points[np.sort(first)]
+    pts = points[_round_groups(points)[0]]
     order = np.lexsort(pts.T[::-1])
     return pts[order]
 
@@ -308,7 +388,9 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     Vertices of every piece are pooled, deduplicated, and sorted before any
     hull pruning, so the result does not depend on piece order. Pruning to
     extreme points uses Qhull when the cloud has full affine rank; flat
-    clouds are kept as is (membership tests do not need minimality).
+    clouds are kept as is (membership tests do not need minimality). When
+    Qhull fails on a full-rank cloud, the unpruned cloud is kept and its
+    message is recorded as info["hull_fallback"].
     """
     pieces = tuple(pieces)
     if coords is None:
@@ -320,7 +402,8 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
         if p.coords != coords:
             raise ValueError(f"piece coords {p.coords} differ from {coords}")
     d = len(coords)
-    clouds = [piece_vertices(p) for p in pieces]
+    info = dict(info or {})
+    clouds = [p.vertices for p in pieces]
     clouds = [c for c in clouds if c.shape[0]]
     if clouds:
         points = _dedup_sorted(np.vstack(clouds))
@@ -330,24 +413,26 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
         centered = points - points[0]
         if np.linalg.matrix_rank(centered, tol=1e-9) == d:
             try:
-                from scipy.spatial import ConvexHull
-
                 hull = ConvexHull(points)
                 points = _dedup_sorted(points[hull.vertices])
-            except Exception:
-                pass  # degenerate geometry: the unpruned cloud is still correct
+            except QhullError as exc:
+                # the unpruned cloud still spans the hull
+                info["hull_fallback"] = str(exc).strip().split("\n", 1)[0]
     points.setflags(write=False)
     return RateRegion(
         coords=coords,
         pieces=pieces,
         hull_points=points,
         provenance=None if provenance is None else tuple(provenance),
-        info=dict(info or {}),
+        info=info,
     )
 
 
 def region_contains(region: RateRegion, point, tol: float = 1e-9) -> bool:
-    """Membership: within tol of the hull if convexified, else in some piece."""
+    """Membership: within tol of the hull if convexified, else in some piece.
+
+    Raises SolverStall when the hull-distance LP does not solve.
+    """
     x = np.asarray(point, dtype=float)
     if x.shape != (region.dim,):
         raise ValueError("point dimension mismatch")
@@ -373,7 +458,7 @@ def region_contains(region: RateRegion, point, tol: float = 1e-9) -> bool:
         res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
                       bounds=[(0, None)] * (n + 1), method="highs", options=_LP_OPTIONS)
         if res.status != 0:
-            return False
+            raise SolverStall(f"hull membership LP failed: {res.message}")
         return float(res.fun) <= tol
     return any(piece_contains(p, x, tol) for p in region.pieces)
 
@@ -433,61 +518,91 @@ def _pareto_filter(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
-def _hull_slice_probe(region, plane_idx, fixed_idx, fixed_vals, direction):
-    """Support of the hull's slice in one direction, plus an optimal point.
+def _hull_inequalities(points: np.ndarray):
+    """conv(points) as {x : G x <= h}, from Qhull's facets.
 
-    Works in hull-weight space: max d.(P w) over w >= 0, sum w = 1,
-    F w = fixed values, where P and F are the plane and fixed coordinate
-    blocks of the vertex cloud. A second stage maximizes the coordinate sum
-    among near-optima so the reported point is Pareto-maximal.
+    The cloud is written in coordinates y on its affine hull first, so flat
+    clouds work too; the equations that pin it to that hull enter as pairs
+    of opposite rows. Rank 0 and rank 1 clouds (a point, a segment) need no
+    Qhull. Raises SolverStall when Qhull cannot build the hull of a cloud
+    of rank 2 or more.
     """
+    origin = points[0]
+    # the full left factor would be n x n; only short clouds need vt complete
+    _, sv, vt = np.linalg.svd(points - origin,
+                              full_matrices=points.shape[0] < points.shape[1])
+    rank = int(np.sum(sv > 1e-9))
+    basis, normal = vt[:rank], vt[rank:]
+    y = (points - origin) @ basis.T
+    if rank == 0:
+        Gy, hy = np.empty((0, 0)), np.empty(0)
+    elif rank == 1:
+        Gy, hy = np.array([[1.0], [-1.0]]), np.array([y.max(), -y.min()])
+    else:
+        try:
+            eq = ConvexHull(y).equations      # n . y + offset <= 0
+        except QhullError as exc:
+            first_line = str(exc).strip().split("\n", 1)[0]
+            raise SolverStall(f"Qhull failed on a rank-{rank} hull cloud: "
+                              f"{first_line}") from exc
+        Gy, hy = eq[:, :-1], -eq[:, -1]
+    G = np.vstack([Gy @ basis, normal, -normal])
+    h = np.concatenate([hy, np.zeros(2 * normal.shape[0])]) + G @ origin
+    return G, h
+
+
+def _clip(poly: np.ndarray, g: np.ndarray, c: float) -> np.ndarray:
+    """The convex polygon poly (vertices in boundary order) cut by g.x <= c."""
+    s = poly @ g - c
+    inside = s <= 0
+    if inside.all():
+        return poly
+    if not inside.any():
+        return poly[:0]
+    s_next = np.roll(s, -1)
+    cross = inside != (s_next <= 0)
+    t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
+    hits = poly + t[:, None] * (np.roll(poly, -1, axis=0) - poly)
+    # each kept vertex, then where its outgoing edge crosses the line
+    return np.stack([poly, hits], axis=1)[np.column_stack([inside, cross])]
+
+
+def _slice_rows(G: np.ndarray, h: np.ndarray, lo, hi):
+    """Rows of the bounded 2-D system G x <= h that can define a vertex.
+
+    The box [lo, hi], which must hold the solution set well inside, is cut
+    by every row loosened by SLICE_SLACK, one row at a time. Every edge of
+    the resulting polygon lies on a row that comes within SLICE_NEAR of it,
+    so those rows alone give the same feasible vertices as the whole system.
+    Returns None when the polygon is empty.
+    """
+    poly = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
+    c = h + SLICE_SLACK
+    for i in range(G.shape[0]):
+        poly = _clip(poly, G[i], c[i])
+        if poly.shape[0] == 0:
+            return None
+    return np.flatnonzero(np.max(poly @ G.T - h, axis=0) >= -SLICE_NEAR)
+
+
+def _hull_slice(region: RateRegion, plane_idx, fixed_idx, fixed_vals) -> np.ndarray:
+    """Vertices of the hull's 2-D slice at the fixed values, in plane order
+    (empty when the slice is)."""
     pts = region.hull_points
-    n = pts.shape[0]
-    if n == 0:
-        return None
-    P = pts[:, plane_idx]                 # (n, 2)
-    obj = P @ np.asarray(direction)
-    A_eq = [np.ones(n)]
-    b_eq = [1.0]
-    for k, idx in enumerate(fixed_idx):
-        A_eq.append(pts[:, idx])
-        b_eq.append(fixed_vals[k])
-    A_eq = np.array(A_eq)
-    b_eq = np.array(b_eq)
-    res = linprog(-obj, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
-                  method="highs", options=_LP_OPTIONS)
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise Unbounded(f"hull slice LP failed: {res.message}")
-    value = float(-res.fun)
-    # stage two: pin the support value and push toward the Pareto-maximal
-    # corner of the optimal face
-    tie = P @ np.ones(2)
-    A_eq2 = np.vstack([A_eq, obj[None, :]])
-    b_eq2 = np.append(b_eq, value)
-    res2 = linprog(-tie, A_eq=A_eq2, b_eq=b_eq2, bounds=[(0, None)] * n,
-                   method="highs", options=_LP_OPTIONS)
-    weights = res2.x if res2.status == 0 else res.x
-    point = np.asarray(weights) @ P
-    return value, point
-
-
-def _piece_slice_probe(sliced_piece, direction):
-    """Two-stage support probe of one pre-sliced 2-D piece."""
-    try:
-        value, _ = piece_support(sliced_piece, direction)
-    except EmptySlice:
-        return None
-    d = np.asarray(direction, dtype=float)
-    A2 = sliced_piece.A if sliced_piece.A.shape[0] else None
-    b2 = sliced_piece.b if sliced_piece.A.shape[0] else None
-    res = linprog(-np.ones(2), A_ub=A2, b_ub=b2, A_eq=d[None, :],
-                  b_eq=[value], bounds=[(0, None)] * 2,
-                  method="highs", options=_LP_OPTIONS)
-    if res.status == 0:
-        return value, np.asarray(res.x)
-    return value, piece_support(sliced_piece, direction)[1]
+    if pts.shape[0] == 0:
+        return np.empty((0, 2))
+    G, h = _hull_inequalities(pts)
+    h = h - G[:, fixed_idx] @ np.asarray(fixed_vals, dtype=float)
+    G = G[:, plane_idx]
+    # coplanar simplicial facets repeat a row; so can the substitution
+    keep = _round_groups(np.column_stack([G, h]), 12)[0]
+    G, h = G[keep], h[keep]
+    extent = pts[:, plane_idx]
+    near = _slice_rows(G, h, extent.min(axis=0) - 1.0, extent.max(axis=0) + 1.0)
+    if near is None:
+        return np.empty((0, 2))
+    plane = tuple(region.coords[i] for i in plane_idx)
+    return RatePolytope(plane, G[near], h[near]).vertices
 
 
 def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33,
@@ -523,36 +638,33 @@ def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33,
     fixed_idx = [region.coords.index(c) for c in fixed_names]
     fixed_vals = [float(fixed[c]) for c in fixed_names]
 
-    sliced = None
-    if not use_hull:
-        sliced = []
-        for p in region.pieces:
+    if use_hull:
+        polygon = _hull_slice(region, plane_idx, fixed_idx, fixed_vals)
+    else:
+        sliced = []                           # (piece index, nonempty slice)
+        for i, p in enumerate(region.pieces):
             sp = slice_piece(p, fixed) if fixed else p
             if sp.coords != plane:
                 # permute columns into plane order
                 perm = [sp.coords.index(c) for c in plane]
                 sp = RatePolytope(plane, sp.A[:, perm] if sp.A.shape[0] else sp.A,
                                   sp.b)
-            sliced.append(sp)
+            if sp.vertices.shape[0]:
+                sliced.append((i, sp))
 
     thetas = [0.5 * math.pi * k / (resolution - 1) for k in range(resolution)]
     samples = []
     for theta in thetas:
         direction = (math.cos(theta), math.sin(theta))
         if use_hull:
-            probe = _hull_slice_probe(region, plane_idx, fixed_idx, fixed_vals,
-                                      direction)
-            if probe is None:
+            if polygon.shape[0] == 0:
                 continue
-            value, point = probe
+            value, point = _vertex_argmax(polygon, np.asarray(direction))
             samples.append(FrontierSample(theta, direction, point, value, None))
         else:
             best = None
-            for i, sp in enumerate(sliced):
-                probe = _piece_slice_probe(sp, direction)
-                if probe is None:
-                    continue
-                value, point = probe
+            for i, sp in sliced:
+                value, point = piece_support(sp, direction)
                 if best is None or value > best[0] + 1e-12:
                     best = (value, point, i)
             if best is None:

@@ -1,9 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
 from gmacsec import SolverStall, fixtures as fx, scheme_to_dict
 from gmacsec.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,27 @@ class TestRegion:
                    "--bound", "inner1", "--out", str(tmp_path / "x.csv")])
         assert rc == 4
         assert _stderr_error(capsys)["error"] == "SolverStall"
+
+
+class TestRegionGolden:
+    """Frontier CSVs must keep the bytes recorded in tests/data: 8 seeded
+    random schemes on binary_degraded at resolution 17, which include an
+    axis point that must print as exactly 0."""
+
+    @pytest.mark.parametrize("golden, extra", [
+        ("frontier_inner1.csv", ["--bound", "inner1"]),
+        ("frontier_inner1_re0.05.csv", ["--bound", "inner1", "--fix", "Re=0.05"]),
+        ("frontier_outer1.csv", ["--bound", "outer1"]),
+    ])
+    def test_frontier_bytes(self, channel_files, tmp_path, golden, extra):
+        cfg = _write_json(tmp_path / "cfg.json",
+                          {"strategy": "random", "sample_count": 8})
+        out = tmp_path / golden
+        rc = main(["region", str(channel_files["binary_degraded"]), *extra,
+                   "--plane", "R0,R1", "--resolution", "17",
+                   "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 class TestCheckDegraded:
