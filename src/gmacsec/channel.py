@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
@@ -31,6 +30,13 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first call: the import takes
+    longer than many commands that never solve an LP."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)

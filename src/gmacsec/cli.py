@@ -223,11 +223,14 @@ def cmd_region(args) -> int:
         outputs["plot_script"] = str(plot_path)
 
     manifest_path = out.with_name(out.name + ".manifest.json")
-    _write_json(manifest_path, _manifest(
+    manifest = _manifest(
         "region", sys.argv[1:], started, [config.seed], outputs,
         channel_path=args.channel, config_path=args.config,
         config_doc=config.to_dict(),
-    ))
+    )
+    # schemes visited, empty pieces dropped, degradedness, hull fallback
+    manifest["region_info"] = region.info
+    _write_json(manifest_path, manifest)
     _print_json({
         "bound": args.bound,
         "plane": list(plane),
@@ -394,8 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="values for coordinates outside the plane (default 0)")
     p.add_argument("--resolution", type=int, default=33,
                    help="number of support directions to sweep")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads for scheme evaluation")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker threads for scheme evaluation (default 1, "
+                        "serial: the GIL makes threads slower here)")
     p.add_argument("--out", required=True, help="frontier CSV path")
     p.add_argument("--emit-plot", action="store_true",
                    help="also write a plotting script next to the CSV")

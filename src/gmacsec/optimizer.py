@@ -11,7 +11,6 @@ evaluate them.
 from __future__ import annotations
 
 import itertools
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -361,13 +360,13 @@ def _pieces_for(bound: str, scheme, channel, certificate):
 
 def assemble_region(channel: ChannelSpec, bound: str,
                     config: SearchConfig | None = None,
-                    jobs: int | None = None) -> RateRegion:
+                    jobs: int = 1) -> RateRegion:
     """Search schemes, collect their pieces, and convexify the union.
 
     bound picks the construction (see BOUNDS). Pieces that come back empty
-    are dropped but counted in the result's info. Evaluation may fan out
-    over jobs threads; results are merged in stream order, so the output is
-    identical for every parallelism degree.
+    are dropped but counted in the result's info. Evaluation runs serially
+    unless jobs > 1 asks for that many threads; results are merged in
+    stream order, so the output is identical for every parallelism degree.
     """
     config = config or SearchConfig()
     if bound not in BOUNDS:
@@ -378,8 +377,6 @@ def assemble_region(channel: ChannelSpec, bound: str,
         certificate = check_stochastically_degraded(channel)
         _one._flag_if_not_degraded(channel, certificate)
     schemes = list(_stream(variant, channel, config))
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     jobs = max(1, int(jobs))
 
     def evaluate(scheme):

@@ -8,8 +8,9 @@ clip_plus_split. Regions are unions of pieces, optionally convexified into a
 cached vertex cloud.
 
 Because every piece is pointed, emptiness and support queries are answered
-from its vertices, which each piece enumerates once; hull slices come from
-Qhull's facets of the vertex cloud.
+from its vertices, which each piece enumerates once from subsystem inverses
+cached per constraint matrix; hull slices come from Qhull's facets of the
+vertex cloud.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
+from .channel import linprog
 from .errors import (
     EmptySlice,
     SolverStall,
@@ -280,41 +283,174 @@ def _combinations(m: int, d: int) -> np.ndarray:
     return idx
 
 
+class _InversePool:
+    """Inverses of nonsingular d x d subsystems, one slot per row set.
+
+    A row set's matrix lists its rows in lexicographic order of their
+    coefficients, so its inverse is the same whichever constraint matrix it
+    came from. Filled slots are never written again, and growing copies
+    them, so readers need no lock.
+    """
+
+    def __init__(self, d: int):
+        self.slot = {}                        # matrix bytes -> slot
+        self.inv = np.empty((0, d, d))
+
+    def slots(self, mats: np.ndarray) -> np.ndarray:
+        """The slot of every matrix, inverting those not yet pooled."""
+        keys = [mat.tobytes() for mat in mats]
+        fresh = {}                            # new matrix bytes -> first index
+        for i, key in enumerate(keys):
+            if key not in self.slot:
+                fresh.setdefault(key, i)
+        if fresh:
+            new = np.linalg.inv(mats[list(fresh.values())])
+            start = len(self.slot)
+            n = start + len(fresh)
+            inv = self.inv
+            if n > inv.shape[0]:
+                inv = np.empty((max(n, min(2 * inv.shape[0], POOL_SLOTS)),)
+                               + inv.shape[1:])
+                inv[:start] = self.inv[:start]
+            inv[start:n] = new
+            self.inv = inv
+            self.slot.update(zip(fresh, range(start, n)))
+        return np.array([self.slot[key] for key in keys], dtype=np.int32)
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """The nonsingular subsystems of one constraint matrix: the inverses
+    pool.inv[slots], each one's rows in its inverse's row order, and the
+    coordinates its nonnegativity rows fix at zero."""
+
+    pool: _InversePool
+    slots: np.ndarray
+    rows: np.ndarray
+    zero: np.ndarray
+
+
+def _nonsingular(A_full: np.ndarray) -> np.ndarray:
+    """The d-subsets of rows with |det| > 1e-10, in itertools order, each
+    listing its rows in lexicographic order of their coefficients."""
+    m, d = A_full.shape
+    if math.comb(m, d) <= COMBO_CACHED:
+        idx = _combinations(m, d)
+    else:
+        idx = _combinations.__wrapped__(m, d)
+    idx = idx[np.abs(np.linalg.det(A_full[idx])) > 1e-10]
+    rank = np.empty(m, dtype=np.intp)
+    rank[np.lexsort(A_full.T[::-1])] = np.arange(m)
+    idx = np.take_along_axis(idx, np.argsort(rank[idx], axis=1), axis=1)
+    return idx.astype(np.int16) if m <= np.iinfo(np.int16).max else idx
+
+
+# Shape entries (keys, rows, slots and zero masks) kept at most, in bytes,
+# and inverses pooled at most per dimension.
+SHAPE_CACHE_BYTES = 4 << 20
+POOL_SLOTS = 16_384
+
+
+class _SubsystemCache:
+    """The subsystems of recently used constraint matrices, per process.
+
+    Shapes stay, least recently used first out, while their entries take at
+    most SHAPE_CACHE_BYTES. Each dimension's pool holds at most POOL_SLOTS
+    inverses; one that would overflow starts afresh and its shapes are
+    dropped. Matrices too large for either are solved without being kept.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.shapes = OrderedDict()           # (d, A_full bytes) -> _Shape
+        self.bytes = 0
+        self.pools = {}                       # d -> _InversePool
+
+    @staticmethod
+    def entry_bytes(key, rows: np.ndarray) -> int:
+        return len(key[1]) + rows.nbytes + (4 + rows.shape[1]) * rows.shape[0]
+
+    def _drop(self, key):
+        self.bytes -= self.entry_bytes(key, self.shapes.pop(key).rows)
+
+    def shape(self, A_full: np.ndarray) -> _Shape:
+        """The subsystems of A_full, cached or computed."""
+        d = A_full.shape[1]
+        key = (d, A_full.tobytes())
+        with self.lock:
+            shape = self.shapes.get(key)
+            if shape is not None:
+                self.shapes.move_to_end(key)
+                return shape
+            rows = _nonsingular(A_full)
+            mats = A_full[rows]
+            n_rows = A_full.shape[0] - d
+            zero = np.zeros(rows.shape, dtype=bool)
+            fixed = rows >= n_rows
+            zero[np.nonzero(fixed)[0], rows[fixed] - n_rows] = True
+            size = self.entry_bytes(key, rows)
+            if rows.shape[0] > POOL_SLOTS or size > SHAPE_CACHE_BYTES:
+                pool = _InversePool(d)        # unpooled, for this call only
+                pool.inv = np.linalg.inv(mats)
+                return _Shape(pool, np.arange(rows.shape[0]), rows, zero)
+            pool = self.pools.get(d)
+            if pool is None or len(pool.slot) + rows.shape[0] > POOL_SLOTS:
+                pool = self.pools[d] = _InversePool(d)
+                for k in [k for k in self.shapes if k[0] == d]:
+                    self._drop(k)
+            shape = self.shapes[key] = _Shape(pool, pool.slots(mats), rows, zero)
+            self.bytes += size
+            while self.bytes > SHAPE_CACHE_BYTES:
+                self._drop(next(iter(self.shapes)))
+            return shape
+
+
+_cache = _SubsystemCache()
+
+
+def _drop_repeated_rows(A: np.ndarray, b: np.ndarray):
+    """Keep one row per coefficient vector: the smallest bound, the first
+    on a tie, in the original row order. The polytope is unchanged."""
+    best = {}                                 # row bytes -> kept row
+    for i, row in enumerate(A):
+        key = row.tobytes()
+        if b[i] < b[best.setdefault(key, i)]:
+            best[key] = i
+    if len(best) == A.shape[0]:
+        return A, b
+    keep = sorted(best.values())
+    return A[keep], b[keep]
+
+
 def piece_vertices(piece: RatePolytope, max_vertices: int = VERTEX_CEILING) -> np.ndarray:
     """Enumerate the vertices of a piece.
 
-    Solves every d x d subsystem drawn from the constraints plus the implicit
-    nonnegativity facets and keeps the feasible solutions. A coordinate whose
-    nonnegativity facet defines the vertex is set to exactly 0.0. Intended
-    for the low-dimensional polytopes this package produces (dim <= 5);
-    raises VertexEnumerationOverflow if the subsystem count or the vertex
-    count would run away. Unboundedness is not detected here; piece_support
-    checks it against RatePolytope.rays.
+    Solves every nonsingular d x d subsystem drawn from the constraints
+    (one per repeated coefficient vector) plus the implicit nonnegativity
+    facets and keeps the feasible solutions. The subsystems of a constraint
+    matrix and their inverses are cached per process (_SubsystemCache), so
+    pieces that differ only in their bounds cost one batched product. A
+    coordinate whose nonnegativity facet defines the vertex is set to
+    exactly 0.0. Intended for the low-dimensional polytopes this package
+    produces (dim <= 5); raises VertexEnumerationOverflow if the subsystem
+    count or the vertex count would run away. Unboundedness is not detected
+    here; piece_support checks it against RatePolytope.rays.
     """
     d = piece.dim
-    n_rows = piece.A.shape[0]
-    A_full = np.vstack([piece.A, -np.eye(d)]) if n_rows else -np.eye(d)
-    b_full = np.concatenate([piece.b, np.zeros(d)]) if n_rows else np.zeros(d)
-    m = A_full.shape[0]
-    n_combo = math.comb(m, d)
+    n_combo = math.comb(piece.A.shape[0] + d, d)
     if n_combo > COMBO_CEILING:
         raise VertexEnumerationOverflow(
             f"{n_combo} constraint subsets exceed the enumeration budget"
         )
-    if n_combo <= COMBO_CACHED:
-        idx = _combinations(m, d)
-    else:
-        idx = _combinations.__wrapped__(m, d)
-    mats = A_full[idx]                        # (n, d, d)
-    rhs = b_full[idx]                         # (n, d)
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-10
-    if not np.any(ok):
+    A, b = _drop_repeated_rows(piece.A, piece.b)
+    A_full = np.vstack([A, -np.eye(d)]) if A.shape[0] else -np.eye(d)
+    b_full = np.concatenate([b, np.zeros(d)])
+    shape = _cache.shape(A_full)
+    idx = shape.rows
+    if idx.shape[0] == 0:
         return np.empty((0, d))
-    idx = idx[ok]
-    sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
-    rows, cols = np.nonzero(idx >= n_rows)
-    sols[rows, idx[rows, cols] - n_rows] = 0.0
+    sols = np.einsum("nij,nj->ni", shape.pool.inv[shape.slots], np.take(b_full, idx))
+    sols[shape.zero] = 0.0
     feas = np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)
     sols = sols[feas]
     if sols.shape[0] == 0:
@@ -340,12 +476,17 @@ def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
     """
     keys = np.round(rows, decimals)
     keys[keys == 0.0] = 0.0                   # fold -0.0
-    _, first, group = np.unique(keys, axis=0, return_index=True,
-                                return_inverse=True)
-    order = np.argsort(first)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.shape[0])
-    return first[order], position[group.ravel()]
+    order = np.lexsort(keys.T[::-1])          # stable: equal keys keep row order
+    ordered = keys[order]
+    head = np.ones(order.shape[0], dtype=bool)
+    head[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[head]
+    # number the groups by their first row
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
+    group = np.empty_like(order)
+    group[order] = rank[np.cumsum(head) - 1]
+    return np.sort(first), group
 
 
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:

@@ -79,6 +79,51 @@ class TestRegion:
         assert len(manifest["channel_digest"]) == 64
         assert manifest["outputs"]["frontier_csv"] == str(out)
 
+    def test_manifest_records_region_info(self, channel_files, tmp_path):
+        cfg = _write_json(tmp_path / "cfg.json",
+                          {"strategy": "random", "sample_count": 8})
+        out = tmp_path / "degraded.csv"
+        rc = main(["region", str(channel_files["binary_degraded"]),
+                   "--bound", "degraded", "--resolution", "5",
+                   "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        info = json.loads((tmp_path / "degraded.csv.manifest.json")
+                          .read_text())["region_info"]
+        assert info["bound"] == "degraded"
+        assert info["schemes_visited"] == 8
+        assert info["empty_pieces_dropped"] == 0
+        assert info["degradedness_verdict"] == "stochastically-degraded"
+        assert info["degradedness_residual"] <= 1e-7
+        assert info["config"]["sample_count"] == 8
+        assert "hull_fallback" not in info
+
+    def test_hull_fallback_reaches_the_manifest(self, channel_files,
+                                                grid_config, tmp_path,
+                                                monkeypatch):
+        from scipy.spatial import QhullError
+
+        from gmacsec import regions
+
+        real = regions.ConvexHull
+        calls = []
+
+        def hull(points, *args, **kwargs):
+            # fail convexify's pruning; later hulls (the slice) succeed
+            calls.append(1)
+            if len(calls) == 1:
+                raise QhullError("QH6154 Qhull precision error: made up")
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(regions, "ConvexHull", hull)
+        out = tmp_path / "fallback.csv"
+        rc = main(["region", str(channel_files["clean_mac"]),
+                   "--bound", "inner1", "--resolution", "5",
+                   "--config", grid_config, "--out", str(out)])
+        assert rc == 0
+        info = json.loads((tmp_path / "fallback.csv.manifest.json")
+                          .read_text())["region_info"]
+        assert info["hull_fallback"].startswith("QH6154")
+
     def test_two_runs_byte_identical(self, channel_files, tmp_path):
         cfg = _write_json(tmp_path / "cfg.json",
                           {"strategy": "random", "sample_count": 40})

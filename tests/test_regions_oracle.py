@@ -1,9 +1,16 @@
-"""Vertex-based geometry checked against scipy's LP solver as the oracle.
+"""Vertex-based geometry checked against its slow references.
 
 The package answers emptiness, support and hull-slice queries from piece
 vertices and hull facets; these tests solve the same queries as linear
-programs and require the same answers.
+programs and require the same answers. Piece vertices come from cached
+subsystem inverses; they are checked against the brute-force enumeration
+that solves every subsystem of every piece afresh.
 """
+
+import itertools
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,20 +19,24 @@ from scipy.spatial import ConvexHull, QhullError
 
 from gmacsec import (
     EmptySlice,
+    RatePolytope,
     RateRegion,
     SolverStall,
     Unbounded,
+    VertexEnumerationOverflow,
     convexify,
     fixtures as fx,
     frontier,
     frontier_sweep,
     piece_is_empty,
     piece_support,
+    piece_vertices,
     polytope,
     region_contains,
     slice_piece,
 )
 from gmacsec import regions
+from gmacsec.channel import validate_channel
 from gmacsec.optimizer import SearchConfig, assemble_region
 
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -332,3 +343,293 @@ class TestNoSilentFallbacks:
         monkeypatch.setattr(regions, "ConvexHull", broken)
         with pytest.raises(ValueError):
             convexify(_simplex_and_cube())
+
+
+def unique_groups(rows, decimals=regions.DEDUP_DECIMALS):
+    """Rows grouped by np.unique after rounding: each group's first row in
+    row order, and every row's group."""
+    keys = np.round(rows, decimals)
+    keys[keys == 0.0] = 0.0
+    _, first, group = np.unique(keys, axis=0, return_index=True,
+                                return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.shape[0])
+    return first[order], position[group.ravel()]
+
+
+def brute_force_vertices(piece):
+    """Every d-subset of the rows and nonnegativity facets, solved on its
+    own; the feasible solutions deduplicated as piece_vertices does."""
+    d = piece.dim
+    n_rows = piece.A.shape[0]
+    A_full = np.vstack([piece.A, -np.eye(d)]) if n_rows else -np.eye(d)
+    b_full = np.concatenate([piece.b, np.zeros(d)])
+    m = A_full.shape[0]
+    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), d)),
+                      dtype=np.intp, count=math.comb(m, d) * d).reshape(-1, d)
+    mats = A_full[idx]
+    ok = np.abs(np.linalg.det(mats)) > 1e-10
+    if not np.any(ok):
+        return np.empty((0, d))
+    idx = idx[ok]
+    sols = np.linalg.solve(mats[ok], b_full[idx][..., None])[..., 0]
+    rows, cols = np.nonzero(idx >= n_rows)
+    sols[rows, idx[rows, cols] - n_rows] = 0.0
+    sols = sols[np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)]
+    if sols.shape[0] == 0:
+        return np.empty((0, d))
+    first, group = unique_groups(sols)
+    zeros = np.zeros((first.shape[0], d), dtype=bool)
+    np.logical_or.at(zeros, group, sols == 0.0)
+    verts = sols[first]
+    verts[zeros] = 0.0
+    return verts
+
+
+def _assert_oracle_vertices(piece, got=None):
+    got = piece_vertices(piece) if got is None else got
+    want = brute_force_vertices(piece)
+    assert got.shape == want.shape
+    # same vertices in the same order, and the same exact zeros
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+    assert np.array_equal(got == 0.0, want == 0.0)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty subsystem cache for one test; the previous one comes back."""
+    monkeypatch.setattr(regions, "_cache", regions._SubsystemCache())
+
+
+def _recording(monkeypatch):
+    """Record every (piece, vertices) that piece_vertices returns."""
+    seen = []
+    real = regions.piece_vertices
+
+    def record(piece, *args, **kwargs):
+        verts = real(piece, *args, **kwargs)
+        seen.append((piece, verts))
+        return verts
+
+    monkeypatch.setattr(regions, "piece_vertices", record)
+    return seen
+
+
+def _relabelled_w2(seed):
+    """The two-set benchmark channel with its output letters relabelled by
+    seed, as the region-two-set workload draws it."""
+    sizes = (2, 2, 3, 2, 2)
+    base = fx.random_channel(sizes, np.random.default_rng(1))
+    state = np.random.SeedSequence([seed, 3]).generate_state(1)[0]
+    rng = np.random.default_rng(int(state))
+    y, y1, y2 = (rng.permutation(n) for n in sizes[2:])
+    table = base.prob[:, :, y][:, :, :, y1][:, :, :, :, y2]
+    return validate_channel(table, sizes)
+
+
+def _with_duplicates(rng, piece, equal_bounds):
+    """The piece with some rows repeated, at the same or a looser bound,
+    and the rows shuffled."""
+    rows = list(zip(piece.A, piece.b))
+    for i in rng.integers(len(rows), size=3):
+        a, v = rows[i]
+        rows.append((a.copy(), v if equal_bounds else v + rng.uniform(0.01, 1.0)))
+    # a repeated row may also come with the tighter bound
+    a, v = rows[0]
+    rows.append((a.copy(), v if equal_bounds else v - rng.uniform(0.01, 0.2)))
+    order = rng.permutation(len(rows))
+    return polytope(piece.coords, [rows[i] for i in order])
+
+
+class TestVertexOracle:
+    def test_workload_pieces(self, monkeypatch):
+        seen = _recording(monkeypatch)
+        config = SearchConfig(strategy="random", sample_count=3,
+                              cardinalities=(2, 2, 2))
+        for seed in (1, 2, 3):
+            region = assemble_region(_relabelled_w2(seed), "two-set", config)
+            frontier(region, ("R1", "R2"),
+                     fixed={"R0": 0.0, "R1e": 0.0, "R2e": 0.0}, resolution=17)
+        one_set = SearchConfig(strategy="random", sample_count=8)
+        for bound in ("inner-one-set", "outer-one-set"):
+            region = assemble_region(fx.binary_degraded(), bound, one_set)
+            frontier(region, ("R0", "R1"), fixed={"Re": 0.05}, resolution=17)
+            frontier_sweep(region, ("R0", "R1"), fixed={"Re": 0.05},
+                           resolution=17, use_hull=False)
+        dims = {piece.dim for piece, _ in seen}
+        # 5-D two-set pieces, 3-D one-set pieces, 2-D slices and hull slices
+        assert dims == {2, 3, 5}
+        assert sum(piece.dim == 5 for piece, _ in seen) >= 360
+        for piece, verts in seen:
+            _assert_oracle_vertices(piece, verts)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("equal_bounds", [True, False])
+    def test_repeated_rows(self, dim, equal_bounds):
+        rng = np.random.default_rng(3000 + 10 * dim + equal_bounds)
+        for kind in ("bounded", "empty", "unbounded"):
+            for _ in range(6):
+                piece = _with_duplicates(rng, _random_piece(rng, dim, kind),
+                                         equal_bounds)
+                _assert_oracle_vertices(piece)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_empty_and_unbounded_pieces(self, dim):
+        rng = np.random.default_rng(4000 + dim)
+        for kind in ("empty", "unbounded"):
+            for _ in range(6):
+                piece = _random_piece(rng, dim, kind)
+                _assert_oracle_vertices(piece)
+                # the recession cone cut by sum r <= 1, as RatePolytope.rays
+                cone = polytope(piece.coords,
+                                [(a, 0.0) for a in piece.A] + [(np.ones(dim), 1.0)])
+                _assert_oracle_vertices(cone, piece.rays)
+        _assert_oracle_vertices(slice_piece(_random_piece(rng, dim, "bounded"),
+                                            {NAMES[0]: -0.5}))
+
+    def test_round_groups_match_unique(self):
+        rng = np.random.default_rng(21)
+        for n, d in ((1, 2), (7, 3), (200, 5)):
+            # few distinct values, so rows repeat; offsets below 5e-10 and
+            # signed zeros round into the same group
+            rows = rng.integers(0, 3, size=(n, d)) / 3.0
+            rows += rng.choice([0.0, 4e-10, -4e-10, -0.0], size=(n, d))
+            got_first, got_group = regions._round_groups(rows)
+            want_first, want_group = unique_groups(rows)
+            assert np.array_equal(got_first, want_first)
+            assert np.array_equal(got_group, want_group)
+
+    def test_hull_slice_pieces(self, monkeypatch):
+        seen = _recording(monkeypatch)
+        rng = np.random.default_rng(7)
+        sphere = np.abs(rng.normal(size=(300, 3)))
+        sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+        region = RateRegion(("R0", "R1", "Re"), (),
+                            hull_points=np.vstack([sphere, np.zeros((1, 3))]))
+        for re_value in (0.0, 0.3, 0.6):
+            frontier(region, ("R0", "R1"), fixed={"Re": re_value})
+        assert len(seen) == 3 and all(p.A.shape[0] > 10 for p, _ in seen)
+        for piece, verts in seen:
+            _assert_oracle_vertices(piece, verts)
+
+    def test_overflow_checks_still_raise(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("subsystems built past the budget")
+
+        monkeypatch.setattr(regions, "_drop_repeated_rows", no_work)
+        monkeypatch.setattr(regions._cache, "shape", no_work)
+        rows = np.random.default_rng(7).normal(size=(230, 3))
+        piece = polytope(("R0", "R1", "Re"), [(tuple(r), 1.0) for r in rows])
+        assert math.comb(233, 3) > regions.COMBO_CEILING
+        with pytest.raises(VertexEnumerationOverflow):
+            piece_vertices(piece)
+        monkeypatch.undo()
+        square = polytope(NAMES[:2], [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
+        with pytest.raises(VertexEnumerationOverflow):
+            piece_vertices(square, max_vertices=3)
+
+
+def _cache_within_caps():
+    cache = regions._cache
+    held = sum(cache.entry_bytes(k, s.rows) for k, s in cache.shapes.items())
+    assert held == cache.bytes <= regions.SHAPE_CACHE_BYTES
+    for pool in cache.pools.values():
+        assert len(pool.slot) <= pool.inv.shape[0] <= regions.POOL_SLOTS
+
+
+class TestSubsystemCache:
+    def _float_pieces(self, count, dim):
+        rng = np.random.default_rng(5000 + dim)
+        return [_random_piece(rng, dim, "bounded") for _ in range(count)]
+
+    def test_pool_stops_at_its_cap(self, cold_cache):
+        pools = set()
+        for i, piece in enumerate(self._float_pieces(1000, 3)):
+            verts = piece_vertices(piece)
+            pools.add(id(regions._cache.pools[3]))
+            _cache_within_caps()
+            if i % 100 == 0:
+                _assert_oracle_vertices(piece, verts)
+        # the pool filled up and started afresh more than once
+        assert len(pools) > 2
+
+    def test_shapes_stop_at_their_cap(self, cold_cache, monkeypatch):
+        monkeypatch.setattr(regions, "SHAPE_CACHE_BYTES", 50_000)
+        pieces = self._float_pieces(1000, 2)
+        for piece in pieces:
+            piece_vertices(piece)
+            _cache_within_caps()
+        assert 0 < len(regions._cache.shapes) < 1000
+        # the most recent shapes are the ones kept, and they still solve
+        last = pieces[-1]
+        A_full = np.vstack([last.A, -np.eye(2)])
+        assert next(reversed(regions._cache.shapes)) == (2, A_full.tobytes())
+        _assert_oracle_vertices(last)
+
+    def test_large_shapes_are_solved_but_not_kept(self, cold_cache):
+        rng = np.random.default_rng(13)
+        caps = np.abs(rng.normal(size=(200, 2)))
+        piece = polytope(NAMES[:2], list(zip(caps, rng.uniform(0.5, 2.0, 200))))
+        # C(202, 2) = 20,301 subsystems, most of them nonsingular
+        assert math.comb(202, 2) > regions.POOL_SLOTS
+        _assert_oracle_vertices(piece)
+        assert not regions._cache.shapes and not regions._cache.pools
+
+    def test_shapes_share_pooled_inverses(self, cold_cache):
+        rng = np.random.default_rng(11)
+        piece = _random_piece(rng, 3, "bounded")
+        piece_vertices(piece)
+        pooled = len(regions._cache.pools[3].slot)
+        # the same rows in another order and with other bounds: a new shape
+        # whose row sets are all pooled already
+        order = rng.permutation(piece.A.shape[0])
+        other = RatePolytope(piece.coords, piece.A[order], piece.b[order] + 0.5)
+        _assert_oracle_vertices(other)
+        assert len(regions._cache.shapes) == 2
+        assert len(regions._cache.pools[3].slot) == pooled
+
+    def test_threads_match_serial_bitwise(self, cold_cache, monkeypatch):
+        channel = fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(1))
+        config = SearchConfig(strategy="random", sample_count=3,
+                              cardinalities=(2, 2, 2))
+        threaded = assemble_region(channel, "two-set", config, jobs=4)
+        monkeypatch.setattr(regions, "_cache", regions._SubsystemCache())
+        serial = assemble_region(channel, "two-set", config, jobs=1)
+        assert np.array_equal(threaded.hull_points, serial.hull_points)
+        assert len(threaded.pieces) == len(serial.pieces)
+        for a, b in zip(threaded.pieces, serial.pieces):
+            assert np.array_equal(a.vertices, b.vertices)
+
+    def test_concurrent_misses_and_resets(self, cold_cache, monkeypatch):
+        # small caps, so threads evict shapes and restart pools under each other
+        monkeypatch.setattr(regions, "SHAPE_CACHE_BYTES", 30_000)
+        monkeypatch.setattr(regions, "POOL_SLOTS", 600)
+        rng = np.random.default_rng(17)
+        pieces = [_random_piece(rng, dim, kind) for dim in (2, 3, 4)
+                  for kind in ("bounded", "empty", "unbounded") for _ in range(10)]
+        expected = [brute_force_vertices(p) for p in pieces]
+        failures = []
+
+        def worker(offset):
+            try:
+                for i in range(len(pieces)):
+                    k = (i + 7 * offset) % len(pieces)
+                    got = piece_vertices(pieces[k])
+                    np.testing.assert_allclose(got, expected[k], rtol=0.0, atol=1e-9)
+            except Exception as exc:         # reported to the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[0]
+        _cache_within_caps()
