@@ -26,6 +26,8 @@ RECEIVERS = ("destination", "user1", "user2")
 # anything closer is silently renormalized. Clean inputs should be within 1e-9.
 ROW_SUM_HARD_TOL = 1e-6
 
+# HiGHS default feasibility tolerances sit near 1e-7, which is visible
+# noise at the 9-digit precision the outputs promise; pin them lower.
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,

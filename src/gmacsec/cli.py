@@ -39,10 +39,7 @@ from .errors import (
     VertexEnumerationOverflow,
 )
 from .infotheory import (
-    assemble_joint_degraded,
-    assemble_joint_one_set,
-    assemble_joint_one_set_outer,
-    assemble_joint_two_set,
+    _SCHEME_FIELDS,
     entropy,
     mutual_information,
     scheme_from_dict,
@@ -66,14 +63,6 @@ _GUARD_ERRORS = (GridTooLarge, EnumerationTooLarge, VertexEnumerationOverflow,
 _INTERNAL_ERRORS = (InternalError, SolverStall, Unbounded)
 
 _SIM_KEYS = ("n", "M0", "M1", "M2", "J1", "J2", "input_dist", "seeds")
-
-_ASSEMBLERS = {
-    "one_set": assemble_joint_one_set,
-    "one_set_outer": assemble_joint_one_set_outer,
-    "two_set": assemble_joint_two_set,
-    "degraded": assemble_joint_degraded,
-}
-
 
 def _digest_file(path) -> str:
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
@@ -171,7 +160,7 @@ def cmd_region(args) -> int:
     channel = load_channel(args.channel)
     config = _load_config(args.config)
     bound = _BOUND_ALIASES[args.bound]
-    region = assemble_region(channel, bound, config, jobs=args.jobs)
+    region = assemble_region(channel, bound, config)
     plane = tuple(p.strip() for p in args.plane.split(","))
     if len(plane) != 2:
         raise ValueError(f"--plane needs exactly two coordinates, got {args.plane!r}")
@@ -370,7 +359,7 @@ def cmd_info(args) -> int:
     channel = load_channel(args.channel)
     doc = _load_json(args.scheme)
     scheme = scheme_from_dict(doc)
-    joint = _ASSEMBLERS[doc["kind"]](scheme, channel)
+    joint = _SCHEME_FIELDS[doc["kind"]][2](scheme, channel)
     value = _evaluate_query(joint, args.query)
     sys.stdout.write(_g9(value) + "\n")
     return 0
@@ -397,9 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="values for coordinates outside the plane (default 0)")
     p.add_argument("--resolution", type=int, default=33,
                    help="number of support directions to sweep")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for scheme evaluation (default 1, "
-                        "serial: the GIL makes threads slower here)")
     p.add_argument("--out", required=True, help="frontier CSV path")
     p.add_argument("--emit-plot", action="store_true",
                    help="also write a plotting script next to the CSV")

@@ -380,23 +380,27 @@ def assemble_joint_degraded(scheme: SchemeDegraded, channel: ChannelSpec) -> Joi
     return JointPMF(("Q", "X1", "X2", "Y", "Y2"), table)
 
 
+# Scheme kinds: class, stored fields (in sampling order), joint assembler.
 _SCHEME_FIELDS = {
-    "one_set": (SchemeOneSet, ("p_q_x2", "p_u_given_q", "p_x1_given_u")),
+    "one_set": (SchemeOneSet, ("p_q_x2", "p_u_given_q", "p_x1_given_u"),
+                assemble_joint_one_set),
     "one_set_outer": (
         SchemeOneSetOuter,
         ("p_q_x2", "p_u_given_q", "p_x1_given_u", "p_v_given_q"),
+        assemble_joint_one_set_outer,
     ),
     "two_set": (
         SchemeTwoSet,
         ("p_q", "p_u_given_q", "p_x1_given_u", "p_v_given_q", "p_x2_given_v"),
+        assemble_joint_two_set,
     ),
-    "degraded": (SchemeDegraded, ("p_q_x2", "p_x1_given_q")),
+    "degraded": (SchemeDegraded, ("p_q_x2", "p_x1_given_q"), assemble_joint_degraded),
 }
 
 
 def scheme_to_dict(scheme) -> dict:
     """JSON-friendly form of any scheme, tagged with its kind."""
-    for kind, (cls, fields) in _SCHEME_FIELDS.items():
+    for kind, (cls, fields, _) in _SCHEME_FIELDS.items():
         if type(scheme) is cls:
             doc = {"kind": kind}
             for f in fields:
@@ -413,7 +417,7 @@ def scheme_from_dict(doc: dict):
         raise DimensionMismatch(f"scheme document lacks a kind: {exc}")
     if kind not in _SCHEME_FIELDS:
         raise DimensionMismatch(f"unknown scheme kind {kind!r}")
-    cls, fields = _SCHEME_FIELDS[kind]
+    cls, fields, _ = _SCHEME_FIELDS[kind]
     try:
         arrays = {f: np.asarray(doc[f], dtype=float) for f in fields}
     except (KeyError, TypeError, ValueError) as exc:

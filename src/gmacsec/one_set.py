@@ -13,7 +13,8 @@ For a scheme s and channel the three recurring information quantities are
 The achievable piece set bounds R1 by a, R0 + R1 by b, and Re by R1 and by
 the clipped gaps [a - d]_+ and [b - R0 - d]_+. The converse piece replaces a
 with I(U; Y | X2, V) for an extra auxiliary V and drops the clipping. The
-degraded-channel forms swap U for X1 itself.
+degraded-channel forms reuse the converse and secrecy rows with U := X1
+and V := Q. Each bound is one BoundTable below.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .infotheory import (
     assemble_joint_one_set_outer,
     mutual_information,
 )
-from .regions import RatePolytope, clip_plus_split, polytope, template
+from .regions import BoundTable, RatePolytope, bound_pieces
 
 COORDS_EQUIVOCATION = ("R0", "R1", "Re")
 COORDS_SECRECY = ("R0", "R1")
@@ -46,26 +47,58 @@ def one_set_terms(scheme: SchemeOneSet, channel: ChannelSpec) -> tuple[float, fl
     return a, b, d
 
 
+def degraded_terms(scheme: SchemeDegraded, channel: ChannelSpec) -> tuple[float, float, float]:
+    """(a, b, d) with X1 standing in for the auxiliary."""
+    joint = assemble_joint_degraded(scheme, channel)
+    a = mutual_information(joint, "X1", "Y", ("X2", "Q"))
+    b = mutual_information(joint, ("X1", "X2"), "Y")
+    d = mutual_information(joint, "X1", "Y2", ("X2", "Q"))
+    return a, b, d
+
+
+# Term functions call the public ones through their module names, so
+# wrappers installed on those names (perfbench/spans.py) see every call.
+def _terms(scheme, channel) -> dict:
+    return dict(zip("abd", one_set_terms(scheme, channel)))
+
+
+def _outer_terms(scheme, channel) -> dict:
+    joint = assemble_joint_one_set_outer(scheme, channel)
+    return {
+        "a_v": mutual_information(joint, "U", "Y", ("X2", "V")),
+        "a": mutual_information(joint, "U", "Y", ("X2", "Q")),
+        "b": mutual_information(joint, ("U", "X2", "Q"), "Y"),
+        "d": mutual_information(joint, "U", "Y2", ("X2", "Q")),
+    }
+
+
+def _degraded_terms(scheme, channel) -> dict:
+    # U := X1, and V := Q, so the converse R1 cap a_v is a itself
+    a, b, d = degraded_terms(scheme, channel)
+    return {"a_v": a, "a": a, "b": b, "d": d}
+
+
+INNER = BoundTable(COORDS_EQUIVOCATION, _terms, [(
+    "R1 <= a", "R0 + R1 <= b", "Re <= R1",
+    "Re <= [a - d]+", "Re <= [b - R0 - d]+",
+)])
+_OUTER_ROWS = ("R1 <= a_v", "R0 + R1 <= b", "Re <= R1",
+               "Re <= a - d", "R0 + Re <= b - d")
+OUTER = BoundTable(COORDS_EQUIVOCATION, _outer_terms, [_OUTER_ROWS])
+DEGRADED = BoundTable(COORDS_EQUIVOCATION, _degraded_terms, [_OUTER_ROWS])
+_SECRECY_ROWS = ("R1 <= a - d", "R0 + R1 <= b - d")
+SECRECY = BoundTable(COORDS_SECRECY, _terms, [_SECRECY_ROWS], guard="a - d")
+DEGRADED_SECRECY = BoundTable(COORDS_SECRECY, _degraded_terms, [_SECRECY_ROWS],
+                              guard="a - d")
+
+
 def inner_polytope(scheme: SchemeOneSet, channel: ChannelSpec):
     """Achievable pieces in (R0, R1, Re) for one scheme.
 
     The clipped equivocation cap [b - R0 - d]_+ carries R0 inside the
     bracket, so the result is a union of at most two plain pieces.
     """
-    a, b, d = one_set_terms(scheme, channel)
-    tmpl = template(
-        COORDS_EQUIVOCATION,
-        plain=[
-            ((0.0, 1.0, 0.0), a),          # R1 <= a
-            ((1.0, 1.0, 0.0), b),          # R0 + R1 <= b
-            ((0.0, -1.0, 1.0), 0.0),       # Re <= R1
-        ],
-        clipped=[
-            ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), a - d),    # Re <= [a - d]_+
-            ((0.0, 0.0, 1.0), (-1.0, 0.0, 0.0), b - d),   # Re <= [b - R0 - d]_+
-        ],
-    )
-    return clip_plus_split(tmpl)
+    return bound_pieces(INNER, _terms(scheme, channel))
 
 
 def outer_polytope(scheme: SchemeOneSetOuter, channel: ChannelSpec) -> RatePolytope:
@@ -75,21 +108,7 @@ def outer_polytope(scheme: SchemeOneSetOuter, channel: ChannelSpec) -> RatePolyt
     negative and leave the piece empty; callers filter such pieces out of
     unions. The R1 cap conditions on V instead of Q.
     """
-    joint = assemble_joint_one_set_outer(scheme, channel)
-    a_v = mutual_information(joint, "U", "Y", ("X2", "V"))
-    a = mutual_information(joint, "U", "Y", ("X2", "Q"))
-    b = mutual_information(joint, ("U", "X2", "Q"), "Y")
-    d = mutual_information(joint, "U", "Y2", ("X2", "Q"))
-    return polytope(
-        COORDS_EQUIVOCATION,
-        [
-            ((0.0, 1.0, 0.0), a_v),        # R1 <= I(U;Y|X2,V)
-            ((1.0, 1.0, 0.0), b),          # R0 + R1 <= b
-            ((0.0, -1.0, 1.0), 0.0),       # Re <= R1
-            ((0.0, 0.0, 1.0), a - d),      # Re <= a - d
-            ((1.0, 0.0, 1.0), b - d),      # R0 + Re <= b - d
-        ],
-    )
+    return bound_pieces(OUTER, _outer_terms(scheme, channel), drop_empty=False)[0]
 
 
 def secrecy_polytope(scheme: SchemeOneSet, channel: ChannelSpec) -> RatePolytope | None:
@@ -98,30 +117,20 @@ def secrecy_polytope(scheme: SchemeOneSet, channel: ChannelSpec) -> RatePolytope
     The piece {R1 <= a - d, R0 + R1 <= b - d} only exists when a >= d;
     a leakier scheme contributes nothing at full equivocation.
     """
-    a, b, d = one_set_terms(scheme, channel)
-    if a - d < 0:
-        return None
-    return polytope(
-        COORDS_SECRECY,
-        [((0.0, 1.0), a - d), ((1.0, 1.0), b - d)],
-    )
+    pieces = bound_pieces(SECRECY, _terms(scheme, channel), drop_empty=False)
+    return pieces[0] if pieces else None
+
+
+def _capacity(terms, scheme, channel, r0: float) -> float:
+    if r0 < 0:
+        raise ValueError(f"common rate must be nonnegative, got {r0}")
+    a, b, d = terms(scheme, channel)
+    return max(0.0, min(a - d, b - d - r0))
 
 
 def secrecy_capacity_value(scheme: SchemeOneSet, channel: ChannelSpec, r0: float) -> float:
     """Largest confidential rate of this scheme at common rate r0, >= 0."""
-    if r0 < 0:
-        raise ValueError(f"common rate must be nonnegative, got {r0}")
-    a, b, d = one_set_terms(scheme, channel)
-    return max(0.0, min(a - d, b - d - r0))
-
-
-def degraded_terms(scheme: SchemeDegraded, channel: ChannelSpec) -> tuple[float, float, float]:
-    """(a, b, d) with X1 standing in for the auxiliary."""
-    joint = assemble_joint_degraded(scheme, channel)
-    a = mutual_information(joint, "X1", "Y", ("X2", "Q"))
-    b = mutual_information(joint, ("X1", "X2"), "Y")
-    d = mutual_information(joint, "X1", "Y2", ("X2", "Q"))
-    return a, b, d
+    return _capacity(one_set_terms, scheme, channel, r0)
 
 
 def _flag_if_not_degraded(channel: ChannelSpec, certificate):
@@ -134,7 +143,6 @@ def _flag_if_not_degraded(channel: ChannelSpec, certificate):
             NotDegradedWarning,
             stacklevel=3,
         )
-    return certificate
 
 
 def degraded_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
@@ -147,36 +155,19 @@ def degraded_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
     still returned.
     """
     _flag_if_not_degraded(channel, certificate)
-    a, b, d = degraded_terms(scheme, channel)
-    return polytope(
-        COORDS_EQUIVOCATION,
-        [
-            ((0.0, 1.0, 0.0), a),
-            ((1.0, 1.0, 0.0), b),
-            ((0.0, -1.0, 1.0), 0.0),
-            ((0.0, 0.0, 1.0), a - d),
-            ((1.0, 0.0, 1.0), b - d),
-        ],
-    )
+    return bound_pieces(DEGRADED, _degraded_terms(scheme, channel), drop_empty=False)[0]
 
 
 def degraded_secrecy_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
                               certificate=None) -> RatePolytope | None:
     """Perfect-secrecy piece in (R0, R1) for a degraded channel."""
     _flag_if_not_degraded(channel, certificate)
-    a, b, d = degraded_terms(scheme, channel)
-    if a - d < 0:
-        return None
-    return polytope(
-        COORDS_SECRECY,
-        [((0.0, 1.0), a - d), ((1.0, 1.0), b - d)],
-    )
+    pieces = bound_pieces(DEGRADED_SECRECY, _degraded_terms(scheme, channel),
+                          drop_empty=False)
+    return pieces[0] if pieces else None
 
 
 def degraded_secrecy_capacity_value(scheme: SchemeDegraded, channel: ChannelSpec,
                                     r0: float) -> float:
     """Largest confidential rate at common rate r0 under the degraded forms."""
-    if r0 < 0:
-        raise ValueError(f"common rate must be nonnegative, got {r0}")
-    a, b, d = degraded_terms(scheme, channel)
-    return max(0.0, min(a - d, b - d - r0))
+    return _capacity(degraded_terms, scheme, channel, r0)

@@ -4,15 +4,15 @@ secrecy-capacity maximization, and region assembly.
 Scheme parameter spaces are products of probability simplices (one per
 conditional row plus one joint block). All strategies walk those simplices
 in a fixed deterministic order, so identical configurations reproduce
-identical outputs bit for bit, regardless of the parallelism degree used to
-evaluate them.
+identical outputs bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+# Unused here: perfbench/spans.py reads and patches optimizer.ThreadPoolExecutor.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,34 +20,21 @@ from .channel import ChannelSpec, check_stochastically_degraded
 from .errors import GridTooLarge
 from . import one_set as _one
 from . import two_set as _two
-from .infotheory import (
-    SchemeDegraded,
-    SchemeOneSet,
-    SchemeOneSetOuter,
-    SchemeTwoSet,
-    scheme_to_dict,
-)
-from .regions import RateRegion, convexify, piece_is_empty
+from .infotheory import _SCHEME_FIELDS, scheme_to_dict
+from .regions import RateRegion, bound_pieces, convexify, piece_is_empty
 
 GRID_CEILING = 100_000_000
 
-BOUNDS = (
-    "inner-one-set",
-    "outer-one-set",
-    "secrecy-one-set",
-    "degraded",
-    "two-set",
-    "secrecy-two-set",
-)
-
-_VARIANT_FOR_BOUND = {
-    "inner-one-set": "one_set",
-    "outer-one-set": "one_set_outer",
-    "secrecy-one-set": "one_set",
-    "degraded": "degraded",
-    "two-set": "two_set",
-    "secrecy-two-set": "two_set",
+# Each bound: the scheme variant searched, and its constraint table.
+_BOUND_TABLES = {
+    "inner-one-set": ("one_set", _one.INNER),
+    "outer-one-set": ("one_set_outer", _one.OUTER),
+    "secrecy-one-set": ("one_set", _one.SECRECY),
+    "degraded": ("degraded", _one.DEGRADED),
+    "two-set": ("two_set", _two.TWO_SET),
+    "secrecy-two-set": ("two_set", _two.SECRECY),
 }
+BOUNDS = tuple(_BOUND_TABLES)
 
 
 @dataclass(frozen=True)
@@ -98,15 +85,7 @@ class SearchConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "cardinalities": list(self.cardinalities),
-            "strategy": self.strategy,
-            "grid_resolution": self.grid_resolution,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "refine_iterations": self.refine_iterations,
-            "refine_step": self.refine_step,
-        }
+        return {**asdict(self), "cardinalities": list(self.cardinalities)}
 
 
 def full_cardinalities(channel: ChannelSpec, degraded: bool = False) -> tuple[int, int, int]:
@@ -125,48 +104,26 @@ def full_cardinalities(channel: ChannelSpec, degraded: bool = False) -> tuple[in
 
 
 def _blocks(variant: str, channel: ChannelSpec, config: SearchConfig):
-    """Simplex blocks (name, rows, cols, reshape) for one scheme variant.
+    """Simplex blocks (name, rows, cols, reshape) for one scheme variant, in
+    the order of its fields.
 
     reshape gives the final array shape when it differs from (rows, cols);
     p_q_x2 is sampled as a single long simplex and folded into its matrix.
     """
+    if variant not in _SCHEME_FIELDS:
+        raise ValueError(f"unknown scheme variant {variant!r}")
     nq, nu, nv = config.cardinalities
     nx1, nx2 = channel.size_x1, channel.size_x2
-    if variant == "one_set":
-        return [
-            ("p_q_x2", 1, nq * nx2, (nq, nx2)),
-            ("p_u_given_q", nq, nu, None),
-            ("p_x1_given_u", nu, nx1, None),
-        ]
-    if variant == "one_set_outer":
-        return [
-            ("p_q_x2", 1, nq * nx2, (nq, nx2)),
-            ("p_u_given_q", nq, nu, None),
-            ("p_x1_given_u", nu, nx1, None),
-            ("p_v_given_q", nq, nv, None),
-        ]
-    if variant == "two_set":
-        return [
-            ("p_q", 1, nq, (nq,)),
-            ("p_u_given_q", nq, nu, None),
-            ("p_x1_given_u", nu, nx1, None),
-            ("p_v_given_q", nq, nv, None),
-            ("p_x2_given_v", nv, nx2, None),
-        ]
-    if variant == "degraded":
-        return [
-            ("p_q_x2", 1, nq * nx2, (nq, nx2)),
-            ("p_x1_given_q", nq, nx1, None),
-        ]
-    raise ValueError(f"unknown scheme variant {variant!r}")
-
-
-_VARIANT_CLS = {
-    "one_set": SchemeOneSet,
-    "one_set_outer": SchemeOneSetOuter,
-    "two_set": SchemeTwoSet,
-    "degraded": SchemeDegraded,
-}
+    shapes = {
+        "p_q": (1, nq, (nq,)),
+        "p_q_x2": (1, nq * nx2, (nq, nx2)),
+        "p_u_given_q": (nq, nu, None),
+        "p_x1_given_u": (nu, nx1, None),
+        "p_v_given_q": (nq, nv, None),
+        "p_x2_given_v": (nv, nx2, None),
+        "p_x1_given_q": (nq, nx1, None),
+    }
+    return [(name, *shapes[name]) for name in _SCHEME_FIELDS[variant][1]]
 
 
 def _build(variant, blocks, arrays):
@@ -174,7 +131,7 @@ def _build(variant, blocks, arrays):
     for (name, rows, cols, reshape), arr in zip(blocks, arrays):
         arr = np.asarray(arr, dtype=float)
         kwargs[name] = arr.reshape(reshape) if reshape is not None else arr
-    return _VARIANT_CLS[variant](**kwargs)
+    return _SCHEME_FIELDS[variant][0](**kwargs)
 
 
 def _simplex_grid(k: int, resolution: int):
@@ -240,7 +197,7 @@ def sample_schemes_random(variant: str, channel: ChannelSpec, config: SearchConf
         yield _build(variant, blocks, arrays)
 
 
-def _scheme_rows(scheme, variant, blocks):
+def _scheme_rows(scheme, blocks):
     rows = []
     for name, nrows, cols, reshape in blocks:
         arr = np.asarray(getattr(scheme, name), dtype=float).reshape(nrows, cols)
@@ -248,10 +205,8 @@ def _scheme_rows(scheme, variant, blocks):
     return rows
 
 
-def _scheme_key(scheme, variant, blocks) -> tuple:
-    return tuple(
-        float(v) for arr in _scheme_rows(scheme, variant, blocks) for v in arr.ravel()
-    )
+def _scheme_key(scheme, blocks) -> tuple:
+    return tuple(float(v) for arr in _scheme_rows(scheme, blocks) for v in arr.ravel())
 
 
 def _project_row(row: np.ndarray) -> np.ndarray:
@@ -272,7 +227,7 @@ def refine_local(objective, scheme, variant: str, channel: ChannelSpec,
     drops below the starting objective.
     """
     blocks = _blocks(variant, channel, config)
-    best_rows = _scheme_rows(scheme, variant, blocks)
+    best_rows = _scheme_rows(scheme, blocks)
     best_scheme = scheme
     best_value = objective(scheme)
     step = config.refine_step
@@ -328,7 +283,7 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     best = None
     for scheme in _stream(scheme_variant, channel, config):
         value = score(scheme)
-        key = _scheme_key(scheme, scheme_variant, blocks)
+        key = _scheme_key(scheme, blocks)
         if best is None or value > best[0] + 1e-15 or (
             value >= best[0] - 1e-15 and key < best[1]
         ):
@@ -341,72 +296,36 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     return value, scheme
 
 
-def _pieces_for(bound: str, scheme, channel, certificate):
-    if bound == "inner-one-set":
-        return _one.inner_polytope(scheme, channel)
-    if bound == "outer-one-set":
-        return [_one.outer_polytope(scheme, channel)]
-    if bound == "secrecy-one-set":
-        piece = _one.secrecy_polytope(scheme, channel)
-        return [] if piece is None else [piece]
-    if bound == "degraded":
-        return [_one.degraded_polytope(scheme, channel, certificate=certificate)]
-    if bound == "two-set":
-        return _two.two_set_region_piece(scheme, channel)
-    if bound == "secrecy-two-set":
-        return _two.secrecy_inner_pieces(scheme, channel)
-    raise ValueError(f"unknown bound {bound!r}; expected one of {BOUNDS}")
-
-
 def assemble_region(channel: ChannelSpec, bound: str,
                     config: SearchConfig | None = None,
                     jobs: int = 1) -> RateRegion:
     """Search schemes, collect their pieces, and convexify the union.
 
-    bound picks the construction (see BOUNDS). Pieces that come back empty
-    are dropped but counted in the result's info. Evaluation runs serially
-    unless jobs > 1 asks for that many threads; results are merged in
-    stream order, so the output is identical for every parallelism degree.
+    bound picks the construction (see BOUNDS). Every expanded piece is
+    tested for emptiness once; empty ones are dropped but counted in the
+    result's info. Schemes are evaluated serially in stream order; jobs is
+    accepted and ignored.
     """
     config = config or SearchConfig()
-    if bound not in BOUNDS:
+    if bound not in _BOUND_TABLES:
         raise ValueError(f"unknown bound {bound!r}; expected one of {BOUNDS}")
-    variant = _VARIANT_FOR_BOUND[bound]
+    variant, table = _BOUND_TABLES[bound]
     certificate = None
     if bound == "degraded":
         certificate = check_stochastically_degraded(channel)
         _one._flag_if_not_degraded(channel, certificate)
     schemes = list(_stream(variant, channel, config))
-    jobs = max(1, int(jobs))
-
-    def evaluate(scheme):
-        return _pieces_for(bound, scheme, channel, certificate)
-
-    if jobs == 1 or len(schemes) < 2:
-        per_scheme = [evaluate(s) for s in schemes]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_scheme = list(pool.map(evaluate, schemes))
-
     pieces = []
     provenance = []
     dropped = 0
-    for scheme, scheme_pieces in zip(schemes, per_scheme):
+    for scheme in schemes:
         doc = scheme_to_dict(scheme)
-        for piece in scheme_pieces:
+        for piece in bound_pieces(table, table.terms(scheme, channel), drop_empty=False):
             if piece_is_empty(piece):
                 dropped += 1
                 continue
             pieces.append(piece)
             provenance.append(doc)
-    coords = {
-        "inner-one-set": _one.COORDS_EQUIVOCATION,
-        "outer-one-set": _one.COORDS_EQUIVOCATION,
-        "secrecy-one-set": _one.COORDS_SECRECY,
-        "degraded": _one.COORDS_EQUIVOCATION,
-        "two-set": _two.COORDS_FULL,
-        "secrecy-two-set": _two.COORDS_MAC,
-    }[bound]
     info = {
         "bound": bound,
         "config": config.to_dict(),
@@ -416,4 +335,4 @@ def assemble_region(channel: ChannelSpec, bound: str,
     if certificate is not None:
         info["degradedness_verdict"] = certificate.verdict
         info["degradedness_residual"] = certificate.residual
-    return convexify(pieces, coords=coords, provenance=provenance, info=info)
+    return convexify(pieces, coords=table.coords, provenance=provenance, info=info)

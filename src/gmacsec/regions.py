@@ -7,6 +7,10 @@ clipped constraints are expanded into a union of plain polytopes by
 clip_plus_split. Regions are unions of pieces, optionally convexified into a
 cached vertex cloud.
 
+Each bound the package builds is a BoundTable: fixed constraint rows whose
+right-hand sides are signed sums of information terms, turned into
+pieces per scheme by bound_pieces.
+
 Because every piece is pointed, emptiness and support queries are answered
 from its vertices, which each piece enumerates once from subsystem inverses
 cached per constraint matrix; hull slices come from Qhull's facets of the
@@ -18,14 +22,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-
-from .channel import linprog
+from .channel import _LP_OPTIONS, linprog
 from .errors import (
     EmptySlice,
     SolverStall,
@@ -47,12 +51,19 @@ TIE_TOL = 1e-12
 SLICE_SLACK = 1e-8
 SLICE_NEAR = 1e-7
 
-# HiGHS default feasibility tolerances sit near 1e-7, which is visible
-# noise at the 9-digit precision the outputs promise; pin them lower.
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+
+
+def ConvexHull(points):
+    """scipy.spatial.ConvexHull, imported on first use: scipy.spatial takes
+    most of the package's import time, and only hulls need it."""
+    from scipy.spatial import ConvexHull as hull
+    return hull(points)
+
+
+def _qhull_error():
+    # evaluated by an except clause only once an exception is raised
+    from scipy.spatial import QhullError
+    return QhullError
 
 
 @dataclass(frozen=True)
@@ -270,6 +281,87 @@ def clip_plus_split(tmpl: PolytopeTemplate, drop_empty: bool = True):
         if drop_empty and piece_is_empty(piece):
             continue
         pieces.append(piece)
+    return pieces
+
+
+# one signed name of a sum: "+ b", "- R0", or "0" for nothing
+_SIGNED = re.compile(r"\s*([+-]?)\s*([A-Za-z]\w*|0)\s*")
+
+
+class BoundTable:
+    """One bound as fixed rows whose right-hand sides are affine in a few
+    information terms.
+
+    Rows read like the bound: "R0 + R1 <= b - d", or "Re <= [b - R0 - d]+"
+    for a clipped row. Names among coords are coordinates; every other name
+    is a term, looked up in the dict that terms(scheme, channel) returns;
+    "0" stands for an empty sum. Each family of rows is one template. A
+    scheme whose guard, a signed sum of terms, is negative has no piece.
+    """
+
+    def __init__(self, coords, terms, families, guard="0"):
+        self.coords = tuple(coords)
+        self.terms = terms
+        self.guard = self._split(guard)[1]
+        self.families = tuple(tuple(self._row(r) for r in fam) for fam in families)
+        # branching clipped rows per family: 2^k plain pieces at most
+        self.max_pieces = sum(
+            2 ** sum(1 for _, affine, _ in fam if affine is not None and affine.any())
+            for fam in self.families
+        )
+
+    def _split(self, expr: str):
+        """(coefficient vector, signed terms) of a sum such as "b - R0 - d"."""
+        found = _SIGNED.findall(expr)
+        if (not re.fullmatch(f"(?:{_SIGNED.pattern})+", expr)
+                or any(not sign for sign, _ in found[1:])):
+            raise ValueError(f"cannot parse {expr!r} as a signed sum of names")
+        vec, terms = np.zeros(len(self.coords)), []
+        for sign, name in found:
+            value = -1.0 if sign == "-" else 1.0
+            if name in self.coords:
+                vec[self.coords.index(name)] += value
+            elif name != "0":
+                terms.append((value, name))
+        return vec, tuple(terms)
+
+    def _row(self, text: str):
+        """(lhs, affine or None, rhs terms): lhs.x <= [affine.x + rhs]_+ for
+        a clipped row, lhs.x <= rhs for a plain one."""
+        left, sep, right = text.partition("<=")
+        lhs, lhs_terms = self._split(left)
+        if not sep or lhs_terms:
+            raise ValueError(f"row {text!r} must read coordinates <= expression")
+        right = right.strip()
+        if right.startswith("[") and right.endswith("]+"):
+            affine, terms = self._split(right[1:-2])
+        else:
+            coords, terms = self._split(right)
+            lhs, affine = lhs - coords, None
+        return lhs, affine, terms
+
+
+def _evaluate(signed_terms, values) -> float:
+    """A signed sum of terms, added left to right from the first term."""
+    if not signed_terms:
+        return 0.0
+    return functools.reduce(operator.add,
+                            [sign * values[name] for sign, name in signed_terms])
+
+
+def bound_pieces(table: BoundTable, values: dict, drop_empty: bool = True):
+    """The table's families as templates, with the term values filled in,
+    each expanded by clip_plus_split, in order."""
+    if _evaluate(table.guard, values) < 0:
+        return []
+    pieces = []
+    for fam in table.families:
+        pieces.extend(clip_plus_split(template(
+            table.coords,
+            plain=[(lhs, _evaluate(rhs, values)) for lhs, aff, rhs in fam if aff is None],
+            clipped=[(lhs, aff, _evaluate(rhs, values))
+                     for lhs, aff, rhs in fam if aff is not None],
+        ), drop_empty=drop_empty))
     return pieces
 
 
@@ -556,7 +648,7 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
             try:
                 hull = ConvexHull(points)
                 points = _dedup_sorted(points[hull.vertices])
-            except QhullError as exc:
+            except _qhull_error() as exc:
                 # the unpruned cloud still spans the hull
                 info["hull_fallback"] = str(exc).strip().split("\n", 1)[0]
     points.setflags(write=False)
@@ -682,7 +774,7 @@ def _hull_inequalities(points: np.ndarray):
     else:
         try:
             eq = ConvexHull(y).equations      # n . y + offset <= 0
-        except QhullError as exc:
+        except _qhull_error() as exc:
             first_line = str(exc).strip().split("\n", 1)[0]
             raise SolverStall(f"Qhull failed on a rank-{rank} hull cloud: "
                               f"{first_line}") from exc

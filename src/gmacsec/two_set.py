@@ -28,13 +28,7 @@ import numpy as np
 from .channel import ChannelSpec
 from .errors import PieceExplosion
 from .infotheory import SchemeTwoSet, assemble_joint_two_set, mutual_information
-from .regions import (
-    RatePolytope,
-    clip_plus_split,
-    piece_is_empty,
-    polytope,
-    template,
-)
+from .regions import BoundTable, RatePolytope, bound_pieces
 
 COORDS_MAC = ("R0", "R1", "R2")
 COORDS_EQ = ("R1e", "R2e")
@@ -56,22 +50,39 @@ def two_set_terms(scheme: SchemeTwoSet, channel: ChannelSpec) -> dict:
     }
 
 
+def _terms(scheme, channel) -> dict:
+    # through the module name, so a wrapper on two_set_terms sees the call
+    return two_set_terms(scheme, channel)
+
+
+_RATES = ("R1 <= m1", "R2 <= m2", "R1 + R2 <= m12", "R0 + R1 + R2 <= mt")
+_CAPS1 = ("R1e <= [m1 - e1]+", "R1e <= [m12 - R2 - e1]+", "R1e <= [mt - R0 - R2 - e1]+")
+_CAPS2 = ("R2e <= [m2 - e2]+", "R2e <= [m12 - R1 - e2]+", "R2e <= [mt - R0 - R1 - e2]+")
+# The equivocation set at fixed rates, one family per box: both
+# equivocations jointly, then only sender 1's, then only sender 2's.
+_EQUIVOCATION = (
+    ("R1e <= R1", "R2e <= R2", *_CAPS1, *_CAPS2,
+     "R1e + R2e <= [m12 - e1 - e2]+", "R1e + R2e <= [mt - R0 - e1 - e2]+"),
+    ("R2e <= 0", "R1e <= R1", *_CAPS1),
+    ("R1e <= 0", "R2e <= R2", *_CAPS2),
+)
+
+TWO_SET = BoundTable(COORDS_FULL, _terms, [_RATES + fam for fam in _EQUIVOCATION])
+MAC = BoundTable(COORDS_MAC, _terms, [_RATES])
+# over (R1e, R2e) the rates are terms, so their brackets are constants
+EQUIVOCATION = BoundTable(COORDS_EQ, _terms, _EQUIVOCATION)
+# both senders secret, only sender 1 active, only sender 2 active
+SECRECY = BoundTable(COORDS_MAC, _terms, [
+    ("R1 <= m1 - e1", "R2 <= m2 - e2", "R1 + R2 <= m12 - e1 - e2",
+     "R0 + R1 + R2 <= mt - e1 - e2"),
+    ("R2 <= 0", "R1 <= m1 - e1", "R0 + R1 <= mt - e1"),
+    ("R1 <= 0", "R2 <= m2 - e2", "R0 + R2 <= mt - e2"),
+])
+
+
 def mac_polytope(scheme: SchemeTwoSet, channel: ChannelSpec) -> RatePolytope:
     """Decodable-rate piece in (R0, R1, R2), ignoring confidentiality."""
-    t = two_set_terms(scheme, channel)
-    return polytope(
-        COORDS_MAC,
-        [
-            ((0.0, 1.0, 0.0), t["m1"]),
-            ((0.0, 0.0, 1.0), t["m2"]),
-            ((0.0, 1.0, 1.0), t["m12"]),
-            ((1.0, 1.0, 1.0), t["mt"]),
-        ],
-    )
-
-
-def _plus(x: float) -> float:
-    return x if x > 0.0 else 0.0
+    return bound_pieces(MAC, _terms(scheme, channel), drop_empty=False)[0]
 
 
 def equivocation_set_explicit(scheme: SchemeTwoSet, channel: ChannelSpec,
@@ -86,45 +97,8 @@ def equivocation_set_explicit(scheme: SchemeTwoSet, channel: ChannelSpec,
     for name, r in (("r0", r0), ("r1", r1), ("r2", r2)):
         if r < 0:
             raise ValueError(f"{name} must be nonnegative, got {r}")
-    t = two_set_terms(scheme, channel)
-    m1, m2, m12, mt = t["m1"], t["m2"], t["m12"], t["mt"]
-    e1, e2 = t["e1"], t["e2"]
-    joint_piece = polytope(
-        COORDS_EQ,
-        [
-            ((1.0, 0.0), r1),
-            ((0.0, 1.0), r2),
-            ((1.0, 0.0), _plus(m1 - e1)),
-            ((1.0, 0.0), _plus(m12 - r2 - e1)),
-            ((1.0, 0.0), _plus(mt - r0 - r2 - e1)),
-            ((0.0, 1.0), _plus(m2 - e2)),
-            ((0.0, 1.0), _plus(m12 - r1 - e2)),
-            ((0.0, 1.0), _plus(mt - r0 - r1 - e2)),
-            ((1.0, 1.0), _plus(m12 - e1 - e2)),
-            ((1.0, 1.0), _plus(mt - r0 - e1 - e2)),
-        ],
-    )
-    only_first = polytope(
-        COORDS_EQ,
-        [
-            ((0.0, 1.0), 0.0),
-            ((1.0, 0.0), r1),
-            ((1.0, 0.0), _plus(m1 - e1)),
-            ((1.0, 0.0), _plus(m12 - r2 - e1)),
-            ((1.0, 0.0), _plus(mt - r0 - r2 - e1)),
-        ],
-    )
-    only_second = polytope(
-        COORDS_EQ,
-        [
-            ((1.0, 0.0), 0.0),
-            ((0.0, 1.0), r2),
-            ((0.0, 1.0), _plus(m2 - e2)),
-            ((0.0, 1.0), _plus(m12 - r1 - e2)),
-            ((0.0, 1.0), _plus(mt - r0 - r1 - e2)),
-        ],
-    )
-    return [joint_piece, only_first, only_second]
+    values = {**_terms(scheme, channel), "R0": r0, "R1": r1, "R2": r2}
+    return bound_pieces(EQUIVOCATION, values, drop_empty=False)
 
 
 def equivocation_set_oracle(scheme: SchemeTwoSet, channel: ChannelSpec,
@@ -162,8 +136,8 @@ def equivocation_set_oracle(scheme: SchemeTwoSet, channel: ChannelSpec,
         if i2 < t2_lo:
             continue
         t2 = i2 * step
-        cap1 = min(r1, _plus(t1 - e1))
-        cap2 = min(r2, _plus(t2 - e2))
+        cap1 = min(r1, max(0.0, t1 - e1))
+        cap2 = min(r2, max(0.0, t2 - e2))
         caps.append((cap1, cap2))
     if not caps:
         return np.empty((0, 2))
@@ -191,78 +165,12 @@ def two_set_region_piece(scheme: SchemeTwoSet, channel: ChannelSpec,
     at most 2^5 + 2^2 + 2^2 plain pieces before empty ones are dropped.
     Raises PieceExplosion if a larger expansion is requested via max_pieces.
     """
-    t = two_set_terms(scheme, channel)
-    m1, m2, m12, mt = t["m1"], t["m2"], t["m12"], t["mt"]
-    e1, e2 = t["e1"], t["e2"]
-
-    z = (0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def vec(r0=0.0, r1=0.0, r2=0.0, r1e=0.0, r2e=0.0):
-        return (r0, r1, r2, r1e, r2e)
-
-    rate_plain = [
-        (vec(r1=1), m1),
-        (vec(r2=1), m2),
-        (vec(r1=1, r2=1), m12),
-        (vec(r0=1, r1=1, r2=1), mt),
-    ]
-    families = []
-    families.append(template(
-        COORDS_FULL,
-        plain=rate_plain + [
-            (vec(r1=-1, r1e=1), 0.0),
-            (vec(r2=-1, r2e=1), 0.0),
-        ],
-        clipped=[
-            (vec(r1e=1), z, m1 - e1),
-            (vec(r1e=1), vec(r2=-1), m12 - e1),
-            (vec(r1e=1), vec(r0=-1, r2=-1), mt - e1),
-            (vec(r2e=1), z, m2 - e2),
-            (vec(r2e=1), vec(r1=-1), m12 - e2),
-            (vec(r2e=1), vec(r0=-1, r1=-1), mt - e2),
-            (vec(r1e=1, r2e=1), z, m12 - e1 - e2),
-            (vec(r1e=1, r2e=1), vec(r0=-1), mt - e1 - e2),
-        ],
-    ))
-    families.append(template(
-        COORDS_FULL,
-        plain=rate_plain + [
-            (vec(r2e=1), 0.0),
-            (vec(r1=-1, r1e=1), 0.0),
-        ],
-        clipped=[
-            (vec(r1e=1), z, m1 - e1),
-            (vec(r1e=1), vec(r2=-1), m12 - e1),
-            (vec(r1e=1), vec(r0=-1, r2=-1), mt - e1),
-        ],
-    ))
-    families.append(template(
-        COORDS_FULL,
-        plain=rate_plain + [
-            (vec(r1e=1), 0.0),
-            (vec(r2=-1, r2e=1), 0.0),
-        ],
-        clipped=[
-            (vec(r2e=1), z, m2 - e2),
-            (vec(r2e=1), vec(r1=-1), m12 - e2),
-            (vec(r2e=1), vec(r0=-1, r1=-1), mt - e2),
-        ],
-    ))
-
-    def branching_count(tmpl):
-        return sum(
-            1 for cc in tmpl.clipped if np.max(np.abs(cc.affine)) > 1e-15
-        )
-
-    worst = sum(2 ** branching_count(f) for f in families)
-    if worst > max_pieces:
+    if TWO_SET.max_pieces > max_pieces:
         raise PieceExplosion(
-            f"expansion would produce up to {worst} pieces, cap is {max_pieces}"
+            f"expansion would produce up to {TWO_SET.max_pieces} pieces, "
+            f"cap is {max_pieces}"
         )
-    pieces = []
-    for fam in families:
-        pieces.extend(clip_plus_split(fam))
-    return pieces
+    return bound_pieces(TWO_SET, _terms(scheme, channel))
 
 
 def secrecy_inner_pieces(scheme: SchemeTwoSet, channel: ChannelSpec):
@@ -273,25 +181,4 @@ def secrecy_inner_pieces(scheme: SchemeTwoSet, channel: ChannelSpec):
     exactly zero keeps the piece as a face (the spent sender pinned at rate
     zero).
     """
-    t = two_set_terms(scheme, channel)
-    m1, m2, m12, mt = t["m1"], t["m2"], t["m12"], t["mt"]
-    e1, e2 = t["e1"], t["e2"]
-    candidates = [
-        polytope(COORDS_MAC, [
-            ((0.0, 1.0, 0.0), m1 - e1),
-            ((0.0, 0.0, 1.0), m2 - e2),
-            ((0.0, 1.0, 1.0), m12 - e1 - e2),
-            ((1.0, 1.0, 1.0), mt - e1 - e2),
-        ]),
-        polytope(COORDS_MAC, [
-            ((0.0, 0.0, 1.0), 0.0),
-            ((0.0, 1.0, 0.0), m1 - e1),
-            ((1.0, 1.0, 0.0), mt - e1),
-        ]),
-        polytope(COORDS_MAC, [
-            ((0.0, 1.0, 0.0), 0.0),
-            ((0.0, 0.0, 1.0), m2 - e2),
-            ((1.0, 0.0, 1.0), mt - e2),
-        ]),
-    ]
-    return [p for p in candidates if not piece_is_empty(p)]
+    return bound_pieces(SECRECY, _terms(scheme, channel))

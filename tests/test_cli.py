@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +46,17 @@ def _stderr_error(capsys):
 
 
 class TestTopLevel:
+    def test_import_loads_no_scipy_solver_or_hull(self):
+        # scipy.optimize and scipy.spatial are imported on the first LP or hull
+        code = ("import sys, gmacsec.cli; "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') "
+                "if m in sys.modules))")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     def test_version_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -193,6 +207,56 @@ class TestRegion:
                    "--bound", "inner1", "--out", str(tmp_path / "x.csv")])
         assert rc == 4
         assert _stderr_error(capsys)["error"] == "SolverStall"
+
+
+@pytest.fixture(scope="module")
+def edge_inputs(tmp_path_factory):
+    """(channel file, config file, GMAC_MAX_STATES) for each edge input."""
+    import numpy as np
+
+    from gmacsec.channel import save_channel, validate_channel
+
+    d = tmp_path_factory.mktemp("edges")
+    rng = np.random.default_rng(3)
+    save_channel(fx.random_channel((1, 2, 2, 2, 2), rng), d / "one_x1.json")
+    prob = fx.random_channel((2, 2, 3, 2, 2), rng).prob.copy()
+    prob[:, :, 2] = 0.0            # no input reaches output letter 2
+    prob /= prob.sum(axis=(2, 3, 4), keepdims=True)
+    save_channel(validate_channel(prob, (2, 2, 3, 2, 2)), d / "unreached.json")
+    save_channel(fx.clean_mac(), d / "clean.json")
+    small = _write_json(d / "small.json", {"strategy": "random", "sample_count": 2,
+                                           "cardinalities": [1, 2, 2]})
+    grid2 = _write_json(d / "grid2.json", {"strategy": "grid", "grid_resolution": 2,
+                                           "cardinalities": [1, 1, 1]})
+    return {
+        "one_x1": (d / "one_x1.json", small, None),
+        "unreached_output": (d / "unreached.json", small, None),
+        "grid_resolution_2": (d / "clean.json", grid2, None),
+        "max_states_1": (d / "clean.json", small, "1"),
+    }
+
+
+class TestRegionEdgeInputs:
+    @pytest.mark.filterwarnings("ignore::gmacsec.NotDegradedWarning")
+    @pytest.mark.parametrize("case", ["one_x1", "unreached_output",
+                                      "grid_resolution_2", "max_states_1"])
+    @pytest.mark.parametrize("bound", ["inner1", "outer1", "secrecy1", "degraded",
+                                       "two-set", "secrecy2"])
+    def test_exit_code_and_error_object(self, edge_inputs, case, bound, tmp_path,
+                                        capsys, monkeypatch):
+        channel, config, max_states = edge_inputs[case]
+        if max_states is not None:
+            monkeypatch.setenv("GMAC_MAX_STATES", max_states)
+        rc = main(["region", str(channel), "--bound", bound, "--config", config,
+                   "--resolution", "3", "--out", str(tmp_path / "f.csv")])
+        assert rc in (0, 2, 3, 4)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if rc:
+            doc = json.loads(err.strip().splitlines()[-1])
+            assert set(doc) == {"error", "message"}
+        if case == "max_states_1":
+            assert rc == 3
 
 
 class TestRegionGolden:
