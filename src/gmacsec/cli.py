@@ -46,7 +46,7 @@ from .infotheory import (
     scheme_to_dict,
 )
 from .optimizer import SearchConfig, assemble_region, maximize_secrecy_capacity
-from .regions import frontier, frontier_sweep
+from .regions import frontier_points, frontier_sweep
 from .wiretap_sim import simulate
 
 _BOUND_ALIASES = {
@@ -172,9 +172,8 @@ def cmd_region(args) -> int:
             raise ValueError(f"unknown coordinate {name!r}; region has {region.coords}")
         fixed[name] = value
 
-    points = frontier(region, plane, fixed=fixed, resolution=args.resolution)
-    samples = frontier_sweep(region, plane, fixed=fixed,
-                             resolution=args.resolution, use_hull=False)
+    samples = frontier_sweep(region, plane, fixed=fixed, resolution=args.resolution)
+    points = frontier_points(samples)
 
     out = pathlib.Path(args.out)
     lines = [",".join(plane)]
@@ -182,18 +181,17 @@ def cmd_region(args) -> int:
         lines.append(",".join(_g9(v) for v in row))
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    witnesses = []
-    for s in samples:
-        scheme_doc = None
-        if region.provenance is not None and s.piece_index is not None:
-            scheme_doc = region.provenance[s.piece_index]
-        witnesses.append({
-            "theta": s.theta,
-            "direction": [float(d) for d in s.direction],
-            "point": [float(v) for v in s.point],
-            "support_value": float(s.value),
-            "scheme": scheme_doc,
-        })
+    witnesses = [{
+        "theta": s.theta,
+        "direction": [float(d) for d in s.direction],
+        "point": [float(v) for v in s.point],
+        "support_value": float(s.value),
+        "mix": [{
+            "weight": weight,
+            "point": region.hull_points[j].tolist(),
+            "scheme": region.provenance[region.hull_sources[j]],
+        } for weight, j in s.mix],
+    } for s in samples]
     witness_path = out.with_name(out.name + ".witness.json")
     _write_json(witness_path, {
         "plane": list(plane),

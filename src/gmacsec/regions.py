@@ -13,8 +13,9 @@ pieces per scheme by bound_pieces.
 
 Because every piece is pointed, emptiness and support queries are answered
 from its vertices, which each piece enumerates once from subsystem inverses
-cached per constraint matrix; hull slices come from Qhull's facets of the
-vertex cloud.
+cached per constraint matrix; hull membership, hull slices and the
+time-sharing mix behind each frontier point come from Qhull's facets of the
+vertex cloud. No query here solves a linear program.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from .channel import _LP_OPTIONS, linprog
+# never called here; perfbench/spans.py wraps this binding and tests patch it
+from .channel import linprog  # noqa: F401
 from .errors import (
     EmptySlice,
     SolverStall,
@@ -50,6 +52,10 @@ TIE_TOL = 1e-12
 # polygon are kept for vertex enumeration.
 SLICE_SLACK = 1e-8
 SLICE_NEAR = 1e-7
+# A sample's mix reproduces its point within MIX_TOL; no weight is below
+# MIX_FLOOR.
+MIX_TOL = 1e-9
+MIX_FLOOR = 1e-12
 
 
 
@@ -155,7 +161,7 @@ def piece_is_empty(piece: RatePolytope) -> bool:
 
 
 def _vertex_argmax(verts: np.ndarray, direction: np.ndarray):
-    """(max d.x, witness) over a nonempty vertex array.
+    """(max d.x, row index of the witness) over a nonempty vertex array.
 
     The witness is the vertex with the largest coordinate sum among those
     within TIE_TOL of the maximum, which is the Pareto-maximal corner of the
@@ -163,10 +169,10 @@ def _vertex_argmax(verts: np.ndarray, direction: np.ndarray):
     """
     values = verts @ direction
     value = float(np.max(values))
-    cand = verts[values >= value - TIE_TOL]
-    sums = cand.sum(axis=1)
+    cand = np.flatnonzero(values >= value - TIE_TOL)
+    sums = verts[cand].sum(axis=1)
     cand = cand[sums >= np.max(sums) - TIE_TOL]
-    return value, cand[np.lexsort(cand.T[::-1])[-1]]
+    return value, int(cand[np.lexsort(verts[cand].T[::-1])[-1]])
 
 
 def piece_support(piece: RatePolytope, direction) -> tuple[float, np.ndarray]:
@@ -186,7 +192,8 @@ def piece_support(piece: RatePolytope, direction) -> tuple[float, np.ndarray]:
         raise EmptySlice("support of an empty piece")
     if np.max(piece.rays @ d) > DEDUP_TOL:
         raise Unbounded(f"support unbounded along {direction}")
-    return _vertex_argmax(verts, d)
+    value, i = _vertex_argmax(verts, d)
+    return value, verts[i].copy()
 
 
 def slice_piece(piece: RatePolytope, fixed: dict) -> RatePolytope:
@@ -582,12 +589,12 @@ def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
 
 
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:
-    """Deduplicate rows at DEDUP_TOL and sort lexicographically."""
+    """Indices of the first row of each DEDUP_TOL group, in lexicographic
+    order of the rows."""
     if points.shape[0] == 0:
-        return points
-    pts = points[_round_groups(points)[0]]
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
+        return np.empty(0, dtype=np.intp)
+    first = _round_groups(points)[0]
+    return first[np.lexsort(points[first].T[::-1])]
 
 
 @dataclass(frozen=True)
@@ -595,9 +602,10 @@ class RateRegion:
     """A union of pieces, optionally with a convexified vertex cloud.
 
     hull_points, when present, spans the closed convex hull of the union;
-    provenance, when present, aligns with pieces and records where each piece
-    came from (typically a scheme dictionary). info carries free-form
-    assembly diagnostics.
+    hull_sources, when present, aligns with hull_points and gives for each
+    the index of a piece that has it as a vertex. provenance, when present,
+    aligns with pieces and records where each piece came from (typically a
+    scheme dictionary). info carries free-form assembly diagnostics.
     """
 
     coords: tuple[str, ...]
@@ -605,6 +613,7 @@ class RateRegion:
     hull_points: np.ndarray | None = None
     provenance: tuple | None = None
     info: dict = field(default_factory=dict)
+    hull_sources: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -623,7 +632,8 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     extreme points uses Qhull when the cloud has full affine rank; flat
     clouds are kept as is (membership tests do not need minimality). When
     Qhull fails on a full-rank cloud, the unpruned cloud is kept and its
-    message is recorded as info["hull_fallback"].
+    message is recorded as info["hull_fallback"]. Each hull point's source
+    is the first piece, in piece order, with that vertex.
     """
     pieces = tuple(pieces)
     if coords is None:
@@ -637,62 +647,45 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     d = len(coords)
     info = dict(info or {})
     clouds = [p.vertices for p in pieces]
-    clouds = [c for c in clouds if c.shape[0]]
-    if clouds:
-        points = _dedup_sorted(np.vstack(clouds))
-    else:
-        points = np.empty((0, d))
-    if points.shape[0] > d + 1:
-        centered = points - points[0]
-        if np.linalg.matrix_rank(centered, tol=1e-9) == d:
+    sources = np.repeat(np.arange(len(pieces)), [c.shape[0] for c in clouds])
+    points = np.vstack(clouds) if sources.size else np.empty((0, d))
+    keep = _dedup_sorted(points)
+    if keep.shape[0] > d + 1:
+        if np.linalg.matrix_rank(points[keep] - points[keep[0]], tol=1e-9) == d:
             try:
-                hull = ConvexHull(points)
-                points = _dedup_sorted(points[hull.vertices])
+                extreme = keep[ConvexHull(points[keep]).vertices]
+                keep = extreme[_dedup_sorted(points[extreme])]
             except _qhull_error() as exc:
                 # the unpruned cloud still spans the hull
                 info["hull_fallback"] = str(exc).strip().split("\n", 1)[0]
+    points, sources = points[keep], sources[keep]
     points.setflags(write=False)
+    sources.setflags(write=False)
     return RateRegion(
         coords=coords,
         pieces=pieces,
         hull_points=points,
         provenance=None if provenance is None else tuple(provenance),
         info=info,
+        hull_sources=sources,
     )
 
 
 def region_contains(region: RateRegion, point, tol: float = 1e-9) -> bool:
-    """Membership: within tol of the hull if convexified, else in some piece.
+    """Membership: in the hull if convexified, else in some piece.
 
-    Raises SolverStall when the hull-distance LP does not solve.
+    A convexified region holds x when G x <= h + tol on every (unit-norm)
+    row of its hull's facets, _hull_inequalities. Raises SolverStall when
+    Qhull cannot build the hull.
     """
     x = np.asarray(point, dtype=float)
     if x.shape != (region.dim,):
         raise ValueError("point dimension mismatch")
     if region.is_convexified:
-        pts = region.hull_points
-        if pts.shape[0] == 0:
+        if region.hull_points.shape[0] == 0:
             return False
-        # Chebyshev distance from x to conv(pts), as an LP over hull weights
-        n = pts.shape[0]
-        d = region.dim
-        cost = np.zeros(n + 1)
-        cost[n] = 1.0
-        A_ub = np.zeros((2 * d, n + 1))
-        b_ub = np.zeros(2 * d)
-        A_ub[:d, :n] = pts.T
-        A_ub[:d, n] = -1.0
-        b_ub[:d] = x
-        A_ub[d:, :n] = -pts.T
-        A_ub[d:, n] = -1.0
-        b_ub[d:] = -x
-        A_eq = np.zeros((1, n + 1))
-        A_eq[0, :n] = 1.0
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                      bounds=[(0, None)] * (n + 1), method="highs", options=_LP_OPTIONS)
-        if res.status != 0:
-            raise SolverStall(f"hull membership LP failed: {res.message}")
-        return float(res.fun) <= tol
+        G, h, _ = _hull_inequalities(region.hull_points)
+        return bool(np.all(G @ x <= h + tol))
     return any(piece_contains(p, x, tol) for p in region.pieces)
 
 
@@ -720,45 +713,31 @@ def region_support(region: RateRegion, direction) -> float:
 
 @dataclass(frozen=True)
 class FrontierSample:
-    """One support-direction probe of a 2-D slice."""
+    """One support-direction probe of a 2-D slice of a region's hull.
+
+    point (plane coordinates) attains value = max direction.x over the
+    slice. mix holds (weight, hull-point index) pairs, weights positive and
+    summing to one, whose weighted hull points are point with the fixed
+    values: the time-sharing that achieves it.
+    """
 
     theta: float
     direction: tuple[float, float]
     point: np.ndarray
     value: float
-    piece_index: int | None
-
-
-def _pareto_filter(points: np.ndarray) -> np.ndarray:
-    keep = []
-    n = points.shape[0]
-    for i in range(n):
-        p = points[i]
-        dominated = False
-        for j in range(n):
-            if j == i:
-                continue
-            q = points[j]
-            if (
-                q[0] >= p[0] - 1e-12
-                and q[1] >= p[1] - 1e-12
-                and (q[0] > p[0] + 1e-12 or q[1] > p[1] + 1e-12)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return points[keep]
+    mix: tuple
 
 
 def _hull_inequalities(points: np.ndarray):
-    """conv(points) as {x : G x <= h}, from Qhull's facets.
+    """conv(points) as {x : G x <= h}, from Qhull's facets, with the simplex
+    of each facet row.
 
     The cloud is written in coordinates y on its affine hull first, so flat
-    clouds work too; the equations that pin it to that hull enter as pairs
-    of opposite rows. Rank 0 and rank 1 clouds (a point, a segment) need no
-    Qhull. Raises SolverStall when Qhull cannot build the hull of a cloud
-    of rank 2 or more.
+    clouds work too; the equations that pin it to that hull follow the
+    facet rows as pairs of opposite rows. Facet row i spans the simplex
+    points[simplices[i]]. Rank 0 and rank 1 clouds (a point, a segment) need
+    no Qhull. Rows have unit norm. Raises SolverStall when Qhull cannot
+    build the hull of a cloud of rank 2 or more.
     """
     origin = points[0]
     # the full left factor would be n x n; only short clouds need vt complete
@@ -769,19 +748,61 @@ def _hull_inequalities(points: np.ndarray):
     y = (points - origin) @ basis.T
     if rank == 0:
         Gy, hy = np.empty((0, 0)), np.empty(0)
+        simplices = np.empty((0, 0), dtype=np.intp)
     elif rank == 1:
         Gy, hy = np.array([[1.0], [-1.0]]), np.array([y.max(), -y.min()])
+        simplices = np.array([[np.argmax(y)], [np.argmin(y)]])
     else:
         try:
-            eq = ConvexHull(y).equations      # n . y + offset <= 0
+            hull = ConvexHull(y)
         except _qhull_error() as exc:
             first_line = str(exc).strip().split("\n", 1)[0]
             raise SolverStall(f"Qhull failed on a rank-{rank} hull cloud: "
                               f"{first_line}") from exc
-        Gy, hy = eq[:, :-1], -eq[:, -1]
+        eq = hull.equations                   # n . y + offset <= 0
+        Gy, hy, simplices = eq[:, :-1], -eq[:, -1], hull.simplices
     G = np.vstack([Gy @ basis, normal, -normal])
     h = np.concatenate([hy, np.zeros(2 * normal.shape[0])]) + G @ origin
-    return G, h
+    return G, h, simplices
+
+
+def _hull_mix(points, G, h, simplices, x) -> tuple:
+    """x as a convex combination of points, ((weight, index), ...) with
+    positive weights summing to one, from the facets of _hull_inequalities.
+
+    x within MIX_TOL of a point is that point. Otherwise the ray from
+    points[0] through x leaves the hull at points[0] + t (x - points[0]),
+    t >= 1: x weighs points[0] by 1 - 1/t and the exit point, barycentric
+    on the simplex of the first facet through it (tied in t) that
+    reproduces x within MIX_TOL, by 1/t. Raises SolverStall when none does.
+    """
+    gap = np.max(np.abs(points - x), axis=1)
+    if gap.min() <= MIX_TOL:
+        return ((1.0, int(np.argmin(gap))),)
+    origin = points[0]
+    v = x - origin
+    rate = G[:simplices.shape[0]] @ v
+    exits = np.flatnonzero(rate > 1e-12 * np.linalg.norm(v))
+    ok = exits[:0]
+    if exits.size:
+        ts = (h[exits] - G[exits] @ origin) / rate[exits]
+        cand = simplices[exits[ts <= ts.min() + 1e-9 * max(ts.min(), 1.0)]]
+        t = max(ts.min(), 1.0)
+        verts = points[cand]                  # tied facet, simplex point, coordinate
+        lhs = np.concatenate([verts, np.ones(cand.shape + (1,))], axis=2)
+        lam = np.linalg.pinv(lhs.transpose(0, 2, 1)) @ np.append(origin + t * v, 1.0)
+        # smaller weights are rounding noise, or the overshoot of a facet
+        # whose simplex misses the exit point
+        lam[lam <= MIX_FLOOR] = 0.0
+        lam /= lam.sum(axis=1, keepdims=True)
+        got = origin + (np.einsum("kj,kjd->kd", lam, verts) - origin) / t
+        ok = np.flatnonzero(np.max(np.abs(got - x), axis=1) <= MIX_TOL)
+    if not ok.size:
+        raise SolverStall(f"no hull facet reproduces the point {x.tolist()}")
+    w = np.bincount(np.append(cand[ok[0]], 0), np.append(lam[ok[0]] / t, 1.0 - 1.0 / t),
+                    minlength=points.shape[0])
+    idx = np.flatnonzero(w > MIX_FLOOR)
+    return tuple(zip((w[idx] / w[idx].sum()).tolist(), idx.tolist()))
 
 
 def _clip(poly: np.ndarray, g: np.ndarray, c: float) -> np.ndarray:
@@ -818,13 +839,10 @@ def _slice_rows(G: np.ndarray, h: np.ndarray, lo, hi):
     return np.flatnonzero(np.max(poly @ G.T - h, axis=0) >= -SLICE_NEAR)
 
 
-def _hull_slice(region: RateRegion, plane_idx, fixed_idx, fixed_vals) -> np.ndarray:
-    """Vertices of the hull's 2-D slice at the fixed values, in plane order
-    (empty when the slice is)."""
+def _hull_slice(region: RateRegion, G, h, plane_idx, fixed_idx, fixed_vals) -> np.ndarray:
+    """Vertices of the 2-D slice of the hull G x <= h at the fixed values,
+    in plane order (empty when the slice is)."""
     pts = region.hull_points
-    if pts.shape[0] == 0:
-        return np.empty((0, 2))
-    G, h = _hull_inequalities(pts)
     h = h - G[:, fixed_idx] @ np.asarray(fixed_vals, dtype=float)
     G = G[:, plane_idx]
     # coplanar simplicial facets repeat a row; so can the substitution
@@ -838,15 +856,13 @@ def _hull_slice(region: RateRegion, plane_idx, fixed_idx, fixed_vals) -> np.ndar
     return RatePolytope(plane, G[near], h[near]).vertices
 
 
-def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33,
-                   use_hull: bool | None = None):
-    """Raw support-direction sweep of a 2-D slice, one sample per direction.
+def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
+    """Support-direction sweep of a 2-D slice of the region's hull, one
+    sample per direction, each a slice vertex with its mix (_hull_mix).
 
     Directions are (cos t, sin t) for t evenly spaced over [0, pi/2].
-    fixed must assign a value to every coordinate outside the plane. With
-    use_hull unset, the hull is used when the region has one; passing False
-    forces per-piece probing, which also reports the winning piece index for
-    witness lookup.
+    fixed must assign a value to every coordinate outside the plane. Raises
+    ValueError for a region without a hull and EmptySlice for an empty slice.
     """
     plane = tuple(plane)
     if len(plane) != 2:
@@ -862,63 +878,47 @@ def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33,
     missing = [c for c in region.coords if c not in plane and c not in fixed]
     if missing:
         raise ValueError(f"missing fixed values for {missing}")
-    if use_hull is None:
-        use_hull = region.is_convexified
-    if use_hull and not region.is_convexified:
-        raise ValueError("use_hull requested but the region has no hull cache")
+    if not region.is_convexified:
+        raise ValueError("the region has no hull cache; convexify it first")
     plane_idx = [region.coords.index(c) for c in plane]
-    fixed_names = [c for c in region.coords if c in fixed]
-    fixed_idx = [region.coords.index(c) for c in fixed_names]
-    fixed_vals = [float(fixed[c]) for c in fixed_names]
+    fixed_idx = [i for i, c in enumerate(region.coords) if c in fixed]
+    fixed_vals = [float(fixed[region.coords[i]]) for i in fixed_idx]
 
-    if use_hull:
-        polygon = _hull_slice(region, plane_idx, fixed_idx, fixed_vals)
-    else:
-        sliced = []                           # (piece index, nonempty slice)
-        for i, p in enumerate(region.pieces):
-            sp = slice_piece(p, fixed) if fixed else p
-            if sp.coords != plane:
-                # permute columns into plane order
-                perm = [sp.coords.index(c) for c in plane]
-                sp = RatePolytope(plane, sp.A[:, perm] if sp.A.shape[0] else sp.A,
-                                  sp.b)
-            if sp.vertices.shape[0]:
-                sliced.append((i, sp))
-
-    thetas = [0.5 * math.pi * k / (resolution - 1) for k in range(resolution)]
-    samples = []
-    for theta in thetas:
-        direction = (math.cos(theta), math.sin(theta))
-        if use_hull:
-            if polygon.shape[0] == 0:
-                continue
-            value, point = _vertex_argmax(polygon, np.asarray(direction))
-            samples.append(FrontierSample(theta, direction, point, value, None))
-        else:
-            best = None
-            for i, sp in sliced:
-                value, point = piece_support(sp, direction)
-                if best is None or value > best[0] + 1e-12:
-                    best = (value, point, i)
-            if best is None:
-                continue
-            samples.append(FrontierSample(theta, direction, best[1], best[0],
-                                          best[2]))
-    if not samples:
+    pts = region.hull_points
+    if pts.shape[0] == 0:
         raise EmptySlice(f"no feasible point in the slice at {fixed}")
+    G, h, simplices = _hull_inequalities(pts)
+    polygon = _hull_slice(region, G, h, plane_idx, fixed_idx, fixed_vals)
+    if polygon.shape[0] == 0:
+        raise EmptySlice(f"no feasible point in the slice at {fixed}")
+    mixes = {}                                # polygon row -> mix
+    samples = []
+    for k in range(resolution):
+        theta = 0.5 * math.pi * k / (resolution - 1)
+        direction = (math.cos(theta), math.sin(theta))
+        value, i = _vertex_argmax(polygon, np.asarray(direction))
+        if i not in mixes:
+            x = np.empty(region.dim)
+            x[plane_idx], x[fixed_idx] = polygon[i], fixed_vals
+            mixes[i] = _hull_mix(pts, G, h, simplices, x)
+        samples.append(FrontierSample(theta, direction, polygon[i].copy(), value,
+                                      mixes[i]))
     return samples
 
 
-def frontier(region: RateRegion, plane, fixed=None, resolution: int = 33) -> np.ndarray:
-    """Pareto-maximal boundary points of a 2-D slice of the region.
-
-    Support directions sweep the first quadrant; the resulting points are
-    deduplicated at 1e-9, sorted by the first plane coordinate, and filtered
-    so no output point dominates another.
-    """
-    samples = frontier_sweep(region, plane, fixed=fixed, resolution=resolution)
+def frontier_points(samples) -> np.ndarray:
+    """Pareto-maximal points of a sweep's samples, deduplicated at 1e-9 and
+    sorted lexicographically: no point is dominated by another that is at
+    least as large in both coordinates and larger in one, by 1e-12."""
     points = np.array([s.point for s in samples])
-    points = _dedup_sorted(points)
-    points = _pareto_filter(points)
-    order = np.lexsort(points.T[::-1])
-    return points[order]
+    points = points[_dedup_sorted(points)]
+    p, q = points[:, None], points[None]
+    dominated = np.all(q >= p - 1e-12, axis=2) & np.any(q > p + 1e-12, axis=2)
+    return points[~np.any(dominated, axis=1)]
+
+
+def frontier(region: RateRegion, plane, fixed=None, resolution: int = 33) -> np.ndarray:
+    """Pareto-maximal boundary points of a 2-D slice of the region: the
+    frontier_points of its frontier_sweep."""
+    return frontier_points(frontier_sweep(region, plane, fixed=fixed,
+                                          resolution=resolution))

@@ -4,10 +4,20 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gmacsec import SolverStall, fixtures as fx, scheme_to_dict
-from gmacsec.cli import main
+from gmacsec import (
+    SolverStall,
+    fixtures as fx,
+    piece_contains,
+    scheme_from_dict,
+    scheme_to_dict,
+)
+from gmacsec.channel import load_channel, save_channel, validate_channel
+from gmacsec.cli import _BOUND_ALIASES, main
+from gmacsec.optimizer import _BOUND_TABLES
+from gmacsec.regions import bound_pieces
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -57,6 +67,22 @@ class TestTopLevel:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
+    def test_region_queries_need_no_scipy_optimize(self):
+        # assembling, sweeping and membership solve no LP, so they run with
+        # scipy.optimize unimportable
+        code = ("import sys; sys.modules['scipy.optimize'] = None\n"
+                "from gmacsec import fixtures, frontier_sweep, region_contains\n"
+                "from gmacsec.optimizer import SearchConfig, assemble_region\n"
+                "region = assemble_region(fixtures.binary_degraded(), 'inner-one-set',\n"
+                "                         SearchConfig(strategy='random', sample_count=4))\n"
+                "frontier_sweep(region, ('R0', 'R1'), fixed={'Re': 0.05}, resolution=9)\n"
+                "print(region_contains(region, region.hull_points.mean(axis=0)))\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "True"
+
     def test_version_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -85,8 +111,9 @@ class TestRegion:
         witness = json.loads((tmp_path / "frontier.csv.witness.json").read_text())
         assert witness["bound"] == "secrecy1"
         assert witness["plane"] == ["R0", "R1"]
-        assert all("scheme" in w and "direction" in w
-                   for w in witness["witnesses"])
+        assert all("direction" in w and w["mix"] for w in witness["witnesses"])
+        assert all(set(entry) == {"weight", "point", "scheme"} and entry["scheme"]
+                   for w in witness["witnesses"] for entry in w["mix"])
 
         manifest = json.loads((tmp_path / "frontier.csv.manifest.json").read_text())
         assert manifest["command"] == "region"
@@ -149,6 +176,8 @@ class TestRegion:
                        "--out", str(p)])
             assert rc == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        witnesses = [p.with_name(p.name + ".witness.json") for p in paths]
+        assert witnesses[0].read_bytes() == witnesses[1].read_bytes()
 
     def test_fix_moves_the_slice(self, channel_files, grid_config, tmp_path):
         def frontier_r1(fix):
@@ -209,13 +238,75 @@ class TestRegion:
         assert _stderr_error(capsys)["error"] == "SolverStall"
 
 
+def verify_witnesses(channel_path, bound, csv_path):
+    """Check a region run's witness file against fresh information terms.
+
+    Every mix entry's point must lie in a piece rebuilt from its scheme,
+    the weights must be positive and sum to one, the weighted points must
+    give the witness point with the fixed values, and every CSV row must
+    print as some witness point. Returns the number of witnesses.
+    """
+    channel = load_channel(channel_path)
+    table = _BOUND_TABLES[_BOUND_ALIASES[bound]][1]
+    doc = json.loads(pathlib.Path(f"{csv_path}.witness.json").read_text())
+    plane, fixed = doc["plane"], doc["fixed"]
+    pieces = {}                                # scheme JSON -> its pieces
+    printed = set()
+    for w in doc["witnesses"]:
+        full = [w["point"][plane.index(c)] if c in plane else fixed[c]
+                for c in table.coords]
+        weights = np.array([entry["weight"] for entry in w["mix"]])
+        assert np.all(weights > 0)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        got = weights @ np.array([entry["point"] for entry in w["mix"]])
+        np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-9)
+        for entry in w["mix"]:
+            key = json.dumps(entry["scheme"], sort_keys=True)
+            if key not in pieces:
+                scheme = scheme_from_dict(entry["scheme"])
+                pieces[key] = bound_pieces(table, table.terms(scheme, channel))
+            assert any(piece_contains(p, entry["point"], tol=1e-9)
+                       for p in pieces[key])
+        printed.add(",".join("%.9g" % (v + 0.0) for v in w["point"]))
+    rows = pathlib.Path(csv_path).read_text().splitlines()[1:]
+    assert rows and set(rows) <= printed
+    return len(doc["witnesses"])
+
+
+class TestWitnesses:
+    """Every frontier point is reproduced by its witness: a time-sharing mix
+    of points, each in a piece of the scheme it names."""
+
+    @pytest.mark.parametrize("bound, re_value", [
+        ("inner1", "0.05"), ("inner1", "0"), ("outer1", "0.05"),
+    ])
+    def test_one_set_mixes(self, channel_files, tmp_path, bound, re_value):
+        cfg = _write_json(tmp_path / "cfg.json",
+                          {"strategy": "random", "sample_count": 8})
+        out = tmp_path / "f.csv"
+        rc = main(["region", str(channel_files["binary_degraded"]),
+                   "--bound", bound, "--fix", f"Re={re_value}",
+                   "--resolution", "17", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        assert verify_witnesses(channel_files["binary_degraded"], bound, out) == 17
+
+    def test_two_set_mixes_off_the_origin(self, tmp_path):
+        channel = tmp_path / "w2.json"
+        save_channel(fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(1)),
+                     channel)
+        cfg = _write_json(tmp_path / "cfg.json", {
+            "strategy": "random", "sample_count": 3, "cardinalities": [2, 2, 2]})
+        out = tmp_path / "f.csv"
+        rc = main(["region", str(channel), "--bound", "two-set", "--plane", "R1,R2",
+                   "--fix", "R0=0.001", "R1e=0.001", "--resolution", "9",
+                   "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        assert verify_witnesses(channel, "two-set", out) == 9
+
+
 @pytest.fixture(scope="module")
 def edge_inputs(tmp_path_factory):
     """(channel file, config file, GMAC_MAX_STATES) for each edge input."""
-    import numpy as np
-
-    from gmacsec.channel import save_channel, validate_channel
-
     d = tmp_path_factory.mktemp("edges")
     rng = np.random.default_rng(3)
     save_channel(fx.random_channel((1, 2, 2, 2, 2), rng), d / "one_x1.json")

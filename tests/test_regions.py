@@ -253,15 +253,21 @@ class TestFrontier:
         assert np.allclose(pts, [[1.0, 1.0], [2.0, 0.5]], atol=1e-9)
 
     def test_sweep_reports_winning_piece_without_hull(self):
+        # the winning piece is named through the mix's hull points and
+        # hull_sources, not by a sweep over single pieces
         region = convexify([_unit_square(), _wide_rectangle()])
-        samples = frontier_sweep(region, RR, use_hull=False)
+        samples = frontier_sweep(region, RR)
+
+        def pieces(sample):
+            return {int(region.hull_sources[j]) for _, j in sample.mix}
+
         along_x = samples[0]
         assert along_x.theta == 0.0
         assert along_x.value == pytest.approx(2.0, abs=1e-9)
-        assert along_x.piece_index == 1
+        assert pieces(along_x) == {1}
         along_y = samples[-1]
         assert along_y.value == pytest.approx(1.0, abs=1e-9)
-        assert along_y.piece_index == 0
+        assert pieces(along_y) == {0}
 
     def test_slice_out_of_reach_raises(self):
         piece = polytope(("R0", "R1", "Re"), [((1.0, 1.0, 1.0), 1.0)])
@@ -292,7 +298,7 @@ class TestFrontier:
             frontier_sweep(region3, RR)
         bare = RateRegion(coords=RR, pieces=(_unit_square(),))
         with pytest.raises(ValueError):
-            frontier_sweep(bare, RR, use_hull=True)
+            frontier_sweep(bare, RR)
 
     def test_outputs_are_pareto_and_contained(self, rng):
         for _ in range(10):

@@ -1,8 +1,8 @@
 """Vertex-based geometry checked against its slow references.
 
-The package answers emptiness, support and hull-slice queries from piece
-vertices and hull facets; these tests solve the same queries as linear
-programs and require the same answers. Piece vertices come from cached
+The package answers emptiness, support, hull-slice and hull-membership
+queries from piece vertices and hull facets; these tests solve the same
+queries as linear programs and require the same answers. Piece vertices come from cached
 subsystem inverses; they are checked against the brute-force enumeration
 that solves every subsystem of every piece afresh.
 """
@@ -79,6 +79,23 @@ def lp_hull_slice_support(points, plane_idx, fixed_idx, fixed_vals, direction):
         return None
     assert res.status == 0, res.message
     return -res.fun
+
+
+def lp_hull_distance(points, x):
+    """Chebyshev distance from x to conv(points), solved over hull weights:
+    min s over w >= 0, sum w = 1, |P w - x| <= s coordinatewise."""
+    n, d = points.shape
+    cost = np.zeros(n + 1)
+    cost[n] = 1.0
+    A_ub = np.zeros((2 * d, n + 1))
+    A_ub[:d, :n], A_ub[d:, :n] = points.T, -points.T
+    A_ub[:, n] = -1.0
+    A_eq = np.append(np.ones(n), 0.0)[None, :]
+    res = linprog(cost, A_ub=A_ub, b_ub=np.concatenate([x, -x]), A_eq=A_eq,
+                  b_eq=[1.0], bounds=[(0, None)] * (n + 1), method="highs",
+                  options=LP_OPTIONS)
+    assert res.status == 0, res.message
+    return res.fun
 
 
 def _random_piece(rng, dim, kind):
@@ -188,8 +205,7 @@ class TestPieceOracle:
         monkeypatch.setattr(regions, "linprog", no_lp)
         region = assemble_region(binary_degraded, "inner-one-set", config, jobs=1)
         frontier(region, ("R0", "R1"), fixed={"Re": 0.05}, resolution=9)
-        frontier_sweep(region, ("R0", "R1"), fixed={"Re": 0.05}, resolution=9,
-                       use_hull=False)
+        assert region_contains(region, region.hull_points.mean(axis=0))
 
 
 def _inner1_region():
@@ -226,7 +242,24 @@ def _assert_slice_matches_lp(region, plane, fixed, resolution=9):
     for s, want in zip(samples, expected):
         assert s.value == pytest.approx(want, abs=1e-9)
         assert float(np.dot(s.point, s.direction)) == pytest.approx(s.value, abs=1e-12)
+        # the mix of hull points reproduces the point with the fixed values
+        weights = np.array([w for w, _ in s.mix])
+        full = np.empty(region.dim)
+        full[plane_idx], full[fixed_idx] = s.point, fixed_vals
+        assert np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(weights @ pts[[j for _, j in s.mix]], full,
+                                   rtol=0.0, atol=1e-9)
     return True
+
+
+def _flat_cloud(rank):
+    """A piece in (R0, R1, Re) that spans a point, a segment or a square
+    inside the plane Re = 0.25, convexified, and the box [lo, hi] it fills."""
+    hi = np.array([0.5 if rank else 0.0, 0.5 if rank == 2 else 0.0, 0.25])
+    region = convexify([polytope(("R0", "R1", "Re"),
+                                 [((1.0, 0.0, 0.0), hi[0]), ((0.0, 1.0, 0.0), hi[1]),
+                                  ((0.0, 0.0, 1.0), 0.25), ((0.0, 0.0, -1.0), -0.25)])])
+    return region, np.array([0.0, 0.0, 0.25]), hi
 
 
 class TestHullSliceOracle:
@@ -258,15 +291,24 @@ class TestHullSliceOracle:
         for re_value in (0.0, 0.3):
             assert _assert_slice_matches_lp(region, ("R0", "R1"), {"Re": re_value})
 
+    @pytest.mark.parametrize("name", ["inner1", "two-set"])
+    def test_mixes_of_interior_points(self, workload_regions, name):
+        # slice vertices lie on the hull's boundary; a point inside it also
+        # weighs hull_points[0], the start of the ray
+        pts = workload_regions[name].hull_points
+        G, h, simplices = regions._hull_inequalities(pts)
+        rng = np.random.default_rng(51)
+        for x in rng.dirichlet(np.ones(pts.shape[0]), size=20) @ pts:
+            mix = regions._hull_mix(pts, G, h, simplices, x)
+            weights = np.array([w for w, _ in mix])
+            assert mix[0][1] == 0 and np.all(weights > 0)
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            np.testing.assert_allclose(weights @ pts[[j for _, j in mix]], x,
+                                       rtol=0.0, atol=1e-9)
+
     @pytest.mark.parametrize("rank", [0, 1, 2])
     def test_flat_clouds(self, rank):
-        # pieces in (R0, R1, Re) whose union spans a point, a segment and a
-        # square inside the plane Re = 0.25
-        coords = ("R0", "R1", "Re")
-        caps = [((1.0, 0.0, 0.0), 0.5 if rank else 0.0),
-                ((0.0, 1.0, 0.0), 0.5 if rank == 2 else 0.0),
-                ((0.0, 0.0, 1.0), 0.25), ((0.0, 0.0, -1.0), -0.25)]
-        region = convexify([polytope(coords, caps)])
+        region = _flat_cloud(rank)[0]
         for re_value in (0.25, 0.3):
             nonempty = _assert_slice_matches_lp(region, ("R0", "R1"),
                                                 {"Re": re_value})
@@ -274,6 +316,59 @@ class TestHullSliceOracle:
         pts = frontier(region, ("R0", "R1"), fixed={"Re": 0.25})
         expected = [[0.5 if rank else 0.0, 0.5 if rank == 2 else 0.0]]
         assert np.allclose(pts, expected, rtol=0.0, atol=1e-12)
+
+
+class TestMembershipOracle:
+    """region_contains reads facets; the weight-space LP is the reference.
+    Points closer than MARGIN to the hull's boundary are skipped."""
+
+    MARGIN = 1e-6
+
+    def _assert_agrees(self, region, points, margins):
+        verdicts = {True: 0, False: 0}
+        for x, margin in zip(points, margins):
+            if abs(margin) < self.MARGIN:
+                continue
+            inside = lp_hull_distance(region.hull_points, x) <= 1e-9
+            assert inside == (margin > 0)
+            assert region_contains(region, x) == inside
+            verdicts[inside] += 1
+        # the draws exercise both verdicts
+        assert min(verdicts.values()) > 0, verdicts
+
+    @pytest.mark.parametrize("name", ["inner1", "two-set"])
+    def test_workload_hulls(self, workload_regions, name):
+        region = workload_regions[name]
+        pts = region.hull_points
+        rng = np.random.default_rng(31)
+        centre = pts.mean(axis=0)
+        # convex combinations of hull points, pushed out or pulled in
+        mixes = rng.dirichlet(np.full(pts.shape[0], 0.3), size=150) @ pts
+        points = centre + rng.uniform(0.6, 1.6, size=(150, 1)) * (mixes - centre)
+        eq = ConvexHull(pts).equations
+        # depth inside the hull (positive) or a lower bound on the distance
+        # outside it (negative), from the facet planes
+        margins = -np.max(points @ eq[:, :-1].T + eq[:, -1], axis=1)
+        self._assert_agrees(region, points, margins)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_flat_clouds(self, rank):
+        region, lo, hi = _flat_cloud(rank)
+        rng = np.random.default_rng(41 + rank)
+        points = rng.uniform(lo - 0.25, hi + 0.25, size=(60, 3))
+        flat = hi == lo
+        # half the points lie in the cloud's affine hull, the rest off it
+        points[:30, flat] = lo[flat]
+        points[30:, flat] += np.where(rng.uniform(size=(30, int(flat.sum()))) < 0.5,
+                                      -1.0, 1.0) * rng.uniform(1e-6, 0.1, size=(30, 1))
+        outside = np.max(np.maximum(lo - points, points - hi), axis=1)
+        depth = np.min(np.minimum(points - lo, hi - points)[:, ~flat], axis=1,
+                       initial=np.inf)
+        margins = np.where(outside > 0, -outside, depth)
+        if rank == 0:
+            points = np.vstack([points, lo])
+            margins = np.append(margins, np.inf)
+        self._assert_agrees(region, points, margins)
 
 
 class TestExactness:
@@ -295,13 +390,9 @@ def _simplex_and_cube():
 
 class TestNoSilentFallbacks:
     def test_membership_lp_failure_raises(self, monkeypatch):
+        # membership reads the hull's facets, so a Qhull failure must raise
         region = convexify([polytope(NAMES[:2], [((1.0, 1.0), 1.0)])])
-
-        class Stalled:
-            status = 4
-            message = "numerical difficulties"
-
-        monkeypatch.setattr(regions, "linprog", lambda *a, **k: Stalled())
+        self._qhull_failing(monkeypatch, calls_to_fail=1)
         with pytest.raises(SolverStall):
             region_contains(region, (0.2, 0.2))
 
@@ -335,6 +426,11 @@ class TestNoSilentFallbacks:
         assert "hull_fallback" in region.info
         with pytest.raises(SolverStall):
             frontier(region, ("R0", "R1"), fixed={"Re": 0.0})
+
+    def test_mix_that_reproduces_nothing_raises(self, monkeypatch):
+        monkeypatch.setattr(regions, "MIX_TOL", -1.0)
+        with pytest.raises(SolverStall):
+            frontier(convexify(_simplex_and_cube()), ("R0", "R1"), fixed={"Re": 0.0})
 
     def test_other_hull_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -455,8 +551,6 @@ class TestVertexOracle:
         for bound in ("inner-one-set", "outer-one-set"):
             region = assemble_region(fx.binary_degraded(), bound, one_set)
             frontier(region, ("R0", "R1"), fixed={"Re": 0.05}, resolution=17)
-            frontier_sweep(region, ("R0", "R1"), fixed={"Re": 0.05},
-                           resolution=17, use_hull=False)
         dims = {piece.dim for piece, _ in seen}
         # 5-D two-set pieces, 3-D one-set pieces, 2-D slices and hull slices
         assert dims == {2, 3, 5}
