@@ -5,11 +5,16 @@ summing the sorted positive atom masses. Sorting makes joints that are mere
 relabelings of one another (same multiset of masses) produce bitwise-identical
 entropies, which downstream code relies on when differences of information
 quantities must cancel exactly.
+
+A JointStack holds N joints over the same variables on a leading axis;
+stacked_mutual_information gives, for each of them, the bits that
+mutual_information gives on that joint alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +30,14 @@ from .errors import (
 
 __all__ = [
     "JointPMF",
+    "JointStack",
     "SchemeOneSet",
     "SchemeOneSetOuter",
     "SchemeTwoSet",
     "SchemeDegraded",
     "entropy",
     "mutual_information",
+    "stacked_mutual_information",
     "assemble_joint_one_set",
     "assemble_joint_one_set_outer",
     "assemble_joint_two_set",
@@ -138,6 +145,102 @@ def mutual_information(joint: JointPMF, a, b, given=()) -> float:
         + _marginal_entropy(joint, b + given)
     )
     return max(value, 0.0)
+
+
+@dataclass(frozen=True)
+class JointStack:
+    """N dense joints over the same named variables, stacked on a leading
+    axis: prob has shape (N, *sizes).
+
+    Every joint passes the checks JointPMF makes of one table, and the
+    first joint that fails raises the same typed error.
+    """
+
+    variables: tuple[str, ...]
+    prob: np.ndarray
+    # marginal entropies by the set of kept names, shared by the queries
+    # on this stack
+    _entropies: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def __post_init__(self):
+        if len(self.variables) + 1 != self.prob.ndim:
+            raise DimensionMismatch(
+                f"{len(self.variables)} names for a stack of rank-"
+                f"{self.prob.ndim - 1} tables"
+            )
+        if len(set(self.variables)) != len(self.variables):
+            raise DimensionMismatch(f"duplicate variable names: {self.variables}")
+        cells = math.prod(self.prob.shape[1:])
+        if cells > max_states():
+            raise EnumerationTooLarge(
+                f"joint with {cells} states exceeds the ceiling of "
+                f"{max_states()}; raise GMAC_MAX_STATES to override"
+            )
+        flat = self.prob.reshape(self.prob.shape[0], -1)
+        negative = (flat < 0).any(axis=1)
+        totals = flat.sum(axis=1)
+        failed = negative | (np.abs(totals - 1.0) > MASS_TOL)
+        if failed.any():
+            i = int(np.argmax(failed))
+            if negative[i]:
+                raise NegativeProbability(
+                    f"negative joint mass {float(flat[i].min())}"
+                )
+            raise RowSumViolation(
+                f"joint mass {float(totals[i])} is not 1 within {MASS_TOL}"
+            )
+
+    axis = JointPMF.axis
+
+    def marginal_entropies(self, names: tuple[str, ...]) -> np.ndarray:
+        """H of the marginal over names for every joint, shape (N,)."""
+        key = frozenset(names)
+        if key not in self._entropies:
+            keep = {self.axis(n) for n in names}
+            self._entropies[key] = _stacked_entropy(self.prob, keep)
+        return self._entropies[key]
+
+
+def _stacked_entropy(prob: np.ndarray, keep) -> np.ndarray:
+    """_marginal_entropy of each joint of a stack, summed in numpy's order.
+
+    Each row's positive masses are sorted ascending and reduced by one sum
+    along the rows of a contiguous (rows, k) block holding the rows with
+    exactly k positive masses. That is the summation _marginal_entropy runs
+    on one row: numpy sums a row of 8 or more with eight accumulators, so
+    padding rows to a common width would change the last bits.
+    """
+    n = prob.shape[0]
+    if not keep:
+        return np.zeros(n)
+    drop = tuple(i + 1 for i in range(prob.ndim - 1) if i not in keep)
+    marg = prob.sum(axis=drop) if drop else prob
+    ordered = np.sort(marg.reshape(n, -1), axis=1)
+    width = ordered.shape[1]
+    counts = (ordered > 0).sum(axis=1)
+    out = np.empty(n)
+    ks = set(counts.tolist())
+    for k in ks:
+        rows = counts == k if len(ks) > 1 else slice(None)
+        masses = np.ascontiguousarray(ordered[rows, width - k:])
+        out[rows] = -(masses * np.log2(masses)).sum(axis=1)
+    return out
+
+
+def stacked_mutual_information(joint: JointStack, a, b, given=()) -> np.ndarray:
+    """I(a; b | given) of every joint in the stack, shape (N,): bit for bit
+    what mutual_information gives on each joint alone, clamp included."""
+    a = _normalize_names(joint, a)
+    b = _normalize_names(joint, b)
+    given = _normalize_names(joint, given)
+    combined = set(a) | set(b) | set(given)
+    if len(combined) != len(a) + len(b) + len(given):
+        raise ValueError(f"groups {a}, {b}, {given} must be pairwise disjoint")
+    h = joint.marginal_entropies
+    value = h(a + given) - h(given) - h(a + b + given) + h(b + given)
+    # max(value, 0.0) keeps value unless 0.0 > value, -0.0 included
+    return np.where(0.0 > value, 0.0, value)
 
 
 def _as_prob_array(name, raw, ndim):

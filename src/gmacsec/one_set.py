@@ -19,18 +19,22 @@ and V := Q. Each bound is one BoundTable below.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
+import numpy as np
+
 from .channel import ChannelSpec, check_stochastically_degraded
-from .errors import NotDegradedWarning
+from .errors import DimensionMismatch, NotDegradedWarning
 from .infotheory import (
+    _SCHEME_FIELDS,
+    JointStack,
     SchemeDegraded,
     SchemeOneSet,
     SchemeOneSetOuter,
-    assemble_joint_degraded,
-    assemble_joint_one_set,
     assemble_joint_one_set_outer,
     mutual_information,
+    stacked_mutual_information,
 )
 from .regions import BoundTable, RatePolytope, bound_pieces
 
@@ -38,22 +42,59 @@ COORDS_EQUIVOCATION = ("R0", "R1", "Re")
 COORDS_SECRECY = ("R0", "R1")
 
 
+def stacked_one_set_terms(p_q_x2, p_u_given_q, p_x1_given_u,
+                          channel: ChannelSpec) -> np.ndarray:
+    """(a, b, d) of N inner-bound schemes, shape (N, 3).
+
+    The tables stack the schemes' normalized parameters on a leading axis:
+    p(q, x2) as (N, |Q|, |X2|), p(u | q) as (N, |Q|, |U|) and p(x1 | u) as
+    (N, |U|, |X1|). One einsum builds the N joints over (Q, U, X1, X2, Y,
+    Y2); row i is, bit for bit, what mutual_information gives on the
+    JointPMF of scheme i. one_set_terms is the N = 1 call.
+    """
+    joint = _joint_stack(("Q", "U", "X1", "X2", "Y", "Y2"),
+                         "nqt,nqu,nux,xtyz->nquxtyz", channel,
+                         p_q_x2, p_u_given_q, p_x1_given_u)
+    mi = functools.partial(stacked_mutual_information, joint)
+    return np.stack([mi("U", "Y", ("X2", "Q")), mi(("U", "X2", "Q"), "Y"),
+                     mi("U", "Y2", ("X2", "Q"))], axis=1)
+
+
+def stacked_degraded_terms(p_q_x2, p_x1_given_q, channel: ChannelSpec) -> np.ndarray:
+    """(a, b, d) of N degraded schemes, X1 standing in for the auxiliary,
+    shape (N, 3); the tables are (N, |Q|, |X2|) and (N, |Q|, |X1|), and
+    degraded_terms is the N = 1 call."""
+    joint = _joint_stack(("Q", "X1", "X2", "Y", "Y2"), "nqt,nqx,xtyz->nqxtyz",
+                         channel, p_q_x2, p_x1_given_q)
+    mi = functools.partial(stacked_mutual_information, joint)
+    return np.stack([mi("X1", "Y", ("X2", "Q")), mi(("X1", "X2"), "Y"),
+                     mi("X1", "Y2", ("X2", "Q"))], axis=1)
+
+
+def _joint_stack(variables, subscripts, channel, p_q_x2, *tables) -> JointStack:
+    nx1, nx2 = tables[-1].shape[-1], p_q_x2.shape[-1]
+    if nx1 != channel.size_x1 or nx2 != channel.size_x2:
+        raise DimensionMismatch(
+            f"scheme inputs ({nx1}, {nx2}) do not match channel "
+            f"({channel.size_x1}, {channel.size_x2})"
+        )
+    w = channel.prob.sum(axis=3)  # (x1, x2, y, y2)
+    return JointStack(variables, np.einsum(subscripts, p_q_x2, *tables, w))
+
+
 def one_set_terms(scheme: SchemeOneSet, channel: ChannelSpec) -> tuple[float, float, float]:
     """The triple (a, b, d) for an inner-bound scheme."""
-    joint = assemble_joint_one_set(scheme, channel)
-    a = mutual_information(joint, "U", "Y", ("X2", "Q"))
-    b = mutual_information(joint, ("U", "X2", "Q"), "Y")
-    d = mutual_information(joint, "U", "Y2", ("X2", "Q"))
-    return a, b, d
+    return tuple(stacked_one_set_terms(*_stacked(scheme, "one_set"), channel)[0].tolist())
 
 
 def degraded_terms(scheme: SchemeDegraded, channel: ChannelSpec) -> tuple[float, float, float]:
     """(a, b, d) with X1 standing in for the auxiliary."""
-    joint = assemble_joint_degraded(scheme, channel)
-    a = mutual_information(joint, "X1", "Y", ("X2", "Q"))
-    b = mutual_information(joint, ("X1", "X2"), "Y")
-    d = mutual_information(joint, "X1", "Y2", ("X2", "Q"))
-    return a, b, d
+    return tuple(stacked_degraded_terms(*_stacked(scheme, "degraded"), channel)[0].tolist())
+
+
+def _stacked(scheme, kind: str) -> list:
+    """The tables of a scheme of this kind as stacks of one."""
+    return [getattr(scheme, f)[None] for f in _SCHEME_FIELDS[kind][1]]
 
 
 # Term functions call the public ones through their module names, so
@@ -121,16 +162,26 @@ def secrecy_polytope(scheme: SchemeOneSet, channel: ChannelSpec) -> RatePolytope
     return pieces[0] if pieces else None
 
 
-def _capacity(terms, scheme, channel, r0: float) -> float:
+def secrecy_capacities(terms, tables, channel: ChannelSpec, r0: float) -> np.ndarray:
+    """Largest confidential rates at common rate r0 of a stack of schemes,
+    max(0, min(a - d, b - d - r0)) per row, shape (N,).
+
+    terms is stacked_one_set_terms or stacked_degraded_terms and tables its
+    stacked parameters. The min and max keep the tie rules of Python's, so
+    each value is the bits secrecy_capacity_value gives on its scheme.
+    """
     if r0 < 0:
         raise ValueError(f"common rate must be nonnegative, got {r0}")
-    a, b, d = terms(scheme, channel)
-    return max(0.0, min(a - d, b - d - r0))
+    a, b, d = terms(*tables, channel).T
+    low, high = a - d, b - d - r0
+    rate = np.where(high < low, high, low)      # min(low, high)
+    return np.where(rate > 0.0, rate, 0.0)      # max(0.0, rate)
 
 
 def secrecy_capacity_value(scheme: SchemeOneSet, channel: ChannelSpec, r0: float) -> float:
     """Largest confidential rate of this scheme at common rate r0, >= 0."""
-    return _capacity(one_set_terms, scheme, channel, r0)
+    return float(secrecy_capacities(stacked_one_set_terms, _stacked(scheme, "one_set"),
+                                    channel, r0)[0])
 
 
 def _flag_if_not_degraded(channel: ChannelSpec, certificate):
@@ -170,4 +221,5 @@ def degraded_secrecy_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
 def degraded_secrecy_capacity_value(scheme: SchemeDegraded, channel: ChannelSpec,
                                     r0: float) -> float:
     """Largest confidential rate at common rate r0 under the degraded forms."""
-    return _capacity(degraded_terms, scheme, channel, r0)
+    return float(secrecy_capacities(stacked_degraded_terms, _stacked(scheme, "degraded"),
+                                    channel, r0)[0])

@@ -134,6 +134,18 @@ def _build(variant, blocks, arrays):
     return _SCHEME_FIELDS[variant][0](**kwargs)
 
 
+def _split(params: np.ndarray, blocks) -> list:
+    """Parameter rows, shape (..., P), cut into their simplex blocks, each
+    of shape (..., rows, cols)."""
+    out = []
+    pos = 0
+    for name, rows, cols, reshape in blocks:
+        block = params[..., pos:pos + rows * cols]
+        out.append(block.reshape(*params.shape[:-1], rows, cols))
+        pos += rows * cols
+    return out
+
+
 def _simplex_grid(k: int, resolution: int):
     """All length-k probability vectors with entries on an m-step grid,
     m = resolution - 1, in lexicographic order."""
@@ -152,14 +164,8 @@ def _simplex_grid(k: int, resolution: int):
     return out
 
 
-def enumerate_schemes_grid(variant: str, channel: ChannelSpec, config: SearchConfig):
-    """Deterministic grid enumeration of schemes for one variant.
-
-    Every simplex row independently walks the grid; the full product is
-    yielded in row-major order. Raises GridTooLarge when the product of the
-    per-row grid sizes exceeds 1e8.
-    """
-    blocks = _blocks(variant, channel, config)
+def _grid_rows(blocks, config: SearchConfig):
+    """Parameter rows of the grid, in row-major order of the simplex rows."""
     row_grids = []
     total = 1
     for name, rows, cols, reshape in blocks:
@@ -172,12 +178,43 @@ def enumerate_schemes_grid(variant: str, channel: ChannelSpec, config: SearchCon
                     f"grid enumeration would visit more than {GRID_CEILING} schemes"
                 )
     for combo in itertools.product(*row_grids):
-        arrays = []
-        pos = 0
-        for (name, rows, cols, reshape) in blocks:
-            arrays.append(np.vstack(combo[pos:pos + rows]))
-            pos += rows
-        yield _build(variant, blocks, arrays)
+        yield np.concatenate(combo)
+
+
+def _random_rows(blocks, config: SearchConfig, count: int):
+    """Parameter rows drawn flat Dirichlet, block by block, scheme by scheme."""
+    rng = np.random.default_rng(config.seed)
+    for _ in range(count):
+        yield np.concatenate([rng.dirichlet(np.ones(cols), size=rows).ravel()
+                              for name, rows, cols, reshape in blocks])
+
+
+def parameter_rows(variant: str, channel: ChannelSpec, config: SearchConfig):
+    """The configured search's schemes as raw parameter rows.
+
+    Each row is one scheme: its simplex rows as drawn (not renormalized),
+    concatenated in the variant's block order. The grid strategy walks
+    enumerate_schemes_grid's order and the random ones sample
+    sample_schemes_random's stream. Every scheme a search or a region
+    assembly visits comes from here, once.
+    """
+    blocks = _blocks(variant, channel, config)
+    if config.strategy == "grid":
+        yield from _grid_rows(blocks, config)
+    else:
+        yield from _random_rows(blocks, config, config.sample_count)
+
+
+def enumerate_schemes_grid(variant: str, channel: ChannelSpec, config: SearchConfig):
+    """Deterministic grid enumeration of schemes for one variant.
+
+    Every simplex row independently walks the grid; the full product is
+    yielded in row-major order. Raises GridTooLarge when the product of the
+    per-row grid sizes exceeds 1e8.
+    """
+    blocks = _blocks(variant, channel, config)
+    for row in _grid_rows(blocks, config):
+        yield _build(variant, blocks, _split(row, blocks))
 
 
 def sample_schemes_random(variant: str, channel: ChannelSpec, config: SearchConfig,
@@ -189,12 +226,8 @@ def sample_schemes_random(variant: str, channel: ChannelSpec, config: SearchConf
     """
     blocks = _blocks(variant, channel, config)
     n = config.sample_count if count is None else int(count)
-    rng = np.random.default_rng(config.seed)
-    for _ in range(n):
-        arrays = []
-        for name, rows, cols, reshape in blocks:
-            arrays.append(rng.dirichlet(np.ones(cols), size=rows))
-        yield _build(variant, blocks, arrays)
+    for row in _random_rows(blocks, config, n):
+        yield _build(variant, blocks, _split(row, blocks))
 
 
 def _scheme_rows(scheme, blocks):
@@ -203,10 +236,6 @@ def _scheme_rows(scheme, blocks):
         arr = np.asarray(getattr(scheme, name), dtype=float).reshape(nrows, cols)
         rows.append(arr)
     return rows
-
-
-def _scheme_key(scheme, blocks) -> tuple:
-    return tuple(float(v) for arr in _scheme_rows(scheme, blocks) for v in arr.ravel())
 
 
 def _project_row(row: np.ndarray) -> np.ndarray:
@@ -254,10 +283,17 @@ def refine_local(objective, scheme, variant: str, channel: ChannelSpec,
     return best_value, best_scheme
 
 
-def _stream(variant, channel, config):
-    if config.strategy == "grid":
-        return enumerate_schemes_grid(variant, channel, config)
-    return sample_schemes_random(variant, channel, config)
+# Schemes scored at once hold at most this many joint cells between them.
+BLOCK_CELLS = 1 << 18
+
+def _normalized(raw: np.ndarray, blocks) -> list:
+    """The stacked tables of a block of parameter rows, each simplex row
+    divided by its sum as the scheme dataclasses divide it."""
+    tables = []
+    for (name, rows, cols, reshape), arr in zip(blocks, _split(raw, blocks)):
+        arr = arr / arr.sum(axis=2, keepdims=True)
+        tables.append(arr.reshape(len(raw), *reshape) if reshape is not None else arr)
+    return tables
 
 
 def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
@@ -267,44 +303,65 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
 
     variant "general" searches one-auxiliary schemes and scores them with
     secrecy_capacity_value; "degraded" searches plain input schemes with the
-    degraded-channel score. Ties go to the lexicographically smaller
-    parameter vector so the winner is stable. Returns (value, scheme).
+    degraded-channel score. Returns (value, scheme).
+
+    The parameter rows are scored in blocks of at most BLOCK_CELLS joint
+    cells: one einsum and one entropy pass per block (secrecy_capacities),
+    each value the bits the scheme's own score gives. A scan in stream order
+    then keeps the winner: a value wins if it beats the best by more than
+    1e-15, or ties within 1e-15 with a lexicographically smaller normalized
+    parameter vector, so the winner is stable. Only the winner becomes a
+    scheme; random+refine then refines it.
     """
     config = config or SearchConfig()
+    # the scheme variant, its stacked terms and scalar score, and the
+    # auxiliary alphabets its joint adds to (X1, X2, Y, Y2)
+    nq, nu, _ = config.cardinalities
     if variant == "general":
-        scheme_variant = "one_set"
-        score = lambda s: _one.secrecy_capacity_value(s, channel, r0)
+        scheme_variant, terms, scalar_score, aux = (
+            "one_set", _one.stacked_one_set_terms, _one.secrecy_capacity_value, nq * nu)
     elif variant == "degraded":
-        scheme_variant = "degraded"
-        score = lambda s: _one.degraded_secrecy_capacity_value(s, channel, r0)
+        scheme_variant, terms, scalar_score, aux = (
+            "degraded", _one.stacked_degraded_terms,
+            _one.degraded_secrecy_capacity_value, nq)
     else:
         raise ValueError(f"variant must be 'general' or 'degraded', got {variant!r}")
     blocks = _blocks(scheme_variant, channel, config)
+    cells = aux * channel.size_x1 * channel.size_x2 * channel.size_y * channel.size_y2
+    stream = parameter_rows(scheme_variant, channel, config)
+    # value, raw row, normalized row, and its key tuple once a tie needs it
     best = None
-    for scheme in _stream(scheme_variant, channel, config):
-        value = score(scheme)
-        key = _scheme_key(scheme, blocks)
-        if best is None or value > best[0] + 1e-15 or (
-            value >= best[0] - 1e-15 and key < best[1]
-        ):
-            best = (value, key, scheme)
+    while raw := list(itertools.islice(stream, max(1, BLOCK_CELLS // cells))):
+        raw = np.array(raw)
+        tables = _normalized(raw, blocks)
+        keys = np.concatenate([t.reshape(len(raw), -1) for t in tables], axis=1)
+        values = _one.secrecy_capacities(terms, tables, channel, r0).tolist()
+        for i, value in enumerate(values):
+            if best is None or value > best[0] + 1e-15:
+                best = [value, raw[i], keys[i], None]
+            elif value >= best[0] - 1e-15:
+                key = tuple(keys[i].tolist())
+                if best[3] is None:
+                    best[3] = tuple(best[2].tolist())
+                if key < best[3]:
+                    best = [value, raw[i], keys[i], key]
     if best is None:
         raise ValueError("empty scheme stream")
-    value, _, scheme = best
+    value = best[0]
+    scheme = _build(scheme_variant, blocks, _split(best[1], blocks))
     if config.strategy == "random+refine" and config.refine_iterations > 0:
-        value, scheme = refine_local(score, scheme, scheme_variant, channel, config)
+        value, scheme = refine_local(lambda s: scalar_score(s, channel, r0), scheme,
+                                     scheme_variant, channel, config)
     return value, scheme
 
 
 def assemble_region(channel: ChannelSpec, bound: str,
-                    config: SearchConfig | None = None,
-                    jobs: int = 1) -> RateRegion:
+                    config: SearchConfig | None = None) -> RateRegion:
     """Search schemes, collect their pieces, and convexify the union.
 
-    bound picks the construction (see BOUNDS). Every expanded piece is
-    tested for emptiness once; empty ones are dropped but counted in the
-    result's info. Schemes are evaluated serially in stream order; jobs is
-    accepted and ignored.
+    bound picks the construction (see BOUNDS). Schemes are evaluated in
+    stream order. Every expanded piece is tested for emptiness once; empty
+    ones are dropped but counted in the result's info.
     """
     config = config or SearchConfig()
     if bound not in _BOUND_TABLES:
@@ -314,11 +371,14 @@ def assemble_region(channel: ChannelSpec, bound: str,
     if bound == "degraded":
         certificate = check_stochastically_degraded(channel)
         _one._flag_if_not_degraded(channel, certificate)
-    schemes = list(_stream(variant, channel, config))
+    blocks = _blocks(variant, channel, config)
+    visited = 0
     pieces = []
     provenance = []
     dropped = 0
-    for scheme in schemes:
+    for row in parameter_rows(variant, channel, config):
+        visited += 1
+        scheme = _build(variant, blocks, _split(row, blocks))
         doc = scheme_to_dict(scheme)
         for piece in bound_pieces(table, table.terms(scheme, channel), drop_empty=False):
             if piece_is_empty(piece):
@@ -329,7 +389,7 @@ def assemble_region(channel: ChannelSpec, bound: str,
     info = {
         "bound": bound,
         "config": config.to_dict(),
-        "schemes_visited": len(schemes),
+        "schemes_visited": visited,
         "empty_pieces_dropped": dropped,
     }
     if certificate is not None:

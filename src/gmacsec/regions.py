@@ -623,6 +623,13 @@ class RateRegion:
     def is_convexified(self) -> bool:
         return self.hull_points is not None
 
+    @functools.cached_property
+    def hull_facets(self):
+        """(G, h, simplices) of _hull_inequalities on hull_points, built on
+        first use and kept; a Qhull failure raises SolverStall and is not
+        kept."""
+        return _hull_inequalities(self.hull_points)
+
 
 def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     """Convex hull of a union of pieces, cached as a sorted vertex cloud.
@@ -675,7 +682,7 @@ def region_contains(region: RateRegion, point, tol: float = 1e-9) -> bool:
     """Membership: in the hull if convexified, else in some piece.
 
     A convexified region holds x when G x <= h + tol on every (unit-norm)
-    row of its hull's facets, _hull_inequalities. Raises SolverStall when
+    row of its hull's facets, region.hull_facets. Raises SolverStall when
     Qhull cannot build the hull.
     """
     x = np.asarray(point, dtype=float)
@@ -684,7 +691,7 @@ def region_contains(region: RateRegion, point, tol: float = 1e-9) -> bool:
     if region.is_convexified:
         if region.hull_points.shape[0] == 0:
             return False
-        G, h, _ = _hull_inequalities(region.hull_points)
+        G, h, _ = region.hull_facets
         return bool(np.all(G @ x <= h + tol))
     return any(piece_contains(p, x, tol) for p in region.pieces)
 
@@ -887,7 +894,7 @@ def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
     pts = region.hull_points
     if pts.shape[0] == 0:
         raise EmptySlice(f"no feasible point in the slice at {fixed}")
-    G, h, simplices = _hull_inequalities(pts)
+    G, h, simplices = region.hull_facets
     polygon = _hull_slice(region, G, h, plane_idx, fixed_idx, fixed_vals)
     if polygon.shape[0] == 0:
         raise EmptySlice(f"no feasible point in the slice at {fixed}")

@@ -16,6 +16,8 @@ from gmacsec import (
     scheme_to_dict,
 )
 
+from gmacsec import regions
+
 from conftest import binary_entropy
 
 
@@ -204,7 +206,7 @@ class TestAssembleRegion:
     def test_secrecy_region_of_the_clean_channel(self, clean_mac):
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="grid",
                               grid_resolution=3)
-        region = assemble_region(clean_mac, "secrecy-one-set", config, jobs=1)
+        region = assemble_region(clean_mac, "secrecy-one-set", config)
         assert region.coords == ("R0", "R1")
         assert region_support(region, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-9)
         assert region_support(region, (1.0, 0.0)) == pytest.approx(2.0, abs=1e-9)
@@ -212,7 +214,7 @@ class TestAssembleRegion:
     def test_provenance_aligns_with_pieces(self, clean_mac):
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="random",
                               sample_count=6, seed=11)
-        region = assemble_region(clean_mac, "inner-one-set", config, jobs=1)
+        region = assemble_region(clean_mac, "inner-one-set", config)
         assert region.provenance is not None
         assert len(region.provenance) == len(region.pieces)
         assert all(doc["kind"] == "one_set" for doc in region.provenance)
@@ -223,23 +225,26 @@ class TestAssembleRegion:
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="random",
                               sample_count=8, seed=5)
         region = assemble_region(noiseless_wiretapper, "outer-one-set",
-                                 config, jobs=1)
+                                 config)
         dropped = region.info["empty_pieces_dropped"]
         assert dropped > 0
         assert len(region.pieces) + dropped == 8
 
-    def test_parallel_evaluation_is_bitwise_stable(self, clean_mac):
+    def test_cold_cache_runs_are_bitwise_equal(self, clean_mac, monkeypatch):
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="random",
                               sample_count=6, seed=21)
-        serial = assemble_region(clean_mac, "secrecy-one-set", config, jobs=1)
-        threaded = assemble_region(clean_mac, "secrecy-one-set", config, jobs=4)
-        assert np.array_equal(serial.hull_points, threaded.hull_points)
-        assert serial.provenance == threaded.provenance
+        runs = []
+        for _ in range(2):
+            monkeypatch.setattr(regions, "_cache", regions._SubsystemCache())
+            runs.append(assemble_region(clean_mac, "secrecy-one-set", config))
+        first, second = runs
+        assert np.array_equal(first.hull_points, second.hull_points)
+        assert first.provenance == second.provenance
 
     def test_degraded_bound_records_the_certificate(self, binary_degraded):
         config = SearchConfig(cardinalities=(1, 1, 1), strategy="random",
                               sample_count=2, seed=3)
-        region = assemble_region(binary_degraded, "degraded", config, jobs=1)
+        region = assemble_region(binary_degraded, "degraded", config)
         assert region.info["degradedness_verdict"] == "stochastically-degraded"
         assert region.info["degradedness_residual"] <= 1e-7
 

@@ -7,6 +7,7 @@ subsystem inverses; they are checked against the brute-force enumeration
 that solves every subsystem of every piece afresh.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -203,7 +204,7 @@ class TestPieceOracle:
             raise AssertionError("linprog called")
 
         monkeypatch.setattr(regions, "linprog", no_lp)
-        region = assemble_region(binary_degraded, "inner-one-set", config, jobs=1)
+        region = assemble_region(binary_degraded, "inner-one-set", config)
         frontier(region, ("R0", "R1"), fixed={"Re": 0.05}, resolution=9)
         assert region_contains(region, region.hull_points.mean(axis=0))
 
@@ -371,6 +372,44 @@ class TestMembershipOracle:
         self._assert_agrees(region, points, margins)
 
 
+def _sample_tuples(samples):
+    return [(s.theta, s.direction, s.point.tolist(), s.value, s.mix)
+            for s in samples]
+
+
+class TestHullFacetCache:
+    def test_facets_are_built_once_per_region(self, monkeypatch):
+        region = _two_set_region()
+        builds = []
+        real = regions._hull_inequalities
+
+        def counting(points):
+            builds.append(1)
+            return real(points)
+
+        monkeypatch.setattr(regions, "_hull_inequalities", counting)
+        fixes = [{"R0": 0.0, "R1e": 0.0, "R2e": 0.0},
+                 {"R0": 0.002, "R1e": 0.0, "R2e": 0.0},
+                 {"R0": 0.0, "R1e": 0.001, "R2e": 1e-5}]
+        sweeps = [_sample_tuples(frontier_sweep(region, ("R1", "R2"), fixed=f))
+                  for f in fixes]
+        pts = region.hull_points
+        rng = np.random.default_rng(7)
+        centre = pts.mean(axis=0)
+        points = centre + rng.uniform(0.5, 3.0, size=(50, 1)) * (
+            rng.dirichlet(np.full(pts.shape[0], 0.3), size=50) @ pts - centre)
+        verdicts = [region_contains(region, x) for x in points]
+        assert len(builds) == 1
+        assert 0 < sum(verdicts) < len(verdicts)
+        # a fresh region builds its own facets and answers the same
+        for f, sweep in zip(fixes, sweeps):
+            fresh = dataclasses.replace(region)
+            assert _sample_tuples(frontier_sweep(fresh, ("R1", "R2"), fixed=f)) == sweep
+        fresh = [region_contains(dataclasses.replace(region), x) for x in points]
+        assert fresh == verdicts
+        assert len(builds) == 1 + len(fixes) + len(points)
+
+
 class TestExactness:
     def test_axis_point_is_exactly_zero(self, workload_regions):
         pts = frontier(workload_regions["inner1"], ("R0", "R1"),
@@ -407,6 +446,15 @@ class TestNoSilentFallbacks:
             return real(points, *args, **kwargs)
 
         monkeypatch.setattr(regions, "ConvexHull", hull)
+
+    def test_qhull_failure_is_not_cached(self, monkeypatch):
+        region = convexify(_simplex_and_cube())
+        self._qhull_failing(monkeypatch, calls_to_fail=1)
+        with pytest.raises(SolverStall):
+            region_contains(region, (0.1, 0.1, 0.1))
+        # the failure was not kept: the next query builds the facets
+        assert region_contains(region, (0.1, 0.1, 0.1))
+        assert not region_contains(region, (5.0, 5.0, 5.0))
 
     def test_hull_fallback_is_recorded_and_slices_stay_exact(self, monkeypatch):
         pieces = _simplex_and_cube()
@@ -683,16 +731,16 @@ class TestSubsystemCache:
         assert len(regions._cache.shapes) == 2
         assert len(regions._cache.pools[3].slot) == pooled
 
-    def test_threads_match_serial_bitwise(self, cold_cache, monkeypatch):
+    def test_cold_cache_runs_match_bitwise(self, cold_cache, monkeypatch):
         channel = fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(1))
         config = SearchConfig(strategy="random", sample_count=3,
                               cardinalities=(2, 2, 2))
-        threaded = assemble_region(channel, "two-set", config, jobs=4)
+        first = assemble_region(channel, "two-set", config)
         monkeypatch.setattr(regions, "_cache", regions._SubsystemCache())
-        serial = assemble_region(channel, "two-set", config, jobs=1)
-        assert np.array_equal(threaded.hull_points, serial.hull_points)
-        assert len(threaded.pieces) == len(serial.pieces)
-        for a, b in zip(threaded.pieces, serial.pieces):
+        second = assemble_region(channel, "two-set", config)
+        assert np.array_equal(first.hull_points, second.hull_points)
+        assert len(first.pieces) == len(second.pieces)
+        for a, b in zip(first.pieces, second.pieces):
             assert np.array_equal(a.vertices, b.vertices)
 
     def test_concurrent_misses_and_resets(self, cold_cache, monkeypatch):
