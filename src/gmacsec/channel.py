@@ -135,7 +135,7 @@ def validate_channel(raw_table, alphabet_sizes) -> ChannelSpec:
         raise NegativeProbability(f"negative transition probability {worst}")
     block_sums = table.sum(axis=(2, 3, 4))
     deviation = float(np.abs(block_sums - 1.0).max())
-    if deviation > ROW_SUM_HARD_TOL:
+    if not deviation <= ROW_SUM_HARD_TOL:   # NaN fails too
         raise RowSumViolation(
             f"some (x1, x2) block sums to 1{deviation:+.3e}; "
             f"tolerance is {ROW_SUM_HARD_TOL}"
@@ -312,7 +312,7 @@ def compose_degraded_channel(main, degrade, side=None) -> ChannelSpec:
         )
     for name, kernel in (("main", main), ("degrade", degrade), ("side", side)):
         sums = kernel.sum(axis=-1)
-        if np.abs(sums - 1.0).max() > ROW_SUM_HARD_TOL:
+        if not np.abs(sums - 1.0).max() <= ROW_SUM_HARD_TOL:
             raise RowSumViolation(f"{name} kernel rows must sum to 1")
     ny2 = degrade.shape[2]
     ny1 = side.shape[2]

@@ -39,7 +39,7 @@ from .errors import (
     VertexEnumerationOverflow,
 )
 from .infotheory import (
-    _SCHEME_FIELDS,
+    _assemble_joint,
     entropy,
     mutual_information,
     scheme_from_dict,
@@ -357,7 +357,7 @@ def cmd_info(args) -> int:
     channel = load_channel(args.channel)
     doc = _load_json(args.scheme)
     scheme = scheme_from_dict(doc)
-    joint = _SCHEME_FIELDS[doc["kind"]][2](scheme, channel)
+    joint = _assemble_joint(scheme, channel)
     value = _evaluate_query(joint, args.query)
     sys.stdout.write(_g9(value) + "\n")
     return 0

@@ -38,6 +38,7 @@ __all__ = [
     "entropy",
     "mutual_information",
     "stacked_mutual_information",
+    "stacked_joint",
     "assemble_joint_one_set",
     "assemble_joint_one_set_outer",
     "assemble_joint_two_set",
@@ -73,7 +74,7 @@ class JointPMF:
                 f"negative joint mass {float(self.prob.min())}"
             )
         total = float(self.prob.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:   # NaN fails too
             raise RowSumViolation(
                 f"joint mass {total} is not 1 within {MASS_TOL}"
             )
@@ -180,7 +181,7 @@ class JointStack:
         flat = self.prob.reshape(self.prob.shape[0], -1)
         negative = (flat < 0).any(axis=1)
         totals = flat.sum(axis=1)
-        failed = negative | (np.abs(totals - 1.0) > MASS_TOL)
+        failed = negative | ~(np.abs(totals - 1.0) <= MASS_TOL)
         if failed.any():
             i = int(np.argmax(failed))
             if negative[i]:
@@ -256,7 +257,7 @@ def _normalized_rows(name, raw):
     """Validate a row-stochastic table (rows within 1e-9 of mass one)."""
     arr = _as_prob_array(name, raw, 2)
     sums = arr.sum(axis=1)
-    if np.abs(sums - 1.0).max() > MASS_TOL:
+    if not np.abs(sums - 1.0).max() <= MASS_TOL:
         raise RowSumViolation(f"rows of {name} must sum to 1 within {MASS_TOL}")
     arr = arr / sums[:, None]
     arr.setflags(write=False)
@@ -266,15 +267,43 @@ def _normalized_rows(name, raw):
 def _normalized_joint(name, raw, ndim):
     arr = _as_prob_array(name, raw, ndim)
     total = arr.sum()
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:
         raise RowSumViolation(f"{name} must sum to 1 within {MASS_TOL}")
     arr = arr / total
     arr.setflags(write=False)
     return arr
 
 
+class _Scheme:
+    """Construction shared by the scheme dataclasses, read from their kind's
+    entry in _SCHEME_FIELDS: a joint table is normalized to total mass one,
+    a conditional table ("_given_") row by row, and tables that share a
+    variable must agree on its alphabet size."""
+
+    def __post_init__(self):
+        spec = _SCHEME_FIELDS[_kind_of(self)]
+        for f in spec.fields:
+            raw = getattr(self, f)
+            table = (_normalized_rows(f, raw) if "_given_" in f
+                     else _normalized_joint(f, raw, len(spec.letters[f])))
+            object.__setattr__(self, f, table)
+        _alphabet_sizes(spec, {f: getattr(self, f).shape for f in spec.fields})
+
+    def _size(self, letter: str) -> int:
+        for f, letters in _SCHEME_FIELDS[_kind_of(self)].letters.items():
+            if letter in letters:
+                return getattr(self, f).shape[letters.index(letter)]
+        raise AttributeError(f"{type(self).__name__} has no {_VARIABLES[letter]}")
+
+    nq = property(lambda self: self._size("q"), doc="|Q|")
+    nu = property(lambda self: self._size("u"), doc="|U|")
+    nv = property(lambda self: self._size("v"), doc="|V|")
+    nx1 = property(lambda self: self._size("x"), doc="|X1|")
+    nx2 = property(lambda self: self._size("t"), doc="|X2|")
+
+
 @dataclass(frozen=True)
-class SchemeOneSet:
+class SchemeOneSet(_Scheme):
     """Input scheme p(q, x2) p(u | q) p(x1 | u) for one confidential sender.
 
     Sender 1 splits its traffic through the auxiliary U; sender 2's input is
@@ -285,34 +314,9 @@ class SchemeOneSet:
     p_u_given_q: np.ndarray
     p_x1_given_u: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "p_q_x2", _normalized_joint("p_q_x2", self.p_q_x2, 2))
-        object.__setattr__(self, "p_u_given_q", _normalized_rows("p_u_given_q", self.p_u_given_q))
-        object.__setattr__(self, "p_x1_given_u", _normalized_rows("p_x1_given_u", self.p_x1_given_u))
-        if self.p_u_given_q.shape[0] != self.p_q_x2.shape[0]:
-            raise DimensionMismatch("p_u_given_q rows must match |Q|")
-        if self.p_x1_given_u.shape[0] != self.p_u_given_q.shape[1]:
-            raise DimensionMismatch("p_x1_given_u rows must match |U|")
-
-    @property
-    def nq(self) -> int:
-        return self.p_q_x2.shape[0]
-
-    @property
-    def nu(self) -> int:
-        return self.p_u_given_q.shape[1]
-
-    @property
-    def nx1(self) -> int:
-        return self.p_x1_given_u.shape[1]
-
-    @property
-    def nx2(self) -> int:
-        return self.p_q_x2.shape[1]
-
 
 @dataclass(frozen=True)
-class SchemeOneSetOuter:
+class SchemeOneSetOuter(_Scheme):
     """One-sender scheme extended with a second auxiliary V drawn from Q."""
 
     p_q_x2: np.ndarray
@@ -320,41 +324,9 @@ class SchemeOneSetOuter:
     p_x1_given_u: np.ndarray
     p_v_given_q: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "p_q_x2", _normalized_joint("p_q_x2", self.p_q_x2, 2))
-        object.__setattr__(self, "p_u_given_q", _normalized_rows("p_u_given_q", self.p_u_given_q))
-        object.__setattr__(self, "p_x1_given_u", _normalized_rows("p_x1_given_u", self.p_x1_given_u))
-        object.__setattr__(self, "p_v_given_q", _normalized_rows("p_v_given_q", self.p_v_given_q))
-        if self.p_u_given_q.shape[0] != self.p_q_x2.shape[0]:
-            raise DimensionMismatch("p_u_given_q rows must match |Q|")
-        if self.p_v_given_q.shape[0] != self.p_q_x2.shape[0]:
-            raise DimensionMismatch("p_v_given_q rows must match |Q|")
-        if self.p_x1_given_u.shape[0] != self.p_u_given_q.shape[1]:
-            raise DimensionMismatch("p_x1_given_u rows must match |U|")
-
-    @property
-    def nq(self) -> int:
-        return self.p_q_x2.shape[0]
-
-    @property
-    def nu(self) -> int:
-        return self.p_u_given_q.shape[1]
-
-    @property
-    def nv(self) -> int:
-        return self.p_v_given_q.shape[1]
-
-    @property
-    def nx1(self) -> int:
-        return self.p_x1_given_u.shape[1]
-
-    @property
-    def nx2(self) -> int:
-        return self.p_q_x2.shape[1]
-
 
 @dataclass(frozen=True)
-class SchemeTwoSet:
+class SchemeTwoSet(_Scheme):
     """Scheme p(q) p(u|q) p(x1|u) p(v|q) p(x2|v) for two confidential senders."""
 
     p_q: np.ndarray
@@ -363,153 +335,157 @@ class SchemeTwoSet:
     p_v_given_q: np.ndarray
     p_x2_given_v: np.ndarray
 
-    def __post_init__(self):
-        p_q = _as_prob_array("p_q", self.p_q, 1)
-        total = p_q.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            raise RowSumViolation(f"p_q must sum to 1 within {MASS_TOL}")
-        p_q = p_q / total
-        p_q.setflags(write=False)
-        object.__setattr__(self, "p_q", p_q)
-        object.__setattr__(self, "p_u_given_q", _normalized_rows("p_u_given_q", self.p_u_given_q))
-        object.__setattr__(self, "p_x1_given_u", _normalized_rows("p_x1_given_u", self.p_x1_given_u))
-        object.__setattr__(self, "p_v_given_q", _normalized_rows("p_v_given_q", self.p_v_given_q))
-        object.__setattr__(self, "p_x2_given_v", _normalized_rows("p_x2_given_v", self.p_x2_given_v))
-        nq = p_q.shape[0]
-        if self.p_u_given_q.shape[0] != nq or self.p_v_given_q.shape[0] != nq:
-            raise DimensionMismatch("conditional tables must match |Q|")
-        if self.p_x1_given_u.shape[0] != self.p_u_given_q.shape[1]:
-            raise DimensionMismatch("p_x1_given_u rows must match |U|")
-        if self.p_x2_given_v.shape[0] != self.p_v_given_q.shape[1]:
-            raise DimensionMismatch("p_x2_given_v rows must match |V|")
-
-    @property
-    def nq(self) -> int:
-        return self.p_q.shape[0]
-
-    @property
-    def nu(self) -> int:
-        return self.p_u_given_q.shape[1]
-
-    @property
-    def nv(self) -> int:
-        return self.p_v_given_q.shape[1]
-
-    @property
-    def nx1(self) -> int:
-        return self.p_x1_given_u.shape[1]
-
-    @property
-    def nx2(self) -> int:
-        return self.p_x2_given_v.shape[1]
-
 
 @dataclass(frozen=True)
-class SchemeDegraded:
+class SchemeDegraded(_Scheme):
     """Scheme p(q, x2) p(x1 | q) used when no auxiliary U is needed."""
 
     p_q_x2: np.ndarray
     p_x1_given_q: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "p_q_x2", _normalized_joint("p_q_x2", self.p_q_x2, 2))
-        object.__setattr__(self, "p_x1_given_q", _normalized_rows("p_x1_given_q", self.p_x1_given_q))
-        if self.p_x1_given_q.shape[0] != self.p_q_x2.shape[0]:
-            raise DimensionMismatch("p_x1_given_q rows must match |Q|")
 
-    @property
-    def nq(self) -> int:
-        return self.p_q_x2.shape[0]
-
-    @property
-    def nx1(self) -> int:
-        return self.p_x1_given_q.shape[1]
-
-    @property
-    def nx2(self) -> int:
-        return self.p_q_x2.shape[1]
+# The joint variable each einsum letter below stands for.
+_VARIABLES = {"q": "Q", "u": "U", "v": "V", "x": "X1", "t": "X2",
+              "y": "Y", "w": "Y1", "z": "Y2"}
 
 
-def _check_channel_inputs(scheme, channel: ChannelSpec):
-    if scheme.nx1 != channel.size_x1 or scheme.nx2 != channel.size_x2:
+class _Kind:
+    """A scheme kind: its class, its stored fields in sampling order, and
+    its joint, spelled once as einsum subscripts: the fields in product
+    order (factors, when that is not the fields' order), then the channel,
+    over "xtywz", or over "xtyz" once Y1 is summed out when the joint does
+    not keep it.
+    """
+
+    def __init__(self, cls, fields, subscripts, factors=None):
+        self.cls, self.fields = cls, fields
+        operands, self.out = subscripts.split("->")
+        *letters, channel_letters = operands.split(",")
+        # each field's letters, by field name in product order
+        self.letters = dict(zip(factors or fields, letters))
+        self.variables = tuple(_VARIABLES[c] for c in self.out)
+        # the same product for N schemes stacked on a leading axis n
+        self.stacked = ",".join(["n" + sub for sub in letters]
+                                + [f"{channel_letters}->n{self.out}"])
+
+
+_SCHEME_FIELDS = {
+    "one_set": _Kind(SchemeOneSet, ("p_q_x2", "p_u_given_q", "p_x1_given_u"),
+                     "qt,qu,ux,xtyz->quxtyz"),
+    # V is drawn from Q alone, so it joins the product before X1
+    "one_set_outer": _Kind(
+        SchemeOneSetOuter, ("p_q_x2", "p_u_given_q", "p_x1_given_u", "p_v_given_q"),
+        "qt,qu,qv,ux,xtyz->quvxtyz",
+        ("p_q_x2", "p_u_given_q", "p_v_given_q", "p_x1_given_u")),
+    # both feedback outputs kept
+    "two_set": _Kind(
+        SchemeTwoSet,
+        ("p_q", "p_u_given_q", "p_x1_given_u", "p_v_given_q", "p_x2_given_v"),
+        "q,qu,ux,qv,vt,xtywz->quvxtywz"),
+    "degraded": _Kind(SchemeDegraded, ("p_q_x2", "p_x1_given_q"), "qt,qx,xtyz->qxtyz"),
+}
+_KIND_OF_CLASS = {spec.cls: kind for kind, spec in _SCHEME_FIELDS.items()}
+
+
+def _kind_of(scheme) -> str:
+    try:
+        return _KIND_OF_CLASS[type(scheme)]
+    except KeyError:
+        raise TypeError(f"not a scheme: {type(scheme).__name__}") from None
+
+
+def _alphabet_sizes(spec: _Kind, shapes: dict) -> dict:
+    """The size of each letter the fields carry, from their shapes by
+    field name; raises DimensionMismatch when two fields disagree."""
+    sizes = {}
+    for f, letters in spec.letters.items():
+        for letter, n in zip(letters, shapes[f]):
+            if sizes.setdefault(letter, n) != n:
+                raise DimensionMismatch(
+                    f"{f} has {n} entries for {_VARIABLES[letter]}, the other "
+                    f"tables {sizes[letter]}"
+                )
+    return sizes
+
+
+def _joint_shape(kind: str, shapes, channel: ChannelSpec) -> tuple[int, ...]:
+    """Shape of one joint of this kind, from its fields' shapes (in
+    sampling order) and the channel's.
+
+    Raises DimensionMismatch when the scheme's input alphabets are not the
+    channel's.
+    """
+    spec = _SCHEME_FIELDS[kind]
+    sizes = _alphabet_sizes(spec, dict(zip(spec.fields, shapes)))
+    if (sizes["x"], sizes["t"]) != (channel.size_x1, channel.size_x2):
         raise DimensionMismatch(
-            f"scheme inputs ({scheme.nx1}, {scheme.nx2}) do not match channel "
+            f"scheme inputs ({sizes['x']}, {sizes['t']}) do not match channel "
             f"({channel.size_x1}, {channel.size_x2})"
         )
+    sizes = {**dict(zip("xtywz", channel.prob.shape)), **sizes}
+    return tuple(sizes[c] for c in spec.out)
+
+
+def stacked_joint(kind: str, tables, channel: ChannelSpec) -> JointStack:
+    """The joints of N schemes of one kind, stacked on a leading axis.
+
+    tables are the kind's fields in sampling order, each stacked as
+    (N, *shape) with every row normalized. One einsum multiplies the
+    factors cell by cell in the kind's product order, so joint i is, bit
+    for bit, the joint of scheme i alone (the N = 1 call).
+    """
+    spec = _SCHEME_FIELDS[kind]
+    _joint_shape(kind, [t.shape[1:] for t in tables], channel)
+    by_name = dict(zip(spec.fields, tables))
+    w = channel.prob if "w" in spec.out else channel.prob.sum(axis=3)
+    prob = np.einsum(spec.stacked, *(by_name[f] for f in spec.letters), w)
+    return JointStack(spec.variables, prob)
+
+
+def _stack_of_one(scheme) -> list:
+    """A scheme's fields, in sampling order, as stacks of one."""
+    return [getattr(scheme, f)[None] for f in _SCHEME_FIELDS[_kind_of(scheme)].fields]
+
+
+def _assemble_joint(scheme, channel: ChannelSpec) -> JointPMF:
+    """The joint of one scheme: stacked_joint with N = 1."""
+    stack = stacked_joint(_kind_of(scheme), _stack_of_one(scheme), channel)
+    return JointPMF(stack.variables, stack.prob[0])
 
 
 def assemble_joint_one_set(scheme: SchemeOneSet, channel: ChannelSpec) -> JointPMF:
     """Joint over (Q, U, X1, X2, Y, Y2); the sender-1 feedback is marginalized."""
-    _check_channel_inputs(scheme, channel)
-    w = channel.prob.sum(axis=3)  # (x1, x2, y, y2)
-    table = np.einsum(
-        "qt,qu,ux,xtyz->quxtyz",
-        scheme.p_q_x2, scheme.p_u_given_q, scheme.p_x1_given_u, w,
-    )
-    return JointPMF(("Q", "U", "X1", "X2", "Y", "Y2"), table)
+    return _assemble_joint(scheme, channel)
 
 
 def assemble_joint_one_set_outer(scheme: SchemeOneSetOuter, channel: ChannelSpec) -> JointPMF:
     """Joint over (Q, U, V, X1, X2, Y, Y2) with V conditionally independent given Q."""
-    _check_channel_inputs(scheme, channel)
-    w = channel.prob.sum(axis=3)
-    table = np.einsum(
-        "qt,qu,qv,ux,xtyz->quvxtyz",
-        scheme.p_q_x2, scheme.p_u_given_q, scheme.p_v_given_q,
-        scheme.p_x1_given_u, w,
-    )
-    return JointPMF(("Q", "U", "V", "X1", "X2", "Y", "Y2"), table)
+    return _assemble_joint(scheme, channel)
 
 
 def assemble_joint_two_set(scheme: SchemeTwoSet, channel: ChannelSpec) -> JointPMF:
     """Joint over (Q, U, V, X1, X2, Y, Y1, Y2); both feedback outputs kept."""
-    _check_channel_inputs(scheme, channel)
-    table = np.einsum(
-        "q,qu,ux,qv,vt,xtywz->quvxtywz",
-        scheme.p_q, scheme.p_u_given_q, scheme.p_x1_given_u,
-        scheme.p_v_given_q, scheme.p_x2_given_v, channel.prob,
-    )
-    return JointPMF(("Q", "U", "V", "X1", "X2", "Y", "Y1", "Y2"), table)
+    return _assemble_joint(scheme, channel)
 
 
 def assemble_joint_degraded(scheme: SchemeDegraded, channel: ChannelSpec) -> JointPMF:
     """Joint over (Q, X1, X2, Y, Y2) for schemes without an auxiliary."""
-    _check_channel_inputs(scheme, channel)
-    w = channel.prob.sum(axis=3)
-    table = np.einsum(
-        "qt,qx,xtyz->qxtyz",
-        scheme.p_q_x2, scheme.p_x1_given_q, w,
-    )
-    return JointPMF(("Q", "X1", "X2", "Y", "Y2"), table)
+    return _assemble_joint(scheme, channel)
 
 
-# Scheme kinds: class, stored fields (in sampling order), joint assembler.
-_SCHEME_FIELDS = {
-    "one_set": (SchemeOneSet, ("p_q_x2", "p_u_given_q", "p_x1_given_u"),
-                assemble_joint_one_set),
-    "one_set_outer": (
-        SchemeOneSetOuter,
-        ("p_q_x2", "p_u_given_q", "p_x1_given_u", "p_v_given_q"),
-        assemble_joint_one_set_outer,
-    ),
-    "two_set": (
-        SchemeTwoSet,
-        ("p_q", "p_u_given_q", "p_x1_given_u", "p_v_given_q", "p_x2_given_v"),
-        assemble_joint_two_set,
-    ),
-    "degraded": (SchemeDegraded, ("p_q_x2", "p_x1_given_q"), assemble_joint_degraded),
-}
+def _scheme_doc(kind: str, tables) -> dict:
+    """The JSON form of a scheme of this kind from its normalized fields,
+    given in sampling order."""
+    doc = {"kind": kind}
+    for f, table in zip(_SCHEME_FIELDS[kind].fields, tables):
+        doc[f] = np.asarray(table).tolist()
+    return doc
 
 
 def scheme_to_dict(scheme) -> dict:
     """JSON-friendly form of any scheme, tagged with its kind."""
-    for kind, (cls, fields, _) in _SCHEME_FIELDS.items():
-        if type(scheme) is cls:
-            doc = {"kind": kind}
-            for f in fields:
-                doc[f] = np.asarray(getattr(scheme, f)).tolist()
-            return doc
-    raise TypeError(f"not a scheme: {type(scheme).__name__}")
+    kind = _kind_of(scheme)
+    return _scheme_doc(kind, [getattr(scheme, f) for f in _SCHEME_FIELDS[kind].fields])
 
 
 def scheme_from_dict(doc: dict):
@@ -520,9 +496,9 @@ def scheme_from_dict(doc: dict):
         raise DimensionMismatch(f"scheme document lacks a kind: {exc}")
     if kind not in _SCHEME_FIELDS:
         raise DimensionMismatch(f"unknown scheme kind {kind!r}")
-    cls, fields, _ = _SCHEME_FIELDS[kind]
+    spec = _SCHEME_FIELDS[kind]
     try:
-        arrays = {f: np.asarray(doc[f], dtype=float) for f in fields}
+        arrays = {f: np.asarray(doc[f], dtype=float) for f in spec.fields}
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed scheme document: {exc}")
-    return cls(**arrays)
+    return spec.cls(**arrays)

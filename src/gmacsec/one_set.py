@@ -25,15 +25,13 @@ import warnings
 import numpy as np
 
 from .channel import ChannelSpec, check_stochastically_degraded
-from .errors import DimensionMismatch, NotDegradedWarning
+from .errors import NotDegradedWarning
 from .infotheory import (
-    _SCHEME_FIELDS,
-    JointStack,
     SchemeDegraded,
     SchemeOneSet,
     SchemeOneSetOuter,
-    assemble_joint_one_set_outer,
-    mutual_information,
+    _stack_of_one,
+    stacked_joint,
     stacked_mutual_information,
 )
 from .regions import BoundTable, RatePolytope, bound_pieces
@@ -52,85 +50,67 @@ def stacked_one_set_terms(p_q_x2, p_u_given_q, p_x1_given_u,
     Y2); row i is, bit for bit, what mutual_information gives on the
     JointPMF of scheme i. one_set_terms is the N = 1 call.
     """
-    joint = _joint_stack(("Q", "U", "X1", "X2", "Y", "Y2"),
-                         "nqt,nqu,nux,xtyz->nquxtyz", channel,
-                         p_q_x2, p_u_given_q, p_x1_given_u)
-    mi = functools.partial(stacked_mutual_information, joint)
+    mi = functools.partial(stacked_mutual_information, stacked_joint(
+        "one_set", (p_q_x2, p_u_given_q, p_x1_given_u), channel))
     return np.stack([mi("U", "Y", ("X2", "Q")), mi(("U", "X2", "Q"), "Y"),
                      mi("U", "Y2", ("X2", "Q"))], axis=1)
+
+
+def stacked_outer_terms(p_q_x2, p_u_given_q, p_x1_given_u, p_v_given_q,
+                        channel: ChannelSpec) -> np.ndarray:
+    """(a_v, a, b, d) of N converse schemes, shape (N, 4), where
+    a_v = I(U; Y | X2, V); the tables are stacked as in
+    stacked_one_set_terms, with p(v | q) as (N, |Q|, |V|). Row i is, bit
+    for bit, what mutual_information gives on the JointPMF of scheme i."""
+    mi = functools.partial(stacked_mutual_information, stacked_joint(
+        "one_set_outer", (p_q_x2, p_u_given_q, p_x1_given_u, p_v_given_q), channel))
+    return np.stack([mi("U", "Y", ("X2", "V")), mi("U", "Y", ("X2", "Q")),
+                     mi(("U", "X2", "Q"), "Y"), mi("U", "Y2", ("X2", "Q"))], axis=1)
 
 
 def stacked_degraded_terms(p_q_x2, p_x1_given_q, channel: ChannelSpec) -> np.ndarray:
     """(a, b, d) of N degraded schemes, X1 standing in for the auxiliary,
     shape (N, 3); the tables are (N, |Q|, |X2|) and (N, |Q|, |X1|), and
     degraded_terms is the N = 1 call."""
-    joint = _joint_stack(("Q", "X1", "X2", "Y", "Y2"), "nqt,nqx,xtyz->nqxtyz",
-                         channel, p_q_x2, p_x1_given_q)
-    mi = functools.partial(stacked_mutual_information, joint)
+    mi = functools.partial(stacked_mutual_information, stacked_joint(
+        "degraded", (p_q_x2, p_x1_given_q), channel))
     return np.stack([mi("X1", "Y", ("X2", "Q")), mi(("X1", "X2"), "Y"),
                      mi("X1", "Y2", ("X2", "Q"))], axis=1)
 
 
-def _joint_stack(variables, subscripts, channel, p_q_x2, *tables) -> JointStack:
-    nx1, nx2 = tables[-1].shape[-1], p_q_x2.shape[-1]
-    if nx1 != channel.size_x1 or nx2 != channel.size_x2:
-        raise DimensionMismatch(
-            f"scheme inputs ({nx1}, {nx2}) do not match channel "
-            f"({channel.size_x1}, {channel.size_x2})"
-        )
-    w = channel.prob.sum(axis=3)  # (x1, x2, y, y2)
-    return JointStack(variables, np.einsum(subscripts, p_q_x2, *tables, w))
-
-
 def one_set_terms(scheme: SchemeOneSet, channel: ChannelSpec) -> tuple[float, float, float]:
     """The triple (a, b, d) for an inner-bound scheme."""
-    return tuple(stacked_one_set_terms(*_stacked(scheme, "one_set"), channel)[0].tolist())
+    return tuple(stacked_one_set_terms(*_stack_of_one(scheme), channel)[0].tolist())
 
 
 def degraded_terms(scheme: SchemeDegraded, channel: ChannelSpec) -> tuple[float, float, float]:
     """(a, b, d) with X1 standing in for the auxiliary."""
-    return tuple(stacked_degraded_terms(*_stacked(scheme, "degraded"), channel)[0].tolist())
+    return tuple(stacked_degraded_terms(*_stack_of_one(scheme), channel)[0].tolist())
 
 
-def _stacked(scheme, kind: str) -> list:
-    """The tables of a scheme of this kind as stacks of one."""
-    return [getattr(scheme, f)[None] for f in _SCHEME_FIELDS[kind][1]]
+def _scheme_terms(table: BoundTable, scheme, channel) -> dict:
+    """The table's terms of one scheme, as Python floats."""
+    columns = table.terms(_stack_of_one(scheme), channel)
+    return {name: float(column[0]) for name, column in columns.items()}
 
 
-# Term functions call the public ones through their module names, so
-# wrappers installed on those names (perfbench/spans.py) see every call.
-def _terms(scheme, channel) -> dict:
-    return dict(zip("abd", one_set_terms(scheme, channel)))
-
-
-def _outer_terms(scheme, channel) -> dict:
-    joint = assemble_joint_one_set_outer(scheme, channel)
-    return {
-        "a_v": mutual_information(joint, "U", "Y", ("X2", "V")),
-        "a": mutual_information(joint, "U", "Y", ("X2", "Q")),
-        "b": mutual_information(joint, ("U", "X2", "Q"), "Y"),
-        "d": mutual_information(joint, "U", "Y2", ("X2", "Q")),
-    }
-
-
-def _degraded_terms(scheme, channel) -> dict:
-    # U := X1, and V := Q, so the converse R1 cap a_v is a itself
-    a, b, d = degraded_terms(scheme, channel)
-    return {"a_v": a, "a": a, "b": b, "d": d}
-
-
-INNER = BoundTable(COORDS_EQUIVOCATION, _terms, [(
+_ABD = ("a", "b", "d")
+INNER = BoundTable(COORDS_EQUIVOCATION, stacked_one_set_terms, _ABD, [(
     "R1 <= a", "R0 + R1 <= b", "Re <= R1",
     "Re <= [a - d]+", "Re <= [b - R0 - d]+",
 )])
-_OUTER_ROWS = ("R1 <= a_v", "R0 + R1 <= b", "Re <= R1",
-               "Re <= a - d", "R0 + Re <= b - d")
-OUTER = BoundTable(COORDS_EQUIVOCATION, _outer_terms, [_OUTER_ROWS])
-DEGRADED = BoundTable(COORDS_EQUIVOCATION, _degraded_terms, [_OUTER_ROWS])
+OUTER = BoundTable(COORDS_EQUIVOCATION, stacked_outer_terms, ("a_v", *_ABD), [(
+    "R1 <= a_v", "R0 + R1 <= b", "Re <= R1", "Re <= a - d", "R0 + Re <= b - d",
+)])
+# the converse rows with U := X1 and V := Q, so the R1 cap a_v is a itself
+DEGRADED = BoundTable(COORDS_EQUIVOCATION, stacked_degraded_terms, _ABD, [(
+    "R1 <= a", "R0 + R1 <= b", "Re <= R1", "Re <= a - d", "R0 + Re <= b - d",
+)])
 _SECRECY_ROWS = ("R1 <= a - d", "R0 + R1 <= b - d")
-SECRECY = BoundTable(COORDS_SECRECY, _terms, [_SECRECY_ROWS], guard="a - d")
-DEGRADED_SECRECY = BoundTable(COORDS_SECRECY, _degraded_terms, [_SECRECY_ROWS],
-                              guard="a - d")
+SECRECY = BoundTable(COORDS_SECRECY, stacked_one_set_terms, _ABD, [_SECRECY_ROWS],
+                     guard="a - d")
+DEGRADED_SECRECY = BoundTable(COORDS_SECRECY, stacked_degraded_terms, _ABD,
+                              [_SECRECY_ROWS], guard="a - d")
 
 
 def inner_polytope(scheme: SchemeOneSet, channel: ChannelSpec):
@@ -139,7 +119,7 @@ def inner_polytope(scheme: SchemeOneSet, channel: ChannelSpec):
     The clipped equivocation cap [b - R0 - d]_+ carries R0 inside the
     bracket, so the result is a union of at most two plain pieces.
     """
-    return bound_pieces(INNER, _terms(scheme, channel))
+    return bound_pieces(INNER, _scheme_terms(INNER, scheme, channel))
 
 
 def outer_polytope(scheme: SchemeOneSetOuter, channel: ChannelSpec) -> RatePolytope:
@@ -149,7 +129,7 @@ def outer_polytope(scheme: SchemeOneSetOuter, channel: ChannelSpec) -> RatePolyt
     negative and leave the piece empty; callers filter such pieces out of
     unions. The R1 cap conditions on V instead of Q.
     """
-    return bound_pieces(OUTER, _outer_terms(scheme, channel), drop_empty=False)[0]
+    return bound_pieces(OUTER, _scheme_terms(OUTER, scheme, channel), drop_empty=False)[0]
 
 
 def secrecy_polytope(scheme: SchemeOneSet, channel: ChannelSpec) -> RatePolytope | None:
@@ -158,7 +138,7 @@ def secrecy_polytope(scheme: SchemeOneSet, channel: ChannelSpec) -> RatePolytope
     The piece {R1 <= a - d, R0 + R1 <= b - d} only exists when a >= d;
     a leakier scheme contributes nothing at full equivocation.
     """
-    pieces = bound_pieces(SECRECY, _terms(scheme, channel), drop_empty=False)
+    pieces = bound_pieces(SECRECY, _scheme_terms(SECRECY, scheme, channel), drop_empty=False)
     return pieces[0] if pieces else None
 
 
@@ -180,7 +160,7 @@ def secrecy_capacities(terms, tables, channel: ChannelSpec, r0: float) -> np.nda
 
 def secrecy_capacity_value(scheme: SchemeOneSet, channel: ChannelSpec, r0: float) -> float:
     """Largest confidential rate of this scheme at common rate r0, >= 0."""
-    return float(secrecy_capacities(stacked_one_set_terms, _stacked(scheme, "one_set"),
+    return float(secrecy_capacities(stacked_one_set_terms, _stack_of_one(scheme),
                                     channel, r0)[0])
 
 
@@ -206,14 +186,14 @@ def degraded_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
     still returned.
     """
     _flag_if_not_degraded(channel, certificate)
-    return bound_pieces(DEGRADED, _degraded_terms(scheme, channel), drop_empty=False)[0]
+    return bound_pieces(DEGRADED, _scheme_terms(DEGRADED, scheme, channel), drop_empty=False)[0]
 
 
 def degraded_secrecy_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
                               certificate=None) -> RatePolytope | None:
     """Perfect-secrecy piece in (R0, R1) for a degraded channel."""
     _flag_if_not_degraded(channel, certificate)
-    pieces = bound_pieces(DEGRADED_SECRECY, _degraded_terms(scheme, channel),
+    pieces = bound_pieces(DEGRADED_SECRECY, _scheme_terms(DEGRADED_SECRECY, scheme, channel),
                           drop_empty=False)
     return pieces[0] if pieces else None
 
@@ -221,5 +201,5 @@ def degraded_secrecy_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
 def degraded_secrecy_capacity_value(scheme: SchemeDegraded, channel: ChannelSpec,
                                     r0: float) -> float:
     """Largest confidential rate at common rate r0 under the degraded forms."""
-    return float(secrecy_capacities(stacked_degraded_terms, _stacked(scheme, "degraded"),
+    return float(secrecy_capacities(stacked_degraded_terms, _stack_of_one(scheme),
                                     channel, r0)[0])

@@ -10,6 +10,7 @@ identical outputs bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 # Unused here: perfbench/spans.py reads and patches optimizer.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass
@@ -20,7 +21,7 @@ from .channel import ChannelSpec, check_stochastically_degraded
 from .errors import GridTooLarge
 from . import one_set as _one
 from . import two_set as _two
-from .infotheory import _SCHEME_FIELDS, scheme_to_dict
+from .infotheory import _SCHEME_FIELDS, _joint_shape, _scheme_doc
 from .regions import RateRegion, bound_pieces, convexify, piece_is_empty
 
 GRID_CEILING = 100_000_000
@@ -123,7 +124,7 @@ def _blocks(variant: str, channel: ChannelSpec, config: SearchConfig):
         "p_x2_given_v": (nv, nx2, None),
         "p_x1_given_q": (nq, nx1, None),
     }
-    return [(name, *shapes[name]) for name in _SCHEME_FIELDS[variant][1]]
+    return [(name, *shapes[name]) for name in _SCHEME_FIELDS[variant].fields]
 
 
 def _build(variant, blocks, arrays):
@@ -131,7 +132,7 @@ def _build(variant, blocks, arrays):
     for (name, rows, cols, reshape), arr in zip(blocks, arrays):
         arr = np.asarray(arr, dtype=float)
         kwargs[name] = arr.reshape(reshape) if reshape is not None else arr
-    return _SCHEME_FIELDS[variant][0](**kwargs)
+    return _SCHEME_FIELDS[variant].cls(**kwargs)
 
 
 def _split(params: np.ndarray, blocks) -> list:
@@ -286,6 +287,7 @@ def refine_local(objective, scheme, variant: str, channel: ChannelSpec,
 # Schemes scored at once hold at most this many joint cells between them.
 BLOCK_CELLS = 1 << 18
 
+
 def _normalized(raw: np.ndarray, blocks) -> list:
     """The stacked tables of a block of parameter rows, each simplex row
     divided by its sum as the scheme dataclasses divide it."""
@@ -294,6 +296,22 @@ def _normalized(raw: np.ndarray, blocks) -> list:
         arr = arr / arr.sum(axis=2, keepdims=True)
         tables.append(arr.reshape(len(raw), *reshape) if reshape is not None else arr)
     return tables
+
+
+def _row_blocks(variant: str, channel: ChannelSpec, config: SearchConfig):
+    """parameter_rows in stream order, in blocks of at most BLOCK_CELLS joint
+    cells: (raw rows, shape (n, P), and their normalized stacked tables).
+
+    Private, so that a tracer wrapping the public generators counts each
+    scheme once, where parameter_rows yields it.
+    """
+    blocks = _blocks(variant, channel, config)
+    shapes = [reshape or (rows, cols) for name, rows, cols, reshape in blocks]
+    cells = math.prod(_joint_shape(variant, shapes, channel))
+    stream = parameter_rows(variant, channel, config)
+    while raw := list(itertools.islice(stream, max(1, BLOCK_CELLS // cells))):
+        raw = np.array(raw)
+        yield raw, _normalized(raw, blocks)
 
 
 def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
@@ -314,26 +332,17 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     scheme; random+refine then refines it.
     """
     config = config or SearchConfig()
-    # the scheme variant, its stacked terms and scalar score, and the
-    # auxiliary alphabets its joint adds to (X1, X2, Y, Y2)
-    nq, nu, _ = config.cardinalities
     if variant == "general":
-        scheme_variant, terms, scalar_score, aux = (
-            "one_set", _one.stacked_one_set_terms, _one.secrecy_capacity_value, nq * nu)
+        scheme_variant, terms, scalar_score = (
+            "one_set", _one.stacked_one_set_terms, _one.secrecy_capacity_value)
     elif variant == "degraded":
-        scheme_variant, terms, scalar_score, aux = (
-            "degraded", _one.stacked_degraded_terms,
-            _one.degraded_secrecy_capacity_value, nq)
+        scheme_variant, terms, scalar_score = (
+            "degraded", _one.stacked_degraded_terms, _one.degraded_secrecy_capacity_value)
     else:
         raise ValueError(f"variant must be 'general' or 'degraded', got {variant!r}")
-    blocks = _blocks(scheme_variant, channel, config)
-    cells = aux * channel.size_x1 * channel.size_x2 * channel.size_y * channel.size_y2
-    stream = parameter_rows(scheme_variant, channel, config)
     # value, raw row, normalized row, and its key tuple once a tie needs it
     best = None
-    while raw := list(itertools.islice(stream, max(1, BLOCK_CELLS // cells))):
-        raw = np.array(raw)
-        tables = _normalized(raw, blocks)
+    for raw, tables in _row_blocks(scheme_variant, channel, config):
         keys = np.concatenate([t.reshape(len(raw), -1) for t in tables], axis=1)
         values = _one.secrecy_capacities(terms, tables, channel, r0).tolist()
         for i, value in enumerate(values):
@@ -348,6 +357,7 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     if best is None:
         raise ValueError("empty scheme stream")
     value = best[0]
+    blocks = _blocks(scheme_variant, channel, config)
     scheme = _build(scheme_variant, blocks, _split(best[1], blocks))
     if config.strategy == "random+refine" and config.refine_iterations > 0:
         value, scheme = refine_local(lambda s: scalar_score(s, channel, r0), scheme,
@@ -359,9 +369,13 @@ def assemble_region(channel: ChannelSpec, bound: str,
                     config: SearchConfig | None = None) -> RateRegion:
     """Search schemes, collect their pieces, and convexify the union.
 
-    bound picks the construction (see BOUNDS). Schemes are evaluated in
-    stream order. Every expanded piece is tested for emptiness once; empty
-    ones are dropped but counted in the result's info.
+    bound picks the construction (see BOUNDS). The parameter rows are
+    scored in blocks of at most BLOCK_CELLS joint cells, one call of the
+    table's stacked terms per block; each row's terms, as Python floats,
+    then go through bound_pieces in stream order. Every expanded piece is
+    tested for emptiness once; empty ones are dropped but counted in the
+    result's info. A scheme that keeps a piece is recorded as its JSON
+    document, built from its normalized tables; no scheme object is built.
     """
     config = config or SearchConfig()
     if bound not in _BOUND_TABLES:
@@ -371,21 +385,24 @@ def assemble_region(channel: ChannelSpec, bound: str,
     if bound == "degraded":
         certificate = check_stochastically_degraded(channel)
         _one._flag_if_not_degraded(channel, certificate)
-    blocks = _blocks(variant, channel, config)
     visited = 0
     pieces = []
     provenance = []
     dropped = 0
-    for row in parameter_rows(variant, channel, config):
-        visited += 1
-        scheme = _build(variant, blocks, _split(row, blocks))
-        doc = scheme_to_dict(scheme)
-        for piece in bound_pieces(table, table.terms(scheme, channel), drop_empty=False):
-            if piece_is_empty(piece):
-                dropped += 1
-                continue
-            pieces.append(piece)
-            provenance.append(doc)
+    for raw, tables in _row_blocks(variant, channel, config):
+        columns = {name: col.tolist() for name, col in table.terms(tables, channel).items()}
+        for i in range(len(raw)):
+            visited += 1
+            doc = None
+            values = {name: col[i] for name, col in columns.items()}
+            for piece in bound_pieces(table, values, drop_empty=False):
+                if piece_is_empty(piece):
+                    dropped += 1
+                    continue
+                if doc is None:
+                    doc = _scheme_doc(variant, [t[i] for t in tables])
+                pieces.append(piece)
+                provenance.append(doc)
     info = {
         "bound": bound,
         "config": config.to_dict(),

@@ -301,14 +301,17 @@ class BoundTable:
 
     Rows read like the bound: "R0 + R1 <= b - d", or "Re <= [b - R0 - d]+"
     for a clipped row. Names among coords are coordinates; every other name
-    is a term, looked up in the dict that terms(scheme, channel) returns;
-    "0" stands for an empty sum. Each family of rows is one template. A
-    scheme whose guard, a signed sum of terms, is negative has no piece.
+    is a term, one of columns: the (N, k) matrix that terms(*tables,
+    channel) gives for the stacked tables of N schemes has one column per
+    term, in that order. "0" stands for an empty sum. Each family of rows
+    is one template. A scheme whose guard, a signed sum of terms, is
+    negative has no piece.
     """
 
-    def __init__(self, coords, terms, families, guard="0"):
+    def __init__(self, coords, terms, columns, families, guard="0"):
         self.coords = tuple(coords)
-        self.terms = terms
+        self._terms = terms
+        self.columns = tuple(columns)
         self.guard = self._split(guard)[1]
         self.families = tuple(tuple(self._row(r) for r in fam) for fam in families)
         # branching clipped rows per family: 2^k plain pieces at most
@@ -316,6 +319,11 @@ class BoundTable:
             2 ** sum(1 for _, affine, _ in fam if affine is not None and affine.any())
             for fam in self.families
         )
+
+    def terms(self, tables, channel) -> dict:
+        """The named term columns of N schemes, each of shape (N,), from
+        their stacked tables."""
+        return dict(zip(self.columns, self._terms(*tables, channel).T))
 
     def _split(self, expr: str):
         """(coefficient vector, signed terms) of a sum such as "b - R0 - d"."""

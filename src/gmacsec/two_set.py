@@ -21,13 +21,14 @@ one equivocation by giving up the other entirely.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .channel import ChannelSpec
 from .errors import PieceExplosion
-from .infotheory import SchemeTwoSet, assemble_joint_two_set, mutual_information
+from .infotheory import SchemeTwoSet, _stack_of_one, stacked_joint, stacked_mutual_information
 from .regions import BoundTable, RatePolytope, bound_pieces
 
 COORDS_MAC = ("R0", "R1", "R2")
@@ -37,22 +38,29 @@ COORDS_FULL = ("R0", "R1", "R2", "R1e", "R2e")
 MAX_PIECES = 64
 
 
+TERMS = ("m1", "m2", "m12", "mt", "e1", "e2")
+
+
+def stacked_two_set_terms(p_q, p_u_given_q, p_x1_given_u, p_v_given_q, p_x2_given_v,
+                          channel: ChannelSpec) -> np.ndarray:
+    """The terms of N schemes, shape (N, 6), one column each in TERMS order.
+
+    The tables stack the schemes' normalized parameters on a leading axis,
+    p(q) as (N, |Q|); row i is, bit for bit, what mutual_information gives
+    on the JointPMF of scheme i. two_set_terms is the N = 1 call.
+    """
+    mi = functools.partial(stacked_mutual_information, stacked_joint(
+        "two_set", (p_q, p_u_given_q, p_x1_given_u, p_v_given_q, p_x2_given_v), channel))
+    return np.stack([
+        mi("U", "Y", ("V", "Q")), mi("V", "Y", ("U", "Q")), mi(("U", "V"), "Y", ("Q",)),
+        mi(("U", "V", "Q"), "Y"), mi("U", "Y2", ("X2", "V", "Q")),
+        mi("V", "Y1", ("X1", "U", "Q")),
+    ], axis=1)
+
+
 def two_set_terms(scheme: SchemeTwoSet, channel: ChannelSpec) -> dict:
     """All six information terms for one scheme, keyed m1/m2/m12/mt/e1/e2."""
-    joint = assemble_joint_two_set(scheme, channel)
-    return {
-        "m1": mutual_information(joint, "U", "Y", ("V", "Q")),
-        "m2": mutual_information(joint, "V", "Y", ("U", "Q")),
-        "m12": mutual_information(joint, ("U", "V"), "Y", ("Q",)),
-        "mt": mutual_information(joint, ("U", "V", "Q"), "Y"),
-        "e1": mutual_information(joint, "U", "Y2", ("X2", "V", "Q")),
-        "e2": mutual_information(joint, "V", "Y1", ("X1", "U", "Q")),
-    }
-
-
-def _terms(scheme, channel) -> dict:
-    # through the module name, so a wrapper on two_set_terms sees the call
-    return two_set_terms(scheme, channel)
+    return dict(zip(TERMS, stacked_two_set_terms(*_stack_of_one(scheme), channel)[0].tolist()))
 
 
 _RATES = ("R1 <= m1", "R2 <= m2", "R1 + R2 <= m12", "R0 + R1 + R2 <= mt")
@@ -67,12 +75,13 @@ _EQUIVOCATION = (
     ("R1e <= 0", "R2e <= R2", *_CAPS2),
 )
 
-TWO_SET = BoundTable(COORDS_FULL, _terms, [_RATES + fam for fam in _EQUIVOCATION])
-MAC = BoundTable(COORDS_MAC, _terms, [_RATES])
+TWO_SET = BoundTable(COORDS_FULL, stacked_two_set_terms, TERMS,
+                     [_RATES + fam for fam in _EQUIVOCATION])
+MAC = BoundTable(COORDS_MAC, stacked_two_set_terms, TERMS, [_RATES])
 # over (R1e, R2e) the rates are terms, so their brackets are constants
-EQUIVOCATION = BoundTable(COORDS_EQ, _terms, _EQUIVOCATION)
+EQUIVOCATION = BoundTable(COORDS_EQ, stacked_two_set_terms, TERMS, _EQUIVOCATION)
 # both senders secret, only sender 1 active, only sender 2 active
-SECRECY = BoundTable(COORDS_MAC, _terms, [
+SECRECY = BoundTable(COORDS_MAC, stacked_two_set_terms, TERMS, [
     ("R1 <= m1 - e1", "R2 <= m2 - e2", "R1 + R2 <= m12 - e1 - e2",
      "R0 + R1 + R2 <= mt - e1 - e2"),
     ("R2 <= 0", "R1 <= m1 - e1", "R0 + R1 <= mt - e1"),
@@ -82,7 +91,7 @@ SECRECY = BoundTable(COORDS_MAC, _terms, [
 
 def mac_polytope(scheme: SchemeTwoSet, channel: ChannelSpec) -> RatePolytope:
     """Decodable-rate piece in (R0, R1, R2), ignoring confidentiality."""
-    return bound_pieces(MAC, _terms(scheme, channel), drop_empty=False)[0]
+    return bound_pieces(MAC, two_set_terms(scheme, channel), drop_empty=False)[0]
 
 
 def equivocation_set_explicit(scheme: SchemeTwoSet, channel: ChannelSpec,
@@ -97,7 +106,7 @@ def equivocation_set_explicit(scheme: SchemeTwoSet, channel: ChannelSpec,
     for name, r in (("r0", r0), ("r1", r1), ("r2", r2)):
         if r < 0:
             raise ValueError(f"{name} must be nonnegative, got {r}")
-    values = {**_terms(scheme, channel), "R0": r0, "R1": r1, "R2": r2}
+    values = {**two_set_terms(scheme, channel), "R0": r0, "R1": r1, "R2": r2}
     return bound_pieces(EQUIVOCATION, values, drop_empty=False)
 
 
@@ -170,7 +179,7 @@ def two_set_region_piece(scheme: SchemeTwoSet, channel: ChannelSpec,
             f"expansion would produce up to {TWO_SET.max_pieces} pieces, "
             f"cap is {max_pieces}"
         )
-    return bound_pieces(TWO_SET, _terms(scheme, channel))
+    return bound_pieces(TWO_SET, two_set_terms(scheme, channel))
 
 
 def secrecy_inner_pieces(scheme: SchemeTwoSet, channel: ChannelSpec):
@@ -181,4 +190,4 @@ def secrecy_inner_pieces(scheme: SchemeTwoSet, channel: ChannelSpec):
     exactly zero keeps the piece as a face (the spent sender pinned at rate
     zero).
     """
-    return bound_pieces(SECRECY, _terms(scheme, channel))
+    return bound_pieces(SECRECY, two_set_terms(scheme, channel))

@@ -123,7 +123,7 @@ def _check_input_dist(dist, size: int, who: str) -> np.ndarray:
     if np.any(p < -1e-12):
         raise ValueError(f"{who} letter distribution has negative entries")
     s = p.sum()
-    if abs(s - 1.0) > 1e-9:
+    if not abs(s - 1.0) <= 1e-9:   # NaN fails too
         raise ValueError(f"{who} letter distribution sums to {s}, not 1")
     return np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()
 

@@ -38,7 +38,11 @@ from gmacsec import (
     two_set_terms,
 )
 from gmacsec import one_set, two_set
-from gmacsec.infotheory import assemble_joint_one_set_outer, mutual_information
+from gmacsec.infotheory import (
+    _SCHEME_FIELDS,
+    assemble_joint_one_set_outer,
+    mutual_information,
+)
 from gmacsec.optimizer import _BOUND_TABLES, BOUNDS, SearchConfig
 from gmacsec.regions import BoundTable, bound_pieces
 
@@ -189,6 +193,12 @@ def assert_same_pieces(got, want):
         assert_same_piece(g, w)
 
 
+def scheme_values(table, variant, scheme, channel):
+    """The table's terms of one scheme: its stacked terms with N = 1."""
+    tables = [getattr(scheme, f)[None] for f in _SCHEME_FIELDS[variant].fields]
+    return {name: float(col[0]) for name, col in table.terms(tables, channel).items()}
+
+
 def schemes(variant, channel, count=4, seed=7):
     config = SearchConfig(strategy="random", sample_count=count, seed=seed,
                           cardinalities=(2, 2, 2))
@@ -266,7 +276,8 @@ def test_assembled_regions_keep_the_reference_pieces(bound, channel):
     expanded = 0
     for s in sample_schemes_random(variant, channel, config):
         want.extend(p for p in ref(s, channel) if not piece_is_empty(p))
-        expanded += len(bound_pieces(table, table.terms(s, channel), drop_empty=False))
+        expanded += len(bound_pieces(table, scheme_values(table, variant, s, channel),
+                                     drop_empty=False))
     assert_same_pieces(region.pieces, want)
     # every empty piece of the expansion is counted
     assert len(region.pieces) + region.info["empty_pieces_dropped"] == expanded
@@ -293,14 +304,14 @@ def test_secrecy_guard_is_exact():
 
 
 def test_right_hand_sides_add_left_to_right():
-    table = BoundTable(("x",), None, [("x <= a + b + b", "x <= b + b + a")])
+    table = BoundTable(("x",), None, (), [("x <= a + b + b", "x <= b + b + a")])
     (piece,) = bound_pieces(table, {"a": 1.0, "b": 1e-16}, drop_empty=False)
     assert piece.b.tolist() == [(1.0 + 1e-16) + 1e-16, (1e-16 + 1e-16) + 1.0]
     assert piece.b[0] != piece.b[1]
 
 
 def test_rows_parse_to_coefficients_and_ordered_terms():
-    table = BoundTable(("R0", "R1", "Re"), None, [(
+    table = BoundTable(("R0", "R1", "Re"), None, (), [(
         "R0 + Re <= b - d", "Re <= R1", "Re <= [b - R0 - d + c]+", "R1 <= 0",
     )])
     (rows,) = table.families
@@ -318,4 +329,4 @@ def test_rows_parse_to_coefficients_and_ordered_terms():
 ])
 def test_malformed_rows_are_rejected(row):
     with pytest.raises(ValueError):
-        BoundTable(("R0", "R1"), None, [(row,)])
+        BoundTable(("R0", "R1"), None, (), [(row,)])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,13 @@ class TestValidateChannel:
         with pytest.raises(NegativeProbability):
             validate_channel(table, (2, 1, 2, 1, 1))
 
+    def test_rejects_nan_entries(self):
+        # a NaN block sum compares False against any tolerance
+        table = np.full((2, 1, 2, 1, 1), 0.5)
+        table[1, 0, 0, 0, 0] = np.nan
+        with pytest.raises(RowSumViolation):
+            validate_channel(table, (2, 1, 2, 1, 1))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             validate_channel(np.full((2, 2, 2), 0.5), (2, 2, 2, 1, 1))
@@ -72,6 +81,16 @@ class TestSerialization:
         save_channel(once, path)
         twice = load_channel(path)
         assert np.array_equal(once.prob, twice.prob)
+
+    def test_nan_literal_in_a_file_is_rejected(self, tmp_path):
+        path = tmp_path / "nan.json"
+        save_channel(fx.binary_degraded(), path)
+        doc = json.loads(path.read_text())
+        doc["p"][1][0][0][0][0] = float("nan")
+        path.write_text(json.dumps(doc))          # writes the NaN literal
+        assert "NaN" in path.read_text()
+        with pytest.raises(RowSumViolation):
+            load_channel(path)
 
     def test_malformed_file_raises(self, tmp_path):
         path = tmp_path / "bad.json"

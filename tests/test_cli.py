@@ -16,6 +16,7 @@ from gmacsec import (
 )
 from gmacsec.channel import load_channel, save_channel, validate_channel
 from gmacsec.cli import _BOUND_ALIASES, main
+from gmacsec.infotheory import _SCHEME_FIELDS
 from gmacsec.optimizer import _BOUND_TABLES
 from gmacsec.regions import bound_pieces
 
@@ -224,6 +225,23 @@ class TestRegion:
         assert rc == 2
         assert _stderr_error(capsys)["error"] == "DimensionMismatch"
 
+    @pytest.mark.parametrize("command", ["region", "secrecy-capacity"])
+    def test_nan_channel_is_an_input_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "nan.json"
+        save_channel(fx.binary_degraded(), bad)
+        doc = json.loads(bad.read_text())
+        doc["p"][1][0][0][0][0] = float("nan")      # json writes the NaN literal
+        _write_json(bad, doc)
+        out = tmp_path / "x.csv"
+        extra = ["--bound", "inner1", "--out", str(out)] if command == "region" else []
+        rc = main([command, str(bad), *extra])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.strip().splitlines()[-1])
+        assert error["error"] == "RowSumViolation"
+        assert not out.exists()
+
     def test_internal_failure_is_code_four(self, channel_files, tmp_path,
                                            monkeypatch, capsys):
         import gmacsec.cli as cli
@@ -264,7 +282,10 @@ def verify_witnesses(channel_path, bound, csv_path):
             key = json.dumps(entry["scheme"], sort_keys=True)
             if key not in pieces:
                 scheme = scheme_from_dict(entry["scheme"])
-                pieces[key] = bound_pieces(table, table.terms(scheme, channel))
+                fields = _SCHEME_FIELDS[entry["scheme"]["kind"]].fields
+                terms = table.terms([getattr(scheme, f)[None] for f in fields], channel)
+                pieces[key] = bound_pieces(
+                    table, {name: float(col[0]) for name, col in terms.items()})
             assert any(piece_contains(p, entry["point"], tol=1e-9)
                        for p in pieces[key])
         printed.add(",".join("%.9g" % (v + 0.0) for v in w["point"]))

@@ -22,6 +22,7 @@ from gmacsec import (
     scheme_to_dict,
 )
 from gmacsec import fixtures as fx
+from gmacsec.infotheory import JointStack
 
 from conftest import binary_entropy
 
@@ -239,3 +240,42 @@ class TestAssembly:
         )
         joint = assemble_joint_one_set(scheme, channel)
         assert mutual_information(joint, "X1", "Q", given="U") <= 1e-12
+
+
+def _uniform_schemes():
+    channel = fx.clean_mac()
+    return [fx.uniform_u_equals_x1(channel), fx.uniform_one_set_outer(channel),
+            fx.uniform_two_set_scheme(channel), fx.uniform_degraded_scheme(channel)]
+
+
+class TestNaNMasses:
+    """A NaN mass fails every mass check: abs(NaN - 1) > tol is False, so
+    each check is written as "not within tol"."""
+
+    def test_joint(self):
+        with pytest.raises(RowSumViolation, match="nan"):
+            JointPMF(("A",), np.array([0.5, np.nan]))
+
+    def test_joint_stack(self):
+        good, bad = np.full((1, 2), 0.5), np.array([[np.nan, 0.5]])
+        with pytest.raises(RowSumViolation, match="nan"):
+            JointStack(("A",), np.concatenate([good, bad]))
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_every_scheme_field(self, which):
+        doc = scheme_to_dict(_uniform_schemes()[which])
+        for field in doc:
+            if field == "kind":
+                continue
+            bad = dict(doc)
+            table = np.array(doc[field])
+            table.reshape(-1)[-1] = np.nan
+            bad[field] = table.tolist()
+            with pytest.raises(RowSumViolation):
+                scheme_from_dict(bad)
+
+    def test_all_nan_joint_block(self):
+        # p(q, x2) left all NaN by a 0/0 once every mass was dropped
+        with pytest.raises(RowSumViolation):
+            SchemeOneSet(p_q_x2=np.full((1, 2), np.nan), p_u_given_q=[[1.0]],
+                         p_x1_given_u=[[0.5, 0.5]])

@@ -15,6 +15,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
@@ -25,6 +26,7 @@ from gmacsec import (
     SolverStall,
     Unbounded,
     VertexEnumerationOverflow,
+    clip_plus_split,
     convexify,
     fixtures as fx,
     frontier,
@@ -35,6 +37,7 @@ from gmacsec import (
     polytope,
     region_contains,
     slice_piece,
+    template,
 )
 from gmacsec import regions
 from gmacsec.channel import validate_channel
@@ -208,6 +211,80 @@ class TestPieceOracle:
         frontier(region, ("R0", "R1"), fixed={"Re": 0.05}, resolution=9)
         assert region_contains(region, region.hull_points.mean(axis=0))
 
+
+
+# --- properties on pieces with coefficients on the grid of halves --------------
+# Dot products of halves with the quarter grid below are exact, so the
+# checks need no slack beyond the package's own, and parallel, repeated,
+# zero and degenerate rows arise often.
+
+_HALVES = st.integers(-4, 4).map(lambda k: k / 2)
+
+
+@st.composite
+def _pieces_and_directions(draw):
+    dim = draw(st.integers(2, 5))
+    rows = draw(st.integers(1, 7))
+    vec = st.lists(_HALVES, min_size=dim, max_size=dim)
+    pairs = [(draw(vec), draw(st.integers(-2, 8)) / 2) for _ in range(rows)]
+    directions = draw(st.lists(vec.filter(any), min_size=1, max_size=4))
+    return polytope(NAMES[:dim], pairs), directions
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_pieces_and_directions())
+def test_vertex_support_equals_lp_support(case):
+    piece, directions = case
+    empty = lp_is_empty(piece)
+    assert piece_is_empty(piece) == empty
+    for d in directions:
+        status, value = lp_support(piece, d)
+        if status == 2:
+            assert empty
+            with pytest.raises(EmptySlice):
+                piece_support(piece, d)
+        elif status == 3:
+            with pytest.raises(Unbounded):
+                piece_support(piece, d)
+        else:
+            assert status == 0
+            got, point = piece_support(piece, d)
+            assert got == pytest.approx(value, abs=1e-9)
+            assert regions.piece_contains(piece, point)
+
+
+@st.composite
+def _templates(draw):
+    dim = draw(st.integers(2, 3))
+    vec = st.lists(_HALVES, min_size=dim, max_size=dim)
+    const = st.integers(-4, 8).map(lambda k: k / 4)
+    plain = [(draw(vec), draw(const)) for _ in range(draw(st.integers(0, 3)))]
+    clipped = []
+    for _ in range(draw(st.integers(1, 3))):
+        # about one bracket in four has no coordinate inside
+        affine = draw(st.one_of(vec, st.just([0.0] * dim)))
+        clipped.append((draw(vec), affine, draw(const)))
+    return template(NAMES[:dim], plain, clipped)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_templates())
+def test_clip_plus_split_union_is_the_bracketed_template(tmpl):
+    dim = len(tmpl.coords)
+    axis = np.arange(-1, 10) / 4
+    points = np.array(list(itertools.product(axis, repeat=dim)))
+    # membership read straight off the template: x >= 0, plain rows, and
+    # lhs.x <= [affine.x + const]_+ for every clipped row
+    inside = np.all(points >= 0, axis=1)
+    for lhs, bound in tmpl.plain:
+        inside &= points @ lhs <= bound
+    for cc in tmpl.clipped:
+        inside &= points @ cc.lhs <= np.maximum(points @ cc.affine + cc.const, 0.0)
+    union = np.zeros(len(points), dtype=bool)
+    for piece in clip_plus_split(tmpl):
+        union |= np.all(points >= 0, axis=1) & np.all(
+            points @ piece.A.T <= piece.b, axis=1)
+    assert np.array_equal(union, inside)
 
 def _inner1_region():
     config = SearchConfig(strategy="random", sample_count=8)

@@ -1,34 +1,50 @@
-"""Stacked information terms and the block search checked bit for bit
-against the per-scheme scalar path.
+"""Stacked information terms, the block search and the batched region
+assembly checked bit for bit against the per-scheme scalar path.
 
 The reference terms are mutual_information on each scheme's assembled
-JointPMF, as the package computed them before the stacked kernel; the
+JointPMF, as the package computed them before the stacked kernel; each
+kind's joint is checked against its explicit per-cell product. The
 reference search is the sequential loop over scheme dataclasses that
-maximize_secrecy_capacity replays. Values are compared by float.hex, which
-tells -0.0 from 0.0.
+maximize_secrecy_capacity replays, and the reference region is the loop
+that built a dataclass, a document and the terms of one scheme at a time.
+Values are compared by float.hex, which tells -0.0 from 0.0.
 """
+
+import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmacsec import (
+    BOUNDS,
     EnumerationTooLarge,
+    NotDegradedWarning,
     SchemeDegraded,
     SchemeOneSet,
     assemble_joint_degraded,
     assemble_joint_one_set,
+    assemble_joint_one_set_outer,
+    assemble_joint_two_set,
+    assemble_region,
+    check_stochastically_degraded,
+    convexify,
     degraded_terms,
     enumerate_schemes_grid,
     fixtures as fx,
     maximize_secrecy_capacity,
     mutual_information,
     one_set_terms,
+    piece_is_empty,
     sample_schemes_random,
     scheme_to_dict,
+    two_set_terms,
 )
-from gmacsec import infotheory, one_set, optimizer
-from gmacsec.optimizer import SearchConfig
+from gmacsec import infotheory, one_set, optimizer, two_set
+from gmacsec.optimizer import _BOUND_TABLES, SearchConfig
+from gmacsec.regions import bound_pieces
 
 FIXTURES = sorted(fx.FIXTURE_BUILDERS)
 W3 = SearchConfig(strategy="grid", cardinalities=(1, 3, 1), grid_resolution=5)
@@ -282,3 +298,232 @@ def test_joint_stack_checks_each_joint():
         infotheory.JointStack(("A", "B"), np.concatenate([good, negative, bad_mass]))
     with pytest.raises(infotheory.DimensionMismatch):
         infotheory.JointStack(("A",), good)
+
+
+# --- every kind's joint and every bound's terms ------------------------------------
+
+def scalar_outer_terms(scheme, channel):
+    joint = assemble_joint_one_set_outer(scheme, channel)
+    return {"a_v": mutual_information(joint, "U", "Y", ("X2", "V")),
+            "a": mutual_information(joint, "U", "Y", ("X2", "Q")),
+            "b": mutual_information(joint, ("U", "X2", "Q"), "Y"),
+            "d": mutual_information(joint, "U", "Y2", ("X2", "Q"))}
+
+
+def scalar_two_set_terms(scheme, channel):
+    joint = assemble_joint_two_set(scheme, channel)
+    return {"m1": mutual_information(joint, "U", "Y", ("V", "Q")),
+            "m2": mutual_information(joint, "V", "Y", ("U", "Q")),
+            "m12": mutual_information(joint, ("U", "V"), "Y", ("Q",)),
+            "mt": mutual_information(joint, ("U", "V", "Q"), "Y"),
+            "e1": mutual_information(joint, "U", "Y2", ("X2", "V", "Q")),
+            "e2": mutual_information(joint, "V", "Y1", ("X1", "U", "Q"))}
+
+
+# Per scheme kind: its terms by name, from mutual_information on its JointPMF.
+SCALAR_TERMS = {
+    "one_set": lambda s, ch: dict(zip("abd", scalar_one_set_terms(s, ch))),
+    "one_set_outer": scalar_outer_terms,
+    "two_set": scalar_two_set_terms,
+    "degraded": lambda s, ch: dict(zip("abd", scalar_degraded_terms(s, ch))),
+}
+TABLE_CHANNELS = FIXTURES + ["random"]
+
+
+def _channel(name):
+    if name == "random":
+        # no zero terms, so that sums of terms round
+        return fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(5))
+    return fx.FIXTURE_BUILDERS[name]()
+
+
+def _fields(kind):
+    return infotheory._SCHEME_FIELDS[kind].fields
+
+
+def _stack(schemes, kind):
+    return [np.stack([getattr(s, f) for s in schemes]) for f in _fields(kind)]
+
+
+def _sparse(scheme, kind):
+    """The scheme with every mass below 0.3 dropped (a row keeps its largest)."""
+    tables = {}
+    for f in _fields(kind):
+        arr = np.asarray(getattr(scheme, f))
+        rows = arr.reshape(1, -1) if f in ("p_q", "p_q_x2") else arr
+        rows = np.where(rows >= np.minimum(0.3, rows.max(axis=1, keepdims=True)),
+                        rows, 0.0)
+        tables[f] = (rows / rows.sum(axis=1, keepdims=True)).reshape(arr.shape)
+    return infotheory._SCHEME_FIELDS[kind].cls(**tables)
+
+
+@pytest.mark.parametrize("name", TABLE_CHANNELS + ["wide1", "wide2"])
+@pytest.mark.parametrize("kind, stacked", [
+    ("one_set_outer", one_set.stacked_outer_terms),
+    ("two_set", two_set.stacked_two_set_terms),
+])
+def test_outer_and_two_set_terms_equal_scalar_terms(name, kind, stacked):
+    if name.startswith("wide"):
+        rng = np.random.default_rng(int(name[-1]))
+        channel = fx.random_channel((3, 2, 4, 2, 3), rng)
+    else:
+        channel = _channel(name)
+    config = SearchConfig(cardinalities=(2, 3, 2), sample_count=25, seed=11)
+    schemes = list(sample_schemes_random(kind, channel, config))
+    schemes += [_sparse(s, kind) for s in schemes[:8]]
+    got = stacked(*_stack(schemes, kind), channel)
+    for scheme, row in zip(schemes, got):
+        want = SCALAR_TERMS[kind](scheme, channel)
+        assert _hex(row) == _hex(want.values())
+        if kind == "two_set":
+            assert two_set_terms(scheme, channel) == want
+
+
+def _cell(kind, s, prob, w, idx):
+    """One joint cell as the product of its factors, left to right."""
+    if kind == "one_set":
+        q, u, x, t, y, z = idx
+        return s.p_q_x2[q, t] * s.p_u_given_q[q, u] * s.p_x1_given_u[u, x] * w[x, t, y, z]
+    if kind == "one_set_outer":
+        q, u, v, x, t, y, z = idx
+        return (s.p_q_x2[q, t] * s.p_u_given_q[q, u] * s.p_v_given_q[q, v]
+                * s.p_x1_given_u[u, x] * w[x, t, y, z])
+    if kind == "two_set":
+        q, u, v, x, t, y, y1, z = idx
+        return (s.p_q[q] * s.p_u_given_q[q, u] * s.p_x1_given_u[u, x]
+                * s.p_v_given_q[q, v] * s.p_x2_given_v[v, t] * prob[x, t, y, y1, z])
+    q, x, t, y, z = idx
+    return s.p_q_x2[q, t] * s.p_x1_given_q[q, x] * w[x, t, y, z]
+
+
+VARIABLES = {
+    "one_set": ("Q", "U", "X1", "X2", "Y", "Y2"),
+    "one_set_outer": ("Q", "U", "V", "X1", "X2", "Y", "Y2"),
+    "two_set": ("Q", "U", "V", "X1", "X2", "Y", "Y1", "Y2"),
+    "degraded": ("Q", "X1", "X2", "Y", "Y2"),
+}
+ASSEMBLE = {"one_set": assemble_joint_one_set, "one_set_outer": assemble_joint_one_set_outer,
+            "two_set": assemble_joint_two_set, "degraded": assemble_joint_degraded}
+
+
+@pytest.mark.parametrize("kind", sorted(VARIABLES))
+def test_each_kind_joint_is_the_per_cell_product(kind):
+    channel = fx.random_channel((2, 3, 2, 2, 2), np.random.default_rng(8))
+    schemes = list(sample_schemes_random(
+        kind, channel, SearchConfig(cardinalities=(2, 3, 2), sample_count=3, seed=2)))
+    joint = infotheory.stacked_joint(kind, _stack(schemes, kind), channel)
+    assert joint.variables == VARIABLES[kind]
+    w = channel.prob.sum(axis=3)
+    for n, scheme in enumerate(schemes):
+        want = np.empty(joint.prob.shape[1:])
+        for idx in np.ndindex(*want.shape):
+            want[idx] = _cell(kind, scheme, channel.prob, w, idx)
+        assert joint.prob[n].tobytes() == want.tobytes()
+        single = ASSEMBLE[kind](scheme, channel)
+        assert single.variables == VARIABLES[kind]
+        assert single.prob.tobytes() == want.tobytes()
+
+
+def test_stacked_joint_checks_the_channel_inputs(binary_degraded, clean_mac):
+    scheme = fx.uniform_two_set_scheme(clean_mac)
+    with pytest.raises(infotheory.DimensionMismatch, match=r"scheme inputs \(2, 2\)"):
+        infotheory.stacked_joint("two_set", _stack([scheme], "two_set"), binary_degraded)
+
+
+# --- batched region assembly against the per-scheme loop -----------------------------
+
+def reference_region(channel, bound, config, rows):
+    """assemble_region as one scheme at a time: a dataclass, its document
+    and its terms from mutual_information, then its pieces."""
+    variant, table = _BOUND_TABLES[bound]
+    blocks = optimizer._blocks(variant, channel, config)
+    pieces, provenance, visited, dropped = [], [], 0, 0
+    for row in rows:
+        visited += 1
+        scheme = optimizer._build(variant, blocks, optimizer._split(row, blocks))
+        doc = scheme_to_dict(scheme)
+        values = SCALAR_TERMS[variant](scheme, channel)
+        for piece in bound_pieces(table, values, drop_empty=False):
+            if piece_is_empty(piece):
+                dropped += 1
+                continue
+            pieces.append(piece)
+            provenance.append(doc)
+    info = {"bound": bound, "config": config.to_dict(), "schemes_visited": visited,
+            "empty_pieces_dropped": dropped}
+    if bound == "degraded":
+        certificate = check_stochastically_degraded(channel)
+        info["degradedness_verdict"] = certificate.verdict
+        info["degradedness_residual"] = certificate.residual
+    return convexify(pieces, coords=table.coords, provenance=provenance, info=info)
+
+
+def assert_same_region(got, want):
+    assert got.coords == want.coords
+    assert len(got.pieces) == len(want.pieces)
+    for g, w in zip(got.pieces, want.pieces):
+        assert g.A.shape == w.A.shape and g.A.tobytes() == w.A.tobytes()
+        assert g.b.shape == w.b.shape and g.b.tobytes() == w.b.tobytes()
+    # json.dumps writes each float's shortest repr, so equal text is equal bits
+    assert len(got.provenance) == len(want.provenance)
+    for g, w in zip(got.provenance, want.provenance):
+        assert json.dumps(g) == json.dumps(w)
+    assert json.dumps(got.info) == json.dumps(want.info)
+    assert got.hull_points.tobytes() == want.hull_points.tobytes()
+    assert np.array_equal(got.hull_sources, want.hull_sources)
+
+
+def _cells(variant, channel, config):
+    blocks = optimizer._blocks(variant, channel, config)
+    shapes = [reshape or (rows, cols) for _, rows, cols, reshape in blocks]
+    return math.prod(infotheory._joint_shape(variant, shapes, channel))
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("per_block", [None, 3])
+def test_batched_assembly_equals_the_per_scheme_loop(monkeypatch, bound, per_block):
+    variant = _BOUND_TABLES[bound][0]
+    config = SearchConfig(strategy="random", sample_count=5, seed=9,
+                          cardinalities=(2, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotDegradedWarning)
+        for name in TABLE_CHANNELS if per_block is None else ["leaky_wiretap", "random"]:
+            channel = _channel(name)
+            if per_block is not None:
+                # blocks of 3 split the 5 schemes mid-stream
+                monkeypatch.setattr(optimizer, "BLOCK_CELLS",
+                                    per_block * _cells(variant, channel, config))
+            rows = list(optimizer.parameter_rows(variant, channel, config))
+            assert_same_region(assemble_region(channel, bound, config),
+                               reference_region(channel, bound, config, rows))
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_batched_grid_assembly_equals_the_per_scheme_loop(monkeypatch, bound):
+    variant = _BOUND_TABLES[bound][0]
+    channel = fx.leaky_wiretap()
+    # 81 schemes, but only 9 for two_set, whose pieces are 5-D
+    cards = (1, 1, 1) if variant == "two_set" else (1, 2, 1)
+    config = SearchConfig(strategy="grid", cardinalities=cards, grid_resolution=3)
+    monkeypatch.setattr(optimizer, "BLOCK_CELLS", 7 * _cells(variant, channel, config))
+    rows = list(optimizer.parameter_rows(variant, channel, config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotDegradedWarning)
+        assert_same_region(assemble_region(channel, bound, config),
+                           reference_region(channel, bound, config, rows))
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_provenance_holds_the_normalized_tables(monkeypatch, bound):
+    # raw rows off mass one by 3e-10: the documents must hold the tables
+    # as normalized, which differ from the raw rows in their last bits
+    variant = _BOUND_TABLES[bound][0]
+    channel = _channel("random")
+    config = SearchConfig(strategy="random", sample_count=4, seed=3,
+                          cardinalities=(2, 2, 2))
+    rows = [r * (1 + 3e-10) for r in optimizer.parameter_rows(variant, channel, config)]
+    monkeypatch.setattr(optimizer, "parameter_rows", lambda *args: iter(rows))
+    got = assemble_region(channel, bound, config)
+    want = reference_region(channel, bound, config, rows)
+    assert got.provenance
+    assert_same_region(got, want)

@@ -68,6 +68,11 @@ class TestCodebook:
             build_codebook(binary_degraded, 2, 1, 2, 1, 1, 1,
                            ([0.4, 0.4], [1.0]), seed=1)
 
+    def test_nan_input_dist_is_rejected(self, binary_degraded):
+        with pytest.raises(ValueError, match="sums to nan"):
+            build_codebook(binary_degraded, 2, 1, 2, 1, 1, 1,
+                           ([0.5, float("nan")], [1.0]), seed=1)
+
     def test_size_validation(self, binary_degraded):
         with pytest.raises(ValueError):
             build_codebook(binary_degraded, 0, 1, 2, 1, 1, 1,
