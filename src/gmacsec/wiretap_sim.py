@@ -174,15 +174,12 @@ def _distinct(words: np.ndarray):
     (M0, Mw, k) with counts[w0, w] summing to the bin size.
     """
     m0, mw, j, n = words.shape
-    flat = words.reshape(-1, n)
-    seqs, inverse = np.unique(flat, axis=0, return_inverse=True)
+    seqs, inverse = np.unique(words.reshape(-1, n), axis=0, return_inverse=True)
     k = seqs.shape[0]
-    counts = np.zeros((m0, mw, k), dtype=np.int64)
-    inverse = inverse.reshape(m0, mw, j)
-    for a in range(m0):
-        for b in range(mw):
-            counts[a, b] = np.bincount(inverse[a, b], minlength=k)
-    return seqs, counts
+    # one bincount: row r = (w0, w) owns the slots r*k .. r*k + k - 1
+    slots = inverse.reshape(m0 * mw, j) + k * np.arange(m0 * mw)[:, None]
+    counts = np.bincount(slots.ravel(), minlength=m0 * mw * k)
+    return seqs, counts.reshape(m0, mw, k)
 
 
 def _sequence_likelihoods(first_seqs: np.ndarray, second_seqs: np.ndarray,
@@ -193,15 +190,27 @@ def _sequence_likelihoods(first_seqs: np.ndarray, second_seqs: np.ndarray,
     output letter). The result has shape (len(first), len(second), m**n)
     with output sequences in big-endian symbol order: the first channel use
     is the most significant digit of the sequence index.
+
+    Step t extends the (ka, kb, m**t) prefix table by one use, one output
+    letter y at a time: the slab of entries whose last digit is y is the
+    prefix times the letter probability, written by one multiply whose
+    inner loop runs over the m**t prefixes. Every entry is therefore
+    ((1 * p_1) * p_2) * ... * p_n, multiplied left to right in the order of
+    the channel uses, so the table does not depend on how the steps are
+    vectorized.
     """
     ka = first_seqs.shape[0]
     kb = second_seqs.shape[0]
     n = first_seqs.shape[1]
-    out = np.ones((ka, kb, 1))
+    m = kernel.shape[2]
+    prefix = np.ones((ka, kb, 1))
     for t in range(n):
         step = kernel[first_seqs[:, t][:, None], second_seqs[None, :, t], :]
-        out = (out[:, :, :, None] * step[:, :, None, :]).reshape(ka, kb, -1)
-    return out
+        grown = np.empty(prefix.shape + (m,))
+        for y in range(m):
+            np.multiply(prefix, step[:, :, y:y + 1], out=grown[:, :, :, y])
+        prefix = grown.reshape(ka, kb, -1)
+    return prefix
 
 
 def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
@@ -225,6 +234,7 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     seqs1, counts1 = _distinct(codebook.x1_words)
     seqs2, counts2 = _distinct(codebook.x2_words)
     _guard(seqs1.shape[0] * seqs2.shape[0] * ny, "pairwise likelihood table")
+    _guard(codebook.M1 * seqs2.shape[0] * ny, "decoder partial table")
     pair = _sequence_likelihoods(seqs1, seqs2, kernel)
     w1_frac = counts1 / codebook.J1
     w2_frac = counts2 / codebook.J2

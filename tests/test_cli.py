@@ -488,6 +488,20 @@ class TestSimulate:
         assert set(manifest["outputs"]) == {"report_json", "report_csv"}
         assert json.loads(capsys.readouterr().out)["aggregate"] == doc["aggregate"]
 
+    def test_csv_bytes_are_pinned(self, channel_files, tmp_path, capsys):
+        sim = {"n": 10, "M0": 1, "M1": 16, "M2": 1, "J1": 4, "J2": 1,
+               "input_dist": [[0.5, 0.5], [1.0]], "seeds": [1, 2, 3]}
+        cfg = _write_json(tmp_path / "sim.json", sim)
+        csv = tmp_path / "report.csv"
+        assert main(["simulate", cfg,
+                     "--channel", str(channel_files["binary_degraded"]),
+                     "--csv", str(csv)]) == 0
+        assert csv.read_bytes() == (
+            b"seed,error_probability,equivocation_user2,equivocation_user1,R0,R1,R2\n"
+            b"1,0.327344223,0.254807538,0,0,0.4,0\n"
+            b"2,0.348432275,0.262102501,0,0,0.4,0\n"
+            b"3,0.339932722,0.251425215,0,0,0.4,0\n")
+
     def test_missing_and_unknown_keys(self, channel_files, tmp_path, capsys):
         incomplete = {k: v for k, v in self.SIM.items() if k != "seeds"}
         cfg = _write_json(tmp_path / "a.json", incomplete)

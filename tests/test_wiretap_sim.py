@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmacsec import (
     Codebook,
@@ -14,6 +15,7 @@ from gmacsec import (
     validate_channel,
 )
 from gmacsec import fixtures as fx
+from gmacsec.wiretap_sim import _sequence_likelihoods
 
 UNIFORM_PAIR = ([0.5, 0.5], [0.5, 0.5])
 
@@ -220,3 +222,85 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(binary_degraded, 2, 1, 2, 1, 1, 1,
                      ([0.5, 0.5], [1.0]), seeds=[])
+
+
+def _broadcast_likelihoods(first_seqs, second_seqs, kernel):
+    """Reference recursion: grow the table one channel use at a time by an
+    outer product with that use's letter probabilities."""
+    ka, kb, n = first_seqs.shape[0], second_seqs.shape[0], first_seqs.shape[1]
+    out = np.ones((ka, kb, 1))
+    for t in range(n):
+        step = kernel[first_seqs[:, t][:, None], second_seqs[None, :, t], :]
+        out = (out[:, :, :, None] * step[:, :, None, :]).reshape(ka, kb, -1)
+    return out
+
+
+@st.composite
+def _likelihood_cases(draw):
+    ka, kb = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    sx1, sx2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kernel = rng.dirichlet(np.ones(m), size=(sx1, sx2))
+    return (rng.integers(0, sx1, size=(ka, n)),
+            rng.integers(0, sx2, size=(kb, n)), kernel)
+
+
+class TestSequenceLikelihoods:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(_likelihood_cases())
+    def test_matches_the_broadcast_recursion_bitwise(self, case):
+        first, second, kernel = case
+        got = _sequence_likelihoods(first, second, kernel)
+        assert np.array_equal(got, _broadcast_likelihoods(first, second, kernel))
+
+
+# float.hex of (error_probability, equivocation_user2, equivocation_user1)
+# per seed, recorded with the broadcast recursion of _broadcast_likelihoods
+PINNED_BINARY_DEGRADED = {
+    1: ("0x1.4f3352f411e18p-2", "0x1.04ec44686e086p-2", "0x0.0p+0"),
+    2: ("0x1.64cb6e1f9bbb0p-2", "0x1.0c649919355a0p-2", "0x0.0p+0"),
+    3: ("0x1.5c1752ca2ac56p-2", "0x1.01759c8a3fdf6p-2", "0x0.0p+0"),
+    4: ("0x1.4ed413a38df34p-2", "0x1.00163243668d0p-2", "0x0.0p+0"),
+    5: ("0x1.5344e0ff90976p-2", "0x1.05810644437bdp-2", "0x0.0p+0"),
+    6: ("0x1.6ba371e1851a8p-2", "0x1.059d5fae05bfdp-2", "0x0.0p+0"),
+}
+PINNED_RANDOM_CHANNEL = {
+    1: ("0x1.cde7166a40271p-1", "0x1.949e85c507388p-2", "0x1.fea0f51eb04c0p-3"),
+    2: ("0x1.cca80089b0677p-1", "0x1.9381d63de7e18p-2", "0x1.fe78ccbcf4600p-3"),
+    3: ("0x1.cc22abf2afd12p-1", "0x1.935657d98f7b8p-2", "0x1.fe487c56de4b8p-3"),
+}
+
+
+def _hex_reports(reports):
+    return {r.seed: (r.error_probability.hex(), r.equivocation_user2.hex(),
+                     r.equivocation_user1.hex()) for r in reports}
+
+
+class TestPinnedReports:
+    def test_binary_degraded_mid_size(self, binary_degraded):
+        reports, _ = simulate(binary_degraded, 10, 1, 16, 1, 4, 1,
+                              ([0.5, 0.5], [1.0]), seeds=range(1, 7))
+        assert _hex_reports(reports) == PINNED_BINARY_DEGRADED
+
+    def test_ternary_outputs_and_both_senders_binned(self):
+        channel = fx.random_channel((2, 2, 3, 2, 3), np.random.default_rng(5))
+        reports, _ = simulate(channel, 4, 2, 3, 2, 2, 2,
+                              ([0.4, 0.6], [0.5, 0.5]), seeds=range(1, 4))
+        assert _hex_reports(reports) == PINNED_RANDOM_CHANNEL
+
+
+def test_decoder_partial_table_is_guarded(monkeypatch, clean_mac):
+    # 100 sender-1 messages against 4 distinct sender-2 words at n = 2:
+    # the triple table has 1,600 states and the pairwise table 256, but
+    # the per-w0 partial sum over sender 1's bins holds 100 * 4 * 16
+    monkeypatch.setenv("GMAC_MAX_STATES", "2000")
+    x1 = np.zeros((1, 100, 1, 2), dtype=np.int64)
+    x1[0, :, 0, :] = np.arange(100)[:, None] >> np.array([1, 0]) & 1
+    x2 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]],
+                  dtype=np.int64).reshape(1, 1, 4, 2)
+    book = Codebook(n=2, M0=1, M1=100, M2=1, J1=1, J2=4,
+                    size_x1=2, size_x2=2, x1_words=x1, x2_words=x2)
+    with pytest.raises(EnumerationTooLarge, match="6400 states"):
+        exact_error_probability(book, clean_mac)
