@@ -33,7 +33,6 @@ from .errors import (
     InternalError,
     NegativeProbability,
     NotDegradedWarning,
-    PieceExplosion,
     RowSumViolation,
     SolverStall,
     Unbounded,
@@ -93,7 +92,6 @@ from .regions import (
     region_contains,
     region_support,
     slice_piece,
-    template,
 )
 from .two_set import (
     equivocation_set_explicit,

@@ -33,7 +33,6 @@ from .errors import (
     GmacError,
     GridTooLarge,
     InternalError,
-    PieceExplosion,
     SolverStall,
     Unbounded,
     VertexEnumerationOverflow,
@@ -58,8 +57,7 @@ _BOUND_ALIASES = {
     "secrecy2": "secrecy-two-set",
 }
 
-_GUARD_ERRORS = (GridTooLarge, EnumerationTooLarge, VertexEnumerationOverflow,
-                 PieceExplosion)
+_GUARD_ERRORS = (GridTooLarge, EnumerationTooLarge, VertexEnumerationOverflow)
 _INTERNAL_ERRORS = (InternalError, SolverStall, Unbounded)
 
 _SIM_KEYS = ("n", "M0", "M1", "M2", "J1", "J2", "input_dist", "seeds")

@@ -5,6 +5,7 @@ mean the requested computation would exceed a resource ceiling and was refused
 up front. InternalError marks a broken invariant inside our own code.
 """
 
+import numbers
 import os
 
 
@@ -44,10 +45,6 @@ class VertexEnumerationOverflow(GmacError):
     """Vertex enumeration would exceed the configured ceiling."""
 
 
-class PieceExplosion(GmacError):
-    """Positive-part expansion would produce too many polytope pieces."""
-
-
 class GridTooLarge(GmacError):
     """A grid enumeration would exceed the configured ceiling."""
 
@@ -63,6 +60,15 @@ class InternalError(GmacError):
 class NotDegradedWarning(UserWarning):
     """Degraded-channel formulas were evaluated on a channel that did not
     certify as stochastically degraded."""
+
+
+def whole_number(name: str, value) -> int:
+    """value as an int; a boolean or a fractional value raises ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 DEFAULT_MAX_STATES = 10_000_000

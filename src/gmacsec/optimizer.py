@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import ChannelSpec, check_stochastically_degraded
-from .errors import GridTooLarge
+from .errors import GridTooLarge, whole_number
 from . import one_set as _one
 from . import two_set as _two
 from .infotheory import _SCHEME_FIELDS, _joint_shape, _scheme_doc
@@ -59,7 +59,7 @@ class SearchConfig:
     refine_step: float = 0.25
 
     def __post_init__(self):
-        cards = tuple(int(c) for c in self.cardinalities)
+        cards = tuple(whole_number("cardinality", c) for c in self.cardinalities)
         if len(cards) != 3 or any(c < 1 for c in cards):
             raise ValueError(f"cardinalities must be three ints >= 1: {cards}")
         object.__setattr__(self, "cardinalities", cards)
@@ -105,33 +105,26 @@ def full_cardinalities(channel: ChannelSpec, degraded: bool = False) -> tuple[in
 
 
 def _blocks(variant: str, channel: ChannelSpec, config: SearchConfig):
-    """Simplex blocks (name, rows, cols, reshape) for one scheme variant, in
-    the order of its fields.
+    """Simplex blocks (name, rows, cols, shape) for one scheme variant, in
+    the order of its fields; shape has one entry per letter of the field.
 
-    reshape gives the final array shape when it differs from (rows, cols);
-    p_q_x2 is sampled as a single long simplex and folded into its matrix.
+    A "_given_" table has a simplex row per value of its leading letters
+    over its last letter; a joint table, such as p_q_x2, is one simplex.
     """
     if variant not in _SCHEME_FIELDS:
         raise ValueError(f"unknown scheme variant {variant!r}")
-    nq, nu, nv = config.cardinalities
-    nx1, nx2 = channel.size_x1, channel.size_x2
-    shapes = {
-        "p_q": (1, nq, (nq,)),
-        "p_q_x2": (1, nq * nx2, (nq, nx2)),
-        "p_u_given_q": (nq, nu, None),
-        "p_x1_given_u": (nu, nx1, None),
-        "p_v_given_q": (nq, nv, None),
-        "p_x2_given_v": (nv, nx2, None),
-        "p_x1_given_q": (nq, nx1, None),
-    }
-    return [(name, *shapes[name]) for name in _SCHEME_FIELDS[variant].fields]
+    size = dict(zip("quvxt", (*config.cardinalities, channel.size_x1, channel.size_x2)))
+    blocks = []
+    for name in _SCHEME_FIELDS[variant].fields:
+        shape = tuple(size[c] for c in _SCHEME_FIELDS[variant].letters[name])
+        rows = math.prod(shape[:-1]) if "_given_" in name else 1
+        blocks.append((name, rows, math.prod(shape) // rows, shape))
+    return blocks
 
 
 def _build(variant, blocks, arrays):
-    kwargs = {}
-    for (name, rows, cols, reshape), arr in zip(blocks, arrays):
-        arr = np.asarray(arr, dtype=float)
-        kwargs[name] = arr.reshape(reshape) if reshape is not None else arr
+    kwargs = {name: np.asarray(arr, dtype=float).reshape(shape)
+              for (name, rows, cols, shape), arr in zip(blocks, arrays)}
     return _SCHEME_FIELDS[variant].cls(**kwargs)
 
 
@@ -140,7 +133,7 @@ def _split(params: np.ndarray, blocks) -> list:
     of shape (..., rows, cols)."""
     out = []
     pos = 0
-    for name, rows, cols, reshape in blocks:
+    for name, rows, cols, shape in blocks:
         block = params[..., pos:pos + rows * cols]
         out.append(block.reshape(*params.shape[:-1], rows, cols))
         pos += rows * cols
@@ -169,7 +162,7 @@ def _grid_rows(blocks, config: SearchConfig):
     """Parameter rows of the grid, in row-major order of the simplex rows."""
     row_grids = []
     total = 1
-    for name, rows, cols, reshape in blocks:
+    for name, rows, cols, shape in blocks:
         grid = _simplex_grid(cols, config.grid_resolution)
         for _ in range(rows):
             row_grids.append(grid)
@@ -187,7 +180,7 @@ def _random_rows(blocks, config: SearchConfig, count: int):
     rng = np.random.default_rng(config.seed)
     for _ in range(count):
         yield np.concatenate([rng.dirichlet(np.ones(cols), size=rows).ravel()
-                              for name, rows, cols, reshape in blocks])
+                              for name, rows, cols, shape in blocks])
 
 
 def parameter_rows(variant: str, channel: ChannelSpec, config: SearchConfig):
@@ -233,7 +226,7 @@ def sample_schemes_random(variant: str, channel: ChannelSpec, config: SearchConf
 
 def _scheme_rows(scheme, blocks):
     rows = []
-    for name, nrows, cols, reshape in blocks:
+    for name, nrows, cols, shape in blocks:
         arr = np.asarray(getattr(scheme, name), dtype=float).reshape(nrows, cols)
         rows.append(arr)
     return rows
@@ -291,11 +284,8 @@ BLOCK_CELLS = 1 << 18
 def _normalized(raw: np.ndarray, blocks) -> list:
     """The stacked tables of a block of parameter rows, each simplex row
     divided by its sum as the scheme dataclasses divide it."""
-    tables = []
-    for (name, rows, cols, reshape), arr in zip(blocks, _split(raw, blocks)):
-        arr = arr / arr.sum(axis=2, keepdims=True)
-        tables.append(arr.reshape(len(raw), *reshape) if reshape is not None else arr)
-    return tables
+    return [(arr / arr.sum(axis=2, keepdims=True)).reshape(len(raw), *shape)
+            for (name, rows, cols, shape), arr in zip(blocks, _split(raw, blocks))]
 
 
 def _row_blocks(variant: str, channel: ChannelSpec, config: SearchConfig):
@@ -306,8 +296,7 @@ def _row_blocks(variant: str, channel: ChannelSpec, config: SearchConfig):
     scheme once, where parameter_rows yields it.
     """
     blocks = _blocks(variant, channel, config)
-    shapes = [reshape or (rows, cols) for name, rows, cols, reshape in blocks]
-    cells = math.prod(_joint_shape(variant, shapes, channel))
+    cells = math.prod(_joint_shape(variant, [shape for *_, shape in blocks], channel))
     stream = parameter_rows(variant, channel, config)
     while raw := list(itertools.islice(stream, max(1, BLOCK_CELLS // cells))):
         raw = np.array(raw)

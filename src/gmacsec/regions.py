@@ -2,14 +2,15 @@
 
 A RatePolytope is {x >= 0 : A x <= b} over named rate coordinates;
 nonnegativity of every coordinate is always implicit and never appears in A.
-Bound constructions with [.]_+ brackets are expressed as templates whose
-clipped constraints are expanded into a union of plain polytopes by
-clip_plus_split. Regions are unions of pieces, optionally convexified into a
-cached vertex cloud.
+A row with a [.]_+ bracket makes a union of plain polytopes: clip_plus_split
+expands numeric rows into one. Regions are unions of pieces, optionally
+convexified into a cached vertex cloud.
 
 Each bound the package builds is a BoundTable: fixed constraint rows whose
-right-hand sides are signed sums of information terms, turned into
-pieces per scheme by bound_pieces.
+right-hand sides are signed sums of information terms. The table expands
+its brackets once, when it is built, into plain pieces whose coefficient
+matrices every scheme shares; bound_pieces fills in one scheme's
+right-hand sides.
 
 Because every piece is pointed, emptiness and support queries are answered
 from its vertices, which each piece enumerates once from subsystem inverses
@@ -223,76 +224,61 @@ def slice_piece(piece: RatePolytope, fixed: dict) -> RatePolytope:
     return RatePolytope(new_coords, new_A, new_b)
 
 
-@dataclass(frozen=True)
-class ClippedConstraint:
-    """lhs . x <= [affine . x + const]_+ inside a template."""
-
-    lhs: np.ndarray
-    affine: np.ndarray
-    const: float
+def _at_zero(c: float) -> float:
+    """[c]_+ of a constant; a zero keeps its sign."""
+    return c if c >= 0 else 0.0
 
 
-@dataclass(frozen=True)
-class PolytopeTemplate:
-    """Plain constraints plus positive-part constraints, pre-expansion."""
+def _expand(plain, clipped, at_zero):
+    """Positive-part expansion of one family of rows: the plain pieces, each
+    a list of (coefficients, bound) pairs, with the bounds left as given.
 
-    coords: tuple[str, ...]
-    plain: tuple
-    clipped: tuple
-
-
-def template(coords, plain, clipped) -> PolytopeTemplate:
-    coords = tuple(coords)
-    d = len(coords)
-    plain_t = tuple(
-        (np.asarray(c, dtype=float), float(v)) for c, v in plain
-    )
-    clipped_t = []
-    for lhs, affine, const in clipped:
-        lhs = np.asarray(lhs, dtype=float)
-        affine = np.asarray(affine, dtype=float)
-        if lhs.shape != (d,) or affine.shape != (d,):
-            raise ValueError("clipped constraint width mismatch")
-        clipped_t.append(ClippedConstraint(lhs, affine, float(const)))
-    return PolytopeTemplate(coords, plain_t, tuple(clipped_t))
+    plain holds (coefficients, bound) pairs and clipped (lhs, affine, bound)
+    triples, one per lhs.x <= [affine.x + bound]_+. x satisfies such a row
+    exactly when lhs.x <= affine.x + bound or lhs.x <= 0, so a bracket with
+    coordinates inside doubles the piece count: its row becomes
+    (lhs - affine, bound) or (lhs, 0.0), branches taken in itertools.product
+    order. A bracket with no coordinate inside becomes (lhs, at_zero(bound)).
+    """
+    base, branching = list(plain), []
+    for lhs, affine, bound in clipped:
+        if np.max(np.abs(affine)) <= 1e-15:
+            base.append((lhs, at_zero(bound)))
+        else:
+            branching.append((lhs, affine, bound))
+    return [base + [(lhs, 0.0) if zero else (lhs - affine, bound)
+                    for zero, (lhs, affine, bound) in zip(choice, branching)]
+            for choice in itertools.product((0, 1), repeat=len(branching))]
 
 
-def clip_plus_split(tmpl: PolytopeTemplate, drop_empty: bool = True):
+def clip_plus_split(coords, plain, clipped, drop_empty: bool = True):
     """Expand positive-part constraints into a union of plain polytopes.
 
-    x satisfies lhs.x <= [g(x)]_+ exactly when lhs.x <= g(x) or lhs.x <= 0,
-    so each clipped constraint with variables inside the bracket doubles the
-    piece count. A bracket with no variable content is resolved in place:
-    nonnegative constant c gives the single constraint lhs.x <= c, negative c
-    gives lhs.x <= 0. Empty pieces are dropped unless drop_empty is False.
+    plain holds (coefficients, bound) pairs and clipped (lhs, affine, const)
+    triples, one per lhs.x <= [affine.x + const]_+; the pieces are
+    _expand's, so a bracket with no coordinate inside gives lhs.x <= c for
+    a nonnegative c and lhs.x <= 0 for a negative one. Empty pieces are
+    dropped unless drop_empty is False.
     """
-    base = list(tmpl.plain)
-    branching = []
-    for cc in tmpl.clipped:
-        if np.max(np.abs(cc.affine)) <= 1e-15:
-            if cc.const >= 0:
-                base.append((cc.lhs, cc.const))
-            else:
-                base.append((cc.lhs, 0.0))
-        else:
-            branching.append(cc)
-    pieces = []
-    for choice in itertools.product((0, 1), repeat=len(branching)):
-        pairs = list(base)
-        for take_affine, cc in zip(choice, branching):
-            if take_affine == 0:
-                pairs.append((cc.lhs - cc.affine, cc.const))
-            else:
-                pairs.append((cc.lhs, 0.0))
-        piece = polytope(tmpl.coords, pairs)
-        if drop_empty and piece_is_empty(piece):
-            continue
-        pieces.append(piece)
-    return pieces
+    coords = tuple(coords)
+    rows = [(np.asarray(lhs, dtype=float), np.asarray(affine, dtype=float), float(c))
+            for lhs, affine, c in clipped]
+    if any(r[0].shape != (len(coords),) or r[1].shape != (len(coords),) for r in rows):
+        raise ValueError("clipped constraint width mismatch")
+    plain = [(np.asarray(c, dtype=float), float(v)) for c, v in plain]
+    pieces = [polytope(coords, pairs) for pairs in _expand(plain, rows, _at_zero)]
+    return [p for p in pieces if not (drop_empty and piece_is_empty(p))]
 
 
 # one signed name of a sum: "+ b", "- R0", or "0" for nothing
 _SIGNED = re.compile(r"\s*([+-]?)\s*([A-Za-z]\w*|0)\s*")
+
+
+@dataclass(frozen=True)
+class _AtZero:
+    """The rule of a bracket with no coordinate inside: terms clipped at 0."""
+
+    terms: tuple
 
 
 class BoundTable:
@@ -303,9 +289,13 @@ class BoundTable:
     for a clipped row. Names among coords are coordinates; every other name
     is a term, one of columns: the (N, k) matrix that terms(*tables,
     channel) gives for the stacked tables of N schemes has one column per
-    term, in that order. "0" stands for an empty sum. Each family of rows
-    is one template. A scheme whose guard, a signed sum of terms, is
-    negative has no piece.
+    term, in that order. "0" stands for an empty sum. A scheme whose guard,
+    a signed sum of terms, is negative has no piece.
+
+    Each family of rows is expanded once, here, by _expand: pieces holds,
+    per plain piece, its read-only coefficient matrix, shared by every
+    scheme, and the index into rules of each row's bound. A rule is the
+    row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
     """
 
     def __init__(self, coords, terms, columns, families, guard="0"):
@@ -314,11 +304,16 @@ class BoundTable:
         self.columns = tuple(columns)
         self.guard = self._split(guard)[1]
         self.families = tuple(tuple(self._row(r) for r in fam) for fam in families)
-        # branching clipped rows per family: 2^k plain pieces at most
-        self.max_pieces = sum(
-            2 ** sum(1 for _, affine, _ in fam if affine is not None and affine.any())
-            for fam in self.families
-        )
+        rules, pieces = {}, []                # rule -> its index; (A, index) per piece
+        for fam in self.families:
+            plain = [(lhs, terms) for lhs, affine, terms in fam if affine is None]
+            for pairs in _expand(plain, [r for r in fam if r[1] is not None], _AtZero):
+                A = np.array([lhs for lhs, _ in pairs]).reshape(len(pairs), len(self.coords))
+                index = np.array([rules.setdefault(r, len(rules)) for _, r in pairs], np.intp)
+                A.setflags(write=False)
+                index.setflags(write=False)
+                pieces.append((A, index))
+        self.rules, self.pieces = tuple(rules), tuple(pieces)
 
     def terms(self, tables, channel) -> dict:
         """The named term columns of N schemes, each of shape (N,), from
@@ -364,20 +359,24 @@ def _evaluate(signed_terms, values) -> float:
                             [sign * values[name] for sign, name in signed_terms])
 
 
+def _fill(rule, values) -> float:
+    """The bound a BoundTable rule gives for these term values."""
+    if isinstance(rule, tuple):
+        return _evaluate(rule, values)
+    if isinstance(rule, _AtZero):
+        return _at_zero(_evaluate(rule.terms, values))
+    return rule
+
+
 def bound_pieces(table: BoundTable, values: dict, drop_empty: bool = True):
-    """The table's families as templates, with the term values filled in,
-    each expanded by clip_plus_split, in order."""
+    """The table's pieces, in order, with their bounds filled in from the
+    term values; none when the guard is negative. Empty pieces are dropped
+    unless drop_empty is False."""
     if _evaluate(table.guard, values) < 0:
         return []
-    pieces = []
-    for fam in table.families:
-        pieces.extend(clip_plus_split(template(
-            table.coords,
-            plain=[(lhs, _evaluate(rhs, values)) for lhs, aff, rhs in fam if aff is None],
-            clipped=[(lhs, aff, _evaluate(rhs, values))
-                     for lhs, aff, rhs in fam if aff is not None],
-        ), drop_empty=drop_empty))
-    return pieces
+    bounds = np.array([_fill(rule, values) for rule in table.rules], dtype=float)
+    pieces = [RatePolytope(table.coords, A, bounds[index]) for A, index in table.pieces]
+    return [p for p in pieces if not (drop_empty and piece_is_empty(p))]
 
 
 @functools.lru_cache(maxsize=16)

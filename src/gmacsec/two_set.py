@@ -27,15 +27,12 @@ import math
 import numpy as np
 
 from .channel import ChannelSpec
-from .errors import PieceExplosion
 from .infotheory import SchemeTwoSet, _stack_of_one, stacked_joint, stacked_mutual_information
 from .regions import BoundTable, RatePolytope, bound_pieces
 
 COORDS_MAC = ("R0", "R1", "R2")
 COORDS_EQ = ("R1e", "R2e")
 COORDS_FULL = ("R0", "R1", "R2", "R1e", "R2e")
-
-MAX_PIECES = 64
 
 
 TERMS = ("m1", "m2", "m12", "mt", "e1", "e2")
@@ -165,20 +162,14 @@ def equivocation_set_oracle(scheme: SchemeTwoSet, channel: ChannelSpec,
     return np.array(points)
 
 
-def two_set_region_piece(scheme: SchemeTwoSet, channel: ChannelSpec,
-                         max_pieces: int = MAX_PIECES):
+def two_set_region_piece(scheme: SchemeTwoSet, channel: ChannelSpec):
     """Full achievable pieces in (R0, R1, R2, R1e, R2e) for one scheme.
 
-    The fixed-rate equivocation caps become clipped constraints with the
-    rates inside the brackets, so the three constraint families expand into
-    at most 2^5 + 2^2 + 2^2 plain pieces before empty ones are dropped.
-    Raises PieceExplosion if a larger expansion is requested via max_pieces.
+    The fixed-rate equivocation caps are clipped rows with the rates inside
+    the brackets. TWO_SET expands its three families once, when it is
+    built, into 2^5 + 2^2 + 2^2 = 40 plain pieces; the scheme's terms fill
+    in their bounds, and empty pieces are dropped.
     """
-    if TWO_SET.max_pieces > max_pieces:
-        raise PieceExplosion(
-            f"expansion would produce up to {TWO_SET.max_pieces} pieces, "
-            f"cap is {max_pieces}"
-        )
     return bound_pieces(TWO_SET, two_set_terms(scheme, channel))
 
 

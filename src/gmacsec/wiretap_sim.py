@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSpec, marginal_kernel
-from .errors import EnumerationTooLarge, InternalError, max_states
+from .errors import EnumerationTooLarge, InternalError, max_states, whole_number
 from .infotheory import JointPMF, entropy
 
 
@@ -143,15 +143,16 @@ def build_codebook(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,
     input_dist is a pair of per-letter distributions, one over sender 1's
     alphabet and one over sender 2's. Sender 1's words are drawn first,
     then sender 2's, from a single generator seeded with seed, so the whole
-    codebook is a pure function of its arguments.
+    codebook is a pure function of its arguments. Counts and seed must be
+    whole numbers.
     """
-    n = int(n)
+    n, M0, M1, M2, J1, J2, seed = (
+        whole_number(name, value) for name, value in zip(
+            ("n", "M0", "M1", "M2", "J1", "J2", "seed"), (n, M0, M1, M2, J1, J2, seed)))
     if n < 1:
         raise ValueError("blocklength n must be at least 1")
-    sizes = (M0, M1, M2, J1, J2)
-    if any(int(m) < 1 for m in sizes):
+    if min(M0, M1, M2, J1, J2) < 1:
         raise ValueError("message and bin counts must be positive integers")
-    M0, M1, M2, J1, J2 = (int(m) for m in sizes)
     total = (channel.size_x1 ** n) * (channel.size_x2 ** n) * M0 * M1 * M2 * J1 * J2
     _guard(total, "codebook enumeration")
     p1, p2 = input_dist
@@ -163,7 +164,7 @@ def build_codebook(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,
     return Codebook(
         n=n, M0=M0, M1=M1, M2=M2, J1=J1, J2=J2,
         size_x1=channel.size_x1, size_x2=channel.size_x2,
-        x1_words=x1, x2_words=x2, seed=int(seed),
+        x1_words=x1, x2_words=x2, seed=seed,
     )
 
 
@@ -332,7 +333,7 @@ def simulate(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,
     probability and both equivocations. The aggregate dict carries the
     plain means; no variance estimates, since each entry is itself exact.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = [whole_number("seed", s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
     reports = []

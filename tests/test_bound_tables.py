@@ -6,14 +6,17 @@ system out by hand, as the package did before the tables; the pieces built
 from the tables must equal them bit for bit, in the same order.
 """
 
+import functools
+import itertools
+import operator
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gmacsec import (
     NotDegradedWarning,
-    PieceExplosion,
     SchemeOneSetOuter,
     assemble_region,
     clip_plus_split,
@@ -33,7 +36,6 @@ from gmacsec import (
     secrecy_capacity_value,
     secrecy_inner_pieces,
     secrecy_polytope,
-    template,
     two_set_region_piece,
     two_set_terms,
 )
@@ -55,14 +57,42 @@ FULL = ("R0", "R1", "R2", "R1e", "R2e")
 
 # --- hand-written references -------------------------------------------------
 
+def expand_per_scheme(coords, plain, clipped, drop_empty=True):
+    """The positive-part expansion as a loop over one scheme's numeric rows,
+    independent of the package's: a bracket with no coordinate inside is
+    resolved in place (lhs.x <= c for c >= 0, else lhs.x <= 0); the others
+    branch in itertools.product order, 0 giving (lhs - affine, c) and 1
+    giving (lhs, 0.0)."""
+    base, branching = list(plain), []
+    for lhs, affine, c in clipped:
+        lhs, affine = np.asarray(lhs, dtype=float), np.asarray(affine, dtype=float)
+        if np.max(np.abs(affine)) <= 1e-15:
+            base.append((lhs, c if c >= 0 else 0.0))
+        else:
+            branching.append((lhs, affine, c))
+    pieces = []
+    for choice in itertools.product((0, 1), repeat=len(branching)):
+        pairs = list(base)
+        for take_affine, (lhs, affine, c) in zip(choice, branching):
+            if take_affine == 0:
+                pairs.append((lhs - affine, c))
+            else:
+                pairs.append((lhs, 0.0))
+        piece = polytope(coords, pairs)
+        if drop_empty and piece_is_empty(piece):
+            continue
+        pieces.append(piece)
+    return pieces
+
+
 def ref_inner(scheme, channel):
     a, b, d = one_set_terms(scheme, channel)
-    return clip_plus_split(template(
+    return expand_per_scheme(
         EQ,
         plain=[((0.0, 1.0, 0.0), a), ((1.0, 1.0, 0.0), b), ((0.0, -1.0, 1.0), 0.0)],
         clipped=[((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), a - d),
                  ((0.0, 0.0, 1.0), (-1.0, 0.0, 0.0), b - d)],
-    ))
+    )
 
 
 def _outer_rows(a_v, a, b, d):
@@ -144,13 +174,14 @@ def ref_two_set(scheme, channel):
     caps2 = [(vec(r2e=1), z, m2 - e2), (vec(r2e=1), vec(r1=-1), m12 - e2),
              (vec(r2e=1), vec(r0=-1, r1=-1), mt - e2)]
     families = [
-        template(FULL, rates + [(vec(r1=-1, r1e=1), 0.0), (vec(r2=-1, r2e=1), 0.0)],
-                 caps1 + caps2 + [(vec(r1e=1, r2e=1), z, m12 - e1 - e2),
-                                  (vec(r1e=1, r2e=1), vec(r0=-1), mt - e1 - e2)]),
-        template(FULL, rates + [(vec(r2e=1), 0.0), (vec(r1=-1, r1e=1), 0.0)], caps1),
-        template(FULL, rates + [(vec(r1e=1), 0.0), (vec(r2=-1, r2e=1), 0.0)], caps2),
+        (rates + [(vec(r1=-1, r1e=1), 0.0), (vec(r2=-1, r2e=1), 0.0)],
+         caps1 + caps2 + [(vec(r1e=1, r2e=1), z, m12 - e1 - e2),
+                          (vec(r1e=1, r2e=1), vec(r0=-1), mt - e1 - e2)]),
+        (rates + [(vec(r2e=1), 0.0), (vec(r1=-1, r1e=1), 0.0)], caps1),
+        (rates + [(vec(r1e=1), 0.0), (vec(r2=-1, r2e=1), 0.0)], caps2),
     ]
-    return [p for fam in families for p in clip_plus_split(fam)]
+    return [p for plain, clipped in families
+            for p in expand_per_scheme(FULL, plain, clipped)]
 
 
 def ref_secrecy_two_set(scheme, channel):
@@ -286,11 +317,7 @@ def test_assembled_regions_keep_the_reference_pieces(bound, channel):
 # --- table semantics ---------------------------------------------------------
 
 def test_two_set_expansion_count_is_static():
-    assert two_set.TWO_SET.max_pieces == 2 ** 5 + 2 ** 2 + 2 ** 2
-    scheme = fx.uniform_two_set_scheme(fx.clean_mac())
-    with pytest.raises(PieceExplosion):
-        two_set_region_piece(scheme, fx.clean_mac(), max_pieces=39)
-    assert two_set_region_piece(scheme, fx.clean_mac(), max_pieces=40)
+    assert len(two_set.TWO_SET.pieces) == 2 ** 5 + 2 ** 2 + 2 ** 2
 
 
 def test_secrecy_guard_is_exact():
@@ -321,7 +348,7 @@ def test_rows_parse_to_coefficients_and_ordered_terms():
     assert rows[2][1].tolist() == [-1.0, 0.0, 0.0]
     assert rows[2][2] == ((1.0, "b"), (-1.0, "d"), (1.0, "c"))
     assert rows[3][2] == ()
-    assert table.max_pieces == 2
+    assert len(table.pieces) == 2
 
 
 @pytest.mark.parametrize("row", [
@@ -330,3 +357,79 @@ def test_rows_parse_to_coefficients_and_ordered_terms():
 def test_malformed_rows_are_rejected(row):
     with pytest.raises(ValueError):
         BoundTable(("R0", "R1"), None, (), [(row,)])
+
+
+# --- expansion at construction against expansion per scheme ------------------
+
+TABLES = {f"{mod.__name__.rpartition('.')[2]}.{name}": table
+          for mod in (one_set, two_set)
+          for name, table in sorted(vars(mod).items()) if isinstance(table, BoundTable)}
+
+
+def _term_names(table):
+    """Every name the table's right-hand sides and guard read."""
+    sums = [terms for fam in table.families for _, _, terms in fam] + [table.guard]
+    return sorted({name for terms in sums for _, name in terms})
+
+
+def _left_to_right(signed_terms, values):
+    if not signed_terms:
+        return 0.0
+    return functools.reduce(operator.add, [s * values[name] for s, name in signed_terms])
+
+
+def pieces_per_scheme(table, values, drop_empty, expand=expand_per_scheme):
+    """Each family's parsed rows with the values filled in, expanded by
+    expand: the expansion done again for every scheme."""
+    if _left_to_right(table.guard, values) < 0:
+        return []
+    pieces = []
+    for fam in table.families:
+        pieces.extend(expand(
+            table.coords,
+            plain=[(lhs, _left_to_right(rhs, values)) for lhs, aff, rhs in fam if aff is None],
+            clipped=[(lhs, aff, _left_to_right(rhs, values))
+                     for lhs, aff, rhs in fam if aff is not None],
+            drop_empty=drop_empty))
+    return pieces
+
+
+_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0]),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _table_values(draw):
+    name = draw(st.sampled_from(sorted(TABLES)))
+    table = TABLES[name]
+    return name, {term: draw(_VALUE) for term in _term_names(table)}
+
+
+# a bracket constant [a - d]+ of -0.0, 0.0 and below zero, and a negative guard
+@example(("one_set.INNER", {"a": -0.0, "b": 0.5, "d": 0.0}))
+@example(("one_set.INNER", {"a": 0.0, "b": 0.5, "d": 0.0}))
+@example(("one_set.INNER", {"a": 0.25, "b": 0.5, "d": 0.5}))
+@example(("one_set.SECRECY", {"a": 0.25, "b": 1.0, "d": 0.5}))
+@example(("two_set.EQUIVOCATION", {"m1": 0.25, "m2": -0.0, "m12": 0.5, "mt": 0.5,
+                                   "e1": 0.5, "e2": 0.0, "R0": 0.0, "R1": 0.25,
+                                   "R2": -0.0}))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_table_values())
+def test_table_pieces_equal_the_expansion_per_scheme(case):
+    name, values = case
+    table = TABLES[name]
+    for drop_empty in (False, True):
+        want = pieces_per_scheme(table, values, drop_empty)
+        assert_same_pieces(bound_pieces(table, values, drop_empty=drop_empty), want)
+        assert_same_pieces(pieces_per_scheme(table, values, drop_empty, clip_plus_split), want)
+
+
+def test_table_matrices_are_built_once_and_read_only():
+    for table in TABLES.values():
+        names = _term_names(table)
+        first = bound_pieces(table, dict.fromkeys(names, 0.5), drop_empty=False)
+        second = bound_pieces(table, dict.fromkeys(names, 0.25), drop_empty=False)
+        assert len(first) == len(second) == len(table.pieces)
+        for (A, index), p, q in zip(table.pieces, first, second):
+            assert p.A is A and q.A is A
+            assert not A.flags.writeable and not index.flags.writeable

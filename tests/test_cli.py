@@ -462,6 +462,14 @@ class TestSecrecyCapacity:
                    "--config", cfg])
         assert rc == 2
 
+    def test_fractional_cardinalities_are_input_errors(self, channel_files, tmp_path,
+                                                       capsys):
+        cfg = _write_json(tmp_path / "cfg.json", {"cardinalities": [2.9, 1.5, 1]})
+        rc = main(["secrecy-capacity", str(channel_files["binary_degraded"]),
+                   "--config", cfg])
+        assert rc == 2
+        assert "whole number" in _stderr_error(capsys)["message"]
+
 
 class TestSimulate:
     SIM = {"n": 2, "M0": 1, "M1": 2, "M2": 1, "J1": 1, "J2": 1,
@@ -513,6 +521,13 @@ class TestSimulate:
         assert main(["simulate", cfg,
                      "--channel", str(channel_files["binary_degraded"])]) == 2
         assert "blocklen" in _stderr_error(capsys)["message"]
+
+    def test_fractional_counts_are_input_errors(self, channel_files, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "sim.json",
+                          {**self.SIM, "n": 4.7, "M1": 2.9, "seeds": [1.5]})
+        rc = main(["simulate", cfg, "--channel", str(channel_files["binary_degraded"])])
+        assert rc == 2
+        assert "whole number" in _stderr_error(capsys)["message"]
 
     def test_blown_state_guard_is_code_three(self, channel_files, tmp_path,
                                              monkeypatch, capsys):

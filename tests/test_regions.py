@@ -19,7 +19,6 @@ from gmacsec import (
     region_contains,
     region_support,
     slice_piece,
-    template,
 )
 
 RR = ("R0", "R1")
@@ -107,12 +106,11 @@ class TestSlice:
 
 class TestClipPlusSplit:
     def test_branching_matches_positive_part_semantics(self):
-        tmpl = template(
+        pieces = clip_plus_split(
             RR,
             plain=[((1.0, 0.0), 1.0)],
             clipped=[((0.0, 1.0), (1.0, 0.0), -0.5)],
         )
-        pieces = clip_plus_split(tmpl)
         assert len(pieces) == 2
 
         def in_union(point):
@@ -124,33 +122,35 @@ class TestClipPlusSplit:
                 assert in_union((x, y)) == expected, (x, y)
 
     def test_constant_bracket_resolves_without_branching(self):
-        negative = template(
+        pieces = clip_plus_split(
             RR, plain=[((1.0, 0.0), 1.0)],
             clipped=[((0.0, 1.0), (0.0, 0.0), -0.25)],
         )
-        pieces = clip_plus_split(negative)
         assert len(pieces) == 1
         assert not piece_contains(pieces[0], (0.5, 0.1))
         assert piece_contains(pieces[0], (0.5, 0.0))
 
-        positive = template(
+        pieces = clip_plus_split(
             RR, plain=[((1.0, 0.0), 1.0)],
             clipped=[((0.0, 1.0), (0.0, 0.0), 0.25)],
         )
-        pieces = clip_plus_split(positive)
         assert len(pieces) == 1
         assert piece_contains(pieces[0], (0.5, 0.25))
         assert not piece_contains(pieces[0], (0.5, 0.3))
 
     def test_empty_branches_are_dropped_unless_asked(self):
-        tmpl = template(
-            RR,
+        rows = dict(
             plain=[((0.0, 1.0), -1.0)],
             clipped=[((1.0, 0.0), (0.0, 1.0), 0.0)],
         )
-        assert clip_plus_split(tmpl) == []
-        kept = clip_plus_split(tmpl, drop_empty=False)
+        assert clip_plus_split(RR, **rows) == []
+        kept = clip_plus_split(RR, **rows, drop_empty=False)
         assert len(kept) == 2
+
+    def test_clipped_rows_must_match_the_coordinates(self):
+        for lhs, affine in (((1.0,), (0.0, 1.0)), ((1.0, 0.0), (0.0, 1.0, 0.0))):
+            with pytest.raises(ValueError, match="width"):
+                clip_plus_split(RR, plain=[], clipped=[(lhs, affine, 0.0)])
 
 
 class TestVertices:

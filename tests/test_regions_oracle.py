@@ -37,7 +37,6 @@ from gmacsec import (
     polytope,
     region_contains,
     slice_piece,
-    template,
 )
 from gmacsec import regions
 from gmacsec.channel import validate_channel
@@ -254,7 +253,7 @@ def test_vertex_support_equals_lp_support(case):
 
 
 @st.composite
-def _templates(draw):
+def _bracketed_rows(draw):
     dim = draw(st.integers(2, 3))
     vec = st.lists(_HALVES, min_size=dim, max_size=dim)
     const = st.integers(-4, 8).map(lambda k: k / 4)
@@ -264,24 +263,24 @@ def _templates(draw):
         # about one bracket in four has no coordinate inside
         affine = draw(st.one_of(vec, st.just([0.0] * dim)))
         clipped.append((draw(vec), affine, draw(const)))
-    return template(NAMES[:dim], plain, clipped)
+    return NAMES[:dim], plain, clipped
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(_templates())
-def test_clip_plus_split_union_is_the_bracketed_template(tmpl):
-    dim = len(tmpl.coords)
+@given(_bracketed_rows())
+def test_clip_plus_split_union_is_the_bracketed_template(rows):
+    coords, plain, clipped = rows
     axis = np.arange(-1, 10) / 4
-    points = np.array(list(itertools.product(axis, repeat=dim)))
-    # membership read straight off the template: x >= 0, plain rows, and
+    points = np.array(list(itertools.product(axis, repeat=len(coords))))
+    # membership read straight off the rows: x >= 0, plain rows, and
     # lhs.x <= [affine.x + const]_+ for every clipped row
     inside = np.all(points >= 0, axis=1)
-    for lhs, bound in tmpl.plain:
-        inside &= points @ lhs <= bound
-    for cc in tmpl.clipped:
-        inside &= points @ cc.lhs <= np.maximum(points @ cc.affine + cc.const, 0.0)
+    for lhs, bound in plain:
+        inside &= points @ np.array(lhs) <= bound
+    for lhs, affine, const in clipped:
+        inside &= points @ np.array(lhs) <= np.maximum(points @ np.array(affine) + const, 0.0)
     union = np.zeros(len(points), dtype=bool)
-    for piece in clip_plus_split(tmpl):
+    for piece in clip_plus_split(coords, plain, clipped):
         union |= np.all(points >= 0, axis=1) & np.all(
             points @ piece.A.T <= piece.b, axis=1)
     assert np.array_equal(union, inside)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gmacsec import (
-    PieceExplosion,
     SchemeTwoSet,
     convexify,
     equivocation_set_explicit,
@@ -201,11 +200,6 @@ class TestFullRegion:
         assert len(pieces) == 40
         assert all(p.coords == ("R0", "R1", "R2", "R1e", "R2e")
                    for p in pieces)
-
-    def test_expansion_budget_guard(self, clean_mac):
-        scheme = fx.uniform_two_set_scheme(clean_mac)
-        with pytest.raises(PieceExplosion):
-            two_set_region_piece(scheme, clean_mac, max_pieces=8)
 
     def test_rate_sum_support(self, clean_mac):
         pieces = two_set_region_piece(fx.uniform_two_set_scheme(clean_mac),

@@ -173,6 +173,12 @@ class TestEquivocation:
         joint = equivocation_joint(book, clean_mac, "user1_about_W2")
         assert joint.variables == ("W0", "W2", "W1", "X1", "Y1")
 
+    def test_one_message_has_zero_equivocation(self, clean_mac):
+        book = build_codebook(clean_mac, 2, 2, 1, 1, 2, 2, UNIFORM_PAIR, seed=3)
+        for case in ("user2_about_W1", "user1_about_W2",
+                     "destination_about_W1", "destination_about_W2"):
+            assert exact_equivocation(book, clean_mac, case).hex() == (0.0).hex()
+
     def test_unknown_case(self, binary_degraded):
         book = build_codebook(binary_degraded, 2, 1, 2, 1, 1, 1,
                               ([0.5, 0.5], [1.0]), seed=0)
@@ -217,6 +223,17 @@ class TestSimulate:
         assert agg["equivocation_user2"] == pytest.approx(
             np.mean([r.equivocation_user2 for r in reports]), abs=1e-15)
         assert [r.seed for r in reports] == [1, 2, 3]
+
+    @pytest.mark.parametrize("field", ["n", "M0", "M1", "M2", "J1", "J2", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_counts_must_be_whole_numbers(self, binary_degraded, field, value):
+        args = dict(n=2, M0=1, M1=2, M2=1, J1=1, J2=1, seeds=[0])
+        if field == "seed":
+            args["seeds"] = [0, value]
+        else:
+            args[field] = value
+        with pytest.raises(ValueError, match="whole number"):
+            simulate(binary_degraded, input_dist=([0.5, 0.5], [1.0]), **args)
 
     def test_empty_seed_list_rejected(self, binary_degraded):
         with pytest.raises(ValueError):
