@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelSpec,
     DegradednessCertificate,
-    MarginalKernel,
     check_physically_degraded,
     check_stochastically_degraded,
     compose_degraded_channel,

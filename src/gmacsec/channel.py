@@ -83,14 +83,6 @@ class ChannelSpec:
 
 
 @dataclass(frozen=True)
-class MarginalKernel:
-    """Single-receiver law p(out | x1, x2), axis order (x1, x2, out)."""
-
-    receiver: str
-    table: np.ndarray
-
-
-@dataclass(frozen=True)
 class DegradednessCertificate:
     """Outcome of a degradedness test.
 
@@ -177,8 +169,9 @@ def save_channel(spec: ChannelSpec, path) -> None:
         fh.write("\n")
 
 
-def marginal_kernel(spec: ChannelSpec, receiver: str) -> MarginalKernel:
-    """Marginalize the transition law onto one receiver's output."""
+def marginal_kernel(spec: ChannelSpec, receiver: str) -> np.ndarray:
+    """Marginalize the transition law onto one receiver's output: the law
+    p(out | x1, x2) as a read-only array, axis order (x1, x2, out)."""
     if receiver == "destination":
         table = spec.prob.sum(axis=(3, 4))
     elif receiver == "user1":
@@ -189,7 +182,7 @@ def marginal_kernel(spec: ChannelSpec, receiver: str) -> MarginalKernel:
         raise ValueError(f"receiver must be one of {RECEIVERS}, got {receiver!r}")
     table = np.ascontiguousarray(table)
     table.setflags(write=False)
-    return MarginalKernel(receiver=receiver, table=table)
+    return table
 
 
 def check_physically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> DegradednessCertificate:
@@ -228,8 +221,8 @@ def check_stochastically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> Degra
     is at most tol. Only the single-output marginals enter, so a channel
     that is physically degraded always passes here too.
     """
-    p_y = marginal_kernel(spec, "destination").table     # (x1, x2, y)
-    p_y2 = marginal_kernel(spec, "user2").table          # (x1, x2, y2)
+    p_y = marginal_kernel(spec, "destination")     # (x1, x2, y)
+    p_y2 = marginal_kernel(spec, "user2")          # (x1, x2, y2)
     nx1, nx2, ny = p_y.shape
     ny2 = p_y2.shape[2]
     nz = ny * nx2 * ny2                                  # witness entries

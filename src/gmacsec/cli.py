@@ -16,7 +16,6 @@ import datetime
 import hashlib
 import json
 import pathlib
-import re
 import sys
 import time
 
@@ -41,6 +40,7 @@ from .infotheory import (
     _assemble_joint,
     entropy,
     mutual_information,
+    parse_query,
     scheme_from_dict,
     scheme_to_dict,
 )
@@ -321,31 +321,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_names(blob: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in blob.split(","))
-    if any(not n for n in names):
-        raise ValueError(f"empty variable name in {blob!r}")
-    return names
-
-
 def _evaluate_query(joint, query: str) -> float:
-    """Evaluate "I(A;B|C)" or "H(A|C)" against an assembled joint.
-
-    Variable groups are comma lists. Asking for the information a group
-    shares with itself returns that group's entropy.
-    """
-    m = re.fullmatch(r"\s*([IH])\s*\((.*)\)\s*", query)
-    if not m:
-        raise ValueError(f"cannot parse query {query!r}")
-    kind, body = m.group(1), m.group(2)
-    head, bar, tail = body.partition("|")
-    given = _parse_names(tail) if bar else ()
-    if kind == "H":
-        return entropy(joint, _parse_names(head), given=given)
-    sides = head.split(";")
-    if len(sides) != 2:
-        raise ValueError(f"I(...) needs exactly two groups, got {head!r}")
-    a, b = _parse_names(sides[0]), _parse_names(sides[1])
+    """Evaluate "I(A;B|C)" or "H(A|C)" (see parse_query) against an
+    assembled joint; the information a group shares with itself is that
+    group's entropy."""
+    letter, *groups = parse_query(query)
+    if letter == "H":
+        return entropy(joint, *groups)
+    a, b, given = groups
     if set(a) == set(b):
         return entropy(joint, a, given=given)
     return mutual_information(joint, a, b, given=given)

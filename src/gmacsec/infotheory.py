@@ -9,11 +9,15 @@ quantities must cancel exactly.
 A JointStack holds N joints over the same variables on a leading axis;
 stacked_mutual_information gives, for each of them, the bits that
 mutual_information gives on that joint alone.
+
+parse_query reads the notation "I(A;B|C)" and "H(A|C)", in which the
+CLI's info queries and the bounds' information terms are written.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +41,7 @@ __all__ = [
     "SchemeDegraded",
     "entropy",
     "mutual_information",
+    "parse_query",
     "stacked_mutual_information",
     "stacked_joint",
     "assemble_joint_one_set",
@@ -244,6 +249,36 @@ def stacked_mutual_information(joint: JointStack, a, b, given=()) -> np.ndarray:
     return np.where(0.0 > value, 0.0, value)
 
 
+_QUERY = re.compile(r"\s*([IH])\s*\((.*)\)\s*")
+
+
+def _names(blob: str) -> tuple[str, ...]:
+    names = tuple(part.strip() for part in blob.split(","))
+    if any(not n for n in names):
+        raise ValueError(f"empty variable name in {blob!r}")
+    return names
+
+
+def parse_query(query: str) -> tuple:
+    """The parts of "I(A;B|C)" or "H(A|C)": ("I", a, b, given) or
+    ("H", a, given), each group a tuple of names.
+
+    Groups are comma lists, and "|C" may be left out (given is then ()).
+    """
+    m = _QUERY.fullmatch(query)
+    if not m:
+        raise ValueError(f"cannot parse query {query!r}")
+    letter, body = m.groups()
+    head, bar, tail = body.partition("|")
+    given = _names(tail) if bar else ()
+    if letter == "H":
+        return "H", _names(head), given
+    sides = head.split(";")
+    if len(sides) != 2:
+        raise ValueError(f"I(...) needs exactly two groups, got {head!r}")
+    return "I", _names(sides[0]), _names(sides[1]), given
+
+
 def _as_prob_array(name, raw, ndim):
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != ndim:
@@ -288,18 +323,6 @@ class _Scheme:
                      else _normalized_joint(f, raw, len(spec.letters[f])))
             object.__setattr__(self, f, table)
         _alphabet_sizes(spec, {f: getattr(self, f).shape for f in spec.fields})
-
-    def _size(self, letter: str) -> int:
-        for f, letters in _SCHEME_FIELDS[_kind_of(self)].letters.items():
-            if letter in letters:
-                return getattr(self, f).shape[letters.index(letter)]
-        raise AttributeError(f"{type(self).__name__} has no {_VARIABLES[letter]}")
-
-    nq = property(lambda self: self._size("q"), doc="|Q|")
-    nu = property(lambda self: self._size("u"), doc="|U|")
-    nv = property(lambda self: self._size("v"), doc="|V|")
-    nx1 = property(lambda self: self._size("x"), doc="|X1|")
-    nx2 = property(lambda self: self._size("t"), doc="|X2|")
 
 
 @dataclass(frozen=True)
@@ -435,6 +458,8 @@ def stacked_joint(kind: str, tables, channel: ChannelSpec) -> JointStack:
     for bit, the joint of scheme i alone (the N = 1 call).
     """
     spec = _SCHEME_FIELDS[kind]
+    if len(tables) != len(spec.fields):
+        raise TypeError(f"a {kind} joint takes {len(spec.fields)} tables, got {len(tables)}")
     _joint_shape(kind, [t.shape[1:] for t in tables], channel)
     by_name = dict(zip(spec.fields, tables))
     w = channel.prob if "w" in spec.out else channel.prob.sum(axis=3)

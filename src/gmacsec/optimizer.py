@@ -26,14 +26,14 @@ from .regions import RateRegion, bound_pieces, convexify, piece_is_empty
 
 GRID_CEILING = 100_000_000
 
-# Each bound: the scheme variant searched, and its constraint table.
+# Each bound's constraint table; its kind is the scheme variant searched.
 _BOUND_TABLES = {
-    "inner-one-set": ("one_set", _one.INNER),
-    "outer-one-set": ("one_set_outer", _one.OUTER),
-    "secrecy-one-set": ("one_set", _one.SECRECY),
-    "degraded": ("degraded", _one.DEGRADED),
-    "two-set": ("two_set", _two.TWO_SET),
-    "secrecy-two-set": ("two_set", _two.SECRECY),
+    "inner-one-set": _one.INNER,
+    "outer-one-set": _one.OUTER,
+    "secrecy-one-set": _one.SECRECY,
+    "degraded": _one.DEGRADED,
+    "two-set": _two.TWO_SET,
+    "secrecy-two-set": _two.SECRECY,
 }
 BOUNDS = tuple(_BOUND_TABLES)
 
@@ -63,6 +63,8 @@ class SearchConfig:
         if len(cards) != 3 or any(c < 1 for c in cards):
             raise ValueError(f"cardinalities must be three ints >= 1: {cards}")
         object.__setattr__(self, "cardinalities", cards)
+        for name in ("grid_resolution", "sample_count", "seed", "refine_iterations"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.strategy not in ("grid", "random", "random+refine"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.grid_resolution < 2:
@@ -175,10 +177,10 @@ def _grid_rows(blocks, config: SearchConfig):
         yield np.concatenate(combo)
 
 
-def _random_rows(blocks, config: SearchConfig, count: int):
+def _random_rows(blocks, config: SearchConfig):
     """Parameter rows drawn flat Dirichlet, block by block, scheme by scheme."""
     rng = np.random.default_rng(config.seed)
-    for _ in range(count):
+    for _ in range(config.sample_count):
         yield np.concatenate([rng.dirichlet(np.ones(cols), size=rows).ravel()
                               for name, rows, cols, shape in blocks])
 
@@ -196,7 +198,7 @@ def parameter_rows(variant: str, channel: ChannelSpec, config: SearchConfig):
     if config.strategy == "grid":
         yield from _grid_rows(blocks, config)
     else:
-        yield from _random_rows(blocks, config, config.sample_count)
+        yield from _random_rows(blocks, config)
 
 
 def enumerate_schemes_grid(variant: str, channel: ChannelSpec, config: SearchConfig):
@@ -211,16 +213,14 @@ def enumerate_schemes_grid(variant: str, channel: ChannelSpec, config: SearchCon
         yield _build(variant, blocks, _split(row, blocks))
 
 
-def sample_schemes_random(variant: str, channel: ChannelSpec, config: SearchConfig,
-                          count: int | None = None):
+def sample_schemes_random(variant: str, channel: ChannelSpec, config: SearchConfig):
     """Sample schemes with every simplex row drawn flat Dirichlet.
 
     The stream is a pure function of the seed; rows are drawn in block
     order, schemes in sequence.
     """
     blocks = _blocks(variant, channel, config)
-    n = config.sample_count if count is None else int(count)
-    for row in _random_rows(blocks, config, n):
+    for row in _random_rows(blocks, config):
         yield _build(variant, blocks, _split(row, blocks))
 
 
@@ -308,9 +308,10 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
                               variant: str = "general"):
     """Best achievable confidential rate at common rate r0 over the search.
 
-    variant "general" searches one-auxiliary schemes and scores them with
-    secrecy_capacity_value; "degraded" searches plain input schemes with the
-    degraded-channel score. Returns (value, scheme).
+    variant "general" scores the one-auxiliary schemes of the SECRECY table
+    (secrecy_capacity_value); "degraded" scores the plain input schemes of
+    DEGRADED_SECRECY (degraded_secrecy_capacity_value). Returns (value,
+    scheme).
 
     The parameter rows are scored in blocks of at most BLOCK_CELLS joint
     cells: one einsum and one entropy pass per block (secrecy_capacities),
@@ -322,18 +323,16 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     """
     config = config or SearchConfig()
     if variant == "general":
-        scheme_variant, terms, scalar_score = (
-            "one_set", _one.stacked_one_set_terms, _one.secrecy_capacity_value)
+        table, scalar_score = _one.SECRECY, _one.secrecy_capacity_value
     elif variant == "degraded":
-        scheme_variant, terms, scalar_score = (
-            "degraded", _one.stacked_degraded_terms, _one.degraded_secrecy_capacity_value)
+        table, scalar_score = _one.DEGRADED_SECRECY, _one.degraded_secrecy_capacity_value
     else:
         raise ValueError(f"variant must be 'general' or 'degraded', got {variant!r}")
     # value, raw row, normalized row, and its key tuple once a tie needs it
     best = None
-    for raw, tables in _row_blocks(scheme_variant, channel, config):
+    for raw, tables in _row_blocks(table.kind, channel, config):
         keys = np.concatenate([t.reshape(len(raw), -1) for t in tables], axis=1)
-        values = _one.secrecy_capacities(terms, tables, channel, r0).tolist()
+        values = _one.secrecy_capacities(table, tables, channel, r0).tolist()
         for i, value in enumerate(values):
             if best is None or value > best[0] + 1e-15:
                 best = [value, raw[i], keys[i], None]
@@ -346,11 +345,11 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     if best is None:
         raise ValueError("empty scheme stream")
     value = best[0]
-    blocks = _blocks(scheme_variant, channel, config)
-    scheme = _build(scheme_variant, blocks, _split(best[1], blocks))
+    blocks = _blocks(table.kind, channel, config)
+    scheme = _build(table.kind, blocks, _split(best[1], blocks))
     if config.strategy == "random+refine" and config.refine_iterations > 0:
         value, scheme = refine_local(lambda s: scalar_score(s, channel, r0), scheme,
-                                     scheme_variant, channel, config)
+                                     table.kind, channel, config)
     return value, scheme
 
 
@@ -369,7 +368,7 @@ def assemble_region(channel: ChannelSpec, bound: str,
     config = config or SearchConfig()
     if bound not in _BOUND_TABLES:
         raise ValueError(f"unknown bound {bound!r}; expected one of {BOUNDS}")
-    variant, table = _BOUND_TABLES[bound]
+    table = _BOUND_TABLES[bound]
     certificate = None
     if bound == "degraded":
         certificate = check_stochastically_degraded(channel)
@@ -378,7 +377,7 @@ def assemble_region(channel: ChannelSpec, bound: str,
     pieces = []
     provenance = []
     dropped = 0
-    for raw, tables in _row_blocks(variant, channel, config):
+    for raw, tables in _row_blocks(table.kind, channel, config):
         columns = {name: col.tolist() for name, col in table.terms(tables, channel).items()}
         for i in range(len(raw)):
             visited += 1
@@ -389,7 +388,7 @@ def assemble_region(channel: ChannelSpec, bound: str,
                     dropped += 1
                     continue
                 if doc is None:
-                    doc = _scheme_doc(variant, [t[i] for t in tables])
+                    doc = _scheme_doc(table.kind, [t[i] for t in tables])
                 pieces.append(piece)
                 provenance.append(doc)
     info = {

@@ -7,10 +7,11 @@ expands numeric rows into one. Regions are unions of pieces, optionally
 convexified into a cached vertex cloud.
 
 Each bound the package builds is a BoundTable: fixed constraint rows whose
-right-hand sides are signed sums of information terms. The table expands
-its brackets once, when it is built, into plain pieces whose coefficient
-matrices every scheme shares; bound_pieces fills in one scheme's
-right-hand sides.
+right-hand sides are signed sums of information terms, each term written
+once as an I(A;B|C) expression over the joint of the table's scheme kind.
+The table expands its brackets once, when it is built, into plain pieces
+whose coefficient matrices every scheme shares; bound_pieces fills in one
+scheme's right-hand sides.
 
 Because every piece is pointed, emptiness and support queries are answered
 from its vertices, which each piece enumerates once from subsystem inverses
@@ -37,7 +38,16 @@ from .errors import (
     EmptySlice,
     SolverStall,
     Unbounded,
+    UnknownVariable,
     VertexEnumerationOverflow,
+)
+from .infotheory import (
+    _SCHEME_FIELDS,
+    _kind_of,
+    _stack_of_one,
+    parse_query,
+    stacked_joint,
+    stacked_mutual_information,
 )
 
 DEDUP_TOL = 1e-9
@@ -124,10 +134,6 @@ class RatePolytope:
                                 np.append(np.zeros(self.A.shape[0]), 1.0))
             object.__setattr__(self, "_rays", cone.vertices)
         return self._rays
-
-    def constraints(self):
-        """The (coefficients, bound) pairs, excluding implicit nonnegativity."""
-        return [(self.A[i].copy(), float(self.b[i])) for i in range(len(self.b))]
 
 
 def polytope(coords, constraint_pairs) -> RatePolytope:
@@ -285,12 +291,14 @@ class BoundTable:
     """One bound as fixed rows whose right-hand sides are affine in a few
     information terms.
 
-    Rows read like the bound: "R0 + R1 <= b - d", or "Re <= [b - R0 - d]+"
-    for a clipped row. Names among coords are coordinates; every other name
-    is a term, one of columns: the (N, k) matrix that terms(*tables,
-    channel) gives for the stacked tables of N schemes has one column per
-    term, in that order. "0" stands for an empty sum. A scheme whose guard,
-    a signed sum of terms, is negative has no piece.
+    kind names the scheme kind whose joint the terms are read from, and
+    terms maps each term's name to its expression in parse_query's
+    notation, such as "I(U;Y|X2,Q)"; each expression is parsed, and its
+    names checked against the kind's joint, once, here. Rows read like the
+    bound: "R0 + R1 <= b - d", or "Re <= [b - R0 - d]+" for a clipped row.
+    Names among coords are coordinates and every other name is a term; "0"
+    stands for an empty sum. A scheme whose guard, a signed sum of terms,
+    is negative has no piece.
 
     Each family of rows is expanded once, here, by _expand: pieces holds,
     per plain piece, its read-only coefficient matrix, shared by every
@@ -298,10 +306,11 @@ class BoundTable:
     row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
     """
 
-    def __init__(self, coords, terms, columns, families, guard="0"):
+    def __init__(self, coords, kind, terms, families, guard="0"):
         self.coords = tuple(coords)
-        self._terms = terms
-        self.columns = tuple(columns)
+        self.kind = kind
+        self.expressions = dict(terms)
+        self._groups = {name: self._parse(expr) for name, expr in self.expressions.items()}
         self.guard = self._split(guard)[1]
         self.families = tuple(tuple(self._row(r) for r in fam) for fam in families)
         rules, pieces = {}, []                # rule -> its index; (A, index) per piece
@@ -316,9 +325,38 @@ class BoundTable:
         self.rules, self.pieces = tuple(rules), tuple(pieces)
 
     def terms(self, tables, channel) -> dict:
-        """The named term columns of N schemes, each of shape (N,), from
-        their stacked tables."""
-        return dict(zip(self.columns, self._terms(*tables, channel).T))
+        """The named term columns of N schemes of the table's kind, each of
+        shape (N,), from their stacked tables: one joint stack, then each
+        expression's stacked_mutual_information."""
+        joint = stacked_joint(self.kind, tables, channel)
+        return {name: stacked_mutual_information(joint, *groups)
+                for name, groups in self._groups.items()}
+
+    def scheme_terms(self, scheme, channel) -> dict:
+        """The terms of one scheme of the table's kind, as Python floats:
+        terms with N = 1."""
+        kind = _kind_of(scheme)
+        if kind != self.kind:
+            raise TypeError(f"a {self.kind} bound cannot read a {kind} scheme "
+                            f"({type(scheme).__name__})")
+        columns = self.terms(_stack_of_one(scheme), channel)
+        return {name: float(column[0]) for name, column in columns.items()}
+
+    def _parse(self, expr: str) -> tuple:
+        """The (a, b, given) name groups of an "I(A;B|C)" term."""
+        letter, *groups = parse_query(expr)
+        if letter != "I":
+            raise ValueError(f"term {expr!r} is not an I(...) expression")
+        names = [name for group in groups for name in group]
+        variables = _SCHEME_FIELDS[self.kind].variables
+        for name in names:
+            if name not in variables:
+                raise UnknownVariable(
+                    f"variable {name!r} of {expr!r} not in the {self.kind} joint "
+                    f"over {variables}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"the groups of {expr!r} must be pairwise disjoint")
+        return tuple(groups)
 
     def _split(self, expr: str):
         """(coefficient vector, signed terms) of a sum such as "b - R0 - d"."""

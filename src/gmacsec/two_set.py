@@ -16,48 +16,27 @@ and the leakage penalties are
 
 The achievable equivocation set at fixed rates is a union of three boxes of
 constraints: the joint list, and two relaxations that buy a larger cap for
-one equivocation by giving up the other entirely.
+one equivocation by giving up the other entirely. Each bound is one
+BoundTable below; TERMS, the I(...) expressions every table reads, is the
+one spelling of the six terms in code.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .channel import ChannelSpec
-from .infotheory import SchemeTwoSet, _stack_of_one, stacked_joint, stacked_mutual_information
+from .infotheory import SchemeTwoSet
 from .regions import BoundTable, RatePolytope, bound_pieces
 
 COORDS_MAC = ("R0", "R1", "R2")
 COORDS_EQ = ("R1e", "R2e")
 COORDS_FULL = ("R0", "R1", "R2", "R1e", "R2e")
 
-
-TERMS = ("m1", "m2", "m12", "mt", "e1", "e2")
-
-
-def stacked_two_set_terms(p_q, p_u_given_q, p_x1_given_u, p_v_given_q, p_x2_given_v,
-                          channel: ChannelSpec) -> np.ndarray:
-    """The terms of N schemes, shape (N, 6), one column each in TERMS order.
-
-    The tables stack the schemes' normalized parameters on a leading axis,
-    p(q) as (N, |Q|); row i is, bit for bit, what mutual_information gives
-    on the JointPMF of scheme i. two_set_terms is the N = 1 call.
-    """
-    mi = functools.partial(stacked_mutual_information, stacked_joint(
-        "two_set", (p_q, p_u_given_q, p_x1_given_u, p_v_given_q, p_x2_given_v), channel))
-    return np.stack([
-        mi("U", "Y", ("V", "Q")), mi("V", "Y", ("U", "Q")), mi(("U", "V"), "Y", ("Q",)),
-        mi(("U", "V", "Q"), "Y"), mi("U", "Y2", ("X2", "V", "Q")),
-        mi("V", "Y1", ("X1", "U", "Q")),
-    ], axis=1)
-
-
-def two_set_terms(scheme: SchemeTwoSet, channel: ChannelSpec) -> dict:
-    """All six information terms for one scheme, keyed m1/m2/m12/mt/e1/e2."""
-    return dict(zip(TERMS, stacked_two_set_terms(*_stack_of_one(scheme), channel)[0].tolist()))
+TERMS = {"m1": "I(U;Y|V,Q)", "m2": "I(V;Y|U,Q)", "m12": "I(U,V;Y|Q)", "mt": "I(U,V,Q;Y)",
+         "e1": "I(U;Y2|X2,V,Q)", "e2": "I(V;Y1|X1,U,Q)"}
 
 
 _RATES = ("R1 <= m1", "R2 <= m2", "R1 + R2 <= m12", "R0 + R1 + R2 <= mt")
@@ -72,18 +51,23 @@ _EQUIVOCATION = (
     ("R1e <= 0", "R2e <= R2", *_CAPS2),
 )
 
-TWO_SET = BoundTable(COORDS_FULL, stacked_two_set_terms, TERMS,
+TWO_SET = BoundTable(COORDS_FULL, "two_set", TERMS,
                      [_RATES + fam for fam in _EQUIVOCATION])
-MAC = BoundTable(COORDS_MAC, stacked_two_set_terms, TERMS, [_RATES])
+MAC = BoundTable(COORDS_MAC, "two_set", TERMS, [_RATES])
 # over (R1e, R2e) the rates are terms, so their brackets are constants
-EQUIVOCATION = BoundTable(COORDS_EQ, stacked_two_set_terms, TERMS, _EQUIVOCATION)
+EQUIVOCATION = BoundTable(COORDS_EQ, "two_set", TERMS, _EQUIVOCATION)
 # both senders secret, only sender 1 active, only sender 2 active
-SECRECY = BoundTable(COORDS_MAC, stacked_two_set_terms, TERMS, [
+SECRECY = BoundTable(COORDS_MAC, "two_set", TERMS, [
     ("R1 <= m1 - e1", "R2 <= m2 - e2", "R1 + R2 <= m12 - e1 - e2",
      "R0 + R1 + R2 <= mt - e1 - e2"),
     ("R2 <= 0", "R1 <= m1 - e1", "R0 + R1 <= mt - e1"),
     ("R1 <= 0", "R2 <= m2 - e2", "R0 + R2 <= mt - e2"),
 ])
+
+
+def two_set_terms(scheme: SchemeTwoSet, channel: ChannelSpec) -> dict:
+    """All six information terms for one scheme, keyed m1/m2/m12/mt/e1/e2."""
+    return TWO_SET.scheme_terms(scheme, channel)
 
 
 def mac_polytope(scheme: SchemeTwoSet, channel: ChannelSpec) -> RatePolytope:

@@ -231,7 +231,7 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     ny = channel.size_y ** n
     m_triples = codebook.M0 * codebook.M1 * codebook.M2
     _guard(m_triples * ny, "decoder likelihood table")
-    kernel = marginal_kernel(channel, "destination").table
+    kernel = marginal_kernel(channel, "destination")
     seqs1, counts1 = _distinct(codebook.x1_words)
     seqs2, counts2 = _distinct(codebook.x2_words)
     _guard(seqs1.shape[0] * seqs2.shape[0] * ny, "pairwise likelihood table")
@@ -277,7 +277,7 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
     if case not in _OBSERVERS:
         raise ValueError(f"unknown case {case!r}; expected one of {sorted(_OBSERVERS)}")
     hidden, receiver = _OBSERVERS[case]
-    table = marginal_kernel(channel, receiver).table
+    table = marginal_kernel(channel, receiver)
     if hidden == "W1":
         hidden_words, known_words = codebook.x1_words, codebook.x2_words
         mh, jh = codebook.M1, codebook.J1

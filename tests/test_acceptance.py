@@ -85,7 +85,7 @@ def test_01_degenerate_auxiliary_recovers_the_plain_access_polytope():
         scheme = SchemeOneSet(p_q_x2=p2[None, :], p_u_given_q=p1[None, :],
                               p_x1_given_u=np.eye(2))
 
-        kernel = marginal_kernel(channel, "destination").table
+        kernel = marginal_kernel(channel, "destination")
         joint = p1[:, None, None] * p2[None, :, None] * kernel
         i_x1_y_given_x2 = (_ent(joint.sum(axis=2)) + _ent(joint.sum(axis=0))
                            - _ent(joint.sum(axis=(0, 2))) - _ent(joint))
@@ -117,8 +117,8 @@ def test_02_single_sender_secrecy_reduces_to_the_wiretap_difference():
         channel = fx.random_channel((2, 1, 2, 1, 2), rng)
         got, _ = maximize_secrecy_capacity(channel, r0=0.0, config=config)
 
-        to_y = marginal_kernel(channel, "destination").table[:, 0, :]
-        to_y2 = marginal_kernel(channel, "user2").table[:, 0, :]
+        to_y = marginal_kernel(channel, "destination")[:, 0, :]
+        to_y2 = marginal_kernel(channel, "user2")[:, 0, :]
         best = 0.0
         for scheme in enumerate_schemes_grid("one_set", channel, config):
             p_u_x1 = scheme.p_u_given_q[0][:, None] * scheme.p_x1_given_u

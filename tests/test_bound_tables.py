@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from gmacsec import (
     NotDegradedWarning,
     SchemeOneSetOuter,
+    UnknownVariable,
     assemble_region,
     clip_plus_split,
     degraded_polytope,
@@ -297,7 +298,7 @@ def test_two_set_pieces_match_the_references(channel):
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_assembled_regions_keep_the_reference_pieces(bound, channel):
     variant, ref = REF_PIECES[bound]
-    table = _BOUND_TABLES[bound][1]
+    table = _BOUND_TABLES[bound]
     config = SearchConfig(strategy="random", sample_count=3, seed=5,
                           cardinalities=(2, 2, 2))
     with warnings.catch_warnings():
@@ -331,14 +332,14 @@ def test_secrecy_guard_is_exact():
 
 
 def test_right_hand_sides_add_left_to_right():
-    table = BoundTable(("x",), None, (), [("x <= a + b + b", "x <= b + b + a")])
+    table = BoundTable(("x",), None, {}, [("x <= a + b + b", "x <= b + b + a")])
     (piece,) = bound_pieces(table, {"a": 1.0, "b": 1e-16}, drop_empty=False)
     assert piece.b.tolist() == [(1.0 + 1e-16) + 1e-16, (1e-16 + 1e-16) + 1.0]
     assert piece.b[0] != piece.b[1]
 
 
 def test_rows_parse_to_coefficients_and_ordered_terms():
-    table = BoundTable(("R0", "R1", "Re"), None, (), [(
+    table = BoundTable(("R0", "R1", "Re"), None, {}, [(
         "R0 + Re <= b - d", "Re <= R1", "Re <= [b - R0 - d + c]+", "R1 <= 0",
     )])
     (rows,) = table.families
@@ -356,7 +357,75 @@ def test_rows_parse_to_coefficients_and_ordered_terms():
 ])
 def test_malformed_rows_are_rejected(row):
     with pytest.raises(ValueError):
-        BoundTable(("R0", "R1"), None, (), [(row,)])
+        BoundTable(("R0", "R1"), None, {}, [(row,)])
+
+
+# --- terms: one expression each, read from the table's own kind ----------------
+
+# The public N = 1 functions, each reading one table, and the scheme kind
+# that table reads.
+ONE_SCHEME = {
+    "inner_polytope": ("one_set", inner_polytope),
+    "outer_polytope": ("one_set_outer", outer_polytope),
+    "secrecy_polytope": ("one_set", secrecy_polytope),
+    "one_set_terms": ("one_set", one_set_terms),
+    "secrecy_capacity_value": ("one_set", lambda s, ch: secrecy_capacity_value(s, ch, 0.0)),
+    "degraded_polytope": ("degraded", degraded_polytope),
+    "degraded_secrecy_polytope": ("degraded", degraded_secrecy_polytope),
+    "degraded_terms": ("degraded", degraded_terms),
+    "degraded_secrecy_capacity_value": (
+        "degraded", lambda s, ch: degraded_secrecy_capacity_value(s, ch, 0.0)),
+    "two_set_terms": ("two_set", two_set_terms),
+    "mac_polytope": ("two_set", mac_polytope),
+    "equivocation_set_explicit": (
+        "two_set", lambda s, ch: equivocation_set_explicit(s, ch, 0.0, 0.1, 0.1)),
+    "two_set_region_piece": ("two_set", two_set_region_piece),
+    "secrecy_inner_pieces": ("two_set", secrecy_inner_pieces),
+}
+SCHEMES = {
+    "one_set": fx.uniform_u_equals_x1,
+    "one_set_outer": fx.uniform_one_set_outer,
+    "degraded": fx.uniform_degraded_scheme,
+    "two_set": fx.uniform_two_set_scheme,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMES))
+@pytest.mark.parametrize("function", sorted(ONE_SCHEME))
+def test_every_table_reads_only_its_own_kind(function, kind, binary_degraded):
+    table_kind, call = ONE_SCHEME[function]
+    scheme = SCHEMES[kind](binary_degraded)
+    if kind == table_kind:
+        call(scheme, binary_degraded)
+        return
+    with pytest.raises(TypeError) as err:
+        call(scheme, binary_degraded)
+    assert f"a {table_kind} bound" in str(err.value)
+    assert f"a {kind} scheme" in str(err.value)
+
+
+def test_tables_name_their_kind():
+    assert {name: table.kind for name, table in TABLES.items()} == {
+        "one_set.DEGRADED": "degraded", "one_set.DEGRADED_SECRECY": "degraded",
+        "one_set.INNER": "one_set", "one_set.OUTER": "one_set_outer",
+        "one_set.SECRECY": "one_set", "two_set.EQUIVOCATION": "two_set",
+        "two_set.MAC": "two_set", "two_set.SECRECY": "two_set",
+        "two_set.TWO_SET": "two_set"}
+    assert one_set.DEGRADED.expressions["b"] == "I(X1,X2;Y)"
+    assert one_set.OUTER.expressions["a_v"] == "I(U;Y|X2,V)"
+
+
+@pytest.mark.parametrize("expr, error", [
+    ("I(U;Y|X2,W)", UnknownVariable),     # no W in the one-set joint
+    ("I(U;Y1|X2,Q)", UnknownVariable),    # the one-set joint drops Y1
+    ("H(U|Q)", ValueError),
+    ("I(U;Y;Q)", ValueError),
+    ("I(U;U,Y)", ValueError),
+    ("U;Y", ValueError),
+])
+def test_term_expressions_are_checked_when_built(expr, error):
+    with pytest.raises(error):
+        BoundTable(SEC, "one_set", {"a": expr}, [("R1 <= a",)])
 
 
 # --- expansion at construction against expansion per scheme ------------------

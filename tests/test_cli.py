@@ -15,9 +15,9 @@ from gmacsec import (
     scheme_to_dict,
 )
 from gmacsec.channel import load_channel, save_channel, validate_channel
-from gmacsec.cli import _BOUND_ALIASES, main
+from gmacsec.cli import _BOUND_ALIASES, _g9, main
 from gmacsec.infotheory import _SCHEME_FIELDS
-from gmacsec.optimizer import _BOUND_TABLES
+from gmacsec.optimizer import _BOUND_TABLES, SearchConfig
 from gmacsec.regions import bound_pieces
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -265,7 +265,7 @@ def verify_witnesses(channel_path, bound, csv_path):
     print as some witness point. Returns the number of witnesses.
     """
     channel = load_channel(channel_path)
-    table = _BOUND_TABLES[_BOUND_ALIASES[bound]][1]
+    table = _BOUND_TABLES[_BOUND_ALIASES[bound]]
     doc = json.loads(pathlib.Path(f"{csv_path}.witness.json").read_text())
     plane, fixed = doc["plane"], doc["fixed"]
     pieces = {}                                # scheme JSON -> its pieces
@@ -390,6 +390,58 @@ class TestRegionGolden:
                    "--config", cfg, "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+class TestSearchSettings:
+    @pytest.mark.parametrize("key", ["seed", "sample_count", "grid_resolution",
+                                     "refine_iterations"])
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_counts_and_seed_are_whole_numbers(self, channel_files, tmp_path, capsys,
+                                               key, value):
+        with pytest.raises(ValueError, match=key):
+            SearchConfig(**{key: value})
+        whole = SearchConfig(**{key: 3.0})
+        assert type(getattr(whole, key)) is int and whole.to_dict()[key] == 3
+        cfg = _write_json(tmp_path / "cfg.json",
+                          {"strategy": "random", "sample_count": 2, key: value})
+        channel = str(channel_files["binary_degraded"])
+        for argv in (["region", channel, "--bound", "inner1", "--resolution", "3",
+                      "--out", str(tmp_path / "f.csv")],
+                     ["secrecy-capacity", channel]):
+            assert main(argv + ["--config", cfg]) == 2
+            error = _stderr_error(capsys)
+            assert error["error"] == "ValueError" and key in error["message"]
+        assert not (tmp_path / "f.csv").exists()
+
+
+class TestOneSpelling:
+    """gmacsec info prints, for each term of every bound's table, the value
+    the table gives the same scheme: the expression a table reads is the
+    query a user types."""
+
+    @pytest.mark.filterwarnings("ignore::gmacsec.NotDegradedWarning")
+    @pytest.mark.parametrize("bound", sorted(_BOUND_ALIASES))
+    def test_info_prints_each_table_term(self, tmp_path, capsys, bound):
+        channel_path = tmp_path / "w2.json"
+        channel = fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(1))
+        save_channel(channel, channel_path)
+        cfg = _write_json(tmp_path / "cfg.json", {
+            "strategy": "random", "sample_count": 3, "cardinalities": [2, 2, 2]})
+        table = _BOUND_TABLES[_BOUND_ALIASES[bound]]
+        out = tmp_path / "f.csv"
+        plane = "R1,R2" if "R2" in table.coords else "R0,R1"
+        assert main(["region", str(channel_path), "--bound", bound, "--plane", plane,
+                     "--resolution", "3", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.with_name(out.name + ".witness.json").read_text())
+        scheme_doc = doc["witnesses"][0]["mix"][0]["scheme"]
+        scheme_path = _write_json(tmp_path / "scheme.json", scheme_doc)
+        values = table.scheme_terms(scheme_from_dict(scheme_doc), channel)
+        assert list(values) == list(table.expressions)
+        for name, expr in table.expressions.items():
+            assert main(["info", str(channel_path), "--scheme", scheme_path,
+                         "--query", expr]) == 0
+            assert capsys.readouterr().out == _g9(values[name]) + "\n", (name, expr)
 
 
 class TestCheckDegraded:

@@ -116,9 +116,9 @@ class TestRandomSampling:
             "one_set", clean_mac, SearchConfig(seed=2))))
         assert _params(a) != _params(b)
 
-    def test_count_override(self, clean_mac):
-        config = SearchConfig(sample_count=50)
-        got = list(sample_schemes_random("one_set", clean_mac, config, count=3))
+    def test_sample_count(self, clean_mac):
+        config = SearchConfig(sample_count=3)
+        got = list(sample_schemes_random("one_set", clean_mac, config))
         assert len(got) == 3
 
 
@@ -158,7 +158,7 @@ class TestMaximize:
                               grid_resolution=3)
         value, scheme = maximize_secrecy_capacity(clean_mac, 0.0, config)
         assert value == pytest.approx(1.0, abs=1e-12)
-        assert scheme.nu == 2
+        assert scheme.p_u_given_q.shape[1] == 2
 
     def test_degraded_variant_hits_the_closed_form(self, binary_degraded):
         config = SearchConfig(cardinalities=(2, 1, 1), strategy="grid",

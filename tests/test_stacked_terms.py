@@ -67,9 +67,9 @@ def scalar_degraded_terms(scheme, channel):
 
 
 KINDS = {
-    "one_set": (scalar_one_set_terms, one_set.stacked_one_set_terms, one_set_terms,
+    "one_set": (scalar_one_set_terms, one_set.INNER, one_set_terms,
                 ("p_q_x2", "p_u_given_q", "p_x1_given_u")),
-    "degraded": (scalar_degraded_terms, one_set.stacked_degraded_terms, degraded_terms,
+    "degraded": (scalar_degraded_terms, one_set.DEGRADED, degraded_terms,
                  ("p_q_x2", "p_x1_given_q")),
 }
 
@@ -99,9 +99,11 @@ def _hex(values):
 
 
 def assert_stacked_matches_scalar(schemes, channel, kind):
-    scalar, stacked, single, fields = KINDS[kind]
+    scalar, table, single, fields = KINDS[kind]
     tables = [np.stack([getattr(s, f) for s in schemes]) for f in fields]
-    got = stacked(*tables, channel)
+    terms = table.terms(tables, channel)
+    assert list(terms) == ["a", "b", "d"]
+    got = np.stack(list(terms.values()), axis=1)
     assert got.shape == (len(schemes), 3)
     for scheme, row in zip(schemes, got):
         want = _hex(scalar(scheme, channel))
@@ -183,11 +185,15 @@ def test_capacities_keep_the_scalar_tie_rules(binary_degraded):
     rows = np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0],
                      [0.5, 0.5, 0.5], [0.5, 0.25, 0.25], [0.25, 0.5, 0.0],
                      [0.0, 0.5, 0.25], [0.75, 1.0, 0.25], [1e-300, 0.0, 0.0]])
+    class Stub:
+        def terms(self, tables, channel):
+            return dict(zip("abd", rows.T))
+
     for r0 in (0.0, 0, 0.25, 5):
-        got = one_set.secrecy_capacities(lambda channel: rows, (), binary_degraded, r0)
+        got = one_set.secrecy_capacities(Stub(), (), binary_degraded, r0)
         assert _hex(got) == _hex(reference_capacity(t, r0) for t in rows.tolist())
     with pytest.raises(ValueError):
-        one_set.secrecy_capacities(lambda channel: rows, (), binary_degraded, -0.1)
+        one_set.secrecy_capacities(Stub(), (), binary_degraded, -0.1)
 
 
 # --- property test -----------------------------------------------------------------
@@ -358,11 +364,9 @@ def _sparse(scheme, kind):
 
 
 @pytest.mark.parametrize("name", TABLE_CHANNELS + ["wide1", "wide2"])
-@pytest.mark.parametrize("kind, stacked", [
-    ("one_set_outer", one_set.stacked_outer_terms),
-    ("two_set", two_set.stacked_two_set_terms),
-])
-def test_outer_and_two_set_terms_equal_scalar_terms(name, kind, stacked):
+@pytest.mark.parametrize("table", [one_set.OUTER, two_set.TWO_SET], ids=lambda t: t.kind)
+def test_outer_and_two_set_terms_equal_scalar_terms(name, table):
+    kind = table.kind
     if name.startswith("wide"):
         rng = np.random.default_rng(int(name[-1]))
         channel = fx.random_channel((3, 2, 4, 2, 3), rng)
@@ -371,10 +375,11 @@ def test_outer_and_two_set_terms_equal_scalar_terms(name, kind, stacked):
     config = SearchConfig(cardinalities=(2, 3, 2), sample_count=25, seed=11)
     schemes = list(sample_schemes_random(kind, channel, config))
     schemes += [_sparse(s, kind) for s in schemes[:8]]
-    got = stacked(*_stack(schemes, kind), channel)
-    for scheme, row in zip(schemes, got):
+    got = table.terms(_stack(schemes, kind), channel)
+    for i, scheme in enumerate(schemes):
         want = SCALAR_TERMS[kind](scheme, channel)
-        assert _hex(row) == _hex(want.values())
+        assert {name: float(col[i]).hex() for name, col in got.items()} == \
+            {name: value.hex() for name, value in want.items()}
         if kind == "two_set":
             assert two_set_terms(scheme, channel) == want
 
@@ -428,6 +433,9 @@ def test_stacked_joint_checks_the_channel_inputs(binary_degraded, clean_mac):
     scheme = fx.uniform_two_set_scheme(clean_mac)
     with pytest.raises(infotheory.DimensionMismatch, match=r"scheme inputs \(2, 2\)"):
         infotheory.stacked_joint("two_set", _stack([scheme], "two_set"), binary_degraded)
+    outer = _stack([fx.uniform_one_set_outer(clean_mac)], "one_set_outer")
+    with pytest.raises(TypeError, match="a one_set joint takes 3 tables, got 4"):
+        infotheory.stacked_joint("one_set", outer, clean_mac)
 
 
 # --- batched region assembly against the per-scheme loop -----------------------------
@@ -435,7 +443,8 @@ def test_stacked_joint_checks_the_channel_inputs(binary_degraded, clean_mac):
 def reference_region(channel, bound, config, rows):
     """assemble_region as one scheme at a time: a dataclass, its document
     and its terms from mutual_information, then its pieces."""
-    variant, table = _BOUND_TABLES[bound]
+    table = _BOUND_TABLES[bound]
+    variant = table.kind
     blocks = optimizer._blocks(variant, channel, config)
     pieces, provenance, visited, dropped = [], [], 0, 0
     for row in rows:
@@ -482,7 +491,7 @@ def _cells(variant, channel, config):
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("per_block", [None, 3])
 def test_batched_assembly_equals_the_per_scheme_loop(monkeypatch, bound, per_block):
-    variant = _BOUND_TABLES[bound][0]
+    variant = _BOUND_TABLES[bound].kind
     config = SearchConfig(strategy="random", sample_count=5, seed=9,
                           cardinalities=(2, 2, 2))
     with warnings.catch_warnings():
@@ -500,7 +509,7 @@ def test_batched_assembly_equals_the_per_scheme_loop(monkeypatch, bound, per_blo
 
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_batched_grid_assembly_equals_the_per_scheme_loop(monkeypatch, bound):
-    variant = _BOUND_TABLES[bound][0]
+    variant = _BOUND_TABLES[bound].kind
     channel = fx.leaky_wiretap()
     # 81 schemes, but only 9 for two_set, whose pieces are 5-D
     cards = (1, 1, 1) if variant == "two_set" else (1, 2, 1)
@@ -517,7 +526,7 @@ def test_batched_grid_assembly_equals_the_per_scheme_loop(monkeypatch, bound):
 def test_provenance_holds_the_normalized_tables(monkeypatch, bound):
     # raw rows off mass one by 3e-10: the documents must hold the tables
     # as normalized, which differ from the raw rows in their last bits
-    variant = _BOUND_TABLES[bound][0]
+    variant = _BOUND_TABLES[bound].kind
     channel = _channel("random")
     config = SearchConfig(strategy="random", sample_count=4, seed=3,
                           cardinalities=(2, 2, 2))
