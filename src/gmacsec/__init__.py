@@ -40,17 +40,10 @@ from .errors import (
     max_states,
 )
 from .infotheory import (
-    JointPMF,
     SchemeDegraded,
     SchemeOneSet,
     SchemeOneSetOuter,
     SchemeTwoSet,
-    assemble_joint_degraded,
-    assemble_joint_one_set,
-    assemble_joint_one_set_outer,
-    assemble_joint_two_set,
-    entropy,
-    mutual_information,
     scheme_from_dict,
     scheme_to_dict,
 )

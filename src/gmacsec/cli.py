@@ -38,11 +38,11 @@ from .errors import (
 )
 from .infotheory import (
     _assemble_joint,
-    entropy,
-    mutual_information,
     parse_query,
     scheme_from_dict,
     scheme_to_dict,
+    stacked_entropy,
+    stacked_mutual_information,
 )
 from .optimizer import SearchConfig, assemble_region, maximize_secrecy_capacity
 from .regions import frontier_points, frontier_sweep
@@ -322,16 +322,15 @@ def cmd_simulate(args) -> int:
 
 
 def _evaluate_query(joint, query: str) -> float:
-    """Evaluate "I(A;B|C)" or "H(A|C)" (see parse_query) against an
-    assembled joint; the information a group shares with itself is that
-    group's entropy."""
-    letter, *groups = parse_query(query)
-    if letter == "H":
-        return entropy(joint, *groups)
-    a, b, given = groups
-    if set(a) == set(b):
-        return entropy(joint, a, given=given)
-    return mutual_information(joint, a, b, given=given)
+    """Evaluate "I(A;B|C)" or "H(A|C)" (see parse_query) against the
+    joint of one scheme, a stack of one; the information a group shares
+    with itself is that group's entropy."""
+    letter, a, *rest = parse_query(query)
+    if letter == "H" or set(a) == set(rest[0]):
+        value = stacked_entropy(joint, a, given=rest[-1])
+    else:
+        value = stacked_mutual_information(joint, a, *rest)
+    return float(value[0])
 
 
 def cmd_info(args) -> int:

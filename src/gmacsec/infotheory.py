@@ -6,9 +6,9 @@ relabelings of one another (same multiset of masses) produce bitwise-identical
 entropies, which downstream code relies on when differences of information
 quantities must cancel exactly.
 
-A JointStack holds N joints over the same variables on a leading axis;
-stacked_mutual_information gives, for each of them, the bits that
-mutual_information gives on that joint alone.
+A JointStack holds N joints over the same variables on a leading axis, and
+one joint is a stack of one; stacked_entropy and stacked_mutual_information
+give each joint's H(A|C) and I(A;B|C), whatever else its stack holds.
 
 parse_query reads the notation "I(A;B|C)" and "H(A|C)", in which the
 CLI's info queries and the bounds' information terms are written.
@@ -33,21 +33,15 @@ from .errors import (
 )
 
 __all__ = [
-    "JointPMF",
     "JointStack",
     "SchemeOneSet",
     "SchemeOneSetOuter",
     "SchemeTwoSet",
     "SchemeDegraded",
-    "entropy",
-    "mutual_information",
     "parse_query",
+    "stacked_entropy",
     "stacked_mutual_information",
     "stacked_joint",
-    "assemble_joint_one_set",
-    "assemble_joint_one_set_outer",
-    "assemble_joint_two_set",
-    "assemble_joint_degraded",
     "scheme_to_dict",
     "scheme_from_dict",
 ]
@@ -56,110 +50,13 @@ MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class JointPMF:
-    """A dense joint distribution over named finite variables."""
-
-    variables: tuple[str, ...]
-    prob: np.ndarray
-
-    def __post_init__(self):
-        if len(self.variables) != self.prob.ndim:
-            raise DimensionMismatch(
-                f"{len(self.variables)} names for a rank-{self.prob.ndim} table"
-            )
-        if len(set(self.variables)) != len(self.variables):
-            raise DimensionMismatch(f"duplicate variable names: {self.variables}")
-        if self.prob.size > max_states():
-            raise EnumerationTooLarge(
-                f"joint with {self.prob.size} states exceeds the ceiling of "
-                f"{max_states()}; raise GMAC_MAX_STATES to override"
-            )
-        if np.any(self.prob < 0):
-            raise NegativeProbability(
-                f"negative joint mass {float(self.prob.min())}"
-            )
-        total = float(self.prob.sum())
-        if not abs(total - 1.0) <= MASS_TOL:   # NaN fails too
-            raise RowSumViolation(
-                f"joint mass {total} is not 1 within {MASS_TOL}"
-            )
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.prob.shape
-
-    def axis(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise UnknownVariable(
-                f"variable {name!r} not in joint over {self.variables}"
-            )
-
-
-def _normalize_names(joint: JointPMF, names) -> tuple[str, ...]:
-    if isinstance(names, str):
-        names = (names,)
-    names = tuple(names)
-    for name in names:
-        joint.axis(name)
-    if len(set(names)) != len(names):
-        raise ValueError(f"repeated variable in {names}")
-    return names
-
-
-def _marginal_entropy(joint: JointPMF, names: tuple[str, ...]) -> float:
-    """H of the marginal over names, via sorted positive masses."""
-    if not names:
-        return 0.0
-    keep = {joint.axis(n) for n in names}
-    drop = tuple(i for i in range(joint.prob.ndim) if i not in keep)
-    marg = joint.prob.sum(axis=drop) if drop else joint.prob
-    flat = marg.reshape(-1)
-    flat = flat[flat > 0]
-    flat = np.sort(flat)
-    return float(-np.sum(flat * np.log2(flat)))
-
-
-def entropy(joint: JointPMF, targets, given=()) -> float:
-    """Conditional entropy H(targets | given) in bits."""
-    targets = _normalize_names(joint, targets)
-    given = _normalize_names(joint, given)
-    if set(targets) & set(given):
-        raise ValueError(
-            f"targets {targets} and conditioning {given} overlap"
-        )
-    return _marginal_entropy(joint, targets + given) - _marginal_entropy(joint, given)
-
-
-def mutual_information(joint: JointPMF, a, b, given=()) -> float:
-    """Conditional mutual information I(a; b | given) in bits, clamped at 0.
-
-    The raw value can undershoot zero by floating-point dust (never below
-    about -1e-12 at these table sizes); the clamp removes it.
-    """
-    a = _normalize_names(joint, a)
-    b = _normalize_names(joint, b)
-    given = _normalize_names(joint, given)
-    combined = set(a) | set(b) | set(given)
-    if len(combined) != len(a) + len(b) + len(given):
-        raise ValueError(f"groups {a}, {b}, {given} must be pairwise disjoint")
-    value = (
-        _marginal_entropy(joint, a + given)
-        - _marginal_entropy(joint, given)
-        - _marginal_entropy(joint, a + b + given)
-        + _marginal_entropy(joint, b + given)
-    )
-    return max(value, 0.0)
-
-
-@dataclass(frozen=True)
 class JointStack:
     """N dense joints over the same named variables, stacked on a leading
-    axis: prob has shape (N, *sizes).
+    axis: prob has shape (N, *sizes). One joint is a stack of one.
 
-    Every joint passes the checks JointPMF makes of one table, and the
-    first joint that fails raises the same typed error.
+    Each joint must have at most max_states() cells and nonnegative masses
+    summing to one within MASS_TOL; the first joint that fails raises the
+    typed error.
     """
 
     variables: tuple[str, ...]
@@ -186,7 +83,7 @@ class JointStack:
         flat = self.prob.reshape(self.prob.shape[0], -1)
         negative = (flat < 0).any(axis=1)
         totals = flat.sum(axis=1)
-        failed = negative | ~(np.abs(totals - 1.0) <= MASS_TOL)
+        failed = negative | ~(np.abs(totals - 1.0) <= MASS_TOL)   # NaN fails too
         if failed.any():
             i = int(np.argmax(failed))
             if negative[i]:
@@ -197,7 +94,10 @@ class JointStack:
                 f"joint mass {float(totals[i])} is not 1 within {MASS_TOL}"
             )
 
-    axis = JointPMF.axis
+    def axis(self, name: str) -> int:
+        if name not in self.variables:
+            raise UnknownVariable(f"variable {name!r} not in joint over {self.variables}")
+        return self.variables.index(name)
 
     def marginal_entropies(self, names: tuple[str, ...]) -> np.ndarray:
         """H of the marginal over names for every joint, shape (N,)."""
@@ -209,13 +109,14 @@ class JointStack:
 
 
 def _stacked_entropy(prob: np.ndarray, keep) -> np.ndarray:
-    """_marginal_entropy of each joint of a stack, summed in numpy's order.
+    """H of the marginal over the axes keep of each joint of a stack, shape
+    (N,): the package's one summation of -p log p.
 
     Each row's positive masses are sorted ascending and reduced by one sum
     along the rows of a contiguous (rows, k) block holding the rows with
-    exactly k positive masses. That is the summation _marginal_entropy runs
-    on one row: numpy sums a row of 8 or more with eight accumulators, so
-    padding rows to a common width would change the last bits.
+    exactly k positive masses. numpy sums a row of 8 or more with eight
+    accumulators, so padding rows to a common width would change the last
+    bits; this way a row's bits do not depend on its stack.
     """
     n = prob.shape[0]
     if not keep:
@@ -234,9 +135,34 @@ def _stacked_entropy(prob: np.ndarray, keep) -> np.ndarray:
     return out
 
 
+def _normalize_names(joint: JointStack, names) -> tuple[str, ...]:
+    if isinstance(names, str):
+        names = (names,)
+    names = tuple(names)
+    for name in names:
+        joint.axis(name)
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated variable in {names}")
+    return names
+
+
+def stacked_entropy(joint: JointStack, targets, given=()) -> np.ndarray:
+    """H(targets | given) of every joint in the stack, shape (N,), in bits."""
+    targets = _normalize_names(joint, targets)
+    given = _normalize_names(joint, given)
+    if set(targets) & set(given):
+        raise ValueError(f"targets {targets} and conditioning {given} overlap")
+    h = joint.marginal_entropies
+    return h(targets + given) - h(given)
+
+
 def stacked_mutual_information(joint: JointStack, a, b, given=()) -> np.ndarray:
-    """I(a; b | given) of every joint in the stack, shape (N,): bit for bit
-    what mutual_information gives on each joint alone, clamp included."""
+    """I(a; b | given) of every joint in the stack, shape (N,), in bits,
+    clamped at 0.
+
+    The raw value can undershoot zero by floating-point dust (never below
+    about -1e-12 at these table sizes); the clamp removes it.
+    """
     a = _normalize_names(joint, a)
     b = _normalize_names(joint, b)
     given = _normalize_names(joint, given)
@@ -472,30 +398,9 @@ def _stack_of_one(scheme) -> list:
     return [getattr(scheme, f)[None] for f in _SCHEME_FIELDS[_kind_of(scheme)].fields]
 
 
-def _assemble_joint(scheme, channel: ChannelSpec) -> JointPMF:
+def _assemble_joint(scheme, channel: ChannelSpec) -> JointStack:
     """The joint of one scheme: stacked_joint with N = 1."""
-    stack = stacked_joint(_kind_of(scheme), _stack_of_one(scheme), channel)
-    return JointPMF(stack.variables, stack.prob[0])
-
-
-def assemble_joint_one_set(scheme: SchemeOneSet, channel: ChannelSpec) -> JointPMF:
-    """Joint over (Q, U, X1, X2, Y, Y2); the sender-1 feedback is marginalized."""
-    return _assemble_joint(scheme, channel)
-
-
-def assemble_joint_one_set_outer(scheme: SchemeOneSetOuter, channel: ChannelSpec) -> JointPMF:
-    """Joint over (Q, U, V, X1, X2, Y, Y2) with V conditionally independent given Q."""
-    return _assemble_joint(scheme, channel)
-
-
-def assemble_joint_two_set(scheme: SchemeTwoSet, channel: ChannelSpec) -> JointPMF:
-    """Joint over (Q, U, V, X1, X2, Y, Y1, Y2); both feedback outputs kept."""
-    return _assemble_joint(scheme, channel)
-
-
-def assemble_joint_degraded(scheme: SchemeDegraded, channel: ChannelSpec) -> JointPMF:
-    """Joint over (Q, X1, X2, Y, Y2) for schemes without an auxiliary."""
-    return _assemble_joint(scheme, channel)
+    return stacked_joint(_kind_of(scheme), _stack_of_one(scheme), channel)
 
 
 def _scheme_doc(kind: str, tables) -> dict:

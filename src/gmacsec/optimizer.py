@@ -73,8 +73,8 @@ class SearchConfig:
             raise ValueError("sample_count must be at least 1")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be nonnegative")
-        if not (0 < self.refine_step <= 1):
-            raise ValueError("refine_step must lie in (0, 1]")
+        if isinstance(self.refine_step, bool) or not (0 < self.refine_step <= 1):
+            raise ValueError(f"refine_step must lie in (0, 1], got {self.refine_step!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelSpec, marginal_kernel
 from .errors import EnumerationTooLarge, InternalError, max_states, whole_number
-from .infotheory import JointPMF, entropy
+from .infotheory import JointStack, stacked_entropy
 
 
 @dataclass(frozen=True)
@@ -260,9 +260,9 @@ _OUTPUT_NAME = {"destination": "Y", "user1": "Y1", "user2": "Y2"}
 
 
 def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
-                       case: str) -> JointPMF:
+                       case: str) -> JointStack:
     """Exact joint law of messages, the observer-side input sequence, and
-    the observed output sequence.
+    the observed output sequence, as a stack of one.
 
     case "user2_about_W1" builds the law of (W0, W1, W2, X2-seq, Y2-seq):
     what user 2 can correlate with the confidential message of sender 1.
@@ -306,7 +306,7 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
         mixed = np.tensordot(hidden_frac[w0], lik, axes=(1, 0))
         joint[w0] = mixed[:, None, :, :] * known_frac[w0][None, :, :, None]
     joint /= codebook.M0 * mh * mk
-    return JointPMF(variables=variables, prob=joint)
+    return JointStack(variables, joint[None])
 
 
 def exact_equivocation(codebook: Codebook, channel: ChannelSpec,
@@ -322,7 +322,7 @@ def exact_equivocation(codebook: Codebook, channel: ChannelSpec,
     joint = equivocation_joint(codebook, channel, case)
     hidden = joint.variables[1]
     given = joint.variables[:1] + joint.variables[2:]
-    return entropy(joint, (hidden,), given=given) / codebook.n
+    return float(stacked_entropy(joint, (hidden,), given=given)[0]) / codebook.n
 
 
 def simulate(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,

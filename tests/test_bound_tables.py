@@ -41,13 +41,10 @@ from gmacsec import (
     two_set_terms,
 )
 from gmacsec import one_set, two_set
-from gmacsec.infotheory import (
-    _SCHEME_FIELDS,
-    assemble_joint_one_set_outer,
-    mutual_information,
-)
+from gmacsec.infotheory import _SCHEME_FIELDS
 from gmacsec.optimizer import _BOUND_TABLES, BOUNDS, SearchConfig
 from gmacsec.regions import BoundTable, bound_pieces
+from scalar_oracle import mutual_information, scheme_joint
 
 FIXTURES = sorted(fx.FIXTURE_BUILDERS)
 EQ = ("R0", "R1", "Re")
@@ -102,11 +99,11 @@ def _outer_rows(a_v, a, b, d):
 
 
 def ref_outer(scheme, channel):
-    joint = assemble_joint_one_set_outer(scheme, channel)
-    a_v = mutual_information(joint, "U", "Y", ("X2", "V"))
-    a = mutual_information(joint, "U", "Y", ("X2", "Q"))
-    b = mutual_information(joint, ("U", "X2", "Q"), "Y")
-    d = mutual_information(joint, "U", "Y2", ("X2", "Q"))
+    joint = scheme_joint(scheme, channel)
+    a_v = mutual_information(*joint, "U", "Y", ("X2", "V"))
+    a = mutual_information(*joint, "U", "Y", ("X2", "Q"))
+    b = mutual_information(*joint, ("U", "X2", "Q"), "Y")
+    d = mutual_information(*joint, "U", "Y2", ("X2", "Q"))
     return polytope(EQ, _outer_rows(a_v, a, b, d))
 
 

@@ -413,6 +413,16 @@ class TestSearchSettings:
             assert error["error"] == "ValueError" and key in error["message"]
         assert not (tmp_path / "f.csv").exists()
 
+    def test_refine_step_is_not_a_boolean(self, channel_files, tmp_path, capsys):
+        with pytest.raises(ValueError, match="refine_step"):
+            SearchConfig(refine_step=True)
+        cfg = _write_json(tmp_path / "cfg.json", {"strategy": "random+refine",
+                                                  "sample_count": 2, "refine_step": True})
+        assert main(["secrecy-capacity", str(channel_files["binary_degraded"]),
+                     "--config", cfg]) == 2
+        error = _stderr_error(capsys)
+        assert error["error"] == "ValueError" and "refine_step" in error["message"]
+
 
 class TestOneSpelling:
     """gmacsec info prints, for each term of every bound's table, the value
@@ -631,7 +641,7 @@ class TestInfo:
 
     def test_query_validation(self, channel_files, one_set_scheme_file,
                               capsys):
-        bad = ["region + I(U;Y)", "I(U;Y;X2)", "I(U;Z)", "H()"]
+        bad = ["region + I(U;Y)", "I(U;Y;X2)", "I(U;Z)", "H()", "H(U|U)", "H(Z)"]
         for query in bad:
             rc = main(["info", str(channel_files["clean_mac"]),
                        "--scheme", one_set_scheme_file, "--query", query])

@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gmacsec import (
     DimensionMismatch,
     EnumerationTooLarge,
-    JointPMF,
     NegativeProbability,
     RowSumViolation,
     SchemeDegraded,
@@ -12,47 +13,60 @@ from gmacsec import (
     SchemeOneSetOuter,
     SchemeTwoSet,
     UnknownVariable,
-    assemble_joint_degraded,
-    assemble_joint_one_set,
-    assemble_joint_one_set_outer,
-    assemble_joint_two_set,
-    entropy,
-    mutual_information,
     scheme_from_dict,
     scheme_to_dict,
 )
 from gmacsec import fixtures as fx
-from gmacsec.infotheory import JointStack
+from gmacsec.infotheory import (
+    JointStack,
+    _assemble_joint,
+    stacked_entropy,
+    stacked_mutual_information,
+)
 
+import scalar_oracle as oracle
 from conftest import binary_entropy
 
 H_TENTH = 0.4689955935892812  # binary entropy of 0.1, frozen
 
 
+def _joint(names, table):
+    """One joint over names: a JointStack of one."""
+    return JointStack(tuple(names), np.asarray(table, dtype=float)[None])
+
+
+def entropy(joint, targets, given=()) -> float:
+    return float(stacked_entropy(joint, targets, given)[0])
+
+
+def mutual_information(joint, a, b, given=()) -> float:
+    return float(stacked_mutual_information(joint, a, b, given)[0])
+
+
 def _random_joint(rng, shape, names):
     flat = rng.dirichlet(np.ones(int(np.prod(shape))))
-    return JointPMF(tuple(names), flat.reshape(shape))
+    return _joint(names, flat.reshape(shape))
 
 
 def _bsc_joint(flip):
     """Uniform input through a symmetric binary flip, variables (X, Y)."""
     table = 0.5 * np.array([[1 - flip, flip], [flip, 1 - flip]])
-    return JointPMF(("X", "Y"), table)
+    return _joint(("X", "Y"), table)
 
 
 class TestEntropy:
     def test_uniform_is_exact(self):
-        joint = JointPMF(("A",), np.full(8, 0.125))
+        joint = _joint(("A",), np.full(8, 0.125))
         assert entropy(joint, "A") == 3.0
 
     def test_point_mass_is_exact_zero(self):
         table = np.zeros((2, 3))
         table[1, 2] = 1.0
-        joint = JointPMF(("A", "B"), table)
+        joint = _joint(("A", "B"), table)
         assert entropy(joint, ("A", "B")) == 0.0
 
     def test_binary_entropy_frozen_value(self):
-        joint = JointPMF(("A",), np.array([0.9, 0.1]))
+        joint = _joint(("A",), np.array([0.9, 0.1]))
         assert entropy(joint, "A") == pytest.approx(H_TENTH, abs=1e-15)
         assert entropy(joint, "A") == pytest.approx(binary_entropy(0.1), abs=1e-15)
 
@@ -65,7 +79,7 @@ class TestEntropy:
             joint = _random_joint(rng, (3, 4), ("A", "B"))
             perm_rows = rng.permutation(3)
             perm_cols = rng.permutation(4)
-            shuffled = JointPMF(("A", "B"), joint.prob[np.ix_(perm_rows, perm_cols)])
+            shuffled = _joint(("A", "B"), joint.prob[0][np.ix_(perm_rows, perm_cols)])
             assert entropy(shuffled, ("A", "B")) == entropy(joint, ("A", "B"))
 
     def test_overlap_rejected(self):
@@ -78,7 +92,6 @@ class TestEntropy:
         with pytest.raises(UnknownVariable):
             entropy(joint, "Z")
 
-
 class TestMutualInformation:
     def test_bsc_capacity_value(self):
         joint = _bsc_joint(0.1)
@@ -87,7 +100,7 @@ class TestMutualInformation:
 
     def test_independent_variables_give_dust_at_most(self):
         table = np.outer([0.3, 0.7], [0.25, 0.25, 0.5])
-        joint = JointPMF(("A", "B"), table)
+        joint = _joint(("A", "B"), table)
         got = mutual_information(joint, "A", "B")
         assert 0.0 <= got <= 1e-12
 
@@ -123,28 +136,72 @@ class TestMutualInformation:
 
 
 class TestJointPMFGuards:
+    """The checks one joint gets: those of its JointStack of one."""
+
     def test_name_count_must_match_rank(self):
         with pytest.raises(DimensionMismatch):
-            JointPMF(("A",), np.full((2, 2), 0.25))
+            _joint(("A",), np.full((2, 2), 0.25))
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            JointPMF(("A", "A"), np.full((2, 2), 0.25))
+        with pytest.raises(DimensionMismatch, match="duplicate"):
+            _joint(("A", "A"), np.full((2, 2), 0.25))
 
     def test_negative_mass_rejected(self):
         with pytest.raises(NegativeProbability):
-            JointPMF(("A",), np.array([1.5, -0.5]))
+            _joint(("A",), np.array([1.5, -0.5]))
 
     def test_mass_must_be_one(self):
         with pytest.raises(RowSumViolation):
-            JointPMF(("A",), np.array([0.5, 0.4]))
+            _joint(("A",), np.array([0.5, 0.4]))
 
     def test_state_ceiling_env_override(self, monkeypatch):
         monkeypatch.setenv("GMAC_MAX_STATES", "4")
         with pytest.raises(EnumerationTooLarge):
-            JointPMF(("A",), np.full(8, 0.125))
+            _joint(("A",), np.full(8, 0.125))
         monkeypatch.setenv("GMAC_MAX_STATES", "8")
-        JointPMF(("A",), np.full(8, 0.125))
+        _joint(("A",), np.full(8, 0.125))
+
+
+def _groups(names):
+    """Every nonempty subset of names, as a tuple in names' order."""
+    return [c for r in range(1, len(names) + 1) for c in itertools.combinations(names, r)]
+
+
+class TestKernelMatchesOracle:
+    """stacked_entropy and stacked_mutual_information on a stack of one
+    against the scalar oracle, by float.hex (which tells -0.0 from 0.0)."""
+
+    NAMES = ("A", "B", "C")
+
+    def test_random_tables_with_zeros(self, rng):
+        for _ in range(30):
+            shape = tuple(int(k) for k in rng.integers(1, 6, size=3))
+            table = rng.dirichlet(np.full(int(np.prod(shape)), 0.5)).reshape(shape)
+            table[rng.random(shape) < 0.3] = 0.0
+            if not table.any():
+                table.reshape(-1)[0] = 1.0
+            table /= table.sum()
+            joint = _joint(self.NAMES, table)
+            for t, g in itertools.product(_groups(self.NAMES), [()] + _groups(self.NAMES)):
+                if set(t) & set(g):
+                    continue
+                assert entropy(joint, t, g).hex() == \
+                    oracle.entropy(table, self.NAMES, t, g).hex(), (t, g)
+            for a, b in itertools.permutations(_groups(self.NAMES), 2):
+                g = tuple(n for n in self.NAMES if n not in a + b)
+                if set(a) & set(b):
+                    continue
+                for given in {(), g[:1], g}:
+                    assert mutual_information(joint, a, b, given).hex() == \
+                        oracle.mutual_information(table, self.NAMES, a, b, given).hex()
+
+    def test_point_mass_keeps_negative_zero(self):
+        table = np.zeros((2, 3))
+        table[1, 2] = 1.0
+        joint = _joint(("A", "B"), table)
+        got = entropy(joint, ("A", "B"))
+        assert got.hex() == oracle.entropy(table, ("A", "B"), ("A", "B")).hex()
+        assert got.hex() == (-0.0).hex()
 
 
 class TestSchemes:
@@ -198,26 +255,24 @@ class TestSchemes:
 
 
 class TestAssembly:
+    """Each kind's joint of one scheme: stacked_joint with N = 1."""
+
     def test_one_set_joint_shape_and_mass(self, clean_mac):
-        joint = assemble_joint_one_set(fx.uniform_u_equals_x1(clean_mac), clean_mac)
+        joint = _assemble_joint(fx.uniform_u_equals_x1(clean_mac), clean_mac)
         assert joint.variables == ("Q", "U", "X1", "X2", "Y", "Y2")
         assert joint.prob.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_outer_joint_adds_second_auxiliary(self, clean_mac):
-        joint = assemble_joint_one_set_outer(
-            fx.uniform_one_set_outer(clean_mac), clean_mac
-        )
+        joint = _assemble_joint(fx.uniform_one_set_outer(clean_mac), clean_mac)
         assert joint.variables == ("Q", "U", "V", "X1", "X2", "Y", "Y2")
 
     def test_two_set_joint_keeps_both_feedback_outputs(self, clean_mac):
-        joint = assemble_joint_two_set(fx.uniform_two_set_scheme(clean_mac), clean_mac)
+        joint = _assemble_joint(fx.uniform_two_set_scheme(clean_mac), clean_mac)
         assert joint.variables == ("Q", "U", "V", "X1", "X2", "Y", "Y1", "Y2")
         assert joint.prob.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_degraded_joint(self, binary_degraded):
-        joint = assemble_joint_degraded(
-            fx.uniform_degraded_scheme(binary_degraded), binary_degraded
-        )
+        joint = _assemble_joint(fx.uniform_degraded_scheme(binary_degraded), binary_degraded)
         assert joint.variables == ("Q", "X1", "X2", "Y", "Y2")
         # uniform input through the first flip: Y is a fair coin
         assert entropy(joint, "Y") == pytest.approx(1.0, abs=1e-12)
@@ -228,7 +283,7 @@ class TestAssembly:
     def test_alphabet_mismatch_rejected(self, clean_mac, pure_noise_wiretap):
         scheme = fx.uniform_u_equals_x1(clean_mac)
         with pytest.raises(DimensionMismatch):
-            assemble_joint_one_set(scheme, pure_noise_wiretap)
+            _assemble_joint(scheme, pure_noise_wiretap)
 
     def test_markov_structure_of_one_set_joint(self, rng):
         # X1 depends on Q only through U, so I(X1; Q | U) must vanish
@@ -238,7 +293,7 @@ class TestAssembly:
             p_u_given_q=rng.dirichlet(np.ones(3), size=2),
             p_x1_given_u=rng.dirichlet(np.ones(2), size=3),
         )
-        joint = assemble_joint_one_set(scheme, channel)
+        joint = _assemble_joint(scheme, channel)
         assert mutual_information(joint, "X1", "Q", given="U") <= 1e-12
 
 
@@ -254,7 +309,7 @@ class TestNaNMasses:
 
     def test_joint(self):
         with pytest.raises(RowSumViolation, match="nan"):
-            JointPMF(("A",), np.array([0.5, np.nan]))
+            _joint(("A",), np.array([0.5, np.nan]))
 
     def test_joint_stack(self):
         good, bad = np.full((1, 2), 0.5), np.array([[np.nan, 0.5]])

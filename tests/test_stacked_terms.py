@@ -1,9 +1,9 @@
 """Stacked information terms, the block search and the batched region
 assembly checked bit for bit against the per-scheme scalar path.
 
-The reference terms are mutual_information on each scheme's assembled
-JointPMF, as the package computed them before the stacked kernel; each
-kind's joint is checked against its explicit per-cell product. The
+The reference terms are the scalar oracle's mutual_information
+(scalar_oracle.py) on each scheme's joint, its stack of one; each kind's
+joint is checked against its explicit per-cell product. The
 reference search is the sequential loop over scheme dataclasses that
 maximize_secrecy_capacity replays, and the reference region is the loop
 that built a dataclass, a document and the terms of one scheme at a time.
@@ -24,10 +24,6 @@ from gmacsec import (
     NotDegradedWarning,
     SchemeDegraded,
     SchemeOneSet,
-    assemble_joint_degraded,
-    assemble_joint_one_set,
-    assemble_joint_one_set_outer,
-    assemble_joint_two_set,
     assemble_region,
     check_stochastically_degraded,
     convexify,
@@ -35,7 +31,6 @@ from gmacsec import (
     enumerate_schemes_grid,
     fixtures as fx,
     maximize_secrecy_capacity,
-    mutual_information,
     one_set_terms,
     piece_is_empty,
     sample_schemes_random,
@@ -45,6 +40,7 @@ from gmacsec import (
 from gmacsec import infotheory, one_set, optimizer, two_set
 from gmacsec.optimizer import _BOUND_TABLES, SearchConfig
 from gmacsec.regions import bound_pieces
+from scalar_oracle import mutual_information, scheme_joint
 
 FIXTURES = sorted(fx.FIXTURE_BUILDERS)
 W3 = SearchConfig(strategy="grid", cardinalities=(1, 3, 1), grid_resolution=5)
@@ -53,17 +49,17 @@ W3 = SearchConfig(strategy="grid", cardinalities=(1, 3, 1), grid_resolution=5)
 # --- references ----------------------------------------------------------------
 
 def scalar_one_set_terms(scheme, channel):
-    joint = assemble_joint_one_set(scheme, channel)
-    return (mutual_information(joint, "U", "Y", ("X2", "Q")),
-            mutual_information(joint, ("U", "X2", "Q"), "Y"),
-            mutual_information(joint, "U", "Y2", ("X2", "Q")))
+    joint = scheme_joint(scheme, channel)
+    return (mutual_information(*joint, "U", "Y", ("X2", "Q")),
+            mutual_information(*joint, ("U", "X2", "Q"), "Y"),
+            mutual_information(*joint, "U", "Y2", ("X2", "Q")))
 
 
 def scalar_degraded_terms(scheme, channel):
-    joint = assemble_joint_degraded(scheme, channel)
-    return (mutual_information(joint, "X1", "Y", ("X2", "Q")),
-            mutual_information(joint, ("X1", "X2"), "Y"),
-            mutual_information(joint, "X1", "Y2", ("X2", "Q")))
+    joint = scheme_joint(scheme, channel)
+    return (mutual_information(*joint, "X1", "Y", ("X2", "Q")),
+            mutual_information(*joint, ("X1", "X2"), "Y"),
+            mutual_information(*joint, "X1", "Y2", ("X2", "Q")))
 
 
 KINDS = {
@@ -309,24 +305,24 @@ def test_joint_stack_checks_each_joint():
 # --- every kind's joint and every bound's terms ------------------------------------
 
 def scalar_outer_terms(scheme, channel):
-    joint = assemble_joint_one_set_outer(scheme, channel)
-    return {"a_v": mutual_information(joint, "U", "Y", ("X2", "V")),
-            "a": mutual_information(joint, "U", "Y", ("X2", "Q")),
-            "b": mutual_information(joint, ("U", "X2", "Q"), "Y"),
-            "d": mutual_information(joint, "U", "Y2", ("X2", "Q"))}
+    joint = scheme_joint(scheme, channel)
+    return {"a_v": mutual_information(*joint, "U", "Y", ("X2", "V")),
+            "a": mutual_information(*joint, "U", "Y", ("X2", "Q")),
+            "b": mutual_information(*joint, ("U", "X2", "Q"), "Y"),
+            "d": mutual_information(*joint, "U", "Y2", ("X2", "Q"))}
 
 
 def scalar_two_set_terms(scheme, channel):
-    joint = assemble_joint_two_set(scheme, channel)
-    return {"m1": mutual_information(joint, "U", "Y", ("V", "Q")),
-            "m2": mutual_information(joint, "V", "Y", ("U", "Q")),
-            "m12": mutual_information(joint, ("U", "V"), "Y", ("Q",)),
-            "mt": mutual_information(joint, ("U", "V", "Q"), "Y"),
-            "e1": mutual_information(joint, "U", "Y2", ("X2", "V", "Q")),
-            "e2": mutual_information(joint, "V", "Y1", ("X1", "U", "Q"))}
+    joint = scheme_joint(scheme, channel)
+    return {"m1": mutual_information(*joint, "U", "Y", ("V", "Q")),
+            "m2": mutual_information(*joint, "V", "Y", ("U", "Q")),
+            "m12": mutual_information(*joint, ("U", "V"), "Y", ("Q",)),
+            "mt": mutual_information(*joint, ("U", "V", "Q"), "Y"),
+            "e1": mutual_information(*joint, "U", "Y2", ("X2", "V", "Q")),
+            "e2": mutual_information(*joint, "V", "Y1", ("X1", "U", "Q"))}
 
 
-# Per scheme kind: its terms by name, from mutual_information on its JointPMF.
+# Per scheme kind: its terms by name, from the oracle's mutual_information.
 SCALAR_TERMS = {
     "one_set": lambda s, ch: dict(zip("abd", scalar_one_set_terms(s, ch))),
     "one_set_outer": scalar_outer_terms,
@@ -407,8 +403,6 @@ VARIABLES = {
     "two_set": ("Q", "U", "V", "X1", "X2", "Y", "Y1", "Y2"),
     "degraded": ("Q", "X1", "X2", "Y", "Y2"),
 }
-ASSEMBLE = {"one_set": assemble_joint_one_set, "one_set_outer": assemble_joint_one_set_outer,
-            "two_set": assemble_joint_two_set, "degraded": assemble_joint_degraded}
 
 
 @pytest.mark.parametrize("kind", sorted(VARIABLES))
@@ -424,9 +418,9 @@ def test_each_kind_joint_is_the_per_cell_product(kind):
         for idx in np.ndindex(*want.shape):
             want[idx] = _cell(kind, scheme, channel.prob, w, idx)
         assert joint.prob[n].tobytes() == want.tobytes()
-        single = ASSEMBLE[kind](scheme, channel)
-        assert single.variables == VARIABLES[kind]
-        assert single.prob.tobytes() == want.tobytes()
+        single, variables = scheme_joint(scheme, channel)
+        assert variables == VARIABLES[kind]
+        assert single.tobytes() == want.tobytes()
 
 
 def test_stacked_joint_checks_the_channel_inputs(binary_degraded, clean_mac):
@@ -442,7 +436,7 @@ def test_stacked_joint_checks_the_channel_inputs(binary_degraded, clean_mac):
 
 def reference_region(channel, bound, config, rows):
     """assemble_region as one scheme at a time: a dataclass, its document
-    and its terms from mutual_information, then its pieces."""
+    and its terms from the scalar oracle, then its pieces."""
     table = _BOUND_TABLES[bound]
     variant = table.kind
     blocks = optimizer._blocks(variant, channel, config)
