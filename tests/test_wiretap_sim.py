@@ -288,6 +288,22 @@ PINNED_RANDOM_CHANNEL = {
     2: ("0x1.cca80089b0677p-1", "0x1.9381d63de7e18p-2", "0x1.fe78ccbcf4600p-3"),
     3: ("0x1.cc22abf2afd12p-1", "0x1.935657d98f7b8p-2", "0x1.fe487c56de4b8p-3"),
 }
+# the benchmark's simulate config: n = 16, M1 = 16, J1 = 8
+PINNED_BENCHMARK_CONFIG = {
+    1: ("0x1.51414389514ecp-3", "0x1.fff54ba39a7d0p-4", "0x0.0p+0"),
+    2: ("0x1.59839d8440644p-3", "0x1.026390f89f8ecp-3", "0x0.0p+0"),
+    3: ("0x1.59b259d0ee1f8p-3", "0x1.02918966fdab4p-3", "0x0.0p+0"),
+}
+# M1 = 1, so each bin sum is a matrix-vector product
+PINNED_ONE_MESSAGE = {
+    1: ("-0x1.0000000000000p-51", "0x0.0p+0", "0x0.0p+0"),
+}
+# J1 = J2 = 3: bin weights of thirds, ternary destination and user 2 outputs
+PINNED_THIRDS = {
+    1: ("0x1.b4af8f8aff6dap-1", "0x1.534f7ba01c9f5p-3", "0x1.54a5995f71715p-3"),
+    2: ("0x1.b82c775b897e5p-1", "0x1.53bed16fb29ebp-3", "0x1.543fc54d95795p-3"),
+    3: ("0x1.b39b7d1ad110ap-1", "0x1.54af528dec72bp-3", "0x1.53d81591e0b55p-3"),
+}
 
 
 def _hex_reports(reports):
@@ -306,6 +322,22 @@ class TestPinnedReports:
         reports, _ = simulate(channel, 4, 2, 3, 2, 2, 2,
                               ([0.4, 0.6], [0.5, 0.5]), seeds=range(1, 4))
         assert _hex_reports(reports) == PINNED_RANDOM_CHANNEL
+
+    def test_benchmark_config(self, binary_degraded):
+        reports, _ = simulate(binary_degraded, 16, 1, 16, 1, 8, 1,
+                              ([0.5, 0.5], [1.0]), seeds=range(1, 4))
+        assert _hex_reports(reports) == PINNED_BENCHMARK_CONFIG
+
+    def test_one_message_many_bins(self, binary_degraded):
+        reports, _ = simulate(binary_degraded, 16, 1, 1, 1, 128, 1,
+                              ([0.5, 0.5], [1.0]), seeds=[1])
+        assert _hex_reports(reports) == PINNED_ONE_MESSAGE
+
+    def test_bins_of_three(self):
+        channel = fx.random_channel((2, 2, 3, 2, 3), np.random.default_rng(5))
+        reports, _ = simulate(channel, 6, 2, 2, 2, 3, 3,
+                              ([0.4, 0.6], [0.5, 0.5]), seeds=range(1, 4))
+        assert _hex_reports(reports) == PINNED_THIRDS
 
 
 def test_decoder_partial_table_is_guarded(monkeypatch, clean_mac):
