@@ -1,10 +1,13 @@
 """Exact small-blocklength simulation of random-binning codes.
 
 Everything here is brute force on purpose. Codebooks live at blocklengths
-small enough that the full joint distribution of messages, bins, codewords,
-and output sequences fits in memory, so error probability and equivocation
-come out exact rather than sampled. The payoff is that tests can pin these
-numbers to closed-form values with zero statistical slack.
+small enough that every output sequence can be enumerated, so error
+probability and equivocation come out exact rather than sampled. The
+payoff is that tests can pin these numbers to closed-form values with zero
+statistical slack. The table of output-sequence likelihoods for every pair
+of input sequences is the largest object; it is built and read in blocks
+of at most BLOCK_CELLS cells, so only the decoder's maxima and the
+equivocation joint are ever held whole.
 
 Each sender encodes a common message w0 and a private message (w1 or w2)
 plus a uniform dummy index (j1 or j2). The dummy index fans each message
@@ -49,8 +52,10 @@ class Codebook:
 
     def __post_init__(self):
         for name in ("n", "M0", "M1", "M2", "J1", "J2", "size_x1", "size_x2"):
-            if int(getattr(self, name)) < 1:
+            value = whole_number(name, getattr(self, name))
+            if value < 1:
                 raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, value)
         x1 = np.ascontiguousarray(np.asarray(self.x1_words, dtype=np.int64))
         x2 = np.ascontiguousarray(np.asarray(self.x2_words, dtype=np.int64))
         if x1.shape != (self.M0, self.M1, self.J1, self.n):
@@ -183,35 +188,64 @@ def _distinct(words: np.ndarray):
     return seqs, counts.reshape(m0, mw, k)
 
 
-def _sequence_likelihoods(first_seqs: np.ndarray, second_seqs: np.ndarray,
-                          kernel: np.ndarray) -> np.ndarray:
-    """Output-sequence distributions for every pair of input sequences.
+# Cells per likelihood block; a block of 2^19 float64 cells is 4 MiB. The
+# bin sums read each block with one BLAS call, so keep blocks wide: a block
+# of one or two output sequences gives the call another shape, and BLAS may
+# then sum in another order.
+BLOCK_CELLS = 1 << 19
 
-    kernel is a per-letter table indexed (first letter, second letter,
-    output letter). The result has shape (len(first), len(second), m**n)
-    with output sequences in big-endian symbol order: the first channel use
-    is the most significant digit of the sequence index.
 
-    Step t extends the (ka, kb, m**t) prefix table by one use, one output
-    letter y at a time: the slab of entries whose last digit is y is the
-    prefix times the letter probability, written by one multiply whose
-    inner loop runs over the m**t prefixes. Every entry is therefore
-    ((1 * p_1) * p_2) * ... * p_n, multiplied left to right in the order of
-    the channel uses, so the table does not depend on how the steps are
-    vectorized.
+def _grow(prefix: np.ndarray, steps) -> np.ndarray:
+    """Extend a (ka, kb, w) prefix table by one channel use per step.
+
+    Each step is a (ka, kb, m) table of letter probabilities. The slab of
+    entries whose last digit is y is the prefix times the probability of
+    y, written by one multiply whose inner loop runs over the prefixes.
     """
-    ka = first_seqs.shape[0]
-    kb = second_seqs.shape[0]
-    n = first_seqs.shape[1]
-    m = kernel.shape[2]
-    prefix = np.ones((ka, kb, 1))
-    for t in range(n):
-        step = kernel[first_seqs[:, t][:, None], second_seqs[None, :, t], :]
+    ka, kb = prefix.shape[:2]
+    for step in steps:
+        m = step.shape[2]
         grown = np.empty(prefix.shape + (m,))
         for y in range(m):
             np.multiply(prefix, step[:, :, y:y + 1], out=grown[:, :, :, y])
         prefix = grown.reshape(ka, kb, -1)
     return prefix
+
+
+def _likelihood_blocks(first_seqs: np.ndarray, second_seqs: np.ndarray,
+                       kernel: np.ndarray):
+    """Output-sequence distributions for every pair of input sequences, in
+    blocks of consecutive output sequences.
+
+    kernel is a per-letter table indexed (first letter, second letter,
+    output letter). The whole table has shape (len(first), len(second),
+    m**n) with output sequences in big-endian symbol order: the first
+    channel use is the most significant digit of the sequence index.
+    Yields (start, stop, block) with block equal to table[:, :, start:stop].
+
+    A block holds the m**r sequences that share their first n - r letters,
+    r the largest with at most BLOCK_CELLS cells in a block (0 when even
+    m sequences overflow it). The leading n - r uses are grown once for
+    every prefix; each block then grows one prefix through the trailing r
+    uses. Every entry is therefore ((1 * p_1) * p_2) * ... * p_n, multiplied
+    left to right in the order of the channel uses, so no entry depends on
+    the block size, and a table of at most BLOCK_CELLS cells is one block.
+    """
+    ka = first_seqs.shape[0]
+    kb = second_seqs.shape[0]
+    n = first_seqs.shape[1]
+    m = kernel.shape[2]
+    steps = [kernel[first_seqs[:, t][:, None], second_seqs[None, :, t], :]
+             for t in range(n)]
+    trailing = 0
+    while trailing < n and ka * kb * m ** (trailing + 1) <= BLOCK_CELLS:
+        trailing += 1
+    lead = n - trailing
+    prefixes = _grow(np.ones((ka, kb, 1)), steps[:lead])
+    width = m ** trailing
+    for p in range(prefixes.shape[2]):
+        block = _grow(prefixes[:, :, p:p + 1], steps[lead:])
+        yield p * width, (p + 1) * width, block
 
 
 def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
@@ -236,16 +270,16 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     seqs2, counts2 = _distinct(codebook.x2_words)
     _guard(seqs1.shape[0] * seqs2.shape[0] * ny, "pairwise likelihood table")
     _guard(codebook.M1 * seqs2.shape[0] * ny, "decoder partial table")
-    pair = _sequence_likelihoods(seqs1, seqs2, kernel)
     w1_frac = counts1 / codebook.J1
     w2_frac = counts2 / codebook.J2
     best = np.zeros(ny)
-    for w0 in range(codebook.M0):
-        # p(y-seq | w0, w1, w2) for all (w1, w2) at once, bins averaged out
-        half = np.tensordot(w1_frac[w0], pair, axes=(1, 0))
-        table = np.tensordot(w2_frac[w0], half, axes=(1, 1))
-        block = np.swapaxes(table, 0, 1).reshape(-1, ny)
-        np.maximum(best, block.max(axis=0), out=best)
+    for start, stop, pair in _likelihood_blocks(seqs1, seqs2, kernel):
+        for w0 in range(codebook.M0):
+            # p(y-seq | w0, w1, w2) for all (w1, w2) at once, bins averaged out
+            half = np.tensordot(w1_frac[w0], pair, axes=(1, 0))
+            table = np.tensordot(w2_frac[w0], half, axes=(1, 1))
+            block = np.swapaxes(table, 0, 1).reshape(-1, stop - start)
+            np.maximum(best[start:stop], block.max(axis=0), out=best[start:stop])
     return float(1.0 - best.sum() / m_triples)
 
 
@@ -297,14 +331,15 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
     kd = known_seqs.shape[0]
     _guard(hidden_seqs.shape[0] * kd * ny, "pairwise likelihood table")
     _guard(codebook.M0 * mh * mk * kd * ny, "equivocation joint")
-    lik = _sequence_likelihoods(hidden_seqs, known_seqs, kernel)
     known_frac = known_counts / known_words.shape[2]
     hidden_frac = hidden_counts / jh
     joint = np.zeros((codebook.M0, mh, mk, kd, ny))
-    for w0 in range(codebook.M0):
-        # mass(wh, wk, known-seq, y-seq); hidden bins averaged through lik
-        mixed = np.tensordot(hidden_frac[w0], lik, axes=(1, 0))
-        joint[w0] = mixed[:, None, :, :] * known_frac[w0][None, :, :, None]
+    for start, stop, lik in _likelihood_blocks(hidden_seqs, known_seqs, kernel):
+        for w0 in range(codebook.M0):
+            # mass(wh, wk, known-seq, y-seq); hidden bins averaged through lik
+            mixed = np.tensordot(hidden_frac[w0], lik, axes=(1, 0))
+            joint[w0, ..., start:stop] = (
+                mixed[:, None, :, :] * known_frac[w0][None, :, :, None])
     joint /= codebook.M0 * mh * mk
     return JointStack(variables, joint[None])
 

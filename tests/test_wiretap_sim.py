@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,8 @@ from gmacsec import (
     validate_channel,
 )
 from gmacsec import fixtures as fx
-from gmacsec.wiretap_sim import _sequence_likelihoods
+from gmacsec import wiretap_sim
+from gmacsec.wiretap_sim import _likelihood_blocks
 
 UNIFORM_PAIR = ([0.5, 0.5], [0.5, 0.5])
 
@@ -82,6 +86,24 @@ class TestCodebook:
         with pytest.raises(ValueError):
             build_codebook(binary_degraded, 2, 1, 0, 1, 1, 1,
                            ([0.5, 0.5], [1.0]), seed=1)
+
+    @pytest.mark.parametrize("field", ["n", "M0", "M1", "M2", "J1", "J2",
+                                       "size_x1", "size_x2"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_counts_must_be_whole_numbers(self, field, value):
+        args = dict(n=2, M0=1, M1=2, M2=1, J1=1, J2=1, size_x1=2, size_x2=2,
+                    x1_words=np.zeros((1, 2, 1, 2), dtype=np.int64),
+                    x2_words=np.zeros((1, 1, 1, 2), dtype=np.int64))
+        args[field] = value
+        with pytest.raises(ValueError, match="whole number"):
+            Codebook(**args)
+
+    def test_integral_floats_are_stored_as_ints(self, binary_degraded):
+        book = Codebook(n=2, M0=1, M1=2.0, M2=1, J1=1, J2=1, size_x1=2,
+                        size_x2=1, x1_words=[[[[0, 0]], [[1, 1]]]],
+                        x2_words=np.zeros((1, 1, 1, 2), dtype=np.int64))
+        assert type(book.M1) is int
+        assert exact_equivocation(book, binary_degraded) >= 0.0
 
     def test_letters_must_fit_the_alphabet(self):
         words = np.full((1, 1, 1, 2), 3, dtype=np.int64)
@@ -264,13 +286,39 @@ def _likelihood_cases(draw):
             rng.integers(0, sx2, size=(kb, n)), kernel)
 
 
+def _blocks(first, second, kernel, block_cells):
+    with mock.patch.object(wiretap_sim, "BLOCK_CELLS", block_cells):
+        return list(_likelihood_blocks(first, second, kernel))
+
+
 class TestSequenceLikelihoods:
-    @settings(derandomize=True, max_examples=80, deadline=None)
-    @given(_likelihood_cases())
-    def test_matches_the_broadcast_recursion_bitwise(self, case):
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(_likelihood_cases(),
+           st.one_of(st.integers(1, 64), st.integers(1, 1 << 15)))
+    def test_matches_the_broadcast_recursion_bitwise(self, case, block_cells):
+        # growth is elementwise, so every block size gives the same bits
         first, second, kernel = case
-        got = _sequence_likelihoods(first, second, kernel)
+        blocks = _blocks(first, second, kernel, block_cells)
+        starts = [start for start, _, _ in blocks]
+        stops = [stop for _, stop, _ in blocks]
+        assert starts == [0] + stops[:-1]
+        assert stops[-1] == kernel.shape[2] ** first.shape[1]
+        for start, stop, block in blocks:
+            assert block.shape[2] == stop - start
+            assert block.shape[2] == 1 or block.size <= block_cells
+        got = np.concatenate([block for _, _, block in blocks], axis=2)
         assert np.array_equal(got, _broadcast_likelihoods(first, second, kernel))
+
+    def test_a_table_of_at_most_block_cells_is_one_block(self):
+        rng = np.random.default_rng(0)
+        first, second = rng.integers(0, 2, size=(3, 5)), rng.integers(0, 2, size=(2, 5))
+        kernel = rng.dirichlet(np.ones(3), size=(2, 2))
+        cells = 3 * 2 * 3 ** 5
+        assert [(start, stop) for start, stop, _ in
+                _blocks(first, second, kernel, cells)] == [(0, 3 ** 5)]
+        assert [(start, stop) for start, stop, _ in
+                _blocks(first, second, kernel, cells - 1)] == [
+                    (81 * p, 81 * (p + 1)) for p in range(3)]
 
 
 # float.hex of (error_probability, equivocation_user2, equivocation_user1)
@@ -338,6 +386,77 @@ class TestPinnedReports:
         reports, _ = simulate(channel, 6, 2, 2, 2, 3, 3,
                               ([0.4, 0.6], [0.5, 0.5]), seeds=range(1, 4))
         assert _hex_reports(reports) == PINNED_THIRDS
+
+
+_CASES = ("user2_about_W1", "user1_about_W2",
+          "destination_about_W1", "destination_about_W2")
+
+# (channel, (n, M0, M1, M2, J1, J2), input_dist, seeds) of every pinned config;
+# the benchmark config keeps one seed, because a forced split is slow there
+_PINNED_CONFIGS = {
+    "binary_degraded_mid_size": (
+        fx.binary_degraded(), (10, 1, 16, 1, 4, 1), ([0.5, 0.5], [1.0]), range(1, 7)),
+    "ternary_outputs": (
+        fx.random_channel((2, 2, 3, 2, 3), np.random.default_rng(5)),
+        (4, 2, 3, 2, 2, 2), ([0.4, 0.6], [0.5, 0.5]), range(1, 4)),
+    "benchmark_config": (
+        fx.binary_degraded(), (16, 1, 16, 1, 8, 1), ([0.5, 0.5], [1.0]), [1]),
+    "one_message_many_bins": (
+        fx.binary_degraded(), (16, 1, 1, 1, 128, 1), ([0.5, 0.5], [1.0]), [1]),
+    "bins_of_three": (
+        fx.random_channel((2, 2, 3, 2, 3), np.random.default_rng(5)),
+        (6, 2, 2, 2, 3, 3), ([0.4, 0.6], [0.5, 0.5]), range(1, 4)),
+}
+
+
+def _exact_figures(book, channel, block_cells, monkeypatch):
+    """Error probability and the four equivocation joints (or the guard's
+    message), plus the number of likelihood blocks they read."""
+    blocks = []
+
+    def counted(*args):
+        for item in _likelihood_blocks(*args):
+            blocks.append(item[:2])
+            yield item
+
+    monkeypatch.setattr(wiretap_sim, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(wiretap_sim, "_likelihood_blocks", counted)
+    figures = [exact_error_probability(book, channel).hex()]
+    for case in _CASES:
+        try:
+            figures.append(equivocation_joint(book, channel, case).prob)
+        except EnumerationTooLarge as exc:
+            figures.append(str(exc))
+    return figures, len(blocks)
+
+
+@pytest.mark.parametrize("config", sorted(_PINNED_CONFIGS))
+def test_forced_split_equals_one_block_bitwise(monkeypatch, config):
+    # 2^10 cells, not fewer: a block of one or two output sequences turns
+    # the bin sum into a BLAS call of another shape, which may sum in
+    # another order
+    channel, counts, dist, seeds = _PINNED_CONFIGS[config]
+    for seed in seeds:
+        book = build_codebook(channel, *counts, dist, seed)
+        whole, whole_blocks = _exact_figures(book, channel, 1 << 62, monkeypatch)
+        split, split_blocks = _exact_figures(book, channel, 1 << 10, monkeypatch)
+        assert split_blocks > whole_blocks
+        assert split[0] == whole[0]
+        for a, b in zip(split[1:], whole[1:]):
+            assert type(a) is type(b)
+            assert a == b if isinstance(a, str) else np.array_equal(a, b)
+
+
+def test_simulate_memory_peak_at_the_benchmark_config(binary_degraded):
+    # the whole pairwise table here is 8.4 M cells (64 MiB), so holding it at
+    # once breaks the bound; read in blocks, the call peaks near 24 MiB
+    tracemalloc.start()
+    try:
+        simulate(binary_degraded, 16, 1, 16, 1, 8, 1, ([0.5, 0.5], [1.0]), seeds=[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_decoder_partial_table_is_guarded(monkeypatch, clean_mac):
