@@ -7,100 +7,125 @@ The library is organized bottom-up: channel descriptions and validation
 two-confidential-message bound constructions (one_set, two_set), scheme
 search (optimizer), and an exact small-blocklength binning simulator
 (wiretap_sim). The cli module exposes all of it over files.
+
+Importing the package loads no submodule. Each exported name is imported
+from its submodule on first use, so a program pays only for the layers it
+touches: `gmacsec.simulate` never loads the region and search stack.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelSpec,
-    DegradednessCertificate,
-    check_physically_degraded,
-    check_stochastically_degraded,
-    compose_degraded_channel,
-    load_channel,
-    marginal_kernel,
-    perturb_preserving_marginals,
-    save_channel,
-    validate_channel,
-)
-from .errors import (
-    DimensionMismatch,
-    EmptySlice,
-    EnumerationTooLarge,
-    GmacError,
-    GridTooLarge,
-    InternalError,
-    NegativeProbability,
-    NotDegradedWarning,
-    RowSumViolation,
-    SolverStall,
-    Unbounded,
-    UnknownVariable,
-    VertexEnumerationOverflow,
-    max_states,
-)
-from .infotheory import (
-    SchemeDegraded,
-    SchemeOneSet,
-    SchemeOneSetOuter,
-    SchemeTwoSet,
-    scheme_from_dict,
-    scheme_to_dict,
-)
-from .one_set import (
-    degraded_polytope,
-    degraded_secrecy_capacity_value,
-    degraded_secrecy_polytope,
-    degraded_terms,
-    inner_polytope,
-    one_set_terms,
-    outer_polytope,
-    secrecy_capacity_value,
-    secrecy_polytope,
-)
-from .optimizer import (
-    BOUNDS,
-    SearchConfig,
-    assemble_region,
-    enumerate_schemes_grid,
-    full_cardinalities,
-    maximize_secrecy_capacity,
-    refine_local,
-    sample_schemes_random,
-)
-from .regions import (
-    FrontierSample,
-    RatePolytope,
-    RateRegion,
-    clip_plus_split,
-    convexify,
-    frontier,
-    frontier_sweep,
-    piece_contains,
-    piece_is_empty,
-    piece_support,
-    piece_vertices,
-    polytope,
-    region_contains,
-    region_support,
-    slice_piece,
-)
-from .two_set import (
-    equivocation_set_explicit,
-    equivocation_set_oracle,
-    mac_polytope,
-    secrecy_inner_pieces,
-    two_set_region_piece,
-    two_set_terms,
-)
-from .wiretap_sim import (
-    Codebook,
-    SimReport,
-    build_codebook,
-    equivocation_joint,
-    exact_equivocation,
-    exact_error_probability,
-    simulate,
-)
+# export name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "ChannelSpec",
+        "DegradednessCertificate",
+        "check_physically_degraded",
+        "check_stochastically_degraded",
+        "compose_degraded_channel",
+        "load_channel",
+        "marginal_kernel",
+        "perturb_preserving_marginals",
+        "save_channel",
+        "validate_channel",
+    ), "channel"),
+    **dict.fromkeys((
+        "DimensionMismatch",
+        "EmptySlice",
+        "EnumerationTooLarge",
+        "GmacError",
+        "GridTooLarge",
+        "InternalError",
+        "NegativeProbability",
+        "NotDegradedWarning",
+        "RowSumViolation",
+        "SolverStall",
+        "Unbounded",
+        "UnknownVariable",
+        "VertexEnumerationOverflow",
+        "max_states",
+    ), "errors"),
+    **dict.fromkeys((
+        "SchemeDegraded",
+        "SchemeOneSet",
+        "SchemeOneSetOuter",
+        "SchemeTwoSet",
+        "scheme_from_dict",
+        "scheme_to_dict",
+    ), "infotheory"),
+    **dict.fromkeys((
+        "degraded_polytope",
+        "degraded_secrecy_capacity_value",
+        "degraded_secrecy_polytope",
+        "degraded_terms",
+        "inner_polytope",
+        "one_set_terms",
+        "outer_polytope",
+        "secrecy_capacity_value",
+        "secrecy_polytope",
+    ), "one_set"),
+    **dict.fromkeys((
+        "BOUNDS",
+        "SearchConfig",
+        "assemble_region",
+        "enumerate_schemes_grid",
+        "full_cardinalities",
+        "maximize_secrecy_capacity",
+        "refine_local",
+        "sample_schemes_random",
+    ), "optimizer"),
+    **dict.fromkeys((
+        "FrontierSample",
+        "RatePolytope",
+        "RateRegion",
+        "clip_plus_split",
+        "convexify",
+        "frontier",
+        "frontier_sweep",
+        "piece_contains",
+        "piece_is_empty",
+        "piece_support",
+        "piece_vertices",
+        "polytope",
+        "region_contains",
+        "region_support",
+        "slice_piece",
+    ), "regions"),
+    **dict.fromkeys((
+        "equivocation_set_explicit",
+        "equivocation_set_oracle",
+        "mac_polytope",
+        "secrecy_inner_pieces",
+        "two_set_region_piece",
+        "two_set_terms",
+    ), "two_set"),
+    **dict.fromkeys((
+        "Codebook",
+        "SimReport",
+        "build_codebook",
+        "equivocation_joint",
+        "exact_equivocation",
+        "exact_error_probability",
+        "simulate",
+    ), "wiretap_sim"),
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not yet in the module's globals
+    if name in _EXPORTS:
+        value = getattr(_import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _EXPORTS.values():
+        value = _import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS.values()})

@@ -36,17 +36,9 @@ from .errors import (
     Unbounded,
     VertexEnumerationOverflow,
 )
-from .infotheory import (
-    _assemble_joint,
-    parse_query,
-    scheme_from_dict,
-    scheme_to_dict,
-    stacked_entropy,
-    stacked_mutual_information,
-)
-from .optimizer import SearchConfig, assemble_region, maximize_secrecy_capacity
-from .regions import frontier_points, frontier_sweep
-from .wiretap_sim import simulate
+
+# Each command imports the layers it runs when it runs, so `simulate`,
+# `info` and `check-degraded` never load the region and search stack.
 
 _BOUND_ALIASES = {
     "inner1": "inner-one-set",
@@ -86,7 +78,7 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _manifest(command, args, started, seeds, outputs, channel_path=None,
+def _manifest(command, argv, started, seeds, outputs, channel_path=None,
               config_path=None, config_doc=None) -> dict:
     doc = {
         "command": command,
@@ -100,13 +92,15 @@ def _manifest(command, args, started, seeds, outputs, channel_path=None,
         "seeds": list(seeds),
         "duration_seconds": time.monotonic() - started,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "argv": list(args),
+        "argv": list(argv),
         "outputs": outputs,
     }
     return doc
 
 
 def _load_config(path) -> SearchConfig:
+    from .optimizer import SearchConfig
+
     if path is None:
         return SearchConfig()
     return SearchConfig.from_dict(_load_json(path))
@@ -153,7 +147,10 @@ print(f"wrote {{out}}")
 """
 
 
-def cmd_region(args) -> int:
+def cmd_region(args, argv) -> int:
+    from .optimizer import assemble_region
+    from .regions import frontier_points, frontier_sweep
+
     started = time.monotonic()
     channel = load_channel(args.channel)
     config = _load_config(args.config)
@@ -209,7 +206,7 @@ def cmd_region(args) -> int:
 
     manifest_path = out.with_name(out.name + ".manifest.json")
     manifest = _manifest(
-        "region", sys.argv[1:], started, [config.seed], outputs,
+        "region", argv, started, [config.seed], outputs,
         channel_path=args.channel, config_path=args.config,
         config_doc=config.to_dict(),
     )
@@ -226,7 +223,7 @@ def cmd_region(args) -> int:
     return 0
 
 
-def cmd_check_degraded(args) -> int:
+def cmd_check_degraded(args, argv) -> int:
     started = time.monotonic()
     channel = load_channel(args.channel)
     physical = check_physically_degraded(channel, tol=args.tol)
@@ -246,14 +243,17 @@ def cmd_check_degraded(args) -> int:
         _write_json(args.out, doc)
         manifest_path = pathlib.Path(args.out).with_suffix(".manifest.json")
         _write_json(manifest_path, _manifest(
-            "check-degraded", sys.argv[1:], started, [],
+            "check-degraded", argv, started, [],
             {"verdict_json": str(args.out)}, channel_path=args.channel,
         ))
     _print_json(doc)
     return 0
 
 
-def cmd_secrecy_capacity(args) -> int:
+def cmd_secrecy_capacity(args, argv) -> int:
+    from .infotheory import scheme_to_dict
+    from .optimizer import maximize_secrecy_capacity
+
     started = time.monotonic()
     channel = load_channel(args.channel)
     config = _load_config(args.config)
@@ -271,7 +271,7 @@ def cmd_secrecy_capacity(args) -> int:
         _write_json(args.out, doc)
         manifest_path = pathlib.Path(args.out).with_suffix(".manifest.json")
         _write_json(manifest_path, _manifest(
-            "secrecy-capacity", sys.argv[1:], started, [config.seed],
+            "secrecy-capacity", argv, started, [config.seed],
             {"result_json": str(args.out)}, channel_path=args.channel,
             config_path=args.config, config_doc=config.to_dict(),
         ))
@@ -279,7 +279,9 @@ def cmd_secrecy_capacity(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, argv) -> int:
+    from .wiretap_sim import simulate
+
     started = time.monotonic()
     channel = load_channel(args.channel)
     doc = _load_json(args.sim_config)
@@ -314,7 +316,7 @@ def cmd_simulate(args) -> int:
         anchor = pathlib.Path(args.out or args.csv)
         manifest_path = anchor.with_name(anchor.name + ".manifest.json")
         _write_json(manifest_path, _manifest(
-            "simulate", sys.argv[1:], started, doc["seeds"], outputs,
+            "simulate", argv, started, doc["seeds"], outputs,
             channel_path=args.channel, config_path=args.sim_config,
         ))
     _print_json(result)
@@ -325,6 +327,8 @@ def _evaluate_query(joint, query: str) -> float:
     """Evaluate "I(A;B|C)" or "H(A|C)" (see parse_query) against the
     joint of one scheme, a stack of one; the information a group shares
     with itself is that group's entropy."""
+    from .infotheory import parse_query, stacked_entropy, stacked_mutual_information
+
     letter, a, *rest = parse_query(query)
     if letter == "H" or set(a) == set(rest[0]):
         value = stacked_entropy(joint, a, given=rest[-1])
@@ -333,7 +337,9 @@ def _evaluate_query(joint, query: str) -> float:
     return float(value[0])
 
 
-def cmd_info(args) -> int:
+def cmd_info(args, argv) -> int:
+    from .infotheory import _assemble_joint, scheme_from_dict
+
     channel = load_channel(args.channel)
     doc = _load_json(args.scheme)
     scheme = scheme_from_dict(doc)
@@ -410,13 +416,15 @@ def _fail(exc: BaseException, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # the manifests record the argv parsed here, not the host's
+        return args.func(args, argv)
     except _GUARD_ERRORS as exc:
         return _fail(exc, 3)
     except _INTERNAL_ERRORS as exc:

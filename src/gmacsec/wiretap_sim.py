@@ -195,17 +195,25 @@ def _distinct(words: np.ndarray):
 BLOCK_CELLS = 1 << 19
 
 
-def _grow(prefix: np.ndarray, steps) -> np.ndarray:
+def _grow(prefix: np.ndarray, steps, buffers=None) -> np.ndarray:
     """Extend a (ka, kb, w) prefix table by one channel use per step.
 
     Each step is a (ka, kb, m) table of letter probabilities. The slab of
     entries whose last digit is y is the prefix times the probability of
     y, written by one multiply whose inner loop runs over the prefixes.
+
+    buffers, if given, is a pair of flat float arrays, each with room for
+    the fully grown table. The steps then write into them in turn instead
+    of allocating, and the result is a view of one of them.
     """
     ka, kb = prefix.shape[:2]
-    for step in steps:
+    for i, step in enumerate(steps):
         m = step.shape[2]
-        grown = np.empty(prefix.shape + (m,))
+        shape = prefix.shape + (m,)
+        if buffers is None:
+            grown = np.empty(shape)
+        else:
+            grown = buffers[i % 2][:prefix.size * m].reshape(shape)
         for y in range(m):
             np.multiply(prefix, step[:, :, y:y + 1], out=grown[:, :, :, y])
         prefix = grown.reshape(ka, kb, -1)
@@ -222,6 +230,8 @@ def _likelihood_blocks(first_seqs: np.ndarray, second_seqs: np.ndarray,
     m**n) with output sequences in big-endian symbol order: the first
     channel use is the most significant digit of the sequence index.
     Yields (start, stop, block) with block equal to table[:, :, start:stop].
+    The blocks of one table share two buffers, so a block is valid only
+    until the next one is drawn.
 
     A block holds the m**r sequences that share their first n - r letters,
     r the largest with at most BLOCK_CELLS cells in a block (0 when even
@@ -243,8 +253,9 @@ def _likelihood_blocks(first_seqs: np.ndarray, second_seqs: np.ndarray,
     lead = n - trailing
     prefixes = _grow(np.ones((ka, kb, 1)), steps[:lead])
     width = m ** trailing
+    buffers = (np.empty(ka * kb * width), np.empty(ka * kb * width))
     for p in range(prefixes.shape[2]):
-        block = _grow(prefixes[:, :, p:p + 1], steps[lead:])
+        block = _grow(prefixes[:, :, p:p + 1], steps[lead:], buffers)
         yield p * width, (p + 1) * width, block
 
 
@@ -338,8 +349,8 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
         for w0 in range(codebook.M0):
             # mass(wh, wk, known-seq, y-seq); hidden bins averaged through lik
             mixed = np.tensordot(hidden_frac[w0], lik, axes=(1, 0))
-            joint[w0, ..., start:stop] = (
-                mixed[:, None, :, :] * known_frac[w0][None, :, :, None])
+            np.multiply(mixed[:, None, :, :], known_frac[w0][None, :, :, None],
+                        out=joint[w0, ..., start:stop])
     joint /= codebook.M0 * mh * mk
     return JointStack(variables, joint[None])
 

@@ -56,17 +56,51 @@ def _stderr_error(capsys):
     return json.loads(err.strip().splitlines()[-1])
 
 
+# the layers that only `region` and `secrecy-capacity` run
+_LAZY_LAYERS = ("gmacsec.regions", "gmacsec.optimizer", "gmacsec.one_set",
+                "gmacsec.two_set")
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter on this checkout; returns its stdout."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 class TestTopLevel:
     def test_import_loads_no_scipy_solver_or_hull(self):
         # scipy.optimize and scipy.spatial are imported on the first LP or hull
         code = ("import sys, gmacsec.cli; "
                 "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') "
                 "if m in sys.modules))")
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert _run_python(code) == "[]"
+
+    def test_import_loads_no_region_search_or_simulation_layer(self):
+        code = ("import sys, gmacsec.cli; "
+                "print(sorted(m for m in sys.modules if m in {mods!r}))"
+                .format(mods=_LAZY_LAYERS + ("gmacsec.wiretap_sim", "concurrent.futures")))
+        assert _run_python(code) == "[]"
+
+    def test_simulate_info_and_check_degraded_load_no_region_or_search_layer(
+            self, channel_files, one_set_scheme_file, tmp_path):
+        sim = _write_json(tmp_path / "sim.json", TestSimulate.SIM)
+        channel = str(channel_files["binary_degraded"])
+        commands = [
+            ["simulate", sim, "--channel", channel, "--out", str(tmp_path / "r.json")],
+            ["info", str(channel_files["clean_mac"]), "--scheme", one_set_scheme_file,
+             "--query", "I(U;Y|X2,Q)"],
+            ["check-degraded", channel, "--out", str(tmp_path / "v.json")],
+        ]
+        code = ("import contextlib, io, sys\n"
+                "from gmacsec.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [main(argv) for argv in {commands!r}]\n"
+                "print(codes, sorted(m for m in sys.modules if m in {mods!r}))\n"
+                .format(commands=commands, mods=_LAZY_LAYERS))
+        assert _run_python(code) == "[0, 0, 0] []"
 
     def test_region_queries_need_no_scipy_optimize(self):
         # assembling, sweeping and membership solve no LP, so they run with
@@ -78,11 +112,7 @@ class TestTopLevel:
                 "                         SearchConfig(strategy='random', sample_count=4))\n"
                 "frontier_sweep(region, ('R0', 'R1'), fixed={'Re': 0.05}, resolution=9)\n"
                 "print(region_contains(region, region.hull_points.mean(axis=0)))\n")
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "True"
+        assert _run_python(code) == "True"
 
     def test_version_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -244,12 +274,12 @@ class TestRegion:
 
     def test_internal_failure_is_code_four(self, channel_files, tmp_path,
                                            monkeypatch, capsys):
-        import gmacsec.cli as cli
+        import gmacsec.optimizer as optimizer
 
         def explode(*args, **kwargs):
             raise SolverStall("stalled on purpose")
 
-        monkeypatch.setattr(cli, "assemble_region", explode)
+        monkeypatch.setattr(optimizer, "assemble_region", explode)
         rc = main(["region", str(channel_files["clean_mac"]),
                    "--bound", "inner1", "--out", str(tmp_path / "x.csv")])
         assert rc == 4
@@ -452,6 +482,37 @@ class TestOneSpelling:
             assert main(["info", str(channel_path), "--scheme", scheme_path,
                          "--query", expr]) == 0
             assert capsys.readouterr().out == _g9(values[name]) + "\n", (name, expr)
+
+
+class TestManifestArgv:
+    """A manifest records the argv main() parsed, not the host process's."""
+
+    @pytest.mark.parametrize("command", ["region", "check-degraded",
+                                         "secrecy-capacity", "simulate"])
+    def test_manifest_records_the_parsed_argv(self, command, channel_files,
+                                              grid_config, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(sys, "argv", ["host", "some", "extra", "host", "args"])
+        channel = str(channel_files["binary_degraded"])
+        if command == "region":
+            out = tmp_path / "f.csv"
+            cfg = _write_json(tmp_path / "cfg.json",
+                              {"strategy": "random", "sample_count": 2})
+            argv = ["region", channel, "--bound", "inner1", "--resolution", "3",
+                    "--config", cfg, "--out", str(out)]
+            manifest = tmp_path / "f.csv.manifest.json"
+        elif command == "simulate":
+            sim = _write_json(tmp_path / "sim.json", TestSimulate.SIM)
+            argv = ["simulate", sim, "--channel", channel,
+                    "--out", str(tmp_path / "r.json")]
+            manifest = tmp_path / "r.json.manifest.json"
+        else:
+            argv = [command, channel, "--out", str(tmp_path / "o.json")]
+            if command == "secrecy-capacity":
+                argv += ["--config", grid_config]
+            manifest = tmp_path / "o.manifest.json"
+        assert main(argv) == 0
+        assert json.loads(manifest.read_text())["argv"] == argv
 
 
 class TestCheckDegraded:

@@ -287,8 +287,10 @@ def _likelihood_cases(draw):
 
 
 def _blocks(first, second, kernel, block_cells):
+    # a block is overwritten by the next one, so keep copies
     with mock.patch.object(wiretap_sim, "BLOCK_CELLS", block_cells):
-        return list(_likelihood_blocks(first, second, kernel))
+        return [(start, stop, block.copy()) for start, stop, block
+                in _likelihood_blocks(first, second, kernel)]
 
 
 class TestSequenceLikelihoods:
@@ -319,6 +321,20 @@ class TestSequenceLikelihoods:
         assert [(start, stop) for start, stop, _ in
                 _blocks(first, second, kernel, cells - 1)] == [
                     (81 * p, 81 * (p + 1)) for p in range(3)]
+
+    def test_the_blocks_of_one_table_share_two_buffers(self, monkeypatch):
+        # 3 x 2 input pairs, ternary outputs, n = 6: 9 blocks of 3^4 sequences
+        rng = np.random.default_rng(1)
+        first, second = rng.integers(0, 2, size=(3, 6)), rng.integers(0, 2, size=(2, 6))
+        kernel = rng.dirichlet(np.ones(3), size=(2, 2))
+        monkeypatch.setattr(wiretap_sim, "BLOCK_CELLS", 3 * 2 * 3 ** 4)
+        blocks = [block for _, _, block in _likelihood_blocks(first, second, kernel)]
+        assert len(blocks) == 9
+        memories = []
+        for block in blocks:
+            if not any(np.shares_memory(block, seen) for seen in memories):
+                memories.append(block)
+        assert len(memories) <= 2
 
 
 # float.hex of (error_probability, equivocation_user2, equivocation_user1)
