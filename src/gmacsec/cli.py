@@ -147,7 +147,7 @@ print(f"wrote {{out}}")
 """
 
 
-def cmd_region(args, argv) -> int:
+def cmd_region(args) -> int:
     from .optimizer import assemble_region
     from .regions import frontier_points, frontier_sweep
 
@@ -206,7 +206,7 @@ def cmd_region(args, argv) -> int:
 
     manifest_path = out.with_name(out.name + ".manifest.json")
     manifest = _manifest(
-        "region", argv, started, [config.seed], outputs,
+        "region", args.argv, started, [config.seed], outputs,
         channel_path=args.channel, config_path=args.config,
         config_doc=config.to_dict(),
     )
@@ -223,7 +223,7 @@ def cmd_region(args, argv) -> int:
     return 0
 
 
-def cmd_check_degraded(args, argv) -> int:
+def cmd_check_degraded(args) -> int:
     started = time.monotonic()
     channel = load_channel(args.channel)
     physical = check_physically_degraded(channel, tol=args.tol)
@@ -243,14 +243,14 @@ def cmd_check_degraded(args, argv) -> int:
         _write_json(args.out, doc)
         manifest_path = pathlib.Path(args.out).with_suffix(".manifest.json")
         _write_json(manifest_path, _manifest(
-            "check-degraded", argv, started, [],
+            "check-degraded", args.argv, started, [],
             {"verdict_json": str(args.out)}, channel_path=args.channel,
         ))
     _print_json(doc)
     return 0
 
 
-def cmd_secrecy_capacity(args, argv) -> int:
+def cmd_secrecy_capacity(args) -> int:
     from .infotheory import scheme_to_dict
     from .optimizer import maximize_secrecy_capacity
 
@@ -271,7 +271,7 @@ def cmd_secrecy_capacity(args, argv) -> int:
         _write_json(args.out, doc)
         manifest_path = pathlib.Path(args.out).with_suffix(".manifest.json")
         _write_json(manifest_path, _manifest(
-            "secrecy-capacity", argv, started, [config.seed],
+            "secrecy-capacity", args.argv, started, [config.seed],
             {"result_json": str(args.out)}, channel_path=args.channel,
             config_path=args.config, config_doc=config.to_dict(),
         ))
@@ -279,7 +279,7 @@ def cmd_secrecy_capacity(args, argv) -> int:
     return 0
 
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args) -> int:
     from .wiretap_sim import simulate
 
     started = time.monotonic()
@@ -316,7 +316,7 @@ def cmd_simulate(args, argv) -> int:
         anchor = pathlib.Path(args.out or args.csv)
         manifest_path = anchor.with_name(anchor.name + ".manifest.json")
         _write_json(manifest_path, _manifest(
-            "simulate", argv, started, doc["seeds"], outputs,
+            "simulate", args.argv, started, doc["seeds"], outputs,
             channel_path=args.channel, config_path=args.sim_config,
         ))
     _print_json(result)
@@ -337,7 +337,7 @@ def _evaluate_query(joint, query: str) -> float:
     return float(value[0])
 
 
-def cmd_info(args, argv) -> int:
+def cmd_info(args) -> int:
     from .infotheory import _assemble_joint, scheme_from_dict
 
     channel = load_channel(args.channel)
@@ -422,9 +422,10 @@ def main(argv=None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_help(sys.stderr)
         return 2
+    # the manifests record the argv parsed here, not the host's
+    args.argv = argv
     try:
-        # the manifests record the argv parsed here, not the host's
-        return args.func(args, argv)
+        return args.func(args)
     except _GUARD_ERRORS as exc:
         return _fail(exc, 3)
     except _INTERNAL_ERRORS as exc:

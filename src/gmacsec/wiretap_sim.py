@@ -195,25 +195,22 @@ def _distinct(words: np.ndarray):
 BLOCK_CELLS = 1 << 19
 
 
-def _grow(prefix: np.ndarray, steps, buffers=None) -> np.ndarray:
+def _grow(prefix: np.ndarray, steps, buffers) -> np.ndarray:
     """Extend a (ka, kb, w) prefix table by one channel use per step.
 
     Each step is a (ka, kb, m) table of letter probabilities. The slab of
     entries whose last digit is y is the prefix times the probability of
     y, written by one multiply whose inner loop runs over the prefixes.
 
-    buffers, if given, is a pair of flat float arrays, each with room for
-    the fully grown table. The steps then write into them in turn instead
-    of allocating, and the result is a view of one of them.
+    buffers is a pair of flat float arrays, each with room for the fully
+    grown table. The steps write into them in turn instead of allocating,
+    and the result is a view of one of them.
     """
     ka, kb = prefix.shape[:2]
     for i, step in enumerate(steps):
         m = step.shape[2]
         shape = prefix.shape + (m,)
-        if buffers is None:
-            grown = np.empty(shape)
-        else:
-            grown = buffers[i % 2][:prefix.size * m].reshape(shape)
+        grown = buffers[i % 2][:prefix.size * m].reshape(shape)
         for y in range(m):
             np.multiply(prefix, step[:, :, y:y + 1], out=grown[:, :, :, y])
         prefix = grown.reshape(ka, kb, -1)
@@ -251,7 +248,9 @@ def _likelihood_blocks(first_seqs: np.ndarray, second_seqs: np.ndarray,
     while trailing < n and ka * kb * m ** (trailing + 1) <= BLOCK_CELLS:
         trailing += 1
     lead = n - trailing
-    prefixes = _grow(np.ones((ka, kb, 1)), steps[:lead])
+    cells = ka * kb * m ** lead
+    prefixes = _grow(np.ones((ka, kb, 1)), steps[:lead],
+                     (np.empty(cells), np.empty(cells)))
     width = m ** trailing
     buffers = (np.empty(ka * kb * width), np.empty(ka * kb * width))
     for p in range(prefixes.shape[2]):
