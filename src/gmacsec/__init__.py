@@ -56,15 +56,7 @@ _EXPORTS = {
         "scheme_to_dict",
     ), "infotheory"),
     **dict.fromkeys((
-        "degraded_polytope",
-        "degraded_secrecy_capacity_value",
-        "degraded_secrecy_polytope",
-        "degraded_terms",
-        "inner_polytope",
-        "one_set_terms",
-        "outer_polytope",
         "secrecy_capacity_value",
-        "secrecy_polytope",
     ), "one_set"),
     **dict.fromkeys((
         "BOUNDS",
@@ -80,7 +72,7 @@ _EXPORTS = {
         "FrontierSample",
         "RatePolytope",
         "RateRegion",
-        "clip_plus_split",
+        "bound_pieces",
         "convexify",
         "frontier",
         "frontier_sweep",
@@ -96,10 +88,6 @@ _EXPORTS = {
     **dict.fromkeys((
         "equivocation_set_explicit",
         "equivocation_set_oracle",
-        "mac_polytope",
-        "secrecy_inner_pieces",
-        "two_set_region_piece",
-        "two_set_terms",
     ), "two_set"),
     **dict.fromkeys((
         "Codebook",

@@ -1,12 +1,12 @@
 """Command-line surface: regions, degradedness checks, capacity search,
 exact simulation, and ad-hoc information queries over files.
 
-Every command that writes an output file also writes a manifest sidecar
-with content digests of its inputs, the tool version, and the seeds in
-play, so any output can be regenerated and checked byte for byte. Errors
-leave a machine-readable JSON object on stderr and exit with a stable
-code: 2 for input problems, 3 for blown resource guards, 4 for internal
-invariant violations.
+Every command that writes an output file also writes a manifest sidecar,
+named by appending .manifest.json to that file's name, with content digests
+of its inputs, the tool version, and the seeds in play, so any output can
+be regenerated and checked byte for byte. Errors leave a machine-readable
+JSON object on stderr and exit with a stable code: 2 for input problems, 3
+for blown resource guards, 4 for internal invariant violations.
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _manifest_path(out) -> pathlib.Path:
+    """Where the manifest of output file out goes: <out name>.manifest.json."""
+    out = pathlib.Path(out)
+    return out.with_name(out.name + ".manifest.json")
 
 
 def _manifest(command, argv, started, seeds, outputs, channel_path=None,
@@ -204,7 +210,7 @@ def cmd_region(args) -> int:
         )
         outputs["plot_script"] = str(plot_path)
 
-    manifest_path = out.with_name(out.name + ".manifest.json")
+    manifest_path = _manifest_path(out)
     manifest = _manifest(
         "region", args.argv, started, [config.seed], outputs,
         channel_path=args.channel, config_path=args.config,
@@ -241,8 +247,7 @@ def cmd_check_degraded(args) -> int:
     }
     if args.out:
         _write_json(args.out, doc)
-        manifest_path = pathlib.Path(args.out).with_suffix(".manifest.json")
-        _write_json(manifest_path, _manifest(
+        _write_json(_manifest_path(args.out), _manifest(
             "check-degraded", args.argv, started, [],
             {"verdict_json": str(args.out)}, channel_path=args.channel,
         ))
@@ -269,8 +274,7 @@ def cmd_secrecy_capacity(args) -> int:
     }
     if args.out:
         _write_json(args.out, doc)
-        manifest_path = pathlib.Path(args.out).with_suffix(".manifest.json")
-        _write_json(manifest_path, _manifest(
+        _write_json(_manifest_path(args.out), _manifest(
             "secrecy-capacity", args.argv, started, [config.seed],
             {"result_json": str(args.out)}, channel_path=args.channel,
             config_path=args.config, config_doc=config.to_dict(),
@@ -313,9 +317,7 @@ def cmd_simulate(args) -> int:
         pathlib.Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
         outputs["report_csv"] = str(args.csv)
     if outputs:
-        anchor = pathlib.Path(args.out or args.csv)
-        manifest_path = anchor.with_name(anchor.name + ".manifest.json")
-        _write_json(manifest_path, _manifest(
+        _write_json(_manifest_path(args.out or args.csv), _manifest(
             "simulate", args.argv, started, doc["seeds"], outputs,
             channel_path=args.channel, config_path=args.sim_config,
         ))

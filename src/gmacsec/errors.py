@@ -87,6 +87,8 @@ def max_states() -> int:
         value = int(float(raw))
     except ValueError:
         raise GmacError(f"GMAC_MAX_STATES is not a number: {raw!r}")
+    except OverflowError:
+        raise GmacError(f"GMAC_MAX_STATES must be finite, got {raw!r}")
     if value <= 0:
         raise GmacError(f"GMAC_MAX_STATES must be positive, got {value}")
     return value

@@ -15,20 +15,17 @@ the clipped gaps [a - d]_+ and [b - R0 - d]_+. The converse piece replaces a
 with I(U; Y | X2, V) for an extra auxiliary V and drops the clipping. The
 degraded-channel forms reuse the converse and secrecy rows with U := X1
 and V := Q. Each bound is one BoundTable below; its I(...) expressions are
-the one spelling of these terms in code, and the *_terms functions, the
-polytopes and the secrecy capacities all read them through the tables.
+the one spelling of these terms in code. A scheme's pieces are
+bound_pieces(T, T.scheme_terms(scheme, channel)) for a table T, and the
+secrecy capacities read the same terms through SECRECY and DEGRADED_SECRECY.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .channel import ChannelSpec, check_stochastically_degraded
-from .errors import NotDegradedWarning
-from .infotheory import SchemeDegraded, SchemeOneSet, SchemeOneSetOuter
-from .regions import BoundTable, RatePolytope, bound_pieces
+from .channel import ChannelSpec
+from .regions import BoundTable
 
 COORDS_EQUIVOCATION = ("R0", "R1", "Re")
 COORDS_SECRECY = ("R0", "R1")
@@ -54,45 +51,6 @@ DEGRADED_SECRECY = BoundTable(COORDS_SECRECY, "degraded", _DEGRADED_TERMS,
                               [_SECRECY_ROWS], guard="a - d")
 
 
-def one_set_terms(scheme: SchemeOneSet, channel: ChannelSpec) -> tuple[float, float, float]:
-    """The triple (a, b, d) for an inner-bound scheme."""
-    return tuple(INNER.scheme_terms(scheme, channel).values())
-
-
-def degraded_terms(scheme: SchemeDegraded, channel: ChannelSpec) -> tuple[float, float, float]:
-    """(a, b, d) with X1 standing in for the auxiliary."""
-    return tuple(DEGRADED.scheme_terms(scheme, channel).values())
-
-
-def inner_polytope(scheme: SchemeOneSet, channel: ChannelSpec):
-    """Achievable pieces in (R0, R1, Re) for one scheme.
-
-    The clipped equivocation cap [b - R0 - d]_+ carries R0 inside the
-    bracket, so the result is a union of at most two plain pieces.
-    """
-    return bound_pieces(INNER, INNER.scheme_terms(scheme, channel))
-
-
-def outer_polytope(scheme: SchemeOneSetOuter, channel: ChannelSpec) -> RatePolytope:
-    """Converse piece in (R0, R1, Re) for one extended scheme.
-
-    Written without positive-part clipping, so the equivocation caps can go
-    negative and leave the piece empty; callers filter such pieces out of
-    unions. The R1 cap conditions on V instead of Q.
-    """
-    return bound_pieces(OUTER, OUTER.scheme_terms(scheme, channel), drop_empty=False)[0]
-
-
-def secrecy_polytope(scheme: SchemeOneSet, channel: ChannelSpec) -> RatePolytope | None:
-    """Perfect-secrecy piece in (R0, R1), or None when the scheme leaks.
-
-    The piece {R1 <= a - d, R0 + R1 <= b - d} only exists when a >= d;
-    a leakier scheme contributes nothing at full equivocation.
-    """
-    pieces = bound_pieces(SECRECY, SECRECY.scheme_terms(scheme, channel), drop_empty=False)
-    return pieces[0] if pieces else None
-
-
 def _secrecy_rates(a, b, d, r0: float):
     """max(0, min(a - d, b - d - r0)), elementwise, with the tie rules of
     Python's min and max."""
@@ -109,53 +67,17 @@ def secrecy_capacities(table: BoundTable, tables, channel: ChannelSpec,
     max(0, min(a - d, b - d - r0)) per row, shape (N,).
 
     table is SECRECY or DEGRADED_SECRECY and tables the stacked parameters
-    of its kind. Each value is the bits secrecy_capacity_value, or its
-    degraded twin, gives on its scheme.
+    of its kind. Each value is the bits secrecy_capacity_value gives on
+    its scheme.
     """
     terms = table.terms(tables, channel)
     return _secrecy_rates(terms["a"], terms["b"], terms["d"], r0)
 
 
-def secrecy_capacity_value(scheme: SchemeOneSet, channel: ChannelSpec, r0: float) -> float:
-    """Largest confidential rate of this scheme at common rate r0, >= 0."""
-    return float(_secrecy_rates(**SECRECY.scheme_terms(scheme, channel), r0=r0))
+def secrecy_capacity_value(table: BoundTable, scheme, channel: ChannelSpec,
+                           r0: float) -> float:
+    """Largest confidential rate of one scheme at common rate r0, >= 0.
 
-
-def _flag_if_not_degraded(channel: ChannelSpec, certificate):
-    if certificate is None:
-        certificate = check_stochastically_degraded(channel)
-    if certificate.verdict == "not-degraded":
-        warnings.warn(
-            "degraded-channel formulas evaluated on a channel that is not "
-            f"stochastically degraded (residual {certificate.residual:.3e})",
-            NotDegradedWarning,
-            stacklevel=3,
-        )
-
-
-def degraded_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
-                      certificate=None) -> RatePolytope:
-    """Capacity-equivocation piece in (R0, R1, Re) for a degraded channel.
-
-    On a genuinely degraded channel a >= d holds for every scheme, so the
-    unclipped caps are safe. The degradedness check runs unless a
-    certificate is supplied; a failing verdict only warns, the numbers are
-    still returned.
+    table is SECRECY or DEGRADED_SECRECY, and scheme of its kind.
     """
-    _flag_if_not_degraded(channel, certificate)
-    return bound_pieces(DEGRADED, DEGRADED.scheme_terms(scheme, channel), drop_empty=False)[0]
-
-
-def degraded_secrecy_polytope(scheme: SchemeDegraded, channel: ChannelSpec,
-                              certificate=None) -> RatePolytope | None:
-    """Perfect-secrecy piece in (R0, R1) for a degraded channel."""
-    _flag_if_not_degraded(channel, certificate)
-    pieces = bound_pieces(DEGRADED_SECRECY, DEGRADED_SECRECY.scheme_terms(scheme, channel),
-                          drop_empty=False)
-    return pieces[0] if pieces else None
-
-
-def degraded_secrecy_capacity_value(scheme: SchemeDegraded, channel: ChannelSpec,
-                                    r0: float) -> float:
-    """Largest confidential rate at common rate r0 under the degraded forms."""
-    return float(_secrecy_rates(**DEGRADED_SECRECY.scheme_terms(scheme, channel), r0=r0))
+    return float(_secrecy_rates(**table.scheme_terms(scheme, channel), r0=r0))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 # Unused here: perfbench/spans.py reads and patches optimizer.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import ChannelSpec, check_stochastically_degraded
-from .errors import GridTooLarge, whole_number
+from .errors import GridTooLarge, NotDegradedWarning, whole_number
 from . import one_set as _one
 from . import two_set as _two
 from .infotheory import _SCHEME_FIELDS, _joint_shape, _scheme_doc
@@ -308,10 +309,9 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
                               variant: str = "general"):
     """Best achievable confidential rate at common rate r0 over the search.
 
-    variant "general" scores the one-auxiliary schemes of the SECRECY table
-    (secrecy_capacity_value); "degraded" scores the plain input schemes of
-    DEGRADED_SECRECY (degraded_secrecy_capacity_value). Returns (value,
-    scheme).
+    variant picks the table: "general" scores the one-auxiliary schemes of
+    SECRECY, "degraded" the plain input schemes of DEGRADED_SECRECY.
+    Returns (value, scheme).
 
     The parameter rows are scored in blocks of at most BLOCK_CELLS joint
     cells: one einsum and one entropy pass per block (secrecy_capacities),
@@ -323,9 +323,9 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     """
     config = config or SearchConfig()
     if variant == "general":
-        table, scalar_score = _one.SECRECY, _one.secrecy_capacity_value
+        table = _one.SECRECY
     elif variant == "degraded":
-        table, scalar_score = _one.DEGRADED_SECRECY, _one.degraded_secrecy_capacity_value
+        table = _one.DEGRADED_SECRECY
     else:
         raise ValueError(f"variant must be 'general' or 'degraded', got {variant!r}")
     # value, raw row, normalized row, and its key tuple once a tie needs it
@@ -348,8 +348,9 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     blocks = _blocks(table.kind, channel, config)
     scheme = _build(table.kind, blocks, _split(best[1], blocks))
     if config.strategy == "random+refine" and config.refine_iterations > 0:
-        value, scheme = refine_local(lambda s: scalar_score(s, channel, r0), scheme,
-                                     table.kind, channel, config)
+        value, scheme = refine_local(
+            lambda s: _one.secrecy_capacity_value(table, s, channel, r0), scheme,
+            table.kind, channel, config)
     return value, scheme
 
 
@@ -372,7 +373,13 @@ def assemble_region(channel: ChannelSpec, bound: str,
     certificate = None
     if bound == "degraded":
         certificate = check_stochastically_degraded(channel)
-        _one._flag_if_not_degraded(channel, certificate)
+        if certificate.verdict == "not-degraded":
+            warnings.warn(
+                "degraded-channel formulas evaluated on a channel that is not "
+                f"stochastically degraded (residual {certificate.residual:.3e})",
+                NotDegradedWarning,
+                stacklevel=2,
+            )
     visited = 0
     pieces = []
     provenance = []
@@ -383,7 +390,7 @@ def assemble_region(channel: ChannelSpec, bound: str,
             visited += 1
             doc = None
             values = {name: col[i] for name, col in columns.items()}
-            for piece in bound_pieces(table, values, drop_empty=False):
+            for piece in bound_pieces(table, values):
                 if piece_is_empty(piece):
                     dropped += 1
                     continue

@@ -2,9 +2,8 @@
 
 A RatePolytope is {x >= 0 : A x <= b} over named rate coordinates;
 nonnegativity of every coordinate is always implicit and never appears in A.
-A row with a [.]_+ bracket makes a union of plain polytopes: clip_plus_split
-expands numeric rows into one. Regions are unions of pieces, optionally
-convexified into a cached vertex cloud.
+A row with a [.]_+ bracket makes a union of plain polytopes. Regions are
+unions of pieces, optionally convexified into a cached vertex cloud.
 
 Each bound the package builds is a BoundTable: fixed constraint rows whose
 right-hand sides are signed sums of information terms, each term written
@@ -257,25 +256,6 @@ def _expand(plain, clipped, at_zero):
             for choice in itertools.product((0, 1), repeat=len(branching))]
 
 
-def clip_plus_split(coords, plain, clipped, drop_empty: bool = True):
-    """Expand positive-part constraints into a union of plain polytopes.
-
-    plain holds (coefficients, bound) pairs and clipped (lhs, affine, const)
-    triples, one per lhs.x <= [affine.x + const]_+; the pieces are
-    _expand's, so a bracket with no coordinate inside gives lhs.x <= c for
-    a nonnegative c and lhs.x <= 0 for a negative one. Empty pieces are
-    dropped unless drop_empty is False.
-    """
-    coords = tuple(coords)
-    rows = [(np.asarray(lhs, dtype=float), np.asarray(affine, dtype=float), float(c))
-            for lhs, affine, c in clipped]
-    if any(r[0].shape != (len(coords),) or r[1].shape != (len(coords),) for r in rows):
-        raise ValueError("clipped constraint width mismatch")
-    plain = [(np.asarray(c, dtype=float), float(v)) for c, v in plain]
-    pieces = [polytope(coords, pairs) for pairs in _expand(plain, rows, _at_zero)]
-    return [p for p in pieces if not (drop_empty and piece_is_empty(p))]
-
-
 # one signed name of a sum: "+ b", "- R0", or "0" for nothing
 _SIGNED = re.compile(r"\s*([+-]?)\s*([A-Za-z]\w*|0)\s*")
 
@@ -406,15 +386,14 @@ def _fill(rule, values) -> float:
     return rule
 
 
-def bound_pieces(table: BoundTable, values: dict, drop_empty: bool = True):
-    """The table's pieces, in order, with their bounds filled in from the
-    term values; none when the guard is negative. Empty pieces are dropped
-    unless drop_empty is False."""
+def bound_pieces(table: BoundTable, values: dict):
+    """Every piece of every family of the table, in order, with its bounds
+    filled in from the term values; none when the guard is negative. A
+    caller that wants only the nonempty pieces filters with piece_is_empty."""
     if _evaluate(table.guard, values) < 0:
         return []
     bounds = np.array([_fill(rule, values) for rule in table.rules], dtype=float)
-    pieces = [RatePolytope(table.coords, A, bounds[index]) for A, index in table.pieces]
-    return [p for p in pieces if not (drop_empty and piece_is_empty(p))]
+    return [RatePolytope(table.coords, A, bounds[index]) for A, index in table.pieces]
 
 
 @functools.lru_cache(maxsize=16)

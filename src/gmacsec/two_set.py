@@ -18,7 +18,8 @@ The achievable equivocation set at fixed rates is a union of three boxes of
 constraints: the joint list, and two relaxations that buy a larger cap for
 one equivocation by giving up the other entirely. Each bound is one
 BoundTable below; TERMS, the I(...) expressions every table reads, is the
-one spelling of the six terms in code.
+one spelling of the six terms in code. A scheme's pieces are
+bound_pieces(T, T.scheme_terms(scheme, channel)) for a table T.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .channel import ChannelSpec
 from .infotheory import SchemeTwoSet
-from .regions import BoundTable, RatePolytope, bound_pieces
+from .regions import BoundTable, bound_pieces
 
 COORDS_MAC = ("R0", "R1", "R2")
 COORDS_EQ = ("R1e", "R2e")
@@ -51,8 +52,10 @@ _EQUIVOCATION = (
     ("R1e <= 0", "R2e <= R2", *_CAPS2),
 )
 
+# the full region, expanded into 2^5 + 2^2 + 2^2 = 40 plain pieces
 TWO_SET = BoundTable(COORDS_FULL, "two_set", TERMS,
                      [_RATES + fam for fam in _EQUIVOCATION])
+# the decodable rates, ignoring confidentiality
 MAC = BoundTable(COORDS_MAC, "two_set", TERMS, [_RATES])
 # over (R1e, R2e) the rates are terms, so their brackets are constants
 EQUIVOCATION = BoundTable(COORDS_EQ, "two_set", TERMS, _EQUIVOCATION)
@@ -63,16 +66,6 @@ SECRECY = BoundTable(COORDS_MAC, "two_set", TERMS, [
     ("R2 <= 0", "R1 <= m1 - e1", "R0 + R1 <= mt - e1"),
     ("R1 <= 0", "R2 <= m2 - e2", "R0 + R2 <= mt - e2"),
 ])
-
-
-def two_set_terms(scheme: SchemeTwoSet, channel: ChannelSpec) -> dict:
-    """All six information terms for one scheme, keyed m1/m2/m12/mt/e1/e2."""
-    return TWO_SET.scheme_terms(scheme, channel)
-
-
-def mac_polytope(scheme: SchemeTwoSet, channel: ChannelSpec) -> RatePolytope:
-    """Decodable-rate piece in (R0, R1, R2), ignoring confidentiality."""
-    return bound_pieces(MAC, two_set_terms(scheme, channel), drop_empty=False)[0]
 
 
 def equivocation_set_explicit(scheme: SchemeTwoSet, channel: ChannelSpec,
@@ -87,8 +80,8 @@ def equivocation_set_explicit(scheme: SchemeTwoSet, channel: ChannelSpec,
     for name, r in (("r0", r0), ("r1", r1), ("r2", r2)):
         if r < 0:
             raise ValueError(f"{name} must be nonnegative, got {r}")
-    values = {**two_set_terms(scheme, channel), "R0": r0, "R1": r1, "R2": r2}
-    return bound_pieces(EQUIVOCATION, values, drop_empty=False)
+    values = {**TWO_SET.scheme_terms(scheme, channel), "R0": r0, "R1": r1, "R2": r2}
+    return bound_pieces(EQUIVOCATION, values)
 
 
 def equivocation_set_oracle(scheme: SchemeTwoSet, channel: ChannelSpec,
@@ -108,7 +101,7 @@ def equivocation_set_oracle(scheme: SchemeTwoSet, channel: ChannelSpec,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    t = two_set_terms(scheme, channel)
+    t = TWO_SET.scheme_terms(scheme, channel)
     m1, m2, m12, mt = t["m1"], t["m2"], t["m12"], t["mt"]
     e1, e2 = t["e1"], t["e2"]
     eps = 1e-12
@@ -145,24 +138,3 @@ def equivocation_set_oracle(scheme: SchemeTwoSet, channel: ChannelSpec,
             points.append((x, iy * step))
     return np.array(points)
 
-
-def two_set_region_piece(scheme: SchemeTwoSet, channel: ChannelSpec):
-    """Full achievable pieces in (R0, R1, R2, R1e, R2e) for one scheme.
-
-    The fixed-rate equivocation caps are clipped rows with the rates inside
-    the brackets. TWO_SET expands its three families once, when it is
-    built, into 2^5 + 2^2 + 2^2 = 40 plain pieces; the scheme's terms fill
-    in their bounds, and empty pieces are dropped.
-    """
-    return bound_pieces(TWO_SET, two_set_terms(scheme, channel))
-
-
-def secrecy_inner_pieces(scheme: SchemeTwoSet, channel: ChannelSpec):
-    """Perfect-secrecy pieces in (R0, R1, R2) for one scheme.
-
-    Three pieces: both senders secret, only sender 1 active, only sender 2
-    active. Pieces made infeasible by a negative cap are dropped; a cap of
-    exactly zero keeps the piece as a face (the spent sender pinned at rate
-    zero).
-    """
-    return bound_pieces(SECRECY, two_set_terms(scheme, channel))

@@ -4,12 +4,30 @@ import numpy as np
 import pytest
 
 from gmacsec import fixtures as fx
+from gmacsec import regions
+from gmacsec.regions import piece_is_empty, polytope
 
 
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+
+
+def nonempty(pieces):
+    """The pieces that have a point, in order."""
+    return [p for p in pieces if not piece_is_empty(p)]
+
+
+def split_rows(coords, plain, clipped):
+    """Numeric rows with [.]_+ brackets as plain pieces, empty ones kept:
+    plain holds (coefficients, bound) pairs and clipped (lhs, affine, const)
+    triples, one per lhs.x <= [affine.x + const]_+, expanded by the
+    package's own _expand."""
+    clipped = [(np.asarray(lhs, dtype=float), np.asarray(affine, dtype=float), float(c))
+               for lhs, affine, c in clipped]
+    return [polytope(coords, pairs)
+            for pairs in regions._expand(plain, clipped, regions._at_zero)]
 
 
 @pytest.fixture(scope="session")

@@ -16,27 +16,24 @@ from gmacsec import (
     SchemeOneSet,
     SchemeTwoSet,
     EmptySlice,
+    bound_pieces,
     build_codebook,
     equivocation_joint,
     equivocation_set_explicit,
     equivocation_set_oracle,
     exact_equivocation,
     exact_error_probability,
-    inner_polytope,
-    mac_polytope,
     marginal_kernel,
-    one_set_terms,
     perturb_preserving_marginals,
     piece_contains,
     piece_support,
     region_support,
     save_channel,
     secrecy_capacity_value,
-    secrecy_polytope,
     slice_piece,
-    two_set_terms,
 )
 from gmacsec import fixtures as fx
+from gmacsec import one_set, two_set
 from gmacsec.cli import main
 from gmacsec.optimizer import (
     SearchConfig,
@@ -45,6 +42,8 @@ from gmacsec.optimizer import (
     maximize_secrecy_capacity,
     sample_schemes_random,
 )
+
+from conftest import nonempty
 
 
 def _ent(masses):
@@ -94,8 +93,8 @@ def test_01_degenerate_auxiliary_recovers_the_plain_access_polytope():
         vertices = [(0.0, 0.0), (i_both_y, 0.0), (0.0, i_x1_y_given_x2),
                     (i_both_y - i_x1_y_given_x2, i_x1_y_given_x2)]
 
-        sliced = [slice_piece(p, {"Re": 0.0})
-                  for p in inner_polytope(scheme, channel)]
+        pieces = bound_pieces(one_set.INNER, one_set.INNER.scheme_terms(scheme, channel))
+        sliced = [slice_piece(p, {"Re": 0.0}) for p in nonempty(pieces)]
         for direction in directions:
             want = max(v[0] * direction[0] + v[1] * direction[1]
                        for v in vertices)
@@ -166,7 +165,7 @@ def test_03_explicit_equivocation_set_matches_the_exhaustive_oracle():
             rng.dirichlet(4.0 * np.ones(2), size=1),
             np.eye(2),
         )
-        t = two_set_terms(scheme, channel)
+        t = two_set.TWO_SET.scheme_terms(scheme, channel)
 
         tuples = []
         for i0 in range(int(t["mt"] / (5 * step)) + 1):
@@ -212,14 +211,15 @@ def test_04_correlation_shuffles_never_move_region_supports():
 
     def supports(spec):
         values = []
-        pieces = inner_polytope(one_set_scheme, spec)
+        pieces = nonempty(bound_pieces(
+            one_set.INNER, one_set.INNER.scheme_terms(one_set_scheme, spec)))
         for d in dirs3:
             values.append(_union_support(pieces, d))
-        secrecy = secrecy_polytope(one_set_scheme, spec)
-        assert secrecy is not None
+        (secrecy,) = bound_pieces(one_set.SECRECY,
+                                  one_set.SECRECY.scheme_terms(one_set_scheme, spec))
         for d in dirs2:
             values.append(piece_support(secrecy, d)[0])
-        mac = mac_polytope(two_set_scheme, spec)
+        (mac,) = bound_pieces(two_set.MAC, two_set.MAC.scheme_terms(two_set_scheme, spec))
         for d in dirs3:
             values.append(piece_support(mac, d)[0])
         return np.array(values)
@@ -268,12 +268,12 @@ def test_07_fully_observed_sender_has_exactly_zero_secrecy():
     grid = SearchConfig(strategy="grid", cardinalities=(1, 3, 1))
     count = 0
     for scheme in enumerate_schemes_grid("one_set", channel, grid):
-        assert secrecy_capacity_value(scheme, channel, 0.0) == 0.0
-        assert secrecy_capacity_value(scheme, channel, 0.37) == 0.0
+        assert secrecy_capacity_value(one_set.SECRECY, scheme, channel, 0.0) == 0.0
+        assert secrecy_capacity_value(one_set.SECRECY, scheme, channel, 0.37) == 0.0
         count += 1
     sampler = SearchConfig(strategy="random", sample_count=50, seed=7)
     for scheme in sample_schemes_random("one_set", channel, sampler):
-        assert secrecy_capacity_value(scheme, channel, 0.0) == 0.0
+        assert secrecy_capacity_value(one_set.SECRECY, scheme, channel, 0.0) == 0.0
         count += 1
     assert count >= 100
 
@@ -310,11 +310,11 @@ def test_09_capacity_value_sits_exactly_on_the_polytope_boundary():
             p_u_given_q=rng.dirichlet(np.ones(nu), size=nq),
             p_x1_given_u=rng.dirichlet(np.ones(2), size=nu),
         )
-        piece = secrecy_polytope(scheme, channel)
-        assert piece is not None
-        _, b, d = one_set_terms(scheme, channel)
+        terms = one_set.SECRECY.scheme_terms(scheme, channel)
+        (piece,) = bound_pieces(one_set.SECRECY, terms)
+        _, b, d = terms.values()
         r0 = float(rng.uniform(0.0, b - d))
-        value = secrecy_capacity_value(scheme, channel, r0)
+        value = secrecy_capacity_value(one_set.SECRECY, scheme, channel, r0)
         assert piece_contains(piece, (r0, value))
         assert not piece_contains(piece, (r0, value + 1e-6))
 

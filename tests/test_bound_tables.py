@@ -20,30 +20,19 @@ from gmacsec import (
     SchemeOneSetOuter,
     UnknownVariable,
     assemble_region,
-    clip_plus_split,
-    degraded_polytope,
-    degraded_secrecy_capacity_value,
-    degraded_secrecy_polytope,
-    degraded_terms,
+    bound_pieces,
     equivocation_set_explicit,
     fixtures as fx,
-    inner_polytope,
-    mac_polytope,
-    one_set_terms,
-    outer_polytope,
     piece_is_empty,
     polytope,
     sample_schemes_random,
     secrecy_capacity_value,
-    secrecy_inner_pieces,
-    secrecy_polytope,
-    two_set_region_piece,
-    two_set_terms,
 )
 from gmacsec import one_set, two_set
 from gmacsec.infotheory import _SCHEME_FIELDS
 from gmacsec.optimizer import _BOUND_TABLES, BOUNDS, SearchConfig
-from gmacsec.regions import BoundTable, bound_pieces
+from gmacsec.regions import BoundTable
+from conftest import nonempty
 from scalar_oracle import mutual_information, scheme_joint
 
 FIXTURES = sorted(fx.FIXTURE_BUILDERS)
@@ -84,7 +73,7 @@ def expand_per_scheme(coords, plain, clipped, drop_empty=True):
 
 
 def ref_inner(scheme, channel):
-    a, b, d = one_set_terms(scheme, channel)
+    a, b, d = one_set.INNER.scheme_terms(scheme, channel).values()
     return expand_per_scheme(
         EQ,
         plain=[((0.0, 1.0, 0.0), a), ((1.0, 1.0, 0.0), b), ((0.0, -1.0, 1.0), 0.0)],
@@ -114,16 +103,16 @@ def _secrecy(a, b, d):
 
 
 def ref_secrecy(scheme, channel):
-    return _secrecy(*one_set_terms(scheme, channel))
+    return _secrecy(*one_set.INNER.scheme_terms(scheme, channel).values())
 
 
 def ref_degraded(scheme, channel):
-    a, b, d = degraded_terms(scheme, channel)
+    a, b, d = one_set.DEGRADED.scheme_terms(scheme, channel).values()
     return polytope(EQ, _outer_rows(a, a, b, d))
 
 
 def ref_degraded_secrecy(scheme, channel):
-    return _secrecy(*degraded_terms(scheme, channel))
+    return _secrecy(*one_set.DEGRADED.scheme_terms(scheme, channel).values())
 
 
 def ref_capacity(terms, r0):
@@ -136,13 +125,13 @@ def _plus(x):
 
 
 def ref_mac(scheme, channel):
-    t = two_set_terms(scheme, channel)
+    t = two_set.TWO_SET.scheme_terms(scheme, channel)
     return polytope(MAC, [((0.0, 1.0, 0.0), t["m1"]), ((0.0, 0.0, 1.0), t["m2"]),
                           ((0.0, 1.0, 1.0), t["m12"]), ((1.0, 1.0, 1.0), t["mt"])])
 
 
 def ref_equivocation(scheme, channel, r0, r1, r2):
-    t = two_set_terms(scheme, channel)
+    t = two_set.TWO_SET.scheme_terms(scheme, channel)
     m1, m2, m12, mt, e1, e2 = (t[k] for k in ("m1", "m2", "m12", "mt", "e1", "e2"))
     caps1 = [((1.0, 0.0), _plus(m1 - e1)), ((1.0, 0.0), _plus(m12 - r2 - e1)),
              ((1.0, 0.0), _plus(mt - r0 - r2 - e1))]
@@ -158,7 +147,7 @@ def ref_equivocation(scheme, channel, r0, r1, r2):
 
 
 def ref_two_set(scheme, channel):
-    t = two_set_terms(scheme, channel)
+    t = two_set.TWO_SET.scheme_terms(scheme, channel)
     m1, m2, m12, mt, e1, e2 = (t[k] for k in ("m1", "m2", "m12", "mt", "e1", "e2"))
     z = (0.0,) * 5
 
@@ -183,7 +172,7 @@ def ref_two_set(scheme, channel):
 
 
 def ref_secrecy_two_set(scheme, channel):
-    t = two_set_terms(scheme, channel)
+    t = two_set.TWO_SET.scheme_terms(scheme, channel)
     m1, m2, m12, mt, e1, e2 = (t[k] for k in ("m1", "m2", "m12", "mt", "e1", "e2"))
     candidates = [
         polytope(MAC, [((0.0, 1.0, 0.0), m1 - e1), ((0.0, 0.0, 1.0), m2 - e2),
@@ -246,40 +235,41 @@ def channel(request):
 
 def test_one_set_pieces_match_the_references(channel):
     for s in schemes("one_set", channel):
-        assert_same_pieces(inner_polytope(s, channel), ref_inner(s, channel))
-        got, want = secrecy_polytope(s, channel), ref_secrecy(s, channel)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert_same_piece(got, want)
+        terms = one_set.INNER.scheme_terms(s, channel)
+        assert_same_pieces(nonempty(bound_pieces(one_set.INNER, terms)), ref_inner(s, channel))
+        got = bound_pieces(one_set.SECRECY, one_set.SECRECY.scheme_terms(s, channel))
+        assert_same_pieces(got, [p for p in [ref_secrecy(s, channel)] if p])
         for r0 in (0.0, 0.05, 0.3):
-            got = secrecy_capacity_value(s, channel, r0)
-            assert float(got).hex() == float(ref_capacity(one_set_terms(s, channel), r0)).hex()
+            got = secrecy_capacity_value(one_set.SECRECY, s, channel, r0)
+            assert float(got).hex() == float(ref_capacity(terms.values(), r0)).hex()
     for s in schemes("one_set_outer", channel):
         assert isinstance(s, SchemeOneSetOuter)
-        assert_same_piece(outer_polytope(s, channel), ref_outer(s, channel))
+        (got,) = bound_pieces(one_set.OUTER, one_set.OUTER.scheme_terms(s, channel))
+        assert_same_piece(got, ref_outer(s, channel))
 
 
 def test_degraded_pieces_match_the_references(channel):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NotDegradedWarning)
-        for s in schemes("degraded", channel):
-            assert_same_piece(degraded_polytope(s, channel), ref_degraded(s, channel))
-            got = degraded_secrecy_polytope(s, channel)
-            want = ref_degraded_secrecy(s, channel)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert_same_piece(got, want)
-            for r0 in (0.0, 0.05, 0.3):
-                got = degraded_secrecy_capacity_value(s, channel, r0)
-                want = ref_capacity(degraded_terms(s, channel), r0)
-                assert float(got).hex() == float(want).hex()
+    table = one_set.DEGRADED_SECRECY
+    for s in schemes("degraded", channel):
+        terms = one_set.DEGRADED.scheme_terms(s, channel)
+        (got,) = bound_pieces(one_set.DEGRADED, terms)
+        assert_same_piece(got, ref_degraded(s, channel))
+        got = bound_pieces(table, table.scheme_terms(s, channel))
+        assert_same_pieces(got, [p for p in [ref_degraded_secrecy(s, channel)] if p])
+        for r0 in (0.0, 0.05, 0.3):
+            got = secrecy_capacity_value(table, s, channel, r0)
+            want = ref_capacity(terms.values(), r0)
+            assert float(got).hex() == float(want).hex()
 
 
 def test_two_set_pieces_match_the_references(channel):
     for s in schemes("two_set", channel, count=3):
-        assert_same_piece(mac_polytope(s, channel), ref_mac(s, channel))
-        assert_same_pieces(two_set_region_piece(s, channel), ref_two_set(s, channel))
-        assert_same_pieces(secrecy_inner_pieces(s, channel),
+        terms = two_set.TWO_SET.scheme_terms(s, channel)
+        (got,) = bound_pieces(two_set.MAC, terms)
+        assert_same_piece(got, ref_mac(s, channel))
+        assert_same_pieces(nonempty(bound_pieces(two_set.TWO_SET, terms)),
+                           ref_two_set(s, channel))
+        assert_same_pieces(nonempty(bound_pieces(two_set.SECRECY, terms)),
                            ref_secrecy_two_set(s, channel))
         for rates in ((0.0, 0.0, 0.0), (0.1, 0.2, 0.05), (0.3, 0.01, 0.4)):
             got = equivocation_set_explicit(s, channel, *rates)
@@ -305,8 +295,7 @@ def test_assembled_regions_keep_the_reference_pieces(bound, channel):
     expanded = 0
     for s in sample_schemes_random(variant, channel, config):
         want.extend(p for p in ref(s, channel) if not piece_is_empty(p))
-        expanded += len(bound_pieces(table, scheme_values(table, variant, s, channel),
-                                     drop_empty=False))
+        expanded += len(bound_pieces(table, scheme_values(table, variant, s, channel)))
     assert_same_pieces(region.pieces, want)
     # every empty piece of the expansion is counted
     assert len(region.pieces) + region.info["empty_pieces_dropped"] == expanded
@@ -322,15 +311,15 @@ def test_secrecy_guard_is_exact():
     # a - d = -1e-17 is within the emptiness slack, yet leaves no piece
     values = {"a": 0.0, "b": 0.5, "d": 1e-17}
     assert not piece_is_empty(polytope(SEC, [((0.0, 1.0), -1e-17), ((1.0, 1.0), 0.5)]))
-    assert bound_pieces(one_set.SECRECY, values, drop_empty=False) == []
+    assert bound_pieces(one_set.SECRECY, values) == []
     values["d"] = 0.0
-    (piece,) = bound_pieces(one_set.SECRECY, values, drop_empty=False)
+    (piece,) = bound_pieces(one_set.SECRECY, values)
     assert piece.b.tolist() == [0.0, 0.5]
 
 
 def test_right_hand_sides_add_left_to_right():
     table = BoundTable(("x",), None, {}, [("x <= a + b + b", "x <= b + b + a")])
-    (piece,) = bound_pieces(table, {"a": 1.0, "b": 1e-16}, drop_empty=False)
+    (piece,) = bound_pieces(table, {"a": 1.0, "b": 1e-16})
     assert piece.b.tolist() == [(1.0 + 1e-16) + 1e-16, (1e-16 + 1e-16) + 1.0]
     assert piece.b[0] != piece.b[1]
 
@@ -359,25 +348,32 @@ def test_malformed_rows_are_rejected(row):
 
 # --- terms: one expression each, read from the table's own kind ----------------
 
-# The public N = 1 functions, each reading one table, and the scheme kind
-# that table reads.
+def _pieces(table):
+    """One scheme's pieces under table: its terms, then bound_pieces."""
+    return lambda s, ch: bound_pieces(table, table.scheme_terms(s, ch))
+
+
+# The N = 1 calls, each reading one table and labelled by what it gives,
+# and the scheme kind that table reads.
 ONE_SCHEME = {
-    "inner_polytope": ("one_set", inner_polytope),
-    "outer_polytope": ("one_set_outer", outer_polytope),
-    "secrecy_polytope": ("one_set", secrecy_polytope),
-    "one_set_terms": ("one_set", one_set_terms),
-    "secrecy_capacity_value": ("one_set", lambda s, ch: secrecy_capacity_value(s, ch, 0.0)),
-    "degraded_polytope": ("degraded", degraded_polytope),
-    "degraded_secrecy_polytope": ("degraded", degraded_secrecy_polytope),
-    "degraded_terms": ("degraded", degraded_terms),
+    "inner_polytope": ("one_set", _pieces(one_set.INNER)),
+    "outer_polytope": ("one_set_outer", _pieces(one_set.OUTER)),
+    "secrecy_polytope": ("one_set", _pieces(one_set.SECRECY)),
+    "one_set_terms": ("one_set", one_set.INNER.scheme_terms),
+    "secrecy_capacity_value": (
+        "one_set", lambda s, ch: secrecy_capacity_value(one_set.SECRECY, s, ch, 0.0)),
+    "degraded_polytope": ("degraded", _pieces(one_set.DEGRADED)),
+    "degraded_secrecy_polytope": ("degraded", _pieces(one_set.DEGRADED_SECRECY)),
+    "degraded_terms": ("degraded", one_set.DEGRADED.scheme_terms),
     "degraded_secrecy_capacity_value": (
-        "degraded", lambda s, ch: degraded_secrecy_capacity_value(s, ch, 0.0)),
-    "two_set_terms": ("two_set", two_set_terms),
-    "mac_polytope": ("two_set", mac_polytope),
+        "degraded",
+        lambda s, ch: secrecy_capacity_value(one_set.DEGRADED_SECRECY, s, ch, 0.0)),
+    "two_set_terms": ("two_set", two_set.TWO_SET.scheme_terms),
+    "mac_polytope": ("two_set", _pieces(two_set.MAC)),
     "equivocation_set_explicit": (
         "two_set", lambda s, ch: equivocation_set_explicit(s, ch, 0.0, 0.1, 0.1)),
-    "two_set_region_piece": ("two_set", two_set_region_piece),
-    "secrecy_inner_pieces": ("two_set", secrecy_inner_pieces),
+    "two_set_region_piece": ("two_set", _pieces(two_set.TWO_SET)),
+    "secrecy_inner_pieces": ("two_set", _pieces(two_set.SECRECY)),
 }
 SCHEMES = {
     "one_set": fx.uniform_u_equals_x1,
@@ -444,19 +440,20 @@ def _left_to_right(signed_terms, values):
     return functools.reduce(operator.add, [s * values[name] for s, name in signed_terms])
 
 
-def pieces_per_scheme(table, values, drop_empty, expand=expand_per_scheme):
+def pieces_per_scheme(table, values):
     """Each family's parsed rows with the values filled in, expanded by
-    expand: the expansion done again for every scheme."""
+    expand_per_scheme: the expansion done again for every scheme, keeping
+    the empty pieces."""
     if _left_to_right(table.guard, values) < 0:
         return []
     pieces = []
     for fam in table.families:
-        pieces.extend(expand(
+        pieces.extend(expand_per_scheme(
             table.coords,
             plain=[(lhs, _left_to_right(rhs, values)) for lhs, aff, rhs in fam if aff is None],
             clipped=[(lhs, aff, _left_to_right(rhs, values))
                      for lhs, aff, rhs in fam if aff is not None],
-            drop_empty=drop_empty))
+            drop_empty=False))
     return pieces
 
 
@@ -484,17 +481,14 @@ def _table_values(draw):
 def test_table_pieces_equal_the_expansion_per_scheme(case):
     name, values = case
     table = TABLES[name]
-    for drop_empty in (False, True):
-        want = pieces_per_scheme(table, values, drop_empty)
-        assert_same_pieces(bound_pieces(table, values, drop_empty=drop_empty), want)
-        assert_same_pieces(pieces_per_scheme(table, values, drop_empty, clip_plus_split), want)
+    assert_same_pieces(bound_pieces(table, values), pieces_per_scheme(table, values))
 
 
 def test_table_matrices_are_built_once_and_read_only():
     for table in TABLES.values():
         names = _term_names(table)
-        first = bound_pieces(table, dict.fromkeys(names, 0.5), drop_empty=False)
-        second = bound_pieces(table, dict.fromkeys(names, 0.25), drop_empty=False)
+        first = bound_pieces(table, dict.fromkeys(names, 0.5))
+        second = bound_pieces(table, dict.fromkeys(names, 0.25))
         assert len(first) == len(second) == len(table.pieces)
         for (A, index), p, q in zip(table.pieces, first, second):
             assert p.A is A and q.A is A

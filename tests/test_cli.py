@@ -510,9 +510,21 @@ class TestManifestArgv:
             argv = [command, channel, "--out", str(tmp_path / "o.json")]
             if command == "secrecy-capacity":
                 argv += ["--config", grid_config]
-            manifest = tmp_path / "o.manifest.json"
+            manifest = tmp_path / "o.json.manifest.json"
         assert main(argv) == 0
         assert json.loads(manifest.read_text())["argv"] == argv
+
+    def test_outputs_sharing_a_stem_keep_their_own_manifests(
+            self, channel_files, grid_config, tmp_path, capsys):
+        # every command names its manifest <out name>.manifest.json
+        channel = str(channel_files["binary_degraded"])
+        assert main(["check-degraded", channel, "--out", str(tmp_path / "res.json")]) == 0
+        assert main(["secrecy-capacity", channel, "--config", grid_config,
+                     "--out", str(tmp_path / "res.txt")]) == 0
+        for name, command in (("res.json", "check-degraded"),
+                              ("res.txt", "secrecy-capacity")):
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["command"] == command
 
 
 class TestCheckDegraded:
@@ -541,7 +553,7 @@ class TestCheckDegraded:
         assert doc["verdict"] == "not-degraded"
         assert doc["witness"] is None
         assert json.loads(capsys.readouterr().out) == doc
-        assert (tmp_path / "verdict.manifest.json").exists()
+        assert (tmp_path / "verdict.json.manifest.json").exists()
 
 
 class TestSecrecyCapacity:
@@ -556,7 +568,7 @@ class TestSecrecyCapacity:
         assert doc["variant"] == "degraded"
         assert doc["witness"]["kind"] == "degraded"
         assert json.loads(out.read_text())["value"] == doc["value"]
-        manifest = json.loads((tmp_path / "cap.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "cap.json.manifest.json").read_text())
         assert manifest["command"] == "secrecy-capacity"
         assert manifest["config_digest"] is not None
 
@@ -660,6 +672,17 @@ class TestSimulate:
                    "--channel", str(channel_files["binary_degraded"])])
         assert rc == 3
         assert _stderr_error(capsys)["error"] == "EnumerationTooLarge"
+
+    def test_infinite_state_guard_is_an_input_error(self, channel_files, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv("GMAC_MAX_STATES", "inf")
+        cfg = _write_json(tmp_path / "sim.json", self.SIM)
+        rc = main(["simulate", cfg,
+                   "--channel", str(channel_files["binary_degraded"])])
+        assert rc == 2
+        error = _stderr_error(capsys)
+        assert error["error"] == "GmacError"
+        assert "GMAC_MAX_STATES" in error["message"]
 
 
 class TestInfo:

@@ -6,6 +6,7 @@ import pytest
 from gmacsec import (
     DimensionMismatch,
     EnumerationTooLarge,
+    GmacError,
     NegativeProbability,
     RowSumViolation,
     SchemeDegraded,
@@ -13,6 +14,7 @@ from gmacsec import (
     SchemeOneSetOuter,
     SchemeTwoSet,
     UnknownVariable,
+    max_states,
     scheme_from_dict,
     scheme_to_dict,
 )
@@ -160,6 +162,12 @@ class TestJointPMFGuards:
             _joint(("A",), np.full(8, 0.125))
         monkeypatch.setenv("GMAC_MAX_STATES", "8")
         _joint(("A",), np.full(8, 0.125))
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf"])
+    def test_infinite_state_ceiling_is_refused(self, raw, monkeypatch):
+        monkeypatch.setenv("GMAC_MAX_STATES", raw)
+        with pytest.raises(GmacError, match="GMAC_MAX_STATES must be finite"):
+            max_states()
 
 
 def _groups(names):

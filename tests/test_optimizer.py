@@ -6,7 +6,6 @@ from gmacsec import (
     SearchConfig,
     SchemeDegraded,
     assemble_region,
-    degraded_secrecy_capacity_value,
     enumerate_schemes_grid,
     full_cardinalities,
     maximize_secrecy_capacity,
@@ -14,7 +13,9 @@ from gmacsec import (
     region_support,
     sample_schemes_random,
     scheme_to_dict,
+    secrecy_capacity_value,
 )
+from gmacsec.one_set import DEGRADED_SECRECY
 
 from gmacsec import regions
 
@@ -129,7 +130,7 @@ class TestRefinement:
         start = SchemeDegraded(p_q_x2=[[1.0]], p_x1_given_q=[[0.95, 0.05]])
 
         def score(s):
-            return degraded_secrecy_capacity_value(s, binary_degraded, 0.0)
+            return secrecy_capacity_value(DEGRADED_SECRECY, s, binary_degraded, 0.0)
 
         start_value = score(start)
         best_value, best = refine_local(score, start, "degraded",
@@ -145,7 +146,7 @@ class TestRefinement:
         start = SchemeDegraded(p_q_x2=[[1.0]], p_x1_given_q=[[0.5, 0.5]])
 
         def score(s):
-            return degraded_secrecy_capacity_value(s, binary_degraded, 0.0)
+            return secrecy_capacity_value(DEGRADED_SECRECY, s, binary_degraded, 0.0)
 
         best_value, _ = refine_local(score, start, "degraded",
                                      binary_degraded, config)

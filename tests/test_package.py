@@ -4,7 +4,7 @@ import pytest
 
 import gmacsec
 
-# every name the package exported when its __init__ imported each layer
+# every name the package exports
 EXPORTS = [
     "BOUNDS", "ChannelSpec", "Codebook", "DegradednessCertificate",
     "DimensionMismatch", "EmptySlice", "EnumerationTooLarge", "FrontierSample",
@@ -12,22 +12,18 @@ EXPORTS = [
     "NotDegradedWarning", "RatePolytope", "RateRegion", "RowSumViolation",
     "SchemeDegraded", "SchemeOneSet", "SchemeOneSetOuter", "SchemeTwoSet",
     "SearchConfig", "SimReport", "SolverStall", "Unbounded", "UnknownVariable",
-    "VertexEnumerationOverflow", "assemble_region", "build_codebook",
-    "check_physically_degraded", "check_stochastically_degraded",
-    "clip_plus_split", "compose_degraded_channel", "convexify",
-    "degraded_polytope", "degraded_secrecy_capacity_value",
-    "degraded_secrecy_polytope", "degraded_terms", "enumerate_schemes_grid",
-    "equivocation_joint", "equivocation_set_explicit", "equivocation_set_oracle",
-    "exact_equivocation", "exact_error_probability", "frontier", "frontier_sweep",
-    "full_cardinalities", "inner_polytope", "load_channel", "mac_polytope",
+    "VertexEnumerationOverflow", "assemble_region", "bound_pieces",
+    "build_codebook", "check_physically_degraded",
+    "check_stochastically_degraded", "compose_degraded_channel", "convexify",
+    "enumerate_schemes_grid", "equivocation_joint", "equivocation_set_explicit",
+    "equivocation_set_oracle", "exact_equivocation", "exact_error_probability",
+    "frontier", "frontier_sweep", "full_cardinalities", "load_channel",
     "marginal_kernel", "max_states", "maximize_secrecy_capacity",
-    "one_set_terms", "outer_polytope", "perturb_preserving_marginals",
-    "piece_contains", "piece_is_empty", "piece_support", "piece_vertices",
-    "polytope", "refine_local", "region_contains", "region_support",
-    "sample_schemes_random", "save_channel", "scheme_from_dict", "scheme_to_dict",
-    "secrecy_capacity_value", "secrecy_inner_pieces", "secrecy_polytope",
-    "simulate", "slice_piece", "two_set_region_piece", "two_set_terms",
-    "validate_channel",
+    "perturb_preserving_marginals", "piece_contains", "piece_is_empty",
+    "piece_support", "piece_vertices", "polytope", "refine_local",
+    "region_contains", "region_support", "sample_schemes_random",
+    "save_channel", "scheme_from_dict", "scheme_to_dict",
+    "secrecy_capacity_value", "simulate", "slice_piece", "validate_channel",
 ]
 
 LAYERS = ("channel", "errors", "infotheory", "one_set", "optimizer", "regions",
@@ -36,13 +32,14 @@ LAYERS = ("channel", "errors", "infotheory", "one_set", "optimizer", "regions",
 
 class TestExportTable:
     def test_all_lists_the_exports(self):
-        assert len(EXPORTS) == 75
+        assert len(EXPORTS) == 63
         assert gmacsec.__all__ == EXPORTS
 
     def test_each_export_is_its_submodules_object(self):
         for name in EXPORTS:
             module = importlib.import_module(f"gmacsec.{gmacsec._EXPORTS[name]}")
             assert getattr(gmacsec, name) is getattr(module, name), name
+        assert gmacsec.bound_pieces is gmacsec.regions.bound_pieces
 
     def test_star_import_binds_every_export(self):
         namespace = {}

@@ -7,7 +7,6 @@ from gmacsec import (
     RateRegion,
     Unbounded,
     VertexEnumerationOverflow,
-    clip_plus_split,
     convexify,
     frontier,
     frontier_sweep,
@@ -20,6 +19,8 @@ from gmacsec import (
     region_support,
     slice_piece,
 )
+
+from conftest import nonempty, split_rows
 
 RR = ("R0", "R1")
 
@@ -106,7 +107,7 @@ class TestSlice:
 
 class TestClipPlusSplit:
     def test_branching_matches_positive_part_semantics(self):
-        pieces = clip_plus_split(
+        pieces = split_rows(
             RR,
             plain=[((1.0, 0.0), 1.0)],
             clipped=[((0.0, 1.0), (1.0, 0.0), -0.5)],
@@ -122,7 +123,7 @@ class TestClipPlusSplit:
                 assert in_union((x, y)) == expected, (x, y)
 
     def test_constant_bracket_resolves_without_branching(self):
-        pieces = clip_plus_split(
+        pieces = split_rows(
             RR, plain=[((1.0, 0.0), 1.0)],
             clipped=[((0.0, 1.0), (0.0, 0.0), -0.25)],
         )
@@ -130,7 +131,7 @@ class TestClipPlusSplit:
         assert not piece_contains(pieces[0], (0.5, 0.1))
         assert piece_contains(pieces[0], (0.5, 0.0))
 
-        pieces = clip_plus_split(
+        pieces = split_rows(
             RR, plain=[((1.0, 0.0), 1.0)],
             clipped=[((0.0, 1.0), (0.0, 0.0), 0.25)],
         )
@@ -143,14 +144,15 @@ class TestClipPlusSplit:
             plain=[((0.0, 1.0), -1.0)],
             clipped=[((1.0, 0.0), (0.0, 1.0), 0.0)],
         )
-        assert clip_plus_split(RR, **rows) == []
-        kept = clip_plus_split(RR, **rows, drop_empty=False)
+        kept = split_rows(RR, **rows)
+        assert nonempty(kept) == []
         assert len(kept) == 2
 
     def test_clipped_rows_must_match_the_coordinates(self):
-        for lhs, affine in (((1.0,), (0.0, 1.0)), ((1.0, 0.0), (0.0, 1.0, 0.0))):
+        # every expanded row reaches RatePolytope, which checks its width
+        for lhs, affine in (((1.0,), (0.0,)), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))):
             with pytest.raises(ValueError, match="width"):
-                clip_plus_split(RR, plain=[], clipped=[(lhs, affine, 0.0)])
+                split_rows(RR, plain=[], clipped=[(lhs, affine, 0.0)])
 
 
 class TestVertices:

@@ -26,7 +26,6 @@ from gmacsec import (
     SolverStall,
     Unbounded,
     VertexEnumerationOverflow,
-    clip_plus_split,
     convexify,
     fixtures as fx,
     frontier,
@@ -41,6 +40,7 @@ from gmacsec import (
 from gmacsec import regions
 from gmacsec.channel import validate_channel
 from gmacsec.optimizer import SearchConfig, assemble_region
+from conftest import split_rows
 
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
               "dual_feasibility_tolerance": 1e-10}
@@ -280,7 +280,7 @@ def test_clip_plus_split_union_is_the_bracketed_template(rows):
     for lhs, affine, const in clipped:
         inside &= points @ np.array(lhs) <= np.maximum(points @ np.array(affine) + const, 0.0)
     union = np.zeros(len(points), dtype=bool)
-    for piece in clip_plus_split(coords, plain, clipped):
+    for piece in split_rows(coords, plain, clipped):
         union |= np.all(points >= 0, axis=1) & np.all(
             points @ piece.A.T <= piece.b, axis=1)
     assert np.array_equal(union, inside)

@@ -27,15 +27,12 @@ from gmacsec import (
     assemble_region,
     check_stochastically_degraded,
     convexify,
-    degraded_terms,
     enumerate_schemes_grid,
     fixtures as fx,
     maximize_secrecy_capacity,
-    one_set_terms,
     piece_is_empty,
     sample_schemes_random,
     scheme_to_dict,
-    two_set_terms,
 )
 from gmacsec import infotheory, one_set, optimizer, two_set
 from gmacsec.optimizer import _BOUND_TABLES, SearchConfig
@@ -63,10 +60,9 @@ def scalar_degraded_terms(scheme, channel):
 
 
 KINDS = {
-    "one_set": (scalar_one_set_terms, one_set.INNER, one_set_terms,
+    "one_set": (scalar_one_set_terms, one_set.INNER,
                 ("p_q_x2", "p_u_given_q", "p_x1_given_u")),
-    "degraded": (scalar_degraded_terms, one_set.DEGRADED, degraded_terms,
-                 ("p_q_x2", "p_x1_given_q")),
+    "degraded": (scalar_degraded_terms, one_set.DEGRADED, ("p_q_x2", "p_x1_given_q")),
 }
 
 
@@ -77,7 +73,7 @@ def reference_capacity(terms, r0):
 
 def reference_search(schemes, channel, r0, kind):
     """The sequential winner rule over scheme dataclasses."""
-    scalar, _, _, fields = KINDS[kind]
+    scalar, _, fields = KINDS[kind]
     best = None
     for scheme in schemes:
         value = reference_capacity(scalar(scheme, channel), r0)
@@ -95,7 +91,7 @@ def _hex(values):
 
 
 def assert_stacked_matches_scalar(schemes, channel, kind):
-    scalar, table, single, fields = KINDS[kind]
+    scalar, table, fields = KINDS[kind]
     tables = [np.stack([getattr(s, f) for s in schemes]) for f in fields]
     terms = table.terms(tables, channel)
     assert list(terms) == ["a", "b", "d"]
@@ -104,7 +100,7 @@ def assert_stacked_matches_scalar(schemes, channel, kind):
     for scheme, row in zip(schemes, got):
         want = _hex(scalar(scheme, channel))
         assert _hex(row) == want
-        assert _hex(single(scheme, channel)) == want
+        assert _hex(table.scheme_terms(scheme, channel).values()) == want
 
 
 # --- stacked terms ---------------------------------------------------------------
@@ -165,7 +161,7 @@ def test_large_random_channels(monkeypatch, seed):
 
 def _sparsified(scheme, kind):
     """The scheme with every mass below 0.2 dropped (a row keeps its largest)."""
-    _, _, _, fields = KINDS[kind]
+    _, _, fields = KINDS[kind]
     tables = {}
     for f in fields:
         arr = np.asarray(getattr(scheme, f))
@@ -377,7 +373,7 @@ def test_outer_and_two_set_terms_equal_scalar_terms(name, table):
         assert {name: float(col[i]).hex() for name, col in got.items()} == \
             {name: value.hex() for name, value in want.items()}
         if kind == "two_set":
-            assert two_set_terms(scheme, channel) == want
+            assert table.scheme_terms(scheme, channel) == want
 
 
 def _cell(kind, s, prob, w, idx):
@@ -446,7 +442,7 @@ def reference_region(channel, bound, config, rows):
         scheme = optimizer._build(variant, blocks, optimizer._split(row, blocks))
         doc = scheme_to_dict(scheme)
         values = SCALAR_TERMS[variant](scheme, channel)
-        for piece in bound_pieces(table, values, drop_empty=False):
+        for piece in bound_pieces(table, values):
             if piece_is_empty(piece):
                 dropped += 1
                 continue

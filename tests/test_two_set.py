@@ -3,20 +3,20 @@ import pytest
 
 from gmacsec import (
     SchemeTwoSet,
+    bound_pieces,
     convexify,
     equivocation_set_explicit,
     equivocation_set_oracle,
-    mac_polytope,
     piece_contains,
     piece_support,
     piece_vertices,
     region_support,
-    secrecy_inner_pieces,
     slice_piece,
-    two_set_region_piece,
-    two_set_terms,
 )
 from gmacsec import fixtures as fx
+from gmacsec.two_set import MAC, SECRECY, TWO_SET
+
+from conftest import nonempty
 
 
 def _vertex_set(points):
@@ -74,13 +74,13 @@ def _chebyshev_within_one(cells_a, cells_b):
 
 class TestTerms:
     def test_clean_access_terms_are_exact(self, clean_mac):
-        t = two_set_terms(fx.uniform_two_set_scheme(clean_mac), clean_mac)
+        t = TWO_SET.scheme_terms(fx.uniform_two_set_scheme(clean_mac), clean_mac)
         assert t == {"m1": 1.0, "m2": 1.0, "m12": 2.0, "mt": 2.0,
                      "e1": 0.0, "e2": 0.0}
 
     def test_leakage_terms_on_a_noisy_channel(self, noiseless_wiretapper):
         scheme = fx.uniform_two_set_scheme(noiseless_wiretapper)
-        t = two_set_terms(scheme, noiseless_wiretapper)
+        t = TWO_SET.scheme_terms(scheme, noiseless_wiretapper)
         # sender 2's receiver sees X1 itself, so the full bit leaks
         assert t["e1"] == pytest.approx(1.0, abs=1e-12)
         # sender 1's receiver sees nothing
@@ -89,7 +89,7 @@ class TestTerms:
     def test_joint_cap_dominates_singles(self, rng):
         for _ in range(8):
             channel = fx.random_channel((2, 2, 3, 2, 2), rng)
-            t = two_set_terms(_random_scheme(rng), channel)
+            t = TWO_SET.scheme_terms(_random_scheme(rng), channel)
             assert t["m12"] >= t["m1"] - 1e-12
             assert t["m12"] >= t["m2"] - 1e-12
             assert t["mt"] >= t["m12"] - 1e-12
@@ -97,7 +97,8 @@ class TestTerms:
 
 class TestMacPolytope:
     def test_clean_access_vertices(self, clean_mac):
-        piece = mac_polytope(fx.uniform_two_set_scheme(clean_mac), clean_mac)
+        scheme = fx.uniform_two_set_scheme(clean_mac)
+        (piece,) = bound_pieces(MAC, MAC.scheme_terms(scheme, clean_mac))
         assert _vertex_set(piece_vertices(piece)) == {
             (0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1),
             (1, 1, 0), (1, 0, 1), (0, 1, 1),
@@ -125,7 +126,7 @@ class TestExplicitEquivocation:
     def test_sum_cap_bites_when_both_sides_leak(self):
         channel = _adder_with_leaky_feedback()
         scheme = fx.uniform_two_set_scheme(channel)
-        t = two_set_terms(scheme, channel)
+        t = TWO_SET.scheme_terms(scheme, channel)
         # terms here: m1 = m2 = 1, m12 = mt = 1.5, e1 = e2 = 1 - h(0.3)
         assert t["m12"] == pytest.approx(1.5, abs=1e-12)
         assert t["e1"] == pytest.approx(t["e2"], abs=1e-12)
@@ -173,7 +174,7 @@ class TestOracle:
             channel = fx.random_channel((2, 2, 4, 2, 2), rng,
                                         concentration=0.25)
             scheme = fx.uniform_two_set_scheme(channel)
-            t = two_set_terms(scheme, channel)
+            t = TWO_SET.scheme_terms(scheme, channel)
             # rates snapped onto the oracle grid so the dummy-rate floors
             # are attainable exactly
             r1 = np.floor(0.5 * t["m1"] / step) * step
@@ -195,15 +196,15 @@ class TestOracle:
 
 class TestFullRegion:
     def test_clean_access_piece_count_and_coords(self, clean_mac):
-        pieces = two_set_region_piece(fx.uniform_two_set_scheme(clean_mac),
-                                      clean_mac)
+        scheme = fx.uniform_two_set_scheme(clean_mac)
+        pieces = nonempty(bound_pieces(TWO_SET, TWO_SET.scheme_terms(scheme, clean_mac)))
         assert len(pieces) == 40
         assert all(p.coords == ("R0", "R1", "R2", "R1e", "R2e")
                    for p in pieces)
 
     def test_rate_sum_support(self, clean_mac):
-        pieces = two_set_region_piece(fx.uniform_two_set_scheme(clean_mac),
-                                      clean_mac)
+        scheme = fx.uniform_two_set_scheme(clean_mac)
+        pieces = nonempty(bound_pieces(TWO_SET, TWO_SET.scheme_terms(scheme, clean_mac)))
         region = convexify(pieces)
         got = region_support(region, (0.0, 1.0, 1.0, 0.0, 0.0))
         assert got == pytest.approx(2.0, abs=1e-9)
@@ -213,7 +214,7 @@ class TestFullRegion:
         for _ in range(3):
             channel = fx.random_channel((2, 2, 3, 2, 2), rng)
             scheme = _random_scheme(rng)
-            t = two_set_terms(scheme, channel)
+            t = TWO_SET.scheme_terms(scheme, channel)
             r1 = 0.5 * t["m1"]
             r2 = 0.5 * min(t["m2"], t["m12"] - r1)
             r0 = 0.5 * (t["mt"] - r1 - r2)
@@ -221,7 +222,7 @@ class TestFullRegion:
                 continue
             sliced = [
                 slice_piece(p, {"R0": r0, "R1": r1, "R2": r2})
-                for p in two_set_region_piece(scheme, channel)
+                for p in nonempty(bound_pieces(TWO_SET, TWO_SET.scheme_terms(scheme, channel)))
             ]
             explicit = equivocation_set_explicit(scheme, channel, r0, r1, r2)
             for i in range(12):
@@ -233,8 +234,8 @@ class TestFullRegion:
 
 class TestSecrecyPieces:
     def test_clean_access_keeps_all_three(self, clean_mac):
-        pieces = secrecy_inner_pieces(fx.uniform_two_set_scheme(clean_mac),
-                                      clean_mac)
+        scheme = fx.uniform_two_set_scheme(clean_mac)
+        pieces = nonempty(bound_pieces(SECRECY, SECRECY.scheme_terms(scheme, clean_mac)))
         assert len(pieces) == 3
         region = convexify(pieces)
         assert region_support(region, (0.0, 1.0, 1.0)) == pytest.approx(
@@ -243,7 +244,8 @@ class TestSecrecyPieces:
 
     def test_full_leak_keeps_only_the_silent_sender(self, noiseless_wiretapper):
         scheme = fx.uniform_two_set_scheme(noiseless_wiretapper)
-        pieces = secrecy_inner_pieces(scheme, noiseless_wiretapper)
+        terms = SECRECY.scheme_terms(scheme, noiseless_wiretapper)
+        pieces = nonempty(bound_pieces(SECRECY, terms))
         assert len(pieces) == 1
         top_r1, _ = piece_support(pieces[0], (0.0, 1.0, 0.0))
         assert top_r1 == 0.0
