@@ -18,6 +18,7 @@ from .errors import (
     NegativeProbability,
     RowSumViolation,
     SolverStall,
+    finite_nonnegative,
 )
 
 RECEIVERS = ("destination", "user1", "user2")
@@ -193,8 +194,10 @@ def check_physically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> Degradedn
     mass, then cross-checked against every other x1. Pairs (y, x2) that no
     input can reach are filled uniformly since the factorization never
     constrains them. The reported residual is the largest absolute gap in
-    the factorization; the verdict passes when it is at most tol.
+    the factorization; the verdict passes when it is at most tol, which
+    must be a finite number >= 0.
     """
+    tol = finite_nonnegative("tol", tol)
     joint = spec.prob.sum(axis=3)          # (x1, x2, y, y2)
     p_y = joint.sum(axis=3)                # (x1, x2, y)
     nx1, nx2, ny, ny2 = joint.shape
@@ -218,9 +221,11 @@ def check_stochastically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> Degra
     Solves min t over row-stochastic d such that
     | sum_y p(y | x1, x2) d(y2 | y, x2) - p(y2 | x1, x2) | <= t for every
     (x1, x2, y2). The channel is stochastically degraded when the optimum
-    is at most tol. Only the single-output marginals enter, so a channel
+    is at most tol, which must be a finite number >= 0 and is checked
+    before the LP runs. Only the single-output marginals enter, so a channel
     that is physically degraded always passes here too.
     """
+    tol = finite_nonnegative("tol", tol)
     p_y = marginal_kernel(spec, "destination")     # (x1, x2, y)
     p_y2 = marginal_kernel(spec, "user2")          # (x1, x2, y2)
     nx1, nx2, ny = p_y.shape

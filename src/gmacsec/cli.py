@@ -120,13 +120,10 @@ def _g9(value: float) -> str:
 def _parse_fix(pairs) -> dict:
     fixed = {}
     for item in pairs or ():
-        if "=" not in item:
+        name, sep, raw = item.partition("=")
+        if not sep or not name.strip():
             raise ValueError(f"--fix expects NAME=VALUE, got {item!r}")
-        name, _, raw = item.partition("=")
-        name = name.strip()
-        if not name:
-            raise ValueError(f"--fix expects NAME=VALUE, got {item!r}")
-        fixed[name] = float(raw)
+        fixed[name.strip()] = float(raw)
     return fixed
 
 
@@ -154,24 +151,19 @@ print(f"wrote {{out}}")
 
 
 def cmd_region(args) -> int:
-    from .optimizer import assemble_region
-    from .regions import frontier_points, frontier_sweep
+    from .optimizer import _BOUND_TABLES, assemble_region
+    from .regions import check_slice, frontier_points, frontier_sweep
 
     started = time.monotonic()
     channel = load_channel(args.channel)
     config = _load_config(args.config)
     bound = _BOUND_ALIASES[args.bound]
-    region = assemble_region(channel, bound, config)
+    # the slice is checked against the bound's coordinates before any search
+    coords = _BOUND_TABLES[bound].coords
     plane = tuple(p.strip() for p in args.plane.split(","))
-    if len(plane) != 2:
-        raise ValueError(f"--plane needs exactly two coordinates, got {args.plane!r}")
-    fixed = {c: 0.0 for c in region.coords if c not in plane}
-    for name, value in _parse_fix(args.fix).items():
-        if name in plane:
-            raise ValueError(f"cannot fix plane coordinate {name!r}")
-        if name not in fixed:
-            raise ValueError(f"unknown coordinate {name!r}; region has {region.coords}")
-        fixed[name] = value
+    fixed = {c: 0.0 for c in coords if c not in plane}
+    fixed = check_slice(coords, plane, {**fixed, **_parse_fix(args.fix)})
+    region = assemble_region(channel, bound, config)
 
     samples = frontier_sweep(region, plane, fixed=fixed, resolution=args.resolution)
     points = frontier_points(samples)

@@ -5,6 +5,7 @@ mean the requested computation would exceed a resource ceiling and was refused
 up front. InternalError marks a broken invariant inside our own code.
 """
 
+import math
 import numbers
 import os
 
@@ -69,6 +70,14 @@ def whole_number(name: str, value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def finite_nonnegative(name: str, value) -> float:
+    """value as a float; NaN, infinities and negatives raise ValueError."""
+    number = float(value)
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return number
 
 
 DEFAULT_MAX_STATES = 10_000_000

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSpec
+from .errors import finite_nonnegative
 from .regions import BoundTable
 
 COORDS_EQUIVOCATION = ("R0", "R1", "Re")
@@ -53,9 +54,8 @@ DEGRADED_SECRECY = BoundTable(COORDS_SECRECY, "degraded", _DEGRADED_TERMS,
 
 def _secrecy_rates(a, b, d, r0: float):
     """max(0, min(a - d, b - d - r0)), elementwise, with the tie rules of
-    Python's min and max."""
-    if r0 < 0:
-        raise ValueError(f"common rate must be nonnegative, got {r0}")
+    Python's min and max. r0 must be a finite number >= 0."""
+    r0 = finite_nonnegative("common rate r0", r0)
     low, high = a - d, b - d - r0
     rate = np.where(high < low, high, low)      # min(low, high)
     return np.where(rate > 0.0, rate, 0.0)      # max(0.0, rate)

@@ -2,8 +2,8 @@
 
 A RatePolytope is {x >= 0 : A x <= b} over named rate coordinates;
 nonnegativity of every coordinate is always implicit and never appears in A.
-A row with a [.]_+ bracket makes a union of plain polytopes. Regions are
-unions of pieces, optionally convexified into a cached vertex cloud.
+A row with a [.]_+ bracket makes a union of plain polytopes. A region is
+the convex hull of a union of bounded pieces, kept as a sorted vertex cloud.
 
 Each bound the package builds is a BoundTable: fixed constraint rows whose
 right-hand sides are signed sums of information terms, each term written
@@ -89,10 +89,6 @@ class RatePolytope:
     coords: tuple[str, ...]
     A: np.ndarray
     b: np.ndarray
-    _vertices: np.ndarray | None = field(default=None, init=False, repr=False,
-                                         compare=False)
-    _rays: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -113,26 +109,20 @@ class RatePolytope:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
+    @functools.cached_property
     def vertices(self) -> np.ndarray:
         """The piece's vertices (read-only), enumerated on first use."""
-        if self._vertices is None:
-            verts = piece_vertices(self)
-            verts.setflags(write=False)
-            object.__setattr__(self, "_vertices", verts)
-        return self._vertices
+        verts = piece_vertices(self)
+        verts.setflags(write=False)
+        return verts
 
-    @property
+    @functools.cached_property
     def rays(self) -> np.ndarray:
         """Vertices of the recession cone {r >= 0 : A r <= 0} cut by
         sum r <= 1 (read-only), enumerated on first use. The piece recedes
         without bound along d exactly when one of them has d.r > 0."""
-        if self._rays is None:
-            d = self.dim
-            cone = RatePolytope(self.coords, np.vstack([self.A, np.ones((1, d))]),
-                                np.append(np.zeros(self.A.shape[0]), 1.0))
-            object.__setattr__(self, "_rays", cone.vertices)
-        return self._rays
+        return RatePolytope(self.coords, np.vstack([self.A, np.ones((1, self.dim))]),
+                            np.append(np.zeros(self.A.shape[0]), 1.0)).vertices
 
 
 def polytope(coords, constraint_pairs) -> RatePolytope:
@@ -557,7 +547,7 @@ def piece_vertices(piece: RatePolytope, max_vertices: int = VERTEX_CEILING) -> n
     exactly 0.0. Intended for the low-dimensional polytopes this package
     produces (dim <= 5); raises VertexEnumerationOverflow if the subsystem
     count or the vertex count would run away. Unboundedness is not detected
-    here; piece_support checks it against RatePolytope.rays.
+    here; piece_support and convexify check it.
     """
     d = piece.dim
     n_combo = math.comb(piece.A.shape[0] + d, d)
@@ -623,10 +613,9 @@ def _dedup_sorted(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateRegion:
-    """A union of pieces, optionally with a convexified vertex cloud.
+    """The convex hull of a union of bounded pieces, as convexify builds it.
 
-    hull_points, when present, spans the closed convex hull of the union;
-    hull_sources, when present, aligns with hull_points and gives for each
+    hull_points spans the hull; hull_sources, when present, gives for each
     the index of a piece that has it as a vertex. provenance, when present,
     aligns with pieces and records where each piece came from (typically a
     scheme dictionary). info carries free-form assembly diagnostics.
@@ -634,7 +623,7 @@ class RateRegion:
 
     coords: tuple[str, ...]
     pieces: tuple
-    hull_points: np.ndarray | None = None
+    hull_points: np.ndarray
     provenance: tuple | None = None
     info: dict = field(default_factory=dict)
     hull_sources: np.ndarray | None = None
@@ -642,10 +631,6 @@ class RateRegion:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    @property
-    def is_convexified(self) -> bool:
-        return self.hull_points is not None
 
     @functools.cached_property
     def hull_facets(self):
@@ -655,8 +640,15 @@ class RateRegion:
         return _hull_inequalities(self.hull_points)
 
 
+def _capped(A: np.ndarray) -> bool:
+    """Whether rows with no negative coefficient cap every coordinate, which
+    bounds any piece with this matrix since x >= 0."""
+    rows = A[np.all(A >= 0, axis=1)]
+    return bool(np.all(np.any(rows > 0, axis=0)))
+
+
 def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
-    """Convex hull of a union of pieces, cached as a sorted vertex cloud.
+    """Convex hull of a union of bounded pieces, as a sorted vertex cloud.
 
     Vertices of every piece are pooled, deduplicated, and sorted before any
     hull pruning, so the result does not depend on piece order. Pruning to
@@ -664,7 +656,10 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     clouds are kept as is (membership tests do not need minimality). When
     Qhull fails on a full-rank cloud, the unpruned cloud is kept and its
     message is recorded as info["hull_fallback"]. Each hull point's source
-    is the first piece, in piece order, with that vertex.
+    is the first piece, in piece order, with that vertex. A nonempty piece
+    that recedes without bound raises Unbounded; as that depends only on the
+    constraint matrix, it is decided once per matrix, by _capped or else by
+    RatePolytope.rays.
     """
     pieces = tuple(pieces)
     if coords is None:
@@ -678,6 +673,12 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     d = len(coords)
     info = dict(info or {})
     clouds = [p.vertices for p in pieces]
+    checked = set()                           # id(A) of the matrices found bounded
+    for p, cloud in zip(pieces, clouds):
+        if cloud.shape[0] and id(p.A) not in checked:
+            if not _capped(p.A) and np.any(p.rays > DEDUP_TOL):
+                raise Unbounded(f"a piece over {coords} recedes without bound")
+            checked.add(id(p.A))
     sources = np.repeat(np.arange(len(pieces)), [c.shape[0] for c in clouds])
     points = np.vstack(clouds) if sources.size else np.empty((0, d))
     keep = _dedup_sorted(points)
@@ -703,43 +704,27 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
 
 
 def region_contains(region: RateRegion, point, tol: float = 1e-9) -> bool:
-    """Membership: in the hull if convexified, else in some piece.
-
-    A convexified region holds x when G x <= h + tol on every (unit-norm)
-    row of its hull's facets, region.hull_facets. Raises SolverStall when
-    Qhull cannot build the hull.
-    """
+    """Membership in the region: G x <= h + tol on every unit-norm row of
+    its hull's facets, region.hull_facets; SolverStall if Qhull fails."""
     x = np.asarray(point, dtype=float)
     if x.shape != (region.dim,):
         raise ValueError("point dimension mismatch")
-    if region.is_convexified:
-        if region.hull_points.shape[0] == 0:
-            return False
-        G, h, _ = region.hull_facets
-        return bool(np.all(G @ x <= h + tol))
-    return any(piece_contains(p, x, tol) for p in region.pieces)
+    if region.hull_points.shape[0] == 0:
+        return False
+    G, h, _ = region.hull_facets
+    return bool(np.all(G @ x <= h + tol))
 
 
 def region_support(region: RateRegion, direction) -> float:
-    """Support value max d.x over the region (hull and union agree)."""
+    """Support value max d.x over the region, read off its hull points."""
     d = np.asarray(direction, dtype=float)
     if d.shape != (region.dim,):
         raise ValueError("direction dimension mismatch")
     if not np.any(d):
         raise ValueError("direction must be nonzero")
-    if region.is_convexified:
-        if region.hull_points.shape[0] == 0:
-            raise EmptySlice("support of an empty region")
-        return float(np.max(region.hull_points @ d))
-    values = []
-    for p in region.pieces:
-        try:
-            values.append(piece_support(p, d)[0])
-        except EmptySlice:
-            continue
-    if not values:
+    if region.hull_points.shape[0] == 0:
         raise EmptySlice("support of an empty region")
-    return max(values)
+    return float(np.max(region.hull_points @ d))
 
 
 @dataclass(frozen=True)
@@ -887,33 +872,40 @@ def _hull_slice(region: RateRegion, G, h, plane_idx, fixed_idx, fixed_vals) -> n
     return RatePolytope(plane, G[near], h[near]).vertices
 
 
+def check_slice(coords, plane, fixed) -> dict:
+    """The fixed values of a 2-D slice over coords, as floats, once plane
+    names two distinct coordinates and fixed gives a finite value to every
+    other coordinate and to nothing else; ValueError otherwise."""
+    plane = tuple(plane)
+    if len(plane) != 2 or plane[0] == plane[1] or not set(plane) <= set(coords):
+        raise ValueError(f"plane must name two distinct coordinates of {coords}, got {plane}")
+    values = {name: float(value) for name, value in fixed.items()}
+    for name, value in values.items():
+        if name in plane:
+            raise ValueError(f"plane coordinate {name!r} cannot be fixed")
+        if name not in coords or not math.isfinite(value):
+            raise ValueError(f"cannot fix {name!r} at {value}: fixed values are "
+                             f"finite and name coordinates of {coords}")
+    missing = [c for c in coords if c not in plane and c not in values]
+    if missing:
+        raise ValueError(f"missing fixed values for {missing}")
+    return values
+
+
 def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
     """Support-direction sweep of a 2-D slice of the region's hull, one
     sample per direction, each a slice vertex with its mix (_hull_mix).
 
     Directions are (cos t, sin t) for t evenly spaced over [0, pi/2].
-    fixed must assign a value to every coordinate outside the plane. Raises
-    ValueError for a region without a hull and EmptySlice for an empty slice.
+    plane and fixed must pass check_slice; an empty slice raises EmptySlice.
     """
     plane = tuple(plane)
-    if len(plane) != 2:
-        raise ValueError("plane must name exactly two coordinates")
+    fixed = check_slice(region.coords, plane, fixed or {})
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    fixed = dict(fixed or {})
-    for name in plane:
-        if name not in region.coords:
-            raise ValueError(f"unknown plane coordinate {name!r}")
-        if name in fixed:
-            raise ValueError(f"plane coordinate {name!r} cannot be fixed")
-    missing = [c for c in region.coords if c not in plane and c not in fixed]
-    if missing:
-        raise ValueError(f"missing fixed values for {missing}")
-    if not region.is_convexified:
-        raise ValueError("the region has no hull cache; convexify it first")
     plane_idx = [region.coords.index(c) for c in plane]
     fixed_idx = [i for i, c in enumerate(region.coords) if c in fixed]
-    fixed_vals = [float(fixed[region.coords[i]]) for i in fixed_idx]
+    fixed_vals = [fixed[region.coords[i]] for i in fixed_idx]
 
     pts = region.hull_points
     if pts.shape[0] == 0:

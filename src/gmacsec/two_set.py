@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .channel import ChannelSpec
+from .errors import finite_nonnegative
 from .infotheory import SchemeTwoSet
 from .regions import BoundTable, bound_pieces
 
@@ -77,10 +78,8 @@ def equivocation_set_explicit(scheme: SchemeTwoSet, channel: ChannelSpec,
     one equivocation and keep only the other's caps, which can reach
     farther when the zeroed sender's rate sits below its leakage penalty.
     """
-    for name, r in (("r0", r0), ("r1", r1), ("r2", r2)):
-        if r < 0:
-            raise ValueError(f"{name} must be nonnegative, got {r}")
-    values = {**TWO_SET.scheme_terms(scheme, channel), "R0": r0, "R1": r1, "R2": r2}
+    values = {name: finite_nonnegative(name, r) for name, r in zip(COORDS_MAC, (r0, r1, r2))}
+    values.update(TWO_SET.scheme_terms(scheme, channel))
     return bound_pieces(EQUIVOCATION, values)
 
 

@@ -28,10 +28,10 @@ from gmacsec import (
     sample_schemes_random,
     secrecy_capacity_value,
 )
-from gmacsec import one_set, two_set
+from gmacsec import one_set, regions, two_set
 from gmacsec.infotheory import _SCHEME_FIELDS
 from gmacsec.optimizer import _BOUND_TABLES, BOUNDS, SearchConfig
-from gmacsec.regions import BoundTable
+from gmacsec.regions import BoundTable, RatePolytope
 from conftest import nonempty
 from scalar_oracle import mutual_information, scheme_joint
 
@@ -283,11 +283,17 @@ def test_two_set_pieces_match_the_references(channel):
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
-def test_assembled_regions_keep_the_reference_pieces(bound, channel):
+def test_assembled_regions_keep_the_reference_pieces(bound, channel, monkeypatch):
     variant, ref = REF_PIECES[bound]
     table = _BOUND_TABLES[bound]
     config = SearchConfig(strategy="random", sample_count=3, seed=5,
                           cardinalities=(2, 2, 2))
+
+    def no_rays(piece):
+        raise AssertionError("RatePolytope.rays read")
+
+    # every table piece is capped, so convexify never needs a recession cone
+    monkeypatch.setattr(RatePolytope, "rays", property(no_rays))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotDegradedWarning)
         region = assemble_region(channel, bound, config)
@@ -482,6 +488,14 @@ def test_table_pieces_equal_the_expansion_per_scheme(case):
     name, values = case
     table = TABLES[name]
     assert_same_pieces(bound_pieces(table, values), pieces_per_scheme(table, values))
+
+
+def test_every_table_piece_is_capped():
+    # each coordinate has a row with no negative coefficient that caps it,
+    # so convexify knows the pieces are bounded without their rays
+    for name, table in TABLES.items():
+        for A, _ in table.pieces:
+            assert regions._capped(A), name
 
 
 def test_table_matrices_are_built_once_and_read_only():

@@ -169,6 +169,20 @@ class TestDegradedness:
         assert cert.verdict == "stochastically-degraded"
         assert cert.residual <= 1e-7
 
+    @pytest.mark.parametrize("check", [check_physically_degraded,
+                                       check_stochastically_degraded])
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_tol_is_a_finite_nonnegative_number(self, binary_degraded, monkeypatch,
+                                                check, tol):
+        import gmacsec.channel as channel
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(channel, "linprog", no_lp)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            check(binary_degraded, tol=tol)
+
 
 class TestPerturbation:
     def test_marginals_survive_perturbation(self, rng):

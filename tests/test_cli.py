@@ -229,13 +229,22 @@ class TestRegion:
         assert frontier_r1(1.5) == pytest.approx(0.5, abs=1e-9)
 
     def test_fix_validation(self, channel_files, grid_config, tmp_path,
-                            capsys):
+                            capsys, monkeypatch):
+        import gmacsec.optimizer as optimizer
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("assemble_region called")
+
+        # a bad slice exits 2 before any scheme is searched
+        monkeypatch.setattr(optimizer, "assemble_region", no_search)
         base = ["region", str(channel_files["clean_mac"]), "--bound", "inner1",
                 "--config", grid_config, "--out", str(tmp_path / "x.csv")]
-        assert main(base + ["--fix", "R0=0.1"]) == 2
-        assert _stderr_error(capsys)["error"] == "ValueError"
-        assert main(base + ["--fix", "Rbogus=0.1"]) == 2
-        assert main(base + ["--fix", "Re"]) == 2
+        for extra in (["--fix", "R0=0.1"], ["--fix", "Rbogus=0.1"], ["--fix", "Re"],
+                      ["--fix", "Re=nan"], ["--plane", "R0"], ["--plane", "R0,Rx"],
+                      ["--plane", "R1,R1"]):
+            assert main(base + extra) == 2
+            assert _stderr_error(capsys)["error"] == "ValueError"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_emit_plot_writes_script(self, channel_files, grid_config,
                                      tmp_path):
@@ -556,7 +565,34 @@ class TestCheckDegraded:
         assert (tmp_path / "verdict.json.manifest.json").exists()
 
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_is_checked_before_the_lp(self, channel_files, tol, monkeypatch,
+                                          capsys):
+        import gmacsec.channel as channel
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(channel, "linprog", no_lp)
+        rc = main(["check-degraded", str(channel_files["noiseless_wiretapper"]),
+                   "--tol", tol])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite number >= 0" in json.loads(captured.err)["message"]
+
+
 class TestSecrecyCapacity:
+    @pytest.mark.parametrize("r0", ["nan", "inf", "-0.1"])
+    def test_common_rate_is_a_finite_nonnegative_number(self, channel_files,
+                                                         capsys, r0):
+        rc = main(["secrecy-capacity", str(channel_files["binary_degraded"]),
+                   "--r0", r0])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite number >= 0" in json.loads(captured.err)["message"]
+
     def test_degraded_search_finds_the_gap(self, channel_files, tmp_path,
                                            capsys):
         out = tmp_path / "cap.json"

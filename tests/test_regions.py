@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from gmacsec import regions
 from gmacsec import (
     EmptySlice,
     RatePolytope,
-    RateRegion,
     Unbounded,
     VertexEnumerationOverflow,
     convexify,
@@ -55,6 +57,13 @@ class TestPieceBasics:
         assert not piece_is_empty(feasible)
         empty = polytope(RR, [((0.0, 1.0), -1.0)])
         assert piece_is_empty(empty)
+
+    def test_vertices_and_rays_are_cached_read_only(self):
+        piece = polytope(RR, [((1.0, -1.0), 0.5)])
+        for name in ("vertices", "rays"):
+            first = getattr(piece, name)
+            assert getattr(piece, name) is first
+            assert not first.flags.writeable
 
     def test_unconstrained_piece_is_feasible(self):
         free = polytope(RR, [])
@@ -180,8 +189,6 @@ class TestVertices:
             piece_vertices(piece)
 
     def test_large_subset_index_is_not_cached(self):
-        from gmacsec import regions
-
         rng = np.random.default_rng(3)
         rows = np.abs(rng.normal(size=(80, 3)))
         piece = polytope(("R0", "R1", "Re"), [(tuple(r), 1.0) for r in rows])
@@ -217,6 +224,22 @@ class TestConvexify:
         with pytest.raises(ValueError):
             convexify([_unit_square(), other])
 
+    def test_unbounded_piece_is_refused(self):
+        # R0 - R1 <= 1 recedes along (0, 1) and (1, 1): no vertex cloud spans it
+        with pytest.raises(Unbounded):
+            convexify([polytope(RR, [((1.0, -1.0), 1.0)])])
+        # an empty piece has no hull to span, however its rows recede
+        empty = polytope(RR, [((1.0, -1.0), -1.0), ((-1.0, 1.0), -1.0)])
+        assert convexify([empty, _unit_square()]).hull_points.shape == (4, 2)
+
+    def test_uncapped_bounded_piece_is_kept(self):
+        # no nonnegative row caps R0, but R1 <= 2 caps R0 through R0 - R1 <= 1
+        A = np.array([[1.0, -1.0], [0.0, 1.0]])
+        assert not regions._capped(A)
+        region = convexify([polytope(RR, [(A[0], 1.0), (A[1], 2.0)])])
+        assert _vertex_set(region.hull_points) == {(0, 0), (1, 0), (0, 2), (3, 2)}
+        assert region_support(region, (0.0, 1.0)) == 2.0
+
 
 class TestRegionQueries:
     def test_containment_uses_the_hull(self):
@@ -226,13 +249,6 @@ class TestRegionQueries:
         assert not piece_contains(_wide_rectangle(), (1.4, 0.7))
         assert region_contains(region, (1.4, 0.69))
         assert not region_contains(region, (1.4, 0.85))
-
-    def test_union_membership_without_hull(self):
-        region = RateRegion(coords=RR,
-                            pieces=(_unit_square(), _wide_rectangle()))
-        assert region_contains(region, (1.5, 0.4))
-        assert region_contains(region, (0.4, 0.9))
-        assert not region_contains(region, (1.4, 0.69))
 
     def test_support_agrees_with_vertex_maximum(self):
         region = convexify([_unit_square(), _wide_rectangle()])
@@ -298,9 +314,12 @@ class TestFrontier:
         region3 = convexify([piece3])
         with pytest.raises(ValueError):
             frontier_sweep(region3, RR)
-        bare = RateRegion(coords=RR, pieces=(_unit_square(),))
+        # a fixed value must be finite and name a coordinate of the region
+        for fixed in ({"Re": 0.0, "Rx": 5.0}, {"Re": float("nan")}, {"Re": math.inf}):
+            with pytest.raises(ValueError):
+                frontier_sweep(region3, RR, fixed=fixed)
         with pytest.raises(ValueError):
-            frontier_sweep(bare, RR)
+            frontier_sweep(region3, ("R0", "R0"), fixed={"R1": 0.0, "Re": 0.0})
 
     def test_outputs_are_pareto_and_contained(self, rng):
         for _ in range(10):

@@ -143,6 +143,9 @@ class TestExplicitEquivocation:
         scheme = fx.uniform_two_set_scheme(clean_mac)
         with pytest.raises(ValueError):
             equivocation_set_explicit(scheme, clean_mac, -0.1, 0.0, 0.0)
+        for rates in ((0.0, float("nan"), 0.0), (0.0, 0.0, float("inf"))):
+            with pytest.raises(ValueError):
+                equivocation_set_explicit(scheme, clean_mac, *rates)
 
 
 class TestOracle:
