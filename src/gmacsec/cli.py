@@ -152,17 +152,19 @@ print(f"wrote {{out}}")
 
 def cmd_region(args) -> int:
     from .optimizer import _BOUND_TABLES, assemble_region
-    from .regions import check_slice, frontier_points, frontier_sweep
+    from .regions import _check_resolution, check_slice, frontier_points, frontier_sweep
 
     started = time.monotonic()
     channel = load_channel(args.channel)
     config = _load_config(args.config)
     bound = _BOUND_ALIASES[args.bound]
-    # the slice is checked against the bound's coordinates before any search
+    # the slice, against the bound's coordinates, and the resolution are
+    # checked before any search
     coords = _BOUND_TABLES[bound].coords
     plane = tuple(p.strip() for p in args.plane.split(","))
     fixed = {c: 0.0 for c in coords if c not in plane}
     fixed = check_slice(coords, plane, {**fixed, **_parse_fix(args.fix)})
+    _check_resolution(args.resolution)
     region = assemble_region(channel, bound, config)
 
     samples = frontier_sweep(region, plane, fixed=fixed, resolution=args.resolution)

@@ -45,8 +45,10 @@ class SearchConfig:
 
     cardinalities are (|Q|, |U|, |V|); variants that do not use U or V
     ignore the respective entry. strategy is one of "grid", "random",
-    "random+refine". grid_resolution counts points per simplex axis, so a
-    k-simplex gets the compositions of grid_resolution - 1 into k parts.
+    "random+refine"; the last only for maximize_secrecy_capacity, as
+    assemble_region refuses it. grid_resolution counts points per simplex
+    axis, so a k-simplex gets the compositions of grid_resolution - 1 into
+    k parts.
     refine_step is the initial perturbation size for hill climbing and
     shrinks by half whenever a full sweep yields no improvement.
     """
@@ -365,10 +367,15 @@ def assemble_region(channel: ChannelSpec, bound: str,
     tested for emptiness once; empty ones are dropped but counted in the
     result's info. A scheme that keeps a piece is recorded as its JSON
     document, built from its normalized tables; no scheme object is built.
+    The "random+refine" strategy refines one winning scheme, and a region
+    has none, so it raises ValueError.
     """
     config = config or SearchConfig()
     if bound not in _BOUND_TABLES:
         raise ValueError(f"unknown bound {bound!r}; expected one of {BOUNDS}")
+    if config.strategy == "random+refine":
+        raise ValueError("strategy 'random+refine' refines a single best scheme and "
+                         "cannot assemble a region; use 'random' or 'grid'")
     table = _BOUND_TABLES[bound]
     certificate = None
     if bound == "degraded":

@@ -13,10 +13,12 @@ whose coefficient matrices every scheme shares; bound_pieces fills in one
 scheme's right-hand sides.
 
 Because every piece is pointed, emptiness and support queries are answered
-from its vertices, which each piece enumerates once from subsystem inverses
-cached per constraint matrix; hull membership, hull slices and the
-time-sharing mix behind each frontier point come from Qhull's facets of the
-vertex cloud. No query here solves a linear program.
+from its vertices, which each piece enumerates once. A table's pieces read
+their d x d subsystems and inverses from the table, which finds them once,
+when its pieces first need them; any other piece finds its own. Hull
+membership, hull slices and the time-sharing mix behind each frontier point
+come from Qhull's facets of the vertex cloud. No query here solves a linear
+program.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import itertools
 import math
 import operator
 import re
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +53,6 @@ DEDUP_TOL = 1e-9
 DEDUP_DECIMALS = 9
 VERTEX_CEILING = 100_000
 COMBO_CEILING = 2_000_000
-# Index arrays of at most this many subsets stay cached (16 of them at most).
-COMBO_CACHED = 65_536
 # Vertices whose support is within this of the maximum tie for the witness.
 TIE_TOL = 1e-12
 # Hull slices: rows are loosened by SLICE_SLACK (above the 1e-9 vertex
@@ -123,6 +121,14 @@ class RatePolytope:
         without bound along d exactly when one of them has d.r > 0."""
         return RatePolytope(self.coords, np.vstack([self.A, np.ones((1, self.dim))]),
                             np.append(np.zeros(self.A.shape[0]), 1.0)).vertices
+
+
+@dataclass(frozen=True)
+class _TablePiece(RatePolytope):
+    """Piece number k of a BoundTable, which keeps its subsystems."""
+
+    table: BoundTable = field(repr=False, compare=False)
+    k: int = field(repr=False, compare=False)
 
 
 def polytope(coords, constraint_pairs) -> RatePolytope:
@@ -274,6 +280,9 @@ class BoundTable:
     per plain piece, its read-only coefficient matrix, shared by every
     scheme, and the index into rules of each row's bound. A rule is the
     row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
+    The table also owns the vertex subsystems of its pieces, found when
+    piece_vertices first needs them. They are immutable once built, and two
+    threads that race only compute the same value twice, so no lock is held.
     """
 
     def __init__(self, coords, kind, terms, families, guard="0"):
@@ -293,6 +302,7 @@ class BoundTable:
                 index.setflags(write=False)
                 pieces.append((A, index))
         self.rules, self.pieces = tuple(rules), tuple(pieces)
+        self._kept = {}                       # (piece, kept rows) -> subsystems
 
     def terms(self, tables, channel) -> dict:
         """The named term columns of N schemes of the table's kind, each of
@@ -311,6 +321,45 @@ class BoundTable:
                             f"({type(scheme).__name__})")
         columns = self.terms(_stack_of_one(scheme), channel)
         return {name: float(column[0]) for name, column in columns.items()}
+
+    @functools.cached_property
+    def _all_subsystems(self):
+        """(inverses, per piece (rows, slots, zero)), found on first use:
+        the _subsystems of each piece's full matrix, its rows then -I with
+        repeated rows kept, where subsystem i's inverse is inverses[slots[i]],
+        each distinct matrix inverted once for the whole table (read-only)."""
+        d = len(self.coords)
+        slot, pieces = {}, []                 # matrix bytes -> slot
+        for A, _ in self.pieces:
+            rows, mats, zero = _subsystems(np.vstack([A, -np.eye(d)]))
+            slots = [slot.setdefault(mat.tobytes(), len(slot)) for mat in mats]
+            pieces.append((rows, np.array(slots, dtype=np.intp), zero))
+        inverses = np.linalg.inv(np.frombuffer(b"".join(slot), dtype=float).reshape(-1, d, d))
+        for array in (inverses, *itertools.chain.from_iterable(pieces)):
+            array.setflags(write=False)
+        return inverses, tuple(pieces)
+
+    def _piece_subsystems(self, k: int, keep):
+        """(rows, inverses, zero) of piece k's subsystems once only its rows
+        keep are left (None: all of them), rows indexing those rows then -I.
+        A proper subset reads the subsystems that avoid the dropped rows, in
+        the same order, kept per (k, keep)."""
+        inverses, pieces = self._all_subsystems
+        rows, slots, zero = pieces[k]
+        if keep is not None:
+            found = self._kept.get((k, keep))
+            if found is None:
+                n_rows = self.pieces[k][0].shape[0]
+                at = np.full(n_rows + len(self.coords), -1, dtype=rows.dtype)
+                at[list(keep)] = np.arange(len(keep))
+                at[n_rows:] = len(keep) + np.arange(len(self.coords))
+                ok = np.all(at[rows] >= 0, axis=1)
+                found = (at[rows[ok]], slots[ok], zero[ok])
+                for array in found:
+                    array.setflags(write=False)
+                self._kept[(k, keep)] = found
+            rows, slots, zero = found
+        return rows, inverses[slots], zero
 
     def _parse(self, expr: str) -> tuple:
         """The (a, b, given) name groups of an "I(A;B|C)" term."""
@@ -383,171 +432,59 @@ def bound_pieces(table: BoundTable, values: dict):
     if _evaluate(table.guard, values) < 0:
         return []
     bounds = np.array([_fill(rule, values) for rule in table.rules], dtype=float)
-    return [RatePolytope(table.coords, A, bounds[index]) for A, index in table.pieces]
+    return [_TablePiece(table.coords, A, bounds[index], table, k)
+            for k, (A, index) in enumerate(table.pieces)]
 
 
-@functools.lru_cache(maxsize=16)
-def _combinations(m: int, d: int) -> np.ndarray:
-    """Every d-subset of range(m) as rows, in itertools order (read-only)."""
-    n = math.comb(m, d)
-    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), d)),
-                      dtype=np.intp, count=n * d).reshape(n, d)
-    idx.setflags(write=False)
-    return idx
-
-
-class _InversePool:
-    """Inverses of nonsingular d x d subsystems, one slot per row set.
-
-    A row set's matrix lists its rows in lexicographic order of their
-    coefficients, so its inverse is the same whichever constraint matrix it
-    came from. Filled slots are never written again, and growing copies
-    them, so readers need no lock.
-    """
-
-    def __init__(self, d: int):
-        self.slot = {}                        # matrix bytes -> slot
-        self.inv = np.empty((0, d, d))
-
-    def slots(self, mats: np.ndarray) -> np.ndarray:
-        """The slot of every matrix, inverting those not yet pooled."""
-        keys = [mat.tobytes() for mat in mats]
-        fresh = {}                            # new matrix bytes -> first index
-        for i, key in enumerate(keys):
-            if key not in self.slot:
-                fresh.setdefault(key, i)
-        if fresh:
-            new = np.linalg.inv(mats[list(fresh.values())])
-            start = len(self.slot)
-            n = start + len(fresh)
-            inv = self.inv
-            if n > inv.shape[0]:
-                inv = np.empty((max(n, min(2 * inv.shape[0], POOL_SLOTS)),)
-                               + inv.shape[1:])
-                inv[:start] = self.inv[:start]
-            inv[start:n] = new
-            self.inv = inv
-            self.slot.update(zip(fresh, range(start, n)))
-        return np.array([self.slot[key] for key in keys], dtype=np.int32)
-
-
-@dataclass(frozen=True)
-class _Shape:
-    """The nonsingular subsystems of one constraint matrix: the inverses
-    pool.inv[slots], each one's rows in its inverse's row order, and the
-    coordinates its nonnegativity rows fix at zero."""
-
-    pool: _InversePool
-    slots: np.ndarray
-    rows: np.ndarray
-    zero: np.ndarray
-
-
-def _nonsingular(A_full: np.ndarray) -> np.ndarray:
-    """The d-subsets of rows with |det| > 1e-10, in itertools order, each
-    listing its rows in lexicographic order of their coefficients."""
+def _subsystems(A_full: np.ndarray):
+    """The nonsingular d x d subsystems of A_full, whose last d rows are -I,
+    as (rows, mats, zero): the d-subsets of rows with |det| > 1e-10, in
+    itertools order, each listing its rows in lexicographic order of their
+    coefficients; each one's matrix A_full[rows]; and the coordinates its
+    nonnegativity rows fix at zero."""
     m, d = A_full.shape
-    if math.comb(m, d) <= COMBO_CACHED:
-        idx = _combinations(m, d)
-    else:
-        idx = _combinations.__wrapped__(m, d)
+    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), d)),
+                      dtype=np.intp, count=math.comb(m, d) * d).reshape(-1, d)
     idx = idx[np.abs(np.linalg.det(A_full[idx])) > 1e-10]
     rank = np.empty(m, dtype=np.intp)
     rank[np.lexsort(A_full.T[::-1])] = np.arange(m)
-    idx = np.take_along_axis(idx, np.argsort(rank[idx], axis=1), axis=1)
-    return idx.astype(np.int16) if m <= np.iinfo(np.int16).max else idx
-
-
-# Shape entries (keys, rows, slots and zero masks) kept at most, in bytes,
-# and inverses pooled at most per dimension.
-SHAPE_CACHE_BYTES = 4 << 20
-POOL_SLOTS = 16_384
-
-
-class _SubsystemCache:
-    """The subsystems of recently used constraint matrices, per process.
-
-    Shapes stay, least recently used first out, while their entries take at
-    most SHAPE_CACHE_BYTES. Each dimension's pool holds at most POOL_SLOTS
-    inverses; one that would overflow starts afresh and its shapes are
-    dropped. Matrices too large for either are solved without being kept.
-    """
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.shapes = OrderedDict()           # (d, A_full bytes) -> _Shape
-        self.bytes = 0
-        self.pools = {}                       # d -> _InversePool
-
-    @staticmethod
-    def entry_bytes(key, rows: np.ndarray) -> int:
-        return len(key[1]) + rows.nbytes + (4 + rows.shape[1]) * rows.shape[0]
-
-    def _drop(self, key):
-        self.bytes -= self.entry_bytes(key, self.shapes.pop(key).rows)
-
-    def shape(self, A_full: np.ndarray) -> _Shape:
-        """The subsystems of A_full, cached or computed."""
-        d = A_full.shape[1]
-        key = (d, A_full.tobytes())
-        with self.lock:
-            shape = self.shapes.get(key)
-            if shape is not None:
-                self.shapes.move_to_end(key)
-                return shape
-            rows = _nonsingular(A_full)
-            mats = A_full[rows]
-            n_rows = A_full.shape[0] - d
-            zero = np.zeros(rows.shape, dtype=bool)
-            fixed = rows >= n_rows
-            zero[np.nonzero(fixed)[0], rows[fixed] - n_rows] = True
-            size = self.entry_bytes(key, rows)
-            if rows.shape[0] > POOL_SLOTS or size > SHAPE_CACHE_BYTES:
-                pool = _InversePool(d)        # unpooled, for this call only
-                pool.inv = np.linalg.inv(mats)
-                return _Shape(pool, np.arange(rows.shape[0]), rows, zero)
-            pool = self.pools.get(d)
-            if pool is None or len(pool.slot) + rows.shape[0] > POOL_SLOTS:
-                pool = self.pools[d] = _InversePool(d)
-                for k in [k for k in self.shapes if k[0] == d]:
-                    self._drop(k)
-            shape = self.shapes[key] = _Shape(pool, pool.slots(mats), rows, zero)
-            self.bytes += size
-            while self.bytes > SHAPE_CACHE_BYTES:
-                self._drop(next(iter(self.shapes)))
-            return shape
-
-
-_cache = _SubsystemCache()
+    rows = np.take_along_axis(idx, np.argsort(rank[idx], axis=1), axis=1)
+    if m <= np.iinfo(np.int16).max:
+        rows = rows.astype(np.int16)
+    zero = np.zeros(rows.shape, dtype=bool)
+    fixed = rows >= m - d
+    zero[np.nonzero(fixed)[0], rows[fixed] - (m - d)] = True
+    return rows, A_full[rows], zero
 
 
 def _drop_repeated_rows(A: np.ndarray, b: np.ndarray):
-    """Keep one row per coefficient vector: the smallest bound, the first
-    on a tie, in the original row order. The polytope is unchanged."""
+    """The rows to keep, one per coefficient vector: the smallest bound, the
+    first on a tie, in the original row order; None when no row repeats.
+    The polytope is unchanged."""
     best = {}                                 # row bytes -> kept row
     for i, row in enumerate(A):
         key = row.tobytes()
         if b[i] < b[best.setdefault(key, i)]:
             best[key] = i
     if len(best) == A.shape[0]:
-        return A, b
-    keep = sorted(best.values())
-    return A[keep], b[keep]
+        return None
+    return tuple(sorted(best.values()))
 
 
-def piece_vertices(piece: RatePolytope, max_vertices: int = VERTEX_CEILING) -> np.ndarray:
+def piece_vertices(piece: RatePolytope) -> np.ndarray:
     """Enumerate the vertices of a piece.
 
     Solves every nonsingular d x d subsystem drawn from the constraints
     (one per repeated coefficient vector) plus the implicit nonnegativity
-    facets and keeps the feasible solutions. The subsystems of a constraint
-    matrix and their inverses are cached per process (_SubsystemCache), so
-    pieces that differ only in their bounds cost one batched product. A
-    coordinate whose nonnegativity facet defines the vertex is set to
-    exactly 0.0. Intended for the low-dimensional polytopes this package
-    produces (dim <= 5); raises VertexEnumerationOverflow if the subsystem
-    count or the vertex count would run away. Unboundedness is not detected
-    here; piece_support and convexify check it.
+    facets and keeps the feasible solutions. A piece of a BoundTable reads
+    its subsystems and their inverses from the table, which finds them once
+    for all its pieces, so such a piece costs one batched product; any
+    other piece finds its own on each call. A coordinate whose
+    nonnegativity facet defines the vertex is set to exactly 0.0. Intended
+    for the low-dimensional polytopes this package produces (dim <= 5);
+    raises VertexEnumerationOverflow if the subsystem count would exceed
+    COMBO_CEILING or the vertex count VERTEX_CEILING. Unboundedness is not
+    detected here; piece_support and convexify check it.
     """
     d = piece.dim
     n_combo = math.comb(piece.A.shape[0] + d, d)
@@ -555,15 +492,21 @@ def piece_vertices(piece: RatePolytope, max_vertices: int = VERTEX_CEILING) -> n
         raise VertexEnumerationOverflow(
             f"{n_combo} constraint subsets exceed the enumeration budget"
         )
-    A, b = _drop_repeated_rows(piece.A, piece.b)
+    A, b = piece.A, piece.b
+    keep = _drop_repeated_rows(A, b)
+    if keep is not None:
+        A, b = A[list(keep)], b[list(keep)]
     A_full = np.vstack([A, -np.eye(d)]) if A.shape[0] else -np.eye(d)
     b_full = np.concatenate([b, np.zeros(d)])
-    shape = _cache.shape(A_full)
-    idx = shape.rows
+    if isinstance(piece, _TablePiece):
+        idx, inv, zero = piece.table._piece_subsystems(piece.k, keep)
+    else:
+        idx, mats, zero = _subsystems(A_full)
+        inv = np.linalg.inv(mats)
     if idx.shape[0] == 0:
         return np.empty((0, d))
-    sols = np.einsum("nij,nj->ni", shape.pool.inv[shape.slots], np.take(b_full, idx))
-    sols[shape.zero] = 0.0
+    sols = np.einsum("nij,nj->ni", inv, np.take(b_full, idx))
+    sols[zero] = 0.0
     feas = np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)
     sols = sols[feas]
     if sols.shape[0] == 0:
@@ -574,9 +517,9 @@ def piece_vertices(piece: RatePolytope, max_vertices: int = VERTEX_CEILING) -> n
     np.logical_or.at(zeros, group, sols == 0.0)
     verts = sols[first]
     verts[zeros] = 0.0
-    if verts.shape[0] > max_vertices:
+    if verts.shape[0] > VERTEX_CEILING:
         raise VertexEnumerationOverflow(
-            f"{verts.shape[0]} vertices exceed the ceiling {max_vertices}"
+            f"{verts.shape[0]} vertices exceed the ceiling {VERTEX_CEILING}"
         )
     return verts
 
@@ -892,6 +835,12 @@ def check_slice(coords, plane, fixed) -> dict:
     return values
 
 
+def _check_resolution(resolution: int) -> None:
+    """A sweep needs at least two directions; ValueError otherwise."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+
+
 def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
     """Support-direction sweep of a 2-D slice of the region's hull, one
     sample per direction, each a slice vertex with its mix (_hull_mix).
@@ -901,8 +850,7 @@ def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
     """
     plane = tuple(plane)
     fixed = check_slice(region.coords, plane, fixed or {})
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    _check_resolution(resolution)
     plane_idx = [region.coords.index(c) for c in plane]
     fixed_idx = [i for i, c in enumerate(region.coords) if c in fixed]
     fixed_vals = [fixed[region.coords[i]] for i in fixed_idx]

@@ -235,15 +235,19 @@ class TestRegion:
         def no_search(*args, **kwargs):
             raise AssertionError("assemble_region called")
 
-        # a bad slice exits 2 before any scheme is searched
+        # a bad slice or resolution exits 2 before any scheme is searched
         monkeypatch.setattr(optimizer, "assemble_region", no_search)
         base = ["region", str(channel_files["clean_mac"]), "--bound", "inner1",
                 "--config", grid_config, "--out", str(tmp_path / "x.csv")]
         for extra in (["--fix", "R0=0.1"], ["--fix", "Rbogus=0.1"], ["--fix", "Re"],
                       ["--fix", "Re=nan"], ["--plane", "R0"], ["--plane", "R0,Rx"],
-                      ["--plane", "R1,R1"]):
+                      ["--plane", "R1,R1"], ["--resolution", "1"],
+                      ["--resolution", "-3"]):
             assert main(base + extra) == 2
-            assert _stderr_error(capsys)["error"] == "ValueError"
+            error = _stderr_error(capsys)
+            assert error["error"] == "ValueError"
+            if extra[0] == "--resolution":
+                assert error["message"] == "resolution must be at least 2"
         assert not (tmp_path / "x.csv").exists()
 
     def test_emit_plot_writes_script(self, channel_files, grid_config,
@@ -461,6 +465,21 @@ class TestSearchSettings:
                      "--config", cfg]) == 2
         error = _stderr_error(capsys)
         assert error["error"] == "ValueError" and "refine_step" in error["message"]
+
+    def test_regions_refuse_the_refine_strategy(self, channel_files, tmp_path, capsys):
+        # a region has no single best scheme to refine, so the strategy is
+        # refused rather than run as "random"
+        cfg = _write_json(tmp_path / "cfg.json", {"strategy": "random+refine",
+                                                  "sample_count": 2})
+        channel = str(channel_files["binary_degraded"])
+        out = tmp_path / "f.csv"
+        assert main(["region", channel, "--bound", "inner1", "--resolution", "3",
+                     "--config", cfg, "--out", str(out)]) == 2
+        error = _stderr_error(capsys)
+        assert error["error"] == "ValueError" and "random+refine" in error["message"]
+        assert not out.exists()
+        # the capacity search still refines
+        assert main(["secrecy-capacity", channel, "--config", cfg]) == 0
 
 
 class TestOneSpelling:

@@ -15,9 +15,9 @@ from gmacsec import (
     scheme_to_dict,
     secrecy_capacity_value,
 )
+from gmacsec import one_set, optimizer
 from gmacsec.one_set import DEGRADED_SECRECY
-
-from gmacsec import regions
+from gmacsec.regions import BoundTable
 
 from conftest import binary_entropy
 
@@ -231,16 +231,23 @@ class TestAssembleRegion:
         assert dropped > 0
         assert len(region.pieces) + dropped == 8
 
-    def test_cold_cache_runs_are_bitwise_equal(self, clean_mac, monkeypatch):
+    def test_fresh_table_runs_are_bitwise_equal(self, clean_mac, monkeypatch):
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="random",
                               sample_count=6, seed=21)
-        runs = []
-        for _ in range(2):
-            monkeypatch.setattr(regions, "_cache", regions._SubsystemCache())
-            runs.append(assemble_region(clean_mac, "secrecy-one-set", config))
-        first, second = runs
-        assert np.array_equal(first.hull_points, second.hull_points)
-        assert first.provenance == second.provenance
+        # SECRECY built anew: its first run finds the subsystems, its second
+        # reads them, and the shared table's run reads its own
+        fresh = BoundTable(one_set.COORDS_SECRECY, "one_set", one_set._TERMS,
+                           [one_set._SECRECY_ROWS], guard="a - d")
+        monkeypatch.setitem(optimizer._BOUND_TABLES, "secrecy-one-set", fresh)
+        runs = [assemble_region(clean_mac, "secrecy-one-set", config) for _ in range(2)]
+        monkeypatch.undo()
+        runs.append(assemble_region(clean_mac, "secrecy-one-set", config))
+        first = runs[0]
+        for other in runs[1:]:
+            assert first.hull_points.tobytes() == other.hull_points.tobytes()
+            assert first.provenance == other.provenance
+            assert [p.vertices.tobytes() for p in first.pieces] == \
+                [p.vertices.tobytes() for p in other.pieces]
 
     def test_degraded_bound_records_the_certificate(self, binary_degraded):
         config = SearchConfig(cardinalities=(1, 1, 1), strategy="random",

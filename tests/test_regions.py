@@ -188,14 +188,6 @@ class TestVertices:
         with pytest.raises(VertexEnumerationOverflow):
             piece_vertices(piece)
 
-    def test_large_subset_index_is_not_cached(self):
-        rng = np.random.default_rng(3)
-        rows = np.abs(rng.normal(size=(80, 3)))
-        piece = polytope(("R0", "R1", "Re"), [(tuple(r), 1.0) for r in rows])
-        cached = regions._combinations.cache_info().currsize
-        piece_vertices(piece)               # C(83, 3) = 91,881 subsets
-        assert regions._combinations.cache_info().currsize == cached
-
 
 class TestConvexify:
     def test_hull_prunes_to_extreme_points(self):

@@ -2,11 +2,13 @@
 
 The package answers emptiness, support, hull-slice and hull-membership
 queries from piece vertices and hull facets; these tests solve the same
-queries as linear programs and require the same answers. Piece vertices come from cached
-subsystem inverses; they are checked against the brute-force enumeration
-that solves every subsystem of every piece afresh.
+queries as linear programs and require the same answers. Piece vertices
+come from subsystem inverses that a bound table finds once for all its
+pieces; they are checked against the brute-force enumeration that solves
+every subsystem of every piece afresh.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -37,9 +39,10 @@ from gmacsec import (
     region_contains,
     slice_piece,
 )
-from gmacsec import regions
+from gmacsec import optimizer, regions, two_set
 from gmacsec.channel import validate_channel
-from gmacsec.optimizer import SearchConfig, assemble_region
+from gmacsec.optimizer import SearchConfig, assemble_region, sample_schemes_random
+from gmacsec.regions import BoundTable, bound_pieces
 from conftest import split_rows
 
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -616,12 +619,6 @@ def _assert_oracle_vertices(piece, got=None):
     assert np.array_equal(got == 0.0, want == 0.0)
 
 
-@pytest.fixture
-def cold_cache(monkeypatch):
-    """An empty subsystem cache for one test; the previous one comes back."""
-    monkeypatch.setattr(regions, "_cache", regions._SubsystemCache())
-
-
 def _recording(monkeypatch):
     """Record every (piece, vertices) that piece_vertices returns."""
     seen = []
@@ -736,105 +733,65 @@ class TestVertexOracle:
             raise AssertionError("subsystems built past the budget")
 
         monkeypatch.setattr(regions, "_drop_repeated_rows", no_work)
-        monkeypatch.setattr(regions._cache, "shape", no_work)
+        monkeypatch.setattr(regions, "_subsystems", no_work)
         rows = np.random.default_rng(7).normal(size=(230, 3))
         piece = polytope(("R0", "R1", "Re"), [(tuple(r), 1.0) for r in rows])
         assert math.comb(233, 3) > regions.COMBO_CEILING
         with pytest.raises(VertexEnumerationOverflow):
             piece_vertices(piece)
         monkeypatch.undo()
+        monkeypatch.setattr(regions, "VERTEX_CEILING", 3)
         square = polytope(NAMES[:2], [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
         with pytest.raises(VertexEnumerationOverflow):
-            piece_vertices(square, max_vertices=3)
+            piece_vertices(square)
 
 
-def _cache_within_caps():
-    cache = regions._cache
-    held = sum(cache.entry_bytes(k, s.rows) for k, s in cache.shapes.items())
-    assert held == cache.bytes <= regions.SHAPE_CACHE_BYTES
-    for pool in cache.pools.values():
-        assert len(pool.slot) <= pool.inv.shape[0] <= regions.POOL_SLOTS
+def _fresh_two_set():
+    """two_set.TWO_SET built anew, its subsystems not yet found."""
+    return BoundTable(two_set.COORDS_FULL, "two_set", two_set.TERMS,
+                      [two_set._RATES + fam for fam in two_set._EQUIVOCATION])
 
 
-class TestSubsystemCache:
-    def _float_pieces(self, count, dim):
-        rng = np.random.default_rng(5000 + dim)
-        return [_random_piece(rng, dim, "bounded") for _ in range(count)]
+def _two_set_values(seed, count):
+    """The TWO_SET term values of count random schemes on a relabelled W2."""
+    channel = _relabelled_w2(seed)
+    config = SearchConfig(strategy="random", sample_count=count,
+                          cardinalities=(2, 2, 2), seed=seed)
+    return [two_set.TWO_SET.scheme_terms(s, channel)
+            for s in sample_schemes_random("two_set", channel, config)]
 
-    def test_pool_stops_at_its_cap(self, cold_cache):
-        pools = set()
-        for i, piece in enumerate(self._float_pieces(1000, 3)):
-            verts = piece_vertices(piece)
-            pools.add(id(regions._cache.pools[3]))
-            _cache_within_caps()
-            if i % 100 == 0:
-                _assert_oracle_vertices(piece, verts)
-        # the pool filled up and started afresh more than once
-        assert len(pools) > 2
 
-    def test_shapes_stop_at_their_cap(self, cold_cache, monkeypatch):
-        monkeypatch.setattr(regions, "SHAPE_CACHE_BYTES", 50_000)
-        pieces = self._float_pieces(1000, 2)
-        for piece in pieces:
-            piece_vertices(piece)
-            _cache_within_caps()
-        assert 0 < len(regions._cache.shapes) < 1000
-        # the most recent shapes are the ones kept, and they still solve
-        last = pieces[-1]
-        A_full = np.vstack([last.A, -np.eye(2)])
-        assert next(reversed(regions._cache.shapes)) == (2, A_full.tobytes())
-        _assert_oracle_vertices(last)
+def _vertex_bytes(pieces):
+    return [piece_vertices(p).tobytes() for p in pieces]
 
-    def test_large_shapes_are_solved_but_not_kept(self, cold_cache):
-        rng = np.random.default_rng(13)
-        caps = np.abs(rng.normal(size=(200, 2)))
-        piece = polytope(NAMES[:2], list(zip(caps, rng.uniform(0.5, 2.0, 200))))
-        # C(202, 2) = 20,301 subsystems, most of them nonsingular
-        assert math.comb(202, 2) > regions.POOL_SLOTS
-        _assert_oracle_vertices(piece)
-        assert not regions._cache.shapes and not regions._cache.pools
 
-    def test_shapes_share_pooled_inverses(self, cold_cache):
-        rng = np.random.default_rng(11)
-        piece = _random_piece(rng, 3, "bounded")
-        piece_vertices(piece)
-        pooled = len(regions._cache.pools[3].slot)
-        # the same rows in another order and with other bounds: a new shape
-        # whose row sets are all pooled already
-        order = rng.permutation(piece.A.shape[0])
-        other = RatePolytope(piece.coords, piece.A[order], piece.b[order] + 0.5)
-        _assert_oracle_vertices(other)
-        assert len(regions._cache.shapes) == 2
-        assert len(regions._cache.pools[3].slot) == pooled
+class TestTableSubsystems:
+    def test_fresh_table_matches_cold_and_warm(self):
+        values = _two_set_values(1, 3)
+        table = _fresh_two_set()
+        assert "_all_subsystems" not in vars(table)         # found on first use
+        cold = [_vertex_bytes(bound_pieces(table, v)) for v in values]
+        assert "_all_subsystems" in vars(table) and table._kept
+        warm = [_vertex_bytes(bound_pieces(table, v)) for v in values]
+        shared = [_vertex_bytes(bound_pieces(two_set.TWO_SET, v)) for v in values]
+        assert cold == warm == shared
+        # the same pieces outside any table find their own subsystems
+        assert cold[0] == _vertex_bytes(RatePolytope(p.coords, p.A, p.b)
+                                        for p in bound_pieces(table, values[0]))
 
-    def test_cold_cache_runs_match_bitwise(self, cold_cache, monkeypatch):
-        channel = fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(1))
-        config = SearchConfig(strategy="random", sample_count=3,
-                              cardinalities=(2, 2, 2))
-        first = assemble_region(channel, "two-set", config)
-        monkeypatch.setattr(regions, "_cache", regions._SubsystemCache())
-        second = assemble_region(channel, "two-set", config)
-        assert np.array_equal(first.hull_points, second.hull_points)
-        assert len(first.pieces) == len(second.pieces)
-        for a, b in zip(first.pieces, second.pieces):
-            assert np.array_equal(a.vertices, b.vertices)
-
-    def test_concurrent_misses_and_resets(self, cold_cache, monkeypatch):
-        # small caps, so threads evict shapes and restart pools under each other
-        monkeypatch.setattr(regions, "SHAPE_CACHE_BYTES", 30_000)
-        monkeypatch.setattr(regions, "POOL_SLOTS", 600)
-        rng = np.random.default_rng(17)
-        pieces = [_random_piece(rng, dim, kind) for dim in (2, 3, 4)
-                  for kind in ("bounded", "empty", "unbounded") for _ in range(10)]
-        expected = [brute_force_vertices(p) for p in pieces]
+    def test_threads_on_a_fresh_table_match_a_sequential_run(self):
+        values = _two_set_values(3, 4)
+        expected = [_vertex_bytes(bound_pieces(two_set.TWO_SET, v)) for v in values]
+        table = _fresh_two_set()
+        barrier = threading.Barrier(8)
         failures = []
 
         def worker(offset):
             try:
-                for i in range(len(pieces)):
-                    k = (i + 7 * offset) % len(pieces)
-                    got = piece_vertices(pieces[k])
-                    np.testing.assert_allclose(got, expected[k], rtol=0.0, atol=1e-9)
+                barrier.wait()
+                for i in range(len(values)):
+                    k = (i + offset) % len(values)
+                    assert _vertex_bytes(bound_pieces(table, values[k])) == expected[k]
             except Exception as exc:         # reported to the main thread
                 failures.append(exc)
 
@@ -850,4 +807,29 @@ class TestSubsystemCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not failures, failures[0]
-        _cache_within_caps()
+
+    def test_memo_stays_small_on_the_default_w2_assembly(self, monkeypatch):
+        table = _fresh_two_set()
+        monkeypatch.setitem(optimizer._BOUND_TABLES, "two-set", table)
+        channel = fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(1))
+        region = assemble_region(channel, "two-set")
+        assert len(region.pieces) == 7778
+        # at most one entry per piece and choice of one row from each group
+        # of repeated rows
+        groups = [collections.Counter(row.tobytes() for row in A).values()
+                  for A, _ in table.pieces]
+        choices = sum(math.prod(g) for g in groups if max(g) > 1)
+        assert choices == 205
+        assert 0 < len(table._kept) <= choices
+
+    def test_pieces_outside_a_table_keep_nothing(self):
+        table = _fresh_two_set()
+        piece = bound_pieces(table, _two_set_values(4, 1)[0])[0]
+        fixed = {name: 0.0 for name in piece.coords[2:]}
+        copy = RatePolytope(piece.coords, piece.A, piece.b)
+        # a copy, the cut recession cone, a slice and a hull slice
+        assert len(copy.vertices) and len(piece.rays)
+        assert len(slice_piece(piece, fixed).vertices)
+        assert len(frontier(convexify([copy]), piece.coords[:2], fixed=fixed))
+        assert "_all_subsystems" not in vars(table) and not table._kept
+        assert copy.vertices.tobytes() == piece.vertices.tobytes()

@@ -10,6 +10,8 @@ that built a dataclass, a document and the terms of one scheme at a time.
 Values are compared by float.hex, which tells -0.0 from 0.0.
 """
 
+import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -45,6 +47,25 @@ W3 = SearchConfig(strategy="grid", cardinalities=(1, 3, 1), grid_resolution=5)
 
 # --- references ----------------------------------------------------------------
 
+def _memoized(terms):
+    """terms(scheme, channel), computed once per scheme and channel: keyed
+    by the bytes and shape of every parameter table and of the channel, so
+    the searches below that revisit the same grid score each scheme once."""
+    memo = {}
+
+    @functools.wraps(terms)
+    def memoized(scheme, channel):
+        key = (type(scheme),
+               tuple((a.shape, a.tobytes()) for a in
+                     (np.asarray(getattr(scheme, f.name)) for f in dataclasses.fields(scheme))),
+               channel.prob.shape, channel.prob.tobytes())
+        if key not in memo:
+            memo[key] = terms(scheme, channel)
+        return memo[key]
+    return memoized
+
+
+@_memoized
 def scalar_one_set_terms(scheme, channel):
     joint = scheme_joint(scheme, channel)
     return (mutual_information(*joint, "U", "Y", ("X2", "Q")),
@@ -52,6 +73,7 @@ def scalar_one_set_terms(scheme, channel):
             mutual_information(*joint, "U", "Y2", ("X2", "Q")))
 
 
+@_memoized
 def scalar_degraded_terms(scheme, channel):
     joint = scheme_joint(scheme, channel)
     return (mutual_information(*joint, "X1", "Y", ("X2", "Q")),
