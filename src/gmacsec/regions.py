@@ -13,12 +13,13 @@ whose coefficient matrices every scheme shares; bound_pieces fills in one
 scheme's right-hand sides.
 
 Because every piece is pointed, emptiness and support queries are answered
-from its vertices, which each piece enumerates once. A table's pieces read
-their d x d subsystems and inverses from the table, which finds them once,
-when its pieces first need them; any other piece finds its own. Hull
-membership, hull slices and the time-sharing mix behind each frontier point
-come from Qhull's facets of the vertex cloud. No query here solves a linear
-program.
+from its vertices, which each piece enumerates once. A table indexes the
+distinct d x d subsystems of all its pieces, and their inverses, once,
+when its pieces first need them; the pieces of one scheme share one solve
+of that index, and each keeps the solutions that violate none of its rows.
+Any other piece finds and solves its own subsystems. Hull membership, hull
+slices and the time-sharing mix behind each frontier point come from
+Qhull's facets of the vertex cloud. No query here solves a linear program.
 """
 
 from __future__ import annotations
@@ -125,9 +126,11 @@ class RatePolytope:
 
 @dataclass(frozen=True)
 class _TablePiece(RatePolytope):
-    """Piece number k of a BoundTable, which keeps its subsystems."""
+    """Piece number k of one scheme's pieces under a BoundTable, which share
+    their subsystem solutions through scheme. Its vertices follow from the
+    scheme's bounds, so a copy with other rows is a plain RatePolytope."""
 
-    table: BoundTable = field(repr=False, compare=False)
+    scheme: _SchemeSolutions = field(repr=False, compare=False)
     k: int = field(repr=False, compare=False)
 
 
@@ -280,9 +283,11 @@ class BoundTable:
     per plain piece, its read-only coefficient matrix, shared by every
     scheme, and the index into rules of each row's bound. A rule is the
     row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
-    The table also owns the vertex subsystems of its pieces, found when
-    piece_vertices first needs them. They are immutable once built, and two
-    threads that race only compute the same value twice, so no lock is held.
+    The table also owns the _SubsystemIndex of its pieces, built when
+    piece_vertices first needs it, and solves it once per scheme (_solve)
+    for all of that scheme's pieces. The index is immutable once built, and
+    two threads that race only compute the same value twice, so no lock is
+    held.
     """
 
     def __init__(self, coords, kind, terms, families, guard="0"):
@@ -323,43 +328,49 @@ class BoundTable:
         return {name: float(column[0]) for name, column in columns.items()}
 
     @functools.cached_property
-    def _all_subsystems(self):
-        """(inverses, per piece (rows, slots, zero)), found on first use:
-        the _subsystems of each piece's full matrix, its rows then -I with
-        repeated rows kept, where subsystem i's inverse is inverses[slots[i]],
-        each distinct matrix inverted once for the whole table (read-only)."""
-        d = len(self.coords)
-        slot, pieces = {}, []                 # matrix bytes -> slot
-        for A, _ in self.pieces:
-            rows, mats, zero = _subsystems(np.vstack([A, -np.eye(d)]))
-            slots = [slot.setdefault(mat.tobytes(), len(slot)) for mat in mats]
-            pieces.append((rows, np.array(slots, dtype=np.intp), zero))
-        inverses = np.linalg.inv(np.frombuffer(b"".join(slot), dtype=float).reshape(-1, d, d))
-        for array in (inverses, *itertools.chain.from_iterable(pieces)):
-            array.setflags(write=False)
-        return inverses, tuple(pieces)
+    def _subsystem_index(self) -> _SubsystemIndex:
+        """The _SubsystemIndex of the table's pieces, built on first use."""
+        return _SubsystemIndex.build(len(self.coords), len(self.rules), self.pieces)
 
     def _piece_subsystems(self, k: int, keep):
-        """(rows, inverses, zero) of piece k's subsystems once only its rows
-        keep are left (None: all of them), rows indexing those rows then -I.
-        A proper subset reads the subsystems that avoid the dropped rows, in
+        """(subsystems, mask) of piece k once only its rows keep are left
+        (None: all of them): its subsystems as indices into the index's, in
+        itertools order, and the packed bits of the rows left, then -I. A
+        proper subset reads the subsystems that avoid the dropped rows, in
         the same order, kept per (k, keep)."""
-        inverses, pieces = self._all_subsystems
-        rows, slots, zero = pieces[k]
-        if keep is not None:
-            found = self._kept.get((k, keep))
-            if found is None:
-                n_rows = self.pieces[k][0].shape[0]
-                at = np.full(n_rows + len(self.coords), -1, dtype=rows.dtype)
-                at[list(keep)] = np.arange(len(keep))
-                at[n_rows:] = len(keep) + np.arange(len(self.coords))
-                ok = np.all(at[rows] >= 0, axis=1)
-                found = (at[rows[ok]], slots[ok], zero[ok])
-                for array in found:
-                    array.setflags(write=False)
-                self._kept[(k, keep)] = found
-            rows, slots, zero = found
-        return rows, inverses[slots], zero
+        index = self._subsystem_index
+        ids, positions, rows = index.pieces[k]
+        if keep is None:
+            return ids, index.masks[k]
+        found = self._kept.get((k, keep))
+        if found is None:
+            dropped = np.ones(rows.shape[0], dtype=bool)
+            dropped[list(keep)] = False
+            dropped[rows.shape[0] - len(self.coords):] = False
+            flags = np.zeros(index.A.shape[0], dtype=bool)
+            flags[rows[~dropped]] = True
+            found = (ids[~np.any(dropped[positions], axis=1)], _row_bits(flags))
+            for array in found:
+                array.setflags(write=False)
+            self._kept[(k, keep)] = found
+        return found
+
+    def _solve(self, bounds: np.ndarray):
+        """(solutions, violated): every subsystem of the index solved for
+        one scheme's bounds (one per rule), with the coordinates its rows
+        of -I fix set to 0.0, and the packed bits (_row_bits) of the index
+        rows each solution violates by more than 1e-9. Each slack product
+        stays within _GEMM_CELLS multiply-adds."""
+        index = self._subsystem_index
+        b = np.append(bounds, 0.0)[index.rule]
+        sols = np.einsum("nij,nj->ni", index.inverses, b[index.rows])
+        sols[index.zero] = 0.0
+        limit = b + 1e-9
+        step = max(1, _GEMM_CELLS // index.A.size)
+        ok = np.empty((sols.shape[0], index.A.shape[0]), dtype=bool)
+        for i in range(0, sols.shape[0], step):
+            np.less_equal(sols[i:i + step] @ index.A.T, limit, out=ok[i:i + step])
+        return sols, _row_bits(~ok)
 
     def _parse(self, expr: str) -> tuple:
         """The (a, b, given) name groups of an "I(A;B|C)" term."""
@@ -432,8 +443,139 @@ def bound_pieces(table: BoundTable, values: dict):
     if _evaluate(table.guard, values) < 0:
         return []
     bounds = np.array([_fill(rule, values) for rule in table.rules], dtype=float)
-    return [_TablePiece(table.coords, A, bounds[index], table, k)
+    scheme = _SchemeSolutions(table, bounds)
+    return [_TablePiece(table.coords, A, bounds[index], scheme, k)
             for k, (A, index) in enumerate(table.pieces)]
+
+
+class _SchemeSolutions:
+    """The subsystem solutions that one scheme's pieces under a table share.
+
+    The first vertex request of any of the pieces solves the table's whole
+    index for the scheme's bounds, once; the solutions are let go once each
+    piece has asked, so only the schemes still being enumerated hold them,
+    and a piece that asks again after that solves them again. Threads that
+    race on one scheme can only solve it more than once, to the same
+    values, so no lock is held.
+    """
+
+    def __init__(self, table: BoundTable, bounds: np.ndarray):
+        self.table = table
+        self.bounds = bounds
+        self._solved = None
+        self._waiting = set(range(len(table.pieces)))
+
+    def feasible(self, k: int, keep) -> np.ndarray:
+        """Piece k's feasible subsystem solutions in its subsystem order,
+        once only its rows keep are left (None: all of them)."""
+        solved = self._solved
+        if solved is None:
+            solved = self._solved = self.table._solve(self.bounds)
+        self._waiting.discard(k)
+        if not self._waiting:
+            self._solved = None
+        sols, violated = solved
+        ids, mask = self.table._piece_subsystems(k, keep)
+        return sols[ids[~np.any(violated[ids] & mask, axis=1)]]
+
+
+# A slack product of _solve stays within this many multiply-adds, below
+# OpenBLAS's single-thread limit for dgemm (m * n * k <= 4 * 65536).
+_GEMM_CELLS = 200_000
+
+
+def _combinations(m: int, d: int) -> np.ndarray:
+    """The d-subsets of range(m) in itertools order, one per row."""
+    return np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), d)),
+                       dtype=np.intp, count=math.comb(m, d) * d).reshape(-1, d)
+
+
+def _row_bits(flags: np.ndarray) -> np.ndarray:
+    """Flags over an index's rows, along the last axis, packed little-endian
+    into uint64 words."""
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view(np.uint64)
+
+
+@dataclass(frozen=True)
+class _SubsystemIndex:
+    """The vertex subsystems of a BoundTable's pieces, each found and
+    inverted once for all of them.
+
+    A holds the table's distinct rows, as (coefficient vector, rule) pairs,
+    and the d rows of -I, in lexicographic order of their coefficients, so
+    a subsystem lists its rows in ascending row number, the order the
+    piece's own enumeration (_subsystems) gives them; rule[r] indexes the
+    table's rules, or is len(rules), a zero bound, for a row of -I.
+    Subsystem s is the distinct nonsingular row set rows[s], solved by
+    inverses[s]; zero[s] marks the coordinates its rows of -I fix at zero.
+    pieces[k] is piece k's (subsystems, positions, rows): its nonsingular
+    subsystems, in itertools order over its full matrix (its rows, then
+    -I), as indices into rows and as positions in that matrix, and the row
+    number of each position. masks[k] packs those rows by _row_bits.
+    """
+
+    A: np.ndarray
+    rule: np.ndarray
+    rows: np.ndarray
+    inverses: np.ndarray
+    zero: np.ndarray
+    pieces: tuple
+    masks: tuple
+
+    @classmethod
+    def build(cls, d: int, n_rules: int, pieces) -> _SubsystemIndex:
+        """The index of pieces, (A, rule index) pairs of a d-dimensional
+        table with n_rules rules. One itertools subset index serves every
+        piece with the same row count; each d-subset of a piece's full
+        matrix becomes its sorted row numbers, and each distinct one is
+        tested for |det| > 1e-10 once and, if nonsingular, inverted once.
+        A table's coefficients are integers, so the test does not depend
+        on the order of the rows."""
+        number = {}                           # (coefficients, rule) -> row
+        piece_rows = []
+        for A, index in pieces:
+            full = np.vstack([A, -np.eye(d)])
+            rules = [*index.tolist(), *[n_rules] * d]
+            piece_rows.append(np.array([number.setdefault((a.tobytes(), r), len(number))
+                                        for a, r in zip(full, rules)], dtype=np.intp))
+        A = np.array([np.frombuffer(a) for a, _ in number]).reshape(len(number), d)
+        order = np.lexsort(A.T[::-1])
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(order.shape[0])
+        A, rule = A[order], np.array([r for _, r in number], dtype=np.intp)[order]
+        piece_rows = [renumber[rows] for rows in piece_rows]
+        shape = (A.shape[0],) * d
+        subsets = {m: _combinations(m, d) for m in {rows.shape[0] for rows in piece_rows}}
+        codes = [np.ravel_multi_index(np.sort(rows[subsets[rows.shape[0]]], axis=1).T, shape)
+                 for rows in piece_rows]
+        distinct, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+        candidates = np.stack(np.unravel_index(distinct, shape), axis=1)
+        nonsingular = np.abs(np.linalg.det(A[candidates])) > 1e-10
+        slot = np.cumsum(nonsingular) - 1     # candidate -> subsystem, if nonsingular
+        rows = candidates[nonsingular]
+        axis = np.full(A.shape[0], -1)        # row -> the coordinate its -I row fixes
+        axis[piece_rows[0][-d:]] = np.arange(d)
+        zero = np.zeros(rows.shape, dtype=bool)
+        at, col = np.nonzero(axis[rows] >= 0)
+        zero[at, axis[rows[at, col]]] = True
+        table_pieces, masks = [], []
+        for rows_k, inverse_k in zip(piece_rows, np.split(inverse, np.cumsum(
+                [len(c) for c in codes])[:-1])):
+            ok = nonsingular[inverse_k]
+            positions = subsets[rows_k.shape[0]][ok].astype(np.min_scalar_type(rows_k.shape[0]))
+            table_pieces.append((slot[inverse_k[ok]], positions, rows_k))
+            flags = np.zeros(A.shape[0], dtype=bool)
+            flags[rows_k] = True
+            masks.append(_row_bits(flags))
+        index = cls(A, rule, rows, np.linalg.inv(A[rows]), zero,
+                    tuple(table_pieces), tuple(masks))
+        for array in (A, rule, rows, index.inverses, zero, *masks,
+                      *itertools.chain.from_iterable(table_pieces)):
+            array.setflags(write=False)
+        return index
 
 
 def _subsystems(A_full: np.ndarray):
@@ -443,14 +585,11 @@ def _subsystems(A_full: np.ndarray):
     coefficients; each one's matrix A_full[rows]; and the coordinates its
     nonnegativity rows fix at zero."""
     m, d = A_full.shape
-    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), d)),
-                      dtype=np.intp, count=math.comb(m, d) * d).reshape(-1, d)
+    idx = _combinations(m, d)
     idx = idx[np.abs(np.linalg.det(A_full[idx])) > 1e-10]
     rank = np.empty(m, dtype=np.intp)
     rank[np.lexsort(A_full.T[::-1])] = np.arange(m)
     rows = np.take_along_axis(idx, np.argsort(rank[idx], axis=1), axis=1)
-    if m <= np.iinfo(np.int16).max:
-        rows = rows.astype(np.int16)
     zero = np.zeros(rows.shape, dtype=bool)
     fixed = rows >= m - d
     zero[np.nonzero(fixed)[0], rows[fixed] - (m - d)] = True
@@ -476,15 +615,18 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
 
     Solves every nonsingular d x d subsystem drawn from the constraints
     (one per repeated coefficient vector) plus the implicit nonnegativity
-    facets and keeps the feasible solutions. A piece of a BoundTable reads
-    its subsystems and their inverses from the table, which finds them once
-    for all its pieces, so such a piece costs one batched product; any
-    other piece finds its own on each call. A coordinate whose
-    nonnegativity facet defines the vertex is set to exactly 0.0. Intended
-    for the low-dimensional polytopes this package produces (dim <= 5);
-    raises VertexEnumerationOverflow if the subsystem count would exceed
-    COMBO_CEILING or the vertex count VERTEX_CEILING. Unboundedness is not
-    detected here; piece_support and convexify check it.
+    facets and keeps the feasible solutions. The pieces of one scheme under
+    a BoundTable share one solve: the first of them to ask solves each
+    distinct subsystem of the table's index once, with one slack test of
+    every index row, and each piece then picks its own subsystems, in its
+    own order, and keeps those that violate none of its rows. Any other
+    piece finds and solves its own subsystems on each call. A coordinate
+    whose nonnegativity facet defines the vertex is set to exactly 0.0.
+    Intended for the low-dimensional polytopes this package produces
+    (dim <= 5); raises VertexEnumerationOverflow if the subsystem count
+    would exceed COMBO_CEILING or the vertex count VERTEX_CEILING.
+    Unboundedness is not detected here; piece_support and convexify check
+    it.
     """
     d = piece.dim
     n_combo = math.comb(piece.A.shape[0] + d, d)
@@ -494,21 +636,17 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
         )
     A, b = piece.A, piece.b
     keep = _drop_repeated_rows(A, b)
-    if keep is not None:
-        A, b = A[list(keep)], b[list(keep)]
-    A_full = np.vstack([A, -np.eye(d)]) if A.shape[0] else -np.eye(d)
-    b_full = np.concatenate([b, np.zeros(d)])
     if isinstance(piece, _TablePiece):
-        idx, inv, zero = piece.table._piece_subsystems(piece.k, keep)
+        sols = piece.scheme.feasible(piece.k, keep)
     else:
+        if keep is not None:
+            A, b = A[list(keep)], b[list(keep)]
+        A_full = np.vstack([A, -np.eye(d)]) if A.shape[0] else -np.eye(d)
+        b_full = np.concatenate([b, np.zeros(d)])
         idx, mats, zero = _subsystems(A_full)
-        inv = np.linalg.inv(mats)
-    if idx.shape[0] == 0:
-        return np.empty((0, d))
-    sols = np.einsum("nij,nj->ni", inv, np.take(b_full, idx))
-    sols[zero] = 0.0
-    feas = np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)
-    sols = sols[feas]
+        sols = np.einsum("nij,nj->ni", np.linalg.inv(mats), np.take(b_full, idx))
+        sols[zero] = 0.0
+        sols = sols[np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)]
     if sols.shape[0] == 0:
         return np.empty((0, d))
     first, group = _round_groups(sols)

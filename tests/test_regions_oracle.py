@@ -2,10 +2,11 @@
 
 The package answers emptiness, support, hull-slice and hull-membership
 queries from piece vertices and hull facets; these tests solve the same
-queries as linear programs and require the same answers. Piece vertices
-come from subsystem inverses that a bound table finds once for all its
-pieces; they are checked against the brute-force enumeration that solves
-every subsystem of every piece afresh.
+queries as linear programs and require the same answers. The pieces of one
+scheme under a bound table read their vertices from one solve of the
+table's subsystem index; they are checked against the brute-force
+enumeration that solves every subsystem of every piece afresh, and against
+the package's own enumeration of each piece outside any table.
 """
 
 import collections
@@ -14,6 +15,7 @@ import itertools
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from gmacsec import (
     region_contains,
     slice_piece,
 )
-from gmacsec import optimizer, regions, two_set
+from gmacsec import one_set, optimizer, regions, two_set
 from gmacsec.channel import validate_channel
 from gmacsec.optimizer import SearchConfig, assemble_region, sample_schemes_random
 from gmacsec.regions import BoundTable, bound_pieces
@@ -769,9 +771,9 @@ class TestTableSubsystems:
     def test_fresh_table_matches_cold_and_warm(self):
         values = _two_set_values(1, 3)
         table = _fresh_two_set()
-        assert "_all_subsystems" not in vars(table)         # found on first use
+        assert "_subsystem_index" not in vars(table)        # built on first use
         cold = [_vertex_bytes(bound_pieces(table, v)) for v in values]
-        assert "_all_subsystems" in vars(table) and table._kept
+        assert "_subsystem_index" in vars(table) and table._kept
         warm = [_vertex_bytes(bound_pieces(table, v)) for v in values]
         shared = [_vertex_bytes(bound_pieces(two_set.TWO_SET, v)) for v in values]
         assert cold == warm == shared
@@ -779,16 +781,63 @@ class TestTableSubsystems:
         assert cold[0] == _vertex_bytes(RatePolytope(p.coords, p.A, p.b)
                                         for p in bound_pieces(table, values[0]))
 
+    def test_one_solve_serves_every_piece_of_a_scheme(self, monkeypatch):
+        table = _fresh_two_set()
+        solve, calls = table._solve, []
+
+        def spy(bounds):
+            calls.append(bounds)
+            return solve(bounds)
+
+        monkeypatch.setattr(table, "_solve", spy)
+        values = _two_set_values(2, 2)
+        pieces = bound_pieces(table, values[0])
+        assert len(pieces) == 40 and all(p.scheme is pieces[0].scheme for p in pieces)
+        assert not calls                                   # nothing solved yet
+        _vertex_bytes(pieces)
+        assert len(calls) == 1
+        _vertex_bytes(bound_pieces(table, values[1]))
+        assert len(calls) == 2
+
+    def test_solutions_are_let_go_once_every_piece_has_its_vertices(self):
+        pieces = bound_pieces(_fresh_two_set(), _two_set_values(5, 1)[0])
+        scheme = pieces[0].scheme
+        for p in pieces[:-1]:
+            assert len(p.vertices) >= 0
+        solutions = weakref.ref(scheme._solved[0])
+        assert solutions() is not None
+        assert len(pieces[-1].vertices) >= 0
+        assert scheme._solved is None and solutions() is None
+        # a piece asked again solves again, to the same bytes, and lets go
+        assert piece_vertices(pieces[3]).tobytes() == pieces[3].vertices.tobytes()
+        assert scheme._solved is None
+
+    def test_slack_products_split_without_changing_a_bit(self, monkeypatch):
+        # the default keeps each product on one OpenBLAS thread
+        assert regions._GEMM_CELLS <= 4 * 65536
+        values = _two_set_values(6, 2)
+        expected = [_vertex_bytes(bound_pieces(two_set.TWO_SET, v)) for v in values]
+        table = _fresh_two_set()
+        cells = table._subsystem_index.A.size
+        # 7 solutions per product, then one product for all of them
+        for limit in (7 * cells + 3, 10 ** 9):
+            monkeypatch.setattr(regions, "_GEMM_CELLS", limit)
+            assert [_vertex_bytes(bound_pieces(table, v)) for v in values] == expected
+
     def test_threads_on_a_fresh_table_match_a_sequential_run(self):
         values = _two_set_values(3, 4)
         expected = [_vertex_bytes(bound_pieces(two_set.TWO_SET, v)) for v in values]
         table = _fresh_two_set()
+        # one scheme's pieces, split among the threads
+        shared = bound_pieces(table, values[0])
         barrier = threading.Barrier(8)
         failures = []
 
         def worker(offset):
             try:
                 barrier.wait()
+                for k in range(offset, len(shared), 8):
+                    assert piece_vertices(shared[k]).tobytes() == expected[0][k]
                 for i in range(len(values)):
                     k = (i + offset) % len(values)
                     assert _vertex_bytes(bound_pieces(table, values[k])) == expected[k]
@@ -831,5 +880,56 @@ class TestTableSubsystems:
         assert len(copy.vertices) and len(piece.rays)
         assert len(slice_piece(piece, fixed).vertices)
         assert len(frontier(convexify([copy]), piece.coords[:2], fixed=fixed))
-        assert "_all_subsystems" not in vars(table) and not table._kept
+        assert "_subsystem_index" not in vars(table) and not table._kept
         assert copy.vertices.tobytes() == piece.vertices.tobytes()
+
+
+TABLES = {f"{mod.__name__.rpartition('.')[2]}.{name}": table
+          for mod in (one_set, two_set)
+          for name, table in sorted(vars(mod).items()) if isinstance(table, BoundTable)}
+
+
+def _table_values(table, rng, channels, per_channel, draws):
+    """Term values of schemes of the table's kind, per_channel of them on
+    each channel, with any name that is not a term (the rates that
+    two_set.EQUIVOCATION reads) drawn uniformly; then draws sets drawn from
+    a few values, so that repeated rows tie and bounds go negative."""
+    sums = [terms for fam in table.families for _, _, terms in fam] + [table.guard]
+    names = sorted({name for terms in sums for _, name in terms})
+    config = SearchConfig(strategy="random", sample_count=per_channel,
+                          cardinalities=(2, 2, 2), seed=int(rng.integers(1 << 30)))
+    for channel in channels:
+        for scheme in sample_schemes_random(table.kind, channel, config):
+            values = table.scheme_terms(scheme, channel)
+            yield {name: values.get(name, float(rng.uniform(0.0, 0.5))) for name in names}
+    for _ in range(draws):
+        yield {name: float(rng.choice([-0.25, 0.0, 0.25, 0.5, 1.0])) for name in names}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_pieces_equal_their_own_enumeration(name):
+    """Every piece of all nine tables, read from its scheme's shared solve,
+    equals the bytes of the same piece enumerated on its own."""
+    table = TABLES[name]
+    rng = np.random.default_rng(sorted(TABLES).index(name))
+    randoms = [fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(seed))
+               for seed in (5, 6)]
+    if name == "two_set.TWO_SET":
+        # 0.4 s a scheme on its own: one fixture, one random channel
+        channels, per_channel, draws = [fx.binary_degraded(), randoms[0]], 1, 2
+    else:
+        channels = [build() for _, build in sorted(fx.FIXTURE_BUILDERS.items())] + randoms
+        per_channel, draws = 2, 12
+    kept = set()                              # (piece, rows kept) checked
+    for values in _table_values(table, rng, channels, per_channel, draws):
+        for p in bound_pieces(table, values):
+            got, want = piece_vertices(p), RatePolytope(p.coords, p.A, p.b).vertices
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            kept.add((p.k, regions._drop_repeated_rows(p.A, p.b)))
+    # every piece that repeats rows went through the kept-rows memo, and
+    # some piece with two different choices of rows
+    repeats = {k for k, (A, _) in enumerate(table.pieces)
+               if len({row.tobytes() for row in A}) < A.shape[0]}
+    assert {k for k, keep in kept if keep is not None} == repeats
+    if repeats:
+        assert len(kept) > len(table.pieces)
