@@ -163,21 +163,30 @@ def _simplex_grid(k: int, resolution: int):
     return out
 
 
+# The grid's parameter rows are built this many at a time.
+_GRID_CHUNK = 4096
+
+
 def _grid_rows(blocks, config: SearchConfig):
-    """Parameter rows of the grid, in row-major order of the simplex rows."""
+    """Parameter rows of the grid, in row-major order of the simplex rows:
+    the rows of itertools.product over every simplex row's grid, each
+    concatenated. They are built a chunk of _GRID_CHUNK at a time, by one
+    unravel_index over the per-row grid sizes, and yielded one by one."""
     row_grids = []
     total = 1
     for name, rows, cols, shape in blocks:
-        grid = _simplex_grid(cols, config.grid_resolution)
+        grid = np.array(_simplex_grid(cols, config.grid_resolution))
         for _ in range(rows):
             row_grids.append(grid)
-            total *= len(grid)
+            total *= grid.shape[0]
             if total > GRID_CEILING:
                 raise GridTooLarge(
                     f"grid enumeration would visit more than {GRID_CEILING} schemes"
                 )
-    for combo in itertools.product(*row_grids):
-        yield np.concatenate(combo)
+    sizes = [grid.shape[0] for grid in row_grids]
+    for start in range(0, total, _GRID_CHUNK):
+        picks = np.unravel_index(np.arange(start, min(start + _GRID_CHUNK, total)), sizes)
+        yield from np.concatenate([grid[i] for grid, i in zip(row_grids, picks)], axis=1)
 
 
 def _random_rows(blocks, config: SearchConfig):

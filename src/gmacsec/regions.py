@@ -15,11 +15,13 @@ scheme's right-hand sides.
 Because every piece is pointed, emptiness and support queries are answered
 from its vertices, which each piece enumerates once. A table indexes the
 distinct d x d subsystems of all its pieces, and their inverses, once,
-when its pieces first need them; the pieces of one scheme share one solve
-of that index, and each keeps the solutions that violate none of its rows.
-Any other piece finds and solves its own subsystems. Hull membership, hull
-slices and the time-sharing mix behind each frontier point come from
-Qhull's facets of the vertex cloud. No query here solves a linear program.
+when its pieces first need them. The vertices of all of one scheme's
+pieces then come from one pass: one solve of that index, one feasibility
+test of every (piece, subsystem) pair, and one rounding and grouping of
+the solutions the pieces keep. Any other piece finds and solves its own
+subsystems. Hull membership, hull slices and the time-sharing mix behind
+each frontier point come from Qhull's facets of the vertex cloud. No query
+here solves a linear program.
 """
 
 from __future__ import annotations
@@ -126,9 +128,10 @@ class RatePolytope:
 
 @dataclass(frozen=True)
 class _TablePiece(RatePolytope):
-    """Piece number k of one scheme's pieces under a BoundTable, which share
-    their subsystem solutions through scheme. Its vertices follow from the
-    scheme's bounds, so a copy with other rows is a plain RatePolytope."""
+    """Piece number k of one scheme's pieces under a BoundTable, whose
+    vertices one pass over all of them finds, through scheme. Its vertices
+    follow from the scheme's bounds, so a copy with other rows is a plain
+    RatePolytope."""
 
     scheme: _SchemeSolutions = field(repr=False, compare=False)
     k: int = field(repr=False, compare=False)
@@ -283,11 +286,15 @@ class BoundTable:
     per plain piece, its read-only coefficient matrix, shared by every
     scheme, and the index into rules of each row's bound. A rule is the
     row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
-    The table also owns the _SubsystemIndex of its pieces, built when
-    piece_vertices first needs it, and solves it once per scheme (_solve)
-    for all of that scheme's pieces. The index is immutable once built, and
-    two threads that race only compute the same value twice, so no lock is
-    held.
+    The table also owns the _SubsystemIndex of its pieces and the groups of
+    rows of each piece that repeat a coefficient vector (_repeats), both
+    built when piece_vertices first needs them. For each scheme it solves
+    the index once (_solve) and picks, for every piece at once, the rows
+    and subsystems left once repeated rows are dropped (_piece_subsystems,
+    memoized per piece and kept rows in _kept). Both are immutable once
+    built, and two threads that race only compute the same value twice, so
+    no lock is held. A term value that is NaN or infinite is refused by
+    bound_pieces, before any bound is filled in.
     """
 
     def __init__(self, coords, kind, terms, families, guard="0"):
@@ -297,6 +304,9 @@ class BoundTable:
         self._groups = {name: self._parse(expr) for name, expr in self.expressions.items()}
         self.guard = self._split(guard)[1]
         self.families = tuple(tuple(self._row(r) for r in fam) for fam in families)
+        # every term a row or the guard reads, in order of first use
+        sums = [terms for fam in self.families for *_, terms in fam] + [self.guard]
+        self._names = tuple(dict.fromkeys(name for terms in sums for _, name in terms))
         rules, pieces = {}, []                # rule -> its index; (A, index) per piece
         for fam in self.families:
             plain = [(lhs, terms) for lhs, affine, terms in fam if affine is None]
@@ -332,28 +342,64 @@ class BoundTable:
         """The _SubsystemIndex of the table's pieces, built on first use."""
         return _SubsystemIndex.build(len(self.coords), len(self.rules), self.pieces)
 
-    def _piece_subsystems(self, k: int, keep):
-        """(subsystems, mask) of piece k once only its rows keep are left
-        (None: all of them): its subsystems as indices into the index's, in
-        itertools order, and the packed bits of the rows left, then -I. A
-        proper subset reads the subsystems that avoid the dropped rows, in
-        the same order, kept per (k, keep)."""
+    @functools.cached_property
+    def _repeats(self):
+        """(members, rules, starts): the groups of rows of a piece that
+        repeat one coefficient vector, found on first use. Group g lists its
+        rows, in ascending order, in members[g] and their rules in rules[g],
+        padded on the right with -1 and len(rules); piece k's groups are
+        starts[k]:starts[k + 1]."""
+        groups, starts = [], [0]
+        for A, index in self.pieces:
+            rows = {}                         # row bytes -> its rows
+            for i, row in enumerate(A):
+                rows.setdefault(row.tobytes(), []).append(i)
+            groups += [(g, index[g]) for g in rows.values() if len(g) > 1]
+            starts.append(len(groups))
+        width = max((len(g) for g, _ in groups), default=1)
+        members = np.full((len(groups), width), -1, dtype=np.intp)
+        rules = np.full((len(groups), width), len(self.rules), dtype=np.intp)
+        for g, (rows, rule) in enumerate(groups):
+            members[g, :len(rows)] = rows
+            rules[g, :len(rows)] = rule
+        members.setflags(write=False)
+        rules.setflags(write=False)
+        return members, rules, tuple(starts)
+
+    def _piece_subsystems(self, bounds: np.ndarray) -> list:
+        """(subsystems, mask) of every piece for one scheme's bounds (one per
+        rule), once each group of repeated rows keeps only its row with the
+        smallest bound, the first on a tie: the piece's subsystems that
+        avoid the dropped rows, as indices into the index's, in itertools
+        order, and the packed bits (_row_bits) of the rows left, then -I.
+        One argmin picks the kept row of every group; a piece that repeats
+        rows reads its pair from the memo _kept, keyed by the piece and its
+        kept rows."""
         index = self._subsystem_index
-        ids, positions, rows = index.pieces[k]
-        if keep is None:
-            return ids, index.masks[k]
-        found = self._kept.get((k, keep))
-        if found is None:
-            dropped = np.ones(rows.shape[0], dtype=bool)
-            dropped[list(keep)] = False
-            dropped[rows.shape[0] - len(self.coords):] = False
-            flags = np.zeros(index.A.shape[0], dtype=bool)
-            flags[rows[~dropped]] = True
-            found = (ids[~np.any(dropped[positions], axis=1)], _row_bits(flags))
-            for array in found:
-                array.setflags(write=False)
-            self._kept[(k, keep)] = found
-        return found
+        members, rules, starts = self._repeats
+        pick = np.argmin(np.append(bounds, np.inf)[rules], axis=1)
+        kept = members[np.arange(members.shape[0]), pick].tolist()
+        out = []
+        for k, (ids, positions, rows) in enumerate(index.pieces):
+            lo, hi = starts[k], starts[k + 1]
+            if lo == hi:
+                out.append((ids, index.masks[k]))
+                continue
+            key = (k, tuple(kept[lo:hi]))
+            found = self._kept.get(key)
+            if found is None:
+                group = members[lo:hi]
+                dropped = np.zeros(rows.shape[0], dtype=bool)
+                dropped[group[group >= 0]] = True
+                dropped[list(key[1])] = False
+                flags = np.zeros(index.A.shape[0], dtype=bool)
+                flags[rows[~dropped]] = True
+                found = (ids[~np.any(dropped[positions], axis=1)], _row_bits(flags))
+                for array in found:
+                    array.setflags(write=False)
+                self._kept[key] = found
+            out.append(found)
+        return out
 
     def _solve(self, bounds: np.ndarray):
         """(solutions, violated): every subsystem of the index solved for
@@ -370,7 +416,7 @@ class BoundTable:
         ok = np.empty((sols.shape[0], index.A.shape[0]), dtype=bool)
         for i in range(0, sols.shape[0], step):
             np.less_equal(sols[i:i + step] @ index.A.T, limit, out=ok[i:i + step])
-        return sols, _row_bits(~ok)
+        return sols, _row_bits(np.logical_not(ok, out=ok))
 
     def _parse(self, expr: str) -> tuple:
         """The (a, b, given) name groups of an "I(A;B|C)" term."""
@@ -439,7 +485,11 @@ def _fill(rule, values) -> float:
 def bound_pieces(table: BoundTable, values: dict):
     """Every piece of every family of the table, in order, with its bounds
     filled in from the term values; none when the guard is negative. A
-    caller that wants only the nonempty pieces filters with piece_is_empty."""
+    caller that wants only the nonempty pieces filters with piece_is_empty.
+    A NaN or infinite value of a term the table reads raises ValueError."""
+    for name in table._names:
+        if not math.isfinite(values[name]):
+            raise ValueError(f"term {name!r} of the bound is {values[name]}, not finite")
     if _evaluate(table.guard, values) < 0:
         return []
     bounds = np.array([_fill(rule, values) for rule in table.rules], dtype=float)
@@ -449,39 +499,91 @@ def bound_pieces(table: BoundTable, values: dict):
 
 
 class _SchemeSolutions:
-    """The subsystem solutions that one scheme's pieces under a table share.
+    """The vertices of one scheme's pieces under a table, found in one pass.
 
-    The first vertex request of any of the pieces solves the table's whole
-    index for the scheme's bounds, once; the solutions are let go once each
-    piece has asked, so only the schemes still being enumerated hold them,
-    and a piece that asks again after that solves them again. Threads that
-    race on one scheme can only solve it more than once, to the same
-    values, so no lock is held.
+    The first vertex request of any of the pieces builds the vertices of all
+    of them (_build), and each piece takes a copy of its own slice. The
+    scheme lets its result go once every piece has taken one, so only the
+    schemes still being enumerated hold it, and a piece that asks again
+    after that builds the same bytes again. Threads that race on one scheme
+    can only build it more than once, to the same values, so no lock is
+    held.
     """
 
     def __init__(self, table: BoundTable, bounds: np.ndarray):
         self.table = table
         self.bounds = bounds
-        self._solved = None
+        self._result = None
         self._waiting = set(range(len(table.pieces)))
 
-    def feasible(self, k: int, keep) -> np.ndarray:
-        """Piece k's feasible subsystem solutions in its subsystem order,
-        once only its rows keep are left (None: all of them)."""
-        solved = self._solved
-        if solved is None:
-            solved = self._solved = self.table._solve(self.bounds)
+    def vertices(self, k: int) -> np.ndarray:
+        """Piece k's vertices, as piece_vertices defines them."""
+        result = self._result
+        if result is None:
+            result = self._result = self._build()
         self._waiting.discard(k)
         if not self._waiting:
-            self._solved = None
-        sols, violated = solved
-        ids, mask = self.table._piece_subsystems(k, keep)
-        return sols[ids[~np.any(violated[ids] & mask, axis=1)]]
+            self._result = None
+        verts, stops = result
+        return verts[stops[k]:stops[k + 1]].copy()
+
+    def _build(self):
+        """(vertices, stops): the vertices of every piece, piece k's being
+        vertices[stops[k]:stops[k + 1]].
+
+        One solve of the table's index (_solve) and one test of every
+        (piece, subsystem) pair of _piece_subsystems against the violated
+        bits give each piece's feasible solutions in its subsystem order.
+        The solutions that some piece keeps are rounded and grouped once
+        (_key_groups). Each piece then keeps the first of its solutions in
+        each group, in order of first appearance, and a coordinate that is
+        exactly 0.0 in any of its solutions of that group is 0.0 in the
+        vertex: what _round_groups and the zero fold of piece_vertices give
+        on the piece's own solutions.
+        """
+        table = self.table
+        sols, violated = table._solve(self.bounds)
+        subsystems = table._piece_subsystems(self.bounds)
+        counts = [ids.shape[0] for ids, _ in subsystems]
+        # every pair's piece, compact while all pairs are held
+        piece = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))),
+                          counts)
+        ids = np.concatenate([ids for ids, _ in subsystems])
+        masks = np.stack([mask for _, mask in subsystems])
+        ok = np.empty(ids.shape[0], dtype=bool)
+        for i in range(0, ids.shape[0], _PAIR_BLOCK):
+            at = slice(i, i + _PAIR_BLOCK)
+            hit = violated[ids[at]]
+            hit &= masks[piece[at]]
+            np.logical_not(hit.any(axis=1), out=ok[at])
+        ok = np.flatnonzero(ok)
+        ids, piece = ids[ok], piece[ok].astype(np.intp)
+        used = np.flatnonzero(np.bincount(ids, minlength=sols.shape[0]))
+        order, head = _key_groups(sols[used])
+        label = np.empty(sols.shape[0], dtype=np.intp)   # a kept solution's group
+        label[used[order]] = np.cumsum(head) - 1
+        # a (piece, group) pair's first solution comes first in its run
+        key = piece * int(np.count_nonzero(head)) + label[ids]
+        order = np.argsort(key, kind="stable")
+        runs = np.ones(order.shape[0], dtype=bool)
+        runs[1:] = key[order[1:]] != key[order[:-1]]
+        starts = np.flatnonzero(runs)
+        zeros = np.logical_or.reduceat(sols[ids[order]] == 0.0, starts, axis=0)
+        first = order[starts]
+        # pairs run piece by piece, so this is each piece's own order
+        keep = np.argsort(first)
+        verts = sols[ids[first[keep]]]
+        verts[zeros[keep]] = 0.0
+        stops = np.cumsum(np.bincount(piece[first], minlength=len(counts)))
+        return verts, [0, *stops.tolist()]
 
 
 # A slack product of _solve stays within this many multiply-adds, below
 # OpenBLAS's single-thread limit for dgemm (m * n * k <= 4 * 65536).
 _GEMM_CELLS = 200_000
+# _SchemeSolutions._build tests this many (piece, subsystem) pairs at a
+# time, so that its temporaries stay below those of _solve.
+_PAIR_BLOCK = 1 << 13
 
 
 def _combinations(m: int, d: int) -> np.ndarray:
@@ -493,7 +595,12 @@ def _combinations(m: int, d: int) -> np.ndarray:
 def _row_bits(flags: np.ndarray) -> np.ndarray:
     """Flags over an index's rows, along the last axis, packed little-endian
     into uint64 words."""
-    packed = np.packbits(flags, axis=-1, bitorder="little")
+    n = flags.shape[-1]
+    if n % 8:
+        flags = np.concatenate([flags, np.zeros(flags.shape[:-1] + (8 - n % 8,), bool)], -1)
+    # one flat pack is much faster than packing along an axis
+    packed = np.packbits(flags, axis=None, bitorder="little").reshape(
+        flags.shape[:-1] + (flags.shape[-1] // 8,))
     words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
     words[..., :packed.shape[-1]] = packed
     return words.view(np.uint64)
@@ -513,8 +620,9 @@ class _SubsystemIndex:
     inverses[s]; zero[s] marks the coordinates its rows of -I fix at zero.
     pieces[k] is piece k's (subsystems, positions, rows): its nonsingular
     subsystems, in itertools order over its full matrix (its rows, then
-    -I), as indices into rows and as positions in that matrix, and the row
-    number of each position. masks[k] packs those rows by _row_bits.
+    -I), as indices into rows (of the smallest unsigned type that holds
+    them) and as positions in that matrix, and the row number of each
+    position. masks[k] packs those rows by _row_bits.
     """
 
     A: np.ndarray
@@ -556,6 +664,7 @@ class _SubsystemIndex:
         nonsingular = np.abs(np.linalg.det(A[candidates])) > 1e-10
         slot = np.cumsum(nonsingular) - 1     # candidate -> subsystem, if nonsingular
         rows = candidates[nonsingular]
+        number = np.min_scalar_type(rows.shape[0])   # the type of a subsystem's index
         axis = np.full(A.shape[0], -1)        # row -> the coordinate its -I row fixes
         axis[piece_rows[0][-d:]] = np.arange(d)
         zero = np.zeros(rows.shape, dtype=bool)
@@ -566,7 +675,7 @@ class _SubsystemIndex:
                 [len(c) for c in codes])[:-1])):
             ok = nonsingular[inverse_k]
             positions = subsets[rows_k.shape[0]][ok].astype(np.min_scalar_type(rows_k.shape[0]))
-            table_pieces.append((slot[inverse_k[ok]], positions, rows_k))
+            table_pieces.append((slot[inverse_k[ok]].astype(number), positions, rows_k))
             flags = np.zeros(A.shape[0], dtype=bool)
             flags[rows_k] = True
             masks.append(_row_bits(flags))
@@ -615,13 +724,13 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
 
     Solves every nonsingular d x d subsystem drawn from the constraints
     (one per repeated coefficient vector) plus the implicit nonnegativity
-    facets and keeps the feasible solutions. The pieces of one scheme under
-    a BoundTable share one solve: the first of them to ask solves each
-    distinct subsystem of the table's index once, with one slack test of
-    every index row, and each piece then picks its own subsystems, in its
-    own order, and keeps those that violate none of its rows. Any other
-    piece finds and solves its own subsystems on each call. A coordinate
-    whose nonnegativity facet defines the vertex is set to exactly 0.0.
+    facets and keeps the feasible solutions, one per group that agrees to
+    DEDUP_DECIMALS places: the first in subsystem order. A coordinate that
+    a nonnegativity facet of any subsystem of the group fixes is exactly
+    0.0. The pieces of one scheme under a BoundTable get their vertices
+    from one pass over all of them (_SchemeSolutions), which the first of
+    them to ask runs, and each takes its own slice; any other piece drops
+    its repeated rows and finds and solves its own subsystems on each call.
     Intended for the low-dimensional polytopes this package produces
     (dim <= 5); raises VertexEnumerationOverflow if the subsystem count
     would exceed COMBO_CEILING or the vertex count VERTEX_CEILING.
@@ -634,11 +743,11 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
         raise VertexEnumerationOverflow(
             f"{n_combo} constraint subsets exceed the enumeration budget"
         )
-    A, b = piece.A, piece.b
-    keep = _drop_repeated_rows(A, b)
     if isinstance(piece, _TablePiece):
-        sols = piece.scheme.feasible(piece.k, keep)
+        verts = piece.scheme.vertices(piece.k)
     else:
+        A, b = piece.A, piece.b
+        keep = _drop_repeated_rows(A, b)
         if keep is not None:
             A, b = A[list(keep)], b[list(keep)]
         A_full = np.vstack([A, -np.eye(d)]) if A.shape[0] else -np.eye(d)
@@ -647,19 +756,32 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
         sols = np.einsum("nij,nj->ni", np.linalg.inv(mats), np.take(b_full, idx))
         sols[zero] = 0.0
         sols = sols[np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)]
-    if sols.shape[0] == 0:
-        return np.empty((0, d))
-    first, group = _round_groups(sols)
-    # a zero set on any subsystem of a vertex holds for the vertex
-    zeros = np.zeros((first.shape[0], d), dtype=bool)
-    np.logical_or.at(zeros, group, sols == 0.0)
-    verts = sols[first]
-    verts[zeros] = 0.0
+        if sols.shape[0] == 0:
+            return np.empty((0, d))
+        first, group = _round_groups(sols)
+        # a zero set on any subsystem of a vertex holds for the vertex
+        zeros = np.zeros((first.shape[0], d), dtype=bool)
+        np.logical_or.at(zeros, group, sols == 0.0)
+        verts = sols[first]
+        verts[zeros] = 0.0
     if verts.shape[0] > VERTEX_CEILING:
         raise VertexEnumerationOverflow(
             f"{verts.shape[0]} vertices exceed the ceiling {VERTEX_CEILING}"
         )
     return verts
+
+
+def _key_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
+    """(order, head): the stable lexicographic order of the rows once
+    rounded to decimals places, -0.0 folded into 0.0, and, along that
+    order, whether each row's rounded key differs from the one before."""
+    keys = np.round(rows, decimals)
+    keys[keys == 0.0] = 0.0                   # fold -0.0
+    order = np.lexsort(keys.T[::-1])          # stable: equal keys keep row order
+    ordered = keys[order]
+    head = np.ones(order.shape[0], dtype=bool)
+    head[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return order, head
 
 
 def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
@@ -668,12 +790,7 @@ def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
     Returns the index of each group's first row, in row order, and the
     group of every row (an index into the first array).
     """
-    keys = np.round(rows, decimals)
-    keys[keys == 0.0] = 0.0                   # fold -0.0
-    order = np.lexsort(keys.T[::-1])          # stable: equal keys keep row order
-    ordered = keys[order]
-    head = np.ones(order.shape[0], dtype=bool)
-    head[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    order, head = _key_groups(rows, decimals)
     first = order[head]
     # number the groups by their first row
     rank = np.empty_like(first)

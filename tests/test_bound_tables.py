@@ -323,6 +323,19 @@ def test_secrecy_guard_is_exact():
     assert piece.b.tolist() == [0.0, 0.5]
 
 
+# a term of a plain row, the guard's d, and e2, which also sits in brackets
+# with no coordinate inside, where a NaN used to clip to 0.0
+@pytest.mark.parametrize("table,name", [(one_set.INNER, "b"), (one_set.SECRECY, "d"),
+                                        (two_set.TWO_SET, "e2")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_terms_are_refused(table, name, bad):
+    values = {term: 0.25 for term in table._names}
+    assert bound_pieces(table, values)
+    values[name] = bad
+    with pytest.raises(ValueError, match=f"term '{name}'"):
+        bound_pieces(table, values)
+
+
 def test_right_hand_sides_add_left_to_right():
     table = BoundTable(("x",), None, {}, [("x <= a + b + b", "x <= b + b + a")])
     (piece,) = bound_pieces(table, {"a": 1.0, "b": 1e-16})

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -90,11 +92,39 @@ class TestGridEnumeration:
                   enumerate_schemes_grid("one_set", clean_mac, config)]
         assert first == second
 
-    def test_budget_guard(self, clean_mac):
+    def test_budget_guard(self, clean_mac, monkeypatch):
+        def no_index(*args, **kwargs):
+            raise AssertionError("grid indices built past the budget")
+
+        monkeypatch.setattr(np, "unravel_index", no_index)
         config = SearchConfig(cardinalities=(4, 20, 1), strategy="grid",
                               grid_resolution=6)
         with pytest.raises(GridTooLarge):
             list(enumerate_schemes_grid("one_set", clean_mac, config))
+
+    # (variant, cardinalities, resolution): 1-column grids, resolution 2,
+    # several simplex rows per block, and the 1,875-scheme capacity grid
+    LAYOUTS = [("one_set", (1, 3, 1), 5), ("one_set", (2, 2, 1), 3),
+               ("degraded", (2, 2, 2), 2), ("two_set", (1, 1, 2), 2),
+               ("one_set_outer", (2, 2, 2), 2)]
+
+    @pytest.mark.parametrize("variant,cards,resolution", LAYOUTS)
+    def test_rows_equal_the_product_of_row_grids_bitwise(self, binary_degraded,
+                                                          monkeypatch, variant, cards,
+                                                          resolution):
+        config = SearchConfig(cardinalities=cards, strategy="grid",
+                              grid_resolution=resolution)
+        blocks = optimizer._blocks(variant, binary_degraded, config)
+        row_grids = [optimizer._simplex_grid(cols, resolution)
+                     for _, rows, cols, _ in blocks for _ in range(rows)]
+        want = [np.concatenate(combo) for combo in itertools.product(*row_grids)]
+        # one chunk, then chunks that end inside the stream and at its end
+        for chunk in (optimizer._GRID_CHUNK, 7, len(want), 1):
+            monkeypatch.setattr(optimizer, "_GRID_CHUNK", chunk)
+            got = list(optimizer.parameter_rows(variant, binary_degraded, config))
+            assert len(got) == len(want)
+            assert all(g.shape == w.shape and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want))
 
     def test_unknown_variant(self, clean_mac):
         with pytest.raises(ValueError):

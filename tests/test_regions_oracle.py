@@ -3,7 +3,7 @@
 The package answers emptiness, support, hull-slice and hull-membership
 queries from piece vertices and hull facets; these tests solve the same
 queries as linear programs and require the same answers. The pieces of one
-scheme under a bound table read their vertices from one solve of the
+scheme under a bound table get their vertices from one pass over the
 table's subsystem index; they are checked against the brute-force
 enumeration that solves every subsystem of every piece afresh, and against
 the package's own enumeration of each piece outside any table.
@@ -799,18 +799,26 @@ class TestTableSubsystems:
         _vertex_bytes(bound_pieces(table, values[1]))
         assert len(calls) == 2
 
-    def test_solutions_are_let_go_once_every_piece_has_its_vertices(self):
+    def test_solutions_are_let_go_once_every_piece_has_its_vertices(self, monkeypatch):
+        build, builds = regions._SchemeSolutions._build, []
+
+        def spy(scheme):
+            builds.append(scheme)
+            return build(scheme)
+
+        monkeypatch.setattr(regions._SchemeSolutions, "_build", spy)
         pieces = bound_pieces(_fresh_two_set(), _two_set_values(5, 1)[0])
         scheme = pieces[0].scheme
         for p in pieces[:-1]:
             assert len(p.vertices) >= 0
-        solutions = weakref.ref(scheme._solved[0])
-        assert solutions() is not None
+        # one pass built every piece's vertices, and is held for the last
+        result = weakref.ref(scheme._result[0])
+        assert result() is not None and len(builds) == 1
         assert len(pieces[-1].vertices) >= 0
-        assert scheme._solved is None and solutions() is None
-        # a piece asked again solves again, to the same bytes, and lets go
+        assert scheme._result is None and result() is None and len(builds) == 1
+        # a piece asked again builds again, to the same bytes, and lets go
         assert piece_vertices(pieces[3]).tobytes() == pieces[3].vertices.tobytes()
-        assert scheme._solved is None
+        assert scheme._result is None and len(builds) == 2
 
     def test_slack_products_split_without_changing_a_bit(self, monkeypatch):
         # the default keeps each product on one OpenBLAS thread
@@ -933,3 +941,34 @@ def test_table_pieces_equal_their_own_enumeration(name):
     assert {k for k, keep in kept if keep is not None} == repeats
     if repeats:
         assert len(kept) > len(table.pieces)
+
+
+def _last_on_tie(A, b):
+    """_drop_repeated_rows with a tie going to the last row instead."""
+    best = {}
+    for i, row in enumerate(A):
+        key = row.tobytes()
+        if b[i] <= b[best.setdefault(key, i)]:
+            best[key] = i
+    return tuple(sorted(best.values()))
+
+
+def test_a_tie_keeps_the_first_repeated_row():
+    """On identity_copy two-set terms tie exactly, so repeated rows tie at
+    their bounds, and degenerate vertices carry solutions a few ulps apart.
+    Which of the tied rows a piece keeps then decides its vertex bytes: every
+    piece of the golden digests' first scheme where the tie decides equals
+    its own enumeration, which keeps the first."""
+    channel = fx.identity_copy()
+    config = SearchConfig(strategy="random", sample_count=1, cardinalities=(2, 2, 2),
+                          seed=7)
+    (scheme,) = sample_schemes_random("two_set", channel, config)
+    decided = 0
+    for p in bound_pieces(two_set.TWO_SET, two_set.TWO_SET.scheme_terms(scheme, channel)):
+        first = regions._drop_repeated_rows(p.A, p.b)
+        if first is None or first == _last_on_tie(p.A, p.b):
+            continue
+        decided += 1
+        want = RatePolytope(p.coords, p.A, p.b).vertices
+        assert piece_vertices(p).tobytes() == want.tobytes()
+    assert decided >= 30
