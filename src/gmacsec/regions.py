@@ -13,15 +13,16 @@ whose coefficient matrices every scheme shares; bound_pieces fills in one
 scheme's right-hand sides.
 
 Because every piece is pointed, emptiness and support queries are answered
-from its vertices, which each piece enumerates once. A table indexes the
-distinct d x d subsystems of all its pieces, and their inverses, once,
-when its pieces first need them. The vertices of all of one scheme's
-pieces then come from one pass: one solve of that index, one feasibility
-test of every (piece, subsystem) pair, and one rounding and grouping of
-the solutions the pieces keep. Any other piece finds and solves its own
-subsystems. Hull membership, hull slices and the time-sharing mix behind
-each frontier point come from Qhull's facets of the vertex cloud. No query
-here solves a linear program.
+from its vertices, which each piece enumerates once. One enumerator,
+_SubsystemIndex, finds them: it indexes the distinct d x d subsystems of a
+list of pieces, inverts each once, and for one set of bounds solves them
+all in one pass, with one feasibility test of every (piece, subsystem)
+pair and one rounding and grouping of the solutions the pieces keep. A
+BoundTable owns the index of its pieces, so all of one scheme's pieces
+share a pass; any other piece is an index of one piece, the rows it keeps
+at its own bounds. Hull membership, hull slices and the time-sharing mix
+behind each frontier point come from Qhull's facets of the vertex cloud.
+No query here solves a linear program.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class RatePolytope:
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if A.shape[1] != len(self.coords) and A.size > 0:
+        if A.shape[1] != len(self.coords):
             raise ValueError(
                 f"constraint width {A.shape[1]} vs {len(self.coords)} coords"
             )
@@ -131,10 +132,14 @@ class _TablePiece(RatePolytope):
     """Piece number k of one scheme's pieces under a BoundTable, whose
     vertices one pass over all of them finds, through scheme. Its vertices
     follow from the scheme's bounds, so a copy with other rows is a plain
-    RatePolytope."""
+    RatePolytope. Its coords and A are the table's, already checked and
+    read-only, so only its fresh b is marked read-only here."""
 
     scheme: _SchemeSolutions = field(repr=False, compare=False)
     k: int = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.b.setflags(write=False)
 
 
 def polytope(coords, constraint_pairs) -> RatePolytope:
@@ -286,15 +291,10 @@ class BoundTable:
     per plain piece, its read-only coefficient matrix, shared by every
     scheme, and the index into rules of each row's bound. A rule is the
     row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
-    The table also owns the _SubsystemIndex of its pieces and the groups of
-    rows of each piece that repeat a coefficient vector (_repeats), both
-    built when piece_vertices first needs them. For each scheme it solves
-    the index once (_solve) and picks, for every piece at once, the rows
-    and subsystems left once repeated rows are dropped (_piece_subsystems,
-    memoized per piece and kept rows in _kept). Both are immutable once
-    built, and two threads that race only compute the same value twice, so
-    no lock is held. A term value that is NaN or infinite is refused by
-    bound_pieces, before any bound is filled in.
+    The table also owns the _SubsystemIndex of its pieces, built when
+    bound_pieces first needs it; two threads that race only build it twice.
+    A term value that is NaN or infinite is refused by bound_pieces, before
+    any bound is filled in.
     """
 
     def __init__(self, coords, kind, terms, families, guard="0"):
@@ -317,7 +317,6 @@ class BoundTable:
                 index.setflags(write=False)
                 pieces.append((A, index))
         self.rules, self.pieces = tuple(rules), tuple(pieces)
-        self._kept = {}                       # (piece, kept rows) -> subsystems
 
     def terms(self, tables, channel) -> dict:
         """The named term columns of N schemes of the table's kind, each of
@@ -341,82 +340,6 @@ class BoundTable:
     def _subsystem_index(self) -> _SubsystemIndex:
         """The _SubsystemIndex of the table's pieces, built on first use."""
         return _SubsystemIndex.build(len(self.coords), len(self.rules), self.pieces)
-
-    @functools.cached_property
-    def _repeats(self):
-        """(members, rules, starts): the groups of rows of a piece that
-        repeat one coefficient vector, found on first use. Group g lists its
-        rows, in ascending order, in members[g] and their rules in rules[g],
-        padded on the right with -1 and len(rules); piece k's groups are
-        starts[k]:starts[k + 1]."""
-        groups, starts = [], [0]
-        for A, index in self.pieces:
-            rows = {}                         # row bytes -> its rows
-            for i, row in enumerate(A):
-                rows.setdefault(row.tobytes(), []).append(i)
-            groups += [(g, index[g]) for g in rows.values() if len(g) > 1]
-            starts.append(len(groups))
-        width = max((len(g) for g, _ in groups), default=1)
-        members = np.full((len(groups), width), -1, dtype=np.intp)
-        rules = np.full((len(groups), width), len(self.rules), dtype=np.intp)
-        for g, (rows, rule) in enumerate(groups):
-            members[g, :len(rows)] = rows
-            rules[g, :len(rows)] = rule
-        members.setflags(write=False)
-        rules.setflags(write=False)
-        return members, rules, tuple(starts)
-
-    def _piece_subsystems(self, bounds: np.ndarray) -> list:
-        """(subsystems, mask) of every piece for one scheme's bounds (one per
-        rule), once each group of repeated rows keeps only its row with the
-        smallest bound, the first on a tie: the piece's subsystems that
-        avoid the dropped rows, as indices into the index's, in itertools
-        order, and the packed bits (_row_bits) of the rows left, then -I.
-        One argmin picks the kept row of every group; a piece that repeats
-        rows reads its pair from the memo _kept, keyed by the piece and its
-        kept rows."""
-        index = self._subsystem_index
-        members, rules, starts = self._repeats
-        pick = np.argmin(np.append(bounds, np.inf)[rules], axis=1)
-        kept = members[np.arange(members.shape[0]), pick].tolist()
-        out = []
-        for k, (ids, positions, rows) in enumerate(index.pieces):
-            lo, hi = starts[k], starts[k + 1]
-            if lo == hi:
-                out.append((ids, index.masks[k]))
-                continue
-            key = (k, tuple(kept[lo:hi]))
-            found = self._kept.get(key)
-            if found is None:
-                group = members[lo:hi]
-                dropped = np.zeros(rows.shape[0], dtype=bool)
-                dropped[group[group >= 0]] = True
-                dropped[list(key[1])] = False
-                flags = np.zeros(index.A.shape[0], dtype=bool)
-                flags[rows[~dropped]] = True
-                found = (ids[~np.any(dropped[positions], axis=1)], _row_bits(flags))
-                for array in found:
-                    array.setflags(write=False)
-                self._kept[key] = found
-            out.append(found)
-        return out
-
-    def _solve(self, bounds: np.ndarray):
-        """(solutions, violated): every subsystem of the index solved for
-        one scheme's bounds (one per rule), with the coordinates its rows
-        of -I fix set to 0.0, and the packed bits (_row_bits) of the index
-        rows each solution violates by more than 1e-9. Each slack product
-        stays within _GEMM_CELLS multiply-adds."""
-        index = self._subsystem_index
-        b = np.append(bounds, 0.0)[index.rule]
-        sols = np.einsum("nij,nj->ni", index.inverses, b[index.rows])
-        sols[index.zero] = 0.0
-        limit = b + 1e-9
-        step = max(1, _GEMM_CELLS // index.A.size)
-        ok = np.empty((sols.shape[0], index.A.shape[0]), dtype=bool)
-        for i in range(0, sols.shape[0], step):
-            np.less_equal(sols[i:i + step] @ index.A.T, limit, out=ok[i:i + step])
-        return sols, _row_bits(np.logical_not(ok, out=ok))
 
     def _parse(self, expr: str) -> tuple:
         """The (a, b, given) name groups of an "I(A;B|C)" term."""
@@ -493,13 +416,14 @@ def bound_pieces(table: BoundTable, values: dict):
     if _evaluate(table.guard, values) < 0:
         return []
     bounds = np.array([_fill(rule, values) for rule in table.rules], dtype=float)
-    scheme = _SchemeSolutions(table, bounds)
+    scheme = _SchemeSolutions(table._subsystem_index, bounds)
     return [_TablePiece(table.coords, A, bounds[index], scheme, k)
             for k, (A, index) in enumerate(table.pieces)]
 
 
 class _SchemeSolutions:
-    """The vertices of one scheme's pieces under a table, found in one pass.
+    """The vertices of an index's pieces at one set of bounds (one per
+    rule), found in one pass.
 
     The first vertex request of any of the pieces builds the vertices of all
     of them (_build), and each piece takes a copy of its own slice. The
@@ -510,11 +434,11 @@ class _SchemeSolutions:
     held.
     """
 
-    def __init__(self, table: BoundTable, bounds: np.ndarray):
-        self.table = table
+    def __init__(self, index: _SubsystemIndex, bounds: np.ndarray):
+        self.index = index
         self.bounds = bounds
         self._result = None
-        self._waiting = set(range(len(table.pieces)))
+        self._waiting = set(range(len(index.pieces)))
 
     def vertices(self, k: int) -> np.ndarray:
         """Piece k's vertices, as piece_vertices defines them."""
@@ -531,19 +455,18 @@ class _SchemeSolutions:
         """(vertices, stops): the vertices of every piece, piece k's being
         vertices[stops[k]:stops[k + 1]].
 
-        One solve of the table's index (_solve) and one test of every
-        (piece, subsystem) pair of _piece_subsystems against the violated
-        bits give each piece's feasible solutions in its subsystem order.
-        The solutions that some piece keeps are rounded and grouped once
+        One solve of the index (_solve) and one test of every (piece,
+        subsystem) pair of _piece_subsystems against the violated bits give
+        each piece's feasible solutions in its subsystem order. The
+        solutions that some piece keeps are rounded and grouped once
         (_key_groups). Each piece then keeps the first of its solutions in
         each group, in order of first appearance, and a coordinate that is
         exactly 0.0 in any of its solutions of that group is 0.0 in the
-        vertex: what _round_groups and the zero fold of piece_vertices give
-        on the piece's own solutions.
+        vertex.
         """
-        table = self.table
-        sols, violated = table._solve(self.bounds)
-        subsystems = table._piece_subsystems(self.bounds)
+        index = self.index
+        sols, violated = index._solve(self.bounds)
+        subsystems = index._piece_subsystems(self.bounds)
         counts = [ids.shape[0] for ids, _ in subsystems]
         # every pair's piece, compact while all pairs are held
         piece = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))),
@@ -559,11 +482,11 @@ class _SchemeSolutions:
         ok = np.flatnonzero(ok)
         ids, piece = ids[ok], piece[ok].astype(np.intp)
         used = np.flatnonzero(np.bincount(ids, minlength=sols.shape[0]))
-        order, head = _key_groups(sols[used])
+        heads, groups = _key_groups(sols[used])
         label = np.empty(sols.shape[0], dtype=np.intp)   # a kept solution's group
-        label[used[order]] = np.cumsum(head) - 1
+        label[used] = groups
         # a (piece, group) pair's first solution comes first in its run
-        key = piece * int(np.count_nonzero(head)) + label[ids]
+        key = piece * heads.shape[0] + label[ids]
         order = np.argsort(key, kind="stable")
         runs = np.ones(order.shape[0], dtype=bool)
         runs[1:] = key[order[1:]] != key[order[:-1]]
@@ -608,21 +531,25 @@ def _row_bits(flags: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SubsystemIndex:
-    """The vertex subsystems of a BoundTable's pieces, each found and
-    inverted once for all of them.
+    """The vertex subsystems of a list of pieces (a BoundTable's, or one
+    polytope's), each found and inverted once for all of them, and the
+    solve of them all for one set of bounds.
 
-    A holds the table's distinct rows, as (coefficient vector, rule) pairs,
+    A holds the pieces' distinct rows, as (coefficient vector, rule) pairs,
     and the d rows of -I, in lexicographic order of their coefficients, so
-    a subsystem lists its rows in ascending row number, the order the
-    piece's own enumeration (_subsystems) gives them; rule[r] indexes the
-    table's rules, or is len(rules), a zero bound, for a row of -I.
-    Subsystem s is the distinct nonsingular row set rows[s], solved by
-    inverses[s]; zero[s] marks the coordinates its rows of -I fix at zero.
-    pieces[k] is piece k's (subsystems, positions, rows): its nonsingular
-    subsystems, in itertools order over its full matrix (its rows, then
-    -I), as indices into rows (of the smallest unsigned type that holds
-    them) and as positions in that matrix, and the row number of each
-    position. masks[k] packs those rows by _row_bits.
+    a subsystem lists its rows in ascending row number; rule[r] indexes the
+    bounds, or is len(bounds), a zero bound, for a row of -I. Subsystem s
+    is the distinct nonsingular row set rows[s], solved by inverses[s];
+    zero[s] marks the coordinates its rows of -I fix at zero. pieces[k] is
+    piece k's (subsystems, positions, rows): its nonsingular subsystems, in
+    itertools order over its full matrix (its rows, then -I), as indices
+    into rows (of the smallest unsigned type that holds them) and as
+    positions in that matrix, and the row number of each position.
+    masks[k] packs those rows by _row_bits, and repeats holds the pieces'
+    groups of repeated rows (_repeats). _kept memoizes, per piece and choice
+    of kept rows, what _piece_subsystems gives. Everything else is
+    immutable once built, and two threads that race on _kept only compute
+    the same value twice, so no lock is held.
     """
 
     A: np.ndarray
@@ -632,16 +559,21 @@ class _SubsystemIndex:
     zero: np.ndarray
     pieces: tuple
     masks: tuple
+    repeats: tuple
+    _kept: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, d: int, n_rules: int, pieces) -> _SubsystemIndex:
-        """The index of pieces, (A, rule index) pairs of a d-dimensional
-        table with n_rules rules. One itertools subset index serves every
-        piece with the same row count; each d-subset of a piece's full
+        """The index of pieces, (A, rule index) pairs in d dimensions whose
+        bounds come from n_rules rules. One itertools subset index serves
+        every piece with the same row count; each d-subset of a piece's full
         matrix becomes its sorted row numbers, and each distinct one is
         tested for |det| > 1e-10 once and, if nonsingular, inverted once.
-        A table's coefficients are integers, so the test does not depend
-        on the order of the rows."""
+        Distinct subsets are taken in lexicographic order (_distinct), at
+        any row count and dimension. A table's coefficients are integers,
+        so the test does not depend on the order of the rows; with other
+        coefficients it can, by rounding, only for a subset whose |det| lies
+        within rounding of 1e-10."""
         number = {}                           # (coefficients, rule) -> row
         piece_rows = []
         for A, index in pieces:
@@ -655,12 +587,14 @@ class _SubsystemIndex:
         renumber[order] = np.arange(order.shape[0])
         A, rule = A[order], np.array([r for _, r in number], dtype=np.intp)[order]
         piece_rows = [renumber[rows] for rows in piece_rows]
-        shape = (A.shape[0],) * d
         subsets = {m: _combinations(m, d) for m in {rows.shape[0] for rows in piece_rows}}
-        codes = [np.ravel_multi_index(np.sort(rows[subsets[rows.shape[0]]], axis=1).T, shape)
-                 for rows in piece_rows]
-        distinct, inverse = np.unique(np.concatenate(codes), return_inverse=True)
-        candidates = np.stack(np.unravel_index(distinct, shape), axis=1)
+        small = np.min_scalar_type(A.shape[0])
+        sets = [np.sort(rows.astype(small)[subsets[rows.shape[0]]], axis=1)
+                for rows in piece_rows]
+        splits = np.cumsum([len(s) for s in sets])[:-1]
+        sets = np.concatenate(sets)
+        first, inverse = _distinct(sets)     # subset -> its distinct subset
+        candidates = sets[first].astype(np.intp)
         nonsingular = np.abs(np.linalg.det(A[candidates])) > 1e-10
         slot = np.cumsum(nonsingular) - 1     # candidate -> subsystem, if nonsingular
         rows = candidates[nonsingular]
@@ -670,100 +604,138 @@ class _SubsystemIndex:
         zero = np.zeros(rows.shape, dtype=bool)
         at, col = np.nonzero(axis[rows] >= 0)
         zero[at, axis[rows[at, col]]] = True
-        table_pieces, masks = [], []
-        for rows_k, inverse_k in zip(piece_rows, np.split(inverse, np.cumsum(
-                [len(c) for c in codes])[:-1])):
+        index_pieces, masks = [], []
+        for rows_k, inverse_k in zip(piece_rows, np.split(inverse, splits)):
             ok = nonsingular[inverse_k]
             positions = subsets[rows_k.shape[0]][ok].astype(np.min_scalar_type(rows_k.shape[0]))
-            table_pieces.append((slot[inverse_k[ok]].astype(number), positions, rows_k))
+            index_pieces.append((slot[inverse_k[ok]].astype(number), positions, rows_k))
             flags = np.zeros(A.shape[0], dtype=bool)
             flags[rows_k] = True
             masks.append(_row_bits(flags))
-        index = cls(A, rule, rows, np.linalg.inv(A[rows]), zero,
-                    tuple(table_pieces), tuple(masks))
-        for array in (A, rule, rows, index.inverses, zero, *masks,
-                      *itertools.chain.from_iterable(table_pieces)):
+        index = cls(A, rule, rows, np.linalg.inv(A[rows]), zero, tuple(index_pieces),
+                    tuple(masks), _repeats(pieces, n_rules))
+        for array in (A, rule, rows, index.inverses, zero, *masks, *index.repeats[:2],
+                      *itertools.chain.from_iterable(index_pieces)):
             array.setflags(write=False)
         return index
 
+    def _solve(self, bounds: np.ndarray):
+        """(solutions, violated): every subsystem solved for one set of
+        bounds (one per rule), with the coordinates its rows of -I fix set
+        to 0.0, and the packed bits (_row_bits) of the rows each solution
+        violates by more than 1e-9. Each slack product stays within
+        _GEMM_CELLS multiply-adds."""
+        b = np.append(bounds, 0.0)[self.rule]
+        sols = np.einsum("nij,nj->ni", self.inverses, b[self.rows])
+        sols[self.zero] = 0.0
+        limit = b + 1e-9
+        step = max(1, _GEMM_CELLS // self.A.size)
+        ok = np.empty((sols.shape[0], self.A.shape[0]), dtype=bool)
+        for i in range(0, sols.shape[0], step):
+            np.less_equal(sols[i:i + step] @ self.A.T, limit, out=ok[i:i + step])
+        return sols, _row_bits(np.logical_not(ok, out=ok))
 
-def _subsystems(A_full: np.ndarray):
-    """The nonsingular d x d subsystems of A_full, whose last d rows are -I,
-    as (rows, mats, zero): the d-subsets of rows with |det| > 1e-10, in
-    itertools order, each listing its rows in lexicographic order of their
-    coefficients; each one's matrix A_full[rows]; and the coordinates its
-    nonnegativity rows fix at zero."""
-    m, d = A_full.shape
-    idx = _combinations(m, d)
-    idx = idx[np.abs(np.linalg.det(A_full[idx])) > 1e-10]
-    rank = np.empty(m, dtype=np.intp)
-    rank[np.lexsort(A_full.T[::-1])] = np.arange(m)
-    rows = np.take_along_axis(idx, np.argsort(rank[idx], axis=1), axis=1)
-    zero = np.zeros(rows.shape, dtype=bool)
-    fixed = rows >= m - d
-    zero[np.nonzero(fixed)[0], rows[fixed] - (m - d)] = True
-    return rows, A_full[rows], zero
+    def _piece_subsystems(self, bounds: np.ndarray) -> list:
+        """(subsystems, mask) of every piece for one set of bounds (one per
+        rule), once each group of repeated rows keeps only its row with the
+        smallest bound, the first on a tie: the piece's subsystems that
+        avoid the dropped rows, as indices into rows, in itertools order,
+        and the packed bits (_row_bits) of the rows left, then -I. One
+        argmin picks the kept row of every group; a piece that repeats rows
+        reads its pair from the memo _kept, keyed by the piece and its kept
+        rows."""
+        members, rules, starts = self.repeats
+        kept = _kept_rows(members, rules, bounds).tolist()
+        out = []
+        for k, (ids, positions, rows) in enumerate(self.pieces):
+            lo, hi = starts[k], starts[k + 1]
+            if lo == hi:
+                out.append((ids, self.masks[k]))
+                continue
+            key = (k, tuple(kept[lo:hi]))
+            found = self._kept.get(key)
+            if found is None:
+                group = members[lo:hi]
+                dropped = np.zeros(rows.shape[0], dtype=bool)
+                dropped[group[group >= 0]] = True
+                dropped[list(key[1])] = False
+                flags = np.zeros(self.A.shape[0], dtype=bool)
+                flags[rows[~dropped]] = True
+                found = (ids[~np.any(dropped[positions], axis=1)], _row_bits(flags))
+                for array in found:
+                    array.setflags(write=False)
+                self._kept[key] = found
+            out.append(found)
+        return out
 
 
-def _drop_repeated_rows(A: np.ndarray, b: np.ndarray):
-    """The rows to keep, one per coefficient vector: the smallest bound, the
-    first on a tie, in the original row order; None when no row repeats.
-    The polytope is unchanged."""
-    best = {}                                 # row bytes -> kept row
-    for i, row in enumerate(A):
-        key = row.tobytes()
-        if b[i] < b[best.setdefault(key, i)]:
-            best[key] = i
-    if len(best) == A.shape[0]:
-        return None
-    return tuple(sorted(best.values()))
+def _repeats(pieces, n_rules: int):
+    """(members, rules, starts): the groups of rows of each of pieces, (A,
+    rule index) pairs, that repeat one coefficient vector. Group g lists
+    its rows, in ascending order, in members[g] and their rules in
+    rules[g], padded on the right with -1 and n_rules; piece k's groups are
+    starts[k]:starts[k + 1]."""
+    groups, starts = [], [0]
+    for A, index in pieces:
+        rows = {}                             # row bytes -> its rows
+        for i, row in enumerate(A):
+            rows.setdefault(row.tobytes(), []).append(i)
+        groups += [(g, index[g]) for g in rows.values() if len(g) > 1]
+        starts.append(len(groups))
+    width = max((len(g) for g, _ in groups), default=1)
+    members = np.full((len(groups), width), -1, dtype=np.intp)
+    rules = np.full((len(groups), width), n_rules, dtype=np.intp)
+    for g, (rows, rule) in enumerate(groups):
+        members[g, :len(rows)] = rows
+        rules[g, :len(rows)] = rule
+    return members, rules, tuple(starts)
+
+
+def _kept_rows(members, rules, bounds: np.ndarray) -> np.ndarray:
+    """The row each group of repeated rows keeps (_repeats), for bounds
+    (one per rule): its row with the smallest bound, the first on a tie."""
+    pick = np.argmin(np.append(bounds, np.inf)[rules], axis=1)
+    return members[np.arange(members.shape[0]), pick]
 
 
 def piece_vertices(piece: RatePolytope) -> np.ndarray:
     """Enumerate the vertices of a piece.
 
     Solves every nonsingular d x d subsystem drawn from the constraints
-    (one per repeated coefficient vector) plus the implicit nonnegativity
-    facets and keeps the feasible solutions, one per group that agrees to
-    DEDUP_DECIMALS places: the first in subsystem order. A coordinate that
-    a nonnegativity facet of any subsystem of the group fixes is exactly
-    0.0. The pieces of one scheme under a BoundTable get their vertices
-    from one pass over all of them (_SchemeSolutions), which the first of
-    them to ask runs, and each takes its own slice; any other piece drops
-    its repeated rows and finds and solves its own subsystems on each call.
-    Intended for the low-dimensional polytopes this package produces
-    (dim <= 5); raises VertexEnumerationOverflow if the subsystem count
-    would exceed COMBO_CEILING or the vertex count VERTEX_CEILING.
-    Unboundedness is not detected here; piece_support and convexify check
-    it.
+    (one per repeated coefficient vector, the one with the smallest bound,
+    the first on a tie) plus the implicit nonnegativity facets and keeps
+    the feasible solutions, one per group that agrees to DEDUP_DECIMALS
+    places: the first in subsystem order. A coordinate that a nonnegativity
+    facet of any subsystem of the group fixes is exactly 0.0. A piece that
+    bound_pieces made takes its slice of its scheme's pass over all of the
+    table's pieces, which the first of them to ask runs; any other piece is
+    an index of one piece, whose rules are the rows it keeps at its own
+    bounds, built and solved on each call. Intended for the low-dimensional
+    polytopes this package produces (dim <= 5); raises
+    VertexEnumerationOverflow if the subsystem count would exceed
+    COMBO_CEILING or the vertex count VERTEX_CEILING. Unboundedness is not
+    detected here; piece_support and convexify check it.
     """
     d = piece.dim
-    n_combo = math.comb(piece.A.shape[0] + d, d)
+    m = piece.A.shape[0]
+    n_combo = math.comb(m + d, d)
     if n_combo > COMBO_CEILING:
         raise VertexEnumerationOverflow(
             f"{n_combo} constraint subsets exceed the enumeration budget"
         )
     if isinstance(piece, _TablePiece):
-        verts = piece.scheme.vertices(piece.k)
+        scheme, k = piece.scheme, piece.k
     else:
-        A, b = piece.A, piece.b
-        keep = _drop_repeated_rows(A, b)
-        if keep is not None:
-            A, b = A[list(keep)], b[list(keep)]
-        A_full = np.vstack([A, -np.eye(d)]) if A.shape[0] else -np.eye(d)
-        b_full = np.concatenate([b, np.zeros(d)])
-        idx, mats, zero = _subsystems(A_full)
-        sols = np.einsum("nij,nj->ni", np.linalg.inv(mats), np.take(b_full, idx))
-        sols[zero] = 0.0
-        sols = sols[np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)]
-        if sols.shape[0] == 0:
-            return np.empty((0, d))
-        first, group = _round_groups(sols)
-        # a zero set on any subsystem of a vertex holds for the vertex
-        zeros = np.zeros((first.shape[0], d), dtype=bool)
-        np.logical_or.at(zeros, group, sols == 0.0)
-        verts = sols[first]
-        verts[zeros] = 0.0
+        # its one set of bounds is known, so its index needs only the rows
+        # it keeps, each its own rule
+        members, rules, _ = _repeats([(piece.A, np.arange(m))], m)
+        keep = np.ones(m + 1, dtype=bool)     # the padding -1 lands on keep[m]
+        keep[members] = False
+        keep[_kept_rows(members, rules, piece.b)] = True
+        rows = np.flatnonzero(keep[:m])
+        own = _SubsystemIndex.build(d, m, [(piece.A[rows], rows)])
+        scheme, k = _SchemeSolutions(own, piece.b), 0
+    verts = scheme.vertices(k)
     if verts.shape[0] > VERTEX_CEILING:
         raise VertexEnumerationOverflow(
             f"{verts.shape[0]} vertices exceed the ceiling {VERTEX_CEILING}"
@@ -771,33 +743,31 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
     return verts
 
 
-def _key_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
-    """(order, head): the stable lexicographic order of the rows once
-    rounded to decimals places, -0.0 folded into 0.0, and, along that
-    order, whether each row's rounded key differs from the one before."""
-    keys = np.round(rows, decimals)
-    keys[keys == 0.0] = 0.0                   # fold -0.0
+def _distinct(keys: np.ndarray):
+    """(first, label): the first row of each distinct row of keys, in
+    lexicographic order of the rows, and the number of every row's
+    distinct row in that order."""
     order = np.lexsort(keys.T[::-1])          # stable: equal keys keep row order
     ordered = keys[order]
     head = np.ones(order.shape[0], dtype=bool)
     head[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    return order, head
+    label = np.empty_like(order)
+    label[order] = np.cumsum(head) - 1
+    return order[head], label
 
 
-def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
-    """Group rows that agree once rounded to decimals places.
+def _key_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
+    """_distinct of the rows rounded to decimals places, -0.0 folded into
+    0.0."""
+    keys = np.round(rows, decimals)
+    keys[keys == 0.0] = 0.0                   # fold -0.0
+    return _distinct(keys)
 
-    Returns the index of each group's first row, in row order, and the
-    group of every row (an index into the first array).
-    """
-    order, head = _key_groups(rows, decimals)
-    first = order[head]
-    # number the groups by their first row
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.shape[0])
-    group = np.empty_like(order)
-    group[order] = rank[np.cumsum(head) - 1]
-    return np.sort(first), group
+
+def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS) -> np.ndarray:
+    """The index of the first row of each group of rows that agree once
+    rounded to decimals places, in row order."""
+    return np.sort(_key_groups(rows, decimals)[0])
 
 
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:
@@ -805,7 +775,7 @@ def _dedup_sorted(points: np.ndarray) -> np.ndarray:
     order of the rows."""
     if points.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
-    first = _round_groups(points)[0]
+    first = _round_groups(points)
     return first[np.lexsort(points[first].T[::-1])]
 
 
@@ -1060,7 +1030,7 @@ def _hull_slice(region: RateRegion, G, h, plane_idx, fixed_idx, fixed_vals) -> n
     h = h - G[:, fixed_idx] @ np.asarray(fixed_vals, dtype=float)
     G = G[:, plane_idx]
     # coplanar simplicial facets repeat a row; so can the substitution
-    keep = _round_groups(np.column_stack([G, h]), 12)[0]
+    keep = _round_groups(np.column_stack([G, h]), 12)
     G, h = G[keep], h[keep]
     extent = pts[:, plane_idx]
     near = _slice_rows(G, h, extent.min(axis=0) - 1.0, extent.max(axis=0) + 1.0)

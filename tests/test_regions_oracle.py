@@ -2,11 +2,13 @@
 
 The package answers emptiness, support, hull-slice and hull-membership
 queries from piece vertices and hull facets; these tests solve the same
-queries as linear programs and require the same answers. The pieces of one
-scheme under a bound table get their vertices from one pass over the
-table's subsystem index; they are checked against the brute-force
-enumeration that solves every subsystem of every piece afresh, and against
-the package's own enumeration of each piece outside any table.
+queries as linear programs and require the same answers. Every piece gets
+its vertices from a subsystem index: the pieces of one scheme under a
+bound table from one pass over the table's index, any other piece from an
+index of its own. Vertices are checked against the brute-force enumeration
+that solves every subsystem of every piece afresh, and byte for byte
+against own_enumeration, which finds and solves one piece's subsystems on
+their own.
 """
 
 import collections
@@ -612,13 +614,67 @@ def brute_force_vertices(piece):
     return verts
 
 
+def drop_repeated_rows(A, b):
+    """The rows to keep, one per coefficient vector: the smallest bound, the
+    first on a tie, in the original row order; None when no row repeats."""
+    best = {}                                 # row bytes -> kept row
+    for i, row in enumerate(A):
+        key = row.tobytes()
+        if b[i] < b[best.setdefault(key, i)]:
+            best[key] = i
+    if len(best) == A.shape[0]:
+        return None
+    return tuple(sorted(best.values()))
+
+
+def own_enumeration(piece):
+    """The piece's vertices, as piece_vertices defines them, found from the
+    piece alone: its repeated rows dropped (drop_repeated_rows), then every
+    nonsingular d-subset of the rows left and the nonnegativity facets, in
+    itertools order and each listing its rows in lexicographic order of
+    their coefficients, solved by its inverse; the feasible solutions are
+    kept one per 9-decimal group, the first, with a coordinate that any
+    solution of the group has at exactly 0.0 set to 0.0."""
+    d = piece.dim
+    A, b = piece.A, piece.b
+    keep = drop_repeated_rows(A, b)
+    if keep is not None:
+        A, b = A[list(keep)], b[list(keep)]
+    A_full = np.vstack([A, -np.eye(d)])
+    b_full = np.concatenate([b, np.zeros(d)])
+    m = A_full.shape[0]
+    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), d)),
+                      dtype=np.intp, count=math.comb(m, d) * d).reshape(-1, d)
+    idx = idx[np.abs(np.linalg.det(A_full[idx])) > 1e-10]
+    rank = np.empty(m, dtype=np.intp)
+    rank[np.lexsort(A_full.T[::-1])] = np.arange(m)
+    idx = np.take_along_axis(idx, np.argsort(rank[idx], axis=1), axis=1)
+    sols = np.einsum("nij,nj->ni", np.linalg.inv(A_full[idx]), b_full[idx])
+    fixed = idx >= m - d
+    sols[np.nonzero(fixed)[0], idx[fixed] - (m - d)] = 0.0
+    sols = sols[np.all(A_full @ sols.T <= b_full[:, None] + 1e-9, axis=0)]
+    if sols.shape[0] == 0:
+        return np.empty((0, d))
+    first, group = unique_groups(sols)
+    zeros = np.zeros((first.shape[0], d), dtype=bool)
+    np.logical_or.at(zeros, group, sols == 0.0)
+    verts = sols[first]
+    verts[zeros] = 0.0
+    return verts
+
+
 def _assert_oracle_vertices(piece, got=None):
+    """got (piece_vertices by default) against brute_force_vertices, and,
+    for a piece outside any table, byte for byte against own_enumeration;
+    table pieces meet it in test_table_pieces_equal_their_own_enumeration."""
     got = piece_vertices(piece) if got is None else got
     want = brute_force_vertices(piece)
     assert got.shape == want.shape
     # same vertices in the same order, and the same exact zeros
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
     assert np.array_equal(got == 0.0, want == 0.0)
+    if not isinstance(piece, regions._TablePiece):
+        assert got.tobytes() == own_enumeration(piece).tobytes()
 
 
 def _recording(monkeypatch):
@@ -705,6 +761,19 @@ class TestVertexOracle:
         _assert_oracle_vertices(slice_piece(_random_piece(rng, dim, "bounded"),
                                             {NAMES[0]: -0.5}))
 
+    @pytest.mark.parametrize("dim, rows", [(8, 4), (20, 2)])
+    def test_high_dimensional_polytopes(self, dim, rows):
+        # the simplex sum x <= 1 cut by x0 <= 0.5, then random rows: at 20-D
+        # with two rows, 20 vertices of the simplex and 20 on its cut edges
+        rng = np.random.default_rng(5000 + dim)
+        cut = np.eye(dim)[0]
+        pairs = [(np.ones(dim), 1.0), (cut, 0.5)]
+        pairs += [(rng.normal(size=dim), rng.uniform(0.1, 1.0)) for _ in range(rows - 2)]
+        piece = polytope(tuple(f"R{i}" for i in range(dim)), pairs)
+        _assert_oracle_vertices(piece)
+        if rows == 2:
+            assert piece.vertices.shape == (2 * dim, dim)
+
     def test_round_groups_match_unique(self):
         rng = np.random.default_rng(21)
         for n, d in ((1, 2), (7, 3), (200, 5)):
@@ -712,10 +781,7 @@ class TestVertexOracle:
             # signed zeros round into the same group
             rows = rng.integers(0, 3, size=(n, d)) / 3.0
             rows += rng.choice([0.0, 4e-10, -4e-10, -0.0], size=(n, d))
-            got_first, got_group = regions._round_groups(rows)
-            want_first, want_group = unique_groups(rows)
-            assert np.array_equal(got_first, want_first)
-            assert np.array_equal(got_group, want_group)
+            assert np.array_equal(regions._round_groups(rows), unique_groups(rows)[0])
 
     def test_hull_slice_pieces(self, monkeypatch):
         seen = _recording(monkeypatch)
@@ -734,8 +800,7 @@ class TestVertexOracle:
         def no_work(*args, **kwargs):
             raise AssertionError("subsystems built past the budget")
 
-        monkeypatch.setattr(regions, "_drop_repeated_rows", no_work)
-        monkeypatch.setattr(regions, "_subsystems", no_work)
+        monkeypatch.setattr(regions._SubsystemIndex, "build", no_work)
         rows = np.random.default_rng(7).normal(size=(230, 3))
         piece = polytope(("R0", "R1", "Re"), [(tuple(r), 1.0) for r in rows])
         assert math.comb(233, 3) > regions.COMBO_CEILING
@@ -767,13 +832,25 @@ def _vertex_bytes(pieces):
     return [piece_vertices(p).tobytes() for p in pieces]
 
 
+def _solves(monkeypatch):
+    """Record the index and bounds of every _SubsystemIndex._solve call."""
+    calls, solve = [], regions._SubsystemIndex._solve
+
+    def spy(index, bounds):
+        calls.append((index, bounds))
+        return solve(index, bounds)
+
+    monkeypatch.setattr(regions._SubsystemIndex, "_solve", spy)
+    return calls
+
+
 class TestTableSubsystems:
     def test_fresh_table_matches_cold_and_warm(self):
         values = _two_set_values(1, 3)
         table = _fresh_two_set()
         assert "_subsystem_index" not in vars(table)        # built on first use
         cold = [_vertex_bytes(bound_pieces(table, v)) for v in values]
-        assert "_subsystem_index" in vars(table) and table._kept
+        assert "_subsystem_index" in vars(table) and table._subsystem_index._kept
         warm = [_vertex_bytes(bound_pieces(table, v)) for v in values]
         shared = [_vertex_bytes(bound_pieces(two_set.TWO_SET, v)) for v in values]
         assert cold == warm == shared
@@ -783,13 +860,7 @@ class TestTableSubsystems:
 
     def test_one_solve_serves_every_piece_of_a_scheme(self, monkeypatch):
         table = _fresh_two_set()
-        solve, calls = table._solve, []
-
-        def spy(bounds):
-            calls.append(bounds)
-            return solve(bounds)
-
-        monkeypatch.setattr(table, "_solve", spy)
+        calls = _solves(monkeypatch)
         values = _two_set_values(2, 2)
         pieces = bound_pieces(table, values[0])
         assert len(pieces) == 40 and all(p.scheme is pieces[0].scheme for p in pieces)
@@ -798,6 +869,29 @@ class TestTableSubsystems:
         assert len(calls) == 1
         _vertex_bytes(bound_pieces(table, values[1]))
         assert len(calls) == 2
+        assert all(index is table._subsystem_index for index, _ in calls)
+
+    def test_index_lists_distinct_subsystems_in_lexicographic_order(self):
+        index = two_set.TWO_SET._subsystem_index
+        rows = index.rows
+        # each subsystem's rows ascend, and the subsystems ascend strictly
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert np.array_equal(np.lexsort(rows.T[::-1]), np.arange(rows.shape[0]))
+        assert np.all(np.any(rows[1:] != rows[:-1], axis=1))
+        assert rows.shape == (7912, 5)
+
+    def test_table_pieces_share_the_table_matrix(self):
+        table = two_set.TWO_SET
+        for p in bound_pieces(table, _two_set_values(7, 1)[0]):
+            assert p.A is table.pieces[p.k][0]
+            assert not p.A.flags.writeable and not p.b.flags.writeable
+        # a polytope built by hand is still checked
+        with pytest.raises(ValueError, match="constraint width"):
+            RatePolytope(table.coords, p.A[:, :-1], p.b)
+        with pytest.raises(ValueError, match="constraint width"):
+            RatePolytope(table.coords, np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ValueError, match="row counts"):
+            RatePolytope(table.coords, p.A, p.b[:-1])
 
     def test_solutions_are_let_go_once_every_piece_has_its_vertices(self, monkeypatch):
         build, builds = regions._SchemeSolutions._build, []
@@ -877,18 +971,22 @@ class TestTableSubsystems:
                   for A, _ in table.pieces]
         choices = sum(math.prod(g) for g in groups if max(g) > 1)
         assert choices == 205
-        assert 0 < len(table._kept) <= choices
+        assert 0 < len(table._subsystem_index._kept) <= choices
 
-    def test_pieces_outside_a_table_keep_nothing(self):
+    def test_pieces_outside_a_table_keep_nothing(self, monkeypatch):
         table = _fresh_two_set()
         piece = bound_pieces(table, _two_set_values(4, 1)[0])[0]
+        calls = _solves(monkeypatch)
         fixed = {name: 0.0 for name in piece.coords[2:]}
         copy = RatePolytope(piece.coords, piece.A, piece.b)
         # a copy, the cut recession cone, a slice and a hull slice
         assert len(copy.vertices) and len(piece.rays)
         assert len(slice_piece(piece, fixed).vertices)
         assert len(frontier(convexify([copy]), piece.coords[:2], fixed=fixed))
-        assert "_subsystem_index" not in vars(table) and not table._kept
+        # each solved an index of its own, and the table's kept nothing
+        assert len(calls) == 4
+        assert all(index is not table._subsystem_index for index, _ in calls)
+        assert not table._subsystem_index._kept
         assert copy.vertices.tobytes() == piece.vertices.tobytes()
 
 
@@ -917,7 +1015,7 @@ def _table_values(table, rng, channels, per_channel, draws):
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_table_pieces_equal_their_own_enumeration(name):
     """Every piece of all nine tables, read from its scheme's shared solve,
-    equals the bytes of the same piece enumerated on its own."""
+    equals the bytes of own_enumeration of the same piece."""
     table = TABLES[name]
     rng = np.random.default_rng(sorted(TABLES).index(name))
     randoms = [fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(seed))
@@ -931,9 +1029,9 @@ def test_table_pieces_equal_their_own_enumeration(name):
     kept = set()                              # (piece, rows kept) checked
     for values in _table_values(table, rng, channels, per_channel, draws):
         for p in bound_pieces(table, values):
-            got, want = piece_vertices(p), RatePolytope(p.coords, p.A, p.b).vertices
+            got, want = piece_vertices(p), own_enumeration(p)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            kept.add((p.k, regions._drop_repeated_rows(p.A, p.b)))
+            kept.add((p.k, drop_repeated_rows(p.A, p.b)))
     # every piece that repeats rows went through the kept-rows memo, and
     # some piece with two different choices of rows
     repeats = {k for k, (A, _) in enumerate(table.pieces)
@@ -944,7 +1042,7 @@ def test_table_pieces_equal_their_own_enumeration(name):
 
 
 def _last_on_tie(A, b):
-    """_drop_repeated_rows with a tie going to the last row instead."""
+    """drop_repeated_rows with a tie going to the last row instead."""
     best = {}
     for i, row in enumerate(A):
         key = row.tobytes()
@@ -965,10 +1063,9 @@ def test_a_tie_keeps_the_first_repeated_row():
     (scheme,) = sample_schemes_random("two_set", channel, config)
     decided = 0
     for p in bound_pieces(two_set.TWO_SET, two_set.TWO_SET.scheme_terms(scheme, channel)):
-        first = regions._drop_repeated_rows(p.A, p.b)
+        first = drop_repeated_rows(p.A, p.b)
         if first is None or first == _last_on_tie(p.A, p.b):
             continue
         decided += 1
-        want = RatePolytope(p.coords, p.A, p.b).vertices
-        assert piece_vertices(p).tobytes() == want.tobytes()
+        assert piece_vertices(p).tobytes() == own_enumeration(p).tobytes()
     assert decided >= 30
