@@ -13,16 +13,16 @@ whose coefficient matrices every scheme shares; bound_pieces fills in one
 scheme's right-hand sides.
 
 Because every piece is pointed, emptiness and support queries are answered
-from its vertices, which each piece enumerates once. One enumerator,
-_SubsystemIndex, finds them: it indexes the distinct d x d subsystems of a
-list of pieces, inverts each once, and for one set of bounds solves them
-all in one pass, with one feasibility test of every (piece, subsystem)
-pair and one rounding and grouping of the solutions the pieces keep. A
-BoundTable owns the index of its pieces, so all of one scheme's pieces
-share a pass; any other piece is an index of one piece, the rows it keeps
-at its own bounds. Hull membership, hull slices and the time-sharing mix
-behind each frontier point come from Qhull's facets of the vertex cloud.
-No query here solves a linear program.
+from its vertices. One enumerator, _SubsystemIndex, finds them: it indexes
+the distinct d x d subsystems of a list of pieces, inverts each once, and
+for one set of bounds solves them all in one pass, with one feasibility
+test of every (piece, subsystem) pair and one rounding and grouping of the
+solutions the pieces keep. A BoundTable owns the index of its pieces, and
+bound_pieces runs its pass once per scheme, so every piece it returns comes
+with its vertices. Any other piece enumerates its own on first use, as an
+index of one piece: the rows it keeps at its own bounds. Hull membership,
+hull slices and the time-sharing mix behind each frontier point come from
+Qhull's facets of the vertex cloud. No query here solves a linear program.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 # never called here; perfbench/spans.py wraps this binding and tests patch it
@@ -129,17 +129,16 @@ class RatePolytope:
 
 @dataclass(frozen=True)
 class _TablePiece(RatePolytope):
-    """Piece number k of one scheme's pieces under a BoundTable, whose
-    vertices one pass over all of them finds, through scheme. Its vertices
-    follow from the scheme's bounds, so a copy with other rows is a plain
-    RatePolytope. Its coords and A are the table's, already checked and
-    read-only, so only its fresh b is marked read-only here."""
+    """A piece that bound_pieces made, which comes with its vertices: a
+    read-only slice of its scheme's one pass over the table's pieces. Its
+    coords and A are the table's, already checked and read-only, so only
+    its fresh b is marked read-only here."""
 
-    scheme: _SchemeSolutions = field(repr=False, compare=False)
-    k: int = field(repr=False, compare=False)
+    found: InitVar[np.ndarray]
 
-    def __post_init__(self):
+    def __post_init__(self, found):
         self.b.setflags(write=False)
+        self.__dict__["vertices"] = found     # read by the cached property
 
 
 def polytope(coords, constraint_pairs) -> RatePolytope:
@@ -292,7 +291,8 @@ class BoundTable:
     scheme, and the index into rules of each row's bound. A rule is the
     row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
     The table also owns the _SubsystemIndex of its pieces, built when
-    bound_pieces first needs it; two threads that race only build it twice.
+    bound_pieces first needs it, which finds the vertices of all of a
+    scheme's pieces in one pass; two threads that race only build it twice.
     A term value that is NaN or infinite is refused by bound_pieces, before
     any bound is filled in.
     """
@@ -407,104 +407,28 @@ def _fill(rule, values) -> float:
 
 def bound_pieces(table: BoundTable, values: dict):
     """Every piece of every family of the table, in order, with its bounds
-    filled in from the term values; none when the guard is negative. A
-    caller that wants only the nonempty pieces filters with piece_is_empty.
-    A NaN or infinite value of a term the table reads raises ValueError."""
+    filled in from the term values; none when the guard is negative. Each
+    piece comes with its vertices, from one pass of the table's index over
+    all of them (_SubsystemIndex.vertices), which raises
+    VertexEnumerationOverflow past the index's budgets. A caller that
+    wants only the nonempty pieces filters with piece_is_empty. A NaN or
+    infinite value of a term the table reads raises ValueError."""
     for name in table._names:
         if not math.isfinite(values[name]):
             raise ValueError(f"term {name!r} of the bound is {values[name]}, not finite")
     if _evaluate(table.guard, values) < 0:
         return []
     bounds = np.array([_fill(rule, values) for rule in table.rules], dtype=float)
-    scheme = _SchemeSolutions(table._subsystem_index, bounds)
-    return [_TablePiece(table.coords, A, bounds[index], scheme, k)
+    verts, stops = table._subsystem_index.vertices(bounds)
+    verts.setflags(write=False)
+    return [_TablePiece(table.coords, A, bounds[index], verts[stops[k]:stops[k + 1]])
             for k, (A, index) in enumerate(table.pieces)]
-
-
-class _SchemeSolutions:
-    """The vertices of an index's pieces at one set of bounds (one per
-    rule), found in one pass.
-
-    The first vertex request of any of the pieces builds the vertices of all
-    of them (_build), and each piece takes a copy of its own slice. The
-    scheme lets its result go once every piece has taken one, so only the
-    schemes still being enumerated hold it, and a piece that asks again
-    after that builds the same bytes again. Threads that race on one scheme
-    can only build it more than once, to the same values, so no lock is
-    held.
-    """
-
-    def __init__(self, index: _SubsystemIndex, bounds: np.ndarray):
-        self.index = index
-        self.bounds = bounds
-        self._result = None
-        self._waiting = set(range(len(index.pieces)))
-
-    def vertices(self, k: int) -> np.ndarray:
-        """Piece k's vertices, as piece_vertices defines them."""
-        result = self._result
-        if result is None:
-            result = self._result = self._build()
-        self._waiting.discard(k)
-        if not self._waiting:
-            self._result = None
-        verts, stops = result
-        return verts[stops[k]:stops[k + 1]].copy()
-
-    def _build(self):
-        """(vertices, stops): the vertices of every piece, piece k's being
-        vertices[stops[k]:stops[k + 1]].
-
-        One solve of the index (_solve) and one test of every (piece,
-        subsystem) pair of _piece_subsystems against the violated bits give
-        each piece's feasible solutions in its subsystem order. The
-        solutions that some piece keeps are rounded and grouped once
-        (_key_groups). Each piece then keeps the first of its solutions in
-        each group, in order of first appearance, and a coordinate that is
-        exactly 0.0 in any of its solutions of that group is 0.0 in the
-        vertex.
-        """
-        index = self.index
-        sols, violated = index._solve(self.bounds)
-        subsystems = index._piece_subsystems(self.bounds)
-        counts = [ids.shape[0] for ids, _ in subsystems]
-        # every pair's piece, compact while all pairs are held
-        piece = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))),
-                          counts)
-        ids = np.concatenate([ids for ids, _ in subsystems])
-        masks = np.stack([mask for _, mask in subsystems])
-        ok = np.empty(ids.shape[0], dtype=bool)
-        for i in range(0, ids.shape[0], _PAIR_BLOCK):
-            at = slice(i, i + _PAIR_BLOCK)
-            hit = violated[ids[at]]
-            hit &= masks[piece[at]]
-            np.logical_not(hit.any(axis=1), out=ok[at])
-        ok = np.flatnonzero(ok)
-        ids, piece = ids[ok], piece[ok].astype(np.intp)
-        used = np.flatnonzero(np.bincount(ids, minlength=sols.shape[0]))
-        heads, groups = _key_groups(sols[used])
-        label = np.empty(sols.shape[0], dtype=np.intp)   # a kept solution's group
-        label[used] = groups
-        # a (piece, group) pair's first solution comes first in its run
-        key = piece * heads.shape[0] + label[ids]
-        order = np.argsort(key, kind="stable")
-        runs = np.ones(order.shape[0], dtype=bool)
-        runs[1:] = key[order[1:]] != key[order[:-1]]
-        starts = np.flatnonzero(runs)
-        zeros = np.logical_or.reduceat(sols[ids[order]] == 0.0, starts, axis=0)
-        first = order[starts]
-        # pairs run piece by piece, so this is each piece's own order
-        keep = np.argsort(first)
-        verts = sols[ids[first[keep]]]
-        verts[zeros[keep]] = 0.0
-        stops = np.cumsum(np.bincount(piece[first], minlength=len(counts)))
-        return verts, [0, *stops.tolist()]
 
 
 # A slack product of _solve stays within this many multiply-adds, below
 # OpenBLAS's single-thread limit for dgemm (m * n * k <= 4 * 65536).
 _GEMM_CELLS = 200_000
-# _SchemeSolutions._build tests this many (piece, subsystem) pairs at a
+# _SubsystemIndex.vertices tests this many (piece, subsystem) pairs at a
 # time, so that its temporaries stay below those of _solve.
 _PAIR_BLOCK = 1 << 13
 
@@ -532,8 +456,8 @@ def _row_bits(flags: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _SubsystemIndex:
     """The vertex subsystems of a list of pieces (a BoundTable's, or one
-    polytope's), each found and inverted once for all of them, and the
-    solve of them all for one set of bounds.
+    polytope's), each found and inverted once for all of them, and the one
+    pass that finds every piece's vertices for one set of bounds.
 
     A holds the pieces' distinct rows, as (coefficient vector, rule) pairs,
     and the d rows of -I, in lexicographic order of their coefficients, so
@@ -573,7 +497,13 @@ class _SubsystemIndex:
         any row count and dimension. A table's coefficients are integers,
         so the test does not depend on the order of the rows; with other
         coefficients it can, by rounding, only for a subset whose |det| lies
-        within rounding of 1e-10."""
+        within rounding of 1e-10. A piece with more than COMBO_CEILING
+        subsets raises VertexEnumerationOverflow before any is listed."""
+        for A, _ in pieces:
+            n_combo = math.comb(A.shape[0] + d, d)
+            if n_combo > COMBO_CEILING:
+                raise VertexEnumerationOverflow(
+                    f"{n_combo} constraint subsets exceed the enumeration budget")
         number = {}                           # (coefficients, rule) -> row
         piece_rows = []
         for A, index in pieces:
@@ -618,6 +548,59 @@ class _SubsystemIndex:
                       *itertools.chain.from_iterable(index_pieces)):
             array.setflags(write=False)
         return index
+
+    def vertices(self, bounds: np.ndarray):
+        """(vertices, stops): the vertices of every piece for one set of
+        bounds (one per rule), as piece_vertices defines them, piece k's
+        being vertices[stops[k]:stops[k + 1]]. A piece with more than
+        VERTEX_CEILING vertices raises VertexEnumerationOverflow.
+
+        One solve of the index (_solve) and one test of every (piece,
+        subsystem) pair of _piece_subsystems against the violated bits give
+        each piece's feasible solutions in its subsystem order. The
+        solutions that some piece keeps are rounded and grouped once
+        (_key_groups). Each piece then keeps the first of its solutions in
+        each group, in order of first appearance, and a coordinate that is
+        exactly 0.0 in any of its solutions of that group is 0.0 in the
+        vertex.
+        """
+        sols, violated = self._solve(bounds)
+        subsystems = self._piece_subsystems(bounds)
+        sizes = [ids.shape[0] for ids, _ in subsystems]
+        # every pair's piece, compact while all pairs are held
+        piece = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))),
+                          sizes)
+        ids = np.concatenate([ids for ids, _ in subsystems])
+        masks = np.stack([mask for _, mask in subsystems])
+        ok = np.empty(ids.shape[0], dtype=bool)
+        for i in range(0, ids.shape[0], _PAIR_BLOCK):
+            at = slice(i, i + _PAIR_BLOCK)
+            hit = violated[ids[at]]
+            hit &= masks[piece[at]]
+            np.logical_not(hit.any(axis=1), out=ok[at])
+        ok = np.flatnonzero(ok)
+        ids, piece = ids[ok], piece[ok].astype(np.intp)
+        used = np.flatnonzero(np.bincount(ids, minlength=sols.shape[0]))
+        heads, groups = _key_groups(sols[used])
+        label = np.empty(sols.shape[0], dtype=np.intp)   # a kept solution's group
+        label[used] = groups
+        # a (piece, group) pair's first solution comes first in its run
+        key = piece * heads.shape[0] + label[ids]
+        order = np.argsort(key, kind="stable")
+        runs = np.ones(order.shape[0], dtype=bool)
+        runs[1:] = key[order[1:]] != key[order[:-1]]
+        starts = np.flatnonzero(runs)
+        zeros = np.logical_or.reduceat(sols[ids[order]] == 0.0, starts, axis=0)
+        first = order[starts]
+        # pairs run piece by piece, so this is each piece's own order
+        keep = np.argsort(first)
+        verts = sols[ids[first[keep]]]
+        verts[zeros[keep]] = 0.0
+        counts = np.bincount(piece[first], minlength=len(sizes))
+        if counts.max() > VERTEX_CEILING:
+            raise VertexEnumerationOverflow(
+                f"{counts.max()} vertices exceed the ceiling {VERTEX_CEILING}")
+        return verts, [0, *np.cumsum(counts).tolist()]
 
     def _solve(self, bounds: np.ndarray):
         """(solutions, violated): every subsystem solved for one set of
@@ -706,40 +689,25 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
     the first on a tie) plus the implicit nonnegativity facets and keeps
     the feasible solutions, one per group that agrees to DEDUP_DECIMALS
     places: the first in subsystem order. A coordinate that a nonnegativity
-    facet of any subsystem of the group fixes is exactly 0.0. A piece that
-    bound_pieces made takes its slice of its scheme's pass over all of the
-    table's pieces, which the first of them to ask runs; any other piece is
+    facet of any subsystem of the group fixes is exactly 0.0. The piece is
     an index of one piece, whose rules are the rows it keeps at its own
-    bounds, built and solved on each call. Intended for the low-dimensional
-    polytopes this package produces (dim <= 5); raises
-    VertexEnumerationOverflow if the subsystem count would exceed
-    COMBO_CEILING or the vertex count VERTEX_CEILING. Unboundedness is not
-    detected here; piece_support and convexify check it.
+    bounds, built and solved on each call; the pieces bound_pieces makes
+    come with the same vertices, from their table's pass over all of a
+    scheme's pieces. Intended for the low-dimensional polytopes this
+    package produces (dim <= 5); raises VertexEnumerationOverflow if the
+    subsystem count of the rows it keeps would exceed COMBO_CEILING or the
+    vertex count VERTEX_CEILING. Unboundedness is not detected here;
+    piece_support and convexify check it.
     """
-    d = piece.dim
-    m = piece.A.shape[0]
-    n_combo = math.comb(m + d, d)
-    if n_combo > COMBO_CEILING:
-        raise VertexEnumerationOverflow(
-            f"{n_combo} constraint subsets exceed the enumeration budget"
-        )
-    if isinstance(piece, _TablePiece):
-        scheme, k = piece.scheme, piece.k
-    else:
-        # its one set of bounds is known, so its index needs only the rows
-        # it keeps, each its own rule
-        members, rules, _ = _repeats([(piece.A, np.arange(m))], m)
-        keep = np.ones(m + 1, dtype=bool)     # the padding -1 lands on keep[m]
-        keep[members] = False
-        keep[_kept_rows(members, rules, piece.b)] = True
-        rows = np.flatnonzero(keep[:m])
-        own = _SubsystemIndex.build(d, m, [(piece.A[rows], rows)])
-        scheme, k = _SchemeSolutions(own, piece.b), 0
-    verts = scheme.vertices(k)
-    if verts.shape[0] > VERTEX_CEILING:
-        raise VertexEnumerationOverflow(
-            f"{verts.shape[0]} vertices exceed the ceiling {VERTEX_CEILING}"
-        )
+    d, m = piece.dim, piece.A.shape[0]
+    # its one set of bounds is known, so its index needs only the rows it
+    # keeps, each its own rule
+    members, rules, _ = _repeats([(piece.A, np.arange(m))], m)
+    keep = np.ones(m + 1, dtype=bool)         # the padding -1 lands on keep[m]
+    keep[members] = False
+    keep[_kept_rows(members, rules, piece.b)] = True
+    rows = np.flatnonzero(keep[:m])
+    verts, _ = _SubsystemIndex.build(d, m, [(piece.A[rows], rows)]).vertices(piece.b)
     return verts
 
 

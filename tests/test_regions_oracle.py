@@ -4,11 +4,11 @@ The package answers emptiness, support, hull-slice and hull-membership
 queries from piece vertices and hull facets; these tests solve the same
 queries as linear programs and require the same answers. Every piece gets
 its vertices from a subsystem index: the pieces of one scheme under a
-bound table from one pass over the table's index, any other piece from an
-index of its own. Vertices are checked against the brute-force enumeration
-that solves every subsystem of every piece afresh, and byte for byte
-against own_enumeration, which finds and solves one piece's subsystems on
-their own.
+bound table come with theirs, from one pass over the table's index, and
+any other piece enumerates its own, as an index of one piece. Vertices are
+checked against the brute-force enumeration that solves every subsystem of
+every piece afresh, and byte for byte against own_enumeration, which finds
+and solves one piece's subsystems on their own.
 """
 
 import collections
@@ -17,7 +17,6 @@ import itertools
 import math
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -719,16 +718,20 @@ def _with_duplicates(rng, piece, equal_bounds):
 
 class TestVertexOracle:
     def test_workload_pieces(self, monkeypatch):
+        # the table pieces come with their vertices; piece_vertices sees
+        # the slices and hull slices
         seen = _recording(monkeypatch)
         config = SearchConfig(strategy="random", sample_count=3,
                               cardinalities=(2, 2, 2))
         for seed in (1, 2, 3):
             region = assemble_region(_relabelled_w2(seed), "two-set", config)
+            seen += [(p, p.vertices) for p in region.pieces]
             frontier(region, ("R1", "R2"),
                      fixed={"R0": 0.0, "R1e": 0.0, "R2e": 0.0}, resolution=17)
         one_set = SearchConfig(strategy="random", sample_count=8)
         for bound in ("inner-one-set", "outer-one-set"):
             region = assemble_region(fx.binary_degraded(), bound, one_set)
+            seen += [(p, p.vertices) for p in region.pieces]
             frontier(region, ("R0", "R1"), fixed={"Re": 0.05}, resolution=17)
         dims = {piece.dim for piece, _ in seen}
         # 5-D two-set pieces, 3-D one-set pieces, 2-D slices and hull slices
@@ -800,7 +803,7 @@ class TestVertexOracle:
         def no_work(*args, **kwargs):
             raise AssertionError("subsystems built past the budget")
 
-        monkeypatch.setattr(regions._SubsystemIndex, "build", no_work)
+        monkeypatch.setattr(regions, "_combinations", no_work)
         rows = np.random.default_rng(7).normal(size=(230, 3))
         piece = polytope(("R0", "R1", "Re"), [(tuple(r), 1.0) for r in rows])
         assert math.comb(233, 3) > regions.COMBO_CEILING
@@ -811,6 +814,18 @@ class TestVertexOracle:
         square = polytope(NAMES[:2], [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
         with pytest.raises(VertexEnumerationOverflow):
             piece_vertices(square)
+
+    def test_table_index_checks_its_budget_before_listing_subsets(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("subsystems built past the budget")
+
+        monkeypatch.setattr(regions, "_combinations", no_work)
+        # one piece of 231 rows: (k, 0, 1) for k = 1..230, and (0, 1, 0)
+        rows = [" + ".join(["R0"] * k + ["Re"]) + " <= t" for k in range(1, 231)]
+        table = BoundTable(("R0", "R1", "Re"), "one_set", {}, [rows + ["R1 <= t"]])
+        assert math.comb(231 + 3, 3) > regions.COMBO_CEILING
+        with pytest.raises(VertexEnumerationOverflow):
+            bound_pieces(table, {"t": 1.0})
 
 
 def _fresh_two_set():
@@ -829,7 +844,7 @@ def _two_set_values(seed, count):
 
 
 def _vertex_bytes(pieces):
-    return [piece_vertices(p).tobytes() for p in pieces]
+    return [p.vertices.tobytes() for p in pieces]
 
 
 def _solves(monkeypatch):
@@ -863,13 +878,19 @@ class TestTableSubsystems:
         calls = _solves(monkeypatch)
         values = _two_set_values(2, 2)
         pieces = bound_pieces(table, values[0])
-        assert len(pieces) == 40 and all(p.scheme is pieces[0].scheme for p in pieces)
-        assert not calls                                   # nothing solved yet
+        assert len(pieces) == 40 and len(calls) == 1
         _vertex_bytes(pieces)
         assert len(calls) == 1
         _vertex_bytes(bound_pieces(table, values[1]))
         assert len(calls) == 2
         assert all(index is table._subsystem_index for index, _ in calls)
+
+    def test_a_negative_guard_solves_nothing(self, monkeypatch):
+        calls = _solves(monkeypatch)
+        terms = {"a": 0.3, "b": 0.5, "d": 0.1}
+        assert len(bound_pieces(one_set.SECRECY, terms)) == 1 and len(calls) == 1
+        assert bound_pieces(one_set.SECRECY, {**terms, "d": 0.4}) == []
+        assert len(calls) == 1
 
     def test_index_lists_distinct_subsystems_in_lexicographic_order(self):
         index = two_set.TWO_SET._subsystem_index
@@ -882,8 +903,8 @@ class TestTableSubsystems:
 
     def test_table_pieces_share_the_table_matrix(self):
         table = two_set.TWO_SET
-        for p in bound_pieces(table, _two_set_values(7, 1)[0]):
-            assert p.A is table.pieces[p.k][0]
+        for (A, _), p in zip(table.pieces, bound_pieces(table, _two_set_values(7, 1)[0])):
+            assert p.A is A
             assert not p.A.flags.writeable and not p.b.flags.writeable
         # a polytope built by hand is still checked
         with pytest.raises(ValueError, match="constraint width"):
@@ -893,26 +914,21 @@ class TestTableSubsystems:
         with pytest.raises(ValueError, match="row counts"):
             RatePolytope(table.coords, p.A, p.b[:-1])
 
-    def test_solutions_are_let_go_once_every_piece_has_its_vertices(self, monkeypatch):
-        build, builds = regions._SchemeSolutions._build, []
-
-        def spy(scheme):
-            builds.append(scheme)
-            return build(scheme)
-
-        monkeypatch.setattr(regions._SchemeSolutions, "_build", spy)
-        pieces = bound_pieces(_fresh_two_set(), _two_set_values(5, 1)[0])
-        scheme = pieces[0].scheme
-        for p in pieces[:-1]:
-            assert len(p.vertices) >= 0
-        # one pass built every piece's vertices, and is held for the last
-        result = weakref.ref(scheme._result[0])
-        assert result() is not None and len(builds) == 1
-        assert len(pieces[-1].vertices) >= 0
-        assert scheme._result is None and result() is None and len(builds) == 1
-        # a piece asked again builds again, to the same bytes, and lets go
-        assert piece_vertices(pieces[3]).tobytes() == pieces[3].vertices.tobytes()
-        assert scheme._result is None and len(builds) == 2
+    def test_pieces_carry_read_only_slices_of_one_pass(self, monkeypatch):
+        table = _fresh_two_set()
+        calls = _solves(monkeypatch)
+        pieces = bound_pieces(table, _two_set_values(5, 1)[0])
+        # one solve built every piece's vertices, back to back in one array
+        assert len(pieces) == 40 and len(calls) == 1
+        whole = pieces[0].vertices.base
+        assert whole is not None and not whole.flags.writeable
+        assert all(p.vertices.base is whole and not p.vertices.flags.writeable
+                   for p in pieces)
+        assert np.concatenate([p.vertices for p in pieces]).tobytes() == whole.tobytes()
+        assert len(calls) == 1
+        # each equals its own one-piece enumeration
+        for p in pieces:
+            assert piece_vertices(p).tobytes() == p.vertices.tobytes()
 
     def test_slack_products_split_without_changing_a_bit(self, monkeypatch):
         # the default keeps each product on one OpenBLAS thread
@@ -976,6 +992,8 @@ class TestTableSubsystems:
     def test_pieces_outside_a_table_keep_nothing(self, monkeypatch):
         table = _fresh_two_set()
         piece = bound_pieces(table, _two_set_values(4, 1)[0])[0]
+        index = table._subsystem_index
+        kept = dict(index._kept)
         calls = _solves(monkeypatch)
         fixed = {name: 0.0 for name in piece.coords[2:]}
         copy = RatePolytope(piece.coords, piece.A, piece.b)
@@ -983,10 +1001,11 @@ class TestTableSubsystems:
         assert len(copy.vertices) and len(piece.rays)
         assert len(slice_piece(piece, fixed).vertices)
         assert len(frontier(convexify([copy]), piece.coords[:2], fixed=fixed))
-        # each solved an index of its own, and the table's kept nothing
+        # each solved an index of its own, and the table's kept nothing more
         assert len(calls) == 4
-        assert all(index is not table._subsystem_index for index, _ in calls)
-        assert not table._subsystem_index._kept
+        assert all(own is not index for own, _ in calls)
+        assert index._kept.keys() == kept.keys()
+        assert all(index._kept[key] is found for key, found in kept.items())
         assert copy.vertices.tobytes() == piece.vertices.tobytes()
 
 
@@ -1014,8 +1033,8 @@ def _table_values(table, rng, channels, per_channel, draws):
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_table_pieces_equal_their_own_enumeration(name):
-    """Every piece of all nine tables, read from its scheme's shared solve,
-    equals the bytes of own_enumeration of the same piece."""
+    """Every piece of all nine tables, with the vertices its scheme's one
+    pass gave it, equals the bytes of own_enumeration of the same piece."""
     table = TABLES[name]
     rng = np.random.default_rng(sorted(TABLES).index(name))
     randoms = [fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(seed))
@@ -1028,10 +1047,10 @@ def test_table_pieces_equal_their_own_enumeration(name):
         per_channel, draws = 2, 12
     kept = set()                              # (piece, rows kept) checked
     for values in _table_values(table, rng, channels, per_channel, draws):
-        for p in bound_pieces(table, values):
-            got, want = piece_vertices(p), own_enumeration(p)
+        for k, p in enumerate(bound_pieces(table, values)):
+            got, want = p.vertices, own_enumeration(p)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            kept.add((p.k, drop_repeated_rows(p.A, p.b)))
+            kept.add((k, drop_repeated_rows(p.A, p.b)))
     # every piece that repeats rows went through the kept-rows memo, and
     # some piece with two different choices of rows
     repeats = {k for k, (A, _) in enumerate(table.pieces)
@@ -1067,5 +1086,6 @@ def test_a_tie_keeps_the_first_repeated_row():
         if first is None or first == _last_on_tie(p.A, p.b):
             continue
         decided += 1
-        assert piece_vertices(p).tobytes() == own_enumeration(p).tobytes()
+        want = own_enumeration(p).tobytes()
+        assert p.vertices.tobytes() == want and piece_vertices(p).tobytes() == want
     assert decided >= 30
