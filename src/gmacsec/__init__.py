@@ -27,7 +27,6 @@ _EXPORTS = {
         "compose_degraded_channel",
         "load_channel",
         "marginal_kernel",
-        "perturb_preserving_marginals",
         "save_channel",
         "validate_channel",
     ), "channel"),
@@ -62,11 +61,9 @@ _EXPORTS = {
         "BOUNDS",
         "SearchConfig",
         "assemble_region",
-        "enumerate_schemes_grid",
         "full_cardinalities",
         "maximize_secrecy_capacity",
         "refine_local",
-        "sample_schemes_random",
     ), "optimizer"),
     **dict.fromkeys((
         "FrontierSample",
@@ -76,18 +73,14 @@ _EXPORTS = {
         "convexify",
         "frontier",
         "frontier_sweep",
-        "piece_contains",
         "piece_is_empty",
-        "piece_support",
         "piece_vertices",
         "polytope",
         "region_contains",
         "region_support",
-        "slice_piece",
     ), "regions"),
     **dict.fromkeys((
         "equivocation_set_explicit",
-        "equivocation_set_oracle",
     ), "two_set"),
     **dict.fromkeys((
         "Codebook",

@@ -230,33 +230,25 @@ def check_stochastically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> Degra
     p_y2 = marginal_kernel(spec, "user2")          # (x1, x2, y2)
     nx1, nx2, ny = p_y.shape
     ny2 = p_y2.shape[2]
-    nz = ny * nx2 * ny2                                  # witness entries
-    var_index = lambda y, x2, y2: (y * nx2 + x2) * ny2 + y2
+    nz = ny * nx2 * ny2              # witness entries, d(y2 | y, x2) at (y, x2, y2)
 
     # equalities: each (y, x2) row of the witness sums to one
     a_eq = np.zeros((ny * nx2, nz + 1))
+    a_eq[:, :nz] = np.repeat(np.eye(ny * nx2), ny2, axis=1)
     b_eq = np.ones(ny * nx2)
-    for y in range(ny):
-        for x2 in range(nx2):
-            for y2 in range(ny2):
-                a_eq[y * nx2 + x2, var_index(y, x2, y2)] = 1.0
 
-    # inequalities: marginal match within t, both directions
+    # inequalities: marginal match within t, both directions, a pair of
+    # rows per (x1, x2, y2) in that order
     n_match = nx1 * nx2 * ny2
-    a_ub = np.zeros((2 * n_match, nz + 1))
-    b_ub = np.zeros(2 * n_match)
-    row = 0
-    for x1 in range(nx1):
-        for x2 in range(nx2):
-            for y2 in range(ny2):
-                for y in range(ny):
-                    a_ub[row, var_index(y, x2, y2)] = p_y[x1, x2, y]
-                    a_ub[row + 1, var_index(y, x2, y2)] = -p_y[x1, x2, y]
-                a_ub[row, nz] = -1.0
-                a_ub[row + 1, nz] = -1.0
-                b_ub[row] = p_y2[x1, x2, y2]
-                b_ub[row + 1] = -p_y2[x1, x2, y2]
-                row += 2
+    x1, x2, y2, y = np.ix_(range(nx1), range(nx2), range(ny2), range(ny))
+    pair = (x1 * nx2 + x2) * ny2 + y2
+    entry = (y * nx2 + x2) * ny2 + y2
+    a_ub = np.zeros((n_match, 2, nz + 1))
+    a_ub[pair, 0, entry] = p_y[x1, x2, y]
+    a_ub[pair, 1, entry] = -p_y[x1, x2, y]
+    a_ub[:, :, nz] = -1.0
+    a_ub = a_ub.reshape(2 * n_match, nz + 1)
+    b_ub = np.stack([p_y2, -p_y2], axis=-1).ravel()
 
     cost = np.zeros(nz + 1)
     cost[nz] = 1.0
@@ -316,47 +308,3 @@ def compose_degraded_channel(main, degrade, side=None) -> ChannelSpec:
     ny1 = side.shape[2]
     prob = np.einsum("aby,abw,ybz->abywz", main, side, degrade)
     return validate_channel(prob, (nx1, nx2, ny, ny1, ny2))
-
-
-def perturb_preserving_marginals(spec: ChannelSpec, rng, moves: int = 8) -> ChannelSpec:
-    """Randomly perturb the joint law without touching any receiver marginal.
-
-    Each move picks an input pair, two output axes with at least two symbols,
-    a 2x2 index pattern on those axes at a fixed index of the third, and
-    shifts mass around that pattern. All three single-output kernels are
-    unchanged exactly, so any quantity that only reads them must not move.
-    Needs at least two output alphabets of size >= 2; raises ValueError
-    otherwise.
-    """
-    axes_ok = [i for i, s in enumerate(spec.prob.shape[2:]) if s >= 2]
-    if len(axes_ok) < 2:
-        raise ValueError(
-            "marginal-preserving perturbation needs two output axes of size >= 2"
-        )
-    table = spec.prob.copy()
-    for _ in range(moves):
-        x1 = int(rng.integers(spec.size_x1))
-        x2 = int(rng.integers(spec.size_x2))
-        block = table[x1, x2]                    # (y, y1, y2)
-        i, j = sorted(rng.choice(len(axes_ok), size=2, replace=False))
-        ax_i, ax_j = axes_ok[i], axes_ok[j]
-        ax_k = ({0, 1, 2} - {ax_i, ax_j}).pop()
-        a, b = rng.choice(block.shape[ax_i], size=2, replace=False)
-        c, d = rng.choice(block.shape[ax_j], size=2, replace=False)
-        e = int(rng.integers(block.shape[ax_k]))
-
-        def cell(v_i, v_j):
-            idx = [None, None, None]
-            idx[ax_i], idx[ax_j], idx[ax_k] = v_i, v_j, e
-            return tuple(idx)
-
-        slack = min(block[cell(a, d)], block[cell(b, c)])
-        if slack <= 0:
-            continue
-        delta = float(rng.uniform(0.0, slack))
-        block[cell(a, c)] += delta
-        block[cell(b, d)] += delta
-        block[cell(a, d)] -= delta
-        block[cell(b, c)] -= delta
-    table.setflags(write=False)
-    return ChannelSpec(prob=table)

@@ -32,20 +32,6 @@ from .errors import (
     max_states,
 )
 
-__all__ = [
-    "JointStack",
-    "SchemeOneSet",
-    "SchemeOneSetOuter",
-    "SchemeTwoSet",
-    "SchemeDegraded",
-    "parse_query",
-    "stacked_entropy",
-    "stacked_mutual_information",
-    "stacked_joint",
-    "scheme_to_dict",
-    "scheme_from_dict",
-]
-
 MASS_TOL = 1e-9
 
 

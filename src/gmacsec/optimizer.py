@@ -202,38 +202,16 @@ def parameter_rows(variant: str, channel: ChannelSpec, config: SearchConfig):
 
     Each row is one scheme: its simplex rows as drawn (not renormalized),
     concatenated in the variant's block order. The grid strategy walks
-    enumerate_schemes_grid's order and the random ones sample
-    sample_schemes_random's stream. Every scheme a search or a region
-    assembly visits comes from here, once.
+    every simplex row's grid, the full product in row-major order (raising
+    GridTooLarge past GRID_CEILING schemes); the random ones draw every
+    simplex row flat Dirichlet, a pure function of the seed. Every scheme a
+    search or a region assembly visits comes from here, once.
     """
     blocks = _blocks(variant, channel, config)
     if config.strategy == "grid":
         yield from _grid_rows(blocks, config)
     else:
         yield from _random_rows(blocks, config)
-
-
-def enumerate_schemes_grid(variant: str, channel: ChannelSpec, config: SearchConfig):
-    """Deterministic grid enumeration of schemes for one variant.
-
-    Every simplex row independently walks the grid; the full product is
-    yielded in row-major order. Raises GridTooLarge when the product of the
-    per-row grid sizes exceeds 1e8.
-    """
-    blocks = _blocks(variant, channel, config)
-    for row in _grid_rows(blocks, config):
-        yield _build(variant, blocks, _split(row, blocks))
-
-
-def sample_schemes_random(variant: str, channel: ChannelSpec, config: SearchConfig):
-    """Sample schemes with every simplex row drawn flat Dirichlet.
-
-    The stream is a pure function of the seed; rows are drawn in block
-    order, schemes in sequence.
-    """
-    blocks = _blocks(variant, channel, config)
-    for row in _random_rows(blocks, config):
-        yield _build(variant, blocks, _split(row, blocks))
 
 
 def _scheme_rows(scheme, blocks):

@@ -43,6 +43,7 @@ from .errors import (
     Unbounded,
     UnknownVariable,
     VertexEnumerationOverflow,
+    whole_number,
 )
 from .infotheory import (
     _SCHEME_FIELDS,
@@ -68,7 +69,6 @@ SLICE_NEAR = 1e-7
 # MIX_FLOOR.
 MIX_TOL = 1e-9
 MIX_FLOOR = 1e-12
-
 
 
 def ConvexHull(points):
@@ -152,18 +152,6 @@ def polytope(coords, constraint_pairs) -> RatePolytope:
     return RatePolytope(coords, A, b)
 
 
-def piece_contains(piece: RatePolytope, point, tol: float = 1e-9) -> bool:
-    """Membership test with additive slack tol on every constraint."""
-    x = np.asarray(point, dtype=float)
-    if x.shape != (piece.dim,):
-        raise ValueError(f"point of dim {x.shape} vs polytope dim {piece.dim}")
-    if np.any(x < -tol):
-        return False
-    if piece.A.shape[0] == 0:
-        return True
-    return bool(np.all(piece.A @ x <= piece.b + tol))
-
-
 def piece_is_empty(piece: RatePolytope) -> bool:
     """Whether the piece has no point.
 
@@ -185,54 +173,6 @@ def _vertex_argmax(verts: np.ndarray, direction: np.ndarray):
     sums = verts[cand].sum(axis=1)
     cand = cand[sums >= np.max(sums) - TIE_TOL]
     return value, int(cand[np.lexsort(verts[cand].T[::-1])[-1]])
-
-
-def piece_support(piece: RatePolytope, direction) -> tuple[float, np.ndarray]:
-    """max d.x over the piece; returns (value, maximizing vertex).
-
-    The maximum is taken over the piece's vertices, with the witness tie
-    rule of _vertex_argmax. Raises EmptySlice when the piece is empty and
-    Unbounded when it recedes without bound in that direction.
-    """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (piece.dim,):
-        raise ValueError("direction dimension mismatch")
-    if not np.any(d):
-        raise ValueError("direction must be nonzero")
-    verts = piece.vertices
-    if verts.shape[0] == 0:
-        raise EmptySlice("support of an empty piece")
-    if np.max(piece.rays @ d) > DEDUP_TOL:
-        raise Unbounded(f"support unbounded along {direction}")
-    value, i = _vertex_argmax(verts, d)
-    return value, verts[i].copy()
-
-
-def slice_piece(piece: RatePolytope, fixed: dict) -> RatePolytope:
-    """Substitute fixed coordinate values, keeping the remaining coords.
-
-    A fixed value below zero contradicts implicit nonnegativity, so the
-    result is made infeasible explicitly (0 <= -1).
-    """
-    for name in fixed:
-        if name not in piece.coords:
-            raise ValueError(f"cannot fix unknown coordinate {name!r}")
-    keep_idx = [i for i, c in enumerate(piece.coords) if c not in fixed]
-    fix_idx = [i for i, c in enumerate(piece.coords) if c in fixed]
-    if not keep_idx:
-        raise ValueError("slice must keep at least one coordinate")
-    vals = np.array([float(fixed[piece.coords[i]]) for i in fix_idx])
-    new_coords = tuple(piece.coords[i] for i in keep_idx)
-    if piece.A.shape[0]:
-        new_A = piece.A[:, keep_idx]
-        new_b = piece.b - piece.A[:, fix_idx] @ vals
-    else:
-        new_A = np.zeros((0, len(keep_idx)))
-        new_b = np.zeros(0)
-    if np.any(vals < -DEDUP_TOL):
-        new_A = np.vstack([new_A, np.zeros((1, len(keep_idx)))])
-        new_b = np.append(new_b, -1.0)
-    return RatePolytope(new_coords, new_A, new_b)
 
 
 def _at_zero(c: float) -> float:
@@ -697,7 +637,7 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
     package produces (dim <= 5); raises VertexEnumerationOverflow if the
     subsystem count of the rows it keeps would exceed COMBO_CEILING or the
     vertex count VERTEX_CEILING. Unboundedness is not detected here;
-    piece_support and convexify check it.
+    convexify checks it.
     """
     d, m = piece.dim, piece.A.shape[0]
     # its one set of bounds is known, so its index needs only the rows it
@@ -739,7 +679,8 @@ def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS) -> np.ndarra
 
 
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:
-    """Indices of the first row of each DEDUP_TOL group, in lexicographic
+    """Indices of the first row of each group of rows that agree once
+    rounded to DEDUP_DECIMALS places (_round_groups), in lexicographic
     order of the rows."""
     if points.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
@@ -852,10 +793,13 @@ def region_contains(region: RateRegion, point, tol: float = 1e-9) -> bool:
 
 
 def region_support(region: RateRegion, direction) -> float:
-    """Support value max d.x over the region, read off its hull points."""
+    """Support value max d.x over the region, read off its hull points; a
+    direction that is zero or not finite raises ValueError."""
     d = np.asarray(direction, dtype=float)
     if d.shape != (region.dim,):
         raise ValueError("direction dimension mismatch")
+    if not np.all(np.isfinite(d)):
+        raise ValueError(f"direction must be finite, got {direction}")
     if not np.any(d):
         raise ValueError("direction must be nonzero")
     if region.hull_points.shape[0] == 0:
@@ -1028,10 +972,13 @@ def check_slice(coords, plane, fixed) -> dict:
     return values
 
 
-def _check_resolution(resolution: int) -> None:
-    """A sweep needs at least two directions; ValueError otherwise."""
+def _check_resolution(resolution) -> int:
+    """resolution as an int, once it is a whole number of at least two
+    directions; ValueError otherwise."""
+    resolution = whole_number("resolution", resolution)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    return resolution
 
 
 def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
@@ -1043,7 +990,7 @@ def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
     """
     plane = tuple(plane)
     fixed = check_slice(region.coords, plane, fixed or {})
-    _check_resolution(resolution)
+    resolution = _check_resolution(resolution)
     plane_idx = [region.coords.index(c) for c in plane]
     fixed_idx = [i for i, c in enumerate(region.coords) if c in fixed]
     fixed_vals = [fixed[region.coords[i]] for i in fixed_idx]

@@ -24,10 +24,6 @@ bound_pieces(T, T.scheme_terms(scheme, channel)) for a table T.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .channel import ChannelSpec
 from .errors import finite_nonnegative
 from .infotheory import SchemeTwoSet
@@ -81,59 +77,3 @@ def equivocation_set_explicit(scheme: SchemeTwoSet, channel: ChannelSpec,
     values = {name: finite_nonnegative(name, r) for name, r in zip(COORDS_MAC, (r0, r1, r2))}
     values.update(TWO_SET.scheme_terms(scheme, channel))
     return bound_pieces(EQUIVOCATION, values)
-
-
-def equivocation_set_oracle(scheme: SchemeTwoSet, channel: ChannelSpec,
-                            r0: float, r1: float, r2: float,
-                            step: float = 0.01) -> np.ndarray:
-    """Grid enumeration of the equivocation set straight from its definition.
-
-    Sweeps total codebook rate pairs (t1, t2) on a step grid: each sender
-    transmits its message plus dummy randomness, so t1 >= r1 and t2 >= r2,
-    and (r0, t1, t2) must be decodable. Each feasible pair contributes the
-    rectangle R1e <= min(r1, [t1 - e1]_+), R2e <= min(r2, [t2 - e2]_+).
-    Returns the grid points covered by at least one rectangle, as an
-    (n, 2) array; empty when no pair is decodable at all.
-
-    This is the slow cross-check for equivocation_set_explicit, not a tool
-    for production sweeps.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    t = TWO_SET.scheme_terms(scheme, channel)
-    m1, m2, m12, mt = t["m1"], t["m2"], t["m12"], t["mt"]
-    e1, e2 = t["e1"], t["e2"]
-    eps = 1e-12
-
-    t1_max = min(m1, m12 - r2, mt - r0 - r2)
-    t1_lo = math.ceil(r1 / step - eps)
-    t1_hi = math.floor(t1_max / step + eps)
-    t2_lo = math.ceil(r2 / step - eps)
-
-    caps = []
-    for i1 in range(t1_lo, t1_hi + 1):
-        t1 = i1 * step
-        t2_max = min(m2, m12 - t1, mt - r0 - t1)
-        i2 = math.floor(t2_max / step + eps)
-        if i2 < t2_lo:
-            continue
-        t2 = i2 * step
-        cap1 = min(r1, max(0.0, t1 - e1))
-        cap2 = min(r2, max(0.0, t2 - e2))
-        caps.append((cap1, cap2))
-    if not caps:
-        return np.empty((0, 2))
-
-    points = []
-    cap_arr = np.array(caps)
-    x_hi = math.floor(cap_arr[:, 0].max() / step + eps)
-    for ix in range(x_hi + 1):
-        x = ix * step
-        covering = cap_arr[cap_arr[:, 0] >= x - eps]
-        if covering.shape[0] == 0:
-            continue
-        y_max = covering[:, 1].max()
-        for iy in range(math.floor(y_max / step + eps) + 1):
-            points.append((x, iy * step))
-    return np.array(points)
-

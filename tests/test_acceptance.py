@@ -20,17 +20,12 @@ from gmacsec import (
     build_codebook,
     equivocation_joint,
     equivocation_set_explicit,
-    equivocation_set_oracle,
     exact_equivocation,
     exact_error_probability,
     marginal_kernel,
-    perturb_preserving_marginals,
-    piece_contains,
-    piece_support,
     region_support,
     save_channel,
     secrecy_capacity_value,
-    slice_piece,
 )
 from gmacsec import fixtures as fx
 from gmacsec import one_set, two_set
@@ -38,12 +33,18 @@ from gmacsec.cli import main
 from gmacsec.optimizer import (
     SearchConfig,
     assemble_region,
-    enumerate_schemes_grid,
     maximize_secrecy_capacity,
-    sample_schemes_random,
 )
 
 from conftest import nonempty
+from references import (
+    equivocation_set_oracle,
+    perturb_preserving_marginals,
+    piece_contains,
+    piece_support,
+    search_schemes,
+    slice_piece,
+)
 
 
 def _ent(masses):
@@ -119,7 +120,7 @@ def test_02_single_sender_secrecy_reduces_to_the_wiretap_difference():
         to_y = marginal_kernel(channel, "destination")[:, 0, :]
         to_y2 = marginal_kernel(channel, "user2")[:, 0, :]
         best = 0.0
-        for scheme in enumerate_schemes_grid("one_set", channel, config):
+        for scheme in search_schemes("one_set", channel, config):
             p_u_x1 = scheme.p_u_given_q[0][:, None] * scheme.p_x1_given_u
             p_u = p_u_x1.sum(axis=1)
             p_u_y = p_u_x1 @ to_y
@@ -267,12 +268,12 @@ def test_07_fully_observed_sender_has_exactly_zero_secrecy():
     channel = fx.leaky_wiretap()
     grid = SearchConfig(strategy="grid", cardinalities=(1, 3, 1))
     count = 0
-    for scheme in enumerate_schemes_grid("one_set", channel, grid):
+    for scheme in search_schemes("one_set", channel, grid):
         assert secrecy_capacity_value(one_set.SECRECY, scheme, channel, 0.0) == 0.0
         assert secrecy_capacity_value(one_set.SECRECY, scheme, channel, 0.37) == 0.0
         count += 1
     sampler = SearchConfig(strategy="random", sample_count=50, seed=7)
-    for scheme in sample_schemes_random("one_set", channel, sampler):
+    for scheme in search_schemes("one_set", channel, sampler):
         assert secrecy_capacity_value(one_set.SECRECY, scheme, channel, 0.0) == 0.0
         count += 1
     assert count >= 100

@@ -25,7 +25,6 @@ from gmacsec import (
     fixtures as fx,
     piece_is_empty,
     polytope,
-    sample_schemes_random,
     secrecy_capacity_value,
 )
 from gmacsec import one_set, regions, two_set
@@ -34,6 +33,7 @@ from gmacsec.optimizer import _BOUND_TABLES, BOUNDS, SearchConfig
 from gmacsec.regions import BoundTable, RatePolytope
 from conftest import nonempty
 from scalar_oracle import mutual_information, scheme_joint
+from references import search_schemes
 
 FIXTURES = sorted(fx.FIXTURE_BUILDERS)
 EQ = ("R0", "R1", "Re")
@@ -220,7 +220,7 @@ def scheme_values(table, variant, scheme, channel):
 def schemes(variant, channel, count=4, seed=7):
     config = SearchConfig(strategy="random", sample_count=count, seed=seed,
                           cardinalities=(2, 2, 2))
-    return list(sample_schemes_random(variant, channel, config))
+    return list(search_schemes(variant, channel, config))
 
 
 @pytest.fixture(scope="module", params=FIXTURES + ["random"])
@@ -299,7 +299,7 @@ def test_assembled_regions_keep_the_reference_pieces(bound, channel, monkeypatch
         region = assemble_region(channel, bound, config)
     want = []
     expanded = 0
-    for s in sample_schemes_random(variant, channel, config):
+    for s in search_schemes(variant, channel, config):
         want.extend(p for p in ref(s, channel) if not piece_is_empty(p))
         expanded += len(bound_pieces(table, scheme_values(table, variant, s, channel)))
     assert_same_pieces(region.pieces, want)

@@ -12,15 +12,48 @@ from gmacsec import (
     compose_degraded_channel,
     load_channel,
     marginal_kernel,
-    perturb_preserving_marginals,
     save_channel,
     validate_channel,
 )
 from gmacsec import fixtures as fx
+from references import perturb_preserving_marginals
 
 
 def _bsc(p):
     return np.array([[1 - p, p], [p, 1 - p]])
+
+
+def _loop_degradedness_lp(spec):
+    """a_eq, b_eq, a_ub and b_ub of check_stochastically_degraded's LP,
+    filled one entry at a time by nested loops over the alphabets."""
+    p_y = marginal_kernel(spec, "destination")
+    p_y2 = marginal_kernel(spec, "user2")
+    nx1, nx2, ny = p_y.shape
+    ny2 = p_y2.shape[2]
+    nz = ny * nx2 * ny2
+    var_index = lambda y, x2, y2: (y * nx2 + x2) * ny2 + y2
+    a_eq = np.zeros((ny * nx2, nz + 1))
+    b_eq = np.ones(ny * nx2)
+    for y in range(ny):
+        for x2 in range(nx2):
+            for y2 in range(ny2):
+                a_eq[y * nx2 + x2, var_index(y, x2, y2)] = 1.0
+    n_match = nx1 * nx2 * ny2
+    a_ub = np.zeros((2 * n_match, nz + 1))
+    b_ub = np.zeros(2 * n_match)
+    row = 0
+    for x1 in range(nx1):
+        for x2 in range(nx2):
+            for y2 in range(ny2):
+                for y in range(ny):
+                    a_ub[row, var_index(y, x2, y2)] = p_y[x1, x2, y]
+                    a_ub[row + 1, var_index(y, x2, y2)] = -p_y[x1, x2, y]
+                a_ub[row, nz] = -1.0
+                a_ub[row + 1, nz] = -1.0
+                b_ub[row] = p_y2[x1, x2, y2]
+                b_ub[row + 1] = -p_y2[x1, x2, y2]
+                row += 2
+    return {"A_eq": a_eq, "b_eq": b_eq, "A_ub": a_ub, "b_ub": b_ub}
 
 
 class TestValidateChannel:
@@ -182,6 +215,29 @@ class TestDegradedness:
         monkeypatch.setattr(channel, "linprog", no_lp)
         with pytest.raises(ValueError, match="finite number >= 0"):
             check(binary_degraded, tol=tol)
+
+
+    @pytest.mark.parametrize("name", sorted(fx.FIXTURE_BUILDERS) + ["random1", "random2"])
+    def test_lp_matrices_equal_the_loop_built_ones(self, monkeypatch, name):
+        import gmacsec.channel as channel
+
+        if name.startswith("random"):
+            sizes = (2, 3, 3, 2, 2) if name == "random1" else (3, 2, 2, 1, 4)
+            spec = fx.random_channel(sizes, np.random.default_rng(int(name[-1])))
+        else:
+            spec = fx.FIXTURE_BUILDERS[name]()
+        calls = []
+        real = channel.linprog
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "linprog", spy)
+        check_stochastically_degraded(spec)
+        (call,) = calls
+        for key, want in _loop_degradedness_lp(spec).items():
+            assert np.array_equal(call[key], want), key
 
 
 class TestPerturbation:

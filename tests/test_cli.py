@@ -10,7 +10,6 @@ import pytest
 from gmacsec import (
     SolverStall,
     fixtures as fx,
-    piece_contains,
     scheme_from_dict,
     scheme_to_dict,
 )
@@ -19,6 +18,7 @@ from gmacsec.cli import _BOUND_ALIASES, _g9, main
 from gmacsec.infotheory import _SCHEME_FIELDS
 from gmacsec.optimizer import _BOUND_TABLES, SearchConfig
 from gmacsec.regions import bound_pieces
+from references import piece_contains
 
 DATA = pathlib.Path(__file__).parent / "data"
 

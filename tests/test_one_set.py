@@ -12,8 +12,6 @@ from gmacsec import (
     bound_pieces,
     check_stochastically_degraded,
     convexify,
-    piece_contains,
-    piece_support,
     piece_vertices,
     secrecy_capacity_value,
 )
@@ -21,6 +19,7 @@ from gmacsec import fixtures as fx
 from gmacsec.one_set import DEGRADED, DEGRADED_SECRECY, INNER, OUTER, SECRECY
 
 from conftest import binary_entropy, nonempty
+from references import piece_contains, piece_support
 
 H_TENTH = 0.4689955935892812
 TINY = SearchConfig(sample_count=2, cardinalities=(2, 1, 1))

@@ -8,12 +8,10 @@ from gmacsec import (
     SearchConfig,
     SchemeDegraded,
     assemble_region,
-    enumerate_schemes_grid,
     full_cardinalities,
     maximize_secrecy_capacity,
     refine_local,
     region_support,
-    sample_schemes_random,
     scheme_to_dict,
     secrecy_capacity_value,
 )
@@ -22,6 +20,7 @@ from gmacsec.one_set import DEGRADED_SECRECY
 from gmacsec.regions import BoundTable
 
 from conftest import binary_entropy
+from references import search_schemes
 
 
 def _params(scheme):
@@ -71,7 +70,7 @@ class TestGridEnumeration:
     def test_scheme_count_matches_the_product_of_row_grids(self, clean_mac):
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="grid",
                               grid_resolution=3)
-        schemes = list(enumerate_schemes_grid("one_set", clean_mac, config))
+        schemes = list(search_schemes("one_set", clean_mac, config))
         # rows: one (q, x2) simplex of size 2 (3 points), one U row (3),
         # two X1 rows (3 each)
         assert len(schemes) == 3 * 3 * 3 * 3
@@ -79,7 +78,7 @@ class TestGridEnumeration:
     def test_rows_live_on_the_stated_grid(self, clean_mac):
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="grid",
                               grid_resolution=5)
-        for scheme in enumerate_schemes_grid("one_set", clean_mac, config):
+        for scheme in search_schemes("one_set", clean_mac, config):
             snapped = np.round(np.asarray(scheme.p_u_given_q) * 4) / 4
             assert np.allclose(snapped, scheme.p_u_given_q, atol=1e-12)
 
@@ -87,9 +86,9 @@ class TestGridEnumeration:
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="grid",
                               grid_resolution=3)
         first = [_params(s) for s in
-                 enumerate_schemes_grid("one_set", clean_mac, config)]
+                 search_schemes("one_set", clean_mac, config)]
         second = [_params(s) for s in
-                  enumerate_schemes_grid("one_set", clean_mac, config)]
+                  search_schemes("one_set", clean_mac, config)]
         assert first == second
 
     def test_budget_guard(self, clean_mac, monkeypatch):
@@ -100,7 +99,7 @@ class TestGridEnumeration:
         config = SearchConfig(cardinalities=(4, 20, 1), strategy="grid",
                               grid_resolution=6)
         with pytest.raises(GridTooLarge):
-            list(enumerate_schemes_grid("one_set", clean_mac, config))
+            list(search_schemes("one_set", clean_mac, config))
 
     # (variant, cardinalities, resolution): 1-column grids, resolution 2,
     # several simplex rows per block, and the 1,875-scheme capacity grid
@@ -128,28 +127,28 @@ class TestGridEnumeration:
 
     def test_unknown_variant(self, clean_mac):
         with pytest.raises(ValueError):
-            list(enumerate_schemes_grid("three_set", clean_mac, SearchConfig()))
+            list(search_schemes("three_set", clean_mac, SearchConfig()))
 
 
 class TestRandomSampling:
     def test_same_seed_reproduces_bitwise(self, clean_mac):
         config = SearchConfig(seed=99, sample_count=5)
         first = [_params(s) for s in
-                 sample_schemes_random("one_set", clean_mac, config)]
+                 search_schemes("one_set", clean_mac, config)]
         second = [_params(s) for s in
-                  sample_schemes_random("one_set", clean_mac, config)]
+                  search_schemes("one_set", clean_mac, config)]
         assert first == second
 
     def test_different_seeds_differ(self, clean_mac):
-        a = next(iter(sample_schemes_random(
+        a = next(iter(search_schemes(
             "one_set", clean_mac, SearchConfig(seed=1))))
-        b = next(iter(sample_schemes_random(
+        b = next(iter(search_schemes(
             "one_set", clean_mac, SearchConfig(seed=2))))
         assert _params(a) != _params(b)
 
     def test_sample_count(self, clean_mac):
         config = SearchConfig(sample_count=3)
-        got = list(sample_schemes_random("one_set", clean_mac, config))
+        got = list(search_schemes("one_set", clean_mac, config))
         assert len(got) == 3
 
 

@@ -7,22 +7,22 @@ from gmacsec import regions
 from gmacsec import (
     EmptySlice,
     RatePolytope,
+    SearchConfig,
     Unbounded,
     VertexEnumerationOverflow,
+    assemble_region,
     convexify,
     frontier,
     frontier_sweep,
-    piece_contains,
     piece_is_empty,
-    piece_support,
     piece_vertices,
     polytope,
     region_contains,
     region_support,
-    slice_piece,
 )
 
 from conftest import nonempty, split_rows
+from references import piece_contains, piece_support, slice_piece
 
 RR = ("R0", "R1")
 
@@ -255,6 +255,16 @@ class TestRegionQueries:
             region_support(region, (1.0, 0.0))
         assert not region_contains(region, (0.0, 0.0))
 
+    def test_non_finite_direction_raises(self, clean_mac):
+        # the README tour's secrecy region
+        config = SearchConfig(strategy="grid", cardinalities=(1, 2, 1),
+                              grid_resolution=5)
+        region = assemble_region(clean_mac, "secrecy-one-set", config)
+        assert region_support(region, (0.0, 1.0)) == 1.0
+        for direction in ((math.nan, 1.0), (math.inf, 0.0), (0.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                region_support(region, direction)
+
 
 class TestFrontier:
     def test_staircase_hand_case(self):
@@ -279,6 +289,13 @@ class TestFrontier:
         assert along_y.value == pytest.approx(1.0, abs=1e-9)
         assert pieces(along_y) == {0}
 
+    def test_whole_float_resolution_sweeps_its_int(self):
+        region = convexify([_unit_square(), _wide_rectangle()])
+        samples = frontier_sweep(region, RR, resolution=3.0)
+        want = frontier_sweep(region, RR, resolution=3)
+        assert [s.theta for s in samples] == [s.theta for s in want]
+        assert len(samples) == 3
+
     def test_slice_out_of_reach_raises(self):
         piece = polytope(("R0", "R1", "Re"), [((1.0, 1.0, 1.0), 1.0)])
         region = convexify([piece])
@@ -302,6 +319,8 @@ class TestFrontier:
             frontier_sweep(region, RR, fixed={"R1": 0.0})
         with pytest.raises(ValueError):
             frontier_sweep(region, RR, resolution=1)
+        with pytest.raises(ValueError, match="resolution must be a whole number"):
+            frontier_sweep(region, RR, resolution=3.5)
         piece3 = polytope(("R0", "R1", "Re"), [((1.0, 1.0, 1.0), 1.0)])
         region3 = convexify([piece3])
         with pytest.raises(ValueError):

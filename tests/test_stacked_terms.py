@@ -29,17 +29,16 @@ from gmacsec import (
     assemble_region,
     check_stochastically_degraded,
     convexify,
-    enumerate_schemes_grid,
     fixtures as fx,
     maximize_secrecy_capacity,
     piece_is_empty,
-    sample_schemes_random,
     scheme_to_dict,
 )
 from gmacsec import infotheory, one_set, optimizer, two_set
 from gmacsec.optimizer import _BOUND_TABLES, SearchConfig
 from gmacsec.regions import bound_pieces
 from scalar_oracle import mutual_information, scheme_joint
+from references import search_schemes
 
 FIXTURES = sorted(fx.FIXTURE_BUILDERS)
 W3 = SearchConfig(strategy="grid", cardinalities=(1, 3, 1), grid_resolution=5)
@@ -130,12 +129,12 @@ def assert_stacked_matches_scalar(schemes, channel, kind):
 @pytest.mark.parametrize("flips", [(0.1, 0.1), (0.13, 0.07)])
 def test_every_w3_scheme(flips):
     channel = fx.binary_degraded(*flips)
-    schemes = list(enumerate_schemes_grid("one_set", channel, W3))
+    schemes = list(search_schemes("one_set", channel, W3))
     assert len(schemes) == 1875
     assert_stacked_matches_scalar(schemes, channel, "one_set")
     degraded = SearchConfig(strategy="grid", cardinalities=(3, 1, 1),
                             grid_resolution=5)
-    schemes = list(enumerate_schemes_grid("degraded", channel, degraded))
+    schemes = list(search_schemes("degraded", channel, degraded))
     assert len(schemes) == 1875
     assert_stacked_matches_scalar(schemes, channel, "degraded")
 
@@ -145,7 +144,7 @@ def test_every_w3_scheme(flips):
 def test_random_schemes_of_every_fixture(name, kind):
     channel = fx.FIXTURE_BUILDERS[name]()
     config = SearchConfig(cardinalities=(2, 3, 1), sample_count=40, seed=7)
-    schemes = list(sample_schemes_random(kind, channel, config))
+    schemes = list(search_schemes(kind, channel, config))
     assert_stacked_matches_scalar(schemes, channel, kind)
 
 
@@ -171,7 +170,7 @@ def test_large_random_channels(monkeypatch, seed):
     counts = _recording_counts(monkeypatch)
     for kind, cards in (("one_set", (3, 4, 1)), ("degraded", (4, 1, 1))):
         config = SearchConfig(cardinalities=cards, sample_count=25, seed=seed)
-        schemes = list(sample_schemes_random(kind, channel, config))
+        schemes = list(search_schemes(kind, channel, config))
         # sparse rows too, so that the rows of one stack differ in their counts
         sparse = [_sparsified(s, kind) for s in schemes[:10]]
         assert_stacked_matches_scalar(schemes + sparse, channel, kind)
@@ -249,18 +248,12 @@ def _search_cases():
     ]
 
 
-def _schemes_of(kind, channel, config):
-    if config.strategy == "grid":
-        return list(enumerate_schemes_grid(kind, channel, config))
-    return list(sample_schemes_random(kind, channel, config))
-
-
 @pytest.mark.parametrize("case", range(4))
 @pytest.mark.parametrize("r0", [0.0, 0.1, 5.0])
 def test_search_matches_the_sequential_reference(case, r0):
     channel, config, variant, kind = _search_cases()[case]
     value, scheme = maximize_secrecy_capacity(channel, r0, config, variant)
-    ref_value, ref_scheme = reference_search(_schemes_of(kind, channel, config),
+    ref_value, ref_scheme = reference_search(list(search_schemes(kind, channel, config)),
                                              channel, r0, kind)
     assert float(value).hex() == float(ref_value).hex()
     assert scheme_to_dict(scheme) == scheme_to_dict(ref_scheme)
@@ -273,7 +266,7 @@ def test_blocks_split_inside_ties(monkeypatch, per_block):
     channel = fx.binary_degraded(0.13, 0.07)
     cells = 1 * 3 * 2 * 1 * 2 * 2          # |Q||U||X1||X2||Y||Y2| of W3
     monkeypatch.setattr(optimizer, "BLOCK_CELLS", per_block * cells)
-    schemes = _schemes_of("one_set", channel, W3)
+    schemes = list(search_schemes("one_set", channel, W3))
     for r0 in (5.0, 0.0):
         value, scheme = maximize_secrecy_capacity(channel, r0, W3)
         ref_value, ref_scheme = reference_search(schemes, channel, r0, "one_set")
@@ -387,7 +380,7 @@ def test_outer_and_two_set_terms_equal_scalar_terms(name, table):
     else:
         channel = _channel(name)
     config = SearchConfig(cardinalities=(2, 3, 2), sample_count=25, seed=11)
-    schemes = list(sample_schemes_random(kind, channel, config))
+    schemes = list(search_schemes(kind, channel, config))
     schemes += [_sparse(s, kind) for s in schemes[:8]]
     got = table.terms(_stack(schemes, kind), channel)
     for i, scheme in enumerate(schemes):
@@ -426,7 +419,7 @@ VARIABLES = {
 @pytest.mark.parametrize("kind", sorted(VARIABLES))
 def test_each_kind_joint_is_the_per_cell_product(kind):
     channel = fx.random_channel((2, 3, 2, 2, 2), np.random.default_rng(8))
-    schemes = list(sample_schemes_random(
+    schemes = list(search_schemes(
         kind, channel, SearchConfig(cardinalities=(2, 3, 2), sample_count=3, seed=2)))
     joint = infotheory.stacked_joint(kind, _stack(schemes, kind), channel)
     assert joint.variables == VARIABLES[kind]

@@ -6,17 +6,14 @@ from gmacsec import (
     bound_pieces,
     convexify,
     equivocation_set_explicit,
-    equivocation_set_oracle,
-    piece_contains,
-    piece_support,
     piece_vertices,
     region_support,
-    slice_piece,
 )
 from gmacsec import fixtures as fx
 from gmacsec.two_set import MAC, SECRECY, TWO_SET
 
 from conftest import nonempty
+from references import equivocation_set_oracle, piece_contains, piece_support, slice_piece
 
 
 def _vertex_set(points):
