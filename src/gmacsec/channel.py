@@ -19,6 +19,7 @@ from .errors import (
     RowSumViolation,
     SolverStall,
     finite_nonnegative,
+    whole_number,
 )
 
 RECEIVERS = ("destination", "user1", "user2")
@@ -106,14 +107,18 @@ def validate_channel(raw_table, alphabet_sizes) -> ChannelSpec:
     ----------
     raw_table : array-like, shape (x1, x2, y, y1, y2)
         Candidate conditional probabilities.
-    alphabet_sizes : sequence of five ints
-        Expected (|X1|, |X2|, |Y|, |Y1|, |Y2|).
+    alphabet_sizes : sequence of five whole numbers
+        Expected (|X1|, |X2|, |Y|, |Y1|, |Y2|); a boolean or a fractional
+        size raises DimensionMismatch.
 
     Each (x1, x2) block must be nonnegative and sum to 1; deviations up to
     1e-6 are renormalized away, larger ones raise RowSumViolation. Clean
     inputs should already be within 1e-9.
     """
-    sizes = tuple(int(s) for s in alphabet_sizes)
+    try:
+        sizes = tuple(whole_number("alphabet size", s) for s in alphabet_sizes)
+    except ValueError as exc:
+        raise DimensionMismatch(str(exc)) from exc
     if len(sizes) != 5:
         raise DimensionMismatch(f"expected 5 alphabet sizes, got {len(sizes)}")
     if any(s < 1 for s in sizes):
@@ -143,14 +148,15 @@ def load_channel(path) -> ChannelSpec:
 
     The document carries the five alphabet sizes under keys "x1", "x2", "y",
     "y1", "y2" and the nested transition table under "p", indexed
-    [x1][x2][y][y1][y2].
+    [x1][x2][y][y1][y2]. The sizes go to validate_channel as written, so a
+    fractional or boolean size raises DimensionMismatch.
     """
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        sizes = tuple(int(doc[k]) for k in ("x1", "x2", "y", "y1", "y2"))
+        sizes = [doc[k] for k in ("x1", "x2", "y", "y1", "y2")]
         raw = doc["p"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"malformed channel file {path}: {exc}")
     return validate_channel(np.asarray(raw, dtype=float), sizes)
 

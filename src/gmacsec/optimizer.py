@@ -81,6 +81,8 @@ class SearchConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("search config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:

@@ -3,7 +3,7 @@
 A RatePolytope is {x >= 0 : A x <= b} over named rate coordinates;
 nonnegativity of every coordinate is always implicit and never appears in A.
 A row with a [.]_+ bracket makes a union of plain polytopes. A region is
-the convex hull of a union of bounded pieces, kept as a sorted vertex cloud.
+the convex hull of a union of bounded pieces: a vertex cloud and its facets.
 
 Each bound the package builds is a BoundTable: fixed constraint rows whose
 right-hand sides are signed sums of information terms, each term written
@@ -22,7 +22,7 @@ bound_pieces runs its pass once per scheme, so every piece it returns comes
 with its vertices. Any other piece enumerates its own on first use, as an
 index of one piece: the rows it keeps at its own bounds. Hull membership,
 hull slices and the time-sharing mix behind each frontier point come from
-Qhull's facets of the vertex cloud. No query here solves a linear program.
+the facets of one Qhull run per region. No query here solves an LP.
 """
 
 from __future__ import annotations
@@ -695,7 +695,8 @@ class RateRegion:
     hull_points spans the hull; hull_sources, when present, gives for each
     the index of a piece that has it as a vertex. provenance, when present,
     aligns with pieces and records where each piece came from (typically a
-    scheme dictionary). info carries free-form assembly diagnostics.
+    scheme dictionary). info carries free-form assembly diagnostics. facets
+    is hull_facets as convexify found it, if it did; == and repr skip it.
     """
 
     coords: tuple[str, ...]
@@ -704,6 +705,7 @@ class RateRegion:
     provenance: tuple | None = None
     info: dict = field(default_factory=dict)
     hull_sources: np.ndarray | None = None
+    facets: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -711,9 +713,13 @@ class RateRegion:
 
     @functools.cached_property
     def hull_facets(self):
-        """(G, h, simplices) of _hull_inequalities on hull_points, built on
-        first use and kept; a Qhull failure raises SolverStall and is not
-        kept."""
+        """(G, h, simplices): facets, when given, or else _hull_inequalities
+        on hull_points, built on first use and kept; a Qhull failure raises
+        SolverStall and is not kept, and an empty region raises EmptySlice."""
+        if self.facets is not None:
+            return self.facets
+        if self.hull_points.shape[0] == 0:
+            raise EmptySlice("an empty region has no facets")
         return _hull_inequalities(self.hull_points)
 
 
@@ -728,15 +734,16 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     """Convex hull of a union of bounded pieces, as a sorted vertex cloud.
 
     Vertices of every piece are pooled, deduplicated, and sorted before any
-    hull pruning, so the result does not depend on piece order. Pruning to
-    extreme points uses Qhull when the cloud has full affine rank; flat
-    clouds are kept as is (membership tests do not need minimality). When
-    Qhull fails on a full-rank cloud, the unpruned cloud is kept and its
-    message is recorded as info["hull_fallback"]. Each hull point's source
-    is the first piece, in piece order, with that vertex. A nonempty piece
-    that recedes without bound raises Unbounded; as that depends only on the
-    constraint matrix, it is decided once per matrix, by _capped or else by
-    RatePolytope.rays.
+    hull pruning, so the result does not depend on piece order. One Qhull
+    run, _hull_inequalities, which prunes flat clouds too, gives the
+    facets; the region keeps them, and as hull_points the points their
+    simplices use and the first point. When Qhull fails, the unpruned cloud
+    is kept, its facets are left to build on first use, and the first line
+    of Qhull's message is recorded as info["hull_fallback"]. Each hull
+    point's source is the first piece, in piece order, with that vertex. A
+    nonempty piece that recedes without bound raises Unbounded; as that
+    depends only on the constraint matrix, it is decided once per matrix,
+    by _capped or else by RatePolytope.rays.
     """
     pieces = tuple(pieces)
     if coords is None:
@@ -758,15 +765,16 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
             checked.add(id(p.A))
     sources = np.repeat(np.arange(len(pieces)), [c.shape[0] for c in clouds])
     points = np.vstack(clouds) if sources.size else np.empty((0, d))
-    keep = _dedup_sorted(points)
-    if keep.shape[0] > d + 1:
-        if np.linalg.matrix_rank(points[keep] - points[keep[0]], tol=1e-9) == d:
-            try:
-                extreme = keep[ConvexHull(points[keep]).vertices]
-                keep = extreme[_dedup_sorted(points[extreme])]
-            except _qhull_error() as exc:
-                # the unpruned cloud still spans the hull
-                info["hull_fallback"] = str(exc).strip().split("\n", 1)[0]
+    keep, facets = _dedup_sorted(points), None
+    if keep.shape[0]:
+        try:
+            G, h, simplices = _hull_inequalities(points[keep])
+            # the first point, the smallest, is extreme; a point has no simplex
+            used = np.union1d(simplices, 0)
+            keep, facets = keep[used], (G, h, np.searchsorted(used, simplices))
+        except SolverStall as exc:
+            # the unpruned cloud still spans the hull
+            info["hull_fallback"] = str(exc.__cause__).strip().split("\n", 1)[0]
     points, sources = points[keep], sources[keep]
     points.setflags(write=False)
     sources.setflags(write=False)
@@ -777,6 +785,7 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
         provenance=None if provenance is None else tuple(provenance),
         info=info,
         hull_sources=sources,
+        facets=facets,
     )
 
 

@@ -125,6 +125,21 @@ class TestSerialization:
         with pytest.raises(RowSumViolation):
             load_channel(path)
 
+    @pytest.mark.parametrize("size", [2.7, True, "2"])
+    def test_alphabet_size_that_is_not_whole_is_rejected(self, tmp_path, size):
+        # the file's |X1| is 2; a fractional, boolean or string size is refused,
+        # not cast
+        path = tmp_path / "frac.json"
+        save_channel(fx.binary_degraded(), path)
+        doc = json.loads(path.read_text())
+        assert doc["x1"] == 2
+        doc["x1"] = size
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DimensionMismatch, match="whole number"):
+            load_channel(path)
+        with pytest.raises(DimensionMismatch, match="whole number"):
+            validate_channel(doc["p"], [size] + [doc[k] for k in ("x2", "y", "y1", "y2")])
+
     def test_malformed_file_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"p": []}')

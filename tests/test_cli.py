@@ -652,6 +652,18 @@ class TestSecrecyCapacity:
                    "--config", cfg])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc", [[], "x", ["seed"]], ids=["list", "string", "keys"])
+    @pytest.mark.parametrize("command", ["secrecy-capacity", "region"])
+    def test_config_that_is_not_an_object(self, channel_files, tmp_path, capsys,
+                                          command, doc):
+        cfg = _write_json(tmp_path / "cfg.json", doc)
+        bound = ["--bound", "inner1"] if command == "region" else []
+        rc = main([command, str(channel_files["clean_mac"]), *bound, "--config", cfg,
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert _stderr_error(capsys)["message"] == "search config must be a JSON object"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_fractional_cardinalities_are_input_errors(self, channel_files, tmp_path,
                                                        capsys):
         cfg = _write_json(tmp_path / "cfg.json", {"cardinalities": [2.9, 1.5, 1]})

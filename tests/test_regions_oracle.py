@@ -465,37 +465,88 @@ def _sample_tuples(samples):
             for s in samples]
 
 
+_FIXES = [{"R0": 0.0, "R1e": 0.0, "R2e": 0.0},
+          {"R0": 0.002, "R1e": 0.0, "R2e": 0.0},
+          {"R0": 0.0, "R1e": 0.001, "R2e": 1e-5}]
+
+
+def _probe_points(pts):
+    """Points around a hull's cloud, some inside it and some outside."""
+    rng = np.random.default_rng(7)
+    centre = pts.mean(axis=0)
+    return centre + rng.uniform(0.5, 3.0, size=(50, 1)) * (
+        rng.dirichlet(np.full(pts.shape[0], 0.3), size=50) @ pts - centre)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of regions.<name> from here on."""
+    calls = []
+    real = getattr(regions, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regions, name, counting)
+    return calls
+
+
 class TestHullFacetCache:
-    def test_facets_are_built_once_per_region(self, monkeypatch):
+    def test_convexify_runs_the_hull_once(self, monkeypatch):
+        builds = _counting(monkeypatch, "_hull_inequalities")
+        hulls = _counting(monkeypatch, "ConvexHull")
         region = _two_set_region()
-        builds = []
-        real = regions._hull_inequalities
+        assert len(builds) == 1 and len(hulls) == 1
+        points = _probe_points(region.hull_points)
+        answers = []
+        # a copy keeps the facets; neither region builds them again
+        for r in (region, dataclasses.replace(region)):
+            answers.append((
+                [_sample_tuples(frontier_sweep(r, ("R1", "R2"), fixed=f)) for f in _FIXES],
+                [frontier(r, ("R1", "R2"), fixed=f).tobytes() for f in _FIXES],
+                [region_contains(r, x) for x in points]))
+        assert len(builds) == 1 and len(hulls) == 1
+        assert answers[0] == answers[1]
+        assert 0 < sum(answers[0][2]) < len(points)
 
-        def counting(points):
-            builds.append(1)
-            return real(points)
+    def test_flat_clouds_are_pruned(self):
+        # two squares in the plane Re = 0.25, one inside the other: the hull
+        # keeps the outer square's corners only
+        coords = ("R0", "R1", "Re")
+        squares = [polytope(coords, [((1.0, 0.0, 0.0), side), ((0.0, 1.0, 0.0), side),
+                                     ((0.0, 0.0, 1.0), 0.25), ((0.0, 0.0, -1.0), -0.25)])
+                   for side in (0.5, 0.25)]
+        region = convexify(squares)
+        assert region.hull_points.tolist() == [[0.0, 0.0, 0.25], [0.0, 0.5, 0.25],
+                                               [0.5, 0.0, 0.25], [0.5, 0.5, 0.25]]
+        assert region.hull_sources.tolist() == [0, 0, 0, 0]
 
-        monkeypatch.setattr(regions, "_hull_inequalities", counting)
-        fixes = [{"R0": 0.0, "R1e": 0.0, "R2e": 0.0},
-                 {"R0": 0.002, "R1e": 0.0, "R2e": 0.0},
-                 {"R0": 0.0, "R1e": 0.001, "R2e": 1e-5}]
+    def test_empty_region_has_no_facets(self):
+        with pytest.raises(EmptySlice):
+            convexify([], coords=("R0", "R1")).hull_facets
+        leaky = assemble_region(fx.noiseless_wiretapper(), "secrecy-one-set",
+                                SearchConfig(sample_count=60, seed=5))
+        assert leaky.hull_points.shape[0] == 0
+        with pytest.raises(EmptySlice):
+            leaky.hull_facets
+
+    def test_facets_are_built_once_per_region(self, monkeypatch):
+        # a region given no facets builds them on first use, and keeps them
+        region = dataclasses.replace(_two_set_region(), facets=None)
+        builds = _counting(monkeypatch, "_hull_inequalities")
         sweeps = [_sample_tuples(frontier_sweep(region, ("R1", "R2"), fixed=f))
-                  for f in fixes]
-        pts = region.hull_points
-        rng = np.random.default_rng(7)
-        centre = pts.mean(axis=0)
-        points = centre + rng.uniform(0.5, 3.0, size=(50, 1)) * (
-            rng.dirichlet(np.full(pts.shape[0], 0.3), size=50) @ pts - centre)
+                  for f in _FIXES]
+        points = _probe_points(region.hull_points)
         verdicts = [region_contains(region, x) for x in points]
         assert len(builds) == 1
         assert 0 < sum(verdicts) < len(verdicts)
         # a fresh region builds its own facets and answers the same
-        for f, sweep in zip(fixes, sweeps):
+        for f, sweep in zip(_FIXES, sweeps):
             fresh = dataclasses.replace(region)
             assert _sample_tuples(frontier_sweep(fresh, ("R1", "R2"), fixed=f)) == sweep
         fresh = [region_contains(dataclasses.replace(region), x) for x in points]
         assert fresh == verdicts
-        assert len(builds) == 1 + len(fixes) + len(points)
+        assert len(builds) == 1 + len(_FIXES) + len(points)
 
 
 class TestExactness:
@@ -518,7 +569,8 @@ def _simplex_and_cube():
 class TestNoSilentFallbacks:
     def test_membership_lp_failure_raises(self, monkeypatch):
         # membership reads the hull's facets, so a Qhull failure must raise
-        region = convexify([polytope(NAMES[:2], [((1.0, 1.0), 1.0)])])
+        region = dataclasses.replace(
+            convexify([polytope(NAMES[:2], [((1.0, 1.0), 1.0)])]), facets=None)
         self._qhull_failing(monkeypatch, calls_to_fail=1)
         with pytest.raises(SolverStall):
             region_contains(region, (0.2, 0.2))
@@ -536,7 +588,7 @@ class TestNoSilentFallbacks:
         monkeypatch.setattr(regions, "ConvexHull", hull)
 
     def test_qhull_failure_is_not_cached(self, monkeypatch):
-        region = convexify(_simplex_and_cube())
+        region = dataclasses.replace(convexify(_simplex_and_cube()), facets=None)
         self._qhull_failing(monkeypatch, calls_to_fail=1)
         with pytest.raises(SolverStall):
             region_contains(region, (0.1, 0.1, 0.1))
