@@ -251,12 +251,15 @@ def cmd_check_degraded(args) -> int:
 
 def cmd_secrecy_capacity(args) -> int:
     from .infotheory import scheme_to_dict
-    from .optimizer import maximize_secrecy_capacity
+    from .optimizer import _degradedness, maximize_secrecy_capacity
 
     started = time.monotonic()
     channel = load_channel(args.channel)
     config = _load_config(args.config)
     variant = "degraded" if args.degraded else "general"
+    # the degraded form holds only on a degraded channel; warn, and record
+    # the verdict as region does
+    certificate = _degradedness(channel) if args.degraded else None
     value, scheme = maximize_secrecy_capacity(channel, r0=args.r0,
                                               config=config, variant=variant)
     doc = {
@@ -266,6 +269,9 @@ def cmd_secrecy_capacity(args) -> int:
         "config": config.to_dict(),
         "witness": scheme_to_dict(scheme),
     }
+    if certificate is not None:
+        doc["degradedness_verdict"] = certificate.verdict
+        doc["degradedness_residual"] = certificate.residual
     if args.out:
         _write_json(args.out, doc)
         _write_json(_manifest_path(args.out), _manifest(
@@ -383,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", type=float, default=0.0, help="common rate to sustain")
     p.add_argument("--config", default=None, help="search-config JSON file")
     p.add_argument("--degraded", action="store_true",
-                   help="use the degraded-channel form (no auxiliary)")
+                   help="use the degraded-channel form (no auxiliary); the channel's "
+                        "degradedness is checked and recorded")
     p.add_argument("--out", default=None, help="write the result JSON here too")
     p.set_defaults(func=cmd_secrecy_capacity)
 

@@ -86,18 +86,22 @@ DEFAULT_MAX_STATES = 10_000_000
 def max_states() -> int:
     """Enumeration ceiling for dense joint state spaces.
 
-    Defaults to 1e7 entries; the GMAC_MAX_STATES environment variable
-    overrides it.
+    Defaults to 1e7 entries; the GMAC_MAX_STATES environment variable, a
+    positive whole number such as 4096 or 1e7, overrides it.
     """
     raw = os.environ.get("GMAC_MAX_STATES")
     if raw is None:
         return DEFAULT_MAX_STATES
     try:
-        value = int(float(raw))
+        number = float(raw)
     except ValueError:
         raise GmacError(f"GMAC_MAX_STATES is not a number: {raw!r}")
-    except OverflowError:
+    if not math.isfinite(number):
         raise GmacError(f"GMAC_MAX_STATES must be finite, got {raw!r}")
+    try:
+        value = whole_number("GMAC_MAX_STATES", number)
+    except ValueError as exc:
+        raise GmacError(str(exc)) from None
     if value <= 0:
         raise GmacError(f"GMAC_MAX_STATES must be positive, got {value}")
     return value

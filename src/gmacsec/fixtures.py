@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSpec, compose_degraded_channel, save_channel, validate_channel
+from .errors import whole_number
 from .infotheory import SchemeDegraded, SchemeOneSet, SchemeOneSetOuter, SchemeTwoSet
 
 
@@ -137,9 +138,10 @@ def identity_copy(flip: float = 0.1) -> ChannelSpec:
 def random_channel(sizes, rng, concentration: float = 1.0) -> ChannelSpec:
     """Random channel with Dirichlet rows, one per input pair.
 
-    sizes is (|X1|, |X2|, |Y|, |Y1|, |Y2|); rng is a numpy Generator.
+    sizes is (|X1|, |X2|, |Y|, |Y1|, |Y2|), whole numbers; rng is a numpy
+    Generator.
     """
-    sx1, sx2, sy, sy1, sy2 = (int(s) for s in sizes)
+    sx1, sx2, sy, sy1, sy2 = (whole_number("alphabet size", s) for s in sizes)
     block = sy * sy1 * sy2
     rows = rng.dirichlet(np.full(block, concentration), size=sx1 * sx2)
     table = rows.reshape(sx1, sx2, sy, sy1, sy2)

@@ -405,7 +405,8 @@ def scheme_to_dict(scheme) -> dict:
 
 
 def scheme_from_dict(doc: dict):
-    """Inverse of scheme_to_dict."""
+    """Inverse of scheme_to_dict. A key other than kind and the kind's
+    fields raises DimensionMismatch."""
     try:
         kind = doc["kind"]
     except (KeyError, TypeError) as exc:
@@ -413,6 +414,9 @@ def scheme_from_dict(doc: dict):
     if kind not in _SCHEME_FIELDS:
         raise DimensionMismatch(f"unknown scheme kind {kind!r}")
     spec = _SCHEME_FIELDS[kind]
+    unknown = [key for key in doc if key != "kind" and key not in spec.fields]
+    if unknown:
+        raise DimensionMismatch(f"a {kind} scheme document has unknown keys {unknown}")
     try:
         arrays = {f: np.asarray(doc[f], dtype=float) for f in spec.fields}
     except (KeyError, TypeError, ValueError) as exc:

@@ -345,6 +345,21 @@ def maximize_secrecy_capacity(channel: ChannelSpec, r0: float = 0.0,
     return value, scheme
 
 
+def _degradedness(channel: ChannelSpec):
+    """check_stochastically_degraded of the channel, for a search that uses
+    the degraded-channel formulas; a channel that is not degraded raises
+    NotDegradedWarning."""
+    certificate = check_stochastically_degraded(channel)
+    if certificate.verdict == "not-degraded":
+        warnings.warn(
+            "degraded-channel formulas evaluated on a channel that is not "
+            f"stochastically degraded (residual {certificate.residual:.3e})",
+            NotDegradedWarning,
+            stacklevel=3,
+        )
+    return certificate
+
+
 def assemble_region(channel: ChannelSpec, bound: str,
                     config: SearchConfig | None = None) -> RateRegion:
     """Search schemes, collect their pieces, and convexify the union.
@@ -366,16 +381,7 @@ def assemble_region(channel: ChannelSpec, bound: str,
         raise ValueError("strategy 'random+refine' refines a single best scheme and "
                          "cannot assemble a region; use 'random' or 'grid'")
     table = _BOUND_TABLES[bound]
-    certificate = None
-    if bound == "degraded":
-        certificate = check_stochastically_degraded(channel)
-        if certificate.verdict == "not-degraded":
-            warnings.warn(
-                "degraded-channel formulas evaluated on a channel that is not "
-                f"stochastically degraded (residual {certificate.residual:.3e})",
-                NotDegradedWarning,
-                stacklevel=2,
-            )
+    certificate = _degradedness(channel) if bound == "degraded" else None
     visited = 0
     pieces = []
     provenance = []

@@ -9,8 +9,8 @@ Each bound the package builds is a BoundTable: fixed constraint rows whose
 right-hand sides are signed sums of information terms, each term written
 once as an I(A;B|C) expression over the joint of the table's scheme kind.
 The table expands its brackets once, when it is built, into plain pieces
-whose coefficient matrices every scheme shares; bound_pieces fills in one
-scheme's right-hand sides.
+whose coefficient matrices every scheme shares, with each repeated row
+merged into one; bound_pieces fills in one scheme's right-hand sides.
 
 Because every piece is pointed, emptiness and support queries are answered
 from its vertices. One enumerator, _SubsystemIndex, finds them: it indexes
@@ -20,9 +20,10 @@ test of every (piece, subsystem) pair and one rounding and grouping of the
 solutions the pieces keep. A BoundTable owns the index of its pieces, and
 bound_pieces runs its pass once per scheme, so every piece it returns comes
 with its vertices. Any other piece enumerates its own on first use, as an
-index of one piece: the rows it keeps at its own bounds. Hull membership,
-hull slices and the time-sharing mix behind each frontier point come from
-the facets of one Qhull run per region. No query here solves an LP.
+index of one piece: its tightest row per coefficient vector. Hull
+membership, hull slices and the time-sharing mix behind each frontier point
+come from the facets of one Qhull run per region. No query here solves an
+LP.
 """
 
 from __future__ import annotations
@@ -213,6 +214,14 @@ class _AtZero:
     terms: tuple
 
 
+@dataclass(frozen=True)
+class _Min:
+    """The rule of a row a piece holds more than once: the smallest bound
+    of its copies' distinct rules, in row order, the first on a tie."""
+
+    rules: tuple
+
+
 class BoundTable:
     """One bound as fixed rows whose right-hand sides are affine in a few
     information terms.
@@ -230,9 +239,12 @@ class BoundTable:
     per plain piece, its read-only coefficient matrix, shared by every
     scheme, and the index into rules of each row's bound. A rule is the
     row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
-    The table also owns the _SubsystemIndex of its pieces, built when
-    bound_pieces first needs it, which finds the vertices of all of a
-    scheme's pieces in one pass; two threads that race only build it twice.
+    A row that the expansion gives a piece more than once is kept once, at
+    its first copy, and its rule is the _Min of its copies' rules, so no
+    piece holds a repeated row. The table also owns the _SubsystemIndex of its pieces,
+    built when bound_pieces first needs it, which finds the vertices of all
+    of a scheme's pieces in one pass; two threads that race only build it
+    twice.
     A term value that is NaN or infinite is refused by bound_pieces, before
     any bound is filled in.
     """
@@ -251,8 +263,13 @@ class BoundTable:
         for fam in self.families:
             plain = [(lhs, terms) for lhs, affine, terms in fam if affine is None]
             for pairs in _expand(plain, [r for r in fam if r[1] is not None], _AtZero):
-                A = np.array([lhs for lhs, _ in pairs]).reshape(len(pairs), len(self.coords))
-                index = np.array([rules.setdefault(r, len(rules)) for _, r in pairs], np.intp)
+                copies = {}                   # row bytes -> (row, its distinct rules)
+                for lhs, r in pairs:
+                    copies.setdefault(lhs.tobytes(), (lhs, {}))[1].setdefault(r)
+                merged = [(lhs, _Min(tuple(rs)) if len(rs) > 1 else next(iter(rs)))
+                          for lhs, rs in copies.values()]
+                A = np.array([lhs for lhs, _ in merged]).reshape(len(merged), len(self.coords))
+                index = np.array([rules.setdefault(r, len(rules)) for _, r in merged], np.intp)
                 A.setflags(write=False)
                 index.setflags(write=False)
                 pieces.append((A, index))
@@ -342,6 +359,9 @@ def _fill(rule, values) -> float:
         return _evaluate(rule, values)
     if isinstance(rule, _AtZero):
         return _at_zero(_evaluate(rule.terms, values))
+    if isinstance(rule, _Min):
+        # min keeps the first of equal values: 0.0 before a later -0.0
+        return min(_fill(r, values) for r in rule.rules)
     return rule
 
 
@@ -397,23 +417,21 @@ def _row_bits(flags: np.ndarray) -> np.ndarray:
 class _SubsystemIndex:
     """The vertex subsystems of a list of pieces (a BoundTable's, or one
     polytope's), each found and inverted once for all of them, and the one
-    pass that finds every piece's vertices for one set of bounds.
+    pass that finds every piece's vertices for one set of bounds. No piece
+    may repeat a coefficient row: a table merges its copies, and
+    piece_vertices keeps the tightest.
 
     A holds the pieces' distinct rows, as (coefficient vector, rule) pairs,
     and the d rows of -I, in lexicographic order of their coefficients, so
     a subsystem lists its rows in ascending row number; rule[r] indexes the
     bounds, or is len(bounds), a zero bound, for a row of -I. Subsystem s
     is the distinct nonsingular row set rows[s], solved by inverses[s];
-    zero[s] marks the coordinates its rows of -I fix at zero. pieces[k] is
-    piece k's (subsystems, positions, rows): its nonsingular subsystems, in
-    itertools order over its full matrix (its rows, then -I), as indices
-    into rows (of the smallest unsigned type that holds them) and as
-    positions in that matrix, and the row number of each position.
-    masks[k] packs those rows by _row_bits, and repeats holds the pieces'
-    groups of repeated rows (_repeats). _kept memoizes, per piece and choice
-    of kept rows, what _piece_subsystems gives. Everything else is
-    immutable once built, and two threads that race on _kept only compute
-    the same value twice, so no lock is held.
+    zero[s] marks the coordinates its rows of -I fix at zero. The (piece,
+    subsystem) pairs run piece by piece, each piece's nonsingular
+    subsystems in itertools order over its full matrix (its rows, then
+    -I): pair i is subsystem subsystems[i] of piece owners[i], both of the
+    smallest unsigned type that holds them. masks[k] packs piece k's rows
+    by _row_bits. Everything is immutable once built.
     """
 
     A: np.ndarray
@@ -421,10 +439,9 @@ class _SubsystemIndex:
     rows: np.ndarray
     inverses: np.ndarray
     zero: np.ndarray
-    pieces: tuple
-    masks: tuple
-    repeats: tuple
-    _kept: dict = field(default_factory=dict, repr=False, compare=False)
+    subsystems: np.ndarray
+    owners: np.ndarray
+    masks: np.ndarray
 
     @classmethod
     def build(cls, d: int, n_rules: int, pieces) -> _SubsystemIndex:
@@ -461,31 +478,27 @@ class _SubsystemIndex:
         small = np.min_scalar_type(A.shape[0])
         sets = [np.sort(rows.astype(small)[subsets[rows.shape[0]]], axis=1)
                 for rows in piece_rows]
-        splits = np.cumsum([len(s) for s in sets])[:-1]
+        owners = np.repeat(np.arange(len(pieces), dtype=np.min_scalar_type(len(pieces))),
+                           [len(s) for s in sets])
         sets = np.concatenate(sets)
         first, inverse = _distinct(sets)     # subset -> its distinct subset
         candidates = sets[first].astype(np.intp)
         nonsingular = np.abs(np.linalg.det(A[candidates])) > 1e-10
         slot = np.cumsum(nonsingular) - 1     # candidate -> subsystem, if nonsingular
         rows = candidates[nonsingular]
-        number = np.min_scalar_type(rows.shape[0])   # the type of a subsystem's index
+        ok = nonsingular[inverse]
+        subsystems = slot[inverse[ok]].astype(np.min_scalar_type(rows.shape[0]))
         axis = np.full(A.shape[0], -1)        # row -> the coordinate its -I row fixes
         axis[piece_rows[0][-d:]] = np.arange(d)
         zero = np.zeros(rows.shape, dtype=bool)
         at, col = np.nonzero(axis[rows] >= 0)
         zero[at, axis[rows[at, col]]] = True
-        index_pieces, masks = [], []
-        for rows_k, inverse_k in zip(piece_rows, np.split(inverse, splits)):
-            ok = nonsingular[inverse_k]
-            positions = subsets[rows_k.shape[0]][ok].astype(np.min_scalar_type(rows_k.shape[0]))
-            index_pieces.append((slot[inverse_k[ok]].astype(number), positions, rows_k))
-            flags = np.zeros(A.shape[0], dtype=bool)
-            flags[rows_k] = True
-            masks.append(_row_bits(flags))
-        index = cls(A, rule, rows, np.linalg.inv(A[rows]), zero, tuple(index_pieces),
-                    tuple(masks), _repeats(pieces, n_rules))
-        for array in (A, rule, rows, index.inverses, zero, *masks, *index.repeats[:2],
-                      *itertools.chain.from_iterable(index_pieces)):
+        flags = np.zeros((len(pieces), A.shape[0]), dtype=bool)
+        for k, rows_k in enumerate(piece_rows):
+            flags[k, rows_k] = True
+        index = cls(A, rule, rows, np.linalg.inv(A[rows]), zero, subsystems, owners[ok],
+                    _row_bits(flags))
+        for array in vars(index).values():
             array.setflags(write=False)
         return index
 
@@ -496,7 +509,7 @@ class _SubsystemIndex:
         VERTEX_CEILING vertices raises VertexEnumerationOverflow.
 
         One solve of the index (_solve) and one test of every (piece,
-        subsystem) pair of _piece_subsystems against the violated bits give
+        subsystem) pair against the violated bits of the piece's rows give
         each piece's feasible solutions in its subsystem order. The
         solutions that some piece keeps are rounded and grouped once
         (_key_groups). Each piece then keeps the first of its solutions in
@@ -505,21 +518,14 @@ class _SubsystemIndex:
         vertex.
         """
         sols, violated = self._solve(bounds)
-        subsystems = self._piece_subsystems(bounds)
-        sizes = [ids.shape[0] for ids, _ in subsystems]
-        # every pair's piece, compact while all pairs are held
-        piece = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))),
-                          sizes)
-        ids = np.concatenate([ids for ids, _ in subsystems])
-        masks = np.stack([mask for _, mask in subsystems])
-        ok = np.empty(ids.shape[0], dtype=bool)
-        for i in range(0, ids.shape[0], _PAIR_BLOCK):
+        ok = np.empty(self.subsystems.shape[0], dtype=bool)
+        for i in range(0, ok.shape[0], _PAIR_BLOCK):
             at = slice(i, i + _PAIR_BLOCK)
-            hit = violated[ids[at]]
-            hit &= masks[piece[at]]
+            hit = violated[self.subsystems[at]]
+            hit &= self.masks[self.owners[at]]
             np.logical_not(hit.any(axis=1), out=ok[at])
         ok = np.flatnonzero(ok)
-        ids, piece = ids[ok], piece[ok].astype(np.intp)
+        ids, piece = self.subsystems[ok].astype(np.intp), self.owners[ok].astype(np.intp)
         used = np.flatnonzero(np.bincount(ids, minlength=sols.shape[0]))
         heads, groups = _key_groups(sols[used])
         label = np.empty(sols.shape[0], dtype=np.intp)   # a kept solution's group
@@ -536,7 +542,7 @@ class _SubsystemIndex:
         keep = np.argsort(first)
         verts = sols[ids[first[keep]]]
         verts[zeros[keep]] = 0.0
-        counts = np.bincount(piece[first], minlength=len(sizes))
+        counts = np.bincount(piece[first], minlength=self.masks.shape[0])
         if counts.max() > VERTEX_CEILING:
             raise VertexEnumerationOverflow(
                 f"{counts.max()} vertices exceed the ceiling {VERTEX_CEILING}")
@@ -558,97 +564,34 @@ class _SubsystemIndex:
             np.less_equal(sols[i:i + step] @ self.A.T, limit, out=ok[i:i + step])
         return sols, _row_bits(np.logical_not(ok, out=ok))
 
-    def _piece_subsystems(self, bounds: np.ndarray) -> list:
-        """(subsystems, mask) of every piece for one set of bounds (one per
-        rule), once each group of repeated rows keeps only its row with the
-        smallest bound, the first on a tie: the piece's subsystems that
-        avoid the dropped rows, as indices into rows, in itertools order,
-        and the packed bits (_row_bits) of the rows left, then -I. One
-        argmin picks the kept row of every group; a piece that repeats rows
-        reads its pair from the memo _kept, keyed by the piece and its kept
-        rows."""
-        members, rules, starts = self.repeats
-        kept = _kept_rows(members, rules, bounds).tolist()
-        out = []
-        for k, (ids, positions, rows) in enumerate(self.pieces):
-            lo, hi = starts[k], starts[k + 1]
-            if lo == hi:
-                out.append((ids, self.masks[k]))
-                continue
-            key = (k, tuple(kept[lo:hi]))
-            found = self._kept.get(key)
-            if found is None:
-                group = members[lo:hi]
-                dropped = np.zeros(rows.shape[0], dtype=bool)
-                dropped[group[group >= 0]] = True
-                dropped[list(key[1])] = False
-                flags = np.zeros(self.A.shape[0], dtype=bool)
-                flags[rows[~dropped]] = True
-                found = (ids[~np.any(dropped[positions], axis=1)], _row_bits(flags))
-                for array in found:
-                    array.setflags(write=False)
-                self._kept[key] = found
-            out.append(found)
-        return out
-
-
-def _repeats(pieces, n_rules: int):
-    """(members, rules, starts): the groups of rows of each of pieces, (A,
-    rule index) pairs, that repeat one coefficient vector. Group g lists
-    its rows, in ascending order, in members[g] and their rules in
-    rules[g], padded on the right with -1 and n_rules; piece k's groups are
-    starts[k]:starts[k + 1]."""
-    groups, starts = [], [0]
-    for A, index in pieces:
-        rows = {}                             # row bytes -> its rows
-        for i, row in enumerate(A):
-            rows.setdefault(row.tobytes(), []).append(i)
-        groups += [(g, index[g]) for g in rows.values() if len(g) > 1]
-        starts.append(len(groups))
-    width = max((len(g) for g, _ in groups), default=1)
-    members = np.full((len(groups), width), -1, dtype=np.intp)
-    rules = np.full((len(groups), width), n_rules, dtype=np.intp)
-    for g, (rows, rule) in enumerate(groups):
-        members[g, :len(rows)] = rows
-        rules[g, :len(rows)] = rule
-    return members, rules, tuple(starts)
-
-
-def _kept_rows(members, rules, bounds: np.ndarray) -> np.ndarray:
-    """The row each group of repeated rows keeps (_repeats), for bounds
-    (one per rule): its row with the smallest bound, the first on a tie."""
-    pick = np.argmin(np.append(bounds, np.inf)[rules], axis=1)
-    return members[np.arange(members.shape[0]), pick]
-
 
 def piece_vertices(piece: RatePolytope) -> np.ndarray:
     """Enumerate the vertices of a piece.
 
     Solves every nonsingular d x d subsystem drawn from the constraints
     (one per repeated coefficient vector, the one with the smallest bound,
-    the first on a tie) plus the implicit nonnegativity facets and keeps
-    the feasible solutions, one per group that agrees to DEDUP_DECIMALS
-    places: the first in subsystem order. A coordinate that a nonnegativity
-    facet of any subsystem of the group fixes is exactly 0.0. The piece is
-    an index of one piece, whose rules are the rows it keeps at its own
-    bounds, built and solved on each call; the pieces bound_pieces makes
-    come with the same vertices, from their table's pass over all of a
-    scheme's pieces. Intended for the low-dimensional polytopes this
-    package produces (dim <= 5); raises VertexEnumerationOverflow if the
-    subsystem count of the rows it keeps would exceed COMBO_CEILING or the
-    vertex count VERTEX_CEILING. Unboundedness is not detected here;
-    convexify checks it.
+    the first on a tie, at its own position) plus the implicit
+    nonnegativity facets and keeps the feasible solutions, one per group
+    that agrees to DEDUP_DECIMALS places: the first in subsystem order. A
+    coordinate that a nonnegativity facet of any subsystem of the group
+    fixes is exactly 0.0. The piece is an index of one piece, whose rules
+    are the rows it keeps, built and solved on each call; the pieces
+    bound_pieces makes repeat no row, and come with the same vertices, from
+    their table's pass over all of a scheme's pieces. Intended for the
+    low-dimensional polytopes this package produces (dim <= 5); raises
+    VertexEnumerationOverflow if the subsystem count of the rows it keeps
+    would exceed COMBO_CEILING or the vertex count VERTEX_CEILING.
+    Unboundedness is not detected here; convexify checks it.
     """
-    d, m = piece.dim, piece.A.shape[0]
-    # its one set of bounds is known, so its index needs only the rows it
-    # keeps, each its own rule
-    members, rules, _ = _repeats([(piece.A, np.arange(m))], m)
-    keep = np.ones(m + 1, dtype=bool)         # the padding -1 lands on keep[m]
-    keep[members] = False
-    keep[_kept_rows(members, rules, piece.b)] = True
-    rows = np.flatnonzero(keep[:m])
-    verts, _ = _SubsystemIndex.build(d, m, [(piece.A[rows], rows)]).vertices(piece.b)
-    return verts
+    b = piece.b.tolist()
+    kept = {}                                 # row bytes -> the row kept
+    for i, row in enumerate(piece.A):
+        j = kept.setdefault(row.tobytes(), i)
+        if b[i] < b[j]:
+            kept[row.tobytes()] = i
+    rows = np.array(sorted(kept.values()), dtype=np.intp)
+    index = _SubsystemIndex.build(piece.dim, len(b), [(piece.A[rows], rows)])
+    return index.vertices(piece.b)[0]
 
 
 def _distinct(keys: np.ndarray):

@@ -19,6 +19,15 @@ from gmacsec import fixtures as fx
 from references import perturb_preserving_marginals
 
 
+@pytest.mark.parametrize("sizes", [(2.7, 2, 3, 2, 2), (2, True, 3, 2, 2)])
+def test_random_channel_sizes_are_whole_numbers(sizes):
+    # neither is truncated: 2.7 to 2, True to 1
+    with pytest.raises(ValueError, match="whole number"):
+        fx.random_channel(sizes, np.random.default_rng(0))
+    assert fx.random_channel((2.0, 1, 3, 2, 2), np.random.default_rng(0)).prob.shape == (
+        2, 1, 3, 2, 2)
+
+
 def _bsc(p):
     return np.array([[1 - p, p], [p, 1 - p]])
 

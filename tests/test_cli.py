@@ -3,17 +3,20 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from gmacsec import (
+    NotDegradedWarning,
     SolverStall,
     fixtures as fx,
     scheme_from_dict,
     scheme_to_dict,
 )
 from gmacsec.channel import load_channel, save_channel, validate_channel
+from gmacsec import optimizer
 from gmacsec.cli import _BOUND_ALIASES, _g9, main
 from gmacsec.infotheory import _SCHEME_FIELDS
 from gmacsec.optimizer import _BOUND_TABLES, SearchConfig
@@ -627,6 +630,31 @@ class TestSecrecyCapacity:
         assert manifest["command"] == "secrecy-capacity"
         assert manifest["config_digest"] is not None
 
+    def test_degraded_search_checks_the_channel(self, channel_files, capsys, monkeypatch):
+        calls = []
+        check = optimizer.check_stochastically_degraded
+        monkeypatch.setattr(optimizer, "check_stochastically_degraded",
+                            lambda channel: calls.append(channel) or check(channel))
+        with pytest.warns(NotDegradedWarning, match="residual 1.000e-01"):
+            rc = main(["secrecy-capacity", str(channel_files["noiseless_wiretapper"]),
+                       "--degraded"])
+        assert rc == 0 and len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["degradedness_verdict"] == "not-degraded"
+        assert doc["degradedness_residual"] == pytest.approx(0.1, rel=0.0, abs=1e-9)
+        # a degraded channel is recorded without a warning; the general form
+        # checks nothing
+        channel = str(channel_files["binary_degraded"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NotDegradedWarning)
+            assert main(["secrecy-capacity", channel, "--degraded"]) == 0
+            assert len(calls) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["degradedness_verdict"] == "stochastically-degraded"
+            assert main(["secrecy-capacity", channel]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == 2 and "degradedness_verdict" not in doc
+
     def test_common_rate_trades_against_secrecy(self, channel_files,
                                                 grid_config, capsys):
         rc = main(["secrecy-capacity", str(channel_files["clean_mac"]),
@@ -789,6 +817,16 @@ class TestInfo:
             scheme_to_dict(fx.uniform_u_equals_x1(channel)))
         got = self._query(chan_path, scheme_path, "I(U;Y2|X2,Q)", capsys)
         assert got == pytest.approx(0.0, abs=1e-12)
+
+    def test_unknown_scheme_keys_are_input_errors(self, channel_files, tmp_path, capsys):
+        doc = {**scheme_to_dict(fx.uniform_one_set_outer(fx.clean_mac())),
+               "kind": "one_set", "p_u_givn_q": [[1.0, 0.0]]}
+        rc = main(["info", str(channel_files["clean_mac"]), "--scheme",
+                   _write_json(tmp_path / "scheme.json", doc), "--query", "H(U)"])
+        assert rc == 2
+        error = _stderr_error(capsys)
+        assert error["error"] == "DimensionMismatch"
+        assert "p_v_given_q" in error["message"] and "p_u_givn_q" in error["message"]
 
     def test_query_validation(self, channel_files, one_set_scheme_file,
                               capsys):

@@ -169,6 +169,18 @@ class TestJointPMFGuards:
         with pytest.raises(GmacError, match="GMAC_MAX_STATES must be finite"):
             max_states()
 
+    @pytest.mark.parametrize("raw", ["2.5", "0.5"])
+    def test_fractional_state_ceiling_is_refused(self, raw, monkeypatch):
+        # not truncated to a ceiling of 2, or to 0 and "must be positive"
+        monkeypatch.setenv("GMAC_MAX_STATES", raw)
+        with pytest.raises(GmacError, match="GMAC_MAX_STATES must be a whole number"):
+            max_states()
+
+    @pytest.mark.parametrize("raw, value", [("1e7", 10_000_000), ("4.0", 4), ("8", 8)])
+    def test_whole_state_ceiling_in_any_notation(self, raw, value, monkeypatch):
+        monkeypatch.setenv("GMAC_MAX_STATES", raw)
+        assert max_states() == value
+
 
 def _groups(names):
     """Every nonempty subset of names, as a tuple in names' order."""
@@ -256,6 +268,15 @@ class TestSchemes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DimensionMismatch):
             scheme_from_dict({"kind": "three_set"})
+
+    def test_unknown_keys_rejected(self, clean_mac):
+        # an outer document relabelled as one_set, with a misspelled key:
+        # neither p_v_given_q nor the typo is dropped silently
+        doc = {**scheme_to_dict(fx.uniform_one_set_outer(clean_mac)),
+               "kind": "one_set", "p_u_givn_q": [[1.0, 0.0]]}
+        with pytest.raises(DimensionMismatch, match="unknown keys") as err:
+            scheme_from_dict(doc)
+        assert "p_v_given_q" in str(err.value) and "p_u_givn_q" in str(err.value)
 
     def test_non_scheme_rejected(self):
         with pytest.raises(TypeError):

@@ -11,7 +11,6 @@ every piece afresh, and byte for byte against own_enumeration, which finds
 and solves one piece's subsystems on their own.
 """
 
-import collections
 import dataclasses
 import itertools
 import math
@@ -46,6 +45,7 @@ from gmacsec.optimizer import SearchConfig, assemble_region
 from gmacsec.regions import BoundTable, bound_pieces
 from conftest import split_rows
 from references import piece_contains, piece_support, search_schemes, slice_piece
+from test_bound_tables import pieces_per_scheme
 
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
               "dual_feasibility_tolerance": 1e-10}
@@ -923,7 +923,7 @@ class TestTableSubsystems:
         table = _fresh_two_set()
         assert "_subsystem_index" not in vars(table)        # built on first use
         cold = [_vertex_bytes(bound_pieces(table, v)) for v in values]
-        assert "_subsystem_index" in vars(table) and table._subsystem_index._kept
+        assert "_subsystem_index" in vars(table)
         warm = [_vertex_bytes(bound_pieces(table, v)) for v in values]
         shared = [_vertex_bytes(bound_pieces(two_set.TWO_SET, v)) for v in values]
         assert cold == warm == shared
@@ -1033,25 +1033,25 @@ class TestTableSubsystems:
         assert not any(t.is_alive() for t in threads)
         assert not failures, failures[0]
 
-    def test_memo_stays_small_on_the_default_w2_assembly(self, monkeypatch):
+    def test_no_table_piece_repeats_a_row(self, monkeypatch):
+        # each table merges a piece's repeated rows when it is built
+        for name, table in TABLES.items():
+            for A, _ in table.pieces:
+                assert len({row.tobytes() for row in A}) == A.shape[0], name
         table = _fresh_two_set()
         monkeypatch.setitem(optimizer._BOUND_TABLES, "two-set", table)
         channel = fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(1))
         region = assemble_region(channel, "two-set")
         assert len(region.pieces) == 7778
-        # at most one entry per piece and choice of one row from each group
-        # of repeated rows
-        groups = [collections.Counter(row.tobytes() for row in A).values()
-                  for A, _ in table.pieces]
-        choices = sum(math.prod(g) for g in groups if max(g) > 1)
-        assert choices == 205
-        assert 0 < len(table._subsystem_index._kept) <= choices
+        index = table._subsystem_index
+        assert sum(A.shape[0] for A, _ in table.pieces) == 432
+        assert index.subsystems.shape == (58568,) and index.rows.shape == (7912, 5)
 
     def test_pieces_outside_a_table_keep_nothing(self, monkeypatch):
         table = _fresh_two_set()
         piece = bound_pieces(table, _two_set_values(4, 1)[0])[0]
         index = table._subsystem_index
-        kept = dict(index._kept)
+        arrays = {name: array.tobytes() for name, array in vars(index).items()}
         calls = _solves(monkeypatch)
         fixed = {name: 0.0 for name in piece.coords[2:]}
         copy = RatePolytope(piece.coords, piece.A, piece.b)
@@ -1059,11 +1059,12 @@ class TestTableSubsystems:
         assert len(copy.vertices) and len(piece.rays)
         assert len(slice_piece(piece, fixed).vertices)
         assert len(frontier(convexify([copy]), piece.coords[:2], fixed=fixed))
-        # each solved an index of its own, and the table's kept nothing more
+        # each solved an index of its own, and the table's is unchanged
         assert len(calls) == 4
         assert all(own is not index for own, _ in calls)
-        assert index._kept.keys() == kept.keys()
-        assert all(index._kept[key] is found for key, found in kept.items())
+        assert table._subsystem_index is index
+        assert {name: array.tobytes() for name, array in vars(index).items()} == arrays
+        assert not any(array.flags.writeable for array in vars(index).values())
         assert copy.vertices.tobytes() == piece.vertices.tobytes()
 
 
@@ -1118,65 +1119,67 @@ def test_table_pieces_equal_their_own_enumeration(name):
         assert len(kept) > len(table.pieces)
 
 
-def _last_on_tie(A, b):
-    """drop_repeated_rows with a tie going to the last row instead."""
-    best = {}
-    for i, row in enumerate(A):
-        key = row.tobytes()
-        if b[i] <= b[best.setdefault(key, i)]:
-            best[key] = i
-    return tuple(sorted(best.values()))
+def _copies(table, values):
+    """Per piece of the per-scheme reference expansion (pieces_per_scheme,
+    through expand_per_scheme), the bounds of each coefficient row's
+    copies, keyed by the row, in order of its first copy."""
+    out = []
+    for want in pieces_per_scheme(table, values):
+        copies = {}
+        for row, bound in zip(want.A, want.b.tolist()):
+            copies.setdefault(row.tobytes(), []).append(bound)
+        out.append(copies)
+    return out
+
+
+def _check_merged(pieces, references, decides) -> int:
+    """Each piece keeps each row of its reference once, at its first copy,
+    and its bound is, as bytes, the smallest of the copies' bounds, the
+    first on a tie; each piece where decides holds for the copies of some
+    row equals its own enumeration. Returns the number of such pieces."""
+    count = 0
+    for p, copies in zip(pieces, references, strict=True):
+        assert [row.tobytes() for row in p.A] == list(copies)
+        assert p.b.tobytes() == np.array([min(c) for c in copies.values()]).tobytes()
+        if any(decides(c) for c in copies.values()):
+            count += 1
+            want = own_enumeration(p).tobytes()
+            assert p.vertices.tobytes() == want and piece_vertices(p).tobytes() == want
+    return count
 
 
 def test_a_tie_keeps_the_first_repeated_row():
-    """On identity_copy two-set terms tie exactly, so repeated rows tie at
-    their bounds, and degenerate vertices carry solutions a few ulps apart.
-    Which of the tied rows a piece keeps then decides its vertex bytes: every
-    piece of the golden digests' first scheme where the tie decides equals
-    its own enumeration, which keeps the first."""
+    """On identity_copy two-set terms tie exactly, so a repeated row's copies
+    tie at their bounds, and degenerate vertices carry solutions a few ulps
+    apart. Each merged row keeps the first of the tied bounds, and every
+    piece of the golden digests' first scheme where copies tie at their
+    smallest bound equals its own enumeration."""
     channel = fx.identity_copy()
     config = SearchConfig(strategy="random", sample_count=1, cardinalities=(2, 2, 2),
                           seed=7)
     (scheme,) = search_schemes("two_set", channel, config)
-    decided = 0
-    for p in bound_pieces(two_set.TWO_SET, two_set.TWO_SET.scheme_terms(scheme, channel)):
-        first = drop_repeated_rows(p.A, p.b)
-        if first is None or first == _last_on_tie(p.A, p.b):
-            continue
-        decided += 1
-        want = own_enumeration(p).tobytes()
-        assert p.vertices.tobytes() == want and piece_vertices(p).tobytes() == want
+    terms = two_set.TWO_SET.scheme_terms(scheme, channel)
+    decided = _check_merged(bound_pieces(two_set.TWO_SET, terms),
+                            _copies(two_set.TWO_SET, terms),
+                            lambda c: c.count(min(c)) > 1)
     assert decided >= 30
-
-
-def _near_tie(A, b, tol=1e-12):
-    """Whether some repeated row of A has bounds that differ, by at most tol."""
-    bounds = collections.defaultdict(set)
-    for row, bound in zip(A, b.tolist()):
-        bounds[row.tobytes()].add(bound)
-    return any(len(g) > 1 and max(g) - min(g) <= tol for g in bounds.values())
 
 
 def test_a_near_tie_keeps_the_row_with_the_smaller_bound():
     """On leaky_wiretap the first scheme of this search has m2 = 2^-51 and
-    m1 - e1 of the same order, so repeated rows differ in their bounds by
-    rounding error only: piece 2 repeats one row at bounds 4.4e-16 and 0.0.
-    Keeping every repeated row moves such vertices by about 1e-15; every
-    piece with a near tie equals its own enumeration, which keeps the row
-    with the smaller bound, byte for byte."""
+    m1 - e1 of the same order, so a repeated row's copies differ in their
+    bounds by rounding error only: piece 2 repeats one row at bounds
+    4.4e-16 and 0.0. Keeping every copy moves such vertices by about 1e-15;
+    each merged row keeps the smaller bound, and every piece with a near
+    tie equals its own enumeration, byte for byte."""
     channel = fx.leaky_wiretap()
     config = SearchConfig(strategy="random", sample_count=1, cardinalities=(2, 3, 2),
                           seed=1)
     (scheme,) = search_schemes("two_set", channel, config)
     terms = two_set.TWO_SET.scheme_terms(scheme, channel)
     assert terms["m2"] == 2.0 ** -51 and abs(terms["m1"] - terms["e1"]) < 1e-15
-    pieces = bound_pieces(two_set.TWO_SET, terms)
-    assert sorted(set(pieces[2].b.tolist()) & {0.0, 2.0 ** -51}) == [0.0, 2.0 ** -51]
-    near = 0
-    for p in pieces:
-        if not _near_tie(p.A, p.b):
-            continue
-        near += 1
-        want = own_enumeration(p).tobytes()
-        assert p.vertices.tobytes() == want and piece_vertices(p).tobytes() == want
+    references = _copies(two_set.TWO_SET, terms)
+    assert any(set(c) == {0.0, 2.0 ** -51} for c in references[2].values())
+    near = _check_merged(bound_pieces(two_set.TWO_SET, terms), references,
+                         lambda c: len(set(c)) > 1 and max(c) - min(c) <= 1e-12)
     assert near >= 30

@@ -16,10 +16,18 @@ otherwise. The capacity search scores max(0, min(a - d, b - d - r0)), so
 at r0 = 0 the two agree, and a channel whose region is empty reads 0.0.
 At r0 > 0 the region time-shares between schemes and the capacity search
 does not, so there G6 is no equality.
+
+The established degraded region. On binary_degraded(p1, p2) the degraded
+bound has an exact one-parameter family of schemes s_beta, whose terms are
+closed forms in binary entropies. The printed degraded region must lie
+inside the hull of the family's pieces; the containment test derives why.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from gmacsec import EmptySlice, fixtures as fx
 from gmacsec.infotheory import SchemeDegraded, SchemeOneSetOuter
@@ -82,3 +90,116 @@ def test_g6_capacity_is_the_secrecy_region_top_at_r0_zero(name):
     except EmptySlice:
         top = 0.0
     assert value == pytest.approx(top, rel=0.0, abs=1e-12)
+
+
+# --- the established degraded region on binary_degraded ------------------------
+
+FLIPS = ((0.1, 0.1), (0.05, 0.2), (0.2, 0.05))
+
+
+def _h(p):
+    """Binary entropy in bits, elementwise, with h(0) = h(1) = 0."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p <= 0.0) | (p >= 1.0), 0.0, out)
+
+
+def _star(u, v):
+    """u * v = u(1 - v) + v(1 - u): the flip of two independent flips."""
+    return u * (1.0 - v) + v * (1.0 - u)
+
+
+def _family_terms(beta, p1, p2):
+    """(a, b, d) of s_beta on binary_degraded(p1, p2), in closed form:
+    a = h(beta * p1) - h(p1), b = 1 - h(p1), d = h(beta * p1 * p2) - h(p1 * p2)."""
+    beta = np.asarray(beta, dtype=float)
+    a = _h(_star(beta, p1)) - _h(p1)
+    b = np.full_like(beta, 1.0 - _h(p1))
+    d = _h(_star(_star(beta, p1), p2)) - _h(_star(p1, p2))
+    return a, b, d
+
+
+def _family_scheme(beta):
+    """s_beta: Q uniform on two letters, X2 a singleton, p(x1|q) = BSC(beta)."""
+    return SchemeDegraded(p_q_x2=np.array([[0.5], [0.5]]),
+                          p_x1_given_q=np.array([[1.0 - beta, beta], [beta, 1.0 - beta]]))
+
+
+# The paper's degraded rows over (R0, R1, Re), written out here rather than
+# read from one_set.DEGRADED: R1 <= a, R0 + R1 <= b, Re <= R1, Re <= a - d,
+# R0 + Re <= b - d; then x >= 0 as -I.
+_ROWS = np.array([[0, 1, 0], [1, 1, 0], [0, -1, 1], [0, 0, 1], [1, 0, 1],
+                  [-1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=float)
+_BASES = np.array([s for s in itertools.combinations(range(len(_ROWS)), 3)
+                   if abs(np.linalg.det(_ROWS[list(s)])) > 1e-9])
+_INVERSES = np.linalg.inv(_ROWS[_BASES])
+
+
+def _piece_supports(beta, p1, p2, directions):
+    """max g.x over the piece of s_beta, per beta (rows) and direction g
+    (columns), from the feasible basic solutions of the rows above."""
+    a, b, d = _family_terms(np.atleast_1d(beta), p1, p2)
+    zero = np.zeros_like(a)
+    rhs = np.stack([a, b, zero, a - d, b - d, zero, zero, zero], axis=1)
+    x = np.einsum("sij,nsj->nsi", _INVERSES, rhs[:, _BASES])
+    feasible = np.all(x @ _ROWS.T <= rhs[:, None, :] + 1e-12, axis=2)
+    values = np.where(feasible[..., None], x @ directions.T, -np.inf)
+    return values.max(axis=1)
+
+
+def _family_support(p1, p2, directions, points=2001):
+    """The family's support per direction: the maximum over beta in [0, 1/2]
+    of its piece's support, on a grid and then refined by a bounded scalar
+    search between the grid neighbours of the best point."""
+    grid = np.linspace(0.0, 0.5, points)
+    values = _piece_supports(grid, p1, p2, directions)
+    best = values.max(axis=0)
+    for k, g in enumerate(directions):
+        i = int(np.argmax(values[:, k]))
+        refined = minimize_scalar(
+            lambda beta: -_piece_supports(beta, p1, p2, g[None])[0, 0],
+            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]),
+            method="bounded", options={"xatol": 1e-12})
+        best[k] = max(best[k], -refined.fun)
+    return best
+
+
+@pytest.mark.parametrize("p1, p2", FLIPS)
+def test_degraded_terms_of_the_family_are_closed_forms(p1, p2):
+    channel = fx.binary_degraded(p1, p2)
+    for beta in (0.0, 0.1, 0.25, 0.5):
+        got = DEGRADED.scheme_terms(_family_scheme(beta), channel)
+        want = dict(zip("abd", (float(t) for t in _family_terms(beta, p1, p2))))
+        for name in "abd":
+            assert got[name] == pytest.approx(want[name], rel=0.0, abs=1e-12), name
+
+
+@pytest.mark.parametrize("p1, p2", FLIPS)
+def test_degraded_region_lies_in_the_closed_form_family(p1, p2):
+    """The degraded region at the default config has support at most the
+    family's, plus 1e-9, in 64 seeded unit directions of mixed sign.
+
+    On binary_degraded, X2 is a singleton, Y = X1 + Z1 and Y2 = Y + Z2 (mod
+    2), with Z1 ~ Bern(p1) and Z2 ~ Bern(p2) independent of each other and
+    of (Q, X1). A degraded scheme s then has
+        a(s) = H(Y|Q) - h(p1),  b(s) = H(Y) - h(p1),
+        d(s) = H(Y2|Q) - h(p1 * p2).
+    Every right-hand side of the five rows is nondecreasing in a and b and
+    nonincreasing in d. As beta runs over [0, 1/2], a(beta) runs
+    continuously over [0, 1 - h(p1)], which holds every a(s); pick beta
+    with a(beta) = a(s), so H(Y|Q) = h(beta * p1) under both. Then b(s) <=
+    1 - h(p1) = b(beta), since H(Y) <= 1. Mrs. Gerber's Lemma in its
+    conditional form (Wyner and Ziv 1973), for Y2 = Y + Z2 with Z2
+    independent of (Q, Y), gives H(Y2|Q) >= h(h^-1(H(Y|Q)) * p2) =
+    h(beta * p1 * p2), so d(s) >= d(beta). Hence the piece of s lies inside
+    the piece of s_beta, and the region, the hull of the searched pieces,
+    inside the hull of the family's pieces: its support along any g is at
+    most the family's.
+    """
+    channel = fx.binary_degraded(p1, p2)
+    region = assemble_region(channel, "degraded")
+    directions = np.random.default_rng(19).normal(size=(64, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    got = np.array([region_support(region, g) for g in directions])
+    assert np.all(got <= _family_support(p1, p2, directions) + 1e-9)
