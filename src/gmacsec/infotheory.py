@@ -16,6 +16,7 @@ CLI's info queries and the bounds' information terms are written.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
@@ -191,50 +192,31 @@ def parse_query(query: str) -> tuple:
     return "I", _names(sides[0]), _names(sides[1]), given
 
 
-def _as_prob_array(name, raw, ndim):
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != ndim:
-        raise DimensionMismatch(f"{name} must have {ndim} axes, got {arr.ndim}")
-    if np.any(arr < 0):
-        raise NegativeProbability(f"{name} has a negative entry")
-    return arr
-
-
-def _normalized_rows(name, raw):
-    """Validate a row-stochastic table (rows within 1e-9 of mass one)."""
-    arr = _as_prob_array(name, raw, 2)
-    sums = arr.sum(axis=1)
-    if not np.abs(sums - 1.0).max() <= MASS_TOL:
-        raise RowSumViolation(f"rows of {name} must sum to 1 within {MASS_TOL}")
-    arr = arr / sums[:, None]
-    arr.setflags(write=False)
-    return arr
-
-
-def _normalized_joint(name, raw, ndim):
-    arr = _as_prob_array(name, raw, ndim)
-    total = arr.sum()
-    if not abs(total - 1.0) <= MASS_TOL:
-        raise RowSumViolation(f"{name} must sum to 1 within {MASS_TOL}")
-    arr = arr / total
-    arr.setflags(write=False)
-    return arr
+def _simplex_normalized(rows: np.ndarray) -> np.ndarray:
+    """Each simplex of a table, laid out on its last axis, divided by its
+    sum: the package's one normalization of scheme tables."""
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 class _Scheme:
-    """Construction shared by the scheme dataclasses, read from their kind's
-    entry in _SCHEME_FIELDS: a joint table is normalized to total mass one,
-    a conditional table ("_given_") row by row, and tables that share a
-    variable must agree on its alphabet size."""
+    """Construction shared by the scheme dataclasses, on their kind's layout
+    (_Kind.blocks): every simplex must be nonnegative and sum to one within
+    MASS_TOL, and is then divided by its sum; tables that share a variable
+    must agree on its alphabet size."""
 
     def __post_init__(self):
         spec = _SCHEME_FIELDS[_kind_of(self)]
-        for f in spec.fields:
-            raw = getattr(self, f)
-            table = (_normalized_rows(f, raw) if "_given_" in f
-                     else _normalized_joint(f, raw, len(spec.letters[f])))
+        tables = {f: np.asarray(getattr(self, f), dtype=float) for f in spec.fields}
+        sizes = _alphabet_sizes(spec, {f: arr.shape for f, arr in tables.items()})
+        for f, rows, cols, shape in spec.blocks(sizes):
+            arr = tables[f].reshape(rows, cols)
+            if np.any(arr < 0):
+                raise NegativeProbability(f"{f} has a negative entry")
+            if not np.abs(arr.sum(axis=-1) - 1.0).max() <= MASS_TOL:   # NaN fails too
+                raise RowSumViolation(f"each simplex of {f} must sum to 1 within {MASS_TOL}")
+            table = _simplex_normalized(arr).reshape(shape)
+            table.setflags(write=False)
             object.__setattr__(self, f, table)
-        _alphabet_sizes(spec, {f: getattr(self, f).shape for f in spec.fields})
 
 
 @dataclass(frozen=True)
@@ -285,39 +267,48 @@ _VARIABLES = {"q": "Q", "u": "U", "v": "V", "x": "X1", "t": "X2",
 
 
 class _Kind:
-    """A scheme kind: its class, its stored fields in sampling order, and
-    its joint, spelled once as einsum subscripts: the fields in product
-    order (factors, when that is not the fields' order), then the channel,
-    over "xtywz", or over "xtyz" once Y1 is summed out when the joint does
-    not keep it.
+    """A scheme kind: its dataclass, whose fields in declaration order are
+    the sampling order, and its joint, spelled once as einsum subscripts:
+    the fields in product order (factors, when that is not the fields'
+    order), then the channel, over "xtywz", or over "xtyz" once Y1 is
+    summed out when the joint does not keep it.
     """
 
-    def __init__(self, cls, fields, subscripts, factors=None):
-        self.cls, self.fields = cls, fields
+    def __init__(self, cls, subscripts, factors=None):
+        self.cls = cls
+        self.fields = tuple(f.name for f in dataclasses.fields(cls))
         operands, self.out = subscripts.split("->")
         *letters, channel_letters = operands.split(",")
         # each field's letters, by field name in product order
-        self.letters = dict(zip(factors or fields, letters))
+        self.letters = dict(zip(factors or self.fields, letters))
         self.variables = tuple(_VARIABLES[c] for c in self.out)
         # the same product for N schemes stacked on a leading axis n
         self.stacked = ",".join(["n" + sub for sub in letters]
                                 + [f"{channel_letters}->n{self.out}"])
 
+    def blocks(self, sizes: dict) -> list:
+        """The simplex layout (name, rows, cols, shape) of each field, in
+        sampling order, from the alphabet size of each variable by name
+        (extra names are ignored); shape has one entry per letter of the
+        field. A "_given_" table has a simplex row per value of its leading
+        letters over its last letter; a joint table, such as p_q_x2, is one
+        simplex."""
+        out = []
+        for name in self.fields:
+            shape = tuple(sizes[_VARIABLES[c]] for c in self.letters[name])
+            rows = math.prod(shape[:-1]) if "_given_" in name else 1
+            out.append((name, rows, math.prod(shape) // rows, shape))
+        return out
+
 
 _SCHEME_FIELDS = {
-    "one_set": _Kind(SchemeOneSet, ("p_q_x2", "p_u_given_q", "p_x1_given_u"),
-                     "qt,qu,ux,xtyz->quxtyz"),
+    "one_set": _Kind(SchemeOneSet, "qt,qu,ux,xtyz->quxtyz"),
     # V is drawn from Q alone, so it joins the product before X1
-    "one_set_outer": _Kind(
-        SchemeOneSetOuter, ("p_q_x2", "p_u_given_q", "p_x1_given_u", "p_v_given_q"),
-        "qt,qu,qv,ux,xtyz->quvxtyz",
-        ("p_q_x2", "p_u_given_q", "p_v_given_q", "p_x1_given_u")),
+    "one_set_outer": _Kind(SchemeOneSetOuter, "qt,qu,qv,ux,xtyz->quvxtyz",
+                           ("p_q_x2", "p_u_given_q", "p_v_given_q", "p_x1_given_u")),
     # both feedback outputs kept
-    "two_set": _Kind(
-        SchemeTwoSet,
-        ("p_q", "p_u_given_q", "p_x1_given_u", "p_v_given_q", "p_x2_given_v"),
-        "q,qu,ux,qv,vt,xtywz->quvxtywz"),
-    "degraded": _Kind(SchemeDegraded, ("p_q_x2", "p_x1_given_q"), "qt,qx,xtyz->qxtyz"),
+    "two_set": _Kind(SchemeTwoSet, "q,qu,ux,qv,vt,xtywz->quvxtywz"),
+    "degraded": _Kind(SchemeDegraded, "qt,qx,xtyz->qxtyz"),
 }
 _KIND_OF_CLASS = {spec.cls: kind for kind, spec in _SCHEME_FIELDS.items()}
 
@@ -330,15 +321,19 @@ def _kind_of(scheme) -> str:
 
 
 def _alphabet_sizes(spec: _Kind, shapes: dict) -> dict:
-    """The size of each letter the fields carry, from their shapes by
-    field name; raises DimensionMismatch when two fields disagree."""
+    """The alphabet size of each variable the fields carry, by name, from
+    their shapes by field name; raises DimensionMismatch when a field has
+    the wrong number of axes or two fields disagree."""
     sizes = {}
     for f, letters in spec.letters.items():
+        if len(shapes[f]) != len(letters):
+            raise DimensionMismatch(f"{f} must have {len(letters)} axes, got {len(shapes[f])}")
         for letter, n in zip(letters, shapes[f]):
-            if sizes.setdefault(letter, n) != n:
+            variable = _VARIABLES[letter]
+            if sizes.setdefault(variable, n) != n:
                 raise DimensionMismatch(
-                    f"{f} has {n} entries for {_VARIABLES[letter]}, the other "
-                    f"tables {sizes[letter]}"
+                    f"{f} has {n} entries for {variable}, the other "
+                    f"tables {sizes[variable]}"
                 )
     return sizes
 
@@ -352,13 +347,13 @@ def _joint_shape(kind: str, shapes, channel: ChannelSpec) -> tuple[int, ...]:
     """
     spec = _SCHEME_FIELDS[kind]
     sizes = _alphabet_sizes(spec, dict(zip(spec.fields, shapes)))
-    if (sizes["x"], sizes["t"]) != (channel.size_x1, channel.size_x2):
+    if (sizes["X1"], sizes["X2"]) != (channel.size_x1, channel.size_x2):
         raise DimensionMismatch(
-            f"scheme inputs ({sizes['x']}, {sizes['t']}) do not match channel "
+            f"scheme inputs ({sizes['X1']}, {sizes['X2']}) do not match channel "
             f"({channel.size_x1}, {channel.size_x2})"
         )
-    sizes = {**dict(zip("xtywz", channel.prob.shape)), **sizes}
-    return tuple(sizes[c] for c in spec.out)
+    sizes = {**dict(zip(("X1", "X2", "Y", "Y1", "Y2"), channel.prob.shape)), **sizes}
+    return tuple(sizes[v] for v in spec.variables)
 
 
 def stacked_joint(kind: str, tables, channel: ChannelSpec) -> JointStack:

@@ -22,7 +22,7 @@ from .channel import ChannelSpec, check_stochastically_degraded
 from .errors import GridTooLarge, NotDegradedWarning, whole_number
 from . import one_set as _one
 from . import two_set as _two
-from .infotheory import _SCHEME_FIELDS, _joint_shape, _scheme_doc
+from .infotheory import _SCHEME_FIELDS, _joint_shape, _scheme_doc, _simplex_normalized
 from .regions import RateRegion, bound_pieces, convexify, piece_is_empty
 
 GRID_CEILING = 100_000_000
@@ -74,6 +74,8 @@ class SearchConfig:
             raise ValueError("grid_resolution must be at least 2")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be nonnegative")
         if isinstance(self.refine_step, bool) or not (0 < self.refine_step <= 1):
@@ -113,20 +115,12 @@ def full_cardinalities(channel: ChannelSpec, degraded: bool = False) -> tuple[in
 
 def _blocks(variant: str, channel: ChannelSpec, config: SearchConfig):
     """Simplex blocks (name, rows, cols, shape) for one scheme variant, in
-    the order of its fields; shape has one entry per letter of the field.
-
-    A "_given_" table has a simplex row per value of its leading letters
-    over its last letter; a joint table, such as p_q_x2, is one simplex.
-    """
+    the order of its fields: its kind's layout (infotheory._Kind.blocks) at
+    the configured auxiliary sizes and the channel's input sizes."""
     if variant not in _SCHEME_FIELDS:
         raise ValueError(f"unknown scheme variant {variant!r}")
-    size = dict(zip("quvxt", (*config.cardinalities, channel.size_x1, channel.size_x2)))
-    blocks = []
-    for name in _SCHEME_FIELDS[variant].fields:
-        shape = tuple(size[c] for c in _SCHEME_FIELDS[variant].letters[name])
-        rows = math.prod(shape[:-1]) if "_given_" in name else 1
-        blocks.append((name, rows, math.prod(shape) // rows, shape))
-    return blocks
+    sizes = (*config.cardinalities, channel.size_x1, channel.size_x2)
+    return _SCHEME_FIELDS[variant].blocks(dict(zip(("Q", "U", "V", "X1", "X2"), sizes)))
 
 
 def _build(variant, blocks, arrays):
@@ -226,10 +220,9 @@ def _scheme_rows(scheme, blocks):
 
 def _project_row(row: np.ndarray) -> np.ndarray:
     row = np.clip(row, 0.0, None)
-    s = row.sum()
-    if s <= 0:
+    if row.sum() <= 0:
         return np.full(row.shape, 1.0 / row.size)
-    return row / s
+    return _simplex_normalized(row)
 
 
 def refine_local(objective, scheme, variant: str, channel: ChannelSpec,
@@ -275,8 +268,8 @@ BLOCK_CELLS = 1 << 18
 
 def _normalized(raw: np.ndarray, blocks) -> list:
     """The stacked tables of a block of parameter rows, each simplex row
-    divided by its sum as the scheme dataclasses divide it."""
-    return [(arr / arr.sum(axis=2, keepdims=True)).reshape(len(raw), *shape)
+    divided by its sum by the scheme dataclasses' own _simplex_normalized."""
+    return [_simplex_normalized(arr).reshape(len(raw), *shape)
             for (name, rows, cols, shape), arr in zip(blocks, _split(raw, blocks))]
 
 

@@ -681,8 +681,11 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     run, _hull_inequalities, which prunes flat clouds too, gives the
     facets; the region keeps them, and as hull_points the points their
     simplices use and the first point. When Qhull fails, the unpruned cloud
-    is kept, its facets are left to build on first use, and the first line
-    of Qhull's message is recorded as info["hull_fallback"]. Each hull
+    is kept and the first line of Qhull's message is recorded as
+    info["hull_fallback"]. Its facets are left to build on first use, which
+    reruns the failed Qhull run on the same cloud: each membership, slice
+    or frontier query raises SolverStall with the same message, and
+    only region_support, which reads the cloud, answers. Each hull
     point's source is the first piece, in piece order, with that vertex. A
     nonempty piece that recedes without bound raises Unbounded; as that
     depends only on the constraint matrix, it is decided once per matrix,

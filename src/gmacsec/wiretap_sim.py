@@ -149,7 +149,7 @@ def build_codebook(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,
     alphabet and one over sender 2's. Sender 1's words are drawn first,
     then sender 2's, from a single generator seeded with seed, so the whole
     codebook is a pure function of its arguments. Counts and seed must be
-    whole numbers.
+    whole numbers, and seed nonnegative.
     """
     n, M0, M1, M2, J1, J2, seed = (
         whole_number(name, value) for name, value in zip(
@@ -158,6 +158,8 @@ def build_codebook(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,
         raise ValueError("blocklength n must be at least 1")
     if min(M0, M1, M2, J1, J2) < 1:
         raise ValueError("message and bin counts must be positive integers")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     total = (channel.size_x1 ** n) * (channel.size_x2 ** n) * M0 * M1 * M2 * J1 * J2
     _guard(total, "codebook enumeration")
     p1, p2 = input_dist

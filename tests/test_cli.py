@@ -692,6 +692,18 @@ class TestSecrecyCapacity:
         assert _stderr_error(capsys)["message"] == "search config must be a JSON object"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("strategy", ["grid", "random"])
+    def test_negative_seed_is_an_input_error(self, channel_files, tmp_path, capsys,
+                                             strategy):
+        cfg = _write_json(tmp_path / "cfg.json", {"strategy": strategy, "seed": -1,
+                                                  "cardinalities": [1, 2, 1]})
+        out = tmp_path / "cap.json"
+        rc = main(["secrecy-capacity", str(channel_files["binary_degraded"]),
+                   "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert _stderr_error(capsys)["message"] == "seed must be nonnegative, got -1"
+        assert not out.exists()
+
     def test_fractional_cardinalities_are_input_errors(self, channel_files, tmp_path,
                                                        capsys):
         cfg = _write_json(tmp_path / "cfg.json", {"cardinalities": [2.9, 1.5, 1]})
@@ -758,6 +770,12 @@ class TestSimulate:
         rc = main(["simulate", cfg, "--channel", str(channel_files["binary_degraded"])])
         assert rc == 2
         assert "whole number" in _stderr_error(capsys)["message"]
+
+    def test_negative_seed_is_an_input_error(self, channel_files, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "sim.json", {**self.SIM, "seeds": [-3]})
+        rc = main(["simulate", cfg, "--channel", str(channel_files["binary_degraded"])])
+        assert rc == 2
+        assert _stderr_error(capsys)["message"] == "seed must be nonnegative, got -3"
 
     def test_blown_state_guard_is_code_three(self, channel_files, tmp_path,
                                              monkeypatch, capsys):

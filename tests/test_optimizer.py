@@ -52,6 +52,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(refine_step=0.0)
 
+    @pytest.mark.parametrize("strategy", ["grid", "random", "random+refine"])
+    def test_negative_seed_rejected(self, strategy):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            SearchConfig(strategy=strategy, seed=-1)
+        assert SearchConfig(strategy=strategy, seed=0).seed == 0
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             SearchConfig.from_dict({"strategy": "grid", "temperature": 1.0})

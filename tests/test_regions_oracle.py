@@ -42,7 +42,7 @@ from gmacsec import (
 from gmacsec import one_set, optimizer, regions, two_set
 from gmacsec.channel import validate_channel
 from gmacsec.optimizer import SearchConfig, assemble_region
-from gmacsec.regions import BoundTable, bound_pieces
+from gmacsec.regions import BoundTable, _Min, bound_pieces
 from conftest import split_rows
 from references import piece_contains, piece_support, search_schemes, slice_piece
 from test_bound_tables import pieces_per_scheme
@@ -1104,19 +1104,19 @@ def test_table_pieces_equal_their_own_enumeration(name):
     else:
         channels = [build() for _, build in sorted(fx.FIXTURE_BUILDERS.items())] + randoms
         per_channel, draws = 2, 12
-    kept = set()                              # (piece, rows kept) checked
+    checked = set()                           # pieces enumerated and compared
     for values in _table_values(table, rng, channels, per_channel, draws):
         for k, p in enumerate(bound_pieces(table, values)):
             got, want = p.vertices, own_enumeration(p)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            kept.add((k, drop_repeated_rows(p.A, p.b)))
-    # every piece that repeats rows went through the kept-rows memo, and
-    # some piece with two different choices of rows
-    repeats = {k for k, (A, _) in enumerate(table.pieces)
-               if len({row.tobytes() for row in A}) < A.shape[0]}
-    assert {k for k, keep in kept if keep is not None} == repeats
-    if repeats:
-        assert len(kept) > len(table.pieces)
+            checked.add(k)
+    # the pieces whose merged repeated rows take the smallest copy's bound
+    # (a _Min rule) are among those compared, in the three tables that have any
+    merged = {k for k, (_, index) in enumerate(table.pieces)
+              if any(isinstance(table.rules[r], _Min) for r in index)}
+    assert bool(merged) == (name in ("one_set.INNER", "two_set.EQUIVOCATION",
+                                     "two_set.TWO_SET"))
+    assert merged <= checked
 
 
 def _copies(table, values):

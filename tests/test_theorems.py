@@ -15,12 +15,14 @@ largest R1 is min(a - d, b - d) when that is >= 0, and it is empty
 otherwise. The capacity search scores max(0, min(a - d, b - d - r0)), so
 at r0 = 0 the two agree, and a channel whose region is empty reads 0.0.
 At r0 > 0 the region time-shares between schemes and the capacity search
-does not, so there G6 is no equality.
+does not, so there G6 is no equality, only a containment: a positive
+capacity's point (r0, value) lies in the region.
 
 The established degraded region. On binary_degraded(p1, p2) the degraded
 bound has an exact one-parameter family of schemes s_beta, whose terms are
-closed forms in binary entropies. The printed degraded region must lie
-inside the hull of the family's pieces; the containment test derives why.
+closed forms in binary entropies. The printed degraded and one-set secrecy
+regions must lie inside the hull of the family's pieces; the containment
+tests derive why.
 """
 
 import itertools
@@ -33,7 +35,7 @@ from gmacsec import EmptySlice, fixtures as fx
 from gmacsec.infotheory import SchemeDegraded, SchemeOneSetOuter
 from gmacsec.one_set import DEGRADED, OUTER
 from gmacsec.optimizer import SearchConfig, assemble_region, maximize_secrecy_capacity
-from gmacsec.regions import bound_pieces, region_support
+from gmacsec.regions import bound_pieces, region_contains, region_support
 
 RANDOM_SIZES = ((2, 2, 2, 1, 2), (3, 2, 2, 2, 2), (2, 3, 3, 1, 2), (2, 2, 3, 2, 2))
 
@@ -92,6 +94,21 @@ def test_g6_capacity_is_the_secrecy_region_top_at_r0_zero(name):
     assert value == pytest.approx(top, rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(CHANNELS))
+def test_g6_capacity_point_lies_in_the_secrecy_region(name):
+    """At r0 > 0 a positive capacity value v = min(a - d, b - d - r0) of
+    the winning scheme s gives a - d >= v > 0, so s passes the guard, and
+    (r0, v) satisfies both rows of its piece, R1 <= a - d and R0 + R1 <=
+    b - d, with r0, v >= 0. The region visits the same scheme stream, so
+    the winner's piece, which holds the point, is among its pieces."""
+    channel = CHANNELS[name]
+    region = assemble_region(channel, "secrecy-one-set", G6_CONFIG)
+    for r0 in (0.05, 0.1, 0.2):
+        value, _ = maximize_secrecy_capacity(channel, r0, G6_CONFIG)
+        if value > 0.0:
+            assert region_contains(region, (r0, value), tol=1e-9), r0
+
+
 # --- the established degraded region on binary_degraded ------------------------
 
 FLIPS = ((0.1, 0.1), (0.05, 0.2), (0.2, 0.05))
@@ -126,43 +143,58 @@ def _family_scheme(beta):
                           p_x1_given_q=np.array([[1.0 - beta, beta], [beta, 1.0 - beta]]))
 
 
-# The paper's degraded rows over (R0, R1, Re), written out here rather than
-# read from one_set.DEGRADED: R1 <= a, R0 + R1 <= b, Re <= R1, Re <= a - d,
-# R0 + Re <= b - d; then x >= 0 as -I.
-_ROWS = np.array([[0, 1, 0], [1, 1, 0], [0, -1, 1], [0, 0, 1], [1, 0, 1],
-                  [-1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=float)
-_BASES = np.array([s for s in itertools.combinations(range(len(_ROWS)), 3)
-                   if abs(np.linalg.det(_ROWS[list(s)])) > 1e-9])
-_INVERSES = np.linalg.inv(_ROWS[_BASES])
+def _family(rows, rhs):
+    """A bound's pieces of s_beta: its rows, then x >= 0 as -I; the
+    subsets of them that make a basis and their inverses; and rhs, the
+    right-hand sides of the rows from (a, b, d)."""
+    rows = np.vstack([np.array(rows, dtype=float), -np.eye(len(rows[0]))])
+    bases = np.array([s for s in itertools.combinations(range(len(rows)), rows.shape[1])
+                      if abs(np.linalg.det(rows[list(s)])) > 1e-9])
+    return rows, bases, np.linalg.inv(rows[bases]), rhs
 
 
-def _piece_supports(beta, p1, p2, directions):
+# The paper's rows, written out here rather than read from one_set: the
+# degraded rows over (R0, R1, Re), R1 <= a, R0 + R1 <= b, Re <= R1,
+# Re <= a - d, R0 + Re <= b - d; and the secrecy rows over (R0, R1),
+# R1 <= a - d, R0 + R1 <= b - d.
+DEGRADED_FAMILY = _family([[0, 1, 0], [1, 1, 0], [0, -1, 1], [0, 0, 1], [1, 0, 1]],
+                          lambda a, b, d: [a, b, np.zeros_like(a), a - d, b - d])
+SECRECY_FAMILY = _family([[0, 1], [1, 1]], lambda a, b, d: [a - d, b - d])
+
+
+def _piece_supports(family, beta, p1, p2, directions):
     """max g.x over the piece of s_beta, per beta (rows) and direction g
-    (columns), from the feasible basic solutions of the rows above."""
+    (columns), from the feasible basic solutions of the family's rows."""
+    rows, bases, inverses, rhs_of = family
     a, b, d = _family_terms(np.atleast_1d(beta), p1, p2)
-    zero = np.zeros_like(a)
-    rhs = np.stack([a, b, zero, a - d, b - d, zero, zero, zero], axis=1)
-    x = np.einsum("sij,nsj->nsi", _INVERSES, rhs[:, _BASES])
-    feasible = np.all(x @ _ROWS.T <= rhs[:, None, :] + 1e-12, axis=2)
+    rhs = np.stack(rhs_of(a, b, d) + [np.zeros_like(a)] * rows.shape[1], axis=1)
+    x = np.einsum("sij,nsj->nsi", inverses, rhs[:, bases])
+    feasible = np.all(x @ rows.T <= rhs[:, None, :] + 1e-12, axis=2)
     values = np.where(feasible[..., None], x @ directions.T, -np.inf)
     return values.max(axis=1)
 
 
-def _family_support(p1, p2, directions, points=2001):
+def _family_support(family, p1, p2, directions, points=2001):
     """The family's support per direction: the maximum over beta in [0, 1/2]
     of its piece's support, on a grid and then refined by a bounded scalar
     search between the grid neighbours of the best point."""
     grid = np.linspace(0.0, 0.5, points)
-    values = _piece_supports(grid, p1, p2, directions)
+    values = _piece_supports(family, grid, p1, p2, directions)
     best = values.max(axis=0)
     for k, g in enumerate(directions):
         i = int(np.argmax(values[:, k]))
         refined = minimize_scalar(
-            lambda beta: -_piece_supports(beta, p1, p2, g[None])[0, 0],
+            lambda beta: -_piece_supports(family, beta, p1, p2, g[None])[0, 0],
             bounds=(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]),
             method="bounded", options={"xatol": 1e-12})
         best[k] = max(best[k], -refined.fun)
     return best
+
+
+def _directions(dim):
+    """64 seeded unit directions of mixed sign."""
+    directions = np.random.default_rng(19).normal(size=(64, dim))
+    return directions / np.linalg.norm(directions, axis=1)[:, None]
 
 
 @pytest.mark.parametrize("p1, p2", FLIPS)
@@ -199,7 +231,36 @@ def test_degraded_region_lies_in_the_closed_form_family(p1, p2):
     """
     channel = fx.binary_degraded(p1, p2)
     region = assemble_region(channel, "degraded")
-    directions = np.random.default_rng(19).normal(size=(64, 3))
-    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    directions = _directions(3)
     got = np.array([region_support(region, g) for g in directions])
-    assert np.all(got <= _family_support(p1, p2, directions) + 1e-9)
+    assert np.all(got <= _family_support(DEGRADED_FAMILY, p1, p2, directions) + 1e-9)
+
+
+@pytest.mark.parametrize("p1, p2", FLIPS)
+def test_secrecy_region_lies_in_the_closed_form_family(p1, p2):
+    """The one-set secrecy region at the default config has support at most
+    the family's secrecy pieces', plus 1e-9, in 64 seeded unit directions
+    over (R0, R1).
+
+    For a one-set scheme s, let s' be the degraded scheme with the same
+    p(q, x2) and p(x1|q) = sum_u p(u|q) p(x1|u). U - X1 - (Y, Y2) is a
+    Markov chain given (X2, Q), so a(s') = I(X1;Y|X2,Q) = a(s) +
+    I(X1;Y|U,X2,Q), d(s') = d(s) + I(X1;Y2|U,X2,Q), and b(s') =
+    I(X1,X2;Y) = b(s) + I(X1;Y|U,X2,Q). Hence
+        (a' - d') - (a - d) = (b' - d') - (b - d)
+                            = I(X1;Y|U,X2,Q) - I(X1;Y2|U,X2,Q) >= 0,
+    the inequality because Y2 is a degraded copy of Y given (U, X2, Q). So
+    SECRECY(s) lies inside DEGRADED_SECRECY(s'), a scheme that fails the
+    guard a - d >= 0 has no piece, and one that passes it gives s' that
+    passes too. Both secrecy rows are nondecreasing in a and b and
+    nonincreasing in d, so the degraded test's argument (a beta with
+    a(beta) = a(s'), then b(s') <= b(beta) and, by Mrs. Gerber's Lemma,
+    d(s') >= d(beta)) puts DEGRADED_SECRECY(s') inside the family's piece
+    of s_beta. The region, the hull of the searched pieces, then lies inside
+    the hull of the family's pieces.
+    """
+    channel = fx.binary_degraded(p1, p2)
+    region = assemble_region(channel, "secrecy-one-set")
+    directions = _directions(2)
+    got = np.array([region_support(region, g) for g in directions])
+    assert np.all(got <= _family_support(SECRECY_FAMILY, p1, p2, directions) + 1e-9)

@@ -257,6 +257,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="whole number"):
             simulate(binary_degraded, input_dist=([0.5, 0.5], [1.0]), **args)
 
+    def test_negative_seed_rejected(self, binary_degraded):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+            simulate(binary_degraded, 2, 1, 2, 1, 1, 1,
+                     ([0.5, 0.5], [1.0]), seeds=[0, -3])
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            build_codebook(binary_degraded, 2, 1, 2, 1, 1, 1,
+                           ([0.5, 0.5], [1.0]), seed=-1.0)
+
     def test_empty_seed_list_rejected(self, binary_degraded):
         with pytest.raises(ValueError):
             simulate(binary_degraded, 2, 1, 2, 1, 1, 1,
