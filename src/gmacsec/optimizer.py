@@ -23,7 +23,7 @@ from .errors import GridTooLarge, NotDegradedWarning, whole_number
 from . import one_set as _one
 from . import two_set as _two
 from .infotheory import _SCHEME_FIELDS, _joint_shape, _scheme_doc, _simplex_normalized
-from .regions import RateRegion, bound_pieces, convexify, piece_is_empty
+from .regions import RateRegion, _block_pieces, convexify, piece_is_empty
 
 GRID_CEILING = 100_000_000
 
@@ -159,7 +159,8 @@ def _simplex_grid(k: int, resolution: int):
     return out
 
 
-# The grid's parameter rows are built this many at a time.
+# The grid's parameter rows, and the random ones, are built this many at a
+# time.
 _GRID_CHUNK = 4096
 
 
@@ -186,11 +187,24 @@ def _grid_rows(blocks, config: SearchConfig):
 
 
 def _random_rows(blocks, config: SearchConfig):
-    """Parameter rows drawn flat Dirichlet, block by block, scheme by scheme."""
+    """Parameter rows drawn flat Dirichlet, block by block, scheme by scheme.
+
+    Each simplex row is its own standard exponential draws times the
+    reciprocal of their sum, added left to right: the draws and the bits
+    of Generator.dirichlet with unit concentrations. A chunk of _GRID_CHUNK
+    schemes takes its draws from one call, in stream order, and its rows
+    are yielded one by one."""
     rng = np.random.default_rng(config.seed)
-    for _ in range(config.sample_count):
-        yield np.concatenate([rng.dirichlet(np.ones(cols), size=rows).ravel()
-                              for name, rows, cols, shape in blocks])
+    width = sum(rows * cols for name, rows, cols, shape in blocks)
+    for start in range(0, config.sample_count, _GRID_CHUNK):
+        count = min(_GRID_CHUNK, config.sample_count - start)
+        draws = rng.standard_exponential((count, width))
+        for block in _split(draws, blocks):
+            total = block[..., 0]
+            for j in range(1, block.shape[-1]):
+                total = total + block[..., j]
+            block *= (1.0 / total)[..., None]
+        yield from draws
 
 
 def parameter_rows(variant: str, channel: ChannelSpec, config: SearchConfig):
@@ -359,11 +373,13 @@ def assemble_region(channel: ChannelSpec, bound: str,
 
     bound picks the construction (see BOUNDS). The parameter rows are
     scored in blocks of at most BLOCK_CELLS joint cells, one call of the
-    table's stacked terms per block; each row's terms, as Python floats,
-    then go through bound_pieces in stream order. Every expanded piece is
-    tested for emptiness once; empty ones are dropped but counted in the
-    result's info. A scheme that keeps a piece is recorded as its JSON
-    document, built from its normalized tables; no scheme object is built.
+    table's stacked terms per block; the block's term columns then fill in
+    every scheme's pieces at once, with one vertex pass per sub-block of
+    schemes (regions._block_pieces, bound_pieces for a block), in stream
+    order. Every expanded piece is tested for emptiness once; empty ones
+    are dropped but counted in the result's info. A scheme that keeps a
+    piece is recorded as its JSON document, built from its normalized
+    tables; no scheme object is built.
     The "random+refine" strategy refines one winning scheme, and a region
     has none, so it raises ValueError.
     """
@@ -380,12 +396,11 @@ def assemble_region(channel: ChannelSpec, bound: str,
     provenance = []
     dropped = 0
     for raw, tables in _row_blocks(table.kind, channel, config):
-        columns = {name: col.tolist() for name, col in table.terms(tables, channel).items()}
-        for i in range(len(raw)):
+        block = _block_pieces(table, table.terms(tables, channel), len(raw))
+        for i, scheme_pieces in enumerate(block):
             visited += 1
             doc = None
-            values = {name: col[i] for name, col in columns.items()}
-            for piece in bound_pieces(table, values):
+            for piece in scheme_pieces:
                 if piece_is_empty(piece):
                     dropped += 1
                     continue

@@ -15,15 +15,17 @@ merged into one; bound_pieces fills in one scheme's right-hand sides.
 Because every piece is pointed, emptiness and support queries are answered
 from its vertices. One enumerator, _SubsystemIndex, finds them: it indexes
 the distinct d x d subsystems of a list of pieces, inverts each once, and
-for one set of bounds solves them all in one pass, with one feasibility
-test of every (piece, subsystem) pair and one rounding and grouping of the
-solutions the pieces keep. A BoundTable owns the index of its pieces, and
-bound_pieces runs its pass once per scheme, so every piece it returns comes
-with its vertices. Any other piece enumerates its own on first use, as an
-index of one piece: its tightest row per coefficient vector. Hull
-membership, hull slices and the time-sharing mix behind each frontier point
-come from the facets of one Qhull run per region. No query here solves an
-LP.
+for a stack of bound sets, one per scheme, solves them all in one pass,
+with one feasibility test of every (scheme, piece, subsystem) triple and
+one rounding and grouping of the solutions the pieces keep. A BoundTable
+owns the index of its pieces; a block of schemes fills in its bounds as
+columns and runs one pass per sub-block of at most _PASS_SOLUTIONS
+solutions, and bound_pieces is the call for one scheme, so every piece a
+table gives comes with its vertices. Any other piece enumerates its own on
+first use, as an index of one piece: its tightest row per coefficient
+vector. Hull membership, hull slices and the time-sharing mix behind each
+frontier point come from the facets of one Qhull run per region. No query
+here solves an LP.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
 from dataclasses import InitVar, dataclass, field
 
@@ -130,10 +131,10 @@ class RatePolytope:
 
 @dataclass(frozen=True)
 class _TablePiece(RatePolytope):
-    """A piece that bound_pieces made, which comes with its vertices: a
-    read-only slice of its scheme's one pass over the table's pieces. Its
-    coords and A are the table's, already checked and read-only, so only
-    its fresh b is marked read-only here."""
+    """A piece of a BoundTable, which comes with its vertices: a read-only
+    slice of the one pass that served its scheme's pieces. Its coords and A
+    are the table's, already checked and read-only, and A caps every
+    coordinate, so only its b is marked read-only here."""
 
     found: InitVar[np.ndarray]
 
@@ -176,9 +177,9 @@ def _vertex_argmax(verts: np.ndarray, direction: np.ndarray):
     return value, int(cand[np.lexsort(verts[cand].T[::-1])[-1]])
 
 
-def _at_zero(c: float) -> float:
-    """[c]_+ of a constant; a zero keeps its sign."""
-    return c if c >= 0 else 0.0
+def _at_zero(c):
+    """[c]_+ of a constant or of a column of them; a zero keeps its sign."""
+    return np.where(c >= 0, c, 0.0)
 
 
 def _expand(plain, clipped, at_zero):
@@ -241,12 +242,15 @@ class BoundTable:
     row's signed terms, an _AtZero, or 0.0 (the <= 0 branch of a bracket).
     A row that the expansion gives a piece more than once is kept once, at
     its first copy, and its rule is the _Min of its copies' rules, so no
-    piece holds a repeated row. The table also owns the _SubsystemIndex of its pieces,
-    built when bound_pieces first needs it, which finds the vertices of all
-    of a scheme's pieces in one pass; two threads that race only build it
-    twice.
-    A term value that is NaN or infinite is refused by bound_pieces, before
-    any bound is filled in.
+    piece holds a repeated row. Every expanded matrix must cap each
+    coordinate by a row with no negative coefficient (_capped), so that
+    every piece is bounded whatever its bounds; a table with a matrix that
+    does not raises ValueError when it is built. The table also owns the
+    _SubsystemIndex of its pieces, built when its pieces are first filled
+    in, which finds the vertices of every piece of a block of schemes in
+    one pass; two threads that race only build it twice.
+    A term value that is NaN or infinite is refused, before any bound is
+    filled in.
     """
 
     def __init__(self, coords, kind, terms, families, guard="0"):
@@ -269,6 +273,9 @@ class BoundTable:
                 merged = [(lhs, _Min(tuple(rs)) if len(rs) > 1 else next(iter(rs)))
                           for lhs, rs in copies.values()]
                 A = np.array([lhs for lhs, _ in merged]).reshape(len(merged), len(self.coords))
+                if not _capped(A):
+                    raise ValueError(f"piece {len(pieces)} of the table leaves a coordinate "
+                                     f"of {self.coords} without a nonnegative cap")
                 index = np.array([rules.setdefault(r, len(rules)) for _, r in merged], np.intp)
                 A.setflags(write=False)
                 index.setflags(write=False)
@@ -345,44 +352,99 @@ class BoundTable:
         return lhs, affine, terms
 
 
-def _evaluate(signed_terms, values) -> float:
-    """A signed sum of terms, added left to right from the first term."""
+def _evaluate(signed_terms, values):
+    """A signed sum of terms, added left to right from the first term; the
+    values are floats, or columns with one entry per scheme. Subtracting a
+    term adds its negation, bit for bit."""
     if not signed_terms:
         return 0.0
-    return functools.reduce(operator.add,
-                            [sign * values[name] for sign, name in signed_terms])
+    (sign, name), *rest = signed_terms
+    total = values[name] if sign > 0 else -values[name]
+    for sign, name in rest:
+        total = total + values[name] if sign > 0 else total - values[name]
+    return total
 
 
-def _fill(rule, values) -> float:
-    """The bound a BoundTable rule gives for these term values."""
+def _fill(rule, values):
+    """The bounds a BoundTable rule gives for these term values, as
+    _evaluate takes them; a _Min keeps the first of equal values, as min
+    does: 0.0 before a later -0.0."""
     if isinstance(rule, tuple):
         return _evaluate(rule, values)
     if isinstance(rule, _AtZero):
         return _at_zero(_evaluate(rule.terms, values))
     if isinstance(rule, _Min):
-        # min keeps the first of equal values: 0.0 before a later -0.0
-        return min(_fill(r, values) for r in rule.rules)
+        low = _fill(rule.rules[0], values)
+        for other in rule.rules[1:]:
+            bound = _fill(other, values)
+            low = np.where(bound < low, bound, low)
+        return low
     return rule
 
 
 def bound_pieces(table: BoundTable, values: dict):
     """Every piece of every family of the table, in order, with its bounds
-    filled in from the term values; none when the guard is negative. Each
-    piece comes with its vertices, from one pass of the table's index over
-    all of them (_SubsystemIndex.vertices), which raises
+    filled in from one scheme's term values; none when the guard is
+    negative. Each piece comes with its vertices, from one pass of the
+    table's index over all of them (_SubsystemIndex.vertices), which raises
     VertexEnumerationOverflow past the index's budgets. A caller that
     wants only the nonempty pieces filters with piece_is_empty. A NaN or
-    infinite value of a term the table reads raises ValueError."""
-    for name in table._names:
-        if not math.isfinite(values[name]):
-            raise ValueError(f"term {name!r} of the bound is {values[name]}, not finite")
-    if _evaluate(table.guard, values) < 0:
-        return []
-    bounds = np.array([_fill(rule, values) for rule in table.rules], dtype=float)
-    verts, stops = table._subsystem_index.vertices(bounds)
-    verts.setflags(write=False)
-    return [_TablePiece(table.coords, A, bounds[index], verts[stops[k]:stops[k + 1]])
-            for k, (A, index) in enumerate(table.pieces)]
+    infinite value of a term the table reads raises ValueError. This is
+    _block_pieces for one scheme, its values standing for columns of one."""
+    return _block_pieces(table, values, 1)[0]
+
+
+# A vertex pass holds at most this many solutions: as many as one scheme of
+# two_set.TWO_SET, whose index has 7,912 subsystems, so a block of a smaller
+# table's schemes shares a pass and TWO_SET still runs one scheme per pass.
+_PASS_SOLUTIONS = 7_912
+
+
+def _block_pieces(table: BoundTable, columns: dict, count: int) -> list:
+    """bound_pieces of count schemes at once, from the table's term columns,
+    each of shape (count,), or a number when count is 1: one list of pieces
+    per scheme, in order, empty for a scheme whose guard is negative.
+
+    The bounds are filled in as columns, in the order and arithmetic of one
+    scheme's (_fill), and the schemes that pass the guard run one vertex
+    pass per sub-block of at most _PASS_SOLUTIONS solutions, or of one
+    scheme, so that each piece equals bound_pieces's byte for byte. A NaN
+    or infinite value raises the ValueError that bound_pieces raises for
+    the first scheme that has one.
+    """
+    names = table._names
+    values = np.array([columns[name] for name in names], dtype=float).reshape(-1, count)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        s = bad.any(axis=0).argmax()          # the first scheme with one, and its
+        k = bad[:, s].argmax()                # first such term
+        raise ValueError(f"term {names[k]!r} of the bound is {float(values[k, s])}, "
+                         "not finite")
+    passed = (_evaluate(table.guard, columns) >= np.zeros(count)).nonzero()[0]
+    pieces = [[] for _ in range(count)]
+    if not passed.shape[0]:
+        return pieces
+    bounds = np.empty((count, len(table.rules)))
+    for r, rule in enumerate(table.rules):
+        bounds[:, r] = _fill(rule, columns)
+    index = table._subsystem_index
+    per = max(1, _PASS_SOLUTIONS // index.rows.shape[0])
+    n_pieces = len(table.pieces)
+    # every piece's rules, back to back: piece k's are rules[ends[k]:ends[k + 1]]
+    rules = np.concatenate([rows for _, rows in table.pieces])
+    ends = [0, *itertools.accumulate(rows.shape[0] for _, rows in table.pieces)]
+    for start in range(0, passed.shape[0], per):
+        schemes = passed[start:start + per]
+        block = bounds[schemes]
+        verts, stops = index.vertices(block)
+        verts.setflags(write=False)
+        rhs = block.take(rules, axis=1)
+        for j, s in enumerate(schemes.tolist()):
+            at = j * n_pieces
+            pieces[s] = [_TablePiece(table.coords, A, rhs[j, ends[k]:ends[k + 1]],
+                                     verts[stops[at + k]:stops[at + k + 1]])
+                         for k, (A, _) in enumerate(table.pieces)]
+    return pieces
 
 
 # A slack product of _solve stays within this many multiply-adds, below
@@ -417,7 +479,7 @@ def _row_bits(flags: np.ndarray) -> np.ndarray:
 class _SubsystemIndex:
     """The vertex subsystems of a list of pieces (a BoundTable's, or one
     polytope's), each found and inverted once for all of them, and the one
-    pass that finds every piece's vertices for one set of bounds. No piece
+    pass that finds every piece's vertices for a stack of bound sets. No piece
     may repeat a coefficient row: a table merges its copies, and
     piece_vertices keeps the tightest.
 
@@ -484,14 +546,14 @@ class _SubsystemIndex:
         first, inverse = _distinct(sets)     # subset -> its distinct subset
         candidates = sets[first].astype(np.intp)
         nonsingular = np.abs(np.linalg.det(A[candidates])) > 1e-10
-        slot = np.cumsum(nonsingular) - 1     # candidate -> subsystem, if nonsingular
+        slot = nonsingular.cumsum() - 1       # candidate -> subsystem, if nonsingular
         rows = candidates[nonsingular]
         ok = nonsingular[inverse]
         subsystems = slot[inverse[ok]].astype(np.min_scalar_type(rows.shape[0]))
         axis = np.full(A.shape[0], -1)        # row -> the coordinate its -I row fixes
         axis[piece_rows[0][-d:]] = np.arange(d)
         zero = np.zeros(rows.shape, dtype=bool)
-        at, col = np.nonzero(axis[rows] >= 0)
+        at, col = (axis[rows] >= 0).nonzero()
         zero[at, axis[rows[at, col]]] = True
         flags = np.zeros((len(pieces), A.shape[0]), dtype=bool)
         for k, rows_k in enumerate(piece_rows):
@@ -503,65 +565,94 @@ class _SubsystemIndex:
         return index
 
     def vertices(self, bounds: np.ndarray):
-        """(vertices, stops): the vertices of every piece for one set of
-        bounds (one per rule), as piece_vertices defines them, piece k's
-        being vertices[stops[k]:stops[k + 1]]. A piece with more than
-        VERTEX_CEILING vertices raises VertexEnumerationOverflow.
+        """(vertices, stops): the vertices of every piece for each of a
+        stack of bound sets, bounds of shape (S, rules), as piece_vertices
+        defines them. With P pieces, piece k's vertices under bound set s
+        are vertices[stops[s * P + k]:stops[s * P + k + 1]]. A piece with
+        more than VERTEX_CEILING vertices raises VertexEnumerationOverflow,
+        naming the most of the first bound set that has one.
 
-        One solve of the index (_solve) and one test of every (piece,
-        subsystem) pair against the violated bits of the piece's rows give
-        each piece's feasible solutions in its subsystem order. The
-        solutions that some piece keeps are rounded and grouped once
-        (_key_groups). Each piece then keeps the first of its solutions in
+        One solve of the index for every bound set (_solve) and one test of
+        every (bound set, piece, subsystem) triple against the violated
+        bits of the piece's rows give each piece's feasible solutions in its
+        subsystem order. The solutions that some piece keeps are rounded
+        and grouped once (_key_groups), for all bound sets at once. Each
+        piece under each bound set then keeps the first of its solutions in
         each group, in order of first appearance, and a coordinate that is
         exactly 0.0 in any of its solutions of that group is 0.0 in the
         vertex.
         """
+        count, n = bounds.shape[0], self.rows.shape[0]
         sols, violated = self._solve(bounds)
-        ok = np.empty(self.subsystems.shape[0], dtype=bool)
-        for i in range(0, ok.shape[0], _PAIR_BLOCK):
-            at = slice(i, i + _PAIR_BLOCK)
-            hit = violated[self.subsystems[at]]
-            hit &= self.masks[self.owners[at]]
-            np.logical_not(hit.any(axis=1), out=ok[at])
-        ok = np.flatnonzero(ok)
-        ids, piece = self.subsystems[ok].astype(np.intp), self.owners[ok].astype(np.intp)
-        used = np.flatnonzero(np.bincount(ids, minlength=sols.shape[0]))
-        heads, groups = _key_groups(sols[used])
+        pairs = self.subsystems.shape[0]
+        ok = np.empty((count, pairs), dtype=bool)
+        step = max(1, _PAIR_BLOCK // count)
+        for i in range(0, pairs, step):
+            at = slice(i, i + step)
+            # take widens the small indices to platform ints once, and
+            # gathers these short rows about twice as fast as indexing does
+            hit = violated.take(self.subsystems[at], axis=1)
+            hit &= self.masks.take(self.owners[at], axis=0)
+            np.logical_not(hit.any(axis=2), out=ok[:, at])
+        pair = ok.ravel().nonzero()[0]                # bound set * pairs + pair
+        scheme = pair // pairs
+        pair -= scheme * pairs
+        n_pieces = self.masks.shape[0]
+        ids = scheme * n + self.subsystems.take(pair)         # its solution
+        piece = scheme * n_pieces + self.owners.take(pair)    # its piece of its set
+        used = np.bincount(ids, minlength=sols.shape[0]).nonzero()[0]
+        heads, groups = _key_groups(sols.take(used, axis=0))
         label = np.empty(sols.shape[0], dtype=np.intp)   # a kept solution's group
         label[used] = groups
-        # a (piece, group) pair's first solution comes first in its run
+        # a (piece, group) pair's first solution comes first in its run; a
+        # piece number names its bound set, so no run spans two sets
         key = piece * heads.shape[0] + label[ids]
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         runs = np.ones(order.shape[0], dtype=bool)
         runs[1:] = key[order[1:]] != key[order[:-1]]
-        starts = np.flatnonzero(runs)
-        zeros = np.logical_or.reduceat(sols[ids[order]] == 0.0, starts, axis=0)
+        starts = runs.nonzero()[0]
+        zeros = np.logical_or.reduceat(sols.take(ids[order], axis=0) == 0.0, starts, axis=0)
         first = order[starts]
-        # pairs run piece by piece, so this is each piece's own order
-        keep = np.argsort(first)
-        verts = sols[ids[first[keep]]]
+        # pairs run bound set by bound set, then piece by piece, so this is
+        # each piece's own order
+        keep = first.argsort()
+        verts = sols.take(ids[first[keep]], axis=0)
         verts[zeros[keep]] = 0.0
-        counts = np.bincount(piece[first], minlength=self.masks.shape[0])
+        counts = np.bincount(piece[first], minlength=count * n_pieces)
         if counts.max() > VERTEX_CEILING:
+            most = counts.reshape(count, n_pieces).max(axis=1)
             raise VertexEnumerationOverflow(
-                f"{counts.max()} vertices exceed the ceiling {VERTEX_CEILING}")
-        return verts, [0, *np.cumsum(counts).tolist()]
+                f"{most[most > VERTEX_CEILING][0]} vertices exceed the ceiling "
+                f"{VERTEX_CEILING}")
+        return verts, [0, *counts.cumsum().tolist()]
 
     def _solve(self, bounds: np.ndarray):
-        """(solutions, violated): every subsystem solved for one set of
-        bounds (one per rule), with the coordinates its rows of -I fix set
-        to 0.0, and the packed bits (_row_bits) of the rows each solution
-        violates by more than 1e-9. Each slack product stays within
-        _GEMM_CELLS multiply-adds."""
-        b = np.append(bounds, 0.0)[self.rule]
-        sols = np.einsum("nij,nj->ni", self.inverses, b[self.rows])
-        sols[self.zero] = 0.0
-        limit = b + 1e-9
-        step = max(1, _GEMM_CELLS // self.A.size)
-        ok = np.empty((sols.shape[0], self.A.shape[0]), dtype=bool)
-        for i in range(0, sols.shape[0], step):
-            np.less_equal(sols[i:i + step] @ self.A.T, limit, out=ok[i:i + step])
+        """(solutions, violated): every subsystem solved for each of a stack
+        of bound sets, shape (S, rules), with the coordinates its rows of -I
+        fix set to 0.0, as S * n rows, bound set by bound set; and the
+        packed bits (_row_bits), shape (S, n, words), of the rows each
+        solution violates by more than 1e-9. Each slack product stays
+        within _GEMM_CELLS multiply-adds."""
+        count, (n, d) = bounds.shape[0], self.rows.shape
+        b = np.concatenate([bounds, np.zeros((count, 1))], axis=1)[:, self.rule]
+        # the index tiled once per bound set: one contraction over operands
+        # laid out as one set's, so each solution has the bits of a stack of one
+        inverses, zero = ((self.inverses, self.zero) if count == 1 else
+                          (np.tile(self.inverses, (count, 1, 1)), np.tile(self.zero, (count, 1))))
+        sols = np.einsum("nij,nj->ni", inverses,
+                         b.take(self.rows, axis=1).reshape(count * n, d))
+        sols[zero] = 0.0
+        stacked = sols.reshape(count, n, d)
+        limit = (b + 1e-9)[:, None]
+        chunk = max(1, _GEMM_CELLS // self.A.size)   # solutions per product
+        per = max(1, chunk // n)                      # bound sets per product
+        ok = np.empty((count, n, self.A.shape[0]), dtype=bool)
+        for s in range(0, count, per):
+            for i in range(0, n, chunk):
+                part = stacked[s:s + per, i:i + chunk]
+                product = part.reshape(-1, d) @ self.A.T
+                np.less_equal(product.reshape(part.shape[0], part.shape[1], -1),
+                              limit[s:s + per], out=ok[s:s + per, i:i + chunk])
         return sols, _row_bits(np.logical_not(ok, out=ok))
 
 
@@ -591,7 +682,7 @@ def piece_vertices(piece: RatePolytope) -> np.ndarray:
             kept[row.tobytes()] = i
     rows = np.array(sorted(kept.values()), dtype=np.intp)
     index = _SubsystemIndex.build(piece.dim, len(b), [(piece.A[rows], rows)])
-    return index.vertices(piece.b)[0]
+    return index.vertices(piece.b[None])[0]
 
 
 def _distinct(keys: np.ndarray):
@@ -601,16 +692,16 @@ def _distinct(keys: np.ndarray):
     order = np.lexsort(keys.T[::-1])          # stable: equal keys keep row order
     ordered = keys[order]
     head = np.ones(order.shape[0], dtype=bool)
-    head[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     label = np.empty_like(order)
-    label[order] = np.cumsum(head) - 1
+    label[order] = head.cumsum() - 1
     return order[head], label
 
 
 def _key_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
     """_distinct of the rows rounded to decimals places, -0.0 folded into
     0.0."""
-    keys = np.round(rows, decimals)
+    keys = rows.round(decimals)
     keys[keys == 0.0] = 0.0                   # fold -0.0
     return _distinct(keys)
 
@@ -687,9 +778,10 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     or frontier query raises SolverStall with the same message, and
     only region_support, which reads the cloud, answers. Each hull
     point's source is the first piece, in piece order, with that vertex. A
-    nonempty piece that recedes without bound raises Unbounded; as that
-    depends only on the constraint matrix, it is decided once per matrix,
-    by _capped or else by RatePolytope.rays.
+    nonempty piece that recedes without bound raises Unbounded. That is
+    decided from the piece's matrix, by _capped or else by its
+    RatePolytope.rays, except for a BoundTable's pieces: the table checks
+    each of its matrices once, when it is built.
     """
     pieces = tuple(pieces)
     if coords is None:
@@ -703,12 +795,10 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     d = len(coords)
     info = dict(info or {})
     clouds = [p.vertices for p in pieces]
-    checked = set()                           # id(A) of the matrices found bounded
     for p, cloud in zip(pieces, clouds):
-        if cloud.shape[0] and id(p.A) not in checked:
-            if not _capped(p.A) and np.any(p.rays > DEDUP_TOL):
-                raise Unbounded(f"a piece over {coords} recedes without bound")
-            checked.add(id(p.A))
+        if (cloud.shape[0] and not isinstance(p, _TablePiece) and not _capped(p.A)
+                and np.any(p.rays > DEDUP_TOL)):
+            raise Unbounded(f"a piece over {coords} recedes without bound")
     sources = np.repeat(np.arange(len(pieces)), [c.shape[0] for c in clouds])
     points = np.vstack(clouds) if sources.size else np.empty((0, d))
     keep, facets = _dedup_sorted(points), None

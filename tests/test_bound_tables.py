@@ -525,6 +525,36 @@ def test_every_table_piece_is_capped():
             assert regions._capped(A), name
 
 
+def test_a_table_with_an_uncapped_matrix_is_refused_when_built():
+    # R0 - R1 <= a leaves R0 free to grow with R1, and nothing caps R1
+    with pytest.raises(ValueError, match="piece 0 of the table"):
+        BoundTable(SEC, "one_set", {"a": "I(U;Y|X2,Q)"}, [("R0 <= a + R1",)])
+    # only a bracket's <= 0 branch caps R1; its other branch comes first
+    with pytest.raises(ValueError, match="piece 0 of the table"):
+        BoundTable(SEC, "one_set", {"a": "I(U;Y|X2,Q)"}, [("R0 <= a", "R1 <= [a + R0]+")])
+    # the second family's piece caps R0 alone
+    with pytest.raises(ValueError, match="piece 1 of the table"):
+        BoundTable(SEC, "one_set", {"a": "I(U;Y|X2,Q)"}, [("R0 <= a", "R1 <= a"), ("R0 <= a",)])
+
+
+def test_convexify_takes_table_pieces_as_bounded(monkeypatch):
+    pieces = [p for table in TABLES.values() if table.kind == "one_set"
+              for p in bound_pieces(table, dict.fromkeys(_term_names(table), 0.5))]
+
+    def no_check(A):
+        raise AssertionError("a table piece's matrix checked again")
+
+    monkeypatch.setattr(regions, "_capped", no_check)
+    by_coords = {}
+    for p in pieces:
+        by_coords.setdefault(p.coords, []).append(p)
+    for coords, group in by_coords.items():
+        assert regions.convexify(group).hull_points.shape[0] > 0
+    # a plain copy of a table piece is checked as any piece is
+    with pytest.raises(AssertionError, match="checked again"):
+        regions.convexify([RatePolytope(p.coords, p.A, p.b) for p in pieces[:1]])
+
+
 def test_table_matrices_are_built_once_and_read_only():
     for table in TABLES.values():
         names = _term_names(table)

@@ -157,6 +157,22 @@ class TestRandomSampling:
         got = list(search_schemes("one_set", clean_mac, config))
         assert len(got) == 3
 
+    @pytest.mark.parametrize("variant", ["one_set", "one_set_outer", "degraded", "two_set"])
+    @pytest.mark.parametrize("cards", [(2, 3, 2), (1, 1, 3), (3, 2, 1)])
+    def test_rows_are_the_dirichlet_draws_bitwise(self, binary_degraded, monkeypatch,
+                                                 variant, cards):
+        # the reference: one Generator.dirichlet call per block per scheme
+        config = SearchConfig(seed=31, sample_count=11, cardinalities=cards)
+        blocks = optimizer._blocks(variant, binary_degraded, config)
+        rng = np.random.default_rng(config.seed)
+        want = [np.concatenate([rng.dirichlet(np.ones(cols), size=rows).ravel()
+                                for name, rows, cols, shape in blocks])
+                for _ in range(config.sample_count)]
+        # chunks of 4 schemes: 4 + 4 + 3 draws from one stream
+        monkeypatch.setattr(optimizer, "_GRID_CHUNK", 4)
+        got = list(optimizer.parameter_rows(variant, binary_degraded, config))
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+
 
 class TestRefinement:
     def test_climbs_from_a_skewed_start(self, binary_degraded):
