@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import pathlib
@@ -210,7 +211,7 @@ def cmd_region(args) -> int:
         channel_path=args.channel, config_path=args.config,
         config_doc=config.to_dict(),
     )
-    # schemes visited, empty pieces dropped, degradedness, hull fallback
+    # schemes visited, empty pieces dropped, degradedness
     manifest["region_info"] = region.info
     _write_json(manifest_path, manifest)
     _print_json({
@@ -351,7 +352,9 @@ def cmd_info(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gmacsec",
         description="Rate regions, secrecy capacities, and exact binning "

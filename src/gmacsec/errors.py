@@ -31,7 +31,7 @@ class UnknownVariable(GmacError):
 
 
 class SolverStall(GmacError):
-    """The LP or Qhull backend stopped without a conclusive answer."""
+    """An LP solver stopped without a conclusive answer."""
 
 
 class Unbounded(GmacError):

@@ -3,7 +3,7 @@
 A RatePolytope is {x >= 0 : A x <= b} over named rate coordinates;
 nonnegativity of every coordinate is always implicit and never appears in A.
 A row with a [.]_+ bracket makes a union of plain polytopes. A region is
-the convex hull of a union of bounded pieces: a vertex cloud and its facets.
+the convex hull of a union of bounded pieces, kept as their vertex cloud.
 
 Each bound the package builds is a BoundTable: fixed constraint rows whose
 right-hand sides are signed sums of information terms, each term written
@@ -23,9 +23,15 @@ columns and runs one pass per sub-block of at most _PASS_SOLUTIONS
 solutions, and bound_pieces is the call for one scheme, so every piece a
 table gives comes with its vertices. Any other piece enumerates its own on
 first use, as an index of one piece: its tightest row per coefficient
-vector. Hull membership, hull slices and the time-sharing mix behind each
-frontier point come from the facets of one Qhull run per region. No query
-here solves an LP.
+vector.
+
+A region keeps its pieces' deduplicated, sorted vertex cloud. Every point
+of its hull is a mix of cloud points, so a slice or membership query is a
+linear program over mixture weights with at most d + 1 equality rows: the
+weights sum to one, and the mix meets each fixed coordinate. One small
+dense simplex (_phase_one, _simplex) solves it, pricing the whole cloud
+with one matrix-vector product per pivot; its optimal basis is the
+time-sharing mix behind each frontier point.
 """
 
 from __future__ import annotations
@@ -60,30 +66,19 @@ DEDUP_TOL = 1e-9
 DEDUP_DECIMALS = 9
 VERTEX_CEILING = 100_000
 COMBO_CEILING = 2_000_000
-# Vertices whose support is within this of the maximum tie for the witness.
+# A sweep direction's optimal face holds the cloud points whose reduced
+# costs are within this of zero; its sample takes the largest coordinate sum
+# on that face, then the largest first coordinate.
 TIE_TOL = 1e-12
-# Hull slices: rows are loosened by SLICE_SLACK (above the 1e-9 vertex
-# feasibility slack) while clipping; rows within SLICE_NEAR of the clipped
-# polygon are kept for vertex enumeration.
-SLICE_SLACK = 1e-8
-SLICE_NEAR = 1e-7
-# A sample's mix reproduces its point within MIX_TOL; no weight is below
-# MIX_FLOOR.
-MIX_TOL = 1e-9
-MIX_FLOOR = 1e-12
-
-
-def ConvexHull(points):
-    """scipy.spatial.ConvexHull, imported on first use: scipy.spatial takes
-    most of the package's import time, and only hulls need it."""
-    from scipy.spatial import ConvexHull as hull
-    return hull(points)
-
-
-def _qhull_error():
-    # evaluated by an except clause only once an exception is raised
-    from scipy.spatial import QhullError
-    return QhullError
+# A point within this L1 distance of a region's hull is in it.
+HULL_TOL = 1e-9
+# The weight simplex: a reduced cost above PRICE_TOL improves its objective;
+# a pivot entry or a step of at most PIVOT_TOL counts as zero; after
+# BLAND_AFTER degenerate pivots in a row it enters by Bland's rule.
+PRICE_TOL = 1e-13
+PIVOT_TOL = 1e-9
+BLAND_AFTER = 10
+PIVOT_CEILING = 10_000
 
 
 @dataclass(frozen=True)
@@ -157,24 +152,10 @@ def polytope(coords, constraint_pairs) -> RatePolytope:
 def piece_is_empty(piece: RatePolytope) -> bool:
     """Whether the piece has no point.
 
-    x >= 0 is implicit, so a nonempty piece is pointed and has a vertex.
+    x >= 0 is implicit, so a piece whose bounds are all nonnegative holds
+    the origin, and a nonempty piece is pointed and has a vertex.
     """
-    return piece.vertices.shape[0] == 0
-
-
-def _vertex_argmax(verts: np.ndarray, direction: np.ndarray):
-    """(max d.x, row index of the witness) over a nonempty vertex array.
-
-    The witness is the vertex with the largest coordinate sum among those
-    within TIE_TOL of the maximum, which is the Pareto-maximal corner of the
-    optimal face; a remaining tie goes to the lexicographically largest.
-    """
-    values = verts @ direction
-    value = float(np.max(values))
-    cand = np.flatnonzero(values >= value - TIE_TOL)
-    sums = verts[cand].sum(axis=1)
-    cand = cand[sums >= np.max(sums) - TIE_TOL]
-    return value, int(cand[np.lexsort(verts[cand].T[::-1])[-1]])
+    return not np.all(piece.b >= 0) and piece.vertices.shape[0] == 0
 
 
 def _at_zero(c):
@@ -698,18 +679,18 @@ def _distinct(keys: np.ndarray):
     return order[head], label
 
 
-def _key_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS):
-    """_distinct of the rows rounded to decimals places, -0.0 folded into
-    0.0."""
-    keys = rows.round(decimals)
+def _key_groups(rows: np.ndarray):
+    """_distinct of the rows rounded to DEDUP_DECIMALS places, -0.0 folded
+    into 0.0."""
+    keys = rows.round(DEDUP_DECIMALS)
     keys[keys == 0.0] = 0.0                   # fold -0.0
     return _distinct(keys)
 
 
-def _round_groups(rows: np.ndarray, decimals: int = DEDUP_DECIMALS) -> np.ndarray:
+def _round_groups(rows: np.ndarray) -> np.ndarray:
     """The index of the first row of each group of rows that agree once
-    rounded to decimals places, in row order."""
-    return np.sort(_key_groups(rows, decimals)[0])
+    rounded to DEDUP_DECIMALS places, in row order."""
+    return np.sort(_key_groups(rows)[0])
 
 
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:
@@ -726,11 +707,11 @@ def _dedup_sorted(points: np.ndarray) -> np.ndarray:
 class RateRegion:
     """The convex hull of a union of bounded pieces, as convexify builds it.
 
-    hull_points spans the hull; hull_sources, when present, gives for each
+    hull_points is the pieces' deduplicated vertex cloud, sorted, whose
+    mixes are the hull's points; hull_sources, when present, gives for each
     the index of a piece that has it as a vertex. provenance, when present,
     aligns with pieces and records where each piece came from (typically a
-    scheme dictionary). info carries free-form assembly diagnostics. facets
-    is hull_facets as convexify found it, if it did; == and repr skip it.
+    scheme dictionary). info carries free-form assembly diagnostics.
     """
 
     coords: tuple[str, ...]
@@ -739,22 +720,10 @@ class RateRegion:
     provenance: tuple | None = None
     info: dict = field(default_factory=dict)
     hull_sources: np.ndarray | None = None
-    facets: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    @functools.cached_property
-    def hull_facets(self):
-        """(G, h, simplices): facets, when given, or else _hull_inequalities
-        on hull_points, built on first use and kept; a Qhull failure raises
-        SolverStall and is not kept, and an empty region raises EmptySlice."""
-        if self.facets is not None:
-            return self.facets
-        if self.hull_points.shape[0] == 0:
-            raise EmptySlice("an empty region has no facets")
-        return _hull_inequalities(self.hull_points)
 
 
 def _capped(A: np.ndarray) -> bool:
@@ -767,21 +736,14 @@ def _capped(A: np.ndarray) -> bool:
 def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     """Convex hull of a union of bounded pieces, as a sorted vertex cloud.
 
-    Vertices of every piece are pooled, deduplicated, and sorted before any
-    hull pruning, so the result does not depend on piece order. One Qhull
-    run, _hull_inequalities, which prunes flat clouds too, gives the
-    facets; the region keeps them, and as hull_points the points their
-    simplices use and the first point. When Qhull fails, the unpruned cloud
-    is kept and the first line of Qhull's message is recorded as
-    info["hull_fallback"]. Its facets are left to build on first use, which
-    reruns the failed Qhull run on the same cloud: each membership, slice
-    or frontier query raises SolverStall with the same message, and
-    only region_support, which reads the cloud, answers. Each hull
-    point's source is the first piece, in piece order, with that vertex. A
-    nonempty piece that recedes without bound raises Unbounded. That is
-    decided from the piece's matrix, by _capped or else by its
-    RatePolytope.rays, except for a BoundTable's pieces: the table checks
-    each of its matrices once, when it is built.
+    Vertices of every piece are pooled, deduplicated to DEDUP_DECIMALS
+    places and sorted (_dedup_sorted), so the result does not depend on
+    piece order; the cloud is kept whole, as hull_points. Each hull point's
+    source is the first piece, in piece order, with that vertex. A nonempty
+    piece that recedes without bound raises Unbounded. That is decided from
+    the piece's matrix, by _capped or else by its RatePolytope.rays, except
+    for a BoundTable's pieces: the table checks each of its matrices once,
+    when it is built.
     """
     pieces = tuple(pieces)
     if coords is None:
@@ -793,7 +755,6 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
         if p.coords != coords:
             raise ValueError(f"piece coords {p.coords} differ from {coords}")
     d = len(coords)
-    info = dict(info or {})
     clouds = [p.vertices for p in pieces]
     for p, cloud in zip(pieces, clouds):
         if (cloud.shape[0] and not isinstance(p, _TablePiece) and not _capped(p.A)
@@ -801,16 +762,7 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
             raise Unbounded(f"a piece over {coords} recedes without bound")
     sources = np.repeat(np.arange(len(pieces)), [c.shape[0] for c in clouds])
     points = np.vstack(clouds) if sources.size else np.empty((0, d))
-    keep, facets = _dedup_sorted(points), None
-    if keep.shape[0]:
-        try:
-            G, h, simplices = _hull_inequalities(points[keep])
-            # the first point, the smallest, is extreme; a point has no simplex
-            used = np.union1d(simplices, 0)
-            keep, facets = keep[used], (G, h, np.searchsorted(used, simplices))
-        except SolverStall as exc:
-            # the unpruned cloud still spans the hull
-            info["hull_fallback"] = str(exc.__cause__).strip().split("\n", 1)[0]
+    keep = _dedup_sorted(points)
     points, sources = points[keep], sources[keep]
     points.setflags(write=False)
     sources.setflags(write=False)
@@ -819,22 +771,107 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
         pieces=pieces,
         hull_points=points,
         provenance=None if provenance is None else tuple(provenance),
-        info=info,
+        info=dict(info or {}),
         hull_sources=sources,
-        facets=facets,
     )
 
 
-def region_contains(region: RateRegion, point, tol: float = 1e-9) -> bool:
-    """Membership in the region: G x <= h + tol on every unit-norm row of
-    its hull's facets, region.hull_facets; SolverStall if Qhull fails."""
+def _simplex(W, rhs, basis, cost, allowed=None):
+    """Maximize cost.w over w >= 0 with W w = rhs by the primal simplex,
+    from the feasible basis given, a list of column indices that is updated
+    in place. Returns (weights of the basis columns, reduced costs).
+
+    Each pivot prices every column with one matrix-vector product, and
+    only the columns that allowed marks may enter. The entering column has
+    the largest reduced cost above PRICE_TOL, the first on a tie. After
+    BLAND_AFTER degenerate pivots in a row (each a step of at most
+    PIVOT_TOL) it is the first with one, Bland's rule, until a step is not
+    degenerate; a cycle of bases would be all degenerate steps, which
+    Bland's rule cannot cycle through, so the simplex terminates. The
+    leaving column is the first, by column index, of those tied in the
+    ratio test. Raises SolverStall when PIVOT_CEILING pricing rounds end
+    short of the optimum.
+    """
+    degenerate = 0                            # degenerate pivots in a row
+    inverse = np.linalg.inv(W[:, basis])
+    for _ in range(PIVOT_CEILING):
+        weights = inverse @ rhs
+        reduced = cost - (cost[basis] @ inverse) @ W
+        reduced[basis] = 0.0
+        if allowed is not None:
+            reduced[~allowed] = -np.inf
+        if degenerate >= BLAND_AFTER:
+            j = int(np.argmax(reduced > PRICE_TOL))
+        else:
+            j = int(np.argmax(reduced))
+        if reduced[j] <= PRICE_TOL:
+            return weights, reduced
+        alpha = inverse @ W[:, j]
+        rows = np.flatnonzero(alpha > PIVOT_TOL)
+        if not rows.size:
+            raise SolverStall("the weight LP is unbounded, though its weights sum to one")
+        ratios = np.maximum(weights[rows], 0.0) / alpha[rows]
+        step = ratios.min()
+        tied = rows[ratios == step]
+        leave = tied[np.argmin(np.take(basis, tied))]
+        basis[leave] = j
+        # the basis inverse after the pivot: its row leave divided by the
+        # pivot entry, subtracted from every other row in proportion
+        pivot = inverse[leave] / alpha[leave]
+        inverse -= np.outer(alpha, pivot)
+        inverse[leave] = pivot
+        degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
+    raise SolverStall(f"the weight LP was not optimal after {PIVOT_CEILING} pricing rounds")
+
+
+def _phase_one(rows, rhs):
+    """(W, basis, distance) for the weights w >= 0 with rows w = rhs, where
+    rows[0] is all ones and rhs[0] is 1: rows with two artificial columns
+    per other row appended, a unit column of each sign, a feasible basis
+    of W that minimizes the artificials' sum, and that sum, the L1 distance
+    by which rows w misses rhs, which is 0 when the system is feasible.
+    Column 0 starts with all the weight, and each other row's gap to rhs
+    with the artificial of its sign."""
+    m, n = rows.shape
+    unit = np.eye(m)[:, 1:]
+    W = np.hstack([rows, unit, -unit])
+    cost = np.concatenate([np.zeros(n), -np.ones(2 * (m - 1))])
+    gap = rhs[1:] - rows[1:, 0]
+    basis = [0, *(n + i + (m - 1) * int(g < 0) for i, g in enumerate(gap))]
+    weights, _ = _simplex(W, rhs, basis, cost)
+    return W, basis, float(-cost[basis] @ weights)
+
+
+def _cloud_basis(W, rhs, basis, n):
+    """(rows, rhs, basis) once _phase_one's artificials leave its basis:
+    each is pivoted out on the largest entry of its row among the n cloud
+    columns, or, when no entry exceeds PIVOT_TOL, its row repeats the
+    others and is dropped."""
+    kept = list(range(W.shape[0]))
+    while max(basis) >= n:
+        p = int(np.argmax(basis))
+        sub = W[kept]
+        entries = np.linalg.inv(sub[:, basis])[p] @ sub[:, :n]
+        j = int(np.argmax(np.abs(entries)))
+        if abs(entries[j]) > PIVOT_TOL:
+            basis[p] = j
+        else:
+            kept.remove((basis.pop(p) - n) % (W.shape[0] - 1) + 1)
+    return W[kept, :n], rhs[kept], basis
+
+
+def region_contains(region: RateRegion, point, tol: float = HULL_TOL) -> bool:
+    """Whether point lies within L1 distance tol of the region's hull: the
+    sum over coordinates of |point - x| for the nearest mix x of hull
+    points, found by _phase_one over the cloud."""
     x = np.asarray(point, dtype=float)
     if x.shape != (region.dim,):
         raise ValueError("point dimension mismatch")
-    if region.hull_points.shape[0] == 0:
+    pts = region.hull_points
+    if pts.shape[0] == 0:
         return False
-    G, h, _ = region.hull_facets
-    return bool(np.all(G @ x <= h + tol))
+    rows = np.vstack([np.ones(pts.shape[0]), pts.T])
+    return _phase_one(rows, np.append(1.0, x))[2] <= tol
 
 
 def region_support(region: RateRegion, direction) -> float:
@@ -856,10 +893,10 @@ def region_support(region: RateRegion, direction) -> float:
 class FrontierSample:
     """One support-direction probe of a 2-D slice of a region's hull.
 
-    point (plane coordinates) attains value = max direction.x over the
-    slice. mix holds (weight, hull-point index) pairs, weights positive and
-    summing to one, whose weighted hull points are point with the fixed
-    values: the time-sharing that achieves it.
+    point (plane coordinates) attains value = direction.point, the maximum
+    over the slice. mix holds (weight, hull-point index) pairs, in index
+    order, weights positive and summing to one, whose weighted hull points
+    are point with the fixed values: the time-sharing that achieves it.
     """
 
     theta: float
@@ -867,134 +904,6 @@ class FrontierSample:
     point: np.ndarray
     value: float
     mix: tuple
-
-
-def _hull_inequalities(points: np.ndarray):
-    """conv(points) as {x : G x <= h}, from Qhull's facets, with the simplex
-    of each facet row.
-
-    The cloud is written in coordinates y on its affine hull first, so flat
-    clouds work too; the equations that pin it to that hull follow the
-    facet rows as pairs of opposite rows. Facet row i spans the simplex
-    points[simplices[i]]. Rank 0 and rank 1 clouds (a point, a segment) need
-    no Qhull. Rows have unit norm. Raises SolverStall when Qhull cannot
-    build the hull of a cloud of rank 2 or more.
-    """
-    origin = points[0]
-    # the full left factor would be n x n; only short clouds need vt complete
-    _, sv, vt = np.linalg.svd(points - origin,
-                              full_matrices=points.shape[0] < points.shape[1])
-    rank = int(np.sum(sv > 1e-9))
-    basis, normal = vt[:rank], vt[rank:]
-    y = (points - origin) @ basis.T
-    if rank == 0:
-        Gy, hy = np.empty((0, 0)), np.empty(0)
-        simplices = np.empty((0, 0), dtype=np.intp)
-    elif rank == 1:
-        Gy, hy = np.array([[1.0], [-1.0]]), np.array([y.max(), -y.min()])
-        simplices = np.array([[np.argmax(y)], [np.argmin(y)]])
-    else:
-        try:
-            hull = ConvexHull(y)
-        except _qhull_error() as exc:
-            first_line = str(exc).strip().split("\n", 1)[0]
-            raise SolverStall(f"Qhull failed on a rank-{rank} hull cloud: "
-                              f"{first_line}") from exc
-        eq = hull.equations                   # n . y + offset <= 0
-        Gy, hy, simplices = eq[:, :-1], -eq[:, -1], hull.simplices
-    G = np.vstack([Gy @ basis, normal, -normal])
-    h = np.concatenate([hy, np.zeros(2 * normal.shape[0])]) + G @ origin
-    return G, h, simplices
-
-
-def _hull_mix(points, G, h, simplices, x) -> tuple:
-    """x as a convex combination of points, ((weight, index), ...) with
-    positive weights summing to one, from the facets of _hull_inequalities.
-
-    x within MIX_TOL of a point is that point. Otherwise the ray from
-    points[0] through x leaves the hull at points[0] + t (x - points[0]),
-    t >= 1: x weighs points[0] by 1 - 1/t and the exit point, barycentric
-    on the simplex of the first facet through it (tied in t) that
-    reproduces x within MIX_TOL, by 1/t. Raises SolverStall when none does.
-    """
-    gap = np.max(np.abs(points - x), axis=1)
-    if gap.min() <= MIX_TOL:
-        return ((1.0, int(np.argmin(gap))),)
-    origin = points[0]
-    v = x - origin
-    rate = G[:simplices.shape[0]] @ v
-    exits = np.flatnonzero(rate > 1e-12 * np.linalg.norm(v))
-    ok = exits[:0]
-    if exits.size:
-        ts = (h[exits] - G[exits] @ origin) / rate[exits]
-        cand = simplices[exits[ts <= ts.min() + 1e-9 * max(ts.min(), 1.0)]]
-        t = max(ts.min(), 1.0)
-        verts = points[cand]                  # tied facet, simplex point, coordinate
-        lhs = np.concatenate([verts, np.ones(cand.shape + (1,))], axis=2)
-        lam = np.linalg.pinv(lhs.transpose(0, 2, 1)) @ np.append(origin + t * v, 1.0)
-        # smaller weights are rounding noise, or the overshoot of a facet
-        # whose simplex misses the exit point
-        lam[lam <= MIX_FLOOR] = 0.0
-        lam /= lam.sum(axis=1, keepdims=True)
-        got = origin + (np.einsum("kj,kjd->kd", lam, verts) - origin) / t
-        ok = np.flatnonzero(np.max(np.abs(got - x), axis=1) <= MIX_TOL)
-    if not ok.size:
-        raise SolverStall(f"no hull facet reproduces the point {x.tolist()}")
-    w = np.bincount(np.append(cand[ok[0]], 0), np.append(lam[ok[0]] / t, 1.0 - 1.0 / t),
-                    minlength=points.shape[0])
-    idx = np.flatnonzero(w > MIX_FLOOR)
-    return tuple(zip((w[idx] / w[idx].sum()).tolist(), idx.tolist()))
-
-
-def _clip(poly: np.ndarray, g: np.ndarray, c: float) -> np.ndarray:
-    """The convex polygon poly (vertices in boundary order) cut by g.x <= c."""
-    s = poly @ g - c
-    inside = s <= 0
-    if inside.all():
-        return poly
-    if not inside.any():
-        return poly[:0]
-    s_next = np.roll(s, -1)
-    cross = inside != (s_next <= 0)
-    t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
-    hits = poly + t[:, None] * (np.roll(poly, -1, axis=0) - poly)
-    # each kept vertex, then where its outgoing edge crosses the line
-    return np.stack([poly, hits], axis=1)[np.column_stack([inside, cross])]
-
-
-def _slice_rows(G: np.ndarray, h: np.ndarray, lo, hi):
-    """Rows of the bounded 2-D system G x <= h that can define a vertex.
-
-    The box [lo, hi], which must hold the solution set well inside, is cut
-    by every row loosened by SLICE_SLACK, one row at a time. Every edge of
-    the resulting polygon lies on a row that comes within SLICE_NEAR of it,
-    so those rows alone give the same feasible vertices as the whole system.
-    Returns None when the polygon is empty.
-    """
-    poly = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    c = h + SLICE_SLACK
-    for i in range(G.shape[0]):
-        poly = _clip(poly, G[i], c[i])
-        if poly.shape[0] == 0:
-            return None
-    return np.flatnonzero(np.max(poly @ G.T - h, axis=0) >= -SLICE_NEAR)
-
-
-def _hull_slice(region: RateRegion, G, h, plane_idx, fixed_idx, fixed_vals) -> np.ndarray:
-    """Vertices of the 2-D slice of the hull G x <= h at the fixed values,
-    in plane order (empty when the slice is)."""
-    pts = region.hull_points
-    h = h - G[:, fixed_idx] @ np.asarray(fixed_vals, dtype=float)
-    G = G[:, plane_idx]
-    # coplanar simplicial facets repeat a row; so can the substitution
-    keep = _round_groups(np.column_stack([G, h]), 12)
-    G, h = G[keep], h[keep]
-    extent = pts[:, plane_idx]
-    near = _slice_rows(G, h, extent.min(axis=0) - 1.0, extent.max(axis=0) + 1.0)
-    if near is None:
-        return np.empty((0, 2))
-    plane = tuple(region.coords[i] for i in plane_idx)
-    return RatePolytope(plane, G[near], h[near]).vertices
 
 
 def check_slice(coords, plane, fixed) -> dict:
@@ -1028,37 +937,52 @@ def _check_resolution(resolution) -> int:
 
 def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
     """Support-direction sweep of a 2-D slice of the region's hull, one
-    sample per direction, each a slice vertex with its mix (_hull_mix).
+    sample per direction.
 
     Directions are (cos t, sin t) for t evenly spaced over [0, pi/2].
-    plane and fixed must pass check_slice; an empty slice raises EmptySlice.
+    plane and fixed must pass check_slice. The slice is the mixes of hull
+    points that meet the fixed values: _phase_one finds one, once, and
+    raises EmptySlice when every mix misses them by more than HULL_TOL.
+    Each direction then starts from the previous direction's basis and
+    maximizes, by _simplex, direction.x, then on the optimal face (reduced
+    costs within TIE_TOL of zero) the plane coordinates' sum, then the
+    first plane coordinate: the Pareto-maximal corner of the optimal face.
+    A face whose only columns are the basis's ends this early.
+    The sample's mix is the final basis, its point the weighted sum of the
+    mix's points.
     """
     plane = tuple(plane)
     fixed = check_slice(region.coords, plane, fixed or {})
     resolution = _check_resolution(resolution)
     plane_idx = [region.coords.index(c) for c in plane]
     fixed_idx = [i for i, c in enumerate(region.coords) if c in fixed]
-    fixed_vals = [fixed[region.coords[i]] for i in fixed_idx]
-
     pts = region.hull_points
     if pts.shape[0] == 0:
         raise EmptySlice(f"no feasible point in the slice at {fixed}")
-    G, h, simplices = region.hull_facets
-    polygon = _hull_slice(region, G, h, plane_idx, fixed_idx, fixed_vals)
-    if polygon.shape[0] == 0:
+    n = pts.shape[0]
+    rows = np.vstack([np.ones(n), pts[:, fixed_idx].T])
+    rhs = np.array([1.0, *(fixed[region.coords[i]] for i in fixed_idx)])
+    W, basis, distance = _phase_one(rows, rhs)
+    if distance > HULL_TOL:
         raise EmptySlice(f"no feasible point in the slice at {fixed}")
-    mixes = {}                                # polygon row -> mix
+    rows, rhs, basis = _cloud_basis(W, rhs, basis, n)
+    flat = pts[:, plane_idx]
+    ties = (flat.sum(axis=1), flat[:, 0])
     samples = []
     for k in range(resolution):
         theta = 0.5 * math.pi * k / (resolution - 1)
         direction = (math.cos(theta), math.sin(theta))
-        value, i = _vertex_argmax(polygon, np.asarray(direction))
-        if i not in mixes:
-            x = np.empty(region.dim)
-            x[plane_idx], x[fixed_idx] = polygon[i], fixed_vals
-            mixes[i] = _hull_mix(pts, G, h, simplices, x)
-        samples.append(FrontierSample(theta, direction, polygon[i].copy(), value,
-                                      mixes[i]))
+        allowed = None
+        for cost in (flat @ np.asarray(direction), *ties):
+            weights, reduced = _simplex(rows, rhs, basis, cost, allowed)
+            allowed = reduced >= -TIE_TOL
+            if np.count_nonzero(allowed) == len(basis):
+                break                         # the face is the basis alone
+        order = np.argsort(basis)
+        mix = [(float(weights[i]), basis[i]) for i in order if weights[i] > 0.0]
+        point = np.array([w for w, _ in mix]) @ flat[[j for _, j in mix]]
+        samples.append(FrontierSample(theta, direction, point,
+                                      float(point @ np.asarray(direction)), tuple(mix)))
     return samples
 
 

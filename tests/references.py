@@ -2,9 +2,10 @@
 
 search_schemes turns the search's one scheme stream, parameter_rows, into
 scheme dataclasses. The rest are slow or definition-level references that
-the package itself never calls: per-piece support, slicing and membership
-queries, the two-set equivocation set straight from its definition, and a
-channel perturbation that keeps every receiver marginal.
+the package itself never calls: the frontier sweep's tie rule over a
+slice's points, per-piece support, slicing and membership queries, the
+two-set equivocation set straight from its definition, and a channel
+perturbation that keeps every receiver marginal.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from gmacsec import optimizer
 from gmacsec.channel import ChannelSpec
 from gmacsec.errors import EmptySlice, Unbounded
-from gmacsec.regions import DEDUP_TOL, RatePolytope, _vertex_argmax
+from gmacsec.regions import DEDUP_TOL, TIE_TOL, RatePolytope
 from gmacsec.two_set import TWO_SET
 
 
@@ -30,6 +31,33 @@ def search_schemes(variant, channel, config):
 
 
 # --- piece queries ------------------------------------------------------------
+
+def vertex_argmax(verts: np.ndarray, direction: np.ndarray):
+    """(max d.x, row index of the witness) over a nonempty vertex array: the
+    tie oracle of frontier_sweep's picks.
+
+    The witness is the vertex with the largest coordinate sum among those
+    within TIE_TOL of the maximum, which is the Pareto-maximal corner of the
+    optimal face; a remaining tie goes to the lexicographically largest.
+    """
+    values = verts @ direction
+    value = float(np.max(values))
+    cand = np.flatnonzero(values >= value - TIE_TOL)
+    sums = verts[cand].sum(axis=1)
+    cand = cand[sums >= np.max(sums) - TIE_TOL]
+    return value, int(cand[np.lexsort(verts[cand].T[::-1])[-1]])
+
+
+def zero_slice_points(points: np.ndarray, plane_idx, fixed_idx,
+                      tol: float = 1e-12) -> np.ndarray:
+    """The plane coordinates of the points of a cloud whose fixed
+    coordinates are all within tol of zero. For a cloud with no negative
+    coordinate, their hull is the slice of the cloud's hull where those
+    coordinates are zero: a mix is zero in a coordinate only where every
+    point it mixes is."""
+    at_zero = np.all(np.abs(points[:, fixed_idx]) <= tol, axis=1)
+    return points[at_zero][:, plane_idx]
+
 
 def piece_contains(piece: RatePolytope, point, tol: float = 1e-9) -> bool:
     """Membership test with additive slack tol on every constraint."""
@@ -47,7 +75,7 @@ def piece_support(piece: RatePolytope, direction) -> tuple[float, np.ndarray]:
     """max d.x over the piece; returns (value, maximizing vertex).
 
     The maximum is taken over the piece's vertices, with the witness tie
-    rule of regions._vertex_argmax. Raises EmptySlice when the piece is
+    rule of vertex_argmax. Raises EmptySlice when the piece is
     empty and Unbounded when it recedes without bound in that direction.
     """
     d = np.asarray(direction, dtype=float)
@@ -60,7 +88,7 @@ def piece_support(piece: RatePolytope, direction) -> tuple[float, np.ndarray]:
         raise EmptySlice("support of an empty piece")
     if np.max(piece.rays @ d) > DEDUP_TOL:
         raise Unbounded(f"support unbounded along {direction}")
-    value, i = _vertex_argmax(verts, d)
+    value, i = vertex_argmax(verts, d)
     return value, verts[i].copy()
 
 

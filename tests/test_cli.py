@@ -75,7 +75,7 @@ def _run_python(code):
 
 class TestTopLevel:
     def test_import_loads_no_scipy_solver_or_hull(self):
-        # scipy.optimize and scipy.spatial are imported on the first LP or hull
+        # scipy.optimize is imported on the first LP; scipy.spatial never is
         code = ("import sys, gmacsec.cli; "
                 "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') "
                 "if m in sys.modules))")
@@ -104,6 +104,25 @@ class TestTopLevel:
                 "print(codes, sorted(m for m in sys.modules if m in {mods!r}))\n"
                 .format(commands=commands, mods=_LAZY_LAYERS))
         assert _run_python(code) == "[0, 0, 0] []"
+
+    def test_region_and_capacity_runs_load_no_scipy_spatial(self, channel_files, tmp_path):
+        # `python -m gmacsec.cli` in one fresh interpreter: region, then
+        # secrecy-capacity, each followed by a look at the loaded modules
+        channel = str(channel_files["binary_degraded"])
+        commands = [["region", channel, "--bound", "inner1",
+                     "--out", str(tmp_path / "f.csv")],
+                    ["secrecy-capacity", channel]]
+        code = ("import contextlib, io, runpy, sys\n"
+                "for argv in {commands!r}:\n"
+                "    sys.argv = ['gmacsec', *argv]\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        try:\n"
+                "            runpy.run_module('gmacsec.cli', run_name='__main__')\n"
+                "        except SystemExit as exc:\n"
+                "            code = exc.code\n"
+                "    print(code, 'scipy.spatial' in sys.modules)\n"
+                .format(commands=commands))
+        assert _run_python(code).splitlines() == ["0 False", "0 False"]
 
     def test_region_queries_need_no_scipy_optimize(self):
         # assembling, sweeping and membership solve no LP, so they run with
@@ -171,33 +190,6 @@ class TestRegion:
         assert info["degradedness_residual"] <= 1e-7
         assert info["config"]["sample_count"] == 8
         assert "hull_fallback" not in info
-
-    def test_hull_fallback_reaches_the_manifest(self, channel_files,
-                                                grid_config, tmp_path,
-                                                monkeypatch):
-        from scipy.spatial import QhullError
-
-        from gmacsec import regions
-
-        real = regions.ConvexHull
-        calls = []
-
-        def hull(points, *args, **kwargs):
-            # fail convexify's pruning; later hulls (the slice) succeed
-            calls.append(1)
-            if len(calls) == 1:
-                raise QhullError("QH6154 Qhull precision error: made up")
-            return real(points, *args, **kwargs)
-
-        monkeypatch.setattr(regions, "ConvexHull", hull)
-        out = tmp_path / "fallback.csv"
-        rc = main(["region", str(channel_files["clean_mac"]),
-                   "--bound", "inner1", "--resolution", "5",
-                   "--config", grid_config, "--out", str(out)])
-        assert rc == 0
-        info = json.loads((tmp_path / "fallback.csv.manifest.json")
-                          .read_text())["region_info"]
-        assert info["hull_fallback"].startswith("QH6154")
 
     def test_two_runs_byte_identical(self, channel_files, tmp_path):
         cfg = _write_json(tmp_path / "cfg.json",

@@ -58,6 +58,27 @@ class TestPieceBasics:
         empty = polytope(RR, [((0.0, 1.0), -1.0)])
         assert piece_is_empty(empty)
 
+    def test_nonnegative_bounds_hold_the_origin(self, monkeypatch):
+        # a piece whose bounds are all >= 0 holds the origin, so it is not
+        # empty, and no vertex is enumerated to say so
+        def no_work(piece):
+            raise AssertionError("vertices enumerated")
+
+        monkeypatch.setattr(regions, "piece_vertices", no_work)
+        for pairs in ([((1.0, 1.0), 1.0)], [((1.0, -1.0), 0.0), ((0.0, 1.0), -0.0)],
+                      [((-1.0, 0.0), 0.0)]):
+            assert not piece_is_empty(polytope(RR, pairs))
+        monkeypatch.undo()
+        # a negative bound anywhere is decided from the vertices: empty
+        # however small the bound or the row, and nonempty off the origin
+        empty = [[((1.0, 1.0), 1.0), ((-1.0, 0.0), -2.0)],
+                 [((1.0, 0.0), -1e-6)],
+                 [((0.0, 1.0), 0.5), ((1.0, 1.0), 1.0), ((-1.0, -1.0), -1.5)],
+                 [((1.0, 1.0), 1.0), ((-1.0, 0.0), -0.6), ((0.0, -1.0), -0.6)]]
+        for pairs in empty:
+            assert piece_is_empty(polytope(RR, pairs))
+        assert not piece_is_empty(polytope(RR, [((1.0, 1.0), 1.0), ((-1.0, 0.0), -0.5)]))
+
     def test_vertices_and_rays_are_cached_read_only(self):
         piece = polytope(RR, [((1.0, -1.0), 0.5)])
         for name in ("vertices", "rays"):
@@ -190,10 +211,14 @@ class TestVertices:
 
 
 class TestConvexify:
-    def test_hull_prunes_to_extreme_points(self):
+    def test_hull_keeps_the_deduplicated_cloud(self):
+        # every vertex once, sorted, with the first piece that has it
         small = polytope(RR, [((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5)])
         region = convexify([_unit_square(), small])
-        assert _vertex_set(region.hull_points) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+        assert region.hull_points.tolist() == [[0.0, 0.0], [0.0, 0.5], [0.0, 1.0],
+                                               [0.5, 0.0], [0.5, 0.5], [1.0, 0.0],
+                                               [1.0, 1.0]]
+        assert region.hull_sources.tolist() == [0, 1, 0, 1, 1, 0, 0]
 
     def test_piece_order_does_not_matter(self):
         a = convexify([_unit_square(), _wide_rectangle()])

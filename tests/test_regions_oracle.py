@@ -1,8 +1,9 @@
 """Vertex-based geometry checked against its slow references.
 
-The package answers emptiness, support, hull-slice and hull-membership
-queries from piece vertices and hull facets; these tests solve the same
-queries as linear programs and require the same answers. Every piece gets
+The package answers emptiness and support queries from piece vertices, and
+hull-slice and hull-membership queries with its own small simplex over the
+region's vertex cloud; these tests solve the same queries with scipy's
+linprog and require the same answers. Every piece gets
 its vertices from a subsystem index: the pieces of one scheme under a
 bound table come with theirs, from one pass over the table's index, and
 any other piece enumerates its own, as an index of one piece. Vertices are
@@ -13,9 +14,12 @@ and solves one piece's subsystems on their own.
 
 import dataclasses
 import itertools
+import json
 import math
+import pathlib
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from gmacsec import (
     EmptySlice,
+    NotDegradedWarning,
     RatePolytope,
     RateRegion,
     SolverStall,
@@ -44,12 +49,20 @@ from gmacsec.channel import validate_channel
 from gmacsec.optimizer import SearchConfig, assemble_region
 from gmacsec.regions import BoundTable, _Min, bound_pieces
 from conftest import split_rows
-from references import piece_contains, piece_support, search_schemes, slice_piece
+from references import (
+    piece_contains,
+    piece_support,
+    search_schemes,
+    slice_piece,
+    vertex_argmax,
+    zero_slice_points,
+)
 from test_bound_tables import pieces_per_scheme
 
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
               "dual_feasibility_tolerance": 1e-10}
 NAMES = ("R0", "R1", "R2", "R1e", "R2e")
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def lp_support(piece, direction):
@@ -315,6 +328,10 @@ def workload_regions():
 
 
 def _assert_slice_matches_lp(region, plane, fixed, resolution=9):
+    """Each sample of the sweep against the weight-space LP over the cloud:
+    its value within 1e-12, its point on its direction's line, and its mix,
+    which reproduces the point with the fixed values. Returns whether the
+    slice is nonempty."""
     pts = region.hull_points
     plane_idx = [region.coords.index(c) for c in plane]
     fixed_idx = [region.coords.index(c) for c in fixed]
@@ -329,7 +346,7 @@ def _assert_slice_matches_lp(region, plane, fixed, resolution=9):
     samples = frontier_sweep(region, plane, fixed=fixed, resolution=resolution)
     assert len(samples) == resolution
     for s, want in zip(samples, expected):
-        assert s.value == pytest.approx(want, abs=1e-9)
+        assert s.value == pytest.approx(want, abs=1e-12)
         assert float(np.dot(s.point, s.direction)) == pytest.approx(s.value, abs=1e-12)
         # the mix of hull points reproduces the point with the fixed values
         weights = np.array([w for w, _ in s.mix])
@@ -382,18 +399,64 @@ class TestHullSliceOracle:
 
     @pytest.mark.parametrize("name", ["inner1", "two-set"])
     def test_mixes_of_interior_points(self, workload_regions, name):
-        # slice vertices lie on the hull's boundary; a point inside it also
-        # weighs hull_points[0], the start of the ray
-        pts = workload_regions[name].hull_points
-        G, h, simplices = regions._hull_inequalities(pts)
+        # a slice through a point inside the hull, at that point's values of
+        # every coordinate but the plane's, holds the point
+        region = workload_regions[name]
+        pts = region.hull_points
+        plane = region.coords[:2]
         rng = np.random.default_rng(51)
-        for x in rng.dirichlet(np.ones(pts.shape[0]), size=20) @ pts:
-            mix = regions._hull_mix(pts, G, h, simplices, x)
-            weights = np.array([w for w, _ in mix])
-            assert mix[0][1] == 0 and np.all(weights > 0)
-            assert abs(weights.sum() - 1.0) <= 1e-12
-            np.testing.assert_allclose(weights @ pts[[j for _, j in mix]], x,
-                                       rtol=0.0, atol=1e-9)
+        for x in rng.dirichlet(np.ones(pts.shape[0]), size=4) @ pts:
+            fixed = {c: float(v) for c, v in zip(region.coords[2:], x[2:])}
+            assert _assert_slice_matches_lp(region, plane, fixed, resolution=5)
+            for s in frontier_sweep(region, plane, fixed=fixed, resolution=5):
+                assert s.value >= float(np.dot(x[:2], s.direction)) - 1e-12
+
+    def test_seeded_channels(self):
+        # seeded random channels, at slices through zero and off it
+        for seed in (11, 12):
+            channel = fx.random_channel((2, 2, 3, 2, 2), np.random.default_rng(seed))
+            inner = assemble_region(channel, "inner-one-set",
+                                    SearchConfig(strategy="random", sample_count=6, seed=seed))
+            top = float(inner.hull_points[:, 2].max())
+            for re_value in (0.0, 0.4 * top):
+                assert _assert_slice_matches_lp(inner, ("R0", "R1"), {"Re": re_value})
+            two = assemble_region(channel, "two-set", SearchConfig(
+                strategy="random", sample_count=2, cardinalities=(2, 2, 2), seed=seed))
+            top = two.hull_points.max(axis=0)
+            fixed = {"R0": 0.2 * float(top[0]), "R1e": 0.1 * float(top[3]),
+                     "R2e": 0.1 * float(top[4])}
+            assert _assert_slice_matches_lp(two, ("R1", "R2"), fixed)
+
+    @pytest.mark.parametrize("name", ["inner1", "two-set"])
+    def test_pivot_rules_agree(self, workload_regions, name, monkeypatch):
+        # Bland's rule from the first degenerate pivot, or never: the same
+        # picks, whatever path the simplex takes to them
+        region = workload_regions[name]
+        plane = region.coords[:2]
+        top = region.hull_points.max(axis=0)
+        sweeps = []
+        for after in (0, 10 ** 9):
+            monkeypatch.setattr(regions, "BLAND_AFTER", after)
+            sweeps.append([frontier_sweep(region, plane, resolution=9,
+                                          fixed={c: scale * float(top[i])
+                                                 for i, c in enumerate(region.coords)
+                                                 if c not in plane})
+                           for scale in (0.0, 0.05)])
+        for bland, dantzig in zip(*sweeps):
+            for a, b in zip(bland, dantzig):
+                np.testing.assert_allclose(a.point, b.point, rtol=0.0, atol=1e-12)
+
+    def test_degenerate_grid_cloud(self):
+        # a 5 x 5 x 5 grid: every slice vertex has many bases, and every
+        # direction's optimal face holds many grid points
+        axis = np.linspace(0.0, 1.0, 5)
+        points = np.array(list(itertools.product(axis, repeat=3)))
+        region = RateRegion(("R0", "R1", "Re"), (), hull_points=points)
+        for re_value in (0.0, 0.5, 1.0):
+            assert _assert_slice_matches_lp(region, ("R0", "R1"), {"Re": re_value})
+            samples = frontier_sweep(region, ("R0", "R1"), fixed={"Re": re_value},
+                                     resolution=3)
+            assert all(s.point.tolist() == [1.0, 1.0] for s in samples)
 
     @pytest.mark.parametrize("rank", [0, 1, 2])
     def test_flat_clouds(self, rank):
@@ -406,10 +469,24 @@ class TestHullSliceOracle:
         expected = [[0.5 if rank else 0.0, 0.5 if rank == 2 else 0.0]]
         assert np.allclose(pts, expected, rtol=0.0, atol=1e-12)
 
+    def test_flat_five_dimensional_cloud(self):
+        # R0, R1e and R2e are the same at every point: each of their rows
+        # repeats the row of ones, and the slice drops all three
+        square = np.array(list(itertools.product((0.0, 0.5), repeat=2)))
+        points = np.zeros((4, 5))
+        points[:, 1:3], points[:, [0, 3, 4]] = square, (0.3, 0.1, 0.2)
+        region = RateRegion(NAMES, (), hull_points=points)
+        fixed = {"R0": 0.3, "R1e": 0.1, "R2e": 0.2}
+        assert _assert_slice_matches_lp(region, ("R1", "R2"), fixed)
+        assert frontier(region, ("R1", "R2"), fixed=fixed).tolist() == [[0.5, 0.5]]
+        with pytest.raises(EmptySlice):
+            frontier(region, ("R1", "R2"), fixed={**fixed, "R1e": 0.15})
+
 
 class TestMembershipOracle:
-    """region_contains reads facets; the weight-space LP is the reference.
-    Points closer than MARGIN to the hull's boundary are skipped."""
+    """region_contains runs the package's phase one over the cloud; the
+    weight-space LP is the reference. Points closer than MARGIN to the
+    hull's boundary are skipped."""
 
     MARGIN = 1e-6
 
@@ -428,13 +505,15 @@ class TestMembershipOracle:
     @pytest.mark.parametrize("name", ["inner1", "two-set"])
     def test_workload_hulls(self, workload_regions, name):
         region = workload_regions[name]
-        pts = region.hull_points
+        hull = ConvexHull(region.hull_points)
+        # the cloud's extreme points, and its first point, in cloud order
+        pts = region.hull_points[np.union1d(hull.simplices, 0)]
         rng = np.random.default_rng(31)
         centre = pts.mean(axis=0)
-        # convex combinations of hull points, pushed out or pulled in
+        # convex combinations of extreme points, pushed out or pulled in
         mixes = rng.dirichlet(np.full(pts.shape[0], 0.3), size=150) @ pts
         points = centre + rng.uniform(0.6, 1.6, size=(150, 1)) * (mixes - centre)
-        eq = ConvexHull(pts).equations
+        eq = hull.equations
         # depth inside the hull (positive) or a lower bound on the distance
         # outside it (negative), from the facet planes
         margins = -np.max(points @ eq[:, :-1].T + eq[:, -1], axis=1)
@@ -478,75 +557,74 @@ def _probe_points(pts):
         rng.dirichlet(np.full(pts.shape[0], 0.3), size=50) @ pts - centre)
 
 
-def _counting(monkeypatch, name):
-    """Count the calls of regions.<name> from here on."""
-    calls = []
-    real = getattr(regions, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(regions, name, counting)
-    return calls
-
-
-class TestHullFacetCache:
-    def test_convexify_runs_the_hull_once(self, monkeypatch):
-        builds = _counting(monkeypatch, "_hull_inequalities")
-        hulls = _counting(monkeypatch, "ConvexHull")
+class TestCloud:
+    def test_a_copy_answers_the_same(self):
         region = _two_set_region()
-        assert len(builds) == 1 and len(hulls) == 1
         points = _probe_points(region.hull_points)
         answers = []
-        # a copy keeps the facets; neither region builds them again
         for r in (region, dataclasses.replace(region)):
             answers.append((
                 [_sample_tuples(frontier_sweep(r, ("R1", "R2"), fixed=f)) for f in _FIXES],
                 [frontier(r, ("R1", "R2"), fixed=f).tobytes() for f in _FIXES],
                 [region_contains(r, x) for x in points]))
-        assert len(builds) == 1 and len(hulls) == 1
         assert answers[0] == answers[1]
         assert 0 < sum(answers[0][2]) < len(points)
 
-    def test_flat_clouds_are_pruned(self):
-        # two squares in the plane Re = 0.25, one inside the other: the hull
-        # keeps the outer square's corners only
+    def test_flat_clouds_keep_every_vertex(self):
+        # two squares in the plane Re = 0.25, one inside the other: the
+        # cloud keeps both squares' corners, the shared one once, sorted
         coords = ("R0", "R1", "Re")
         squares = [polytope(coords, [((1.0, 0.0, 0.0), side), ((0.0, 1.0, 0.0), side),
                                      ((0.0, 0.0, 1.0), 0.25), ((0.0, 0.0, -1.0), -0.25)])
                    for side in (0.5, 0.25)]
         region = convexify(squares)
-        assert region.hull_points.tolist() == [[0.0, 0.0, 0.25], [0.0, 0.5, 0.25],
-                                               [0.5, 0.0, 0.25], [0.5, 0.5, 0.25]]
-        assert region.hull_sources.tolist() == [0, 0, 0, 0]
+        assert region.hull_points[:, :2].tolist() == [
+            [0.0, 0.0], [0.0, 0.25], [0.0, 0.5], [0.25, 0.0], [0.25, 0.25],
+            [0.5, 0.0], [0.5, 0.5]]
+        assert region.hull_sources.tolist() == [0, 1, 0, 1, 1, 0, 0]
+        assert frontier(region, ("R0", "R1"), fixed={"Re": 0.25}).tolist() == [[0.5, 0.5]]
 
-    def test_empty_region_has_no_facets(self):
+    def test_empty_region_has_no_slice(self):
+        empty = convexify([], coords=("R0", "R1"))
         with pytest.raises(EmptySlice):
-            convexify([], coords=("R0", "R1")).hull_facets
+            frontier_sweep(empty, ("R0", "R1"))
         leaky = assemble_region(fx.noiseless_wiretapper(), "secrecy-one-set",
                                 SearchConfig(sample_count=60, seed=5))
         assert leaky.hull_points.shape[0] == 0
         with pytest.raises(EmptySlice):
-            leaky.hull_facets
+            frontier_sweep(leaky, ("R0", "R1"))
+        assert not region_contains(leaky, (0.0, 0.0))
 
-    def test_facets_are_built_once_per_region(self, monkeypatch):
-        # a region given no facets builds them on first use, and keeps them
-        region = dataclasses.replace(_two_set_region(), facets=None)
-        builds = _counting(monkeypatch, "_hull_inequalities")
-        sweeps = [_sample_tuples(frontier_sweep(region, ("R1", "R2"), fixed=f))
-                  for f in _FIXES]
-        points = _probe_points(region.hull_points)
-        verdicts = [region_contains(region, x) for x in points]
-        assert len(builds) == 1
-        assert 0 < sum(verdicts) < len(verdicts)
-        # a fresh region builds its own facets and answers the same
-        for f, sweep in zip(_FIXES, sweeps):
-            fresh = dataclasses.replace(region)
-            assert _sample_tuples(frontier_sweep(fresh, ("R1", "R2"), fixed=f)) == sweep
-        fresh = [region_contains(dataclasses.replace(region), x) for x in points]
-        assert fresh == verdicts
-        assert len(builds) == 1 + len(_FIXES) + len(points)
+
+@pytest.mark.parametrize("channel", sorted(fx.FIXTURE_BUILDERS))
+def test_sweep_picks_match_the_vertex_rule(channel):
+    """At theta = 0, pi/4 and pi/2 the sweep picks, on the fixture's region
+    under each bound at the default config, the point that vertex_argmax
+    picks among the slice's points, at the CLI's default slice: every
+    coordinate off the plane at zero. two-set runs the golden digests'
+    four-scheme config instead, since its default search takes about
+    0.8 s a fixture."""
+    build = fx.FIXTURE_BUILDERS[channel]
+    small = SearchConfig(strategy="random", sample_count=4, cardinalities=(2, 2, 2), seed=7)
+    picks = 0
+    for bound in optimizer.BOUNDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotDegradedWarning)
+            region = assemble_region(build(), bound,
+                                     small if bound == "two-set" else SearchConfig())
+        if region.hull_points.shape[0] == 0:
+            continue
+        plane = ("R1", "R2") if "R2" in region.coords else ("R0", "R1")
+        fixed = {c: 0.0 for c in region.coords if c not in plane}
+        points = zero_slice_points(region.hull_points,
+                                   [region.coords.index(c) for c in plane],
+                                   [region.coords.index(c) for c in fixed])
+        for s in frontier_sweep(region, plane, fixed=fixed, resolution=3):
+            value, i = vertex_argmax(points, np.asarray(s.direction))
+            assert s.value == pytest.approx(value, abs=1e-12)
+            np.testing.assert_allclose(s.point, points[i], rtol=0.0, atol=1e-12)
+            picks += 1
+    assert picks >= 9
 
 
 class TestExactness:
@@ -566,67 +644,34 @@ def _simplex_and_cube():
                               ((0.0, 0.0, 1.0), 0.5)])]
 
 
+def _qhull_rejects():
+    """A 5-D cloud that Qhull rejects (QH6271, a dupridge): 34 extreme points
+    of a W2 two-set region at 4,000 schemes."""
+    doc = json.loads((DATA / "qhull_rejects.json").read_text())
+    return RateRegion(tuple(doc["coords"]), (), hull_points=np.array(doc["points"]))
+
+
 class TestNoSilentFallbacks:
     def test_membership_lp_failure_raises(self, monkeypatch):
-        # membership reads the hull's facets, so a Qhull failure must raise
-        region = dataclasses.replace(
-            convexify([polytope(NAMES[:2], [((1.0, 1.0), 1.0)])]), facets=None)
-        self._qhull_failing(monkeypatch, calls_to_fail=1)
-        with pytest.raises(SolverStall):
-            region_contains(region, (0.2, 0.2))
-
-    def _qhull_failing(self, monkeypatch, calls_to_fail):
-        real = regions.ConvexHull
-        calls = []
-
-        def hull(points, *args, **kwargs):
-            calls.append(1)
-            if len(calls) <= calls_to_fail:
-                raise QhullError("QH6154 Qhull precision error: made up")
-            return real(points, *args, **kwargs)
-
-        monkeypatch.setattr(regions, "ConvexHull", hull)
-
-    def test_qhull_failure_is_not_cached(self, monkeypatch):
-        region = dataclasses.replace(convexify(_simplex_and_cube()), facets=None)
-        self._qhull_failing(monkeypatch, calls_to_fail=1)
+        # phase one needs a pivot here, and is allowed one pricing round
+        region = convexify(_simplex_and_cube())
+        monkeypatch.setattr(regions, "PIVOT_CEILING", 1)
         with pytest.raises(SolverStall):
             region_contains(region, (0.1, 0.1, 0.1))
-        # the failure was not kept: the next query builds the facets
-        assert region_contains(region, (0.1, 0.1, 0.1))
-        assert not region_contains(region, (5.0, 5.0, 5.0))
 
-    def test_hull_fallback_is_recorded_and_slices_stay_exact(self, monkeypatch):
-        pieces = _simplex_and_cube()
-        pruned = convexify(pieces)
-        assert "hull_fallback" not in pruned.info
-        self._qhull_failing(monkeypatch, calls_to_fail=1)
-        fallback = convexify(pieces)
-        assert fallback.info["hull_fallback"].startswith("QH6154")
-        assert fallback.hull_points.shape[0] > pruned.hull_points.shape[0]
-        # the slice is computed from the unpruned cloud, and correctly
-        for re_value in (0.0, 0.2):
-            _assert_slice_matches_lp(fallback, ("R0", "R1"), {"Re": re_value})
-
-    def test_hull_slice_raises_when_qhull_keeps_failing(self, monkeypatch):
-        self._qhull_failing(monkeypatch, calls_to_fail=2)
+    def test_slice_lp_failure_raises(self, monkeypatch):
         region = convexify(_simplex_and_cube())
-        assert "hull_fallback" in region.info
+        monkeypatch.setattr(regions, "PIVOT_CEILING", 1)
         with pytest.raises(SolverStall):
-            frontier(region, ("R0", "R1"), fixed={"Re": 0.0})
+            frontier(region, ("R0", "R1"), fixed={"Re": 0.2})
 
-    def test_mix_that_reproduces_nothing_raises(self, monkeypatch):
-        monkeypatch.setattr(regions, "MIX_TOL", -1.0)
-        with pytest.raises(SolverStall):
-            frontier(convexify(_simplex_and_cube()), ("R0", "R1"), fixed={"Re": 0.0})
-
-    def test_other_hull_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("not a Qhull failure")
-
-        monkeypatch.setattr(regions, "ConvexHull", broken)
-        with pytest.raises(ValueError):
-            convexify(_simplex_and_cube())
+    def test_a_cloud_qhull_rejects_has_exact_slices(self):
+        region = _qhull_rejects()
+        with pytest.raises(QhullError, match="QH6271"):
+            ConvexHull(region.hull_points)
+        for fixed in ({"R0": 0.0, "R1e": 0.0, "R2e": 0.0},
+                      {"R0": 0.002, "R1e": 0.001, "R2e": 0.001}):
+            assert _assert_slice_matches_lp(region, ("R1", "R2"), fixed, resolution=17)
 
 
 def unique_groups(rows, decimals=regions.DEDUP_DECIMALS):
@@ -777,7 +822,7 @@ def _with_duplicates(rng, piece, equal_bounds):
 class TestVertexOracle:
     def test_workload_pieces(self, monkeypatch):
         # the table pieces come with their vertices; piece_vertices sees
-        # the slices and hull slices
+        # the slices
         seen = _recording(monkeypatch)
         config = SearchConfig(strategy="random", sample_count=3,
                               cardinalities=(2, 2, 2))
@@ -792,8 +837,9 @@ class TestVertexOracle:
             seen += [(p, p.vertices) for p in region.pieces]
             frontier(region, ("R0", "R1"), fixed={"Re": 0.05}, resolution=17)
         dims = {piece.dim for piece, _ in seen}
-        # 5-D two-set pieces, 3-D one-set pieces, 2-D slices and hull slices
-        assert dims == {2, 3, 5}
+        # 5-D two-set pieces and 3-D one-set pieces; a hull slice enumerates
+        # no vertices
+        assert dims == {3, 5}
         assert sum(piece.dim == 5 for piece, _ in seen) >= 360
         for piece, verts in seen:
             _assert_oracle_vertices(piece, verts)
@@ -843,19 +889,6 @@ class TestVertexOracle:
             rows = rng.integers(0, 3, size=(n, d)) / 3.0
             rows += rng.choice([0.0, 4e-10, -4e-10, -0.0], size=(n, d))
             assert np.array_equal(regions._round_groups(rows), unique_groups(rows)[0])
-
-    def test_hull_slice_pieces(self, monkeypatch):
-        seen = _recording(monkeypatch)
-        rng = np.random.default_rng(7)
-        sphere = np.abs(rng.normal(size=(300, 3)))
-        sphere /= np.linalg.norm(sphere, axis=1)[:, None]
-        region = RateRegion(("R0", "R1", "Re"), (),
-                            hull_points=np.vstack([sphere, np.zeros((1, 3))]))
-        for re_value in (0.0, 0.3, 0.6):
-            frontier(region, ("R0", "R1"), fixed={"Re": re_value})
-        assert len(seen) == 3 and all(p.A.shape[0] > 10 for p, _ in seen)
-        for piece, verts in seen:
-            _assert_oracle_vertices(piece, verts)
 
     def test_overflow_checks_still_raise(self, monkeypatch):
         def no_work(*args, **kwargs):
@@ -1055,12 +1088,13 @@ class TestTableSubsystems:
         calls = _solves(monkeypatch)
         fixed = {name: 0.0 for name in piece.coords[2:]}
         copy = RatePolytope(piece.coords, piece.A, piece.b)
-        # a copy, the cut recession cone, a slice and a hull slice
+        # a copy, the cut recession cone and a slice; a hull slice solves no
+        # index
         assert len(copy.vertices) and len(piece.rays)
         assert len(slice_piece(piece, fixed).vertices)
         assert len(frontier(convexify([copy]), piece.coords[:2], fixed=fixed))
         # each solved an index of its own, and the table's is unchanged
-        assert len(calls) == 4
+        assert len(calls) == 3
         assert all(own is not index for own, _ in calls)
         assert table._subsystem_index is index
         assert {name: array.tobytes() for name, array in vars(index).items()} == arrays
