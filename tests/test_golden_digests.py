@@ -3,9 +3,10 @@
 tests/data/golden_digests.json holds SHA-256 digests of what the CLI
 writes: for `region`, the frontier CSV, the witness file and the manifest's
 region_info (as json.dumps(..., sort_keys=True)) of each bound on four
-fixture channels; for `secrecy-capacity`, the float.hex of the value and
-a digest of the witness scheme. The witness files run to several KB each,
-so the gate keeps digests rather than the files.
+fixture channels; for `secrecy-capacity`, the float.hex of the value, a
+digest of the witness scheme and a digest of the whole --out file; for
+`simulate`, a digest of one pinned small --out report. The witness files
+run to several KB each, so the gate keeps digests rather than the files.
 
 Regenerate the data file, after a deliberate output change only, with
 
@@ -33,6 +34,9 @@ REGION_CONFIG = {"strategy": "random", "sample_count": 4, "cardinalities": [2, 2
                  "seed": 7}
 CAPACITY_CONFIG = {"strategy": "grid", "grid_resolution": 3, "cardinalities": [2, 2, 1]}
 CAPACITY_R0 = "0.1"
+SIMULATE_CHANNEL = "clean_mac"
+SIMULATE_CONFIG = {"n": 6, "M0": 2, "M1": 2, "M2": 2, "J1": 2, "J2": 2,
+                   "input_dist": [[0.5, 0.5], [0.25, 0.75]], "seeds": [3, 4]}
 
 
 def _sha(blob: bytes) -> str:
@@ -79,7 +83,18 @@ def capacity_digests(directory: pathlib.Path, channel: str, variant: str) -> dic
     return {
         "value": float.hex(doc["value"]),
         "witness": _sha(json.dumps(doc["witness"], sort_keys=True).encode()),
+        "file": _sha(out.read_bytes()),
     }
+
+
+def simulate_digest(directory: pathlib.Path) -> str:
+    path = directory / f"{SIMULATE_CHANNEL}.json"
+    save_channel(getattr(fx, SIMULATE_CHANNEL)(), path)
+    config = directory / "simulate.json"
+    config.write_text(json.dumps(SIMULATE_CONFIG), encoding="utf-8")
+    out = directory / "report.json"
+    assert main(["simulate", str(config), "--channel", str(path), "--out", str(out)]) == 0
+    return _sha(out.read_bytes())
 
 
 def _golden() -> dict:
@@ -100,8 +115,12 @@ def test_secrecy_capacity_digests(tmp_path, capsys, channel, variant):
     assert got == _golden()["secrecy_capacity"][f"{channel}/{variant}"]
 
 
+def test_simulate_digest(tmp_path, capsys):
+    assert simulate_digest(tmp_path) == _golden()["simulate"][SIMULATE_CHANNEL]
+
+
 def _record() -> dict:
-    doc = {"region": {}, "secrecy_capacity": {}}
+    doc = {"region": {}, "secrecy_capacity": {}, "simulate": {}}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         for channel in CHANNELS:
@@ -110,6 +129,7 @@ def _record() -> dict:
             for variant in VARIANTS:
                 doc["secrecy_capacity"][f"{channel}/{variant}"] = capacity_digests(
                     tmp, channel, variant)
+        doc["simulate"][SIMULATE_CHANNEL] = simulate_digest(tmp)
     return doc
 
 
