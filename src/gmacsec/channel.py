@@ -151,13 +151,20 @@ def load_channel(path) -> ChannelSpec:
     [x1][x2][y][y1][y2]. The sizes go to validate_channel as written, so a
     fractional or boolean size raises DimensionMismatch.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        return parse_channel(fh.read(), path)
+
+
+def parse_channel(data, source) -> ChannelSpec:
+    """The ChannelSpec in data, the bytes of a channel JSON file (see
+    load_channel); source names the file in errors. A caller that also
+    digests the file parses and digests the same bytes, read once."""
+    doc = json.loads(data)
     try:
         sizes = [doc[k] for k in ("x1", "x2", "y", "y1", "y2")]
         raw = doc["p"]
     except (KeyError, TypeError) as exc:
-        raise DimensionMismatch(f"malformed channel file {path}: {exc}")
+        raise DimensionMismatch(f"malformed channel file {source}: {exc}")
     return validate_channel(np.asarray(raw, dtype=float), sizes)
 
 

@@ -19,6 +19,7 @@ import json
 import pathlib
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .channel import (
     check_physically_degraded,
     check_stochastically_degraded,
     load_channel,
+    parse_channel,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -53,30 +55,120 @@ _BOUND_ALIASES = {
 _GUARD_ERRORS = (GridTooLarge, EnumerationTooLarge, VertexEnumerationOverflow)
 _INTERNAL_ERRORS = (InternalError, SolverStall, Unbounded)
 
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 _SIM_KEYS = ("n", "M0", "M1", "M2", "J1", "J2", "input_dist", "seeds")
 
-def _digest_file(path) -> str:
-    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+def _read_input(path) -> bytes | None:
+    """An input file's bytes, read once: a command parses these bytes and
+    its manifest digests the same bytes, so a file rewritten during a run
+    cannot lend its digest to a result it did not produce."""
+    return None if path is None else pathlib.Path(path).read_bytes()
 
 
-def _digest_doc(doc) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+def _digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _digest_doc(doc) -> str:
+    return _digest(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+
+
+def _float_text(value) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+# The writer's scalars by exact type; subclasses, such as np.float64, go
+# through _scalar_text, which tests in the stdlib's order.
+_SCALARS = {
+    str: _json_string,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_text(value) -> str:
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, float):
+        key = _float_text(key)
+    elif isinstance(key, int) or key is None:
+        key = _scalar_text(key)
+    elif not isinstance(key, str):
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _json_string(key)
+
+
+def _json_text(doc) -> str:
+    """The text of json.dumps(doc, indent=2), byte for byte.
+
+    With indent, json runs its pure-Python encoder, one generator step per
+    token. Here each container's text is one str.join, and a container met
+    again at the same depth reuses its text: a witness file repeats each
+    winning scheme's document in every direction whose mix uses it. The
+    memo is keyed by (id, depth), since the indent depends on the depth,
+    and it lives for one call, while doc keeps every id alive.
+    """
+    memo = {}
+    scalar = _SCALARS.get
+
+    def text(value, depth):
+        if (write := scalar(type(value))) is not None:
+            return write(value)
+        if not isinstance(value, (list, tuple, dict)):
+            return _scalar_text(value)
+        key = (id(value), depth)
+        done = memo.get(key)
+        if done is not None:
+            return done
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        outer = "\n" + "  " * depth
+        inner = outer + "  "
+        depth += 1
+        if isinstance(value, dict):
+            items = [
+                (_json_string(k) if type(k) is str else _key_text(k)) + ": "
+                + (write(v) if (write := scalar(type(v))) else text(v, depth))
+                for k, v in value.items()]
+            opening, closing = "{", "}"
+        else:
+            items = [write(v) if (write := scalar(type(v))) else text(v, depth)
+                     for v in value]
+            opening, closing = "[", "]"
+        done = memo[key] = opening + inner + ("," + inner).join(items) + outer + closing
+        return done
+
+    return text(doc, 0)
 
 
 def _print_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_json_text(doc) + "\n")
 
 
 def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def _manifest_path(out) -> pathlib.Path:
@@ -85,14 +177,16 @@ def _manifest_path(out) -> pathlib.Path:
     return out.with_name(out.name + ".manifest.json")
 
 
-def _manifest(command, argv, started, seeds, outputs, channel_path=None,
-              config_path=None, config_doc=None) -> dict:
+def _manifest(command, argv, started, seeds, outputs, channel=None,
+              config=None, config_doc=None) -> dict:
+    """The manifest of one run; channel and config are the input bytes the
+    run parsed, config_doc the configuration used when no file gave one."""
     doc = {
         "command": command,
         "tool_version": __version__,
-        "channel_digest": _digest_file(channel_path) if channel_path else None,
+        "channel_digest": None if channel is None else _digest(channel),
         "config_digest": (
-            _digest_file(config_path) if config_path
+            _digest(config) if config is not None
             else _digest_doc(config_doc) if config_doc is not None
             else None
         ),
@@ -105,12 +199,12 @@ def _manifest(command, argv, started, seeds, outputs, channel_path=None,
     return doc
 
 
-def _load_config(path) -> SearchConfig:
+def _load_config(blob) -> SearchConfig:
     from .optimizer import SearchConfig
 
-    if path is None:
+    if blob is None:
         return SearchConfig()
-    return SearchConfig.from_dict(_load_json(path))
+    return SearchConfig.from_dict(json.loads(blob))
 
 
 def _g9(value: float) -> str:
@@ -156,8 +250,10 @@ def cmd_region(args) -> int:
     from .regions import _check_resolution, check_slice, frontier_points, frontier_sweep
 
     started = time.monotonic()
-    channel = load_channel(args.channel)
-    config = _load_config(args.config)
+    channel_bytes = _read_input(args.channel)
+    channel = parse_channel(channel_bytes, args.channel)
+    config_bytes = _read_input(args.config)
+    config = _load_config(config_bytes)
     bound = _BOUND_ALIASES[args.bound]
     # the slice, against the bound's coordinates, and the resolution are
     # checked before any search
@@ -208,8 +304,7 @@ def cmd_region(args) -> int:
     manifest_path = _manifest_path(out)
     manifest = _manifest(
         "region", args.argv, started, [config.seed], outputs,
-        channel_path=args.channel, config_path=args.config,
-        config_doc=config.to_dict(),
+        channel=channel_bytes, config=config_bytes, config_doc=config.to_dict(),
     )
     # schemes visited, empty pieces dropped, degradedness
     manifest["region_info"] = region.info
@@ -226,7 +321,8 @@ def cmd_region(args) -> int:
 
 def cmd_check_degraded(args) -> int:
     started = time.monotonic()
-    channel = load_channel(args.channel)
+    channel_bytes = _read_input(args.channel)
+    channel = parse_channel(channel_bytes, args.channel)
     physical = check_physically_degraded(channel, tol=args.tol)
     if physical.verdict == "physically-degraded":
         result = physical
@@ -244,7 +340,7 @@ def cmd_check_degraded(args) -> int:
         _write_json(args.out, doc)
         _write_json(_manifest_path(args.out), _manifest(
             "check-degraded", args.argv, started, [],
-            {"verdict_json": str(args.out)}, channel_path=args.channel,
+            {"verdict_json": str(args.out)}, channel=channel_bytes,
         ))
     _print_json(doc)
     return 0
@@ -255,8 +351,10 @@ def cmd_secrecy_capacity(args) -> int:
     from .optimizer import _degradedness, maximize_secrecy_capacity
 
     started = time.monotonic()
-    channel = load_channel(args.channel)
-    config = _load_config(args.config)
+    channel_bytes = _read_input(args.channel)
+    channel = parse_channel(channel_bytes, args.channel)
+    config_bytes = _read_input(args.config)
+    config = _load_config(config_bytes)
     variant = "degraded" if args.degraded else "general"
     # the degraded form holds only on a degraded channel; warn, and record
     # the verdict as region does
@@ -277,8 +375,8 @@ def cmd_secrecy_capacity(args) -> int:
         _write_json(args.out, doc)
         _write_json(_manifest_path(args.out), _manifest(
             "secrecy-capacity", args.argv, started, [config.seed],
-            {"result_json": str(args.out)}, channel_path=args.channel,
-            config_path=args.config, config_doc=config.to_dict(),
+            {"result_json": str(args.out)}, channel=channel_bytes,
+            config=config_bytes, config_doc=config.to_dict(),
         ))
     _print_json(doc)
     return 0
@@ -288,8 +386,10 @@ def cmd_simulate(args) -> int:
     from .wiretap_sim import simulate
 
     started = time.monotonic()
-    channel = load_channel(args.channel)
-    doc = _load_json(args.sim_config)
+    channel_bytes = _read_input(args.channel)
+    channel = parse_channel(channel_bytes, args.channel)
+    sim_bytes = _read_input(args.sim_config)
+    doc = json.loads(sim_bytes)
     if not isinstance(doc, dict):
         raise ValueError("simulation config must be a JSON object")
     missing = [k for k in _SIM_KEYS if k not in doc]
@@ -320,7 +420,7 @@ def cmd_simulate(args) -> int:
     if outputs:
         _write_json(_manifest_path(args.out or args.csv), _manifest(
             "simulate", args.argv, started, doc["seeds"], outputs,
-            channel_path=args.channel, config_path=args.sim_config,
+            channel=channel_bytes, config=sim_bytes,
         ))
     _print_json(result)
     return 0
@@ -344,7 +444,7 @@ def cmd_info(args) -> int:
     from .infotheory import _assemble_joint, scheme_from_dict
 
     channel = load_channel(args.channel)
-    doc = _load_json(args.scheme)
+    doc = json.loads(_read_input(args.scheme))
     scheme = scheme_from_dict(doc)
     joint = _assemble_joint(scheme, channel)
     value = _evaluate_query(joint, args.query)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -190,6 +191,30 @@ class TestRegion:
         assert info["degradedness_residual"] <= 1e-7
         assert info["config"]["sample_count"] == 8
         assert "hull_fallback" not in info
+
+    def test_manifest_digests_the_bytes_the_run_parsed(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # inputs rewritten during the search do not lend the run their digests
+        channel = tmp_path / "channel.json"
+        save_channel(fx.binary_degraded(), channel)
+        cfg = pathlib.Path(_write_json(tmp_path / "cfg.json",
+                                       {"strategy": "random", "sample_count": 4}))
+        original = channel.read_bytes(), cfg.read_bytes()
+        assemble = optimizer.assemble_region
+
+        def rewrite_then_assemble(*args, **kwargs):
+            save_channel(fx.clean_mac(), channel)
+            cfg.write_text(json.dumps({"strategy": "random", "sample_count": 5}))
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "assemble_region", rewrite_then_assemble)
+        out = tmp_path / "frontier.csv"
+        assert main(["region", str(channel), "--bound", "inner1", "--resolution", "5",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert (channel.read_bytes(), cfg.read_bytes()) != original
+        manifest = json.loads((tmp_path / "frontier.csv.manifest.json").read_text())
+        assert manifest["channel_digest"] == hashlib.sha256(original[0]).hexdigest()
+        assert manifest["config_digest"] == hashlib.sha256(original[1]).hexdigest()
 
     def test_two_runs_byte_identical(self, channel_files, tmp_path):
         cfg = _write_json(tmp_path / "cfg.json",
