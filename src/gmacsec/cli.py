@@ -129,37 +129,39 @@ def _json_text(doc) -> str:
     memo is keyed by (id, depth), since the indent depends on the depth,
     and it lives for one call, while doc keeps every id alive.
     """
-    memo = {}
+    return _text(doc, 0, {})
+
+
+def _text(value, depth, memo) -> str:
+    # a module-level function, not a closure over memo: a recursive closure
+    # is a reference cycle, which would keep each call's memo alive until
+    # the cyclic collector ran
     scalar = _SCALARS.get
-
-    def text(value, depth):
-        if (write := scalar(type(value))) is not None:
-            return write(value)
-        if not isinstance(value, (list, tuple, dict)):
-            return _scalar_text(value)
-        key = (id(value), depth)
-        done = memo.get(key)
-        if done is not None:
-            return done
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        outer = "\n" + "  " * depth
-        inner = outer + "  "
-        depth += 1
-        if isinstance(value, dict):
-            items = [
-                (_json_string(k) if type(k) is str else _key_text(k)) + ": "
-                + (write(v) if (write := scalar(type(v))) else text(v, depth))
-                for k, v in value.items()]
-            opening, closing = "{", "}"
-        else:
-            items = [write(v) if (write := scalar(type(v))) else text(v, depth)
-                     for v in value]
-            opening, closing = "[", "]"
-        done = memo[key] = opening + inner + ("," + inner).join(items) + outer + closing
+    if (write := scalar(type(value))) is not None:
+        return write(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return _scalar_text(value)
+    key = (id(value), depth)
+    done = memo.get(key)
+    if done is not None:
         return done
-
-    return text(doc, 0)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    depth += 1
+    if isinstance(value, dict):
+        items = [
+            (_json_string(k) if type(k) is str else _key_text(k)) + ": "
+            + (write(v) if (write := scalar(type(v))) else _text(v, depth, memo))
+            for k, v in value.items()]
+        opening, closing = "{", "}"
+    else:
+        items = [write(v) if (write := scalar(type(v))) else _text(v, depth, memo)
+                 for v in value]
+        opening, closing = "[", "]"
+    done = memo[key] = opening + inner + ("," + inner).join(items) + outer + closing
+    return done
 
 
 def _print_json(doc) -> None:
