@@ -156,10 +156,10 @@ def load_channel(path) -> ChannelSpec:
 
 
 def parse_channel(data, source) -> ChannelSpec:
-    """The ChannelSpec in data, the bytes of a channel JSON file (see
-    load_channel); source names the file in errors. A caller that also
-    digests the file parses and digests the same bytes, read once."""
-    doc = json.loads(data)
+    """The ChannelSpec in data, the UTF-8 bytes of a channel JSON file
+    (see load_channel); source names the file in errors. A caller that
+    also digests the file parses and digests the same bytes, read once."""
+    doc = json.loads(data.decode("utf-8"))
     try:
         sizes = [doc[k] for k in ("x1", "x2", "y", "y1", "y2")]
         raw = doc["p"]

@@ -67,6 +67,10 @@ def _read_input(path) -> bytes | None:
     return None if path is None else pathlib.Path(path).read_bytes()
 
 
+def _parse_json(blob: bytes):
+    return json.loads(blob.decode("utf-8"))
+
+
 def _digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
@@ -206,7 +210,7 @@ def _load_config(blob) -> SearchConfig:
 
     if blob is None:
         return SearchConfig()
-    return SearchConfig.from_dict(json.loads(blob))
+    return SearchConfig.from_dict(_parse_json(blob))
 
 
 def _g9(value: float) -> str:
@@ -391,7 +395,7 @@ def cmd_simulate(args) -> int:
     channel_bytes = _read_input(args.channel)
     channel = parse_channel(channel_bytes, args.channel)
     sim_bytes = _read_input(args.sim_config)
-    doc = json.loads(sim_bytes)
+    doc = _parse_json(sim_bytes)
     if not isinstance(doc, dict):
         raise ValueError("simulation config must be a JSON object")
     missing = [k for k in _SIM_KEYS if k not in doc]
@@ -446,7 +450,7 @@ def cmd_info(args) -> int:
     from .infotheory import _assemble_joint, scheme_from_dict
 
     channel = load_channel(args.channel)
-    doc = json.loads(_read_input(args.scheme))
+    doc = _parse_json(_read_input(args.scheme))
     scheme = scheme_from_dict(doc)
     joint = _assemble_joint(scheme, channel)
     value = _evaluate_query(joint, args.query)
