@@ -15,19 +15,18 @@ from .errors import whole_number
 from .infotheory import SchemeDegraded, SchemeOneSet, SchemeOneSetOuter, SchemeTwoSet
 
 
-def _assemble(size_y, size_y1, size_y2, fill):
-    """Build a 5-axis table p(y, y1, y2 | x1, x2) from a cell filler.
+def _assemble(sizes, fill):
+    """The channel p(y, y1, y2 | x1, x2) of the given sizes (|X1|, |X2|,
+    |Y|, |Y1|, |Y2|), built from a cell filler.
 
     fill(x1, x2) must return the joint output table of shape
-    (size_y, size_y1, size_y2) for that input pair.
+    (|Y|, |Y1|, |Y2|) for that input pair.
     """
-    def build(size_x1, size_x2):
-        table = np.zeros((size_x1, size_x2, size_y, size_y1, size_y2))
-        for x1 in range(size_x1):
-            for x2 in range(size_x2):
-                table[x1, x2] = fill(x1, x2)
-        return validate_channel(table, (size_x1, size_x2, size_y, size_y1, size_y2))
-    return build
+    table = np.zeros(sizes)
+    for x1 in range(sizes[0]):
+        for x2 in range(sizes[1]):
+            table[x1, x2] = fill(x1, x2)
+    return validate_channel(table, sizes)
 
 
 def clean_mac() -> ChannelSpec:
@@ -42,7 +41,7 @@ def clean_mac() -> ChannelSpec:
         cell = np.zeros((4, 1, 1))
         cell[2 * x1 + x2, 0, 0] = 1.0
         return cell
-    return _assemble(4, 1, 1, fill)(2, 2)
+    return _assemble((2, 2, 4, 1, 1), fill)
 
 
 def leaky_wiretap() -> ChannelSpec:
@@ -57,7 +56,7 @@ def leaky_wiretap() -> ChannelSpec:
         cell = np.zeros((2, 1, 2))
         cell[x1, 0, x1] = 1.0
         return cell
-    return _assemble(2, 1, 2, fill)(2, 2)
+    return _assemble((2, 2, 2, 1, 2), fill)
 
 
 def _bsc(flip: float) -> np.ndarray:
@@ -89,7 +88,7 @@ def pure_noise_wiretap() -> ChannelSpec:
         cell = np.zeros((2, 1, 2))
         cell[x1, 0, :] = 0.5
         return cell
-    return _assemble(2, 1, 2, fill)(2, 1)
+    return _assemble((2, 1, 2, 1, 2), fill)
 
 
 def blind_destination() -> ChannelSpec:
@@ -100,7 +99,7 @@ def blind_destination() -> ChannelSpec:
     """
     def fill(x1, x2):
         return np.ones((1, 1, 1))
-    return _assemble(1, 1, 1, fill)(2, 2)
+    return _assemble((2, 2, 1, 1, 1), fill)
 
 
 def noiseless_wiretapper(flip: float = 0.1) -> ChannelSpec:
@@ -116,7 +115,7 @@ def noiseless_wiretapper(flip: float = 0.1) -> ChannelSpec:
         cell = np.zeros((2, 1, 2))
         cell[:, 0, x1] = bsc[x1]
         return cell
-    return _assemble(2, 1, 2, fill)(2, 1)
+    return _assemble((2, 1, 2, 1, 2), fill)
 
 
 def identity_copy(flip: float = 0.1) -> ChannelSpec:
@@ -132,7 +131,7 @@ def identity_copy(flip: float = 0.1) -> ChannelSpec:
     def fill(x1, x2):
         cell = np.outer(bsc[x1], bsc[x1]).reshape(2, 1, 2)
         return cell
-    return _assemble(2, 1, 2, fill)(2, 1)
+    return _assemble((2, 1, 2, 1, 2), fill)
 
 
 def random_channel(sizes, rng, concentration: float = 1.0) -> ChannelSpec:
@@ -158,15 +157,15 @@ def uniform_u_equals_x1(channel: ChannelSpec) -> SchemeOneSet:
     )
 
 
-def uniform_one_set_outer(channel: ChannelSpec, nv: int = 1) -> SchemeOneSetOuter:
+def uniform_one_set_outer(channel: ChannelSpec) -> SchemeOneSetOuter:
     """Outer-bound companion of uniform_u_equals_x1 with a blank extra
-    auxiliary."""
+    auxiliary: V takes one value."""
     nx1, nx2 = channel.size_x1, channel.size_x2
     return SchemeOneSetOuter(
         p_q_x2=np.full((1, nx2), 1.0 / nx2),
         p_u_given_q=np.full((1, nx1), 1.0 / nx1),
         p_x1_given_u=np.eye(nx1),
-        p_v_given_q=np.full((1, nv), 1.0 / nv),
+        p_v_given_q=np.ones((1, 1)),
     )
 
 

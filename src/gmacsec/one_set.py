@@ -47,9 +47,8 @@ DEGRADED = BoundTable(COORDS_EQUIVOCATION, "degraded", _DEGRADED_TERMS, [(
     "R1 <= a", "R0 + R1 <= b", "Re <= R1", "Re <= a - d", "R0 + Re <= b - d",
 )])
 _SECRECY_ROWS = ("R1 <= a - d", "R0 + R1 <= b - d")
-SECRECY = BoundTable(COORDS_SECRECY, "one_set", _TERMS, [_SECRECY_ROWS], guard="a - d")
-DEGRADED_SECRECY = BoundTable(COORDS_SECRECY, "degraded", _DEGRADED_TERMS,
-                              [_SECRECY_ROWS], guard="a - d")
+SECRECY = BoundTable(COORDS_SECRECY, "one_set", _TERMS, [_SECRECY_ROWS])
+DEGRADED_SECRECY = BoundTable(COORDS_SECRECY, "degraded", _DEGRADED_TERMS, [_SECRECY_ROWS])
 
 
 def _secrecy_rates(a, b, d, r0: float):

@@ -214,8 +214,9 @@ class BoundTable:
     names checked against the kind's joint, once, here. Rows read like the
     bound: "R0 + R1 <= b - d", or "Re <= [b - R0 - d]+" for a clipped row.
     Names among coords are coordinates and every other name is a term; "0"
-    stands for an empty sum. A scheme whose guard, a signed sum of terms,
-    is negative has no piece.
+    stands for an empty sum. A bound is its rows and nothing else: a scheme
+    whose rows leave no point, such as a secrecy row R1 <= a - d with
+    a < d, gives pieces with no vertex, which piece_is_empty reports.
 
     Each family of rows is expanded once, here, by _expand: pieces holds,
     per plain piece, its read-only coefficient matrix, shared by every
@@ -234,16 +235,15 @@ class BoundTable:
     filled in.
     """
 
-    def __init__(self, coords, kind, terms, families, guard="0"):
+    def __init__(self, coords, kind, terms, families):
         self.coords = tuple(coords)
         self.kind = kind
         self.expressions = dict(terms)
         self._groups = {name: self._parse(expr) for name, expr in self.expressions.items()}
-        self.guard = self._split(guard)[1]
         self.families = tuple(tuple(self._row(r) for r in fam) for fam in families)
-        # every term a row or the guard reads, in order of first use
-        sums = [terms for fam in self.families for *_, terms in fam] + [self.guard]
-        self._names = tuple(dict.fromkeys(name for terms in sums for _, name in terms))
+        # every term a row reads, in order of first use
+        self._names = tuple(dict.fromkeys(name for fam in self.families
+                                          for *_, terms in fam for _, name in terms))
         rules, pieces = {}, []                # rule -> its index; (A, index) per piece
         for fam in self.families:
             plain = [(lhs, terms) for lhs, affine, terms in fam if affine is None]
@@ -365,9 +365,9 @@ def _fill(rule, values):
 
 def bound_pieces(table: BoundTable, values: dict):
     """Every piece of every family of the table, in order, with its bounds
-    filled in from one scheme's term values; none when the guard is
-    negative. Each piece comes with its vertices, from one pass of the
-    table's index over all of them (_SubsystemIndex.vertices), which raises
+    filled in from one scheme's term values, empty ones included. Each
+    piece comes with its vertices, from one pass of the table's index over
+    all of them (_SubsystemIndex.vertices), which raises
     VertexEnumerationOverflow past the index's budgets. A caller that
     wants only the nonempty pieces filters with piece_is_empty. A NaN or
     infinite value of a term the table reads raises ValueError. This is
@@ -384,11 +384,11 @@ _PASS_SOLUTIONS = 7_912
 def _block_pieces(table: BoundTable, columns: dict, count: int) -> list:
     """bound_pieces of count schemes at once, from the table's term columns,
     each of shape (count,), or a number when count is 1: one list of pieces
-    per scheme, in order, empty for a scheme whose guard is negative.
+    per scheme, in order.
 
     The bounds are filled in as columns, in the order and arithmetic of one
-    scheme's (_fill), and the schemes that pass the guard run one vertex
-    pass per sub-block of at most _PASS_SOLUTIONS solutions, or of one
+    scheme's (_fill), and every scheme goes through the same vertex pass,
+    one per sub-block of at most _PASS_SOLUTIONS solutions, or of one
     scheme, so that each piece equals bound_pieces's byte for byte. A NaN
     or infinite value raises the ValueError that bound_pieces raises for
     the first scheme that has one.
@@ -401,10 +401,6 @@ def _block_pieces(table: BoundTable, columns: dict, count: int) -> list:
         k = bad[:, s].argmax()                # first such term
         raise ValueError(f"term {names[k]!r} of the bound is {float(values[k, s])}, "
                          "not finite")
-    passed = (_evaluate(table.guard, columns) >= np.zeros(count)).nonzero()[0]
-    pieces = [[] for _ in range(count)]
-    if not passed.shape[0]:
-        return pieces
     bounds = np.empty((count, len(table.rules)))
     for r, rule in enumerate(table.rules):
         bounds[:, r] = _fill(rule, columns)
@@ -414,17 +410,17 @@ def _block_pieces(table: BoundTable, columns: dict, count: int) -> list:
     # every piece's rules, back to back: piece k's are rules[ends[k]:ends[k + 1]]
     rules = np.concatenate([rows for _, rows in table.pieces])
     ends = [0, *itertools.accumulate(rows.shape[0] for _, rows in table.pieces)]
-    for start in range(0, passed.shape[0], per):
-        schemes = passed[start:start + per]
-        block = bounds[schemes]
+    pieces = []
+    for start in range(0, count, per):
+        block = bounds[start:start + per]
         verts, stops = index.vertices(block)
         verts.setflags(write=False)
         rhs = block.take(rules, axis=1)
-        for j, s in enumerate(schemes.tolist()):
+        for j in range(block.shape[0]):
             at = j * n_pieces
-            pieces[s] = [_TablePiece(table.coords, A, rhs[j, ends[k]:ends[k + 1]],
-                                     verts[stops[at + k]:stops[at + k + 1]])
-                         for k, (A, _) in enumerate(table.pieces)]
+            pieces.append([_TablePiece(table.coords, A, rhs[j, ends[k]:ends[k + 1]],
+                                       verts[stops[at + k]:stops[at + k + 1]])
+                           for k, (A, _) in enumerate(table.pieces)])
     return pieces
 
 

@@ -5,8 +5,8 @@ regions._block_pieces fills in a block's bounds as term columns and runs
 one vertex pass per sub-block of schemes; bound_pieces is its call for one
 scheme, which the other test files hold to the references. Here the block
 path is held to the one-scheme path on random schemes of every fixture,
-for every table, at several block and sub-block sizes, with the schemes
-that a guard drops and the empty pieces included.
+for every table, at several block and sub-block sizes, with leaking
+schemes and their empty pieces included.
 """
 
 import warnings
@@ -133,18 +133,22 @@ def test_repeated_schemes_keep_their_own_vertices(table_name):
     assert any(piece[5][0] for pieces in want for piece in pieces)
 
 
-def test_blocks_include_dropped_schemes_and_empty_pieces():
-    # the cases above cover both: a guard drops schemes of the guarded
-    # tables on some fixture, and some scheme keeps an empty piece
-    dropped = empty = 0
+def test_blocks_include_leaking_schemes_and_empty_pieces():
+    # the cases above cover both: every scheme keeps every piece of its
+    # table, and on some fixture a secrecy scheme leaks (a < d), so its one
+    # piece is empty, as are some TWO_SET pieces
+    leaking = empty = 0
     for table in (one_set.SECRECY, one_set.DEGRADED_SECRECY, two_set.TWO_SET):
         for name in CHANNELS:
             channel = _channel(name)
             count = 4 if table is two_set.TWO_SET else 16
-            block = _block_pieces(table, _columns(table, channel, count, len(name)), count)
-            dropped += sum(not pieces for pieces in block)
+            columns = _columns(table, channel, count, len(name))
+            block = _block_pieces(table, columns, count)
+            assert [len(pieces) for pieces in block] == [len(table.pieces)] * count
+            if table is not two_set.TWO_SET:
+                leaking += int((columns["a"] < columns["d"]).sum())
             empty += sum(p.vertices.shape[0] == 0 for pieces in block for p in pieces)
-    assert dropped > 0 and empty > 0
+    assert leaking > 0 and empty > leaking
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

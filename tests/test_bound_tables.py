@@ -97,8 +97,6 @@ def ref_outer(scheme, channel):
 
 
 def _secrecy(a, b, d):
-    if a - d < 0:
-        return None
     return polytope(SEC, [((0.0, 1.0), a - d), ((1.0, 1.0), b - d)])
 
 
@@ -189,7 +187,7 @@ def ref_secrecy_two_set(scheme, channel):
 REF_PIECES = {
     "inner-one-set": ("one_set", ref_inner),
     "outer-one-set": ("one_set_outer", lambda s, ch: [ref_outer(s, ch)]),
-    "secrecy-one-set": ("one_set", lambda s, ch: [p for p in [ref_secrecy(s, ch)] if p]),
+    "secrecy-one-set": ("one_set", lambda s, ch: [ref_secrecy(s, ch)]),
     "degraded": ("degraded", lambda s, ch: [ref_degraded(s, ch)]),
     "two-set": ("two_set", ref_two_set),
     "secrecy-two-set": ("two_set", ref_secrecy_two_set),
@@ -251,8 +249,10 @@ def test_one_set_pieces_match_the_references(channel):
     for s in schemes("one_set", channel):
         terms = one_set.INNER.scheme_terms(s, channel)
         assert_same_pieces(nonempty(bound_pieces(one_set.INNER, terms)), ref_inner(s, channel))
-        got = bound_pieces(one_set.SECRECY, one_set.SECRECY.scheme_terms(s, channel))
-        assert_same_pieces(got, [p for p in [ref_secrecy(s, channel)] if p])
+        (got,) = bound_pieces(one_set.SECRECY, one_set.SECRECY.scheme_terms(s, channel))
+        want = ref_secrecy(s, channel)
+        assert_same_piece(got, want)
+        assert piece_is_empty(got) == piece_is_empty(want)
         for r0 in (0.0, 0.05, 0.3):
             got = secrecy_capacity_value(one_set.SECRECY, s, channel, r0)
             assert float(got).hex() == float(ref_capacity(terms.values(), r0)).hex()
@@ -268,8 +268,10 @@ def test_degraded_pieces_match_the_references(channel):
         terms = one_set.DEGRADED.scheme_terms(s, channel)
         (got,) = bound_pieces(one_set.DEGRADED, terms)
         assert_same_piece(got, ref_degraded(s, channel))
-        got = bound_pieces(table, table.scheme_terms(s, channel))
-        assert_same_pieces(got, [p for p in [ref_degraded_secrecy(s, channel)] if p])
+        (got,) = bound_pieces(table, table.scheme_terms(s, channel))
+        want = ref_degraded_secrecy(s, channel)
+        assert_same_piece(got, want)
+        assert piece_is_empty(got) == piece_is_empty(want)
         for r0 in (0.0, 0.05, 0.3):
             got = secrecy_capacity_value(table, s, channel, r0)
             want = ref_capacity(terms.values(), r0)
@@ -327,17 +329,22 @@ def test_two_set_expansion_count_is_static():
     assert len(two_set.TWO_SET.pieces) == 2 ** 5 + 2 ** 2 + 2 ** 2
 
 
-def test_secrecy_guard_is_exact():
-    # a - d = -1e-17 is within the emptiness slack, yet leaves no piece
+def test_secrecy_emptiness_is_the_vertex_test():
+    # a - d = -1e-17 is within the emptiness slack, so the piece keeps the
+    # origin, as the same rows outside the table do; a - d = -0.1 leaves
+    # none, and the piece is empty, not missing
     values = {"a": 0.0, "b": 0.5, "d": 1e-17}
-    assert not piece_is_empty(polytope(SEC, [((0.0, 1.0), -1e-17), ((1.0, 1.0), 0.5)]))
-    assert bound_pieces(one_set.SECRECY, values) == []
-    values["d"] = 0.0
     (piece,) = bound_pieces(one_set.SECRECY, values)
-    assert piece.b.tolist() == [0.0, 0.5]
+    assert piece.b.tolist() == [-1e-17, 0.5 - 1e-17]
+    assert not piece_is_empty(piece)
+    assert not piece_is_empty(polytope(SEC, [((0.0, 1.0), -1e-17), ((1.0, 1.0), 0.5)]))
+    values["d"] = 0.1
+    (piece,) = bound_pieces(one_set.SECRECY, values)
+    assert piece.b.tolist() == [-0.1, 0.4]
+    assert piece.vertices.shape[0] == 0 and piece_is_empty(piece)
 
 
-# a term of a plain row, the guard's d, and e2, which also sits in brackets
+# a term of a plain row, the d of a secrecy row, and e2, which also sits in brackets
 # with no coordinate inside, where a NaN used to clip to 0.0
 @pytest.mark.parametrize("table,name", [(one_set.INNER, "b"), (one_set.SECRECY, "d"),
                                         (two_set.TWO_SET, "e2")])
@@ -462,9 +469,9 @@ TABLES = {f"{mod.__name__.rpartition('.')[2]}.{name}": table
 
 
 def _term_names(table):
-    """Every name the table's right-hand sides and guard read."""
-    sums = [terms for fam in table.families for _, _, terms in fam] + [table.guard]
-    return sorted({name for terms in sums for _, name in terms})
+    """Every name the table's right-hand sides read."""
+    return sorted({name for fam in table.families for _, _, terms in fam
+                   for _, name in terms})
 
 
 def _left_to_right(signed_terms, values):
@@ -477,8 +484,6 @@ def pieces_per_scheme(table, values):
     """Each family's parsed rows with the values filled in, expanded by
     expand_per_scheme: the expansion done again for every scheme, keeping
     the empty pieces."""
-    if _left_to_right(table.guard, values) < 0:
-        return []
     pieces = []
     for fam in table.families:
         pieces.extend(expand_per_scheme(
@@ -501,7 +506,8 @@ def _table_values(draw):
     return name, {term: draw(_VALUE) for term in _term_names(table)}
 
 
-# a bracket constant [a - d]+ of -0.0, 0.0 and below zero, and a negative guard
+# a bracket constant [a - d]+ of -0.0, 0.0 and below zero, and a leaking
+# secrecy scheme, whose one piece is empty
 @example(("one_set.INNER", {"a": -0.0, "b": 0.5, "d": 0.0}))
 @example(("one_set.INNER", {"a": 0.0, "b": 0.5, "d": 0.0}))
 @example(("one_set.INNER", {"a": 0.25, "b": 0.5, "d": 0.5}))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gmacsec import (
+    ChannelSpec,
     DimensionMismatch,
     NegativeProbability,
     RowSumViolation,
+    SolverStall,
     check_physically_degraded,
     check_stochastically_degraded,
     compose_degraded_channel,
@@ -103,6 +105,19 @@ class TestValidateChannel:
         with pytest.raises(DimensionMismatch):
             validate_channel(np.full((2, 2, 2), 0.5), (2, 2, 2, 1, 1))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ChannelSpec(np.full((2, 2), 0.5)), "must have 5 axes, got 2"),
+        # four sizes that match a four-axis table
+        (lambda: validate_channel(np.full((2, 1, 2, 1), 0.5), (2, 1, 2, 1)),
+         "expected 5 alphabet sizes, got 4"),
+        # an empty alphabet that matches an empty table
+        (lambda: validate_channel(np.zeros((0, 1, 2, 1, 1)), (0, 1, 2, 1, 1)),
+         "alphabet sizes must be >= 1"),
+    ], ids=["rank", "size_count", "empty_alphabet"])
+    def test_rejects_malformed_alphabets(self, build, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            build()
+
 
 class TestSerialization:
     def test_roundtrip_preserves_the_table(self, tmp_path, rng):
@@ -190,6 +205,21 @@ class TestCompose:
         # overall flip probability 0.1*0.8 + 0.9*0.2 = 0.26
         assert eaves[0, 0, 1] == pytest.approx(0.26, abs=1e-12)
 
+    MAIN = _bsc(0.1).reshape(2, 1, 2)
+
+    @pytest.mark.parametrize("main, degrade, side, error, message", [
+        (_bsc(0.1), MAIN, None, DimensionMismatch, "main law must have shape"),
+        (MAIN, np.full((3, 1, 2), 0.5), None, DimensionMismatch,
+         "degrading kernel shape"),
+        (MAIN, MAIN, np.full((2, 2, 1), 1.0), DimensionMismatch, "side law shape"),
+        (MAIN * 0.9, MAIN, None, RowSumViolation, "main kernel rows must sum to 1"),
+        (MAIN, MAIN, np.full((2, 1, 2), 0.6), RowSumViolation,
+         "side kernel rows must sum to 1"),
+    ], ids=["main_rank", "degrade_shape", "side_shape", "main_mass", "side_mass"])
+    def test_rejects_malformed_factors(self, main, degrade, side, error, message):
+        with pytest.raises(error, match=message):
+            compose_degraded_channel(main, degrade, side)
+
 
 class TestDegradedness:
     def test_composed_fixture_is_physically_degraded(self, binary_degraded):
@@ -220,6 +250,16 @@ class TestDegradedness:
         assert cert.verdict == "not-degraded"
         assert cert.witness is None
         assert cert.residual > 0.01
+
+    def test_a_failed_lp_is_a_solver_stall(self, binary_degraded, monkeypatch):
+        import gmacsec.channel as channel
+
+        class Failed:
+            status, message = 4, "numerical difficulties"
+
+        monkeypatch.setattr(channel, "linprog", lambda *args, **kwargs: Failed())
+        with pytest.raises(SolverStall, match="status 4: numerical difficulties"):
+            check_stochastically_degraded(binary_degraded)
 
     def test_physical_implies_stochastic(self, binary_degraded):
         cert = check_stochastically_degraded(binary_degraded)

@@ -698,15 +698,19 @@ class TestSecrecyCapacity:
         assert rc == 2
 
     @pytest.mark.parametrize("doc", [[], "x", ["seed"]], ids=["list", "string", "keys"])
-    @pytest.mark.parametrize("command", ["secrecy-capacity", "region"])
+    @pytest.mark.parametrize("command", ["secrecy-capacity", "region", "simulate"])
     def test_config_that_is_not_an_object(self, channel_files, tmp_path, capsys,
                                           command, doc):
         cfg = _write_json(tmp_path / "cfg.json", doc)
-        bound = ["--bound", "inner1"] if command == "region" else []
-        rc = main([command, str(channel_files["clean_mac"]), *bound, "--config", cfg,
-                   "--out", str(tmp_path / "out.csv")])
+        channel = str(channel_files["clean_mac"])
+        if command == "simulate":
+            args, what = [cfg, "--channel", channel], "simulation"
+        else:
+            bound = ["--bound", "inner1"] if command == "region" else []
+            args, what = [channel, *bound, "--config", cfg], "search"
+        rc = main([command, *args, "--out", str(tmp_path / "out.csv")])
         assert rc == 2
-        assert _stderr_error(capsys)["message"] == "search config must be a JSON object"
+        assert _stderr_error(capsys)["message"] == f"{what} config must be a JSON object"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("strategy", ["grid", "random"])

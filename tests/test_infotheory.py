@@ -176,6 +176,17 @@ class TestJointPMFGuards:
         with pytest.raises(GmacError, match="GMAC_MAX_STATES must be a whole number"):
             max_states()
 
+    @pytest.mark.parametrize("raw, message", [
+        ("many", "GMAC_MAX_STATES is not a number: 'many'"),
+        ("0", "GMAC_MAX_STATES must be positive, got 0"),
+        ("-8", "GMAC_MAX_STATES must be positive, got -8"),
+    ])
+    def test_state_ceiling_that_is_not_a_positive_number_is_refused(self, raw, message,
+                                                                   monkeypatch):
+        monkeypatch.setenv("GMAC_MAX_STATES", raw)
+        with pytest.raises(GmacError, match=message):
+            max_states()
+
     @pytest.mark.parametrize("raw, value", [("1e7", 10_000_000), ("4.0", 4), ("8", 8)])
     def test_whole_state_ceiling_in_any_notation(self, raw, value, monkeypatch):
         monkeypatch.setenv("GMAC_MAX_STATES", raw)
@@ -268,6 +279,27 @@ class TestSchemes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DimensionMismatch):
             scheme_from_dict({"kind": "three_set"})
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: SchemeOneSet(p_q_x2=[[1.0]], p_u_given_q=[[1.25, -0.25]],
+                              p_x1_given_u=np.eye(2)),
+         NegativeProbability, "p_u_given_q has a negative entry"),
+        (lambda: SchemeOneSet(p_q_x2=[1.0], p_u_given_q=[[1.0]], p_x1_given_u=[[1.0]]),
+         DimensionMismatch, "p_q_x2 must have 2 axes, got 1"),
+        (lambda: scheme_from_dict({"p_q_x2": [[1.0]]}),
+         DimensionMismatch, "scheme document lacks a kind"),
+        (lambda: scheme_from_dict([]), DimensionMismatch, "scheme document lacks a kind"),
+        (lambda: scheme_from_dict({"kind": "one_set", "p_q_x2": [[1.0]],
+                                   "p_u_given_q": "half", "p_x1_given_u": [[1.0]]}),
+         DimensionMismatch, "malformed scheme document"),
+        (lambda: scheme_from_dict({"kind": "one_set", "p_q_x2": [[1.0]],
+                                   "p_u_given_q": [[1.0]]}),
+         DimensionMismatch, "malformed scheme document"),
+    ], ids=["negative_entry", "axis_count", "no_kind", "not_a_dict", "bad_field",
+            "missing_field"])
+    def test_malformed_schemes_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
 
     def test_unknown_keys_rejected(self, clean_mac):
         # an outer document relabelled as one_set, with a misspelled key:

@@ -51,6 +51,8 @@ class TestSearchConfig:
             SearchConfig(sample_count=0)
         with pytest.raises(ValueError):
             SearchConfig(refine_step=0.0)
+        with pytest.raises(ValueError, match="refine_iterations must be nonnegative"):
+            SearchConfig(refine_iterations=-1)
 
     @pytest.mark.parametrize("strategy", ["grid", "random", "random+refine"])
     def test_negative_seed_rejected(self, strategy):
@@ -203,6 +205,14 @@ class TestRefinement:
                                      binary_degraded, config)
         assert best_value >= score(start)
 
+    @pytest.mark.parametrize("row, want", [
+        ([0.5, -0.1, 1.5], [0.25, 0.0, 0.75]),
+        ([-0.25, 0.0, -0.5], [1.0 / 3] * 3),    # no positive entry: uniform
+        ([0.0], [1.0]),
+    ])
+    def test_a_nudged_row_projects_onto_the_simplex(self, row, want):
+        assert optimizer._project_row(np.array(row)).tolist() == want
+
 
 class TestMaximize:
     def test_clean_access_reaches_one_bit(self, clean_mac):
@@ -282,13 +292,37 @@ class TestAssembleRegion:
         assert dropped > 0
         assert len(region.pieces) + dropped == 8
 
+    def test_leaking_secrecy_schemes_are_counted_as_empty(self, noiseless_wiretapper):
+        # 6 of the 27 grid schemes leak (a < d): each one's piece is empty,
+        # and the region counts it
+        config = SearchConfig(strategy="grid", cardinalities=(1, 2, 1))
+        region = assemble_region(noiseless_wiretapper, "secrecy-one-set", config)
+        assert region.info["schemes_visited"] == 27
+        assert region.info["empty_pieces_dropped"] == 6
+        assert len(region.pieces) == 21
+
+    def test_secrecy_ties_keep_their_pieces(self, identity_copy):
+        # the destination and user 2 see the same flip law, so a = d for
+        # every scheme, and a - d rounds below zero for some: each piece
+        # still holds the segment R1 = 0, 0 <= R0 <= b - d, and only it
+        config = SearchConfig()
+        region = assemble_region(identity_copy, "secrecy-one-set", config)
+        assert len(region.pieces) == 200
+        assert region.info["empty_pieces_dropped"] == 0
+        gaps = [t["a"] - t["d"] for t in (one_set.SECRECY.scheme_terms(s, identity_copy)
+                                           for s in search_schemes("one_set", identity_copy,
+                                                                   config))]
+        assert sum(gap < 0.0 for gap in gaps) == 25
+        assert max(abs(gap) for gap in gaps) < 1e-15
+        assert all(not p.vertices[:, 1].any() for p in region.pieces)
+
     def test_fresh_table_runs_are_bitwise_equal(self, clean_mac, monkeypatch):
         config = SearchConfig(cardinalities=(1, 2, 1), strategy="random",
                               sample_count=6, seed=21)
         # SECRECY built anew: its first run finds the subsystems, its second
         # reads them, and the shared table's run reads its own
         fresh = BoundTable(one_set.COORDS_SECRECY, "one_set", one_set._TERMS,
-                           [one_set._SECRECY_ROWS], guard="a - d")
+                           [one_set._SECRECY_ROWS])
         monkeypatch.setitem(optimizer._BOUND_TABLES, "secrecy-one-set", fresh)
         runs = [assemble_region(clean_mac, "secrecy-one-set", config) for _ in range(2)]
         monkeypatch.undo()

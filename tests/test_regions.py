@@ -290,6 +290,17 @@ class TestRegionQueries:
             with pytest.raises(ValueError, match="finite"):
                 region_support(region, direction)
 
+    @pytest.mark.parametrize("query, argument, message", [
+        (region_support, (1.0, 0.0, 0.0), "direction dimension mismatch"),
+        (region_support, (0.0, 0.0), "direction must be nonzero"),
+        (region_contains, (0.5,), "point dimension mismatch"),
+        (region_contains, (0.5, 0.5, 0.0), "point dimension mismatch"),
+    ], ids=["support_dim", "support_zero", "contains_short", "contains_long"])
+    def test_malformed_queries_raise(self, query, argument, message):
+        region = convexify([_unit_square(), _wide_rectangle()])
+        with pytest.raises(ValueError, match=message):
+            query(region, argument)
+
 
 class TestFrontier:
     def test_staircase_hand_case(self):

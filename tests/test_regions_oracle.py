@@ -976,12 +976,16 @@ class TestTableSubsystems:
         assert len(calls) == 2
         assert all(index is table._subsystem_index for index, _ in calls)
 
-    def test_a_negative_guard_solves_nothing(self, monkeypatch):
+    def test_a_leaking_scheme_takes_the_same_single_solve(self, monkeypatch):
+        # a < d leaves R1 <= a - d below zero: the one piece comes back with
+        # no vertex, from one solve, as a scheme with a >= d does
         calls = _solves(monkeypatch)
         terms = {"a": 0.3, "b": 0.5, "d": 0.1}
-        assert len(bound_pieces(one_set.SECRECY, terms)) == 1 and len(calls) == 1
-        assert bound_pieces(one_set.SECRECY, {**terms, "d": 0.4}) == []
-        assert len(calls) == 1
+        (kept,) = bound_pieces(one_set.SECRECY, terms)
+        assert not piece_is_empty(kept) and len(calls) == 1
+        (leaking,) = bound_pieces(one_set.SECRECY, {**terms, "d": 0.4})
+        assert leaking.vertices.shape[0] == 0 and piece_is_empty(leaking)
+        assert len(calls) == 2
 
     def test_index_lists_distinct_subsystems_in_lexicographic_order(self):
         index = two_set.TWO_SET._subsystem_index
@@ -1112,8 +1116,8 @@ def _table_values(table, rng, channels, per_channel, draws):
     each channel, with any name that is not a term (the rates that
     two_set.EQUIVOCATION reads) drawn uniformly; then draws sets drawn from
     a few values, so that repeated rows tie and bounds go negative."""
-    sums = [terms for fam in table.families for _, _, terms in fam] + [table.guard]
-    names = sorted({name for terms in sums for _, name in terms})
+    names = sorted({name for fam in table.families for _, _, terms in fam
+                    for _, name in terms})
     config = SearchConfig(strategy="random", sample_count=per_channel,
                           cardinalities=(2, 2, 2), seed=int(rng.integers(1 << 30)))
     for channel in channels:

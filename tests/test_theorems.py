@@ -97,8 +97,8 @@ def test_g6_capacity_is_the_secrecy_region_top_at_r0_zero(name):
 @pytest.mark.parametrize("name", sorted(CHANNELS))
 def test_g6_capacity_point_lies_in_the_secrecy_region(name):
     """At r0 > 0 a positive capacity value v = min(a - d, b - d - r0) of
-    the winning scheme s gives a - d >= v > 0, so s passes the guard, and
-    (r0, v) satisfies both rows of its piece, R1 <= a - d and R0 + R1 <=
+    the winning scheme s gives a - d >= v > 0, so the piece of s is not
+    empty, and (r0, v) satisfies both its rows, R1 <= a - d and R0 + R1 <=
     b - d, with r0, v >= 0. The region visits the same scheme stream, so
     the winner's piece, which holds the point, is among its pieces."""
     channel = CHANNELS[name]
@@ -250,9 +250,9 @@ def test_secrecy_region_lies_in_the_closed_form_family(p1, p2):
         (a' - d') - (a - d) = (b' - d') - (b - d)
                             = I(X1;Y|U,X2,Q) - I(X1;Y2|U,X2,Q) >= 0,
     the inequality because Y2 is a degraded copy of Y given (U, X2, Q). So
-    SECRECY(s) lies inside DEGRADED_SECRECY(s'), a scheme that fails the
-    guard a - d >= 0 has no piece, and one that passes it gives s' that
-    passes too. Both secrecy rows are nondecreasing in a and b and
+    SECRECY(s) lies inside DEGRADED_SECRECY(s'), row by row: a scheme with
+    a < d has an empty piece, which adds nothing to the region, and every
+    point of a nonempty piece lies in the piece of s'. Both secrecy rows are nondecreasing in a and b and
     nonincreasing in d, so the degraded test's argument (a beta with
     a(beta) = a(s'), then b(s') <= b(beta) and, by Mrs. Gerber's Lemma,
     d(s') >= d(beta)) puts DEGRADED_SECRECY(s') inside the family's piece

@@ -112,6 +112,23 @@ class TestCodebook:
             Codebook(n=2, M0=1, M1=1, M2=1, J1=1, J2=1,
                      size_x1=2, size_x2=1, x1_words=words, x2_words=x2)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"M1": 0, "x1_words": np.zeros((1, 0, 1, 2), dtype=np.int64)},
+         "M1 must be a positive integer"),
+        ({"x1_words": np.zeros((1, 2, 1, 3), dtype=np.int64)},
+         r"x1_words has shape \(1, 2, 1, 3\), expected \(1, 2, 1, 2\)"),
+        ({"x2_words": np.zeros((1, 2, 1, 2), dtype=np.int64)},
+         r"x2_words has shape \(1, 2, 1, 2\), expected \(1, 1, 1, 2\)"),
+        ({"x2_words": np.full((1, 1, 1, 2), 2, dtype=np.int64)},
+         "x2_words contains letters outside the input alphabet"),
+    ], ids=["count", "x1_shape", "x2_shape", "x2_letters"])
+    def test_malformed_codebooks_are_refused(self, change, message):
+        args = dict(n=2, M0=1, M1=2, M2=1, J1=1, J2=1, size_x1=2, size_x2=2,
+                    x1_words=np.zeros((1, 2, 1, 2), dtype=np.int64),
+                    x2_words=np.zeros((1, 1, 1, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            Codebook(**{**args, **change})
+
 
 class TestErrorProbability:
     def test_repetition_code_oracle(self, binary_degraded):
@@ -200,6 +217,11 @@ class TestEquivocation:
         for case in ("user2_about_W1", "user1_about_W2",
                      "destination_about_W1", "destination_about_W2"):
             assert exact_equivocation(book, clean_mac, case).hex() == (0.0).hex()
+
+    def test_alphabet_mismatch(self, clean_mac, pure_noise_wiretap):
+        book = build_codebook(clean_mac, 2, 1, 2, 1, 1, 1, UNIFORM_PAIR, seed=0)
+        with pytest.raises(ValueError, match="codebook alphabets do not match"):
+            equivocation_joint(book, pure_noise_wiretap, "user2_about_W1")
 
     def test_unknown_case(self, binary_degraded):
         book = build_codebook(binary_degraded, 2, 1, 2, 1, 1, 1,
