@@ -84,7 +84,7 @@ def test_text_matches_the_stdlib(doc):
 @pytest.mark.parametrize("value", [
     np.int64(1), np.bool_(True), {1, 2}, object(), b"bytes", [1, np.int32(2)],
     {(1, 2): 3}, {b"k": 1}, {frozenset(): 1},
-], ids=repr)
+], ids=lambda value: "object()" if type(value) is object else repr(value))
 def test_refuses_what_the_stdlib_refuses(value):
     with pytest.raises(TypeError) as stdlib:
         json.dumps(value, indent=2)
