@@ -406,7 +406,7 @@ def scheme_from_dict(doc: dict):
         kind = doc["kind"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"scheme document lacks a kind: {exc}")
-    if kind not in _SCHEME_FIELDS:
+    if not isinstance(kind, str) or kind not in _SCHEME_FIELDS:
         raise DimensionMismatch(f"unknown scheme kind {kind!r}")
     spec = _SCHEME_FIELDS[kind]
     unknown = [key for key in doc if key != "kind" and key not in spec.fields]

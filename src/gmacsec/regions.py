@@ -67,8 +67,9 @@ DEDUP_DECIMALS = 9
 VERTEX_CEILING = 100_000
 COMBO_CEILING = 2_000_000
 # A sweep direction's optimal face holds the cloud points whose reduced
-# costs are within this of zero; its sample takes the largest coordinate sum
-# on that face, then the largest first coordinate.
+# costs are within this of zero. Its sample is the face's Pareto corner:
+# the largest second plane coordinate when cos t - sin t exceeds this, else
+# the largest first.
 TIE_TOL = 1e-12
 # A point within this L1 distance of a region's hull is in it.
 HULL_TOL = 1e-9
@@ -683,19 +684,14 @@ def _key_groups(rows: np.ndarray):
     return _distinct(keys)
 
 
-def _round_groups(rows: np.ndarray) -> np.ndarray:
-    """The index of the first row of each group of rows that agree once
-    rounded to DEDUP_DECIMALS places, in row order."""
-    return np.sort(_key_groups(rows)[0])
-
-
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:
     """Indices of the first row of each group of rows that agree once
-    rounded to DEDUP_DECIMALS places (_round_groups), in lexicographic
-    order of the rows."""
+    rounded to DEDUP_DECIMALS places (_key_groups), in lexicographic order
+    of the rows. The groups' first rows are distinct, so the order has no
+    ties."""
     if points.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
-    first = _round_groups(points)
+    first = _key_groups(points)[0]
     return first[np.lexsort(points[first].T[::-1])]
 
 
@@ -939,11 +935,15 @@ def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
     plane and fixed must pass check_slice. The slice is the mixes of hull
     points that meet the fixed values: _phase_one finds one, once, and
     raises EmptySlice when every mix misses them by more than HULL_TOL.
-    Each direction then starts from the previous direction's basis and
-    maximizes, by _simplex, direction.x, then on the optimal face (reduced
-    costs within TIE_TOL of zero) the plane coordinates' sum, then the
-    first plane coordinate: the Pareto-maximal corner of the optimal face.
-    A face whose only columns are the basis's ends this early.
+    Each direction (c, s) then starts from the previous direction's basis
+    and maximizes, by _simplex, direction.x. When the optimal face (reduced
+    costs within TIE_TOL of zero) holds more columns than the basis, a
+    second _simplex on the face takes its Pareto-maximal corner, the one
+    with the largest coordinate sum, then the largest first coordinate.
+    Along a face normal to (c, s) the sum rises with the second coordinate
+    when c > s and with the first when c < s, and it is flat when c = s;
+    so the corner maximizes the second plane coordinate when c - s >
+    TIE_TOL and the first otherwise.
     The sample's mix is the final basis, its point the weighted sum of the
     mix's points.
     """
@@ -963,17 +963,15 @@ def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
         raise EmptySlice(f"no feasible point in the slice at {fixed}")
     rows, rhs, basis = _cloud_basis(W, rhs, basis, n)
     flat = pts[:, plane_idx]
-    ties = (flat.sum(axis=1), flat[:, 0])
     samples = []
     for k in range(resolution):
         theta = 0.5 * math.pi * k / (resolution - 1)
         direction = (math.cos(theta), math.sin(theta))
-        allowed = None
-        for cost in (flat @ np.asarray(direction), *ties):
-            weights, reduced = _simplex(rows, rhs, basis, cost, allowed)
-            allowed = reduced >= -TIE_TOL
-            if np.count_nonzero(allowed) == len(basis):
-                break                         # the face is the basis alone
+        weights, reduced = _simplex(rows, rhs, basis, flat @ np.asarray(direction))
+        face = reduced >= -TIE_TOL
+        if np.count_nonzero(face) > len(basis):
+            corner = flat[:, 1] if direction[0] - direction[1] > TIE_TOL else flat[:, 0]
+            weights, _ = _simplex(rows, rhs, basis, corner, face)
         order = np.argsort(basis)
         mix = [(float(weights[i]), basis[i]) for i in order if weights[i] > 0.0]
         point = np.array([w for w, _ in mix]) @ flat[[j for _, j in mix]]

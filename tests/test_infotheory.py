@@ -276,9 +276,11 @@ class TestSchemes:
                     continue
                 assert np.array_equal(getattr(again, field), getattr(scheme, field))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            scheme_from_dict({"kind": "three_set"})
+    @pytest.mark.parametrize("kind", ["three_set", ["one_set"], {"a": 1}],
+                             ids=["three_set", "list", "object"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(DimensionMismatch, match="unknown scheme kind"):
+            scheme_from_dict({"kind": kind})
 
     @pytest.mark.parametrize("build, error, message", [
         (lambda: SchemeOneSet(p_q_x2=[[1.0]], p_u_given_q=[[1.25, -0.25]],

@@ -627,6 +627,23 @@ def test_sweep_picks_match_the_vertex_rule(channel):
     assert picks >= 9
 
 
+def test_sweep_takes_one_tie_stage_per_direction(workload_regions, monkeypatch):
+    """Each direction's sample costs one _simplex for its direction and at
+    most one more for its face's Pareto corner, after the slice's one
+    phase-one solve: at most 1 + 2 * 17 calls on a 17-direction sweep."""
+    calls = []
+    simplex = regions._simplex
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simplex(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "_simplex", counted)
+    frontier_sweep(workload_regions["two-set"], ("R1", "R2"),
+                   fixed={"R0": 0.0, "R1e": 0.0, "R2e": 0.0}, resolution=17)
+    assert len(calls) <= 1 + 2 * 17
+
+
 class TestExactness:
     def test_axis_point_is_exactly_zero(self, workload_regions):
         pts = frontier(workload_regions["inner1"], ("R0", "R1"),
@@ -888,7 +905,8 @@ class TestVertexOracle:
             # signed zeros round into the same group
             rows = rng.integers(0, 3, size=(n, d)) / 3.0
             rows += rng.choice([0.0, 4e-10, -4e-10, -0.0], size=(n, d))
-            assert np.array_equal(regions._round_groups(rows), unique_groups(rows)[0])
+            assert np.array_equal(np.sort(regions._key_groups(rows)[0]),
+                                  unique_groups(rows)[0])
 
     def test_overflow_checks_still_raise(self, monkeypatch):
         def no_work(*args, **kwargs):
