@@ -162,10 +162,10 @@ def parse_channel(data, source) -> ChannelSpec:
     doc = json.loads(data.decode("utf-8"))
     try:
         sizes = [doc[k] for k in ("x1", "x2", "y", "y1", "y2")]
-        raw = doc["p"]
-    except (KeyError, TypeError) as exc:
+        table = np.asarray(doc["p"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed channel file {source}: {exc}")
-    return validate_channel(np.asarray(raw, dtype=float), sizes)
+    return validate_channel(table, sizes)
 
 
 def save_channel(spec: ChannelSpec, path) -> None:

@@ -84,8 +84,6 @@ def _float_text(value) -> str:
     return _FLOAT_SPECIALS.get(text, text)
 
 
-# The writer's scalars by exact type; subclasses, such as np.float64, go
-# through _scalar_text, which tests in the stdlib's order.
 _SCALARS = {
     str: _json_string,
     int: int.__repr__,
@@ -95,36 +93,11 @@ _SCALARS = {
 }
 
 
-def _scalar_text(value) -> str:
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} "
-                    "is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    if isinstance(key, float):
-        key = _float_text(key)
-    elif isinstance(key, int) or key is None:
-        key = _scalar_text(key)
-    elif not isinstance(key, str):
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _json_string(key)
-
-
 def _json_text(doc) -> str:
-    """The text of json.dumps(doc, indent=2), byte for byte.
+    """The text of json.dumps(doc, indent=2), byte for byte, for what the
+    commands build: dicts with str keys, lists, tuples, and scalars of
+    exact type str, int, float, bool or None. Anything else, such as an
+    np.float64 or an int key, raises TypeError naming its type.
 
     With indent, json runs its pure-Python encoder, one generator step per
     token. Here each container's text is one str.join, and a container met
@@ -144,7 +117,8 @@ def _text(value, depth, memo) -> str:
     if (write := scalar(type(value))) is not None:
         return write(value)
     if not isinstance(value, (list, tuple, dict)):
-        return _scalar_text(value)
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        "is not JSON serializable")
     key = (id(value), depth)
     done = memo.get(key)
     if done is not None:
@@ -156,7 +130,7 @@ def _text(value, depth, memo) -> str:
     depth += 1
     if isinstance(value, dict):
         items = [
-            (_json_string(k) if type(k) is str else _key_text(k)) + ": "
+            _json_string(k) + ": "
             + (write(v) if (write := scalar(type(v))) else _text(v, depth, memo))
             for k, v in value.items()]
         opening, closing = "{", "}"
@@ -404,6 +378,11 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"simulation config is missing keys {missing}")
     if extra:
         raise ValueError(f"simulation config has unknown keys {extra}")
+    if not isinstance(doc["seeds"], list):
+        raise ValueError(f"simulation config key seeds must be a list, got {doc['seeds']!r}")
+    if not (isinstance(doc["input_dist"], list) and len(doc["input_dist"]) == 2):
+        raise ValueError("simulation config key input_dist must be a list of two "
+                         f"distributions, got {doc['input_dist']!r}")
     reports, aggregate = simulate(
         channel, n=doc["n"], M0=doc["M0"], M1=doc["M1"], M2=doc["M2"],
         J1=doc["J1"], J2=doc["J2"], input_dist=doc["input_dist"],

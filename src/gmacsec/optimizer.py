@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 # Unused here: perfbench/spans.py reads and patches optimizer.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -62,8 +63,10 @@ class SearchConfig:
     refine_step: float = 0.25
 
     def __post_init__(self):
-        cards = tuple(whole_number("cardinality", c) for c in self.cardinalities)
-        if len(cards) != 3 or any(c < 1 for c in cards):
+        cards = self.cardinalities
+        if isinstance(cards, (list, tuple)):
+            cards = tuple(whole_number("cardinality", c) for c in cards)
+        if type(cards) is not tuple or len(cards) != 3 or any(c < 1 for c in cards):
             raise ValueError(f"cardinalities must be three ints >= 1: {cards}")
         object.__setattr__(self, "cardinalities", cards)
         for name in ("grid_resolution", "sample_count", "seed", "refine_iterations"):
@@ -78,8 +81,9 @@ class SearchConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be nonnegative")
-        if isinstance(self.refine_step, bool) or not (0 < self.refine_step <= 1):
-            raise ValueError(f"refine_step must lie in (0, 1], got {self.refine_step!r}")
+        step = self.refine_step
+        if not isinstance(step, numbers.Real) or isinstance(step, bool) or not 0 < step <= 1:
+            raise ValueError(f"refine_step must lie in (0, 1], got {step!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":
@@ -89,10 +93,7 @@ class SearchConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown SearchConfig keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "cardinalities" in kwargs:
-            kwargs["cardinalities"] = tuple(kwargs["cardinalities"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "cardinalities": list(self.cardinalities)}

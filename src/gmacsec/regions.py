@@ -51,6 +51,7 @@ from .errors import (
     Unbounded,
     UnknownVariable,
     VertexEnumerationOverflow,
+    finite_nonnegative,
     whole_number,
 )
 from .infotheory import (
@@ -855,10 +856,14 @@ def _cloud_basis(W, rhs, basis, n):
 def region_contains(region: RateRegion, point, tol: float = HULL_TOL) -> bool:
     """Whether point lies within L1 distance tol of the region's hull: the
     sum over coordinates of |point - x| for the nearest mix x of hull
-    points, found by _phase_one over the cloud."""
+    points, found by _phase_one over the cloud. A point that is not finite
+    raises ValueError, as does a tol that is not finite and >= 0."""
     x = np.asarray(point, dtype=float)
     if x.shape != (region.dim,):
         raise ValueError("point dimension mismatch")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"point must be finite, got {point}")
+    tol = finite_nonnegative("tol", tol)
     pts = region.hull_points
     if pts.shape[0] == 0:
         return False

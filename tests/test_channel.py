@@ -165,10 +165,14 @@ class TestSerialization:
             validate_channel(doc["p"], [size] + [doc[k] for k in ("x2", "y", "y1", "y2")])
 
     def test_malformed_file_raises(self, tmp_path):
+        # no sizes, a ragged table and a table that is not numbers
+        sizes = {"x1": 1, "x2": 1, "y": 2, "y1": 1, "y2": 1}
         path = tmp_path / "bad.json"
-        path.write_text('{"p": []}')
-        with pytest.raises(DimensionMismatch):
-            load_channel(path)
+        for doc in ({"p": []}, {**sizes, "p": [[[[[0.5]], [[0.5, 0.1]]]]]},
+                    {**sizes, "p": "a"}):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DimensionMismatch, match="malformed channel file"):
+                load_channel(path)
 
 
 class TestMarginalKernel:

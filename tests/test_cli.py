@@ -477,14 +477,16 @@ class TestSearchSettings:
         assert not (tmp_path / "f.csv").exists()
 
     def test_refine_step_is_not_a_boolean(self, channel_files, tmp_path, capsys):
-        with pytest.raises(ValueError, match="refine_step"):
-            SearchConfig(refine_step=True)
-        cfg = _write_json(tmp_path / "cfg.json", {"strategy": "random+refine",
-                                                  "sample_count": 2, "refine_step": True})
-        assert main(["secrecy-capacity", str(channel_files["binary_degraded"]),
-                     "--config", cfg]) == 2
-        error = _stderr_error(capsys)
-        assert error["error"] == "ValueError" and "refine_step" in error["message"]
+        # nor a string, which a JSON config may hold
+        for step in (True, "0.5"):
+            with pytest.raises(ValueError, match="refine_step"):
+                SearchConfig(refine_step=step)
+            cfg = _write_json(tmp_path / "cfg.json", {"strategy": "random+refine",
+                                                      "sample_count": 2, "refine_step": step})
+            assert main(["secrecy-capacity", str(channel_files["binary_degraded"]),
+                         "--config", cfg]) == 2
+            error = _stderr_error(capsys)
+            assert error["error"] == "ValueError" and "refine_step" in error["message"]
 
     def test_regions_refuse_the_refine_strategy(self, channel_files, tmp_path, capsys):
         # a region has no single best scheme to refine, so the strategy is
@@ -784,6 +786,17 @@ class TestSimulate:
         assert main(["simulate", cfg,
                      "--channel", str(channel_files["binary_degraded"])]) == 2
         assert "blocklen" in _stderr_error(capsys)["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", 5), ("seeds", "01"), ("input_dist", 5), ("input_dist", [[0.5, 0.5]]),
+    ], ids=["seeds_int", "seeds_str", "input_dist_int", "input_dist_one"])
+    def test_config_values_of_the_wrong_type(self, key, value, channel_files,
+                                             tmp_path, capsys):
+        cfg = _write_json(tmp_path / "sim.json", {**self.SIM, key: value})
+        assert main(["simulate", cfg,
+                     "--channel", str(channel_files["binary_degraded"])]) == 2
+        error = _stderr_error(capsys)
+        assert error["error"] == "ValueError" and key in error["message"]
 
     def test_fractional_counts_are_input_errors(self, channel_files, tmp_path, capsys):
         cfg = _write_json(tmp_path / "sim.json",

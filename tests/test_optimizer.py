@@ -43,6 +43,8 @@ class TestSearchConfig:
             SearchConfig(cardinalities=(0, 1, 1))
         with pytest.raises(ValueError):
             SearchConfig(cardinalities=(1, 1))
+        with pytest.raises(ValueError, match="cardinalities"):
+            SearchConfig(cardinalities=5)
         with pytest.raises(ValueError):
             SearchConfig(strategy="annealing")
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,11 +297,18 @@ class TestRegionQueries:
         (region_support, (0.0, 0.0), "direction must be nonzero"),
         (region_contains, (0.5,), "point dimension mismatch"),
         (region_contains, (0.5, 0.5, 0.0), "point dimension mismatch"),
-    ], ids=["support_dim", "support_zero", "contains_short", "contains_long"])
+        (region_contains, (math.nan, 0.5), "finite"),
+        (region_contains, (math.inf, 0.0), "finite"),
+        (region_contains, (0.0, -math.inf), "finite"),
+        (functools.partial(region_contains, tol=math.nan), (0.5, 0.5), "finite"),
+    ], ids=["support_dim", "support_zero", "contains_short", "contains_long",
+            "contains_nan", "contains_inf", "contains_minus_inf", "contains_nan_tol"])
     def test_malformed_queries_raise(self, query, argument, message):
         region = convexify([_unit_square(), _wide_rectangle()])
-        with pytest.raises(ValueError, match=message):
-            query(region, argument)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                query(region, argument)
 
 
 class TestFrontier:
