@@ -17,31 +17,16 @@ from .errors import (
     DimensionMismatch,
     NegativeProbability,
     RowSumViolation,
-    SolverStall,
     finite_nonnegative,
     whole_number,
 )
+from .lp import maximize
 
 RECEIVERS = ("destination", "user1", "user2")
 
 # Blocks whose mass deviates from 1 by more than this are rejected outright;
 # anything closer is silently renormalized. Clean inputs should be within 1e-9.
 ROW_SUM_HARD_TOL = 1e-6
-
-# HiGHS default feasibility tolerances sit near 1e-7, which is visible
-# noise at the 9-digit precision the outputs promise; pin them lower.
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first call: the import takes
-    longer than many commands that never solve an LP."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -228,56 +213,68 @@ def check_physically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> Degradedn
     return DegradednessCertificate(verdict=verdict, witness=witness, residual=residual)
 
 
+def _degradedness_lp(p_y, p_y2):
+    """(rows, rhs, cost, start) of one x2's kernel LP, for lp.maximize:
+    p_y is p(y | x1) and p_y2 is p(y2 | x1) at that x2, each with x1 on
+    axis 0. The columns are the kernel entries d(y2 | y) in (y, y2) order,
+    then t, then one slack per match row. The leading rows make each y's
+    kernel sum to one; then each (x1, y2), in that order, has a pair of
+    match rows, sum_y p(y | x1) d(y2 | y) - t + s = p(y2 | x1) and its
+    negation's, - sum_y p(y | x1) d(y2 | y) - t + s' = - p(y2 | x1), so
+    the mismatch is at most t both ways. The cost is -t, and the start
+    columns are the entries d(0 | y), which meet the leading rows."""
+    nx1, ny = p_y.shape
+    ny2 = p_y2.shape[1]
+    nz, n_match = ny * ny2, 2 * nx1 * ny2
+    match = np.kron(p_y, np.eye(ny2))                 # rows (x1, y2), columns (y, y2)
+    rows = np.zeros((ny + n_match, nz + 1 + n_match))
+    rows[:ny, :nz] = np.repeat(np.eye(ny), ny2, axis=1)
+    rows[ny:, :nz] = np.stack([match, -match], axis=1).reshape(n_match, nz)
+    rows[ny:, nz] = -1.0
+    rows[ny:, nz + 1:] = np.eye(n_match)
+    rhs = np.concatenate([np.ones(ny), np.stack([p_y2, -p_y2], axis=-1).ravel()])
+    cost = np.zeros(rows.shape[1])
+    cost[nz] = -1.0
+    return rows, rhs, cost, list(range(0, nz, ny2))
+
+
 def check_stochastically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> DegradednessCertificate:
     """Search for a kernel d(y2 | y, x2) matching the user-2 marginal.
 
     Solves min t over row-stochastic d such that
     | sum_y p(y | x1, x2) d(y2 | y, x2) - p(y2 | x1, x2) | <= t for every
-    (x1, x2, y2). The channel is stochastically degraded when the optimum
-    is at most tol, which must be a finite number >= 0 and is checked
-    before the LP runs. Only the single-output marginals enter, so a channel
-    that is physically degraded always passes here too.
+    (x1, x2, y2). Each x2 has its own kernel rows, so the minimum is the
+    largest over x2 of one small LP per x2 (see _degradedness_lp), each
+    solved by lp.maximize. The optimal kernel, its rows clipped at zero
+    and renormalized, carries the simplex's rounding, while the
+    conditioning kernel of check_physically_degraded is exact on a channel
+    composed as physically degraded. The residual is the smaller of the
+    two kernels' largest mismatches, so an exact kernel reports 0, and the
+    witness is the kernel that attains it. The channel is stochastically
+    degraded when the residual is at most tol, which must be a finite
+    number >= 0 and is checked before any LP runs, and only then is the
+    witness returned. The LP reads only the single-output marginals, so a
+    channel that is physically degraded always passes here too.
     """
     tol = finite_nonnegative("tol", tol)
     p_y = marginal_kernel(spec, "destination")     # (x1, x2, y)
     p_y2 = marginal_kernel(spec, "user2")          # (x1, x2, y2)
     nx1, nx2, ny = p_y.shape
     ny2 = p_y2.shape[2]
-    nz = ny * nx2 * ny2              # witness entries, d(y2 | y, x2) at (y, x2, y2)
-
-    # equalities: each (y, x2) row of the witness sums to one
-    a_eq = np.zeros((ny * nx2, nz + 1))
-    a_eq[:, :nz] = np.repeat(np.eye(ny * nx2), ny2, axis=1)
-    b_eq = np.ones(ny * nx2)
-
-    # inequalities: marginal match within t, both directions, a pair of
-    # rows per (x1, x2, y2) in that order
-    n_match = nx1 * nx2 * ny2
-    x1, x2, y2, y = np.ix_(range(nx1), range(nx2), range(ny2), range(ny))
-    pair = (x1 * nx2 + x2) * ny2 + y2
-    entry = (y * nx2 + x2) * ny2 + y2
-    a_ub = np.zeros((n_match, 2, nz + 1))
-    a_ub[pair, 0, entry] = p_y[x1, x2, y]
-    a_ub[pair, 1, entry] = -p_y[x1, x2, y]
-    a_ub[:, :, nz] = -1.0
-    a_ub = a_ub.reshape(2 * n_match, nz + 1)
-    b_ub = np.stack([p_y2, -p_y2], axis=-1).ravel()
-
-    cost = np.zeros(nz + 1)
-    cost[nz] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * (nz + 1), method="highs", options=_LP_OPTIONS)
-    if res.status != 0:
-        raise SolverStall(
-            f"degradedness LP ended with status {res.status}: {res.message}"
-        )
-    residual = float(res.fun)
+    witness = np.empty((ny, nx2, ny2))
+    for x2 in range(nx2):
+        w = maximize(*_degradedness_lp(p_y[:, x2], p_y2[:, x2]))
+        witness[:, x2] = w[:ny * ny2].reshape(ny, ny2)
+    witness = np.clip(witness, 0.0, None)
+    witness /= witness.sum(axis=2, keepdims=True)
+    witness.setflags(write=False)
+    kernels = (witness, check_physically_degraded(spec).witness)
+    mismatch = [float(np.abs(np.einsum("aby,ybz->abz", p_y, d) - p_y2).max())
+                for d in kernels]
+    residual = min(mismatch)
     if residual <= tol:
-        witness = np.asarray(res.x[:nz]).reshape(ny, nx2, ny2)
-        witness = np.clip(witness, 0.0, None)
-        witness = witness / witness.sum(axis=2, keepdims=True)
-        witness.setflags(write=False)
-        return DegradednessCertificate("stochastically-degraded", witness, residual)
+        return DegradednessCertificate("stochastically-degraded",
+                                       kernels[mismatch.index(residual)], residual)
     return DegradednessCertificate("not-degraded", None, residual)
 
 

@@ -6,7 +6,10 @@ named by appending .manifest.json to that file's name, with content digests
 of its inputs, the tool version, and the seeds in play, so any output can
 be regenerated and checked byte for byte. Errors leave a machine-readable
 JSON object on stderr and exit with a stable code: 2 for input problems, 3
-for blown resource guards, 4 for internal invariant violations.
+for blown resource guards, 4 for internal invariant violations. A warning,
+such as the NotDegradedWarning of a degraded-form command on a channel
+that is not degraded, leaves one JSON object on stderr too, with no exit
+code of its own.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import pathlib
 import sys
 import time
+import warnings
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -506,6 +510,16 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning while a command runs: the warning as one JSON
+    object on stderr, like an error's, in place of Python's line, which
+    names an install path and a source line."""
+    sys.stderr.write(json.dumps({
+        "warning": category.__name__,
+        "message": str(message),
+    }) + "\n")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
@@ -516,7 +530,9 @@ def main(argv=None) -> int:
     # the manifests record the argv parsed here, not the host's
     args.argv = argv
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except _GUARD_ERRORS as exc:
         return _fail(exc, 3)
     except _INTERNAL_ERRORS as exc:

@@ -28,10 +28,11 @@ vector.
 A region keeps its pieces' deduplicated, sorted vertex cloud. Every point
 of its hull is a mix of cloud points, so a slice or membership query is a
 linear program over mixture weights with at most d + 1 equality rows: the
-weights sum to one, and the mix meets each fixed coordinate. One small
-dense simplex (_phase_one, _simplex) solves it, pricing the whole cloud
-with one matrix-vector product per pivot; its optimal basis is the
-time-sharing mix behind each frontier point.
+weights sum to one, and the mix meets each fixed coordinate. The
+package's one simplex, in gmacsec.lp (_phase_one, _cloud_basis,
+_simplex), solves it, pricing the whole cloud with one matrix-vector
+product per pivot; its optimal basis is the time-sharing mix behind each
+frontier point.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ import re
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-# never called here; perfbench/spans.py wraps this binding and tests patch it
-from .channel import linprog  # noqa: F401
+
 from .errors import (
     EmptySlice,
-    SolverStall,
     Unbounded,
     UnknownVariable,
     VertexEnumerationOverflow,
@@ -62,6 +61,11 @@ from .infotheory import (
     stacked_joint,
     stacked_mutual_information,
 )
+from .lp import _cloud_basis, _phase_one, _simplex
+# never called here: perfbench/spans.py reads and wraps regions.linprog in a
+# traced run, and tests patch it to show that no region query solves an LP
+# through it; it names the one LP entry point, lp.maximize
+from .lp import maximize as linprog  # noqa: F401
 
 DEDUP_TOL = 1e-9
 DEDUP_DECIMALS = 9
@@ -74,13 +78,6 @@ COMBO_CEILING = 2_000_000
 TIE_TOL = 1e-12
 # A point within this L1 distance of a region's hull is in it.
 HULL_TOL = 1e-9
-# The weight simplex: a reduced cost above PRICE_TOL improves its objective;
-# a pivot entry or a step of at most PIVOT_TOL counts as zero; after
-# BLAND_AFTER degenerate pivots in a row it enters by Bland's rule.
-PRICE_TOL = 1e-13
-PIVOT_TOL = 1e-9
-BLAND_AFTER = 10
-PIVOT_CEILING = 10_000
 
 
 @dataclass(frozen=True)
@@ -769,90 +766,6 @@ def convexify(pieces, coords=None, provenance=None, info=None) -> RateRegion:
     )
 
 
-def _simplex(W, rhs, basis, cost, allowed=None):
-    """Maximize cost.w over w >= 0 with W w = rhs by the primal simplex,
-    from the feasible basis given, a list of column indices that is updated
-    in place. Returns (weights of the basis columns, reduced costs).
-
-    Each pivot prices every column with one matrix-vector product, and
-    only the columns that allowed marks may enter. The entering column has
-    the largest reduced cost above PRICE_TOL, the first on a tie. After
-    BLAND_AFTER degenerate pivots in a row (each a step of at most
-    PIVOT_TOL) it is the first with one, Bland's rule, until a step is not
-    degenerate; a cycle of bases would be all degenerate steps, which
-    Bland's rule cannot cycle through, so the simplex terminates. The
-    leaving column is the first, by column index, of those tied in the
-    ratio test. Raises SolverStall when PIVOT_CEILING pricing rounds end
-    short of the optimum.
-    """
-    degenerate = 0                            # degenerate pivots in a row
-    inverse = np.linalg.inv(W[:, basis])
-    for _ in range(PIVOT_CEILING):
-        weights = inverse @ rhs
-        reduced = cost - (cost[basis] @ inverse) @ W
-        reduced[basis] = 0.0
-        if allowed is not None:
-            reduced[~allowed] = -np.inf
-        if degenerate >= BLAND_AFTER:
-            j = int(np.argmax(reduced > PRICE_TOL))
-        else:
-            j = int(np.argmax(reduced))
-        if reduced[j] <= PRICE_TOL:
-            return weights, reduced
-        alpha = inverse @ W[:, j]
-        rows = np.flatnonzero(alpha > PIVOT_TOL)
-        if not rows.size:
-            raise SolverStall("the weight LP is unbounded, though its weights sum to one")
-        ratios = np.maximum(weights[rows], 0.0) / alpha[rows]
-        step = ratios.min()
-        tied = rows[ratios == step]
-        leave = tied[np.argmin(np.take(basis, tied))]
-        basis[leave] = j
-        # the basis inverse after the pivot: its row leave divided by the
-        # pivot entry, subtracted from every other row in proportion
-        pivot = inverse[leave] / alpha[leave]
-        inverse -= np.outer(alpha, pivot)
-        inverse[leave] = pivot
-        degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
-    raise SolverStall(f"the weight LP was not optimal after {PIVOT_CEILING} pricing rounds")
-
-
-def _phase_one(rows, rhs):
-    """(W, basis, distance) for the weights w >= 0 with rows w = rhs, where
-    rows[0] is all ones and rhs[0] is 1: rows with two artificial columns
-    per other row appended, a unit column of each sign, a feasible basis
-    of W that minimizes the artificials' sum, and that sum, the L1 distance
-    by which rows w misses rhs, which is 0 when the system is feasible.
-    Column 0 starts with all the weight, and each other row's gap to rhs
-    with the artificial of its sign."""
-    m, n = rows.shape
-    unit = np.eye(m)[:, 1:]
-    W = np.hstack([rows, unit, -unit])
-    cost = np.concatenate([np.zeros(n), -np.ones(2 * (m - 1))])
-    gap = rhs[1:] - rows[1:, 0]
-    basis = [0, *(n + i + (m - 1) * int(g < 0) for i, g in enumerate(gap))]
-    weights, _ = _simplex(W, rhs, basis, cost)
-    return W, basis, float(-cost[basis] @ weights)
-
-
-def _cloud_basis(W, rhs, basis, n):
-    """(rows, rhs, basis) once _phase_one's artificials leave its basis:
-    each is pivoted out on the largest entry of its row among the n cloud
-    columns, or, when no entry exceeds PIVOT_TOL, its row repeats the
-    others and is dropped."""
-    kept = list(range(W.shape[0]))
-    while max(basis) >= n:
-        p = int(np.argmax(basis))
-        sub = W[kept]
-        entries = np.linalg.inv(sub[:, basis])[p] @ sub[:, :n]
-        j = int(np.argmax(np.abs(entries)))
-        if abs(entries[j]) > PIVOT_TOL:
-            basis[p] = j
-        else:
-            kept.remove((basis.pop(p) - n) % (W.shape[0] - 1) + 1)
-    return W[kept, :n], rhs[kept], basis
-
-
 def region_contains(region: RateRegion, point, tol: float = HULL_TOL) -> bool:
     """Whether point lies within L1 distance tol of the region's hull: the
     sum over coordinates of |point - x| for the nearest mix x of hull
@@ -868,7 +781,7 @@ def region_contains(region: RateRegion, point, tol: float = HULL_TOL) -> bool:
     if pts.shape[0] == 0:
         return False
     rows = np.vstack([np.ones(pts.shape[0]), pts.T])
-    return _phase_one(rows, np.append(1.0, x))[2] <= tol
+    return _phase_one(rows, np.append(1.0, x), [0])[2] <= tol
 
 
 def region_support(region: RateRegion, direction) -> float:
@@ -963,7 +876,7 @@ def frontier_sweep(region: RateRegion, plane, fixed=None, resolution: int = 33):
     n = pts.shape[0]
     rows = np.vstack([np.ones(n), pts[:, fixed_idx].T])
     rhs = np.array([1.0, *(fixed[region.coords[i]] for i in fixed_idx)])
-    W, basis, distance = _phase_one(rows, rhs)
+    W, basis, distance = _phase_one(rows, rhs, [0])
     if distance > HULL_TOL:
         raise EmptySlice(f"no feasible point in the slice at {fixed}")
     rows, rhs, basis = _cloud_basis(W, rhs, basis, n)

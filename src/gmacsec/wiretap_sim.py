@@ -122,7 +122,11 @@ class SimReport:
 
 
 def _check_input_dist(dist, size: int, who: str) -> np.ndarray:
-    p = np.asarray(dist, dtype=float)
+    try:
+        p = np.asarray(dist, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"input_dist for {who} must be a list of numbers, "
+                         f"got {dist!r}") from exc
     if p.shape != (size,):
         raise ValueError(f"{who} letter distribution must have length {size}")
     if np.any(p < -1e-12):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from gmacsec import (
     ChannelSpec,
@@ -34,9 +35,17 @@ def _bsc(p):
     return np.array([[1 - p, p], [p, 1 - p]])
 
 
-def _loop_degradedness_lp(spec):
-    """a_eq, b_eq, a_ub and b_ub of check_stochastically_degraded's LP,
-    filled one entry at a time by nested loops over the alphabets."""
+# HiGHS's default feasibility tolerances sit near 1e-7; the oracle pins them
+# lower, below the 1e-12 the package's residuals are held to
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10}
+
+
+def _highs_residual(spec):
+    """The degradedness LP's optimum by HiGHS, the oracle: min t over
+    row-stochastic d(y2 | y, x2), every x2 in one LP, with each
+    |sum_y p(y | x1, x2) d(y2 | y, x2) - p(y2 | x1, x2)| <= t as a pair of
+    inequality rows, filled one entry at a time by nested loops."""
     p_y = marginal_kernel(spec, "destination")
     p_y2 = marginal_kernel(spec, "user2")
     nx1, nx2, ny = p_y.shape
@@ -64,7 +73,62 @@ def _loop_degradedness_lp(spec):
                 b_ub[row] = p_y2[x1, x2, y2]
                 b_ub[row + 1] = -p_y2[x1, x2, y2]
                 row += 2
-    return {"A_eq": a_eq, "b_eq": b_eq, "A_ub": a_ub, "b_ub": b_ub}
+    cost = np.zeros(nz + 1)
+    cost[nz] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * (nz + 1), method="highs", options=HIGHS_OPTIONS)
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _loop_kernel_lp(spec, x2):
+    """rows, rhs, cost and start of x2's kernel LP in
+    check_stochastically_degraded, filled one entry at a time by nested
+    loops: columns d(y2 | y) in (y, y2) order, then t, then one slack per
+    match row; rows each y's kernel summing to one, then per (x1, y2) the
+    match row and its negation's."""
+    p_y = marginal_kernel(spec, "destination")
+    p_y2 = marginal_kernel(spec, "user2")
+    nx1, _, ny = p_y.shape
+    ny2 = p_y2.shape[2]
+    nz, n_match = ny * ny2, 2 * nx1 * ny2
+    rows = np.zeros((ny + n_match, nz + 1 + n_match))
+    rhs = np.zeros(ny + n_match)
+    for y in range(ny):
+        for y2 in range(ny2):
+            rows[y, y * ny2 + y2] = 1.0
+        rhs[y] = 1.0
+    row = ny
+    for x1 in range(nx1):
+        for y2 in range(ny2):
+            for sign in (1.0, -1.0):
+                for y in range(ny):
+                    rows[row, y * ny2 + y2] = sign * p_y[x1, x2, y]
+                rows[row, nz] = -1.0
+                rows[row, nz + 1 + row - ny] = 1.0
+                rhs[row] = sign * p_y2[x1, x2, y2]
+                row += 1
+    cost = np.zeros(rows.shape[1])
+    cost[nz] = -1.0
+    return rows, rhs, cost, [y * ny2 for y in range(ny)]
+
+
+def _oracle_channels():
+    """The fixtures, then 100 channels composed degraded by
+    compose_degraded_channel and 100 drawn at random, every alphabet of
+    one to four letters, from one seed."""
+    rng = np.random.default_rng(31)
+    channels = [(name, build()) for name, build in sorted(fx.FIXTURE_BUILDERS.items())]
+    for i in range(100):
+        nx1, nx2, ny, ny1, ny2 = (int(v) for v in rng.integers(1, 5, 5))
+        main = rng.dirichlet(np.ones(ny), size=(nx1, nx2))
+        degrade = rng.dirichlet(np.ones(ny2), size=(ny, nx2))
+        side = rng.dirichlet(np.ones(ny1), size=(nx1, nx2))
+        channels.append((f"composed{i}", compose_degraded_channel(main, degrade, side)))
+    for i in range(100):
+        sizes = tuple(int(v) for v in rng.integers(1, 5, 5))
+        channels.append((f"random{i}", fx.random_channel(sizes, rng)))
+    return channels
 
 
 class TestValidateChannel:
@@ -256,13 +320,11 @@ class TestDegradedness:
         assert cert.residual > 0.01
 
     def test_a_failed_lp_is_a_solver_stall(self, binary_degraded, monkeypatch):
-        import gmacsec.channel as channel
+        # phase one needs a pivot here, and is allowed one pricing round
+        import gmacsec.lp as lp
 
-        class Failed:
-            status, message = 4, "numerical difficulties"
-
-        monkeypatch.setattr(channel, "linprog", lambda *args, **kwargs: Failed())
-        with pytest.raises(SolverStall, match="status 4: numerical difficulties"):
+        monkeypatch.setattr(lp, "PIVOT_CEILING", 1)
+        with pytest.raises(SolverStall, match="not optimal after 1 pricing rounds"):
             check_stochastically_degraded(binary_degraded)
 
     def test_physical_implies_stochastic(self, binary_degraded):
@@ -278,9 +340,9 @@ class TestDegradedness:
         import gmacsec.channel as channel
 
         def no_lp(*args, **kwargs):
-            raise AssertionError("linprog called")
+            raise AssertionError("an LP was solved")
 
-        monkeypatch.setattr(channel, "linprog", no_lp)
+        monkeypatch.setattr(channel, "maximize", no_lp)
         with pytest.raises(ValueError, match="finite number >= 0"):
             check(binary_degraded, tol=tol)
 
@@ -295,17 +357,38 @@ class TestDegradedness:
         else:
             spec = fx.FIXTURE_BUILDERS[name]()
         calls = []
-        real = channel.linprog
+        real = channel.maximize
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(channel, "linprog", spy)
+        monkeypatch.setattr(channel, "maximize", spy)
         check_stochastically_degraded(spec)
-        (call,) = calls
-        for key, want in _loop_degradedness_lp(spec).items():
-            assert np.array_equal(call[key], want), key
+        assert len(calls) == spec.size_x2
+        for x2, call in enumerate(calls):
+            for got, want in zip(call, _loop_kernel_lp(spec, x2), strict=True):
+                assert np.array_equal(got, want)
+
+    def test_highs_agrees_on_verdicts_and_residuals(self):
+        # the package's simplex against HiGHS on the fixtures and 200 seeded
+        # channels, half composed degraded and half random
+        verdicts = set()
+        for name, spec in _oracle_channels():
+            cert = check_stochastically_degraded(spec)
+            want = _highs_residual(spec)
+            assert cert.residual == pytest.approx(want, rel=0.0, abs=1e-12), name
+            if name in fx.FIXTURE_BUILDERS:
+                # exact values stay exact: 0.0 on every degraded fixture
+                assert cert.residual == want, name
+            assert (cert.verdict == "not-degraded") == (want > 1e-7), name
+            verdicts.add(cert.verdict)
+            if cert.witness is not None:
+                dest = marginal_kernel(spec, "destination")
+                eaves = marginal_kernel(spec, "user2")
+                recovered = np.einsum("aby,ybz->abz", dest, cert.witness)
+                assert np.abs(recovered - eaves).max() == cert.residual, name
+        assert verdicts == {"stochastically-degraded", "not-degraded"}
 
 
 class TestPerturbation:

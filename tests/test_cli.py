@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -75,13 +76,6 @@ def _run_python(code):
 
 
 class TestTopLevel:
-    def test_import_loads_no_scipy_solver_or_hull(self):
-        # scipy.optimize is imported on the first LP; scipy.spatial never is
-        code = ("import sys, gmacsec.cli; "
-                "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') "
-                "if m in sys.modules))")
-        assert _run_python(code) == "[]"
-
     def test_import_loads_no_region_search_or_simulation_layer(self):
         code = ("import sys, gmacsec.cli; "
                 "print(sorted(m for m in sys.modules if m in {mods!r}))"
@@ -125,17 +119,43 @@ class TestTopLevel:
                 .format(commands=commands))
         assert _run_python(code).splitlines() == ["0 False", "0 False"]
 
-    def test_region_queries_need_no_scipy_optimize(self):
-        # assembling, sweeping and membership solve no LP, so they run with
-        # scipy.optimize unimportable
-        code = ("import sys; sys.modules['scipy.optimize'] = None\n"
+    def test_commands_and_region_queries_run_without_scipy(
+            self, channel_files, one_set_scheme_file, tmp_path):
+        # scipy is not a runtime dependency: with it unimportable, importing
+        # the CLI, its five commands (check-degraded on a channel that is not
+        # physically degraded, so its LP runs) and the library's region
+        # queries all run, and no scipy module is loaded
+        sim = _write_json(tmp_path / "sim.json", TestSimulate.SIM)
+        config = _write_json(tmp_path / "cfg.json",
+                             {"strategy": "random", "sample_count": 4})
+        channel = str(channel_files["binary_degraded"])
+        commands = [
+            ["region", channel, "--bound", "degraded", "--config", config,
+             "--resolution", "5", "--out", str(tmp_path / "f.csv")],
+            ["secrecy-capacity", channel, "--degraded", "--config", config],
+            ["check-degraded", str(channel_files["identity_copy"])],
+            ["simulate", sim, "--channel", channel],
+            ["info", str(channel_files["clean_mac"]), "--scheme", one_set_scheme_file,
+             "--query", "I(U;Y|X2,Q)"],
+        ]
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "import contextlib, io\n"
+                "from gmacsec.cli import main\n"
+                "scipy_modules = lambda: sorted(m for m in sys.modules if 'scipy' in m)\n"
+                "print(scipy_modules())\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [main(argv) for argv in {commands!r}]\n"
+                "print(codes)\n"
                 "from gmacsec import fixtures, frontier_sweep, region_contains\n"
                 "from gmacsec.optimizer import SearchConfig, assemble_region\n"
                 "region = assemble_region(fixtures.binary_degraded(), 'inner-one-set',\n"
                 "                         SearchConfig(strategy='random', sample_count=4))\n"
-                "frontier_sweep(region, ('R0', 'R1'), fixed={'Re': 0.05}, resolution=9)\n"
-                "print(region_contains(region, region.hull_points.mean(axis=0)))\n")
-        assert _run_python(code) == "True"
+                "frontier_sweep(region, ('R0', 'R1'), fixed={{'Re': 0.05}}, resolution=9)\n"
+                "print(region_contains(region, region.hull_points.mean(axis=0)))\n"
+                "print(scipy_modules())\n"
+                .format(commands=commands))
+        assert _run_python(code).splitlines() == [
+            "['scipy']", "[0, 0, 0, 0, 0]", "True", "['scipy']"]
 
     def test_version_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -612,9 +632,9 @@ class TestCheckDegraded:
         import gmacsec.channel as channel
 
         def no_lp(*args, **kwargs):
-            raise AssertionError("linprog called")
+            raise AssertionError("an LP was solved")
 
-        monkeypatch.setattr(channel, "linprog", no_lp)
+        monkeypatch.setattr(channel, "maximize", no_lp)
         rc = main(["check-degraded", str(channel_files["noiseless_wiretapper"]),
                    "--tol", tol])
         assert rc == 2
@@ -654,11 +674,14 @@ class TestSecrecyCapacity:
         check = optimizer.check_stochastically_degraded
         monkeypatch.setattr(optimizer, "check_stochastically_degraded",
                             lambda channel: calls.append(channel) or check(channel))
-        with pytest.warns(NotDegradedWarning, match="residual 1.000e-01"):
-            rc = main(["secrecy-capacity", str(channel_files["noiseless_wiretapper"]),
-                       "--degraded"])
+        rc = main(["secrecy-capacity", str(channel_files["noiseless_wiretapper"]),
+                   "--degraded"])
         assert rc == 0 and len(calls) == 1
-        doc = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"warning": "NotDegradedWarning", "message": (
+            "degraded-channel formulas evaluated on a channel that is not "
+            "stochastically degraded (residual 1.000e-01)")}
+        doc = json.loads(captured.out)
         assert doc["degradedness_verdict"] == "not-degraded"
         assert doc["degradedness_residual"] == pytest.approx(0.1, rel=0.0, abs=1e-9)
         # a degraded channel is recorded without a warning; the general form
@@ -673,6 +696,37 @@ class TestSecrecyCapacity:
             assert main(["secrecy-capacity", channel]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(calls) == 2 and "degradedness_verdict" not in doc
+
+    def test_not_degraded_warning_is_one_stable_stderr_line(self, channel_files,
+                                                              tmp_path):
+        # Python's own warning line would name the install path and a line
+        # of cli.py; the CLI writes the warning as one JSON object instead.
+        # The degraded region of this channel is empty, so region then
+        # fails its slice, with an error object of its own
+        channel = str(channel_files["noiseless_wiretapper"])
+        config = _write_json(tmp_path / "cfg.json",
+                             {"strategy": "random", "sample_count": 4})
+        line = json.dumps({"warning": "NotDegradedWarning", "message": (
+            "degraded-channel formulas evaluated on a channel that is not "
+            "stochastically degraded (residual 1.000e-01)")})
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        for argv in (["region", channel, "--bound", "degraded", "--config", config,
+                      "--resolution", "3", "--out", str(tmp_path / "f.csv")],
+                     ["secrecy-capacity", channel, "--degraded", "--config", config]):
+            run = subprocess.run([sys.executable, "-m", "gmacsec.cli", *argv],
+                                 capture_output=True, text=True, timeout=60,
+                                 env={**os.environ, "PYTHONPATH": src})
+            lines = run.stderr.splitlines()
+            assert lines[0] == line
+            assert run.returncode == (0 if argv[0] == "secrecy-capacity" else 2)
+            assert [json.loads(text)["error"] for text in lines[1:]] == (
+                [] if run.returncode == 0 else ["EmptySlice"])
+            assert ".py" not in run.stderr and src not in run.stderr
+            assert re.search(r":\d+:", run.stderr) is None
+        # a library caller still gets the warning itself
+        with pytest.warns(NotDegradedWarning, match="residual 1.000e-01"):
+            optimizer.assemble_region(load_channel(channel), "degraded",
+                                      SearchConfig(strategy="random", sample_count=4))
 
     def test_common_rate_trades_against_secrecy(self, channel_files,
                                                 grid_config, capsys):
@@ -789,7 +843,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key, value", [
         ("seeds", 5), ("seeds", "01"), ("input_dist", 5), ("input_dist", [[0.5, 0.5]]),
-    ], ids=["seeds_int", "seeds_str", "input_dist_int", "input_dist_one"])
+        ("input_dist", [[0.5, 0.5], {"a": 1}]), ("input_dist", [["a", "b"], [1.0]]),
+    ], ids=["seeds_int", "seeds_str", "input_dist_int", "input_dist_one",
+            "input_dist_object", "input_dist_strings"])
     def test_config_values_of_the_wrong_type(self, key, value, channel_files,
                                              tmp_path, capsys):
         cfg = _write_json(tmp_path / "sim.json", {**self.SIM, key: value})

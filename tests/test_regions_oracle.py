@@ -44,7 +44,7 @@ from gmacsec import (
     polytope,
     region_contains,
 )
-from gmacsec import one_set, optimizer, regions, two_set
+from gmacsec import lp, one_set, optimizer, regions, two_set
 from gmacsec.channel import validate_channel
 from gmacsec.optimizer import SearchConfig, assemble_region
 from gmacsec.regions import BoundTable, _Min, bound_pieces
@@ -436,7 +436,7 @@ class TestHullSliceOracle:
         top = region.hull_points.max(axis=0)
         sweeps = []
         for after in (0, 10 ** 9):
-            monkeypatch.setattr(regions, "BLAND_AFTER", after)
+            monkeypatch.setattr(lp, "BLAND_AFTER", after)
             sweeps.append([frontier_sweep(region, plane, resolution=9,
                                           fixed={c: scale * float(top[i])
                                                  for i, c in enumerate(region.coords)
@@ -672,13 +672,13 @@ class TestNoSilentFallbacks:
     def test_membership_lp_failure_raises(self, monkeypatch):
         # phase one needs a pivot here, and is allowed one pricing round
         region = convexify(_simplex_and_cube())
-        monkeypatch.setattr(regions, "PIVOT_CEILING", 1)
+        monkeypatch.setattr(lp, "PIVOT_CEILING", 1)
         with pytest.raises(SolverStall):
             region_contains(region, (0.1, 0.1, 0.1))
 
     def test_slice_lp_failure_raises(self, monkeypatch):
         region = convexify(_simplex_and_cube())
-        monkeypatch.setattr(regions, "PIVOT_CEILING", 1)
+        monkeypatch.setattr(lp, "PIVOT_CEILING", 1)
         with pytest.raises(SolverStall):
             frontier(region, ("R0", "R1"), fixed={"Re": 0.2})
 
