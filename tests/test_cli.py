@@ -76,6 +76,13 @@ def _run_python(code):
 
 
 class TestTopLevel:
+    def test_import_loads_no_scipy_solver_or_hull(self):
+        # scipy is not a runtime dependency; importing the CLI loads none of it
+        code = ("import sys, gmacsec.cli; "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') "
+                "if m in sys.modules))")
+        assert _run_python(code) == "[]"
+
     def test_import_loads_no_region_search_or_simulation_layer(self):
         code = ("import sys, gmacsec.cli; "
                 "print(sorted(m for m in sys.modules if m in {mods!r}))"
@@ -119,12 +126,22 @@ class TestTopLevel:
                 .format(commands=commands))
         assert _run_python(code).splitlines() == ["0 False", "0 False"]
 
-    def test_commands_and_region_queries_run_without_scipy(
+    def test_region_queries_need_no_scipy_optimize(self):
+        # assembling, sweeping and membership run with all of scipy unimportable
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from gmacsec import fixtures, frontier_sweep, region_contains\n"
+                "from gmacsec.optimizer import SearchConfig, assemble_region\n"
+                "region = assemble_region(fixtures.binary_degraded(), 'inner-one-set',\n"
+                "                         SearchConfig(strategy='random', sample_count=4))\n"
+                "frontier_sweep(region, ('R0', 'R1'), fixed={'Re': 0.05}, resolution=9)\n"
+                "print(region_contains(region, region.hull_points.mean(axis=0)))\n")
+        assert _run_python(code) == "True"
+
+    def test_commands_run_without_scipy(
             self, channel_files, one_set_scheme_file, tmp_path):
-        # scipy is not a runtime dependency: with it unimportable, importing
-        # the CLI, its five commands (check-degraded on a channel that is not
-        # physically degraded, so its LP runs) and the library's region
-        # queries all run, and no scipy module is loaded
+        # with scipy unimportable, importing the CLI and its five commands
+        # (check-degraded on a channel that is not physically degraded, so
+        # its LP runs) all run, and no scipy module is loaded
         sim = _write_json(tmp_path / "sim.json", TestSimulate.SIM)
         config = _write_json(tmp_path / "cfg.json",
                              {"strategy": "random", "sample_count": 4})
@@ -146,16 +163,10 @@ class TestTopLevel:
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    codes = [main(argv) for argv in {commands!r}]\n"
                 "print(codes)\n"
-                "from gmacsec import fixtures, frontier_sweep, region_contains\n"
-                "from gmacsec.optimizer import SearchConfig, assemble_region\n"
-                "region = assemble_region(fixtures.binary_degraded(), 'inner-one-set',\n"
-                "                         SearchConfig(strategy='random', sample_count=4))\n"
-                "frontier_sweep(region, ('R0', 'R1'), fixed={{'Re': 0.05}}, resolution=9)\n"
-                "print(region_contains(region, region.hull_points.mean(axis=0)))\n"
                 "print(scipy_modules())\n"
                 .format(commands=commands))
         assert _run_python(code).splitlines() == [
-            "['scipy']", "[0, 0, 0, 0, 0]", "True", "['scipy']"]
+            "['scipy']", "[0, 0, 0, 0, 0]", "['scipy']"]
 
     def test_version_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
