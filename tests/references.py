@@ -4,10 +4,12 @@ search_schemes turns the search's one scheme stream, parameter_rows, into
 scheme dataclasses. The rest are slow or definition-level references that
 the package itself never calls: the frontier sweep's tie rule over a
 slice's points, per-piece support, slicing and membership queries, the
-two-set equivocation set straight from its definition, and a channel
+two-set equivocation set straight from its definition, a codebook's error
+probability and equivocations summed codeword by codeword, and a channel
 perturbation that keeps every receiver marginal.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -171,6 +173,85 @@ def equivocation_set_oracle(scheme, channel, r0: float, r1: float, r2: float,
         for iy in range(math.floor(y_max / step + eps) + 1):
             points.append((x, iy * step))
     return np.array(points)
+
+
+# --- codebooks ---------------------------------------------------------------
+
+def _sequence_likelihoods(kernel: np.ndarray, x1, x2) -> np.ndarray:
+    """p(y-seq | x1-seq, x2-seq) for every output sequence, in big-endian
+    symbol order: the outer product of the n per-use letter laws."""
+    out = np.ones(1)
+    for a, b in zip(x1, x2):
+        out = np.multiply.outer(out, kernel[a, b]).ravel()
+    return out
+
+
+def _fsum_columns(rows) -> np.ndarray:
+    """Column sums of a stack of equal-length vectors, each by math.fsum."""
+    rows = np.asarray(rows)
+    if rows.shape[0] == 1:
+        return rows[0]
+    return np.array([math.fsum(col) for col in rows.T.tolist()])
+
+
+def _error_probability(book, kernel: np.ndarray) -> float:
+    # p(y-seq | w0, w1, w2), one row per triple
+    masses = np.array([
+        _fsum_columns([
+            _sequence_likelihoods(kernel, book.x1_words[w0, w1, j1],
+                                  book.x2_words[w0, w2, j2])
+            for j1 in range(book.J1) for j2 in range(book.J2)]) / (book.J1 * book.J2)
+        for w0 in range(book.M0) for w1 in range(book.M1) for w2 in range(book.M2)])
+    # every triple's mass but the one the decoder picks at each y-seq
+    missed = np.ones(masses.shape, dtype=bool)
+    missed[np.argmax(masses, axis=0), np.arange(masses.shape[1])] = False
+    return math.fsum(masses[missed].tolist()) / masses.shape[0]
+
+
+def _equivocation(book, kernel: np.ndarray, hidden: int) -> float:
+    """H(W_hidden | W0, W_known, X_known-seq, Y-seq) / n from the joint law
+    summed codeword by codeword; hidden is the sender (1 or 2) whose
+    message is confidential, kernel is p(y | x1, x2) of its observer."""
+    words = {1: book.x1_words, 2: book.x2_words}
+    hidden_words, known_words = words[hidden], words[3 - hidden]
+    m0, mh, jh = hidden_words.shape[:3]
+    mk, jk = known_words.shape[1:3]
+    # (w0, wk, known sequence) -> per wh, the likelihoods of its codewords
+    groups = {}
+    for w0, wk, j in itertools.product(range(m0), range(mk), range(jk)):
+        known = known_words[w0, wk, j]
+        rows = groups.setdefault((w0, wk, tuple(known)), [[] for _ in range(mh)])
+        for wh, i in itertools.product(range(mh), range(jh)):
+            pair = ((hidden_words[w0, wh, i], known) if hidden == 1
+                    else (known, hidden_words[w0, wh, i]))
+            rows[wh].append(_sequence_likelihoods(kernel, *pair))
+    scale = m0 * mh * mk * jh * jk
+    terms = []
+    for rows in groups.values():
+        joint = np.array([_fsum_columns(r) for r in rows]) / scale   # (wh, y-seq)
+        given = _fsum_columns(joint)
+        for row in joint:
+            seen = row > 0
+            terms += (-row[seen] * np.log2(row[seen] / given[seen])).tolist()
+    return math.fsum(terms) / book.n
+
+
+def codeword_figures(book, channel: ChannelSpec) -> tuple[float, float, float]:
+    """(error probability, user 2's equivocation about W1, user 1's about
+    W2) of a codebook, each summed codeword by codeword with math.fsum.
+
+    The error probability is the mass the maximum-likelihood triple
+    decoder misses at the destination, averaged over uniform messages.
+    The equivocations are H(W1 | W0, W2, X2-seq, Y2-seq) / n and
+    H(W2 | W0, W1, X1-seq, Y1-seq) / n. Every output sequence is
+    enumerated, so this is the slow definition-level cross-check of
+    wiretap_sim's blocked bin sums; the receiver laws are read off the
+    channel's joint table directly.
+    """
+    prob = channel.prob                                     # (x1, x2, y, y1, y2)
+    return (_error_probability(book, prob.sum(axis=(3, 4))),
+            _equivocation(book, prob.sum(axis=(2, 3)), hidden=1),
+            _equivocation(book, prob.sum(axis=(2, 4)), hidden=2))
 
 
 # --- channels -----------------------------------------------------------------

@@ -20,6 +20,7 @@ from gmacsec import (
 from gmacsec import fixtures as fx
 from gmacsec import wiretap_sim
 from gmacsec.wiretap_sim import _likelihood_blocks
+from references import codeword_figures
 
 UNIFORM_PAIR = ([0.5, 0.5], [0.5, 0.5])
 
@@ -453,6 +454,52 @@ _PINNED_CONFIGS = {
         fx.random_channel((2, 2, 3, 2, 3), np.random.default_rng(5)),
         (6, 2, 2, 2, 3, 3), ([0.4, 0.6], [0.5, 0.5]), range(1, 4)),
 }
+
+
+_PINS = {
+    "binary_degraded_mid_size": PINNED_BINARY_DEGRADED,
+    "ternary_outputs": PINNED_RANDOM_CHANNEL,
+    "benchmark_config": PINNED_BENCHMARK_CONFIG,
+    "one_message_many_bins": PINNED_ONE_MESSAGE,
+    "bins_of_three": PINNED_THIRDS,
+}
+
+# the codeword-by-codeword oracle sums with math.fsum, so a figure of the
+# package may differ from it by a few roundings, no more
+ORACLE_TOL = 1e-13
+
+
+def _small_config(seed):
+    """A random small channel and codebook counts: every alphabet 1 to 3
+    letters, n 1 to 5, message and bin counts 1 to 3."""
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(s) for s in rng.integers(1, 4, size=5))
+    channel = fx.random_channel(sizes, rng)
+    n = int(rng.integers(1, 6))
+    counts = (n,) + tuple(int(c) for c in rng.integers(1, 4, size=5))
+    dist = tuple(rng.dirichlet(np.ones(size)).tolist() for size in sizes[:2])
+    return channel, counts, dist
+
+
+class TestCodewordOracle:
+    @pytest.mark.parametrize("config", sorted(set(_PINNED_CONFIGS) - {"benchmark_config"}))
+    def test_pins_agree_with_the_oracle(self, config):
+        channel, counts, dist, seeds = _PINNED_CONFIGS[config]
+        for seed in seeds:
+            book = build_codebook(channel, *counts, dist, seed)
+            pinned = [float.fromhex(h) for h in _PINS[config][seed]]
+            assert pinned == pytest.approx(codeword_figures(book, channel),
+                                           rel=0, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_small_codebooks_agree_with_the_oracle(self, seed):
+        channel, counts, dist = _small_config(seed)
+        reports, _ = simulate(channel, *counts, dist, seeds=[seed])
+        got = (reports[0].error_probability, reports[0].equivocation_user2,
+               reports[0].equivocation_user1)
+        book = build_codebook(channel, *counts, dist, seed)
+        assert got == pytest.approx(codeword_figures(book, channel),
+                                    rel=0, abs=ORACLE_TOL)
 
 
 def _exact_figures(book, channel, block_cells, monkeypatch):
