@@ -257,6 +257,14 @@ def check_stochastically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> Degra
     channel that is physically degraded always passes here too.
     """
     tol = finite_nonnegative("tol", tol)
+    return _stochastically_degraded(spec, tol, check_physically_degraded(spec).witness)
+
+
+def _stochastically_degraded(spec: ChannelSpec, tol: float,
+                             conditioning: np.ndarray) -> DegradednessCertificate:
+    """check_stochastically_degraded at a checked tol, given the
+    conditioning kernel of check_physically_degraded, which does not
+    depend on tol, so a caller that already holds it skips that pass."""
     p_y = marginal_kernel(spec, "destination")     # (x1, x2, y)
     p_y2 = marginal_kernel(spec, "user2")          # (x1, x2, y2)
     nx1, nx2, ny = p_y.shape
@@ -268,7 +276,7 @@ def check_stochastically_degraded(spec: ChannelSpec, tol: float = 1e-7) -> Degra
     witness = np.clip(witness, 0.0, None)
     witness /= witness.sum(axis=2, keepdims=True)
     witness.setflags(write=False)
-    kernels = (witness, check_physically_degraded(spec).witness)
+    kernels = (witness, conditioning)
     mismatch = [float(np.abs(np.einsum("aby,ybz->abz", p_y, d) - p_y2).max())
                 for d in kernels]
     residual = min(mismatch)

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    _stochastically_degraded,
     check_physically_degraded,
-    check_stochastically_degraded,
     load_channel,
     parse_channel,
 )
@@ -311,7 +311,8 @@ def cmd_check_degraded(args) -> int:
     if physical.verdict == "physically-degraded":
         result = physical
     else:
-        result = check_stochastically_degraded(channel, tol=args.tol)
+        # the conditioning kernel is the stochastic check's second candidate
+        result = _stochastically_degraded(channel, args.tol, physical.witness)
     doc = {
         "verdict": result.verdict,
         "residual": result.residual,

@@ -6,8 +6,14 @@ probability and equivocation come out exact rather than sampled. The
 payoff is that tests can pin these numbers to closed-form values with zero
 statistical slack. The table of output-sequence likelihoods for every pair
 of input sequences is the largest object; it is built and read in blocks
-of at most BLOCK_CELLS cells, so only the decoder's maxima and the
+of at most BLOCK_CELLS cells, so only the decoder's sums and the
 equivocation joint are ever held whole.
+
+Each figure is a run of elementwise IEEE operations per output sequence in
+a fixed order: a bin's likelihood adds its codewords' likelihoods in bin
+index order, and the message and bin counts divide once at the end. No bit
+depends on the block size, and nothing here calls BLAS, whose summation
+order may follow the shape of a call, its build or its threads.
 
 Each sender encodes a common message w0 and a private message (w1 or w2)
 plus a uniform dummy index (j1 or j2). The dummy index fans each message
@@ -179,26 +185,43 @@ def build_codebook(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,
     )
 
 
-def _distinct(words: np.ndarray):
-    """Distinct sequences across a word array plus per-(w0, w) bin counts.
+def _slots(words: np.ndarray):
+    """Distinct sequences across a word array, each word's slot among
+    them, and per-(w0, w) bin counts.
 
-    Returns (sequences, counts) where sequences is (k, n) and counts is
-    (M0, Mw, k) with counts[w0, w] summing to the bin size.
+    Returns (sequences, slots, counts): sequences is (k, n), slots is
+    (M0, Mw, J) with words[w0, w, j] == sequences[slots[w0, w, j]], and
+    counts is (M0, Mw, k) with counts[w0, w] summing to the bin size.
     """
     m0, mw, j, n = words.shape
     seqs, inverse = np.unique(words.reshape(-1, n), axis=0, return_inverse=True)
     k = seqs.shape[0]
+    slots = inverse.reshape(m0, mw, j)
     # one bincount: row r = (w0, w) owns the slots r*k .. r*k + k - 1
-    slots = inverse.reshape(m0 * mw, j) + k * np.arange(m0 * mw)[:, None]
-    counts = np.bincount(slots.ravel(), minlength=m0 * mw * k)
-    return seqs, counts.reshape(m0, mw, k)
+    rows = slots.reshape(m0 * mw, j) + k * np.arange(m0 * mw)[:, None]
+    counts = np.bincount(rows.ravel(), minlength=m0 * mw * k)
+    return seqs, slots, counts.reshape(m0, mw, k)
 
 
-# Cells per likelihood block; a block of 2^19 float64 cells is 4 MiB. The
-# bin sums read each block with one BLAS call, so keep blocks wide: a block
-# of one or two output sequences gives the call another shape, and BLAS may
-# then sum in another order.
-BLOCK_CELLS = 1 << 19
+# Cells per likelihood block; a block of 2^17 float64 cells is 1 MiB, so
+# the two growth buffers fit a 2 MiB L2 cache. Every cell of every figure
+# is the same run of elementwise operations at any block size, so the size
+# is a cache choice only and moves no bit.
+BLOCK_CELLS = 1 << 17
+
+
+def _bin_sums(table: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """table[bins[0]] + table[bins[1]] + ..., added in bin order.
+
+    table is indexed along its first axis and bins[j] holds the rows of
+    bin index j, so the result has shape bins.shape[1:] + table.shape[1:].
+    Each term is added elementwise, so every cell is the same chain of
+    IEEE additions whatever the shape of table.
+    """
+    total = table.take(bins[0], axis=0)
+    for rows in bins[1:]:
+        total += table.take(rows, axis=0)
+    return total
 
 
 def _grow(prefix: np.ndarray, steps, buffers) -> np.ndarray:
@@ -273,7 +296,9 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     lexicographic order, which never changes the error value but makes the
     decoder map itself reproducible. The average runs over uniform
     messages, uniform bins, and every output sequence, so the returned
-    probability is exact up to float rounding.
+    probability is exact up to float rounding. It is summed as the mass
+    the decoder misses, the likelihoods of the triples it does not pick,
+    so it is never negative and a code of one triple reads exactly 0.
     """
     if channel.size_x1 != codebook.size_x1 or channel.size_x2 != codebook.size_x2:
         raise ValueError("codebook alphabets do not match the channel")
@@ -282,21 +307,28 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     m_triples = codebook.M0 * codebook.M1 * codebook.M2
     _guard(m_triples * ny, "decoder likelihood table")
     kernel = marginal_kernel(channel, "destination")
-    seqs1, counts1 = _distinct(codebook.x1_words)
-    seqs2, counts2 = _distinct(codebook.x2_words)
-    _guard(seqs1.shape[0] * seqs2.shape[0] * ny, "pairwise likelihood table")
-    _guard(codebook.M1 * seqs2.shape[0] * ny, "decoder partial table")
-    w1_frac = counts1 / codebook.J1
-    w2_frac = counts2 / codebook.J2
-    best = np.zeros(ny)
+    seqs1, slots1, _ = _slots(codebook.x1_words)
+    seqs2, slots2, _ = _slots(codebook.x2_words)
+    k2 = seqs2.shape[0]
+    _guard(seqs1.shape[0] * k2 * ny, "pairwise likelihood table")
+    _guard(codebook.M1 * k2 * ny, "decoder partial table")
+    # pairs[(j1, j2), w0, w1, w2]: the pairwise-table row of each codeword pair
+    pairs = slots1[:, :, None, :, None] * k2 + slots2[:, None, :, None, :]
+    pairs = np.moveaxis(pairs, (3, 4), (0, 1)).reshape(-1, m_triples)
+    # total[y] adds up every triple's bin sum at y in triple order, and
+    # best[y] is the largest of them
+    total = np.empty(ny)
+    best = np.empty(ny)
     for start, stop, pair in _likelihood_blocks(seqs1, seqs2, kernel):
-        for w0 in range(codebook.M0):
-            # p(y-seq | w0, w1, w2) for all (w1, w2) at once, bins averaged out
-            half = np.tensordot(w1_frac[w0], pair, axes=(1, 0))
-            table = np.tensordot(w2_frac[w0], half, axes=(1, 1))
-            block = np.swapaxes(table, 0, 1).reshape(-1, stop - start)
-            np.maximum(best[start:stop], block.max(axis=0), out=best[start:stop])
-    return float(1.0 - best.sum() / m_triples)
+        triples = _bin_sums(pair.reshape(-1, stop - start), pairs)
+        best[start:stop] = triples.max(axis=0)
+        mass = total[start:stop]
+        mass[:] = triples[0]
+        for triple in triples[1:]:
+            mass += triple
+    # the mass the decoder misses: a sum of nonnegative terms is at least
+    # each of them, so no total falls below its best
+    return float(np.sum(total - best) / (m_triples * codebook.J1 * codebook.J2))
 
 
 _OBSERVERS = {
@@ -331,32 +363,30 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
     if hidden == "W1":
         hidden_words, known_words = codebook.x1_words, codebook.x2_words
         mh, jh = codebook.M1, codebook.J1
-        mk = codebook.M2
+        mk, jk = codebook.M2, codebook.J2
         kernel = table
         variables = ("W0", "W1", "W2", "X2", _OUTPUT_NAME[receiver])
     else:
         hidden_words, known_words = codebook.x2_words, codebook.x1_words
         mh, jh = codebook.M2, codebook.J2
-        mk = codebook.M1
+        mk, jk = codebook.M1, codebook.J1
         kernel = np.transpose(table, (1, 0, 2))
         variables = ("W0", "W2", "W1", "X1", _OUTPUT_NAME[receiver])
     n = codebook.n
     ny = kernel.shape[2] ** n
-    hidden_seqs, hidden_counts = _distinct(hidden_words)
-    known_seqs, known_counts = _distinct(known_words)
+    hidden_seqs, hidden_slots, _ = _slots(hidden_words)
+    hidden_bins = np.ascontiguousarray(np.moveaxis(hidden_slots, 2, 0))
+    known_seqs, _, known_counts = _slots(known_words)
     kd = known_seqs.shape[0]
     _guard(hidden_seqs.shape[0] * kd * ny, "pairwise likelihood table")
     _guard(codebook.M0 * mh * mk * kd * ny, "equivocation joint")
-    known_frac = known_counts / known_words.shape[2]
-    hidden_frac = hidden_counts / jh
     joint = np.zeros((codebook.M0, mh, mk, kd, ny))
     for start, stop, lik in _likelihood_blocks(hidden_seqs, known_seqs, kernel):
-        for w0 in range(codebook.M0):
-            # mass(wh, wk, known-seq, y-seq); hidden bins averaged through lik
-            mixed = np.tensordot(hidden_frac[w0], lik, axes=(1, 0))
-            np.multiply(mixed[:, None, :, :], known_frac[w0][None, :, :, None],
-                        out=joint[w0, ..., start:stop])
-    joint /= codebook.M0 * mh * mk
+        # mass(w0, wh, known-seq, y-seq) summed over the hidden bin
+        binned = _bin_sums(lik, hidden_bins)
+        np.multiply(binned[:, :, None], known_counts[:, None, :, :, None],
+                    out=joint[..., start:stop])
+    joint /= codebook.M0 * mh * mk * jh * jk
     return JointStack(variables, joint[None])
 
 

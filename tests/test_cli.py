@@ -636,6 +636,27 @@ class TestCheckDegraded:
         assert json.loads(capsys.readouterr().out) == doc
         assert (tmp_path / "verdict.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("fixture", ["identity_copy", "noiseless_wiretapper"])
+    def test_one_conditioning_pass(self, channel_files, fixture, monkeypatch,
+                                   capsys):
+        # the stochastic check reuses the conditioning kernel the physical
+        # check already found on a channel that is not physically degraded
+        import gmacsec.channel as channel
+        import gmacsec.cli as cli
+
+        calls = []
+        physical = channel.check_physically_degraded
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return physical(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_physically_degraded", counted)
+        monkeypatch.setattr(channel, "check_physically_degraded", counted)
+        assert main(["check-degraded", str(channel_files[fixture])]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] != "physically-degraded"
+        assert len(calls) == 1
+
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tol_is_checked_before_the_lp(self, channel_files, tol, monkeypatch,
