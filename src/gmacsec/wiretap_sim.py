@@ -4,16 +4,21 @@ Everything here is brute force on purpose. Codebooks live at blocklengths
 small enough that every output sequence can be enumerated, so error
 probability and equivocation come out exact rather than sampled. The
 payoff is that tests can pin these numbers to closed-form values with zero
-statistical slack. The table of output-sequence likelihoods for every pair
-of input sequences is the largest object; it is built and read in blocks
-of at most BLOCK_CELLS cells, so only the decoder's sums and the
+statistical slack. The likelihood of an output sequence given a pair of
+input sequences splits at h = n // 2 into the product of two halves, one
+over the first h channel uses and one over the rest, and only these half
+tables are grown. The pairwise table itself is never built: the bin sums
+that the decoder and the equivocation read are formed from the halves in
+blocks of at most BLOCK_CELLS cells, so only the decoder's sums and the
 equivocation joint are ever held whole.
 
 Each figure is a run of elementwise IEEE operations per output sequence in
-a fixed order: a bin's likelihood adds its codewords' likelihoods in bin
-index order, and the message and bin counts divide once at the end. No bit
-depends on the block size, and nothing here calls BLAS, whose summation
-order may follow the shape of a call, its build or its threads.
+a fixed order: a codeword pair's likelihood is one product of its two
+halves, a bin's likelihood adds its codewords' likelihoods in bin-index
+order, and the message and bin counts divide once at the end. Blocks only
+decide how much is computed at once, so no bit depends on the block size,
+and nothing here calls BLAS, whose summation order may follow the shape of
+a call, its build or its threads.
 
 Each sender encodes a common message w0 and a private message (w1 or w2)
 plus a uniform dummy index (j1 or j2). The dummy index fans each message
@@ -203,88 +208,79 @@ def _slots(words: np.ndarray):
     return seqs, slots, counts.reshape(m0, mw, k)
 
 
-# Cells per likelihood block; a block of 2^17 float64 cells is 1 MiB, so
-# the two growth buffers fit a 2 MiB L2 cache. Every cell of every figure
-# is the same run of elementwise operations at any block size, so the size
-# is a cache choice only and moves no bit.
-BLOCK_CELLS = 1 << 17
+# Cells per block of bin sums; a block of 2^16 float64 cells is 512 KiB, so
+# the sums and the one product buffer beside them take half of a 2 MiB L2
+# cache and leave the rest to the half tables. Every cell is one product of
+# two half-table entries followed by the same chain of additions at any
+# block size, so the size is a cache choice only and moves no bit.
+BLOCK_CELLS = 1 << 16
 
 
-def _bin_sums(table: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """table[bins[0]] + table[bins[1]] + ..., added in bin order.
-
-    table is indexed along its first axis and bins[j] holds the rows of
-    bin index j, so the result has shape bins.shape[1:] + table.shape[1:].
-    Each term is added elementwise, so every cell is the same chain of
-    IEEE additions whatever the shape of table.
-    """
-    total = table.take(bins[0], axis=0)
-    for rows in bins[1:]:
-        total += table.take(rows, axis=0)
-    return total
-
-
-def _grow(prefix: np.ndarray, steps, buffers) -> np.ndarray:
-    """Extend a (ka, kb, w) prefix table by one channel use per step.
-
-    Each step is a (ka, kb, m) table of letter probabilities. The slab of
-    entries whose last digit is y is the prefix times the probability of
-    y, written by one multiply whose inner loop runs over the prefixes.
-
-    buffers is a pair of flat float arrays, each with room for the fully
-    grown table. The steps write into them in turn instead of allocating,
-    and the result is a view of one of them.
-    """
-    ka, kb = prefix.shape[:2]
-    for i, step in enumerate(steps):
-        m = step.shape[2]
-        shape = prefix.shape + (m,)
-        grown = buffers[i % 2][:prefix.size * m].reshape(shape)
-        for y in range(m):
-            np.multiply(prefix, step[:, :, y:y + 1], out=grown[:, :, :, y])
-        prefix = grown.reshape(ka, kb, -1)
-    return prefix
-
-
-def _likelihood_blocks(first_seqs: np.ndarray, second_seqs: np.ndarray,
-                       kernel: np.ndarray):
-    """Output-sequence distributions for every pair of input sequences, in
-    blocks of consecutive output sequences.
+def _halves(first_seqs: np.ndarray, second_seqs: np.ndarray,
+            kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Likelihoods of the first h = n // 2 channel uses and of the other
+    n - h, for every pair of input sequences.
 
     kernel is a per-letter table indexed (first letter, second letter,
-    output letter). The whole table has shape (len(first), len(second),
-    m**n) with output sequences in big-endian symbol order: the first
-    channel use is the most significant digit of the sequence index.
-    Yields (start, stop, block) with block equal to table[:, :, start:stop].
-    The blocks of one table share two buffers, so a block is valid only
-    until the next one is drawn.
-
-    A block holds the m**r sequences that share their first n - r letters,
-    r the largest with at most BLOCK_CELLS cells in a block (0 when even
-    m sequences overflow it). The leading n - r uses are grown once for
-    every prefix; each block then grows one prefix through the trailing r
-    uses. Every entry is therefore ((1 * p_1) * p_2) * ... * p_n, multiplied
-    left to right in the order of the channel uses, so no entry depends on
-    the block size, and a table of at most BLOCK_CELLS cells is one block.
+    output letter). Returns (left, right) of shapes (ka * kb, m**h) and
+    (ka * kb, m**(n - h)): row a * kb + b belongs to the pair (first_seqs[a],
+    second_seqs[b]), and each column is a partial output sequence in
+    big-endian symbol order. Each half is grown left to right in the order
+    of its channel uses, and p(y^n | pair) = left[pair, y_1..y_h] *
+    right[pair, y_h+1..y_n].
     """
-    ka = first_seqs.shape[0]
+    ka, n = first_seqs.shape
     kb = second_seqs.shape[0]
-    n = first_seqs.shape[1]
-    m = kernel.shape[2]
-    steps = [kernel[first_seqs[:, t][:, None], second_seqs[None, :, t], :]
-             for t in range(n)]
-    trailing = 0
-    while trailing < n and ka * kb * m ** (trailing + 1) <= BLOCK_CELLS:
-        trailing += 1
-    lead = n - trailing
-    cells = ka * kb * m ** lead
-    prefixes = _grow(np.ones((ka, kb, 1)), steps[:lead],
-                     (np.empty(cells), np.empty(cells)))
-    width = m ** trailing
-    buffers = (np.empty(ka * kb * width), np.empty(ka * kb * width))
-    for p in range(prefixes.shape[2]):
-        block = _grow(prefixes[:, :, p:p + 1], steps[lead:], buffers)
-        yield p * width, (p + 1) * width, block
+    halves = []
+    for uses in (range(n // 2), range(n // 2, n)):
+        half = np.ones((ka, kb, 1))
+        for t in uses:
+            step = kernel[first_seqs[:, t][:, None], second_seqs[None, :, t], :]
+            half = (half[:, :, :, None] * step[:, :, None, :]).reshape(ka, kb, -1)
+        halves.append(half.reshape(ka * kb, -1))
+    return halves[0], halves[1]
+
+
+def _bin_sum_blocks(first_seqs: np.ndarray, second_seqs: np.ndarray,
+                    kernel: np.ndarray, bins: np.ndarray):
+    """Bin sums of the output-sequence likelihoods, in blocks of
+    consecutive output sequences.
+
+    bins[j] holds the pairwise rows (a * kb + b, as in _halves) of bin
+    index j, so the sums have shape bins.shape[1:] + (m**n,), with output
+    sequences in big-endian symbol order. Yields (start, stop, sums) with
+    sums the bin sums at sequences start..stop - 1. Every block is written
+    into the same buffer, so a block is valid only until the next is drawn.
+
+    A sequence y^n is (head, tail) = (y_1..y_h, y_h+1..y_n). Each bin adds
+    left[rows, head] * right[rows, tail], one rounded product per cell, in
+    bin-index order, so no bit depends on the block size. A block is the
+    runs of m**(n - h) sequences under several heads when one run's sums
+    fit in BLOCK_CELLS, and a slice of one run otherwise, down to a single
+    sequence.
+    """
+    left, right = _halves(first_seqs, second_seqs, kernel)
+    rows = bins.reshape(bins.shape[0], -1)
+    lefts, rights = left[rows], right[rows]
+    count, heads, width = rows.shape[1], left.shape[1], right.shape[1]
+    if count * width <= BLOCK_CELLS:
+        step = min(heads, BLOCK_CELLS // (count * width))
+        spans = ((h, min(h + step, heads), 0, width) for h in range(0, heads, step))
+        cells = count * step * width
+    else:
+        step = max(1, BLOCK_CELLS // count)
+        spans = ((h, h + 1, t, min(t + step, width))
+                 for h in range(heads) for t in range(0, width, step))
+        cells = count * step
+    buffers = (np.empty(cells), np.empty(cells))
+    for h0, h1, t0, t1 in spans:
+        shape = (count, h1 - h0, t1 - t0)
+        sums, term = (buffer[:math.prod(shape)].reshape(shape) for buffer in buffers)
+        np.multiply(lefts[0, :, h0:h1, None], rights[0, :, None, t0:t1], out=sums)
+        for head, tail in zip(lefts[1:], rights[1:]):
+            np.multiply(head[:, h0:h1, None], tail[:, None, t0:t1], out=term)
+            sums += term
+        yield h0 * width + t0, (h1 - 1) * width + t1, sums.reshape(bins.shape[1:] + (-1,))
 
 
 def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
@@ -311,16 +307,14 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     seqs2, slots2, _ = _slots(codebook.x2_words)
     k2 = seqs2.shape[0]
     _guard(seqs1.shape[0] * k2 * ny, "pairwise likelihood table")
-    _guard(codebook.M1 * k2 * ny, "decoder partial table")
-    # pairs[(j1, j2), w0, w1, w2]: the pairwise-table row of each codeword pair
+    # pairs[(j1, j2), w0, w1, w2]: the pairwise row of each codeword pair
     pairs = slots1[:, :, None, :, None] * k2 + slots2[:, None, :, None, :]
     pairs = np.moveaxis(pairs, (3, 4), (0, 1)).reshape(-1, m_triples)
     # total[y] adds up every triple's bin sum at y in triple order, and
     # best[y] is the largest of them
     total = np.empty(ny)
     best = np.empty(ny)
-    for start, stop, pair in _likelihood_blocks(seqs1, seqs2, kernel):
-        triples = _bin_sums(pair.reshape(-1, stop - start), pairs)
+    for start, stop, triples in _bin_sum_blocks(seqs1, seqs2, kernel, pairs):
         best[start:stop] = triples.max(axis=0)
         mass = total[start:stop]
         mass[:] = triples[0]
@@ -375,15 +369,15 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
     n = codebook.n
     ny = kernel.shape[2] ** n
     hidden_seqs, hidden_slots, _ = _slots(hidden_words)
-    hidden_bins = np.ascontiguousarray(np.moveaxis(hidden_slots, 2, 0))
     known_seqs, _, known_counts = _slots(known_words)
     kd = known_seqs.shape[0]
+    # bins[jh, w0, wh, known-seq]: the pairwise row of each codeword pair
+    bins = np.moveaxis(hidden_slots, 2, 0)[..., None] * kd + np.arange(kd)
     _guard(hidden_seqs.shape[0] * kd * ny, "pairwise likelihood table")
     _guard(codebook.M0 * mh * mk * kd * ny, "equivocation joint")
     joint = np.zeros((codebook.M0, mh, mk, kd, ny))
-    for start, stop, lik in _likelihood_blocks(hidden_seqs, known_seqs, kernel):
-        # mass(w0, wh, known-seq, y-seq) summed over the hidden bin
-        binned = _bin_sums(lik, hidden_bins)
+    for start, stop, binned in _bin_sum_blocks(hidden_seqs, known_seqs, kernel, bins):
+        # binned: mass(w0, wh, known-seq, y-seq) summed over the hidden bin
         np.multiply(binned[:, :, None], known_counts[:, None, :, :, None],
                     out=joint[..., start:stop])
     joint /= codebook.M0 * mh * mk * jh * jk

@@ -19,7 +19,7 @@ from gmacsec import (
 )
 from gmacsec import fixtures as fx
 from gmacsec import wiretap_sim
-from gmacsec.wiretap_sim import _likelihood_blocks
+from gmacsec.wiretap_sim import _bin_sum_blocks, _halves
 from references import codeword_figures
 
 UNIFORM_PAIR = ([0.5, 0.5], [0.5, 0.5])
@@ -305,6 +305,16 @@ def _broadcast_likelihoods(first_seqs, second_seqs, kernel):
     return out
 
 
+def _half_product_table(first_seqs, second_seqs, kernel):
+    """Reference table, (ka * kb, m**n): each half of the channel uses, split
+    at n // 2, grown by the broadcast recursion, then one product per cell."""
+    h = first_seqs.shape[1] // 2
+    left = _broadcast_likelihoods(first_seqs[:, :h], second_seqs[:, :h], kernel)
+    right = _broadcast_likelihoods(first_seqs[:, h:], second_seqs[:, h:], kernel)
+    table = left[:, :, :, None] * right[:, :, None, :]
+    return table.reshape(left.shape[0] * left.shape[1], -1)
+
+
 @st.composite
 def _likelihood_cases(draw):
     ka, kb = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -313,59 +323,104 @@ def _likelihood_cases(draw):
     m = draw(st.sampled_from([1, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kernel = rng.dirichlet(np.ones(m), size=(sx1, sx2))
-    return (rng.integers(0, sx1, size=(ka, n)),
-            rng.integers(0, sx2, size=(kb, n)), kernel)
+    first = rng.integers(0, sx1, size=(ka, n))
+    second = rng.integers(0, sx2, size=(kb, n))
+    # 1 to 4 bins of pairwise rows, over an output grid of 1 to 3 axes
+    out = tuple(int(c) for c in rng.integers(1, 4, size=rng.integers(1, 4)))
+    bins = rng.integers(0, ka * kb, size=(int(rng.integers(1, 5)),) + out)
+    return first, second, kernel, bins
 
 
-def _blocks(first, second, kernel, block_cells):
+def _blocks(first, second, kernel, bins, block_cells):
     # a block is overwritten by the next one, so keep copies
     with mock.patch.object(wiretap_sim, "BLOCK_CELLS", block_cells):
         return [(start, stop, block.copy()) for start, stop, block
-                in _likelihood_blocks(first, second, kernel)]
+                in _bin_sum_blocks(first, second, kernel, bins)]
+
+
+def _joined(blocks, first, kernel):
+    """The blocks side by side, after checking that they tile the output
+    sequences in order and each fits its size unless it is one sequence."""
+    starts = [start for start, _, _ in blocks]
+    stops = [stop for _, stop, _ in blocks]
+    assert starts == [0] + stops[:-1]
+    assert stops[-1] == kernel.shape[2] ** first.shape[1]
+    for start, stop, block in blocks:
+        assert block.shape[-1] == stop - start
+    return np.concatenate([block for _, _, block in blocks], axis=-1)
+
+
+_BLOCK_SIZES = st.one_of(st.integers(1, 64), st.integers(1, 1 << 15))
 
 
 class TestSequenceLikelihoods:
     @settings(derandomize=True, max_examples=120, deadline=None)
-    @given(_likelihood_cases(),
-           st.one_of(st.integers(1, 64), st.integers(1, 1 << 15)))
+    @given(_likelihood_cases(), _BLOCK_SIZES)
     def test_matches_the_broadcast_recursion_bitwise(self, case, block_cells):
-        # growth is elementwise, so every block size gives the same bits
-        first, second, kernel = case
-        blocks = _blocks(first, second, kernel, block_cells)
-        starts = [start for start, _, _ in blocks]
-        stops = [stop for _, stop, _ in blocks]
-        assert starts == [0] + stops[:-1]
-        assert stops[-1] == kernel.shape[2] ** first.shape[1]
+        # one bin per pairwise row reads the table itself: every cell is
+        # one product of the two halves at any block size
+        first, second, kernel, _ = case
+        left, right = _halves(first, second, kernel)
+        h = first.shape[1] // 2
+        assert np.array_equal(left, _broadcast_likelihoods(
+            first[:, :h], second[:, :h], kernel).reshape(left.shape[0], -1))
+        assert np.array_equal(right, _broadcast_likelihoods(
+            first[:, h:], second[:, h:], kernel).reshape(right.shape[0], -1))
+        table = _half_product_table(first, second, kernel)
+        rows = np.arange(table.shape[0])[None, :]
+        blocks = _blocks(first, second, kernel, rows, block_cells)
         for start, stop, block in blocks:
-            assert block.shape[2] == stop - start
-            assert block.shape[2] == 1 or block.size <= block_cells
-        got = np.concatenate([block for _, _, block in blocks], axis=2)
-        assert np.array_equal(got, _broadcast_likelihoods(first, second, kernel))
+            assert stop - start == 1 or block.size <= block_cells
+        assert np.array_equal(_joined(blocks, first, kernel), table)
+        # the split regroups the products of one sequence, so it agrees
+        # with the one-pass recursion up to a few roundings
+        one_pass = _broadcast_likelihoods(first, second, kernel).reshape(table.shape)
+        assert np.allclose(table, one_pass, rtol=1e-14, atol=0)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(_likelihood_cases(), _BLOCK_SIZES)
+    def test_fused_sums_equal_materialize_then_add_bitwise(self, case, block_cells):
+        first, second, kernel, bins = case
+        table = _half_product_table(first, second, kernel)
+        expected = table[bins[0]]
+        for rows in bins[1:]:
+            expected = expected + table[rows]
+        blocks = _blocks(first, second, kernel, bins, block_cells)
+        for start, stop, block in blocks:
+            assert stop - start == 1 or block.size <= block_cells
+        assert np.array_equal(_joined(blocks, first, kernel), expected)
 
     def test_a_table_of_at_most_block_cells_is_one_block(self):
+        # n = 5 splits into 2 + 3 uses: 9 left entries, each heading a run
+        # of 27 sequences, and 6 pairwise rows, so a run's sums are 162 cells
         rng = np.random.default_rng(0)
         first, second = rng.integers(0, 2, size=(3, 5)), rng.integers(0, 2, size=(2, 5))
         kernel = rng.dirichlet(np.ones(3), size=(2, 2))
-        cells = 3 * 2 * 3 ** 5
-        assert [(start, stop) for start, stop, _ in
-                _blocks(first, second, kernel, cells)] == [(0, 3 ** 5)]
-        assert [(start, stop) for start, stop, _ in
-                _blocks(first, second, kernel, cells - 1)] == [
-                    (81 * p, 81 * (p + 1)) for p in range(3)]
+        rows = np.arange(6)[None, :]
+        cells = 6 * 3 ** 5
+
+        def spans(block_cells):
+            return [(start, stop) for start, stop, _ in
+                    _blocks(first, second, kernel, rows, block_cells)]
+
+        assert spans(cells) == [(0, 3 ** 5)]
+        assert spans(cells - 1) == [(0, 8 * 27), (8 * 27, 9 * 27)]
+        assert spans(162) == [(27 * p, 27 * (p + 1)) for p in range(9)]
+        assert spans(161) == [(27 * p + q, 27 * p + min(q + 26, 27))
+                              for p in range(9) for q in (0, 26)]
 
     def test_the_blocks_of_one_table_share_two_buffers(self, monkeypatch):
-        # 3 x 2 input pairs, ternary outputs, n = 6: 9 blocks of 3^4 sequences
+        # 3 x 2 input pairs, ternary outputs, n = 6: 27 left entries, each
+        # heading 27 sequences, three to a block. The sums live in one
+        # buffer, and each bin's products in the other
         rng = np.random.default_rng(1)
         first, second = rng.integers(0, 2, size=(3, 6)), rng.integers(0, 2, size=(2, 6))
         kernel = rng.dirichlet(np.ones(3), size=(2, 2))
-        monkeypatch.setattr(wiretap_sim, "BLOCK_CELLS", 3 * 2 * 3 ** 4)
-        blocks = [block for _, _, block in _likelihood_blocks(first, second, kernel)]
+        bins = rng.integers(0, 6, size=(3, 4))
+        monkeypatch.setattr(wiretap_sim, "BLOCK_CELLS", 4 * 3 ** 4)
+        blocks = [block for _, _, block in _bin_sum_blocks(first, second, kernel, bins)]
         assert len(blocks) == 9
-        memories = []
-        for block in blocks:
-            if not any(np.shares_memory(block, seen) for seen in memories):
-                memories.append(block)
-        assert len(memories) <= 2
+        assert all(np.shares_memory(block, blocks[0]) for block in blocks)
 
 
 # float.hex of (error_probability, equivocation_user2, equivocation_user1)
@@ -504,16 +559,16 @@ class TestCodewordOracle:
 
 def _exact_figures(book, channel, block_cells, monkeypatch):
     """Error probability and the four equivocation joints (or the guard's
-    message), plus the (start, stop) of every likelihood block they read."""
+    message), plus the (start, stop) of every block of bin sums they read."""
     blocks = []
 
     def counted(*args):
-        for item in _likelihood_blocks(*args):
+        for item in _bin_sum_blocks(*args):
             blocks.append(item[:2])
             yield item
 
     monkeypatch.setattr(wiretap_sim, "BLOCK_CELLS", block_cells)
-    monkeypatch.setattr(wiretap_sim, "_likelihood_blocks", counted)
+    monkeypatch.setattr(wiretap_sim, "_bin_sum_blocks", counted)
     figures = [exact_error_probability(book, channel).hex()]
     for case in _CASES:
         try:
@@ -525,10 +580,11 @@ def _exact_figures(book, channel, block_cells, monkeypatch):
 
 @pytest.mark.parametrize("config", sorted(_PINNED_CONFIGS))
 def test_forced_split_equals_one_block_bitwise(monkeypatch, config):
-    # every cell is the same chain of elementwise operations at any block
-    # size. Blocks of one output sequence run on the configs with at most
-    # 2^10 sequences: a bin sum takes a step per bin and block, so on the
-    # 2^16 sequences of the other two they take 10 s and 90 s
+    # every cell is one product of two halves and the same chain of
+    # additions at any block size. Blocks of one output sequence run on the
+    # configs with at most 2^10 sequences: a bin sum takes two numpy calls
+    # per bin and block, so on the 2^16 sequences of the other two they take
+    # 5.8 s (8 bins) and 62 s (128 bins) on a 2-CPU Xeon host
     channel, counts, dist, seeds = _PINNED_CONFIGS[config]
     splits = [1 << 10]
     if max(channel.prob.shape[2:]) ** counts[0] <= 1 << 10:
@@ -559,16 +615,30 @@ def test_simulate_memory_peak_at_the_benchmark_config(binary_degraded):
     assert peak < 40 * 2 ** 20
 
 
-def test_decoder_partial_table_is_guarded(monkeypatch, clean_mac):
-    # 100 sender-1 messages against 4 distinct sender-2 words at n = 2:
-    # the triple table has 1,600 states and the pairwise table 256, but
-    # the per-w0 partial sum over sender 1's bins holds 100 * 4 * 16
-    monkeypatch.setenv("GMAC_MAX_STATES", "2000")
+def _many_message_codebook():
+    """100 sender-1 messages over the 4 binary words of length 2, against 4
+    distinct sender-2 words in one bin: 1,600 decoder states, and a
+    pairwise table of 4 x 4 x 16 cells on clean_mac."""
     x1 = np.zeros((1, 100, 1, 2), dtype=np.int64)
     x1[0, :, 0, :] = np.arange(100)[:, None] >> np.array([1, 0]) & 1
     x2 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]],
                   dtype=np.int64).reshape(1, 1, 4, 2)
-    book = Codebook(n=2, M0=1, M1=100, M2=1, J1=1, J2=4,
+    return Codebook(n=2, M0=1, M1=100, M2=1, J1=1, J2=4,
                     size_x1=2, size_x2=2, x1_words=x1, x2_words=x2)
-    with pytest.raises(EnumerationTooLarge, match="6400 states"):
-        exact_error_probability(book, clean_mac)
+
+
+def test_decoder_partial_table_is_guarded(monkeypatch, clean_mac):
+    # the decoder's largest array is its triples by output sequences
+    monkeypatch.setenv("GMAC_MAX_STATES", "1599")
+    with pytest.raises(EnumerationTooLarge,
+                       match="decoder likelihood table needs 1600 states"):
+        exact_error_probability(_many_message_codebook(), clean_mac)
+
+
+def test_many_message_decoder_runs_below_the_old_partial_guard(monkeypatch, clean_mac):
+    # the 100 x 4 x 16 = 6,400-state partial table the decoder once built
+    # is gone, so 2,000 states admit this code
+    monkeypatch.setenv("GMAC_MAX_STATES", "2000")
+    book = _many_message_codebook()
+    assert exact_error_probability(book, clean_mac) == pytest.approx(
+        codeword_figures(book, clean_mac)[0], rel=0, abs=ORACLE_TOL)
