@@ -263,24 +263,23 @@ def _bin_sum_blocks(first_seqs: np.ndarray, second_seqs: np.ndarray,
     rows = bins.reshape(bins.shape[0], -1)
     lefts, rights = left[rows], right[rows]
     count, heads, width = rows.shape[1], left.shape[1], right.shape[1]
-    if count * width <= BLOCK_CELLS:
-        step = min(heads, BLOCK_CELLS // (count * width))
-        spans = ((h, min(h + step, heads), 0, width) for h in range(0, heads, step))
-        cells = count * step * width
-    else:
-        step = max(1, BLOCK_CELLS // count)
-        spans = ((h, h + 1, t, min(t + step, width))
-                 for h in range(heads) for t in range(0, width, step))
-        cells = count * step
-    buffers = (np.empty(cells), np.empty(cells))
-    for h0, h1, t0, t1 in spans:
-        shape = (count, h1 - h0, t1 - t0)
-        sums, term = (buffer[:math.prod(shape)].reshape(shape) for buffer in buffers)
-        np.multiply(lefts[0, :, h0:h1, None], rights[0, :, None, t0:t1], out=sums)
-        for head, tail in zip(lefts[1:], rights[1:]):
-            np.multiply(head[:, h0:h1, None], tail[:, None, t0:t1], out=term)
-            sums += term
-        yield h0 * width + t0, (h1 - 1) * width + t1, sums.reshape(bins.shape[1:] + (-1,))
+    # a block spans `across` heads' whole runs, or `along` sequences of one
+    # run when a run's sums alone overflow BLOCK_CELLS
+    along = min(width, max(1, BLOCK_CELLS // count))
+    across = min(heads, max(1, BLOCK_CELLS // (count * width)))
+    buffers = (np.empty(count * across * along), np.empty(count * across * along))
+    for h0 in range(0, heads, across):
+        h1 = min(h0 + across, heads)
+        for t0 in range(0, width, along):
+            t1 = min(t0 + along, width)
+            shape = (count, h1 - h0, t1 - t0)
+            sums, term = (buffer[:math.prod(shape)].reshape(shape) for buffer in buffers)
+            np.multiply(lefts[0, :, h0:h1, None], rights[0, :, None, t0:t1], out=sums)
+            for head, tail in zip(lefts[1:], rights[1:]):
+                np.multiply(head[:, h0:h1, None], tail[:, None, t0:t1], out=term)
+                sums += term
+            yield (h0 * width + t0, (h1 - 1) * width + t1,
+                   sums.reshape(bins.shape[1:] + (-1,)))
 
 
 def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
@@ -371,10 +370,10 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
     hidden_seqs, hidden_slots, _ = _slots(hidden_words)
     known_seqs, _, known_counts = _slots(known_words)
     kd = known_seqs.shape[0]
-    # bins[jh, w0, wh, known-seq]: the pairwise row of each codeword pair
-    bins = np.moveaxis(hidden_slots, 2, 0)[..., None] * kd + np.arange(kd)
     _guard(hidden_seqs.shape[0] * kd * ny, "pairwise likelihood table")
     _guard(codebook.M0 * mh * mk * kd * ny, "equivocation joint")
+    # bins[jh, w0, wh, known-seq]: the pairwise row of each codeword pair
+    bins = np.moveaxis(hidden_slots, 2, 0)[..., None] * kd + np.arange(kd)
     joint = np.zeros((codebook.M0, mh, mk, kd, ny))
     for start, stop, binned in _bin_sum_blocks(hidden_seqs, known_seqs, kernel, bins):
         # binned: mass(w0, wh, known-seq, y-seq) summed over the hidden bin
