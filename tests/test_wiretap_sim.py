@@ -338,15 +338,16 @@ def _blocks(first, second, kernel, bins, block_cells):
                 in _bin_sum_blocks(first, second, kernel, bins)]
 
 
-def _joined(blocks, first, kernel):
+def _joined(blocks, first, kernel, block_cells):
     """The blocks side by side, after checking that they tile the output
-    sequences in order and each fits its size unless it is one sequence."""
+    sequences in order and each fits block_cells unless it is one sequence."""
     starts = [start for start, _, _ in blocks]
     stops = [stop for _, stop, _ in blocks]
     assert starts == [0] + stops[:-1]
     assert stops[-1] == kernel.shape[2] ** first.shape[1]
     for start, stop, block in blocks:
         assert block.shape[-1] == stop - start
+        assert stop - start == 1 or block.size <= block_cells
     return np.concatenate([block for _, _, block in blocks], axis=-1)
 
 
@@ -369,9 +370,7 @@ class TestSequenceLikelihoods:
         table = _half_product_table(first, second, kernel)
         rows = np.arange(table.shape[0])[None, :]
         blocks = _blocks(first, second, kernel, rows, block_cells)
-        for start, stop, block in blocks:
-            assert stop - start == 1 or block.size <= block_cells
-        assert np.array_equal(_joined(blocks, first, kernel), table)
+        assert np.array_equal(_joined(blocks, first, kernel, block_cells), table)
         # the split regroups the products of one sequence, so it agrees
         # with the one-pass recursion up to a few roundings
         one_pass = _broadcast_likelihoods(first, second, kernel).reshape(table.shape)
@@ -386,9 +385,7 @@ class TestSequenceLikelihoods:
         for rows in bins[1:]:
             expected = expected + table[rows]
         blocks = _blocks(first, second, kernel, bins, block_cells)
-        for start, stop, block in blocks:
-            assert stop - start == 1 or block.size <= block_cells
-        assert np.array_equal(_joined(blocks, first, kernel), expected)
+        assert np.array_equal(_joined(blocks, first, kernel, block_cells), expected)
 
     def test_a_table_of_at_most_block_cells_is_one_block(self):
         # n = 5 splits into 2 + 3 uses: 9 left entries, each heading a run
@@ -604,8 +601,9 @@ def test_forced_split_equals_one_block_bitwise(monkeypatch, config):
 
 
 def test_simulate_memory_peak_at_the_benchmark_config(binary_degraded):
-    # the whole pairwise table here is 8.4 M cells (64 MiB), so holding it at
-    # once breaks the bound; read in blocks, the call peaks near 24 MiB
+    # the whole pairwise table here would be 8.4 M cells (64 MiB), so
+    # building it breaks the bound; from the half tables, a block of bin
+    # sums at a time, the call peaks near 24.75 MiB
     tracemalloc.start()
     try:
         simulate(binary_degraded, 16, 1, 16, 1, 8, 1, ([0.5, 0.5], [1.0]), seeds=[1])
@@ -628,7 +626,7 @@ def _many_message_codebook():
 
 
 def test_decoder_partial_table_is_guarded(monkeypatch, clean_mac):
-    # the decoder's largest array is its triples by output sequences
+    # the decoder guard counts 100 triples by 16 output sequences
     monkeypatch.setenv("GMAC_MAX_STATES", "1599")
     with pytest.raises(EnumerationTooLarge,
                        match="decoder likelihood table needs 1600 states"):
@@ -636,8 +634,7 @@ def test_decoder_partial_table_is_guarded(monkeypatch, clean_mac):
 
 
 def test_many_message_decoder_runs_below_the_old_partial_guard(monkeypatch, clean_mac):
-    # the 100 x 4 x 16 = 6,400-state partial table the decoder once built
-    # is gone, so 2,000 states admit this code
+    # 1,600 decoder states and a 256-cell pairwise count fit under 2,000
     monkeypatch.setenv("GMAC_MAX_STATES", "2000")
     book = _many_message_codebook()
     assert exact_error_probability(book, clean_mac) == pytest.approx(
