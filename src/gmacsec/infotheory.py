@@ -4,7 +4,11 @@ Conventions: all logs are base 2, 0 log 0 = 0, and entropies are computed by
 summing the sorted positive atom masses. Sorting makes joints that are mere
 relabelings of one another (same multiset of masses) produce bitwise-identical
 entropies, which downstream code relies on when differences of information
-quantities must cancel exactly.
+quantities must cancel exactly. The one summation, _owned_entropies, runs on
+rows its caller hands over: it sorts them and forms -p log p where they lie,
+a fixed-size chunk of np.log2 at a time, so an entropy holds no copy of its
+table beyond the marginal itself. marginal_entropies hands it fresh sums, or
+a copy when every axis is kept, and never writes a stack's masses.
 
 A JointStack holds N joints over the same variables on a leading axis, and
 one joint is a stack of one; stacked_entropy and stacked_mutual_information
@@ -97,28 +101,53 @@ class JointStack:
 
 def _stacked_entropy(prob: np.ndarray, keep) -> np.ndarray:
     """H of the marginal over the axes keep of each joint of a stack, shape
-    (N,): the package's one summation of -p log p.
-
-    Each row's positive masses are sorted ascending and reduced by one sum
-    along the rows of a contiguous (rows, k) block holding the rows with
-    exactly k positive masses. numpy sums a row of 8 or more with eight
-    accumulators, so padding rows to a common width would change the last
-    bits; this way a row's bits do not depend on its stack.
-    """
+    (N,). prob is only read: a marginal that drops axes is a fresh sum, and
+    one that keeps them all is copied once, so _owned_entropies owns it."""
     n = prob.shape[0]
     if not keep:
         return np.zeros(n)
     drop = tuple(i + 1 for i in range(prob.ndim - 1) if i not in keep)
-    marg = prob.sum(axis=drop) if drop else prob
-    ordered = np.sort(marg.reshape(n, -1), axis=1)
-    width = ordered.shape[1]
-    counts = (ordered > 0).sum(axis=1)
-    out = np.empty(n)
+    marg = prob.sum(axis=drop) if drop else prob.copy()
+    return _owned_entropies(marg.reshape(n, -1))
+
+
+# Cells of np.log2 per step of _owned_entropies: its only temporary, 64 KiB
+LOG_CHUNK = 1 << 13
+
+
+def _owned_entropies(rows: np.ndarray) -> np.ndarray:
+    """H of each row of masses of an (N, width) array, shape (N,): the
+    package's one summation of -p log p.
+
+    The caller hands over rows, a float array that it owns and no longer
+    reads, and which is overwritten: each row is sorted ascending
+    where it lies. Each row is then reduced along the rows of a contiguous
+    (rows, k) block holding the rows with exactly k positive masses, a view
+    of rows when it holds all of them or there is one row, and a copy
+    otherwise. The block's masses become m * log2(m) in place, LOG_CHUNK
+    cells of np.log2 at a time (a block that fits one chunk in one step),
+    and each row is negated after one sum along it. numpy sums a row of 8
+    or more with eight accumulators, so padding rows to a common width would
+    change the last bits; this way a row's bits do not depend on its stack,
+    and the chunks, which only decide how much np.log2 writes at once, move
+    no bit either.
+    """
+    rows.sort(axis=1)
+    width = rows.shape[1]
+    counts = (rows > 0).sum(axis=1)
+    out = np.empty(rows.shape[0])
     ks = set(counts.tolist())
     for k in ks:
-        rows = counts == k if len(ks) > 1 else slice(None)
-        masses = np.ascontiguousarray(ordered[rows, width - k:])
-        out[rows] = -(masses * np.log2(masses)).sum(axis=1)
+        sel = counts == k if len(ks) > 1 else slice(None)
+        masses = np.ascontiguousarray(rows[sel, width - k:])
+        if masses.size <= LOG_CHUNK:
+            masses *= np.log2(masses)
+        else:
+            flat = masses.reshape(-1)
+            for start in range(0, flat.size, LOG_CHUNK):
+                part = flat[start:start + LOG_CHUNK]
+                part *= np.log2(part)
+        out[sel] = -masses.sum(axis=1)
     return out
 
 

@@ -10,15 +10,16 @@ over the first h channel uses and one over the rest, and only these half
 tables are grown. The pairwise table itself is never built: the bin sums
 that the decoder and the equivocation read are formed from the halves in
 blocks of at most BLOCK_CELLS cells, so only the decoder's sums and the
-equivocation joint are ever held whole.
+equivocation joint are ever held whole. The joint is not copied either: its
+entropy sorts and weighs the masses where they lie.
 
 Each figure is a run of elementwise IEEE operations per output sequence in
 a fixed order: a codeword pair's likelihood is one product of its two
 halves, a bin's likelihood adds its codewords' likelihoods in bin-index
-order, and the message and bin counts divide once at the end. Blocks only
-decide how much is computed at once, so no bit depends on the block size,
-and nothing here calls BLAS, whose summation order may follow the shape of
-a call, its build or its threads.
+order, and the message and bin counts divide each cell once, as its block
+is written. Blocks only decide how much is computed at once, so no bit
+depends on the block size, and nothing here calls BLAS, whose summation
+order may follow the shape of a call, its build or its threads.
 
 Each sender encodes a common message w0 and a private message (w1 or w2)
 plus a uniform dummy index (j1 or j2). The dummy index fans each message
@@ -35,7 +36,7 @@ import numpy as np
 
 from .channel import ChannelSpec, marginal_kernel
 from .errors import EnumerationTooLarge, InternalError, max_states, whole_number
-from .infotheory import JointStack, stacked_entropy
+from .infotheory import JointStack, _owned_entropies
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,21 @@ def _check_input_dist(dist, size: int, who: str) -> np.ndarray:
     return np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()
 
 
-def _guard(total: int, what: str) -> None:
+def _guard(total: int, what: str, unit: str = "states") -> None:
     limit = max_states()
     if total > limit:
         raise EnumerationTooLarge(
-            f"{what} needs {total} states, above the guard of {limit}"
+            f"{what} needs {total} {unit}, above the guard of {limit}"
         )
+
+
+def _guard_products(first_seqs: np.ndarray, second_seqs: np.ndarray, ny: int) -> None:
+    """Guard one pass of _bin_sum_blocks by the likelihood products it can
+    form: rows x ny, the pairwise rows (one per pair of distinct sequences)
+    times the ny output sequences, each product left * right of _halves. A
+    row that several bins read is multiplied once per bin."""
+    _guard(first_seqs.shape[0] * second_seqs.shape[0] * ny, "one bin-sum pass",
+           "likelihood products")
 
 
 def build_codebook(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,
@@ -305,7 +315,7 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     seqs1, slots1, _ = _slots(codebook.x1_words)
     seqs2, slots2, _ = _slots(codebook.x2_words)
     k2 = seqs2.shape[0]
-    _guard(seqs1.shape[0] * k2 * ny, "pairwise likelihood table")
+    _guard_products(seqs1, seqs2, ny)
     # pairs[(j1, j2), w0, w1, w2]: the pairwise row of each codeword pair
     pairs = slots1[:, :, None, :, None] * k2 + slots2[:, None, :, None, :]
     pairs = np.moveaxis(pairs, (3, 4), (0, 1)).reshape(-1, m_triples)
@@ -370,16 +380,18 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
     hidden_seqs, hidden_slots, _ = _slots(hidden_words)
     known_seqs, _, known_counts = _slots(known_words)
     kd = known_seqs.shape[0]
-    _guard(hidden_seqs.shape[0] * kd * ny, "pairwise likelihood table")
+    _guard_products(hidden_seqs, known_seqs, ny)
     _guard(codebook.M0 * mh * mk * kd * ny, "equivocation joint")
     # bins[jh, w0, wh, known-seq]: the pairwise row of each codeword pair
     bins = np.moveaxis(hidden_slots, 2, 0)[..., None] * kd + np.arange(kd)
-    joint = np.zeros((codebook.M0, mh, mk, kd, ny))
+    draws = codebook.M0 * mh * mk * jh * jk
+    # the blocks tile the output sequences, so every cell is written
+    joint = np.empty((codebook.M0, mh, mk, kd, ny))
     for start, stop, binned in _bin_sum_blocks(hidden_seqs, known_seqs, kernel, bins):
         # binned: mass(w0, wh, known-seq, y-seq) summed over the hidden bin
-        np.multiply(binned[:, :, None], known_counts[:, None, :, :, None],
-                    out=joint[..., start:stop])
-    joint /= codebook.M0 * mh * mk * jh * jk
+        block = joint[..., start:stop]
+        np.multiply(binned[:, :, None], known_counts[:, None, :, :, None], out=block)
+        block /= draws
     return JointStack(variables, joint[None])
 
 
@@ -394,9 +406,12 @@ def exact_equivocation(codebook: Codebook, channel: ChannelSpec,
     a fixed codebook and lies in [0, log2(M1)/n] up to rounding.
     """
     joint = equivocation_joint(codebook, channel, case)
-    hidden = joint.variables[1]
     given = joint.variables[:1] + joint.variables[2:]
-    return float(stacked_entropy(joint, (hidden,), given=given)[0]) / codebook.n
+    h_given = joint.marginal_entropies(given)
+    # H of the whole joint, sorted where it lies: the stack is this call's
+    # own, and nothing reads its masses after H(given)
+    h_all = _owned_entropies(joint.prob.reshape(1, -1))
+    return float((h_all - h_given)[0]) / codebook.n
 
 
 def simulate(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,

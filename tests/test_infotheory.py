@@ -1,7 +1,9 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmacsec import (
     DimensionMismatch,
@@ -19,6 +21,7 @@ from gmacsec import (
     scheme_to_dict,
 )
 from gmacsec import fixtures as fx
+from gmacsec import infotheory
 from gmacsec.infotheory import (
     JointStack,
     _assemble_joint,
@@ -233,6 +236,88 @@ class TestKernelMatchesOracle:
         got = entropy(joint, ("A", "B"))
         assert got.hex() == oracle.entropy(table, ("A", "B"), ("A", "B")).hex()
         assert got.hex() == (-0.0).hex()
+
+
+def _copied_entropies(prob, keep):
+    """Reference kernel: the marginal sorted into a copy, then each block of
+    the rows with k positive masses reduced as -(m * log2(m)).sum(axis=1)
+    over a contiguous copy of their positive masses."""
+    n = prob.shape[0]
+    if not keep:
+        return np.zeros(n)
+    drop = tuple(i + 1 for i in range(prob.ndim - 1) if i not in keep)
+    marg = prob.sum(axis=drop) if drop else prob
+    ordered = np.sort(marg.reshape(n, -1), axis=1)
+    width = ordered.shape[1]
+    counts = (ordered > 0).sum(axis=1)
+    out = np.empty(n)
+    ks = set(counts.tolist())
+    for k in ks:
+        rows = counts == k if len(ks) > 1 else slice(None)
+        masses = np.ascontiguousarray(ordered[rows, width - k:])
+        out[rows] = -(masses * np.log2(masses)).sum(axis=1)
+    return out
+
+
+@st.composite
+def _entropy_stacks(draw):
+    """A stack of joints and a log2 chunk size. The layouts: one row; rows
+    whose zero masses differ in number, so that one stack has several k;
+    rows that share one count of zeros; and rows of more cells than
+    LOG_CHUNK, at the real chunk size, whose length is not a multiple of
+    it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layout = draw(st.sampled_from(["one row", "several k", "one k", "long rows"]))
+    n = 1 if layout == "one row" else draw(st.integers(2, 5))
+    if layout == "long rows":
+        n = draw(st.integers(1, 3))
+        width = draw(st.integers(infotheory.LOG_CHUNK + 1, 3 * infotheory.LOG_CHUNK))
+        if width % infotheory.LOG_CHUNK == 0:
+            width += 1
+        sizes = (1, width) if draw(st.booleans()) else (3, -(-width // 3))
+        chunk = infotheory.LOG_CHUNK
+    else:
+        sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+        chunk = draw(st.sampled_from([1, 3, 8, 64, infotheory.LOG_CHUNK]))
+    cells = int(np.prod(sizes))
+    prob = rng.dirichlet(np.full(cells, 0.7), size=n)
+    if layout == "one k":
+        zeros = int(rng.integers(0, cells))
+        for row in prob:
+            row[rng.permutation(cells)[:zeros]] = 0.0
+    else:
+        prob[rng.random(prob.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    for row in prob:
+        if not row.any():
+            row[rng.integers(0, cells)] = 1.0
+    prob /= prob.sum(axis=1, keepdims=True)
+    return prob.reshape((n,) + sizes), chunk
+
+
+class TestInPlaceKernel:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_entropy_stacks())
+    def test_equals_the_copying_kernel_bitwise(self, case):
+        prob, chunk = case
+        names = tuple(f"V{i}" for i in range(prob.ndim - 1))
+        stack = JointStack(names, prob.copy())
+        with mock.patch.object(infotheory, "LOG_CHUNK", chunk):
+            for keep in itertools.chain.from_iterable(
+                    itertools.combinations(range(len(names)), r)
+                    for r in range(len(names) + 1)):
+                got = stack.marginal_entropies(tuple(names[i] for i in keep))
+                assert got.tobytes() == _copied_entropies(prob, set(keep)).tobytes()
+                # the keep-all marginal too is a copy: the stack's masses
+                # stay as they were
+                assert stack.prob.tobytes() == prob.tobytes()
+
+    def test_a_stack_of_several_counts_takes_several_blocks(self):
+        prob = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+        stack = JointStack(("A",), prob.copy())
+        got = stack.marginal_entropies(("A",))
+        assert got.tobytes() == _copied_entropies(prob, {0}).tobytes()
+        assert got[0] == 1.0 and got[2].hex() == (-0.0).hex()
+        assert stack.prob.tobytes() == prob.tobytes()
 
 
 class TestSchemes:

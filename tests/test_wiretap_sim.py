@@ -19,6 +19,7 @@ from gmacsec import (
 )
 from gmacsec import fixtures as fx
 from gmacsec import wiretap_sim
+from gmacsec.infotheory import stacked_entropy
 from gmacsec.wiretap_sim import _bin_sum_blocks, _halves
 from references import codeword_figures
 
@@ -601,16 +602,54 @@ def test_forced_split_equals_one_block_bitwise(monkeypatch, config):
 
 
 def test_simulate_memory_peak_at_the_benchmark_config(binary_degraded):
-    # the whole pairwise table here would be 8.4 M cells (64 MiB), so
-    # building it breaks the bound; from the half tables, a block of bin
-    # sums at a time, the call peaks near 24.75 MiB
+    # the equivocation joint alone is 2^20 cells (8 MiB), and the call
+    # peaks at 10.2 to 10.9 MiB while its entropy sorts and weighs it in
+    # place.
+    # One more joint-sized array, a copy to sort or an np.log2 of the whole
+    # joint, breaks the bound, and the pairwise table (64 MiB) far more
     tracemalloc.start()
     try:
         simulate(binary_degraded, 16, 1, 16, 1, 8, 1, ([0.5, 0.5], [1.0]), seeds=[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2 ** 20
+    assert peak < 12 * 2 ** 20
+
+
+def test_the_equivocation_leaves_the_joint_it_reads_intact(binary_degraded):
+    # exact_equivocation sorts its own joint where it lies; a joint built
+    # afterwards for the same codebook is the one built before, and the
+    # equivocation is the one stacked_entropy reads from it
+    channel, counts, dist, _ = _PINNED_CONFIGS["binary_degraded_mid_size"]
+    book = build_codebook(channel, *counts, dist, 1)
+    for case in _CASES:
+        before = equivocation_joint(book, channel, case)
+        masses = before.prob.copy()
+        value = exact_equivocation(book, channel, case)
+        after = equivocation_joint(book, channel, case)
+        assert before.prob.tobytes() == masses.tobytes()
+        assert after.prob.tobytes() == masses.tobytes()
+        hidden, given = after.variables[1], after.variables[:1] + after.variables[2:]
+        assert value == float(stacked_entropy(after, hidden, given)[0]) / book.n
+
+
+def test_bin_sum_products_are_guarded_at_the_benchmark_config(monkeypatch, binary_degraded):
+    # 128 distinct sender-1 words by one sender-2 word at 2^16 output
+    # sequences: a pass of bin sums forms 2^23 likelihood products for the
+    # decoder and for user 2's joint, whose own guards count 2^20 states
+    channel, counts, dist, _ = _PINNED_CONFIGS["benchmark_config"]
+    book = build_codebook(channel, *counts, dist, 1)
+    monkeypatch.setenv("GMAC_MAX_STATES", str(2 ** 23 - 1))
+    message = ("^one bin-sum pass needs 8388608 likelihood products, "
+               "above the guard of 8388607$")
+    with pytest.raises(EnumerationTooLarge, match=message):
+        exact_error_probability(book, channel)
+    with pytest.raises(EnumerationTooLarge, match=message):
+        equivocation_joint(book, channel, "user2_about_W1")
+    monkeypatch.setenv("GMAC_MAX_STATES", str(2 ** 23))
+    pinned = PINNED_BENCHMARK_CONFIG[1]
+    assert exact_error_probability(book, channel).hex() == pinned[0]
+    assert exact_equivocation(book, channel, "user2_about_W1").hex() == pinned[1]
 
 
 def _many_message_codebook():
