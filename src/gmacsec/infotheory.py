@@ -122,9 +122,8 @@ def _owned_entropies(rows: np.ndarray) -> np.ndarray:
     The caller hands over rows, a float array that it owns and no longer
     reads, and which is overwritten: each row is sorted ascending
     where it lies. Each row is then reduced along the rows of a contiguous
-    (rows, k) block holding the rows with exactly k positive masses, a view
-    of rows when it holds all of them or there is one row, and a copy
-    otherwise. The block's masses become m * log2(m) in place, LOG_CHUNK
+    (rows, k) block holding the rows with exactly k positive masses: a view
+    of rows when it is one row or every cell of rows, and a copy otherwise. The block's masses become m * log2(m) in place, LOG_CHUNK
     cells of np.log2 at a time (a block that fits one chunk in one step),
     and each row is negated after one sum along it. numpy sums a row of 8
     or more with eight accumulators, so padding rows to a common width would
