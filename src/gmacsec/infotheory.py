@@ -8,7 +8,9 @@ quantities must cancel exactly. The one summation, _owned_entropies, runs on
 rows its caller hands over: it sorts them and forms -p log p where they lie,
 a fixed-size chunk of np.log2 at a time, so an entropy holds no copy of its
 table beyond the marginal itself. marginal_entropies hands it fresh sums, or
-a copy when every axis is kept, and never writes a stack's masses.
+a copy when every axis is kept, and never writes a stack's masses;
+stacked_entropy_in_place hands it the masses of a whole stack that its
+caller gives up, so H of that joint copies nothing.
 
 A JointStack holds N joints over the same variables on a leading axis, and
 one joint is a stack of one; stacked_entropy and stacked_mutual_information
@@ -120,16 +122,16 @@ def _owned_entropies(rows: np.ndarray) -> np.ndarray:
     package's one summation of -p log p.
 
     The caller hands over rows, a float array that it owns and no longer
-    reads, and which is overwritten: each row is sorted ascending
-    where it lies. Each row is then reduced along the rows of a contiguous
-    (rows, k) block holding the rows with exactly k positive masses: a view
-    of rows when it is one row or every cell of rows, and a copy otherwise. The block's masses become m * log2(m) in place, LOG_CHUNK
-    cells of np.log2 at a time (a block that fits one chunk in one step),
-    and each row is negated after one sum along it. numpy sums a row of 8
-    or more with eight accumulators, so padding rows to a common width would
-    change the last bits; this way a row's bits do not depend on its stack,
-    and the chunks, which only decide how much np.log2 writes at once, move
-    no bit either.
+    reads, and which is overwritten: each row is sorted ascending where it
+    lies. Each row is then reduced along the rows of a contiguous (rows, k)
+    block holding the rows with exactly k positive masses: a view of rows
+    when it is one row or every cell of rows, and a copy otherwise. The
+    block's masses become m * log2(m) in place, LOG_CHUNK cells of np.log2
+    at a time, and each row is negated after one sum along it. numpy sums a
+    row of 8 or more with eight accumulators, so padding rows to a common
+    width would change the last bits; this way a row's bits do not depend
+    on its stack, and the chunks, which only decide how much np.log2 writes
+    at once, move no bit either.
     """
     rows.sort(axis=1)
     width = rows.shape[1]
@@ -139,13 +141,10 @@ def _owned_entropies(rows: np.ndarray) -> np.ndarray:
     for k in ks:
         sel = counts == k if len(ks) > 1 else slice(None)
         masses = np.ascontiguousarray(rows[sel, width - k:])
-        if masses.size <= LOG_CHUNK:
-            masses *= np.log2(masses)
-        else:
-            flat = masses.reshape(-1)
-            for start in range(0, flat.size, LOG_CHUNK):
-                part = flat[start:start + LOG_CHUNK]
-                part *= np.log2(part)
+        flat = masses.reshape(-1)
+        for start in range(0, flat.size, LOG_CHUNK):
+            part = flat[start:start + LOG_CHUNK]
+            part *= np.log2(part)
         out[sel] = -masses.sum(axis=1)
     return out
 
@@ -161,14 +160,35 @@ def _normalize_names(joint: JointStack, names) -> tuple[str, ...]:
     return names
 
 
-def stacked_entropy(joint: JointStack, targets, given=()) -> np.ndarray:
-    """H(targets | given) of every joint in the stack, shape (N,), in bits."""
+def _entropy_names(joint: JointStack, targets, given) -> tuple:
     targets = _normalize_names(joint, targets)
     given = _normalize_names(joint, given)
     if set(targets) & set(given):
         raise ValueError(f"targets {targets} and conditioning {given} overlap")
+    return targets, given
+
+
+def stacked_entropy(joint: JointStack, targets, given=()) -> np.ndarray:
+    """H(targets | given) of every joint in the stack, shape (N,), in bits."""
+    targets, given = _entropy_names(joint, targets, given)
     h = joint.marginal_entropies
     return h(targets + given) - h(given)
+
+
+def stacked_entropy_in_place(joint: JointStack, targets, given=()) -> np.ndarray:
+    """stacked_entropy, bit for bit, of a stack its caller hands over and
+    reads no more.
+
+    When targets and given name every variable, H of the whole joint sorts
+    and weighs joint.prob where it lies, after H(given) has read it, so no
+    joint-sized copy is made; joint.prob is then left overwritten.
+    """
+    targets, given = _entropy_names(joint, targets, given)
+    h_given = joint.marginal_entropies(given)
+    if len(targets) + len(given) < len(joint.variables):
+        return joint.marginal_entropies(targets + given) - h_given
+    prob = joint.prob
+    return _owned_entropies(prob.reshape(prob.shape[0], -1)) - h_given
 
 
 def stacked_mutual_information(joint: JointStack, a, b, given=()) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import ChannelSpec, marginal_kernel
 from .errors import EnumerationTooLarge, InternalError, max_states, whole_number
-from .infotheory import JointStack, _owned_entropies
+from .infotheory import JointStack, stacked_entropy_in_place
 
 
 @dataclass(frozen=True)
@@ -406,12 +406,10 @@ def exact_equivocation(codebook: Codebook, channel: ChannelSpec,
     a fixed codebook and lies in [0, log2(M1)/n] up to rounding.
     """
     joint = equivocation_joint(codebook, channel, case)
+    hidden = joint.variables[1]
     given = joint.variables[:1] + joint.variables[2:]
-    h_given = joint.marginal_entropies(given)
-    # H of the whole joint, sorted where it lies: the stack is this call's
-    # own, and nothing reads its masses after H(given)
-    h_all = _owned_entropies(joint.prob.reshape(1, -1))
-    return float((h_all - h_given)[0]) / codebook.n
+    # the stack is this call's own: H of the whole joint sorts it in place
+    return float(stacked_entropy_in_place(joint, hidden, given)[0]) / codebook.n
 
 
 def simulate(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,

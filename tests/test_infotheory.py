@@ -26,6 +26,7 @@ from gmacsec.infotheory import (
     JointStack,
     _assemble_joint,
     stacked_entropy,
+    stacked_entropy_in_place,
     stacked_mutual_information,
 )
 
@@ -310,6 +311,25 @@ class TestInPlaceKernel:
                 # the keep-all marginal too is a copy: the stack's masses
                 # stay as they were
                 assert stack.prob.tobytes() == prob.tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_entropy_stacks())
+    def test_the_in_place_entropy_is_stacked_entropy(self, case):
+        prob, chunk = case
+        names = tuple(f"V{i}" for i in range(prob.ndim - 1))
+        with mock.patch.object(infotheory, "LOG_CHUNK", chunk):
+            for labels in itertools.product("tgx", repeat=len(names)):
+                targets = tuple(n for n, c in zip(names, labels) if c == "t")
+                given = tuple(n for n, c in zip(names, labels) if c == "g")
+                want = stacked_entropy(JointStack(names, prob.copy()), targets, given)
+                stack = JointStack(names, prob.copy())
+                got = stacked_entropy_in_place(stack, targets, given)
+                assert got.tobytes() == want.tobytes()
+                if "x" in labels:
+                    assert stack.prob.tobytes() == prob.tobytes()
+                elif (np.diff(prob.reshape(len(prob), -1), axis=1) < 0).any():
+                    # the whole joint was sorted where it lies, not copied
+                    assert stack.prob.tobytes() != prob.tobytes()
 
     def test_a_stack_of_several_counts_takes_several_blocks(self):
         prob = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])

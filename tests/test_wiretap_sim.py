@@ -19,7 +19,6 @@ from gmacsec import (
 )
 from gmacsec import fixtures as fx
 from gmacsec import wiretap_sim
-from gmacsec.infotheory import stacked_entropy
 from gmacsec.wiretap_sim import _bin_sum_blocks, _halves
 from references import codeword_figures
 
@@ -616,19 +615,20 @@ def test_simulate_memory_peak_at_the_benchmark_config(binary_degraded):
     assert peak < 12 * 2 ** 20
 
 
-def test_the_equivocation_leaves_the_joint_it_reads_intact(binary_degraded):
-    # exact_equivocation sorts its own joint where it lies; a joint built
-    # afterwards for the same codebook is the one built before, and the
-    # equivocation is the one stacked_entropy reads from it
+def test_the_equivocation_joint_is_a_fresh_array_for_each_call(binary_degraded):
+    # exact_equivocation sorts the joint it builds where it lies, so every
+    # joint equivocation_joint hands out must be an array of its own: a
+    # shared or cached one would come back sorted
     channel, counts, dist, _ = _PINNED_CONFIGS["binary_degraded_mid_size"]
     book = build_codebook(channel, *counts, dist, 1)
     for case in _CASES:
-        before = equivocation_joint(book, channel, case).prob
-        value = exact_equivocation(book, channel, case)
+        before = equivocation_joint(book, channel, case)
+        masses = before.prob.copy()
+        exact_equivocation(book, channel, case)
         after = equivocation_joint(book, channel, case)
-        assert after.prob.tobytes() == before.tobytes()
-        hidden, given = after.variables[1], after.variables[:1] + after.variables[2:]
-        assert value == float(stacked_entropy(after, hidden, given)[0]) / book.n
+        assert not np.shares_memory(after.prob, before.prob)
+        assert before.prob.tobytes() == masses.tobytes()
+        assert after.prob.tobytes() == masses.tobytes()
 
 
 def test_bin_sum_products_are_guarded_at_the_benchmark_config(monkeypatch, binary_degraded):
