@@ -385,9 +385,6 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"simulation config has unknown keys {extra}")
     if not isinstance(doc["seeds"], list):
         raise ValueError(f"simulation config key seeds must be a list, got {doc['seeds']!r}")
-    if not (isinstance(doc["input_dist"], list) and len(doc["input_dist"]) == 2):
-        raise ValueError("simulation config key input_dist must be a list of two "
-                         f"distributions, got {doc['input_dist']!r}")
     reports, aggregate = simulate(
         channel, n=doc["n"], M0=doc["M0"], M1=doc["M1"], M2=doc["M2"],
         J1=doc["J1"], J2=doc["J2"], input_dist=doc["input_dist"],

@@ -30,7 +30,7 @@ confusion at the other user's receiver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,47 +47,48 @@ class Codebook:
     x2_words maps (w0, w2, j2) likewise for sender 2. Letters are symbol
     indices. Messages and dummy indices are uniform and independent by
     construction; the arrays carry the realized draws, so two codebooks
-    built from the same seed are identical.
+    built from the same seed are identical. The arrays are the only record
+    of the counts: n, M0, M1, M2, J1 and J2 are read off their shapes
+    (M0, M1, J1, n) and (M0, M2, J2, n), which must agree on M0 and n and
+    have no empty axis.
     """
 
-    n: int
-    M0: int
-    M1: int
-    M2: int
-    J1: int
-    J2: int
-    size_x1: int
-    size_x2: int
     x1_words: np.ndarray
     x2_words: np.ndarray
+    size_x1: int
+    size_x2: int
     seed: int | None = None
+    n: int = field(init=False)
+    M0: int = field(init=False)
+    M1: int = field(init=False)
+    M2: int = field(init=False)
+    J1: int = field(init=False)
+    J2: int = field(init=False)
+    # per sender, its distinct sequences and each word's slot among them
+    _senders: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n", "M0", "M1", "M2", "J1", "J2", "size_x1", "size_x2"):
-            value = whole_number(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        for name, size_name in (("x1_words", "size_x1"), ("x2_words", "size_x2")):
+            size = whole_number(size_name, getattr(self, size_name))
+            if size < 1:
+                raise ValueError(f"{size_name} must be a positive integer")
+            words = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            if words.ndim != 4 or 0 in words.shape:
+                raise ValueError(f"{name} has shape {words.shape}, expected "
+                                 "(M0, M, J, n) with no empty axis")
+            if words.min() < 0 or words.max() >= size:
+                raise ValueError(f"{name} contains letters outside the input alphabet")
+            words.setflags(write=False)
+            object.__setattr__(self, size_name, size)
+            object.__setattr__(self, name, words)
+        x1, x2 = self.x1_words.shape, self.x2_words.shape
+        for axis, count in ((0, "M0"), (3, "n")):
+            if x1[axis] != x2[axis]:
+                raise ValueError(f"x1_words has shape {x1} and x2_words has shape "
+                                 f"{x2}: they disagree on {count}")
+        for name, value in zip(("M0", "M1", "J1", "n", "M2", "J2"), x1 + x2[1:3]):
             object.__setattr__(self, name, value)
-        x1 = np.ascontiguousarray(np.asarray(self.x1_words, dtype=np.int64))
-        x2 = np.ascontiguousarray(np.asarray(self.x2_words, dtype=np.int64))
-        if x1.shape != (self.M0, self.M1, self.J1, self.n):
-            raise ValueError(
-                f"x1_words has shape {x1.shape}, expected "
-                f"{(self.M0, self.M1, self.J1, self.n)}"
-            )
-        if x2.shape != (self.M0, self.M2, self.J2, self.n):
-            raise ValueError(
-                f"x2_words has shape {x2.shape}, expected "
-                f"{(self.M0, self.M2, self.J2, self.n)}"
-            )
-        if x1.size and (x1.min() < 0 or x1.max() >= self.size_x1):
-            raise ValueError("x1_words contains letters outside the input alphabet")
-        if x2.size and (x2.min() < 0 or x2.max() >= self.size_x2):
-            raise ValueError("x2_words contains letters outside the input alphabet")
-        x1.setflags(write=False)
-        x2.setflags(write=False)
-        object.__setattr__(self, "x1_words", x1)
-        object.__setattr__(self, "x2_words", x2)
+        object.__setattr__(self, "_senders", (_slots(self.x1_words), _slots(self.x2_words)))
 
     @property
     def rates(self) -> tuple[float, float, float]:
@@ -185,37 +186,30 @@ def build_codebook(channel: ChannelSpec, n: int, M0: int, M1: int, M2: int,
         raise ValueError("message and bin counts must be positive integers")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    total = (channel.size_x1 ** n) * (channel.size_x2 ** n) * M0 * M1 * M2 * J1 * J2
-    _guard(total, "codebook enumeration")
-    p1, p2 = input_dist
+    _guard(M0 * (M1 * J1 + M2 * J2) * n, "codebook", "letters")
+    try:
+        p1, p2 = input_dist
+    except (TypeError, ValueError):
+        raise ValueError("input_dist must be a pair of distributions, one per "
+                         f"sender, got {input_dist!r}") from None
     p1 = _check_input_dist(p1, channel.size_x1, "sender 1")
     p2 = _check_input_dist(p2, channel.size_x2, "sender 2")
     rng = np.random.default_rng(seed)
     x1 = rng.choice(channel.size_x1, size=(M0, M1, J1, n), p=p1)
     x2 = rng.choice(channel.size_x2, size=(M0, M2, J2, n), p=p2)
-    return Codebook(
-        n=n, M0=M0, M1=M1, M2=M2, J1=J1, J2=J2,
-        size_x1=channel.size_x1, size_x2=channel.size_x2,
-        x1_words=x1, x2_words=x2, seed=seed,
-    )
+    return Codebook(x1, x2, channel.size_x1, channel.size_x2, seed)
 
 
-def _slots(words: np.ndarray):
-    """Distinct sequences across a word array, each word's slot among
-    them, and per-(w0, w) bin counts.
-
-    Returns (sequences, slots, counts): sequences is (k, n), slots is
-    (M0, Mw, J) with words[w0, w, j] == sequences[slots[w0, w, j]], and
-    counts is (M0, Mw, k) with counts[w0, w] summing to the bin size.
-    """
+def _slots(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sequences across a word array and each word's slot among
+    them: (sequences, slots), sequences of shape (k, n) and slots of shape
+    (M0, Mw, J) with words[w0, w, j] == sequences[slots[w0, w, j]]."""
     m0, mw, j, n = words.shape
     seqs, inverse = np.unique(words.reshape(-1, n), axis=0, return_inverse=True)
-    k = seqs.shape[0]
     slots = inverse.reshape(m0, mw, j)
-    # one bincount: row r = (w0, w) owns the slots r*k .. r*k + k - 1
-    rows = slots.reshape(m0 * mw, j) + k * np.arange(m0 * mw)[:, None]
-    counts = np.bincount(rows.ravel(), minlength=m0 * mw * k)
-    return seqs, slots, counts.reshape(m0, mw, k)
+    seqs.setflags(write=False)
+    slots.setflags(write=False)
+    return seqs, slots
 
 
 # Cells per block of bin sums; a block of 2^16 float64 cells is 512 KiB, so
@@ -312,8 +306,7 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     m_triples = codebook.M0 * codebook.M1 * codebook.M2
     _guard(m_triples * ny, "decoder likelihood table")
     kernel = marginal_kernel(channel, "destination")
-    seqs1, slots1, _ = _slots(codebook.x1_words)
-    seqs2, slots2, _ = _slots(codebook.x2_words)
+    (seqs1, slots1), (seqs2, slots2) = codebook._senders
     k2 = seqs2.shape[0]
     _guard_products(seqs1, seqs2, ny)
     # pairs[(j1, j2), w0, w1, w2]: the pairwise row of each codeword pair
@@ -334,11 +327,12 @@ def exact_error_probability(codebook: Codebook, channel: ChannelSpec) -> float:
     return float(np.sum(total - best) / (m_triples * codebook.J1 * codebook.J2))
 
 
+# case: (the hidden sender, 0 for sender 1 and 1 for sender 2; the observer)
 _OBSERVERS = {
-    "user2_about_W1": ("W1", "user2"),
-    "user1_about_W2": ("W2", "user1"),
-    "destination_about_W1": ("W1", "destination"),
-    "destination_about_W2": ("W2", "destination"),
+    "user2_about_W1": (0, "user2"),
+    "user1_about_W2": (1, "user1"),
+    "destination_about_W1": (0, "destination"),
+    "destination_about_W2": (1, "destination"),
 }
 
 _OUTPUT_NAME = {"destination": "Y", "user1": "Y1", "user2": "Y2"}
@@ -362,31 +356,28 @@ def equivocation_joint(codebook: Codebook, channel: ChannelSpec,
     if case not in _OBSERVERS:
         raise ValueError(f"unknown case {case!r}; expected one of {sorted(_OBSERVERS)}")
     hidden, receiver = _OBSERVERS[case]
-    table = marginal_kernel(channel, receiver)
-    if hidden == "W1":
-        hidden_words, known_words = codebook.x1_words, codebook.x2_words
-        mh, jh = codebook.M1, codebook.J1
-        mk, jk = codebook.M2, codebook.J2
-        kernel = table
-        variables = ("W0", "W1", "W2", "X2", _OUTPUT_NAME[receiver])
-    else:
-        hidden_words, known_words = codebook.x2_words, codebook.x1_words
-        mh, jh = codebook.M2, codebook.J2
-        mk, jk = codebook.M1, codebook.J1
-        kernel = np.transpose(table, (1, 0, 2))
-        variables = ("W0", "W2", "W1", "X1", _OUTPUT_NAME[receiver])
-    n = codebook.n
-    ny = kernel.shape[2] ** n
-    hidden_seqs, hidden_slots, _ = _slots(hidden_words)
-    known_seqs, _, known_counts = _slots(known_words)
+    known = 1 - hidden
+    hidden_seqs, hidden_slots = codebook._senders[hidden]
+    known_seqs, known_slots = codebook._senders[known]
+    m0, mh, jh = hidden_slots.shape
+    mk, jk = known_slots.shape[1:]
     kd = known_seqs.shape[0]
+    # the kernel is indexed (hidden letter, known letter, output letter)
+    kernel = np.moveaxis(marginal_kernel(channel, receiver), hidden, 0)
+    variables = ("W0", f"W{hidden + 1}", f"W{known + 1}", f"X{known + 1}",
+                 _OUTPUT_NAME[receiver])
+    ny = kernel.shape[2] ** codebook.n
     _guard_products(hidden_seqs, known_seqs, ny)
-    _guard(codebook.M0 * mh * mk * kd * ny, "equivocation joint")
+    _guard(m0 * mh * mk * kd * ny, "equivocation joint")
+    # known_counts[w0, wk, s]: how many words of bin (w0, wk) are sequence s;
+    # row r = (w0, wk) of one bincount owns the slots r*kd .. r*kd + kd - 1
+    rows = known_slots.reshape(m0 * mk, jk) + kd * np.arange(m0 * mk)[:, None]
+    known_counts = np.bincount(rows.ravel(), minlength=m0 * mk * kd).reshape(m0, mk, kd)
     # bins[jh, w0, wh, known-seq]: the pairwise row of each codeword pair
     bins = np.moveaxis(hidden_slots, 2, 0)[..., None] * kd + np.arange(kd)
-    draws = codebook.M0 * mh * mk * jh * jk
+    draws = m0 * mh * mk * jh * jk
     # the blocks tile the output sequences, so every cell is written
-    joint = np.empty((codebook.M0, mh, mk, kd, ny))
+    joint = np.empty((m0, mh, mk, kd, ny))
     for start, stop, binned in _bin_sum_blocks(hidden_seqs, known_seqs, kernel, bins):
         # binned: mass(w0, wh, known-seq, y-seq) summed over the hidden bin
         block = joint[..., start:stop]

@@ -30,8 +30,7 @@ def _repetition_codebook(n=3):
     words = np.zeros((1, 2, 1, n), dtype=np.int64)
     words[0, 1, 0, :] = 1
     x2 = np.zeros((1, 1, 1, n), dtype=np.int64)
-    return Codebook(n=n, M0=1, M1=2, M2=1, J1=1, J2=1,
-                    size_x1=2, size_x2=1, x1_words=words, x2_words=x2)
+    return Codebook(words, x2, size_x1=2, size_x2=1)
 
 
 class TestCodebook:
@@ -50,8 +49,8 @@ class TestCodebook:
         assert book.x2_words.shape == (2, 2, 1, 4)
         assert book.rates == (0.25, 0.5, 0.25)
 
-    def test_letter_frequencies_follow_the_input_law(self, monkeypatch):
-        monkeypatch.setenv("GMAC_MAX_STATES", str(2 ** 80))
+    def test_letter_frequencies_follow_the_input_law(self):
+        # 20,050 letters, far below the default guard
         channel = fx.binary_degraded()
         book = build_codebook(channel, 50, 1, 200, 1, 2, 1,
                               ([0.3, 0.7], [1.0]), seed=123)
@@ -60,9 +59,17 @@ class TestCodebook:
 
     def test_state_guard(self, monkeypatch, binary_degraded):
         monkeypatch.setenv("GMAC_MAX_STATES", "10")
-        with pytest.raises(EnumerationTooLarge):
+        with pytest.raises(EnumerationTooLarge,
+                           match="^codebook needs 20 letters, above the guard of 10$"):
             build_codebook(binary_degraded, 4, 1, 4, 1, 1, 1,
                            ([0.5, 0.5], [1.0]), seed=1)
+
+    def test_a_long_code_of_few_words_runs_at_the_default_guard(self, blind_destination):
+        # 72 letters; the retired guard counted 2^24 * 2^24 * 2 states here
+        reports, _ = simulate(blind_destination, 24, 1, 2, 1, 1, 1,
+                              UNIFORM_PAIR, seeds=[0])
+        assert reports[0].error_probability == 0.5
+        assert reports[0].equivocation_user1 == 0.0
 
     def test_input_dist_validation(self, binary_degraded):
         with pytest.raises(ValueError):
@@ -74,6 +81,12 @@ class TestCodebook:
         with pytest.raises(ValueError):
             build_codebook(binary_degraded, 2, 1, 2, 1, 1, 1,
                            ([0.4, 0.4], [1.0]), seed=1)
+
+    @pytest.mark.parametrize("input_dist", [0.5, [[0.5, 0.5]], ([0.5, 0.5], [1.0], [1.0])])
+    def test_input_dist_must_be_a_pair(self, binary_degraded, input_dist):
+        message = r"^input_dist must be a pair of distributions, one per sender, got "
+        with pytest.raises(ValueError, match=message):
+            build_codebook(binary_degraded, 2, 1, 2, 1, 1, 1, input_dist, seed=1)
 
     def test_nan_input_dist_is_rejected(self, binary_degraded):
         with pytest.raises(ValueError, match="sums to nan"):
@@ -91,44 +104,84 @@ class TestCodebook:
     @pytest.mark.parametrize("field", ["n", "M0", "M1", "M2", "J1", "J2",
                                        "size_x1", "size_x2"])
     @pytest.mark.parametrize("value", [2.5, True])
-    def test_counts_must_be_whole_numbers(self, field, value):
-        args = dict(n=2, M0=1, M1=2, M2=1, J1=1, J2=1, size_x1=2, size_x2=2,
-                    x1_words=np.zeros((1, 2, 1, 2), dtype=np.int64),
-                    x2_words=np.zeros((1, 1, 1, 2), dtype=np.int64))
+    def test_counts_must_be_whole_numbers(self, binary_degraded, field, value):
+        # the message and bin counts are build_codebook's arguments, the
+        # alphabet sizes are Codebook's
+        if field.startswith("size"):
+            args = dict(size_x1=2, size_x2=2,
+                        x1_words=np.zeros((1, 2, 1, 2), dtype=np.int64),
+                        x2_words=np.zeros((1, 1, 1, 2), dtype=np.int64))
+            make = Codebook
+        else:
+            args = dict(channel=binary_degraded, n=2, M0=1, M1=2, M2=1, J1=1, J2=1,
+                        input_dist=([0.5, 0.5], [1.0]), seed=1)
+            make = build_codebook
         args[field] = value
         with pytest.raises(ValueError, match="whole number"):
-            Codebook(**args)
+            make(**args)
 
     def test_integral_floats_are_stored_as_ints(self, binary_degraded):
-        book = Codebook(n=2, M0=1, M1=2.0, M2=1, J1=1, J2=1, size_x1=2,
-                        size_x2=1, x1_words=[[[[0, 0]], [[1, 1]]]],
-                        x2_words=np.zeros((1, 1, 1, 2), dtype=np.int64))
-        assert type(book.M1) is int
+        book = build_codebook(binary_degraded, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
+                              ([0.5, 0.5], [1.0]), seed=1.0)
+        counts = (book.n, book.M0, book.M1, book.M2, book.J1, book.J2,
+                  book.size_x1, book.size_x2, book.seed)
+        assert counts == (2, 3, 4, 5, 6, 7, 2, 1, 1)
+        assert all(type(value) is int for value in counts)
         assert exact_equivocation(book, binary_degraded) >= 0.0
 
     def test_letters_must_fit_the_alphabet(self):
         words = np.full((1, 1, 1, 2), 3, dtype=np.int64)
         x2 = np.zeros((1, 1, 1, 2), dtype=np.int64)
-        with pytest.raises(ValueError):
-            Codebook(n=2, M0=1, M1=1, M2=1, J1=1, J2=1,
-                     size_x1=2, size_x2=1, x1_words=words, x2_words=x2)
+        with pytest.raises(ValueError, match="x1_words contains letters outside"):
+            Codebook(words, x2, size_x1=2, size_x2=1)
+        with pytest.raises(ValueError, match="x1_words contains letters outside"):
+            Codebook(-words, x2, size_x1=2, size_x2=1)
 
     @pytest.mark.parametrize("change, message", [
-        ({"M1": 0, "x1_words": np.zeros((1, 0, 1, 2), dtype=np.int64)},
-         "M1 must be a positive integer"),
+        ({"x1_words": np.zeros((1, 0, 1, 2), dtype=np.int64)},
+         r"^x1_words has shape \(1, 0, 1, 2\), expected \(M0, M, J, n\) with no empty axis$"),
         ({"x1_words": np.zeros((1, 2, 1, 3), dtype=np.int64)},
-         r"x1_words has shape \(1, 2, 1, 3\), expected \(1, 2, 1, 2\)"),
-        ({"x2_words": np.zeros((1, 2, 1, 2), dtype=np.int64)},
-         r"x2_words has shape \(1, 2, 1, 2\), expected \(1, 1, 1, 2\)"),
+         r"^x1_words has shape \(1, 2, 1, 3\) and x2_words has shape \(1, 1, 1, 2\): "
+         "they disagree on n$"),
+        ({"x2_words": np.zeros((2, 1, 1, 2), dtype=np.int64)},
+         r"^x1_words has shape \(1, 2, 1, 2\) and x2_words has shape \(2, 1, 1, 2\): "
+         "they disagree on M0$"),
         ({"x2_words": np.full((1, 1, 1, 2), 2, dtype=np.int64)},
          "x2_words contains letters outside the input alphabet"),
-    ], ids=["count", "x1_shape", "x2_shape", "x2_letters"])
+        ({"x1_words": np.zeros((1, 2, 2), dtype=np.int64)},
+         r"^x1_words has shape \(1, 2, 2\), expected \(M0, M, J, n\) with no empty axis$"),
+        ({"x1_words": np.zeros((0, 2, 1, 2), dtype=np.int64)},
+         r"^x1_words has shape \(0, 2, 1, 2\), expected \(M0, M, J, n\) with no empty axis$"),
+        ({"x2_words": np.zeros((1, 1, 1, 0), dtype=np.int64)},
+         r"^x2_words has shape \(1, 1, 1, 0\), expected \(M0, M, J, n\) with no empty axis$"),
+    ], ids=["count", "x1_shape", "x2_shape", "x2_letters", "three_axes", "empty_M0",
+            "empty_n"])
     def test_malformed_codebooks_are_refused(self, change, message):
-        args = dict(n=2, M0=1, M1=2, M2=1, J1=1, J2=1, size_x1=2, size_x2=2,
+        args = dict(size_x1=2, size_x2=2,
                     x1_words=np.zeros((1, 2, 1, 2), dtype=np.int64),
                     x2_words=np.zeros((1, 1, 1, 2), dtype=np.int64))
         with pytest.raises(ValueError, match=message):
             Codebook(**{**args, **change})
+
+    def test_counts_are_read_off_the_word_arrays(self):
+        book = Codebook(np.zeros((3, 4, 5, 2), dtype=np.int64),
+                        np.ones((3, 6, 7, 2), dtype=np.int64), size_x1=2, size_x2=2)
+        assert (book.M0, book.M1, book.J1, book.n, book.M2, book.J2) == (3, 4, 5, 2, 6, 7)
+        assert book.seed is None
+        assert not book.x1_words.flags.writeable
+
+    def test_simulate_indexes_each_sender_once_per_seed(self, binary_degraded, monkeypatch):
+        # the decoder and both equivocations read the index the codebook built
+        calls = []
+        slots = wiretap_sim._slots
+
+        def counted(words):
+            calls.append(words.shape)
+            return slots(words)
+
+        monkeypatch.setattr(wiretap_sim, "_slots", counted)
+        simulate(binary_degraded, 4, 1, 4, 1, 2, 1, ([0.5, 0.5], [1.0]), seeds=[1, 2, 3])
+        assert calls == [(1, 4, 2, 4), (1, 1, 1, 4)] * 3
 
 
 class TestErrorProbability:
@@ -142,8 +195,7 @@ class TestErrorProbability:
         words = np.array([[0, 0], [0, 1], [1, 0], [1, 1]],
                          dtype=np.int64).reshape(1, 4, 1, 2)
         x2 = np.zeros((1, 1, 1, 2), dtype=np.int64)
-        book = Codebook(n=2, M0=1, M1=4, M2=1, J1=1, J2=1,
-                        size_x1=2, size_x2=2, x1_words=words, x2_words=x2)
+        book = Codebook(words, x2, size_x1=2, size_x2=2)
         assert exact_error_probability(book, leaky_wiretap) == 0.0
 
     def test_blind_destination_guesses_uniformly(self, blind_destination):
@@ -175,8 +227,7 @@ class TestEquivocation:
         words = np.array([[0, 0], [0, 1], [1, 0], [1, 1]],
                          dtype=np.int64).reshape(1, 4, 1, 2)
         x2 = np.zeros((1, 1, 1, 2), dtype=np.int64)
-        book = Codebook(n=2, M0=1, M1=4, M2=1, J1=1, J2=1,
-                        size_x1=2, size_x2=2, x1_words=words, x2_words=x2)
+        book = Codebook(words, x2, size_x1=2, size_x2=2)
         assert exact_equivocation(book, leaky_wiretap, "user2_about_W1") == 0.0
 
     def test_output_relabeling_changes_nothing_bitwise(self, binary_degraded):
@@ -658,8 +709,7 @@ def _many_message_codebook():
     x1[0, :, 0, :] = np.arange(100)[:, None] >> np.array([1, 0]) & 1
     x2 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]],
                   dtype=np.int64).reshape(1, 1, 4, 2)
-    return Codebook(n=2, M0=1, M1=100, M2=1, J1=1, J2=4,
-                    size_x1=2, size_x2=2, x1_words=x1, x2_words=x2)
+    return Codebook(x1, x2, size_x1=2, size_x2=2)
 
 
 def test_decoder_partial_table_is_guarded(monkeypatch, clean_mac):
